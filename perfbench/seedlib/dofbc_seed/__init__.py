@@ -1,0 +1,120 @@
+"""DoF analysis and verified transmission schemes for the two-user broadcast
+channel in which only k of the M transmit antennas hold perfect CSI.
+
+The package computes the exact DoF region and sum-DoF bounds, constructs the
+achievability schemes as explicit linear transmission plans, and certifies
+them with exact generic-rank decodability checks over a prime field plus
+finite-SNR rate-slope simulation.
+"""
+
+from .channel import (
+    ChannelDistribution,
+    ChannelRealization,
+    CsitView,
+    RotationMatrix,
+    apply_tx_rotation,
+    csit_view,
+    equivalent_square_channel,
+    field_channel,
+    rotated_channel,
+    rotation_matrix,
+    sample_channel,
+)
+from .config import SystemConfig, normalize_config
+from .errors import (
+    CapabilityExceededError,
+    CertificationError,
+    EmptyRegionError,
+    InvalidConfigError,
+    RegimeError,
+    ResampleRequiredError,
+)
+from .precoding import CancellationTarget, PrecoderVector, apzf_precoder, zf_precoder
+from .region import (
+    DofPoint,
+    DofRegion,
+    LinearConstraint,
+    achievable_region,
+    analogy_gap,
+    pd_sum_dof,
+    region_constraints,
+    region_vertices,
+    sum_dof_lower,
+    sum_dof_upper,
+)
+from .schemes import (
+    PlanSummary,
+    SymbolRegistry,
+    TransmissionPlan,
+    build_scheme_6331,
+    build_scheme_baseline,
+    build_scheme_low_k,
+    build_scheme_mid_k,
+    select_scheme,
+)
+from .verifier import (
+    CertificationResult,
+    DecodabilityReport,
+    ObservationSystem,
+    RateSimConfig,
+    achieved_dof,
+    csit_compliance,
+    decodability_check,
+    rate_slope_estimate,
+    realize_plan,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "CancellationTarget",
+    "CapabilityExceededError",
+    "CertificationError",
+    "CertificationResult",
+    "ChannelDistribution",
+    "ChannelRealization",
+    "CsitView",
+    "DecodabilityReport",
+    "DofPoint",
+    "DofRegion",
+    "EmptyRegionError",
+    "InvalidConfigError",
+    "LinearConstraint",
+    "ObservationSystem",
+    "PlanSummary",
+    "PrecoderVector",
+    "RateSimConfig",
+    "RegimeError",
+    "ResampleRequiredError",
+    "RotationMatrix",
+    "SymbolRegistry",
+    "SystemConfig",
+    "TransmissionPlan",
+    "achievable_region",
+    "achieved_dof",
+    "analogy_gap",
+    "apply_tx_rotation",
+    "apzf_precoder",
+    "build_scheme_6331",
+    "build_scheme_baseline",
+    "build_scheme_low_k",
+    "build_scheme_mid_k",
+    "csit_compliance",
+    "csit_view",
+    "decodability_check",
+    "equivalent_square_channel",
+    "field_channel",
+    "normalize_config",
+    "pd_sum_dof",
+    "rate_slope_estimate",
+    "realize_plan",
+    "region_constraints",
+    "region_vertices",
+    "rotated_channel",
+    "rotation_matrix",
+    "sample_channel",
+    "select_scheme",
+    "sum_dof_lower",
+    "sum_dof_upper",
+    "zf_precoder",
+]

@@ -1,0 +1,308 @@
+"""Command-line surface: regions, bound sweeps, scheme verification, figures.
+
+Commands
+--------
+region M N1 N2 k        outer-bound constraints, vertices, achievable hull
+sweep-k M N1 N2         sum-DoF bounds for k = 0..M
+sweep-n2 M k            sum-DoF bounds versus N2 with N1+N2 = M fixed
+simulate M N1 N2 k      build, certify, and optionally rate-simulate a plan
+figure {fig2,fig3,fig4} write the reference figure CSV datasets
+
+Exit codes: 0 success, 2 invalid input, 3 certification failure.  Rationals
+are serialized as "p/q" strings (plain "p" for integers); decimal companions
+are provided for plotting.  JSON documents use the fixed key orders produced
+here; see README for the schema.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from .channel import ChannelDistribution
+from .config import normalize_config
+from .errors import CertificationError, InvalidConfigError, ResampleRequiredError
+from .figures import FIGURES, fig2_rows, fig4_bounds, write_figure
+from .region import (
+    DofPoint,
+    DofRegion,
+    LinearConstraint,
+    achievable_region,
+    pd_sum_dof,
+    region_constraints,
+    sum_dof_lower,
+    sum_dof_upper,
+)
+from .schemes import select_scheme
+from .verifier import RateSimConfig, achieved_dof, csit_compliance, rate_slope_estimate
+
+EXIT_OK = 0
+EXIT_INVALID = 2
+EXIT_CERTIFICATION = 3
+
+
+def _unswap_point(p: DofPoint, swapped: bool) -> tuple[Fraction, Fraction]:
+    return (p.d2, p.d1) if swapped else (p.d1, p.d2)
+
+
+def region_document(M: int, N1: int, N2: int, k: int) -> dict:
+    """Region document in the caller's receiver labeling."""
+    cfg = normalize_config(M, N1, N2, k)
+    region = region_constraints(cfg)
+    vertices = [_unswap_point(v, cfg.swapped) for v in region.vertices]
+    hull = [_unswap_point(v, cfg.swapped) for v in achievable_region(cfg)]
+    constraints = region.constraints
+    if cfg.swapped:
+        constraints = tuple(LinearConstraint(c.a2, c.a1, c.b) for c in constraints)
+        vertices = sorted(vertices)
+        hull = sorted(hull)
+    return {
+        "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": cfg.swapped},
+        "constraints": [{"a1": str(c.a1), "a2": str(c.a2), "b": str(c.b)} for c in constraints],
+        "vertices": [[str(d1), str(d2)] for d1, d2 in vertices],
+        "achievable": [[str(d1), str(d2)] for d1, d2 in hull],
+        "sum_dof_upper": str(sum_dof_upper(cfg)),
+        "sum_dof_lower": str(sum_dof_lower(cfg)),
+    }
+
+
+def region_from_json(doc: dict) -> DofRegion:
+    """Re-parse a region document (exact rationals preserved)."""
+    return DofRegion(
+        tuple(
+            LinearConstraint(Fraction(c["a1"]), Fraction(c["a2"]), Fraction(c["b"]))
+            for c in doc["constraints"]
+        )
+    )
+
+
+def sweep_k_rows(M: int, N1: int, N2: int) -> list[dict]:
+    rows = []
+    base = normalize_config(M, N1, N2, 0)
+    pd_ref = str(pd_sum_dof(base.N1, base.N2)) if M == N1 + N2 else ""
+    for k in range(M + 1):
+        cfg = normalize_config(M, N1, N2, k)
+        upper, lower = sum_dof_upper(cfg), sum_dof_lower(cfg)
+        rows.append(
+            {
+                "k": k,
+                "upper": str(upper),
+                "upper_decimal": f"{float(upper):.12g}",
+                "lower": str(lower),
+                "lower_decimal": f"{float(lower):.12g}",
+                "pd_reference": pd_ref,
+            }
+        )
+    return rows
+
+
+def sweep_n2_rows(M: int, k: int) -> list[dict]:
+    rows = []
+    for N2 in range((M + 1) // 2, M + 1):
+        N1 = M - N2
+        if N1 == 0:
+            upper = lower = Fraction(min(M, N2))
+        else:
+            cfg = normalize_config(M, N1, N2, k)
+            upper, lower = sum_dof_upper(cfg), sum_dof_lower(cfg)
+        rows.append(
+            {
+                "N2": N2,
+                "upper": str(upper),
+                "upper_decimal": f"{float(upper):.12g}",
+                "lower": str(lower),
+                "lower_decimal": f"{float(lower):.12g}",
+                "pd_reference": str(pd_sum_dof(N1, N2)) if N1 >= 1 else "",
+            }
+        )
+    return rows
+
+
+def simulate_document(
+    M: int,
+    N1: int,
+    N2: int,
+    k: int,
+    trials: int = 50,
+    seed: int = 1,
+    snr_db: tuple[float, ...] | None = None,
+    special_cases: bool = False,
+    delta_min: float = 0.1,
+    delta_max: float = 1.0,
+) -> dict:
+    cfg = normalize_config(M, N1, N2, k)
+    plan = select_scheme(cfg, allow_special_cases=special_cases)
+    summary = plan.summary()
+    certification = achieved_dof(plan, trials=trials, seed=seed)
+    compliance = csit_compliance(plan, seed=seed)
+    doc = {
+        "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": cfg.swapped},
+        "scheme": plan.scheme_id,
+        "S1": summary.S1,
+        "S2": summary.S2,
+        "T": summary.T,
+        "claimed_dof": str(plan.claimed_dof),
+        "certified_dof": None if certification.dof is None else str(certification.dof),
+        "certified": certification.ok,
+        "trials": certification.trials,
+        "failures": list(certification.failures),
+        "resamples": certification.resamples,
+        "compliance": compliance.to_json(),
+        "slope": None,
+    }
+    if snr_db:
+        rsc = RateSimConfig(snr_db=tuple(snr_db), trials=min(trials, 100))
+        dist = ChannelDistribution(delta_min, delta_max)
+        doc["slope"] = rate_slope_estimate(plan, rsc, seed=seed, dist=dist).to_json()
+    return doc
+
+
+def _emit(text: str, out: str | None):
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _rows_to_csv(rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _emit_rows(rows: list[dict], fmt: str, out: str | None):
+    if fmt == "csv":
+        _emit(_rows_to_csv(rows), out)
+    else:
+        _emit(json.dumps(rows, indent=1), out)
+
+
+def _region_csv(doc: dict) -> str:
+    rows = []
+    for i, c in enumerate(doc["constraints"]):
+        rows.append({"kind": "constraint", "index": i, "x": c["a1"], "y": c["a2"], "b": c["b"]})
+    for i, (d1, d2) in enumerate(doc["vertices"]):
+        rows.append({"kind": "vertex", "index": i, "x": d1, "y": d2, "b": ""})
+    for i, (d1, d2) in enumerate(doc["achievable"]):
+        rows.append({"kind": "achievable", "index": i, "x": d1, "y": d2, "b": ""})
+    return _rows_to_csv(rows)
+
+
+def _certify_figures(name: str, trials: int, seed: int) -> list[str]:
+    """Re-run the verifier on each achievable point of a figure dataset."""
+    problems = []
+    if name == "fig2":
+        for row in fig2_rows():
+            cfg = normalize_config(9, 6, 3, int(row["k"]))
+            result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
+            if not result.ok or str(result.dof) != row["lower_exact"]:
+                problems.append(f"fig2 k={row['k']}: certified {result.dof}, table {row['lower_exact']}")
+    elif name == "fig3":
+        for k in range(4):
+            cfg = normalize_config(4, 1, 3, k)
+            result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
+            if not result.ok or result.dof != sum_dof_lower(cfg):
+                problems.append(f"fig3 k={k}: certified {result.dof}")
+    else:
+        for N2 in range(10, 20):
+            cfg = normalize_config(20, 20 - N2, N2, 12)
+            result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
+            upper, lower = fig4_bounds(N2)
+            if not result.ok or result.dof != lower:
+                problems.append(f"fig4 N2={N2}: certified {result.dof}, table {lower}")
+    return problems
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dofbc",
+        description="DoF regions and verified transmission schemes for the "
+        "two-user broadcast channel with k perfectly informed transmit antennas.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, config_args: int):
+        names = ["M", "N1", "N2", "k"][:config_args]
+        if config_args == 2:
+            names = ["M", "k"]
+        for name in names:
+            p.add_argument(name, type=int)
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        return p
+
+    add_common(sub.add_parser("region", help="DoF region constraints and vertices"), 4)
+    add_common(sub.add_parser("sweep-k", help="bounds for k = 0..M"), 3)
+    add_common(sub.add_parser("sweep-n2", help="bounds versus N2 with N1+N2 = M"), 2)
+
+    sim = sub.add_parser("simulate", help="build and certify a transmission plan")
+    add_common(sim, 4)
+    sim.add_argument("--trials", type=int, default=50)
+    sim.add_argument("--seed", type=int, default=1)
+    sim.add_argument("--snr", help="comma-separated SNR points in dB, e.g. 40,60,80")
+    sim.add_argument("--special-cases", action="store_true")
+    sim.add_argument("--delta-min", type=float, default=0.1)
+    sim.add_argument("--delta-max", type=float, default=1.0)
+
+    fig = sub.add_parser("figure", help="write figure datasets as CSV")
+    fig.add_argument("name", choices=sorted(FIGURES))
+    fig.add_argument("--out", default=".", help="output directory (default: cwd)")
+    fig.add_argument("--certify", action="store_true")
+    fig.add_argument("--trials", type=int, default=50)
+    fig.add_argument("--seed", type=int, default=1)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "region":
+            doc = region_document(args.M, args.N1, args.N2, args.k)
+            _emit(_region_csv(doc) if args.format == "csv" else json.dumps(doc, indent=1), args.out)
+        elif args.command == "sweep-k":
+            _emit_rows(sweep_k_rows(args.M, args.N1, args.N2), args.format, args.out)
+        elif args.command == "sweep-n2":
+            _emit_rows(sweep_n2_rows(args.M, args.k), args.format, args.out)
+        elif args.command == "simulate":
+            snr = tuple(float(s) for s in args.snr.split(",")) if args.snr else None
+            doc = simulate_document(
+                args.M,
+                args.N1,
+                args.N2,
+                args.k,
+                trials=args.trials,
+                seed=args.seed,
+                snr_db=snr,
+                special_cases=args.special_cases,
+                delta_min=args.delta_min,
+                delta_max=args.delta_max,
+            )
+            _emit(json.dumps(doc, indent=1), args.out)
+            if not doc["certified"] or not doc["compliance"]["compliant"]:
+                return EXIT_CERTIFICATION
+        elif args.command == "figure":
+            path = write_figure(args.name, args.out)
+            sys.stdout.write(f"wrote {path}\n")
+            if args.certify:
+                problems = _certify_figures(args.name, args.trials, args.seed)
+                if problems:
+                    sys.stderr.write("\n".join(problems) + "\n")
+                    return EXIT_CERTIFICATION
+    except InvalidConfigError as exc:
+        sys.stderr.write(f"invalid input: {exc}\n")
+        return EXIT_INVALID
+    except (CertificationError, ResampleRequiredError) as exc:
+        sys.stderr.write(f"certification failed: {exc}\n")
+        return EXIT_CERTIFICATION
+    return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,86 @@
+"""System configuration for the 2-user broadcast channel with k informed antennas.
+
+A system is described by the tuple (M, N1, N2, k): M transmit antennas serve
+two receivers with N1 and N2 antennas, and only the first k transmit antennas
+hold perfect channel knowledge (the remaining M - k hold finite-precision
+knowledge only).  All analysis assumes the receiver labels are ordered so
+that N1 <= N2; `normalize_config` applies that convention and remembers
+whether the labels were swapped so results can be reported in user order.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import InvalidConfigError
+
+
+@dataclass(frozen=True)
+class SystemConfig:
+    """Antenna/CSIT counts, normalized so that N1 <= N2.
+
+    Attributes:
+        M: number of transmit antennas (>= 1).
+        N1: antennas at the weaker receiver (1 <= N1 <= N2).
+        N2: antennas at the stronger receiver.
+        k: number of transmit antennas with perfect channel knowledge
+            (0 <= k <= M); by convention these are antennas 1..k.
+        swapped: True if the receiver labels were exchanged during
+            normalization (the caller's RX1 is this config's RX2).
+    """
+
+    M: int
+    N1: int
+    N2: int
+    k: int
+    swapped: bool = False
+
+    def __post_init__(self):
+        for name in ("M", "N1", "N2", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        if self.M < 1:
+            raise InvalidConfigError("at least one transmit antenna is required")
+        if self.N1 < 1 or self.N2 < 1:
+            raise InvalidConfigError("each receiver needs at least one antenna")
+        if self.N1 > self.N2:
+            raise InvalidConfigError("receiver antennas must satisfy N1 <= N2")
+        if not 0 <= self.k <= self.M:
+            raise InvalidConfigError("informed-antenna count k must satisfy 0 <= k <= M")
+
+    @property
+    def N(self) -> int:
+        """Combined receive dimension N1 + N2."""
+        return self.N1 + self.N2
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        return (self.M, self.N1, self.N2, self.k)
+
+    def informed(self, tx_index: int) -> bool:
+        """True if transmit antenna `tx_index` (0-based) has perfect CSI."""
+        if not 0 <= tx_index < self.M:
+            raise InvalidConfigError(f"antenna index {tx_index} out of range")
+        return tx_index < self.k
+
+
+def normalize_config(M: int, N1: int, N2: int, k: int) -> SystemConfig:
+    """Validate raw counts and swap receiver labels if needed so N1 <= N2.
+
+    Returns a `SystemConfig` whose `swapped` flag records whether the two
+    receivers were exchanged, so downstream region output can be un-swapped
+    back to the caller's labeling.
+    """
+    for name, value in (("M", M), ("N1", N1), ("N2", N2), ("k", k)):
+        if not isinstance(value, int):
+            raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    if M < 1:
+        raise InvalidConfigError("at least one transmit antenna is required")
+    if N1 < 1 or N2 < 1:
+        raise InvalidConfigError("each receiver needs at least one antenna")
+    if not 0 <= k <= M:
+        raise InvalidConfigError("informed-antenna count k must satisfy 0 <= k <= M")
+    if N1 > N2:
+        return SystemConfig(M, N2, N1, k, swapped=True)
+    return SystemConfig(M, N1, N2, k, swapped=False)

@@ -1,0 +1,157 @@
+"""Zero-forcing precoders under the distributed-CSIT constraint.
+
+The workhorse is active-passive zero forcing (AP-ZF): the M-k uninformed
+antennas transmit fixed channel-independent coefficients (the passive part),
+and the informed antennas solve a linear system so the stream vanishes at up
+to k chosen receive antennas.  A plain ZF precoder (every coefficient
+channel-dependent) is also provided as the fully-informed baseline; it is
+only CSIT-legal when all antennas are informed.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channel import ChannelRealization
+from .errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError
+from .gf import gf_array, gf_matmul, gf_null_vector, gf_particular_solution, gf_rank, gf_solve
+
+CHANNEL = "channel"
+CONSTANT = "constant"
+
+
+@dataclass(frozen=True)
+class CancellationTarget:
+    """Receiver antenna rows (receiver-local, 0-based) where a stream must vanish."""
+
+    rx: int
+    antenna_rows: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.rx not in (1, 2):
+            raise InvalidConfigError("rx must be 1 or 2")
+        if len(set(self.antenna_rows)) != len(self.antenna_rows):
+            raise InvalidConfigError("duplicate cancellation rows")
+
+
+@dataclass(frozen=True)
+class PrecoderVector:
+    """Length-M coefficient vector plus a per-coefficient CSIT dependency label."""
+
+    coeffs: np.ndarray
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.labels) != len(self.coeffs):
+            raise InvalidConfigError("one label per coefficient required")
+        self.coeffs.setflags(write=False)
+
+    @property
+    def constant_support(self) -> tuple[int, ...]:
+        return tuple(i for i, lab in enumerate(self.labels) if lab == CONSTANT)
+
+
+def _residual_ok(H_sel: np.ndarray, t: np.ndarray, field) -> bool:
+    if field is None:
+        scale = max(np.abs(H_sel).max() * max(np.abs(t).max(), 1.0), 1.0)
+        return np.abs(H_sel @ t).max() <= 1e-9 * scale
+    return not np.any(gf_matmul(H_sel, t[:, None], field))
+
+
+def apzf_precoder(
+    channel: ChannelRealization,
+    target: CancellationTarget,
+    passive: np.ndarray,
+    aux: np.ndarray | None = None,
+) -> PrecoderVector:
+    """AP-ZF precoder: fixed passive part, informed part solves cancellation.
+
+    `passive` holds the M-k constant coefficients of the uninformed antennas.
+    With k' = len(target.antenna_rows) <= k rows to cancel there are k - k'
+    spare informed coefficients:
+
+    * aux=None (default): all k informed coefficients solve the k'-equation
+      system, taking the least-norm solution when k' < k;
+    * aux given (length k - k'): the spare informed coefficients are pinned
+      to the constant vector `aux` and only the first k' informed antennas
+      solve, which lets a scheme sweep the full (M-k')-dimensional space of
+      precoders cancelling at those rows while keeping determinism.
+
+    Raises CapabilityExceededError when more than k rows are requested and
+    ResampleRequiredError when the active submatrix is rank-deficient.
+    """
+    cfg = channel.cfg
+    M, k = cfg.M, cfg.k
+    rows = target.antenna_rows
+    kp = len(rows)
+    if kp > k:
+        raise CapabilityExceededError(f"cannot cancel at {kp} antennas with only {k} informed")
+    if len(passive) != M - k:
+        raise InvalidConfigError(f"passive part must have length {M - k}")
+    H_sel = channel.receiver_rows(target.rx, rows)
+    field = channel.field
+
+    if aux is None:
+        solve_count = k
+        pattern = np.asarray(passive)
+    else:
+        if len(aux) != k - kp:
+            raise InvalidConfigError(f"aux part must have length {k - kp}")
+        solve_count = kp
+        pattern = np.concatenate([np.asarray(aux), np.asarray(passive)])
+
+    if kp == 0:
+        active = np.zeros(solve_count, dtype=np.int64 if field else float)
+    elif field is None:
+        A = H_sel[:, :solve_count].astype(float)
+        if np.linalg.matrix_rank(A) < kp:
+            raise ResampleRequiredError("rank-deficient active submatrix")
+        rhs = -(H_sel[:, solve_count:] @ pattern.astype(float))
+        if solve_count == kp:
+            active = np.linalg.solve(A, rhs)
+        else:
+            active = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    else:
+        A = gf_array(H_sel[:, :solve_count], field)
+        if gf_rank(A, field) < kp:
+            raise ResampleRequiredError("rank-deficient active submatrix")
+        rhs = (-gf_matmul(H_sel[:, solve_count:], gf_array(pattern, field)[:, None], field)) % field
+        rhs = rhs[:, 0]
+        if solve_count == kp:
+            active = gf_solve(A, rhs, field)
+        else:
+            active = gf_particular_solution(A, rhs, field)
+
+    if field is None:
+        t = np.concatenate([active, pattern.astype(float)])
+    else:
+        t = np.concatenate([gf_array(active, field), gf_array(pattern, field)])
+    if kp and not _residual_ok(H_sel, t, field):
+        raise ResampleRequiredError("cancellation residual check failed")
+    solved_label = CHANNEL if kp else CONSTANT
+    labels = (solved_label,) * solve_count + (CONSTANT,) * (M - solve_count)
+    return PrecoderVector(coeffs=t, labels=labels)
+
+
+def zf_precoder(channel: ChannelRealization, target: CancellationTarget) -> PrecoderVector:
+    """Perfect-CSIT zero forcing: a nonzero null vector of the target rows.
+
+    Every coefficient is channel-dependent, so this precoder is only legal
+    when all M antennas are informed (k = M); schemes fall back to AP-ZF
+    otherwise.
+    """
+    cfg = channel.cfg
+    rows = target.antenna_rows
+    if len(rows) >= cfg.M:
+        raise CapabilityExceededError("cannot zero-force at M or more antennas")
+    H_sel = channel.receiver_rows(target.rx, rows)
+    if channel.field is None:
+        _, _, vt = np.linalg.svd(H_sel)
+        t = vt[-1]
+    else:
+        t = gf_null_vector(H_sel, channel.field)
+    if len(rows) and not _residual_ok(H_sel, t, channel.field):
+        raise ResampleRequiredError("zero-forcing residual check failed")
+    return PrecoderVector(coeffs=t, labels=(CHANNEL,) * cfg.M)

@@ -1,0 +1,297 @@
+"""Exact-rational DoF region computation and sum-DoF bounds.
+
+Everything here is exact: coordinates and bounds are `fractions.Fraction`,
+so equality tests against closed-form values are legitimate.  The region of
+a config is a bounded polygon in the (d1, d2) quadrant described by linear
+constraints; vertices are enumerated by pairwise constraint intersection.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
+
+from .config import SystemConfig
+from .errors import EmptyRegionError, InvalidConfigError, RegimeError
+
+Rational = Fraction
+
+
+class DofPoint(NamedTuple):
+    """A (d1, d2) pair with exact rational coordinates."""
+
+    d1: Fraction
+    d2: Fraction
+
+
+class LinearConstraint(NamedTuple):
+    """Halfplane a1*d1 + a2*d2 <= b with exact rational coefficients."""
+
+    a1: Fraction
+    a2: Fraction
+    b: Fraction
+
+    def satisfied_by(self, point: DofPoint) -> bool:
+        return self.a1 * point.d1 + self.a2 * point.d2 <= self.b
+
+    def active_at(self, point: DofPoint) -> bool:
+        return self.a1 * point.d1 + self.a2 * point.d2 == self.b
+
+
+def _point(d1, d2) -> DofPoint:
+    return DofPoint(Fraction(d1), Fraction(d2))
+
+
+def _constraint(a1, a2, b) -> LinearConstraint:
+    c = LinearConstraint(Fraction(a1), Fraction(a2), Fraction(b))
+    if c.a1 == 0 and c.a2 == 0:
+        raise ValueError("constraint must involve at least one coordinate")
+    return c
+
+
+_AXES = (_constraint(-1, 0, 0), _constraint(0, -1, 0))  # d1 >= 0, d2 >= 0
+
+
+@dataclass
+class DofRegion:
+    """A bounded polygon of achievable/outer-bound (d1, d2) pairs.
+
+    `constraints` excludes the implicit nonnegativity constraints; those are
+    always enforced during vertex enumeration.  Vertices are computed lazily
+    and cached.
+    """
+
+    constraints: tuple[LinearConstraint, ...]
+    _vertices: tuple[DofPoint, ...] | None = field(default=None, repr=False)
+
+    @property
+    def vertices(self) -> tuple[DofPoint, ...]:
+        if self._vertices is None:
+            self._vertices = region_vertices(self)
+        return self._vertices
+
+    def contains(self, point: DofPoint) -> bool:
+        if point.d1 < 0 or point.d2 < 0:
+            return False
+        return all(c.satisfied_by(point) for c in self.constraints)
+
+    def swapped_axes(self) -> "DofRegion":
+        """The same region with the roles of d1 and d2 exchanged."""
+        return DofRegion(tuple(LinearConstraint(c.a2, c.a1, c.b) for c in self.constraints))
+
+
+def region_constraints(cfg: SystemConfig) -> DofRegion:
+    """Outer-bound constraints of the DoF region for `cfg`.
+
+    If k < N2 and M > N2, four constraints apply: the three single/sum caps
+    plus the weighted CSIT bound, stored with cleared denominators as
+
+        (min(N2,M)-k) d1 + (min(M,N1+N2)-k) d2
+            <= (min(M,N1+N2)-k) (min(N2,M)-k) + k (min(M,N1+N2)-k).
+
+    Otherwise (k >= N2 or M <= N2) only the three cap constraints remain,
+    which is also the region under perfect CSIT everywhere.
+    """
+    M, N1, N2, k = cfg.shape
+    constraints = [
+        _constraint(1, 0, min(M, N1)),
+        _constraint(0, 1, min(M, N2)),
+        _constraint(1, 1, min(M, N1 + N2)),
+    ]
+    if k < N2 and M > N2:
+        p = min(M, N1 + N2) - k  # weight on d2 after clearing denominators
+        q = min(N2, M) - k  # weight on d1
+        constraints.append(_constraint(q, p, p * q + k * p))
+    return DofRegion(tuple(constraints))
+
+
+def _intersect(c1: LinearConstraint, c2: LinearConstraint) -> DofPoint | None:
+    det = c1.a1 * c2.a2 - c1.a2 * c2.a1
+    if det == 0:
+        return None
+    d1 = (c1.b * c2.a2 - c1.a2 * c2.b) / det
+    d2 = (c1.a1 * c2.b - c1.b * c2.a1) / det
+    return DofPoint(d1, d2)
+
+
+def _cross(o: DofPoint, a: DofPoint, b: DofPoint) -> Fraction:
+    return (a.d1 - o.d1) * (b.d2 - o.d2) - (a.d2 - o.d2) * (b.d1 - o.d1)
+
+
+def convex_hull(points: Iterable[DofPoint]) -> tuple[DofPoint, ...]:
+    """Exact 2D convex hull (monotone chain), counterclockwise order."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return tuple(pts)
+    lower: list[DofPoint] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[DofPoint] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    return tuple(hull)
+
+
+def _start_at_origin(hull: Sequence[DofPoint]) -> tuple[DofPoint, ...]:
+    if not hull:
+        return tuple(hull)
+    start = min(range(len(hull)), key=lambda i: hull[i])
+    return tuple(hull[start:]) + tuple(hull[:start])
+
+
+def region_vertices(region: DofRegion) -> tuple[DofPoint, ...]:
+    """Vertices of `{d1, d2 >= 0} intersect region`, counterclockwise.
+
+    Candidates are all pairwise intersections of the constraints (including
+    the axes); feasible candidates are deduplicated and ordered by their
+    convex hull, rotated to start at the lexicographically smallest point,
+    which is (0, 0) whenever the origin is feasible.
+    """
+    all_constraints = tuple(region.constraints) + _AXES
+    candidates: set[DofPoint] = set()
+    for i in range(len(all_constraints)):
+        for j in range(i + 1, len(all_constraints)):
+            p = _intersect(all_constraints[i], all_constraints[j])
+            if p is not None and region.contains(p):
+                candidates.add(p)
+    if not candidates:
+        raise EmptyRegionError("region has no feasible vertices")
+    return _start_at_origin(convex_hull(candidates))
+
+
+def max_sum_over(points: Iterable[DofPoint]) -> Fraction:
+    return max(p.d1 + p.d2 for p in points)
+
+
+def sum_dof_upper(cfg: SystemConfig) -> Fraction:
+    """Exact sum-DoF upper bound for `cfg`.
+
+    In the regime k < N2 < M the weighted bound contributes a third term;
+    otherwise the bound collapses to the perfect-CSIT value min(M, N1+N2).
+    """
+    M, N1, N2, k = cfg.shape
+    if k < N2 and M > N2:
+        third = N2 + Fraction(N1 * min(N1, M - N2), min(N1 + N2, M) - k)
+        return min(Fraction(N1 + N2), Fraction(M), third)
+    return Fraction(min(M, N1 + N2))
+
+
+def low_k_scheme_value(cfg: SystemConfig) -> Fraction | None:
+    """Sum DoF of the interference-retransmission scheme for k < N1.
+
+    With m = min(N2, M-k) the scheme delivers m + k^2/m over m slots.  It
+    requires a nonnegative retransmission phase (k <= m); outside that range
+    no plan exists and None is returned.  Note the unguarded formula would
+    exceed min(M, N1+N2) precisely when k > m, which is how the guard was
+    fixed.
+    """
+    M, N1, N2, k = cfg.shape
+    if not 1 <= k < N1:
+        return None
+    m = min(N2, M - k)
+    if m < k:
+        return None
+    return m + Fraction(k * k, m)
+
+
+def sum_dof_lower(cfg: SystemConfig, allow_special_cases: bool = False) -> Fraction:
+    """Best sum DoF among the built-in achievable schemes.
+
+    k >= N2 reaches the perfect-CSIT value; N1 <= k < N2 reaches the upper
+    bound (two-phase scheme, with M effectively capped at N1+N2 since extra
+    transmit antennas do not increase the DoF); k < N1 takes the better of
+    serving the stronger receiver alone and the retransmission scheme.  With
+    `allow_special_cases`, the hand-crafted (6,3,3,1) plan raises that
+    config's value to 4.
+    """
+    M, N1, N2, k = cfg.shape
+    capped = (min(M, N1 + N2), N1, N2, min(k, N1 + N2))
+    if allow_special_cases and capped == (6, 3, 3, 1):
+        return Fraction(4)
+    if k >= N2:
+        return Fraction(min(M, N1 + N2))
+    if k >= N1:
+        if M <= N2:
+            return Fraction(min(M, N2))
+        # When M <= N1 + k the two-phase formula exceeds the dimension cap
+        # min(M, N1+N2) and a single-slot plan already reaches the cap.
+        value = N2 + Fraction(N1 * min(N1, M - N2), min(M, N1 + N2) - k)
+        return min(Fraction(min(M, N1 + N2)), value)
+    baseline = Fraction(min(N2, M))
+    scheme = low_k_scheme_value(cfg)
+    if scheme is None:
+        return baseline
+    return max(baseline, scheme)
+
+
+def scheme_split_point(cfg: SystemConfig, allow_special_cases: bool = False) -> DofPoint:
+    """Per-user (S1/T, S2/T) operating point of the selected built-in scheme."""
+    M, N1, N2, k = cfg.shape
+    M = min(M, N1 + N2)
+    if allow_special_cases and (M, N1, N2, k) == (6, 3, 3, 1):
+        return _point(2, 2)
+    if k >= N2 or M <= N2:
+        if M <= N2:
+            return _point(0, min(M, N2))
+        return _point(min(M, N1 + N2) - N2, N2)
+    if k >= N1:
+        if M <= N1 + k:
+            return _point(N1, M - N1)
+        # S2/T with S2 = N2 (M-k-N1) + k N1 and T = M-k
+        s2 = Fraction(N2 * (M - k - N1) + k * N1, M - k)
+        return DofPoint(Fraction(N1), s2)
+    scheme = low_k_scheme_value(cfg)
+    if scheme is None or scheme <= min(N2, M):
+        return _point(0, min(N2, M))
+    m = min(N2, M - k)
+    return DofPoint(Fraction(k), Fraction(k * k + (m - k) * m, m))
+
+
+def achievable_region(cfg: SystemConfig, allow_special_cases: bool = False) -> tuple[DofPoint, ...]:
+    """Hull of the single-user corners and the scheme split point.
+
+    This is the region achievable by time-sharing the built-in plans; for
+    k >= N1 its maximal d1+d2 equals `sum_dof_lower`.  No richer boundary is
+    claimed for k < N1.
+    """
+    M, N1, N2, _ = cfg.shape
+    points = {
+        _point(0, 0),
+        _point(min(M, N1), 0),
+        _point(0, min(M, N2)),
+        scheme_split_point(cfg, allow_special_cases),
+    }
+    return _start_at_origin(convex_hull(points))
+
+
+def pd_sum_dof(N1: int, N2: int) -> Fraction:
+    """Sum DoF of the centralized perfect/delayed-CSIT benchmark, M = N1+N2."""
+    if not 1 <= N1 <= N2:
+        raise InvalidConfigError("pd benchmark requires 1 <= N1 <= N2")
+    return N1 + N2 - Fraction(N2 * N1, N1 + N2)
+
+
+def analogy_gap(cfg: SystemConfig) -> tuple[Fraction, Fraction]:
+    """DoF losses of the two imperfect-CSIT settings relative to M = N1+N2.
+
+    Returns (delayed-CSIT loss, distributed-CSIT loss):
+
+        N2*N1/(N1+N2)  and  (N2-k)*N1/(N1+(N2-k)),
+
+    the second being (N1+N2) - sum_dof_lower(cfg).  Requires M = N1+N2 and
+    N1 <= k < N2.
+    """
+    M, N1, N2, k = cfg.shape
+    if M != N1 + N2:
+        raise RegimeError("loss comparison is defined for M = N1 + N2")
+    if not N1 <= k < N2:
+        raise RegimeError("loss comparison requires N1 <= k < N2")
+    pd_loss = Fraction(N2 * N1, N1 + N2)
+    distributed_loss = Fraction((N2 - k) * N1, N1 + (N2 - k))
+    return (pd_loss, distributed_loss)

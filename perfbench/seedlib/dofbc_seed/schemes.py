@@ -1,0 +1,700 @@
+"""Transmission plans: explicit per-slot linear programs over information symbols.
+
+A plan lists, slot by slot, the streams to superpose on the transmit array.
+Each stream has a payload recipe (what linear form over information symbols
+it carries) and a precoder recipe (how the M antennas weight it).  Payloads
+are either fresh symbols, interference retransmissions (channel-dependent
+linear forms over earlier received samples, reconstructible at the informed
+antennas), or the coupled streams of the hand-crafted (6,3,3,1) plan whose
+defining equations are solved as a within-block fixed point.
+
+Plans are built without any channel realization; the verifier realizes them
+against channels.  Independence of simultaneously transmitted streams is
+arranged with distinct power-basis constant patterns and then *verified* by
+the rank checks, never assumed.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
+
+from .channel import ChannelRealization
+from .config import SystemConfig
+from .errors import InvalidConfigError, RegimeError
+from .precoding import CHANNEL, CONSTANT, CancellationTarget, apzf_precoder, zf_precoder
+from .region import low_k_scheme_value, sum_dof_lower
+
+
+class Symbol(NamedTuple):
+    id: str
+    rx: int
+
+
+@dataclass(frozen=True)
+class SymbolRegistry:
+    """Ordered information symbols; position defines the observation column."""
+
+    symbols: tuple[Symbol, ...]
+
+    def __post_init__(self):
+        ids = [s.id for s in self.symbols]
+        if len(set(ids)) != len(ids):
+            raise InvalidConfigError("symbol ids must be unique")
+
+    @property
+    def S1(self) -> int:
+        return sum(1 for s in self.symbols if s.rx == 1)
+
+    @property
+    def S2(self) -> int:
+        return sum(1 for s in self.symbols if s.rx == 2)
+
+    def index(self, symbol_id: str) -> int:
+        for i, s in enumerate(self.symbols):
+            if s.id == symbol_id:
+                return i
+        raise KeyError(symbol_id)
+
+    def owned_columns(self, rx: int) -> tuple[int, ...]:
+        return tuple(i for i, s in enumerate(self.symbols) if s.rx == rx)
+
+
+class RxRowRef(NamedTuple):
+    """Reference to one noiseless received sample: (slot, receiver, local row)."""
+
+    slot: int
+    rx: int
+    row: int
+    weight: int
+
+
+@dataclass(frozen=True)
+class FreshPayload:
+    symbol: str
+
+    def to_json(self):
+        return {"kind": "fresh", "symbol": self.symbol}
+
+
+@dataclass(frozen=True)
+class InterferencePayload:
+    """Constant-weight combination of earlier received samples, restricted to
+    the columns of `owner`'s symbols (the interference part of those samples).
+
+    The informed antennas can compute the restricted form because they know H
+    and every constant recipe, so the payload is channel-dependent but
+    CSIT-legal when transmitted from informed antennas only.
+    """
+
+    owner: int
+    terms: tuple[RxRowRef, ...]
+
+    def to_json(self):
+        return {
+            "kind": "interference",
+            "owner": self.owner,
+            "terms": [list(t) for t in self.terms],
+        }
+
+
+@dataclass(frozen=True)
+class CoupledPayload:
+    """A crafted stream defined as a sum of full received samples.
+
+    The referenced samples may themselves contain this stream, so the
+    defining equations of all coupled streams in a plan are solved jointly
+    at realization time (the channel block is constant, so the informed
+    antennas can precompute the solution before transmitting).
+    """
+
+    aux: int
+    terms: tuple[RxRowRef, ...]
+
+    def to_json(self):
+        return {"kind": "coupled", "aux": self.aux, "terms": [list(t) for t in self.terms]}
+
+
+@dataclass(frozen=True)
+class UnitRecipe:
+    """Transmit from a single antenna with constant coefficient 1."""
+
+    antenna: int
+
+    def vector(self, channel: ChannelRealization) -> np.ndarray:
+        dtype = float if channel.field is None else np.int64
+        t = np.zeros(channel.cfg.M, dtype=dtype)
+        t[self.antenna] = 1
+        return t
+
+    def labels(self, cfg: SystemConfig) -> tuple[str, ...]:
+        return (CONSTANT,) * cfg.M
+
+    def support_in_informed(self, cfg: SystemConfig) -> bool:
+        return self.antenna < cfg.k
+
+    def to_json(self):
+        return {"kind": "unit", "antenna": self.antenna}
+
+
+@dataclass(frozen=True)
+class ApzfRecipe:
+    """AP-ZF cancellation at `rows` of receiver `rx` with a constant pattern.
+
+    `pattern` has length M - len(rows): its entries are the fixed constant
+    coefficients of every antenna except the len(rows) solving antennas
+    (which are the first len(rows) informed ones).  Distinct patterns give
+    simultaneously transmitted streams generically independent effective
+    channels.
+    """
+
+    rx: int
+    rows: tuple[int, ...]
+    pattern: tuple[int, ...]
+
+    def vector(self, channel: ChannelRealization) -> np.ndarray:
+        k, kp = channel.cfg.k, len(self.rows)
+        pattern = np.asarray(self.pattern)
+        target = CancellationTarget(rx=self.rx, antenna_rows=self.rows)
+        return apzf_precoder(
+            channel, target, passive=pattern[k - kp :], aux=pattern[: k - kp]
+        ).coeffs
+
+    def labels(self, cfg: SystemConfig) -> tuple[str, ...]:
+        kp = len(self.rows)
+        return (CHANNEL,) * kp + (CONSTANT,) * (cfg.M - kp)
+
+    def support_in_informed(self, cfg: SystemConfig) -> bool:
+        return False
+
+    def to_json(self):
+        return {
+            "kind": "apzf",
+            "rx": self.rx,
+            "rows": list(self.rows),
+            "pattern": list(self.pattern),
+        }
+
+
+@dataclass(frozen=True)
+class ZfRecipe:
+    """Fully channel-dependent null-vector precoder (needs k = M)."""
+
+    rx: int
+    rows: tuple[int, ...]
+
+    def vector(self, channel: ChannelRealization) -> np.ndarray:
+        return zf_precoder(channel, CancellationTarget(rx=self.rx, antenna_rows=self.rows)).coeffs
+
+    def labels(self, cfg: SystemConfig) -> tuple[str, ...]:
+        return (CHANNEL,) * cfg.M
+
+    def support_in_informed(self, cfg: SystemConfig) -> bool:
+        return cfg.k == cfg.M
+
+    def to_json(self):
+        return {"kind": "zf", "rx": self.rx, "rows": list(self.rows)}
+
+
+@dataclass(frozen=True)
+class Stream:
+    payload: FreshPayload | InterferencePayload | CoupledPayload
+    precoder: UnitRecipe | ApzfRecipe | ZfRecipe
+
+    def to_json(self, cfg: SystemConfig):
+        return {
+            "payload": self.payload.to_json(),
+            "precoder": self.precoder.to_json(),
+            "csit": list(self.precoder.labels(cfg)),
+        }
+
+
+@dataclass(frozen=True)
+class Slot:
+    streams: tuple[Stream, ...]
+
+
+class PlanSummary(NamedTuple):
+    S1: int
+    S2: int
+    T: int
+    claimed_dof: Fraction
+    split: tuple[Fraction, Fraction]
+
+
+@dataclass(frozen=True)
+class TransmissionPlan:
+    """A complete transmission program with its claimed sum DoF."""
+
+    cfg: SystemConfig
+    scheme_id: str
+    registry: SymbolRegistry
+    slots: tuple[Slot, ...]
+    claimed_dof: Fraction
+    aux_count: int = 0
+
+    def __post_init__(self):
+        self._validate()
+
+    @property
+    def T(self) -> int:
+        return len(self.slots)
+
+    def summary(self) -> PlanSummary:
+        S1, S2, T = self.registry.S1, self.registry.S2, self.T
+        return PlanSummary(
+            S1=S1,
+            S2=S2,
+            T=T,
+            claimed_dof=self.claimed_dof,
+            split=(Fraction(S1, T), Fraction(S2, T)),
+        )
+
+    def _validate(self):
+        cfg = self.cfg
+        T = self.T
+        if T == 0:
+            return
+        total = self.registry.S1 + self.registry.S2
+        if self.claimed_dof != Fraction(total, T):
+            raise InvalidConfigError("claimed DoF must equal (S1+S2)/T")
+        fresh_seen = set()
+        for t, slot in enumerate(self.slots):
+            for stream in slot.streams:
+                payload, precoder = stream.payload, stream.precoder
+                if isinstance(payload, FreshPayload):
+                    self.registry.index(payload.symbol)
+                    if payload.symbol in fresh_seen:
+                        raise InvalidConfigError(f"symbol {payload.symbol} sent fresh twice")
+                    fresh_seen.add(payload.symbol)
+                elif isinstance(payload, InterferencePayload):
+                    if any(ref.slot >= t for ref in payload.terms):
+                        raise InvalidConfigError("retransmission must reference earlier slots")
+                    if not precoder.support_in_informed(cfg):
+                        raise InvalidConfigError(
+                            "channel-dependent payloads must be sent from informed antennas"
+                        )
+                elif isinstance(payload, CoupledPayload):
+                    if not 0 <= payload.aux < self.aux_count:
+                        raise InvalidConfigError("coupled stream index out of range")
+                    if not precoder.support_in_informed(cfg):
+                        raise InvalidConfigError(
+                            "coupled streams must be sent from informed antennas"
+                        )
+                if isinstance(precoder, ApzfRecipe):
+                    if len(precoder.rows) > cfg.k:
+                        raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
+                    if len(precoder.pattern) != cfg.M - len(precoder.rows):
+                        raise InvalidConfigError("AP-ZF pattern has the wrong length")
+                if isinstance(precoder, ZfRecipe) and cfg.k != cfg.M:
+                    raise InvalidConfigError("plain ZF requires all antennas informed")
+        if fresh_seen != {s.id for s in self.registry.symbols}:
+            raise InvalidConfigError("every information symbol must be sent exactly once")
+
+    def max_streams_per_slot(self) -> int:
+        return max((len(s.streams) for s in self.slots), default=0)
+
+    def fresh_count(self, slot: int, rx: int) -> int:
+        count = 0
+        for stream in self.slots[slot].streams:
+            if isinstance(stream.payload, FreshPayload):
+                sym = self.registry.symbols[self.registry.index(stream.payload.symbol)]
+                if sym.rx == rx:
+                    count += 1
+        return count
+
+    def to_json(self) -> dict:
+        return {
+            "scheme": self.scheme_id,
+            "config": {"M": self.cfg.M, "N1": self.cfg.N1, "N2": self.cfg.N2, "k": self.cfg.k},
+            "claimed_dof": str(self.claimed_dof),
+            "symbols": [{"id": s.id, "rx": s.rx} for s in self.registry.symbols],
+            "slots": [
+                {"streams": [stream.to_json(self.cfg) for stream in slot.streams]}
+                for slot in self.slots
+            ],
+        }
+
+    def to_json_str(self) -> str:
+        return json.dumps(self.to_json(), indent=1)
+
+
+def pattern_node(index: int) -> int:
+    """Small symmetric node sequence 0, 1, -1, 2, -2, ...: distinct nodes keep
+    the Vandermonde patterns independent, small magnitudes keep the floating
+    realizations well conditioned."""
+    if index == 0:
+        return 0
+    half = (index + 1) // 2
+    return half if index % 2 else -half
+
+
+def power_pattern(length: int, node: int) -> tuple[int, ...]:
+    """[1, node, node^2, ...]: any <= length of these with distinct nodes are
+    linearly independent (Vandermonde), giving generically independent
+    effective channels to co-scheduled streams."""
+    return tuple(node**i for i in range(length))
+
+
+def unit_pattern(length: int, position: int) -> tuple[int, ...]:
+    return tuple(1 if i == position else 0 for i in range(length))
+
+
+def _symbols(prefix: str, rx: int, count: int, start: int = 1) -> list[Symbol]:
+    return [Symbol(f"{prefix}{i}", rx) for i in range(start, start + count)]
+
+
+def build_scheme_mid_k(cfg: SystemConfig) -> TransmissionPlan:
+    """Two-phase scheme for N1 <= k < N2 < M <= N1+N2.
+
+    Over T = M-k slots it delivers S1 = (M-k) N1 symbols to RX1 and
+    S2 = N2 (M-k-N1) + k N1 to RX2.  Phase 1 (N1 slots): a batch of M-k
+    fresh RX1 symbols cancelled at k antennas of RX2, plus M-N1 fresh RX2
+    symbols cancelled at the whole of RX1.  The RX1 batch leaks onto the
+    N2-k unprotected antennas of RX2; those leaked samples form the
+    interference pool.  Phase 2 (M-k-N1 slots): slot u retransmits, from the
+    informed antennas, the u-th pool term of every phase-1 slot (the forms
+    are pure RX1-symbol combinations that RX2 already holds, so RX2 loses
+    nothing) plus N2-N1 fresh RX2 symbols cancelled at RX1.  The phase
+    forwards (M-k-N1) N1 of the (N2-k) N1 pool terms, which generically
+    completes every RX1 batch since M <= N1+N2.
+    """
+    M, N1, N2, k = cfg.shape
+    if not N1 <= k < N2:
+        raise RegimeError("two-phase scheme requires N1 <= k < N2")
+    if not N2 < M <= N1 + N2:
+        raise RegimeError("two-phase scheme requires N2 < M <= N1 + N2 (cap M first)")
+    if M <= N1 + k:
+        # Retransmission phase would have negative length; the dimension cap
+        # min(M, N1+N2) = M binds here and one ZF-separated slot reaches it.
+        return _full_mimo_slot_plan(cfg)
+    T = M - k
+    phase2 = M - k - N1
+    a_syms = _symbols("a", 1, T * N1)
+    b_syms = _symbols("b", 2, N2 * phase2 + k * N1)
+    registry = SymbolRegistry(tuple(a_syms + b_syms))
+
+    slots = []
+    b_next = 0
+    for t in range(N1):
+        streams = []
+        for j in range(M - k):
+            streams.append(
+                Stream(
+                    FreshPayload(a_syms[t * (M - k) + j].id),
+                    ApzfRecipe(
+                        rx=2, rows=tuple(range(k)), pattern=power_pattern(M - k, pattern_node(j))
+                    ),
+                )
+            )
+        for j in range(M - N1):
+            streams.append(
+                Stream(
+                    FreshPayload(b_syms[b_next].id),
+                    ApzfRecipe(
+                        rx=1,
+                        rows=tuple(range(N1)),
+                        pattern=power_pattern(M - N1, pattern_node(j)),
+                    ),
+                )
+            )
+            b_next += 1
+        slots.append(Slot(tuple(streams)))
+
+    for u in range(phase2):
+        streams = []
+        for i in range(N1):
+            ref = RxRowRef(slot=i, rx=2, row=k + u, weight=1)
+            streams.append(Stream(InterferencePayload(owner=1, terms=(ref,)), UnitRecipe(i)))
+        for j in range(N2 - N1):
+            streams.append(
+                Stream(
+                    FreshPayload(b_syms[b_next].id),
+                    ApzfRecipe(
+                        rx=1,
+                        rows=tuple(range(N1)),
+                        pattern=power_pattern(M - N1, pattern_node(j)),
+                    ),
+                )
+            )
+            b_next += 1
+        slots.append(Slot(tuple(streams)))
+
+    claimed = N2 + Fraction(N1 * (M - N2), M - k)
+    return TransmissionPlan(
+        cfg=cfg, scheme_id="mid-k", registry=registry, slots=tuple(slots), claimed_dof=claimed
+    )
+
+
+def _full_mimo_slot_plan(cfg: SystemConfig) -> TransmissionPlan:
+    """One slot serving (N1, M-N1): N1 RX1 streams cancelled at k antennas of
+    RX2 and M-N1 RX2 streams cancelled at all of RX1.  Valid whenever
+    N1 <= k and N2 - k <= N1 and N2 < M <= N1+N2; the RX1 leakage then fits
+    inside RX2's spare rows and the slot certifies DoF M."""
+    M, N1, N2, k = cfg.shape
+    a_syms = _symbols("a", 1, N1)
+    b_syms = _symbols("b", 2, M - N1)
+    registry = SymbolRegistry(tuple(a_syms + b_syms))
+    streams = []
+    # Cancelling at all k rows would leave only an (M-k) < N1 dimensional
+    # precoder space; M-N1 rows leave exactly N1 dimensions for N1 streams.
+    a_rows = min(k, M - N1)
+    for j, sym in enumerate(a_syms):
+        streams.append(
+            Stream(
+                FreshPayload(sym.id),
+                ApzfRecipe(
+                    rx=2,
+                    rows=tuple(range(a_rows)),
+                    pattern=power_pattern(M - a_rows, pattern_node(j)),
+                ),
+            )
+        )
+    for j, sym in enumerate(b_syms):
+        streams.append(
+            Stream(
+                FreshPayload(sym.id),
+                ApzfRecipe(
+                    rx=1, rows=tuple(range(N1)), pattern=power_pattern(M - N1, pattern_node(j))
+                ),
+            )
+        )
+    return TransmissionPlan(
+        cfg=cfg,
+        scheme_id="mid-k",
+        registry=registry,
+        slots=(Slot(tuple(streams)),),
+        claimed_dof=Fraction(M),
+    )
+
+
+def build_scheme_low_k(cfg: SystemConfig) -> TransmissionPlan:
+    """Retransmission scheme for 1 <= k < N1, m = min(N2, M-k) >= k.
+
+    Phase 1 (k slots): k fresh RX2 symbols cancelled at k antennas of RX1
+    plus m fresh RX1 symbols cancelled at k antennas of RX2.  Each slot
+    leaves RX1 needing m-k more combinations of that slot's batch, which RX2
+    overheard on its unprotected antennas.  Phase 2 (m-k slots): slot u
+    retransmits, from the informed antennas, the u-th overheard interference
+    term of every phase-1 batch (k terms, one per batch) alongside m fresh
+    RX2 symbols cancelled at k antennas of RX1.
+
+    Delivers m + k^2/m over T = m slots; callers should fall back to serving
+    RX2 alone whenever that value does not beat min(N2, M).
+    """
+    M, N1, N2, k = cfg.shape
+    if not 1 <= k < N1:
+        raise RegimeError("retransmission scheme requires 1 <= k < N1")
+    m = min(N2, M - k)
+    if m < k:
+        raise RegimeError("retransmission scheme requires min(N2, M-k) >= k")
+    T = m
+    a_syms = _symbols("a", 1, k * m)
+    b_syms = _symbols("b", 2, k * k + (m - k) * m)
+    registry = SymbolRegistry(tuple(a_syms + b_syms))
+
+    slots = []
+    b_next = 0
+    for t in range(k):
+        streams = []
+        for j in range(m):
+            streams.append(
+                Stream(
+                    FreshPayload(a_syms[t * m + j].id),
+                    ApzfRecipe(
+                        rx=2, rows=tuple(range(k)), pattern=power_pattern(M - k, pattern_node(j))
+                    ),
+                )
+            )
+        for j in range(k):
+            streams.append(
+                Stream(
+                    FreshPayload(b_syms[b_next].id),
+                    ApzfRecipe(
+                        rx=1, rows=tuple(range(k)), pattern=power_pattern(M - k, pattern_node(j))
+                    ),
+                )
+            )
+            b_next += 1
+        slots.append(Slot(tuple(streams)))
+
+    for u in range(m - k):
+        streams = []
+        for i in range(k):
+            ref = RxRowRef(slot=i, rx=2, row=k + u, weight=1)
+            streams.append(Stream(InterferencePayload(owner=1, terms=(ref,)), UnitRecipe(i)))
+        for j in range(m):
+            streams.append(
+                Stream(
+                    FreshPayload(b_syms[b_next].id),
+                    ApzfRecipe(
+                        rx=1, rows=tuple(range(k)), pattern=power_pattern(M - k, pattern_node(j))
+                    ),
+                )
+            )
+            b_next += 1
+        slots.append(Slot(tuple(streams)))
+
+    claimed = m + Fraction(k * k, m)
+    return TransmissionPlan(
+        cfg=cfg, scheme_id="low-k", registry=registry, slots=tuple(slots), claimed_dof=claimed
+    )
+
+
+TABLE1_CONFIG = (6, 3, 3, 1)
+
+
+def build_scheme_6331() -> TransmissionPlan:
+    """Hand-crafted plan certifying sum DoF 4 on the (6,3,3,1) system.
+
+    Sixteen information symbols (a1..a8 for RX1, b1..b8 for RX2) plus two
+    crafted streams c and d are sent over 4 slots.  The five uninformed
+    antennas carry the information symbols one-per-antenna; the informed
+    antenna shapes each group so it vanishes at the third antenna of the
+    non-intended receiver, and superposes c (slots 1-2) or d (slots 3-4).
+    c and d are the sums of two phase-received samples,
+
+        c = Y2,1(t=1) + Y1,1(t=2),   d = Y2,2(t=1) + Y1,2(t=2),
+
+    so each receiver can strip its own known sample from the decoded c or d
+    and recover the cross observation it is missing.
+    """
+    cfg = SystemConfig(*TABLE1_CONFIG)
+    a_syms = _symbols("a", 1, 8)
+    b_syms = _symbols("b", 2, 8)
+    registry = SymbolRegistry(tuple(a_syms + b_syms))
+
+    c_payload = CoupledPayload(
+        aux=0, terms=(RxRowRef(0, 2, 0, 1), RxRowRef(1, 1, 0, 1))
+    )
+    d_payload = CoupledPayload(
+        aux=1, terms=(RxRowRef(0, 2, 1, 1), RxRowRef(1, 1, 1, 1))
+    )
+
+    def info_streams(symbols, cancel_rx):
+        streams = []
+        for j, sym in enumerate(symbols):
+            streams.append(
+                Stream(
+                    FreshPayload(sym.id),
+                    ApzfRecipe(rx=cancel_rx, rows=(2,), pattern=unit_pattern(5, j)),
+                )
+            )
+        return streams
+
+    slots = (
+        Slot(tuple([Stream(c_payload, UnitRecipe(0))] + info_streams(a_syms[:5], 2))),
+        Slot(tuple([Stream(c_payload, UnitRecipe(0))] + info_streams(b_syms[:5], 1))),
+        Slot(tuple([Stream(d_payload, UnitRecipe(0))] + info_streams(a_syms[5:], 2))),
+        Slot(tuple([Stream(d_payload, UnitRecipe(0))] + info_streams(b_syms[5:], 1))),
+    )
+    return TransmissionPlan(
+        cfg=cfg,
+        scheme_id="table1",
+        registry=registry,
+        slots=slots,
+        claimed_dof=Fraction(4),
+        aux_count=2,
+    )
+
+
+def _rx2_only_plan(cfg: SystemConfig) -> TransmissionPlan:
+    """Serve RX2 alone: min(N2, M) streams per slot, one slot, no precoding."""
+    M, _, N2, _ = cfg.shape
+    count = min(N2, M)
+    b_syms = _symbols("b", 2, count)
+    registry = SymbolRegistry(tuple(b_syms))
+    streams = tuple(
+        Stream(FreshPayload(sym.id), UnitRecipe(i)) for i, sym in enumerate(b_syms)
+    )
+    return TransmissionPlan(
+        cfg=cfg,
+        scheme_id="rx2-baseline",
+        registry=registry,
+        slots=(Slot(streams),),
+        claimed_dof=Fraction(count),
+    )
+
+
+def build_scheme_baseline(cfg: SystemConfig, force_rx2: bool = False) -> TransmissionPlan:
+    """Single-slot baselines: fully separated ZF for k >= N2, RX2-only else.
+
+    For k >= N2 < M, min(M, N1+N2) - N2 RX1 streams are cancelled at all of
+    RX2 and N2 RX2 streams are cancelled at the RX1 antennas in use; with
+    k >= N2 both cancellations are within AP-ZF capability, so the plan is
+    CSIT-compliant even when k < M.  For k = 0 or M <= N2 (or as the
+    explicit fallback of the low-k regime) RX2 is served alone.
+    """
+    M, N1, N2, k = cfg.shape
+    if force_rx2 or k == 0 or M <= N2:
+        return _rx2_only_plan(cfg)
+    if k < N2:
+        raise RegimeError("baseline requires k >= N2, k = 0, or M <= N2")
+    r1 = min(M, N1 + N2) - N2
+    a_syms = _symbols("a", 1, r1)
+    b_syms = _symbols("b", 2, N2)
+    registry = SymbolRegistry(tuple(a_syms + b_syms))
+    streams = []
+    for j, sym in enumerate(a_syms):
+        streams.append(
+            Stream(
+                FreshPayload(sym.id),
+                ApzfRecipe(
+                    rx=2, rows=tuple(range(N2)), pattern=power_pattern(M - N2, pattern_node(j))
+                ),
+            )
+        )
+    for j, sym in enumerate(b_syms):
+        streams.append(
+            Stream(
+                FreshPayload(sym.id),
+                ApzfRecipe(
+                    rx=1, rows=tuple(range(r1)), pattern=power_pattern(M - r1, pattern_node(j))
+                ),
+            )
+        )
+    return TransmissionPlan(
+        cfg=cfg,
+        scheme_id="zf-baseline",
+        registry=registry,
+        slots=(Slot(tuple(streams)),),
+        claimed_dof=Fraction(min(M, N1 + N2)),
+    )
+
+
+def effective_config(cfg: SystemConfig) -> SystemConfig:
+    """Cap M at N1+N2 (the DoF does not grow beyond it; wide systems are
+    first reduced to this square equivalent by the channel rotation)."""
+    M, N1, N2, k = cfg.shape
+    if M <= N1 + N2:
+        return cfg
+    eff_M = N1 + N2
+    return SystemConfig(eff_M, N1, N2, min(k, eff_M), swapped=cfg.swapped)
+
+
+def select_scheme(cfg: SystemConfig, allow_special_cases: bool = False) -> TransmissionPlan:
+    """Regime dispatch: the built-in plan whose claimed DoF is sum_dof_lower."""
+    eff = effective_config(cfg)
+    M, N1, N2, k = eff.shape
+    if allow_special_cases and eff.shape == TABLE1_CONFIG:
+        plan = build_scheme_6331()
+    elif k >= N2 or M <= N2 or k == 0:
+        plan = build_scheme_baseline(eff)
+    elif k >= N1:
+        plan = build_scheme_mid_k(eff)
+    else:
+        value = low_k_scheme_value(eff)
+        if value is not None and value > min(N2, M):
+            plan = build_scheme_low_k(eff)
+        else:
+            plan = build_scheme_baseline(eff, force_rx2=True)
+    expected = sum_dof_lower(cfg, allow_special_cases)
+    if plan.claimed_dof != expected:
+        raise RegimeError(
+            f"scheme selection mismatch: plan claims {plan.claimed_dof}, bound is {expected}"
+        )
+    return plan

@@ -1,0 +1,512 @@
+"""Plan realization, exact decodability certification, and rate-slope checks.
+
+`realize_plan` turns a transmission plan plus one channel realization into
+per-receiver observation systems: matrices A_i mapping the information
+symbols to every noiseless received sample of receiver i across the block.
+Retransmission payloads are expanded to their linear forms over the original
+symbols (coupled streams via a within-block fixed point), so decodability is
+a pure rank statement:
+
+    receiver i decodes its symbols  iff  rank(A_i) - rank(A_i without its
+    columns) equals its desired-symbol count.
+
+Ranks are exact (fraction-free elimination mod p) on prime-field channels
+and SVD-thresholded on real ones.  Monte Carlo rate slopes use the standard
+real-Gaussian log-det rate with the other user's columns treated as noise;
+the high-SNR slope against log2(sqrt(P)) then recovers each receiver's DoF.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
+from .errors import InvalidConfigError, ResampleRequiredError
+from .gf import DEFAULT_PRIME, gf_array, gf_matmul, gf_rank, gf_solve
+from .precoding import CONSTANT
+from .schemes import (
+    CoupledPayload,
+    FreshPayload,
+    InterferencePayload,
+    TransmissionPlan,
+)
+
+SVD_RANK_TOL = 1e-8
+_MAX_RESAMPLE = 25
+
+
+@dataclass(frozen=True)
+class ObservationSystem:
+    """Stacked symbol-to-sample maps for both receivers under one channel."""
+
+    A1: np.ndarray
+    A2: np.ndarray
+    registry: object
+    T: int
+    field: int | None
+
+    def matrix(self, rx: int) -> np.ndarray:
+        return self.A1 if rx == 1 else self.A2
+
+
+@dataclass(frozen=True)
+class ReceiverReport:
+    desired: int
+    rank_full: int
+    rank_interference: int
+
+    @property
+    def decodable(self) -> bool:
+        return self.rank_full - self.rank_interference == self.desired
+
+
+@dataclass(frozen=True)
+class DecodabilityReport:
+    rx1: ReceiverReport
+    rx2: ReceiverReport
+    achieved_dof: Fraction | None
+
+    @property
+    def all_decodable(self) -> bool:
+        return self.rx1.decodable and self.rx2.decodable
+
+    def to_json(self) -> dict:
+        def rx_doc(r):
+            return {
+                "desired": r.desired,
+                "rank": r.rank_full,
+                "rank_without_desired": r.rank_interference,
+                "decodable": r.decodable,
+            }
+
+        return {
+            "rx1": rx_doc(self.rx1),
+            "rx2": rx_doc(self.rx2),
+            "achieved_dof": None if self.achieved_dof is None else str(self.achieved_dof),
+        }
+
+
+def _rank(A: np.ndarray, fieldp: int | None, tol: float = SVD_RANK_TOL) -> int:
+    if min(A.shape) == 0:
+        return 0
+    if fieldp is not None:
+        return gf_rank(A, fieldp)
+    s = np.linalg.svd(A, compute_uv=False)
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
+def _precoder_matrix(plan: TransmissionPlan, channel: ChannelRealization, slot) -> np.ndarray:
+    vectors = [stream.precoder.vector(channel) for stream in slot.streams]
+    if channel.field is None:
+        return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+    return np.column_stack([gf_array(v, channel.field) for v in vectors])
+
+
+def realize_plan(
+    plan: TransmissionPlan,
+    channel: ChannelRealization,
+    normalize: bool = False,
+) -> ObservationSystem:
+    """Expand a plan against one channel into observation matrices A_1, A_2.
+
+    `normalize` (real channels only) rescales each slot to unit transmit
+    power and retransmission forms to unit norm; it changes rates by O(1)
+    but never affects rank structure.
+    """
+    cfg = plan.cfg
+    if channel.cfg.shape != cfg.shape:
+        raise InvalidConfigError(
+            f"plan built for {cfg.shape} cannot run on channel {channel.cfg.shape}"
+        )
+    fieldp = channel.field
+    S = len(plan.registry.symbols)
+    ncols = S + plan.aux_count
+    real = fieldp is None
+    dtype = float if real else np.int64
+
+    H = {1: channel.H1, 2: channel.H2}
+    rows_cache: list[dict[int, np.ndarray]] = []
+    aux_equations: dict[int, tuple] = {}
+
+    for t, slot in enumerate(plan.slots):
+        n_streams = len(slot.streams)
+        forms = np.zeros((n_streams, ncols), dtype=dtype)
+        for s_idx, stream in enumerate(slot.streams):
+            payload = stream.payload
+            if isinstance(payload, FreshPayload):
+                forms[s_idx, plan.registry.index(payload.symbol)] = 1
+            elif isinstance(payload, InterferencePayload):
+                mask = np.zeros(ncols, dtype=bool)
+                mask[list(plan.registry.owned_columns(payload.owner))] = True
+                form = np.zeros(ncols, dtype=dtype)
+                for ref in payload.terms:
+                    sample = rows_cache[ref.slot][ref.rx][ref.row]
+                    weight = ref.weight if real else ref.weight % fieldp
+                    form = form + weight * np.where(mask, sample, 0)
+                    if not real:
+                        form %= fieldp
+                if real and normalize:
+                    norm = np.linalg.norm(form)
+                    if norm > 0:
+                        form = form / norm
+                forms[s_idx] = form
+            elif isinstance(payload, CoupledPayload):
+                forms[s_idx, S + payload.aux] = 1
+                existing = aux_equations.get(payload.aux)
+                if existing is not None and existing != payload.terms:
+                    raise InvalidConfigError("conflicting definitions for coupled stream")
+                aux_equations[payload.aux] = payload.terms
+            else:
+                raise InvalidConfigError(f"unknown payload {payload!r}")
+        T_mat = _precoder_matrix(plan, channel, slot)
+        if real and normalize and n_streams:
+            # Equal power per stream, unit total power per slot: keeps every
+            # receive gain O(1) so rate curves enter the DoF regime early.
+            norms = np.linalg.norm(T_mat, axis=0)
+            norms[norms == 0] = 1.0
+            T_mat = T_mat / norms / np.sqrt(n_streams)
+        slot_rows = {}
+        for rx in (1, 2):
+            if real:
+                slot_rows[rx] = (H[rx] @ T_mat) @ forms
+            else:
+                slot_rows[rx] = gf_matmul(gf_matmul(H[rx], T_mat, fieldp), forms, fieldp)
+        rows_cache.append(slot_rows)
+
+    if plan.aux_count:
+        if len(aux_equations) != plan.aux_count:
+            raise InvalidConfigError("every coupled stream needs a defining equation")
+        E = np.zeros((plan.aux_count, ncols), dtype=dtype)
+        for aux, terms in aux_equations.items():
+            acc = np.zeros(ncols, dtype=dtype)
+            for ref in terms:
+                weight = ref.weight if real else ref.weight % fieldp
+                acc = acc + weight * rows_cache[ref.slot][ref.rx][ref.row]
+                if not real:
+                    acc %= fieldp
+            E[aux] = acc
+        if real:
+            lhs = np.eye(plan.aux_count) - E[:, S:]
+            try:
+                phi = np.linalg.solve(lhs, E[:, :S])
+            except np.linalg.LinAlgError as exc:
+                raise ResampleRequiredError("coupled-stream fixed point is singular") from exc
+        else:
+            lhs = (np.eye(plan.aux_count, dtype=np.int64) - E[:, S:]) % fieldp
+            phi = gf_solve(lhs, E[:, :S], fieldp)
+
+    def stack(rx: int) -> np.ndarray:
+        nrows = (cfg.N1 if rx == 1 else cfg.N2) * plan.T
+        if plan.T == 0:
+            return np.zeros((0, S), dtype=dtype)
+        full = np.vstack([rows_cache[t][rx] for t in range(plan.T)])
+        if plan.aux_count:
+            extra = full[:, S:] @ phi if real else gf_matmul(full[:, S:], phi, fieldp)
+            full = (full[:, :S] + extra) if real else (full[:, :S] + extra) % fieldp
+        else:
+            full = full[:, :S]
+        assert full.shape == (nrows, S)
+        return full
+
+    return ObservationSystem(
+        A1=stack(1), A2=stack(2), registry=plan.registry, T=plan.T, field=fieldp
+    )
+
+
+def decodability_check(system: ObservationSystem, tol: float = SVD_RANK_TOL) -> DecodabilityReport:
+    """Rank certificate of symbol recovery for both receivers."""
+    registry = system.registry
+    reports = {}
+    for rx in (1, 2):
+        A = system.matrix(rx)
+        desired_cols = list(registry.owned_columns(rx))
+        other_cols = [c for c in range(A.shape[1]) if c not in set(desired_cols)]
+        reports[rx] = ReceiverReport(
+            desired=len(desired_cols),
+            rank_full=_rank(A, system.field, tol),
+            rank_interference=_rank(A[:, other_cols], system.field, tol),
+        )
+    decodable = reports[1].decodable and reports[2].decodable
+    total = registry.S1 + registry.S2
+    dof = Fraction(total, system.T) if decodable and system.T else None
+    return DecodabilityReport(rx1=reports[1], rx2=reports[2], achieved_dof=dof)
+
+
+@dataclass(frozen=True)
+class CertificationResult:
+    plan_id: str
+    trials: int
+    failures: tuple[int, ...]
+    resamples: int
+    dof: Fraction | None
+    first_failure_report: DecodabilityReport | None = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures and self.dof is not None
+
+    def to_json(self) -> dict:
+        return {
+            "scheme": self.plan_id,
+            "trials": self.trials,
+            "failures": list(self.failures),
+            "resamples": self.resamples,
+            "certified_dof": None if self.dof is None else str(self.dof),
+        }
+
+
+def certify_on_channels(plan: TransmissionPlan, channels) -> CertificationResult:
+    """Run the decodability certificate on explicit channel realizations."""
+    failures = []
+    first_report = None
+    count = 0
+    for i, channel in enumerate(channels):
+        count += 1
+        report = decodability_check(realize_plan(plan, channel))
+        if not report.all_decodable:
+            failures.append(i)
+            if first_report is None:
+                first_report = report
+    total = plan.registry.S1 + plan.registry.S2
+    dof = Fraction(total, plan.T) if not failures else None
+    return CertificationResult(
+        plan_id=plan.scheme_id,
+        trials=count,
+        failures=tuple(failures),
+        resamples=0,
+        dof=dof,
+        first_failure_report=first_report,
+    )
+
+
+def achieved_dof(
+    plan: TransmissionPlan,
+    trials: int = 50,
+    seed: int = 1,
+    p: int = DEFAULT_PRIME,
+) -> CertificationResult:
+    """Certify the plan on `trials` independent prime-field channels.
+
+    Singular draws (AP-ZF submatrix or fixed-point degeneracies) are
+    resampled, as they are measure-zero events; genuine decodability
+    failures are recorded with their trial index.
+    """
+    if trials < 1:
+        raise InvalidConfigError("at least one trial required")
+    failures = []
+    first_report = None
+    resamples = 0
+    for i in range(trials):
+        report = None
+        for attempt in range(_MAX_RESAMPLE):
+            channel = field_channel(plan.cfg, seed, index=i * _MAX_RESAMPLE + attempt, p=p)
+            try:
+                report = decodability_check(realize_plan(plan, channel))
+                break
+            except ResampleRequiredError:
+                resamples += 1
+        if report is None:
+            raise ResampleRequiredError(f"resampling exhausted on trial {i}")
+        if not report.all_decodable:
+            failures.append(i)
+            if first_report is None:
+                first_report = report
+    total = plan.registry.S1 + plan.registry.S2
+    dof = Fraction(total, plan.T) if not failures else None
+    return CertificationResult(
+        plan_id=plan.scheme_id,
+        trials=trials,
+        failures=tuple(failures),
+        resamples=resamples,
+        dof=dof,
+        first_failure_report=first_report,
+    )
+
+
+@dataclass(frozen=True)
+class ComplianceViolation:
+    slot: int
+    stream: int
+    antenna: int
+    reason: str
+
+
+@dataclass(frozen=True)
+class ComplianceReport:
+    violations: tuple[ComplianceViolation, ...]
+
+    @property
+    def compliant(self) -> bool:
+        return not self.violations
+
+    def to_json(self) -> dict:
+        return {
+            "compliant": self.compliant,
+            "violations": [
+                {"slot": v.slot, "stream": v.stream, "antenna": v.antenna, "reason": v.reason}
+                for v in self.violations
+            ],
+        }
+
+
+def csit_compliance(
+    plan: TransmissionPlan, seed: int = 0, p: int = DEFAULT_PRIME
+) -> ComplianceReport:
+    """Check that uninformed antennas never emit channel-dependent coefficients.
+
+    The plan's precoders are evaluated under two independent channels; every
+    coefficient on an uninformed antenna must be labeled constant and take
+    identical values in both realizations, and every channel-dependent label
+    must sit on an informed antenna.
+    """
+    cfg = plan.cfg
+    ch_a = field_channel(cfg, seed, index=0, p=p)
+    ch_b = field_channel(cfg, seed, index=1, p=p)
+    violations = []
+    for t, slot in enumerate(plan.slots):
+        for s_idx, stream in enumerate(slot.streams):
+            labels = stream.precoder.labels(cfg)
+            va = gf_array(stream.precoder.vector(ch_a), p)
+            vb = gf_array(stream.precoder.vector(ch_b), p)
+            for antenna in range(cfg.M):
+                constant_label = labels[antenna] == CONSTANT
+                if antenna >= cfg.k and not constant_label:
+                    violations.append(
+                        ComplianceViolation(t, s_idx, antenna, "uninformed antenna labeled channel-dependent")
+                    )
+                if constant_label and va[antenna] != vb[antenna]:
+                    violations.append(
+                        ComplianceViolation(t, s_idx, antenna, "coefficient labeled constant varies with H")
+                    )
+    return ComplianceReport(violations=tuple(violations))
+
+
+def stream_gains(plan: TransmissionPlan, channel: ChannelRealization, slot_index: int) -> dict:
+    """Per-stream receive gains H_i @ t_s of one slot, keyed by receiver."""
+    slot = plan.slots[slot_index]
+    T_mat = _precoder_matrix(plan, channel, slot)
+    if channel.field is None:
+        return {1: channel.H1 @ T_mat, 2: channel.H2 @ T_mat}
+    return {
+        1: gf_matmul(channel.H1, T_mat, channel.field),
+        2: gf_matmul(channel.H2, T_mat, channel.field),
+    }
+
+
+@dataclass(frozen=True)
+class RateSimConfig:
+    """Finite-SNR simulation settings (SNR points in dB, strictly increasing)."""
+
+    snr_db: tuple[float, ...] = (40.0, 60.0, 80.0)
+    trials: int = 100
+    noise_var: float = 1.0
+    sigma0_sq: float = 0.01
+
+    def __post_init__(self):
+        if len(self.snr_db) < 2:
+            raise InvalidConfigError("at least two SNR points required")
+        if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
+            raise InvalidConfigError("SNR points must be strictly increasing")
+        if self.snr_db[-1] - self.snr_db[0] < 20:
+            raise InvalidConfigError("SNR points must span at least 20 dB")
+
+
+@dataclass(frozen=True)
+class SlopeResult:
+    slope: float
+    snr_db: tuple[float, ...]
+    mean_sum_rates: tuple[float, ...]
+    trials_used: int
+    discarded: int
+
+    def to_json(self) -> dict:
+        return {
+            "slope": self.slope,
+            "snr_db": list(self.snr_db),
+            "mean_sum_rates": list(self.mean_sum_rates),
+            "trials_used": self.trials_used,
+            "discarded": self.discarded,
+        }
+
+
+def _logdet2(A: np.ndarray) -> float:
+    sign, logdet = np.linalg.slogdet(A)
+    if sign <= 0:
+        raise FloatingPointError("non positive-definite covariance")
+    return logdet / np.log(2.0)
+
+
+def _receiver_rate(A: np.ndarray, desired_cols, P: float, T: int, noise_var: float) -> float:
+    """(1/2T) log2 det ratio: mutual information of the desired symbols with
+    the other user's columns treated as Gaussian noise.  The 1/2 is the real
+    Gaussian channel prelog, matching the DoF normalization against
+    log2(sqrt(P))."""
+    if not desired_cols:
+        return 0.0
+    n = A.shape[0]
+    desired = A[:, list(desired_cols)]
+    others = [c for c in range(A.shape[1]) if c not in set(desired_cols)]
+    interference = A[:, others]
+    sigma = noise_var * np.eye(n) + P * (interference @ interference.T)
+    total = sigma + P * (desired @ desired.T)
+    return (_logdet2(total) - _logdet2(sigma)) / (2.0 * T)
+
+
+def rate_slope_estimate(
+    plan: TransmissionPlan,
+    rsc: RateSimConfig = RateSimConfig(),
+    seed: int = 1,
+    dist: ChannelDistribution = ChannelDistribution(),
+) -> SlopeResult:
+    """Estimate the sum DoF as the least-squares slope of the mean sum rate
+    against log2(sqrt(P)) over the configured SNR grid.
+
+    Uninformed-antenna recipes are channel-independent by construction, so
+    finite-precision CSIT enters only through the interference that AP-ZF
+    cannot cancel; the sigma0^2 estimate-error knob therefore never touches
+    the built-in plans and is retained for custom recipes.
+    """
+    snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
+    totals = np.zeros(len(snrs))
+    used = 0
+    discarded = 0
+    for i in range(rsc.trials):
+        rates = None
+        for attempt in range(_MAX_RESAMPLE):
+            channel = sample_channel(plan.cfg, dist, seed, index=i * _MAX_RESAMPLE + attempt)
+            try:
+                system = realize_plan(plan, channel, normalize=True)
+                rates = []
+                for P in snrs:
+                    r1 = _receiver_rate(
+                        system.A1, system.registry.owned_columns(1), P, plan.T, rsc.noise_var
+                    )
+                    r2 = _receiver_rate(
+                        system.A2, system.registry.owned_columns(2), P, plan.T, rsc.noise_var
+                    )
+                    rates.append(r1 + r2)
+                break
+            except (ResampleRequiredError, FloatingPointError, np.linalg.LinAlgError):
+                rates = None
+        if rates is None or not np.all(np.isfinite(rates)):
+            discarded += 1
+            continue
+        totals += np.asarray(rates)
+        used += 1
+    if used == 0:
+        raise ResampleRequiredError("all Monte Carlo trials were discarded")
+    means = totals / used
+    x = np.log2(np.sqrt(snrs))
+    slope = float(np.polyfit(x, means, 1)[0])
+    return SlopeResult(
+        slope=slope,
+        snr_db=tuple(rsc.snr_db),
+        mean_sum_rates=tuple(float(v) for v in means),
+        trials_used=used,
+        discarded=discarded,
+    )
