@@ -10,10 +10,8 @@ finite-SNR rate-slope simulation.
 from .channel import (
     ChannelDistribution,
     ChannelRealization,
-    CsitView,
     RotationMatrix,
     apply_tx_rotation,
-    csit_view,
     equivalent_square_channel,
     field_channel,
     rotated_channel,
@@ -23,13 +21,12 @@ from .channel import (
 from .config import SystemConfig, normalize_config
 from .errors import (
     CapabilityExceededError,
-    CertificationError,
     EmptyRegionError,
     InvalidConfigError,
     RegimeError,
     ResampleRequiredError,
 )
-from .precoding import CancellationTarget, PrecoderVector, apzf_precoder, zf_precoder
+from .precoding import CancellationTarget, PrecoderVector, apzf_precoder
 from .region import (
     DofPoint,
     DofRegion,
@@ -47,9 +44,6 @@ from .schemes import (
     SymbolRegistry,
     TransmissionPlan,
     build_scheme_6331,
-    build_scheme_baseline,
-    build_scheme_low_k,
-    build_scheme_mid_k,
     select_scheme,
 )
 from .verifier import (
@@ -69,11 +63,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CancellationTarget",
     "CapabilityExceededError",
-    "CertificationError",
     "CertificationResult",
     "ChannelDistribution",
     "ChannelRealization",
-    "CsitView",
     "DecodabilityReport",
     "DofPoint",
     "DofRegion",
@@ -96,11 +88,7 @@ __all__ = [
     "apply_tx_rotation",
     "apzf_precoder",
     "build_scheme_6331",
-    "build_scheme_baseline",
-    "build_scheme_low_k",
-    "build_scheme_mid_k",
     "csit_compliance",
-    "csit_view",
     "decodability_check",
     "equivalent_square_channel",
     "field_channel",
@@ -116,5 +104,4 @@ __all__ = [
     "select_scheme",
     "sum_dof_lower",
     "sum_dof_upper",
-    "zf_precoder",
 ]

@@ -1,4 +1,4 @@
-"""Channel sampling, per-antenna CSIT views, and the transmit-side rotation.
+"""Channel sampling and the transmit-side rotation.
 
 Two kinds of realization are produced from the same seed machinery:
 
@@ -19,15 +19,12 @@ so the transform respects the distributed-CSIT constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .config import SystemConfig
 from .errors import InvalidConfigError, ResampleRequiredError
 from .gf import DEFAULT_PRIME, gf_matmul, gf_solve
-
-ROTATION_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,6 +46,8 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
     indices give statistically independent streams, and the mapping is
     stable across runs and platforms.
     """
+    if seed < 0 or index < 0:
+        raise InvalidConfigError(f"seed and trial index must be non-negative, got {seed}, {index}")
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
 
@@ -87,29 +86,6 @@ class ChannelRealization:
         if any(not 0 <= r < limit for r in rows):
             raise InvalidConfigError(f"antenna rows {rows} out of range for RX{rx}")
         return self.H[[offset + r for r in rows], :]
-
-
-@dataclass(frozen=True)
-class CsitView:
-    """What transmit antenna `tx_index` (0-based) knows about the channel.
-
-    Informed antennas (tx_index < k) see H exactly.  Uninformed antennas are
-    modeled two ways: for exact verification they contribute no usable
-    instantaneous value at all; for Monte Carlo they hold H plus an error of
-    fixed variance sigma0^2 that does not shrink with SNR.
-    """
-
-    tx_index: int
-    kind: Literal["perfect", "finite-precision"]
-
-    @property
-    def perfect(self) -> bool:
-        return self.kind == "perfect"
-
-
-def csit_view(cfg: SystemConfig, tx_index: int) -> CsitView:
-    kind = "perfect" if cfg.informed(tx_index) else "finite-precision"
-    return CsitView(tx_index=tx_index, kind=kind)
 
 
 def sample_channel(

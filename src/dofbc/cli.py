@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .channel import ChannelDistribution
 from .config import normalize_config
-from .errors import CertificationError, InvalidConfigError, ResampleRequiredError
+from .errors import InvalidConfigError, ResampleRequiredError
 from .figures import FIGURES, fig2_rows, fig4_bounds, write_figure
 from .region import (
     DofPoint,
@@ -136,6 +136,7 @@ def simulate_document(
     delta_max: float = 1.0,
 ) -> dict:
     cfg = normalize_config(M, N1, N2, k)
+    dist = ChannelDistribution(delta_min, delta_max)
     plan = select_scheme(cfg, allow_special_cases=special_cases)
     summary = plan.summary()
     certification = achieved_dof(plan, trials=trials, seed=seed)
@@ -157,9 +158,15 @@ def simulate_document(
     }
     if snr_db:
         rsc = RateSimConfig(snr_db=tuple(snr_db), trials=min(trials, 100))
-        dist = ChannelDistribution(delta_min, delta_max)
         doc["slope"] = rate_slope_estimate(plan, rsc, seed=seed, dist=dist).to_json()
     return doc
+
+
+def _parse_snr(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise InvalidConfigError(f"--snr expects comma-separated numbers, got {text!r}") from None
 
 
 def _emit(text: str, out: str | None):
@@ -271,7 +278,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep-n2":
             _emit_rows(sweep_n2_rows(args.M, args.k), args.format, args.out)
         elif args.command == "simulate":
-            snr = tuple(float(s) for s in args.snr.split(",")) if args.snr else None
+            snr = _parse_snr(args.snr) if args.snr else None
             doc = simulate_document(
                 args.M,
                 args.N1,
@@ -295,10 +302,10 @@ def main(argv=None) -> int:
                 if problems:
                     sys.stderr.write("\n".join(problems) + "\n")
                     return EXIT_CERTIFICATION
-    except InvalidConfigError as exc:
+    except (InvalidConfigError, OSError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
-    except (CertificationError, ResampleRequiredError) as exc:
+    except ResampleRequiredError as exc:
         sys.stderr.write(f"certification failed: {exc}\n")
         return EXIT_CERTIFICATION
     return EXIT_OK

@@ -2,11 +2,12 @@
 
 
 class InvalidConfigError(ValueError):
-    """Raised for antenna/CSIT counts that do not describe a valid system."""
+    """Raised for input that does not describe a valid system or run."""
 
 
 class RegimeError(ValueError):
-    """Raised when a scheme builder is called outside its CSIT regime."""
+    """Raised when a config is outside a computation's CSIT regime, or a plan
+    disagrees with the closed-form bound of its regime."""
 
 
 class CapabilityExceededError(ValueError):
@@ -19,7 +20,3 @@ class ResampleRequiredError(RuntimeError):
 
 class EmptyRegionError(ValueError):
     """Raised when vertex enumeration is attempted on an empty region."""
-
-
-class CertificationError(RuntimeError):
-    """Raised when a transmission plan fails its decodability certification."""

@@ -21,6 +21,7 @@ from .errors import ResampleRequiredError
 DEFAULT_PRIME = 2**31 - 1
 
 _SPLIT = 16  # matmul splits one factor into 16-bit limbs to avoid overflow
+_MAX_INNER = 2**16  # largest inner dimension whose limb sums fit int64
 
 
 def _check_prime(p: int):
@@ -35,9 +36,15 @@ def gf_array(values, p: int = DEFAULT_PRIME) -> np.ndarray:
 
 
 def gf_matmul(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """(A @ B) mod p without overflow, via 16-bit limb splitting of B."""
+    """(A @ B) mod p without overflow, via 16-bit limb splitting of B.
+
+    Each limb product is below p * 2^16 < 2^47, so sums stay exact in int64
+    for an inner dimension of at most 2^16; larger products are rejected.
+    """
     A = gf_array(A, p)
     B = gf_array(B, p)
+    if A.shape[-1] > _MAX_INNER:
+        raise ValueError(f"inner dimension {A.shape[-1]} exceeds {_MAX_INNER}")
     lo = B & ((1 << _SPLIT) - 1)
     hi = B >> _SPLIT
     out = (A @ lo) % p + (((A @ hi) % p) << _SPLIT) % p
@@ -139,20 +146,4 @@ def gf_particular_solution(A: np.ndarray, b: np.ndarray, p: int = DEFAULT_PRIME)
     x = np.zeros(cols, dtype=np.int64)
     for r, c in enumerate(pivots):
         x[c] = aug[r, cols]
-    return x
-
-
-def gf_null_vector(A: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """A nonzero kernel vector of A over GF(p); A must have a nontrivial kernel."""
-    A = gf_array(A, p)
-    rows, cols = A.shape
-    R, pivots = gf_rref(A, p)
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        raise ValueError("matrix has trivial kernel")
-    f = free[0]
-    x = np.zeros(cols, dtype=np.int64)
-    x[f] = 1
-    for r, c in enumerate(pivots):
-        x[c] = (-R[r, f]) % p
     return x

@@ -3,9 +3,7 @@
 The workhorse is active-passive zero forcing (AP-ZF): the M-k uninformed
 antennas transmit fixed channel-independent coefficients (the passive part),
 and the informed antennas solve a linear system so the stream vanishes at up
-to k chosen receive antennas.  A plain ZF precoder (every coefficient
-channel-dependent) is also provided as the fully-informed baseline; it is
-only CSIT-legal when all antennas are informed.
+to k chosen receive antennas.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError
-from .gf import gf_array, gf_matmul, gf_null_vector, gf_particular_solution, gf_rank, gf_solve
+from .gf import gf_array, gf_matmul, gf_particular_solution, gf_rank, gf_solve
 
 CHANNEL = "channel"
 CONSTANT = "constant"
@@ -133,25 +131,3 @@ def apzf_precoder(
     solved_label = CHANNEL if kp else CONSTANT
     labels = (solved_label,) * solve_count + (CONSTANT,) * (M - solve_count)
     return PrecoderVector(coeffs=t, labels=labels)
-
-
-def zf_precoder(channel: ChannelRealization, target: CancellationTarget) -> PrecoderVector:
-    """Perfect-CSIT zero forcing: a nonzero null vector of the target rows.
-
-    Every coefficient is channel-dependent, so this precoder is only legal
-    when all M antennas are informed (k = M); schemes fall back to AP-ZF
-    otherwise.
-    """
-    cfg = channel.cfg
-    rows = target.antenna_rows
-    if len(rows) >= cfg.M:
-        raise CapabilityExceededError("cannot zero-force at M or more antennas")
-    H_sel = channel.receiver_rows(target.rx, rows)
-    if channel.field is None:
-        _, _, vt = np.linalg.svd(H_sel)
-        t = vt[-1]
-    else:
-        t = gf_null_vector(H_sel, channel.field)
-    if len(rows) and not _residual_ok(H_sel, t, channel.field):
-        raise ResampleRequiredError("zero-forcing residual check failed")
-    return PrecoderVector(coeffs=t, labels=(CHANNEL,) * cfg.M)

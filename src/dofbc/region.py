@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .config import SystemConfig
 from .errors import EmptyRegionError, InvalidConfigError, RegimeError
 
-Rational = Fraction
+TABLE1_CONFIG = (6, 3, 3, 1)  # the config of the crafted special-case plan
 
 
 class DofPoint(NamedTuple):
@@ -212,7 +212,7 @@ def sum_dof_lower(cfg: SystemConfig, allow_special_cases: bool = False) -> Fract
     """
     M, N1, N2, k = cfg.shape
     capped = (min(M, N1 + N2), N1, N2, min(k, N1 + N2))
-    if allow_special_cases and capped == (6, 3, 3, 1):
+    if allow_special_cases and capped == TABLE1_CONFIG:
         return Fraction(4)
     if k >= N2:
         return Fraction(min(M, N1 + N2))
@@ -230,27 +230,76 @@ def sum_dof_lower(cfg: SystemConfig, allow_special_cases: bool = False) -> Fract
     return max(baseline, scheme)
 
 
-def scheme_split_point(cfg: SystemConfig, allow_special_cases: bool = False) -> DofPoint:
-    """Per-user (S1/T, S2/T) operating point of the selected built-in scheme."""
+class PlanShape(NamedTuple):
+    """Parameters of the two-phase plan template (see `dofbc.schemes`).
+
+    Phase 1 has `p1` slots of `a` fresh RX1 streams cancelled at `a_rows`
+    rows of RX2 and `b` fresh RX2 streams cancelled at `b_rows` rows of RX1.
+    Phase 2 has `p2` slots, each forwarding one overheard RX2 row per phase-1
+    slot alongside `b2` fresh RX2 streams cancelled at `b_rows` rows of RX1.
+    """
+
+    scheme: str
+    p1: int
+    a: int
+    a_rows: int
+    b: int
+    b_rows: int
+    p2: int = 0
+    b2: int = 0
+
+    @property
+    def T(self) -> int:
+        return self.p1 + self.p2
+
+    @property
+    def S1(self) -> int:
+        return self.p1 * self.a
+
+    @property
+    def S2(self) -> int:
+        return self.p1 * self.b + self.p2 * self.b2
+
+
+# The crafted (6,3,3,1) plan is not built from the template; its shape only
+# records its counts (8 symbols per receiver over 4 slots).
+TABLE1_SHAPE = PlanShape("table1", p1=4, a=2, a_rows=0, b=2, b_rows=0)
+
+
+def plan_shape(cfg: SystemConfig, allow_special_cases: bool = False) -> PlanShape:
+    """The built-in plan for `cfg`, decided on integers with M capped at N1+N2.
+
+    k = 0, M <= N2, or a low-k scheme that does not beat min(N2, M): serve
+    RX2 alone.  k >= N2: one fully separated ZF slot.  N1 <= k < N2: the
+    two-phase mid-k plan, a single slot when M <= N1+k.  1 <= k < N1: the
+    low-k retransmission plan with m = min(N2, M-k), when m + k^2/m wins.
+    """
     M, N1, N2, k = cfg.shape
     M = min(M, N1 + N2)
-    if allow_special_cases and (M, N1, N2, k) == (6, 3, 3, 1):
-        return _point(2, 2)
-    if k >= N2 or M <= N2:
-        if M <= N2:
-            return _point(0, min(M, N2))
-        return _point(min(M, N1 + N2) - N2, N2)
+    k = min(k, M)
+    if allow_special_cases and (M, N1, N2, k) == TABLE1_CONFIG:
+        return TABLE1_SHAPE
+    rx2_only = PlanShape("rx2-baseline", p1=1, a=0, a_rows=0, b=min(N2, M), b_rows=0)
+    if k == 0 or M <= N2:
+        return rx2_only
+    if k >= N2:
+        return PlanShape("zf-baseline", p1=1, a=M - N2, a_rows=N2, b=N2, b_rows=M - N2)
     if k >= N1:
         if M <= N1 + k:
-            return _point(N1, M - N1)
-        # S2/T with S2 = N2 (M-k-N1) + k N1 and T = M-k
-        s2 = Fraction(N2 * (M - k - N1) + k * N1, M - k)
-        return DofPoint(Fraction(N1), s2)
-    scheme = low_k_scheme_value(cfg)
-    if scheme is None or scheme <= min(N2, M):
-        return _point(0, min(N2, M))
+            return PlanShape("mid-k", p1=1, a=N1, a_rows=min(k, M - N1), b=M - N1, b_rows=N1)
+        return PlanShape(
+            "mid-k", p1=N1, a=M - k, a_rows=k, b=M - N1, b_rows=N1, p2=M - k - N1, b2=N2 - N1
+        )
     m = min(N2, M - k)
-    return DofPoint(Fraction(k), Fraction(k * k + (m - k) * m, m))
+    if m < k or m * m + k * k <= m * min(N2, M):
+        return rx2_only
+    return PlanShape("low-k", p1=k, a=m, a_rows=k, b=k, b_rows=k, p2=m - k, b2=m)
+
+
+def scheme_split_point(cfg: SystemConfig, allow_special_cases: bool = False) -> DofPoint:
+    """Per-user (S1/T, S2/T) operating point of the selected built-in scheme."""
+    shape = plan_shape(cfg, allow_special_cases)
+    return DofPoint(Fraction(shape.S1, shape.T), Fraction(shape.S2, shape.T))
 
 
 def achievable_region(cfg: SystemConfig, allow_special_cases: bool = False) -> tuple[DofPoint, ...]:

@@ -12,6 +12,30 @@ Plans are built without any channel realization; the verifier realizes them
 against channels.  Independence of simultaneously transmitted streams is
 arranged with distinct power-basis constant patterns and then *verified* by
 the rank checks, never assumed.
+
+Every built-in plan except the crafted (6,3,3,1) one follows one two-phase
+template on the config with M capped at N1+N2.  Phase 1 has p1 slots, each
+sending `a` fresh RX1 streams cancelled at RX2 rows range(a_rows), then `b`
+fresh RX2 streams cancelled at RX1 rows range(b_rows).  Phase 2 has p2
+slots; slot u forwards, from informed antenna i, the RX2 row k+u that
+phase-1 slot i leaked onto RX2's unprotected antennas (a pure RX1-symbol
+form RX2 already holds and RX1 still needs), then sends b2 fresh RX2
+streams cancelled at RX1 rows range(b_rows).  With j its index within its
+group, a fresh stream cancelled at r > 0 rows uses the AP-ZF pattern
+power_pattern(M-r, pattern_node(j)); one cancelled at no rows is sent from
+antenna j alone.  `region.plan_shape` picks the parameters:
+
+    regime (capped config)     id            p1  a     a_rows       b          b_rows  p2      b2
+    k = 0, M <= N2, or k < N1
+      without low-k gain       rx2-baseline  1   0     -            min(N2,M)  0       0       0
+    k >= N2                    zf-baseline   1   M-N2  N2           N2         M-N2    0       0
+    N1 <= k < N2, M <= N1+k    mid-k         1   N1    min(k,M-N1)  M-N1       N1      0       0
+    N1 <= k < N2, M > N1+k     mid-k         N1  M-k   k            M-N1       N1      M-k-N1  N2-N1
+    1 <= k < N1, m = min(N2,M-k),
+      m + k^2/m > min(N2,M)    low-k         k   m     k            k          k       m-k     m
+
+A plan delivers S1 = p1 a and S2 = p1 b + p2 b2 symbols over T = p1 + p2
+slots and claims (S1+S2)/T.
 """
 
 from __future__ import annotations
@@ -26,8 +50,8 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import SystemConfig
 from .errors import InvalidConfigError, RegimeError
-from .precoding import CHANNEL, CONSTANT, CancellationTarget, apzf_precoder, zf_precoder
-from .region import low_k_scheme_value, sum_dof_lower
+from .precoding import CHANNEL, CONSTANT, CancellationTarget, apzf_precoder
+from .region import TABLE1_CONFIG, PlanShape, plan_shape, sum_dof_lower
 
 
 class Symbol(NamedTuple):
@@ -181,29 +205,9 @@ class ApzfRecipe:
 
 
 @dataclass(frozen=True)
-class ZfRecipe:
-    """Fully channel-dependent null-vector precoder (needs k = M)."""
-
-    rx: int
-    rows: tuple[int, ...]
-
-    def vector(self, channel: ChannelRealization) -> np.ndarray:
-        return zf_precoder(channel, CancellationTarget(rx=self.rx, antenna_rows=self.rows)).coeffs
-
-    def labels(self, cfg: SystemConfig) -> tuple[str, ...]:
-        return (CHANNEL,) * cfg.M
-
-    def support_in_informed(self, cfg: SystemConfig) -> bool:
-        return cfg.k == cfg.M
-
-    def to_json(self):
-        return {"kind": "zf", "rx": self.rx, "rows": list(self.rows)}
-
-
-@dataclass(frozen=True)
 class Stream:
     payload: FreshPayload | InterferencePayload | CoupledPayload
-    precoder: UnitRecipe | ApzfRecipe | ZfRecipe
+    precoder: UnitRecipe | ApzfRecipe
 
     def to_json(self, cfg: SystemConfig):
         return {
@@ -290,8 +294,6 @@ class TransmissionPlan:
                         raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
                     if len(precoder.pattern) != cfg.M - len(precoder.rows):
                         raise InvalidConfigError("AP-ZF pattern has the wrong length")
-                if isinstance(precoder, ZfRecipe) and cfg.k != cfg.M:
-                    raise InvalidConfigError("plain ZF requires all antennas informed")
         if fresh_seen != {s.id for s in self.registry.symbols}:
             raise InvalidConfigError("every information symbol must be sent exactly once")
 
@@ -344,208 +346,45 @@ def unit_pattern(length: int, position: int) -> tuple[int, ...]:
     return tuple(1 if i == position else 0 for i in range(length))
 
 
-def _symbols(prefix: str, rx: int, count: int, start: int = 1) -> list[Symbol]:
-    return [Symbol(f"{prefix}{i}", rx) for i in range(start, start + count)]
+def _symbols(prefix: str, rx: int, count: int) -> list[Symbol]:
+    return [Symbol(f"{prefix}{i}", rx) for i in range(1, count + 1)]
 
 
-def build_scheme_mid_k(cfg: SystemConfig) -> TransmissionPlan:
-    """Two-phase scheme for N1 <= k < N2 < M <= N1+N2.
+def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
+    """Build the template plan `shape` on the capped config `cfg`."""
+    M, k = cfg.M, cfg.k
+    a_syms = _symbols("a", 1, shape.S1)
+    b_syms = _symbols("b", 2, shape.S2)
+    a_next, b_next = iter(a_syms), iter(b_syms)
 
-    Over T = M-k slots it delivers S1 = (M-k) N1 symbols to RX1 and
-    S2 = N2 (M-k-N1) + k N1 to RX2.  Phase 1 (N1 slots): a batch of M-k
-    fresh RX1 symbols cancelled at k antennas of RX2, plus M-N1 fresh RX2
-    symbols cancelled at the whole of RX1.  The RX1 batch leaks onto the
-    N2-k unprotected antennas of RX2; those leaked samples form the
-    interference pool.  Phase 2 (M-k-N1 slots): slot u retransmits, from the
-    informed antennas, the u-th pool term of every phase-1 slot (the forms
-    are pure RX1-symbol combinations that RX2 already holds, so RX2 loses
-    nothing) plus N2-N1 fresh RX2 symbols cancelled at RX1.  The phase
-    forwards (M-k-N1) N1 of the (N2-k) N1 pool terms, which generically
-    completes every RX1 batch since M <= N1+N2.
-    """
-    M, N1, N2, k = cfg.shape
-    if not N1 <= k < N2:
-        raise RegimeError("two-phase scheme requires N1 <= k < N2")
-    if not N2 < M <= N1 + N2:
-        raise RegimeError("two-phase scheme requires N2 < M <= N1 + N2 (cap M first)")
-    if M <= N1 + k:
-        # Retransmission phase would have negative length; the dimension cap
-        # min(M, N1+N2) = M binds here and one ZF-separated slot reaches it.
-        return _full_mimo_slot_plan(cfg)
-    T = M - k
-    phase2 = M - k - N1
-    a_syms = _symbols("a", 1, T * N1)
-    b_syms = _symbols("b", 2, N2 * phase2 + k * N1)
-    registry = SymbolRegistry(tuple(a_syms + b_syms))
+    def fresh(symbols, count: int, cancel_rx: int, rows: int) -> list[Stream]:
+        streams = []
+        for j in range(count):
+            if rows:
+                pattern = power_pattern(M - rows, pattern_node(j))
+                precoder = ApzfRecipe(rx=cancel_rx, rows=tuple(range(rows)), pattern=pattern)
+            else:
+                precoder = UnitRecipe(j)
+            streams.append(Stream(FreshPayload(next(symbols).id), precoder))
+        return streams
 
     slots = []
-    b_next = 0
-    for t in range(N1):
-        streams = []
-        for j in range(M - k):
-            streams.append(
-                Stream(
-                    FreshPayload(a_syms[t * (M - k) + j].id),
-                    ApzfRecipe(
-                        rx=2, rows=tuple(range(k)), pattern=power_pattern(M - k, pattern_node(j))
-                    ),
-                )
-            )
-        for j in range(M - N1):
-            streams.append(
-                Stream(
-                    FreshPayload(b_syms[b_next].id),
-                    ApzfRecipe(
-                        rx=1,
-                        rows=tuple(range(N1)),
-                        pattern=power_pattern(M - N1, pattern_node(j)),
-                    ),
-                )
-            )
-            b_next += 1
-        slots.append(Slot(tuple(streams)))
-
-    for u in range(phase2):
-        streams = []
-        for i in range(N1):
-            ref = RxRowRef(slot=i, rx=2, row=k + u, weight=1)
-            streams.append(Stream(InterferencePayload(owner=1, terms=(ref,)), UnitRecipe(i)))
-        for j in range(N2 - N1):
-            streams.append(
-                Stream(
-                    FreshPayload(b_syms[b_next].id),
-                    ApzfRecipe(
-                        rx=1,
-                        rows=tuple(range(N1)),
-                        pattern=power_pattern(M - N1, pattern_node(j)),
-                    ),
-                )
-            )
-            b_next += 1
-        slots.append(Slot(tuple(streams)))
-
-    claimed = N2 + Fraction(N1 * (M - N2), M - k)
-    return TransmissionPlan(
-        cfg=cfg, scheme_id="mid-k", registry=registry, slots=tuple(slots), claimed_dof=claimed
-    )
-
-
-def _full_mimo_slot_plan(cfg: SystemConfig) -> TransmissionPlan:
-    """One slot serving (N1, M-N1): N1 RX1 streams cancelled at k antennas of
-    RX2 and M-N1 RX2 streams cancelled at all of RX1.  Valid whenever
-    N1 <= k and N2 - k <= N1 and N2 < M <= N1+N2; the RX1 leakage then fits
-    inside RX2's spare rows and the slot certifies DoF M."""
-    M, N1, N2, k = cfg.shape
-    a_syms = _symbols("a", 1, N1)
-    b_syms = _symbols("b", 2, M - N1)
-    registry = SymbolRegistry(tuple(a_syms + b_syms))
-    streams = []
-    # Cancelling at all k rows would leave only an (M-k) < N1 dimensional
-    # precoder space; M-N1 rows leave exactly N1 dimensions for N1 streams.
-    a_rows = min(k, M - N1)
-    for j, sym in enumerate(a_syms):
-        streams.append(
-            Stream(
-                FreshPayload(sym.id),
-                ApzfRecipe(
-                    rx=2,
-                    rows=tuple(range(a_rows)),
-                    pattern=power_pattern(M - a_rows, pattern_node(j)),
-                ),
-            )
-        )
-    for j, sym in enumerate(b_syms):
-        streams.append(
-            Stream(
-                FreshPayload(sym.id),
-                ApzfRecipe(
-                    rx=1, rows=tuple(range(N1)), pattern=power_pattern(M - N1, pattern_node(j))
-                ),
-            )
-        )
+    for _ in range(shape.p1):
+        sent = fresh(a_next, shape.a, 2, shape.a_rows) + fresh(b_next, shape.b, 1, shape.b_rows)
+        slots.append(Slot(tuple(sent)))
+    for u in range(shape.p2):
+        forwarded = [
+            Stream(InterferencePayload(1, (RxRowRef(i, 2, k + u, 1),)), UnitRecipe(i))
+            for i in range(shape.p1)
+        ]
+        slots.append(Slot(tuple(forwarded + fresh(b_next, shape.b2, 1, shape.b_rows))))
     return TransmissionPlan(
         cfg=cfg,
-        scheme_id="mid-k",
-        registry=registry,
-        slots=(Slot(tuple(streams)),),
-        claimed_dof=Fraction(M),
+        scheme_id=shape.scheme,
+        registry=SymbolRegistry(tuple(a_syms + b_syms)),
+        slots=tuple(slots),
+        claimed_dof=Fraction(shape.S1 + shape.S2, shape.T),
     )
-
-
-def build_scheme_low_k(cfg: SystemConfig) -> TransmissionPlan:
-    """Retransmission scheme for 1 <= k < N1, m = min(N2, M-k) >= k.
-
-    Phase 1 (k slots): k fresh RX2 symbols cancelled at k antennas of RX1
-    plus m fresh RX1 symbols cancelled at k antennas of RX2.  Each slot
-    leaves RX1 needing m-k more combinations of that slot's batch, which RX2
-    overheard on its unprotected antennas.  Phase 2 (m-k slots): slot u
-    retransmits, from the informed antennas, the u-th overheard interference
-    term of every phase-1 batch (k terms, one per batch) alongside m fresh
-    RX2 symbols cancelled at k antennas of RX1.
-
-    Delivers m + k^2/m over T = m slots; callers should fall back to serving
-    RX2 alone whenever that value does not beat min(N2, M).
-    """
-    M, N1, N2, k = cfg.shape
-    if not 1 <= k < N1:
-        raise RegimeError("retransmission scheme requires 1 <= k < N1")
-    m = min(N2, M - k)
-    if m < k:
-        raise RegimeError("retransmission scheme requires min(N2, M-k) >= k")
-    T = m
-    a_syms = _symbols("a", 1, k * m)
-    b_syms = _symbols("b", 2, k * k + (m - k) * m)
-    registry = SymbolRegistry(tuple(a_syms + b_syms))
-
-    slots = []
-    b_next = 0
-    for t in range(k):
-        streams = []
-        for j in range(m):
-            streams.append(
-                Stream(
-                    FreshPayload(a_syms[t * m + j].id),
-                    ApzfRecipe(
-                        rx=2, rows=tuple(range(k)), pattern=power_pattern(M - k, pattern_node(j))
-                    ),
-                )
-            )
-        for j in range(k):
-            streams.append(
-                Stream(
-                    FreshPayload(b_syms[b_next].id),
-                    ApzfRecipe(
-                        rx=1, rows=tuple(range(k)), pattern=power_pattern(M - k, pattern_node(j))
-                    ),
-                )
-            )
-            b_next += 1
-        slots.append(Slot(tuple(streams)))
-
-    for u in range(m - k):
-        streams = []
-        for i in range(k):
-            ref = RxRowRef(slot=i, rx=2, row=k + u, weight=1)
-            streams.append(Stream(InterferencePayload(owner=1, terms=(ref,)), UnitRecipe(i)))
-        for j in range(m):
-            streams.append(
-                Stream(
-                    FreshPayload(b_syms[b_next].id),
-                    ApzfRecipe(
-                        rx=1, rows=tuple(range(k)), pattern=power_pattern(M - k, pattern_node(j))
-                    ),
-                )
-            )
-            b_next += 1
-        slots.append(Slot(tuple(streams)))
-
-    claimed = m + Fraction(k * k, m)
-    return TransmissionPlan(
-        cfg=cfg, scheme_id="low-k", registry=registry, slots=tuple(slots), claimed_dof=claimed
-    )
-
-
-TABLE1_CONFIG = (6, 3, 3, 1)
 
 
 def build_scheme_6331() -> TransmissionPlan:
@@ -602,70 +441,6 @@ def build_scheme_6331() -> TransmissionPlan:
     )
 
 
-def _rx2_only_plan(cfg: SystemConfig) -> TransmissionPlan:
-    """Serve RX2 alone: min(N2, M) streams per slot, one slot, no precoding."""
-    M, _, N2, _ = cfg.shape
-    count = min(N2, M)
-    b_syms = _symbols("b", 2, count)
-    registry = SymbolRegistry(tuple(b_syms))
-    streams = tuple(
-        Stream(FreshPayload(sym.id), UnitRecipe(i)) for i, sym in enumerate(b_syms)
-    )
-    return TransmissionPlan(
-        cfg=cfg,
-        scheme_id="rx2-baseline",
-        registry=registry,
-        slots=(Slot(streams),),
-        claimed_dof=Fraction(count),
-    )
-
-
-def build_scheme_baseline(cfg: SystemConfig, force_rx2: bool = False) -> TransmissionPlan:
-    """Single-slot baselines: fully separated ZF for k >= N2, RX2-only else.
-
-    For k >= N2 < M, min(M, N1+N2) - N2 RX1 streams are cancelled at all of
-    RX2 and N2 RX2 streams are cancelled at the RX1 antennas in use; with
-    k >= N2 both cancellations are within AP-ZF capability, so the plan is
-    CSIT-compliant even when k < M.  For k = 0 or M <= N2 (or as the
-    explicit fallback of the low-k regime) RX2 is served alone.
-    """
-    M, N1, N2, k = cfg.shape
-    if force_rx2 or k == 0 or M <= N2:
-        return _rx2_only_plan(cfg)
-    if k < N2:
-        raise RegimeError("baseline requires k >= N2, k = 0, or M <= N2")
-    r1 = min(M, N1 + N2) - N2
-    a_syms = _symbols("a", 1, r1)
-    b_syms = _symbols("b", 2, N2)
-    registry = SymbolRegistry(tuple(a_syms + b_syms))
-    streams = []
-    for j, sym in enumerate(a_syms):
-        streams.append(
-            Stream(
-                FreshPayload(sym.id),
-                ApzfRecipe(
-                    rx=2, rows=tuple(range(N2)), pattern=power_pattern(M - N2, pattern_node(j))
-                ),
-            )
-        )
-    for j, sym in enumerate(b_syms):
-        streams.append(
-            Stream(
-                FreshPayload(sym.id),
-                ApzfRecipe(
-                    rx=1, rows=tuple(range(r1)), pattern=power_pattern(M - r1, pattern_node(j))
-                ),
-            )
-        )
-    return TransmissionPlan(
-        cfg=cfg,
-        scheme_id="zf-baseline",
-        registry=registry,
-        slots=(Slot(tuple(streams)),),
-        claimed_dof=Fraction(min(M, N1 + N2)),
-    )
-
-
 def effective_config(cfg: SystemConfig) -> SystemConfig:
     """Cap M at N1+N2 (the DoF does not grow beyond it; wide systems are
     first reduced to this square equivalent by the channel rotation)."""
@@ -677,21 +452,12 @@ def effective_config(cfg: SystemConfig) -> SystemConfig:
 
 
 def select_scheme(cfg: SystemConfig, allow_special_cases: bool = False) -> TransmissionPlan:
-    """Regime dispatch: the built-in plan whose claimed DoF is sum_dof_lower."""
-    eff = effective_config(cfg)
-    M, N1, N2, k = eff.shape
-    if allow_special_cases and eff.shape == TABLE1_CONFIG:
+    """The built-in plan chosen by `plan_shape`, checked against sum_dof_lower."""
+    shape = plan_shape(cfg, allow_special_cases)
+    if shape.scheme == "table1":
         plan = build_scheme_6331()
-    elif k >= N2 or M <= N2 or k == 0:
-        plan = build_scheme_baseline(eff)
-    elif k >= N1:
-        plan = build_scheme_mid_k(eff)
     else:
-        value = low_k_scheme_value(eff)
-        if value is not None and value > min(N2, M):
-            plan = build_scheme_low_k(eff)
-        else:
-            plan = build_scheme_baseline(eff, force_rx2=True)
+        plan = _two_phase_plan(effective_config(cfg), shape)
     expected = sum_dof_lower(cfg, allow_special_cases)
     if plan.claimed_dof != expected:
         raise RegimeError(

@@ -18,6 +18,7 @@ the high-SNR slope against log2(sqrt(P)) then recovers each receiver's DoF.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,7 +101,7 @@ def _rank(A: np.ndarray, fieldp: int | None, tol: float = SVD_RANK_TOL) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def _precoder_matrix(plan: TransmissionPlan, channel: ChannelRealization, slot) -> np.ndarray:
+def _precoder_matrix(channel: ChannelRealization, slot) -> np.ndarray:
     vectors = [stream.precoder.vector(channel) for stream in slot.streams]
     if channel.field is None:
         return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
@@ -163,7 +164,7 @@ def realize_plan(
                 aux_equations[payload.aux] = payload.terms
             else:
                 raise InvalidConfigError(f"unknown payload {payload!r}")
-        T_mat = _precoder_matrix(plan, channel, slot)
+        T_mat = _precoder_matrix(channel, slot)
         if real and normalize and n_streams:
             # Equal power per stream, unit total power per slot: keeps every
             # receive gain O(1) so rate curves enter the DoF regime early.
@@ -260,27 +261,26 @@ class CertificationResult:
         }
 
 
-def certify_on_channels(plan: TransmissionPlan, channels) -> CertificationResult:
-    """Run the decodability certificate on explicit channel realizations."""
-    failures = []
-    first_report = None
-    count = 0
-    for i, channel in enumerate(channels):
-        count += 1
-        report = decodability_check(realize_plan(plan, channel))
-        if not report.all_decodable:
-            failures.append(i)
-            if first_report is None:
-                first_report = report
+def _certification(
+    plan: TransmissionPlan, reports: list[DecodabilityReport], resamples: int = 0
+) -> CertificationResult:
+    """Fold per-trial decodability reports into one result."""
+    failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
     total = plan.registry.S1 + plan.registry.S2
-    dof = Fraction(total, plan.T) if not failures else None
     return CertificationResult(
         plan_id=plan.scheme_id,
-        trials=count,
-        failures=tuple(failures),
-        resamples=0,
-        dof=dof,
-        first_failure_report=first_report,
+        trials=len(reports),
+        failures=failures,
+        resamples=resamples,
+        dof=None if failures else Fraction(total, plan.T),
+        first_failure_report=reports[failures[0]] if failures else None,
+    )
+
+
+def certify_on_channels(plan: TransmissionPlan, channels) -> CertificationResult:
+    """Run the decodability certificate on explicit channel realizations."""
+    return _certification(
+        plan, [decodability_check(realize_plan(plan, channel)) for channel in channels]
     )
 
 
@@ -298,34 +298,19 @@ def achieved_dof(
     """
     if trials < 1:
         raise InvalidConfigError("at least one trial required")
-    failures = []
-    first_report = None
+    reports = []
     resamples = 0
     for i in range(trials):
-        report = None
         for attempt in range(_MAX_RESAMPLE):
             channel = field_channel(plan.cfg, seed, index=i * _MAX_RESAMPLE + attempt, p=p)
             try:
-                report = decodability_check(realize_plan(plan, channel))
+                reports.append(decodability_check(realize_plan(plan, channel)))
                 break
             except ResampleRequiredError:
                 resamples += 1
-        if report is None:
+        else:
             raise ResampleRequiredError(f"resampling exhausted on trial {i}")
-        if not report.all_decodable:
-            failures.append(i)
-            if first_report is None:
-                first_report = report
-    total = plan.registry.S1 + plan.registry.S2
-    dof = Fraction(total, plan.T) if not failures else None
-    return CertificationResult(
-        plan_id=plan.scheme_id,
-        trials=trials,
-        failures=tuple(failures),
-        resamples=resamples,
-        dof=dof,
-        first_failure_report=first_report,
-    )
+    return _certification(plan, reports, resamples)
 
 
 @dataclass(frozen=True)
@@ -388,8 +373,7 @@ def csit_compliance(
 
 def stream_gains(plan: TransmissionPlan, channel: ChannelRealization, slot_index: int) -> dict:
     """Per-stream receive gains H_i @ t_s of one slot, keyed by receiver."""
-    slot = plan.slots[slot_index]
-    T_mat = _precoder_matrix(plan, channel, slot)
+    T_mat = _precoder_matrix(channel, plan.slots[slot_index])
     if channel.field is None:
         return {1: channel.H1 @ T_mat, 2: channel.H2 @ T_mat}
     return {
@@ -405,9 +389,10 @@ class RateSimConfig:
     snr_db: tuple[float, ...] = (40.0, 60.0, 80.0)
     trials: int = 100
     noise_var: float = 1.0
-    sigma0_sq: float = 0.01
 
     def __post_init__(self):
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise InvalidConfigError("SNR points must be finite")
         if len(self.snr_db) < 2:
             raise InvalidConfigError("at least two SNR points required")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
@@ -468,8 +453,7 @@ def rate_slope_estimate(
 
     Uninformed-antenna recipes are channel-independent by construction, so
     finite-precision CSIT enters only through the interference that AP-ZF
-    cannot cancel; the sigma0^2 estimate-error knob therefore never touches
-    the built-in plans and is retained for custom recipes.
+    cannot cancel.
     """
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
     totals = np.zeros(len(snrs))

@@ -5,7 +5,6 @@ from dofbc.channel import (
     ChannelDistribution,
     ChannelRealization,
     apply_tx_rotation,
-    csit_view,
     equivalent_square_channel,
     field_channel,
     rotated_channel,
@@ -71,12 +70,6 @@ def test_field_leading_minor_nonsingular_many_seeds():
         ch = field_channel(cfg, seed=11, index=i)
         block = ch.H2[: cfg.k, : cfg.k]
         assert det2_mod(int(block[0, 0]), int(block[0, 1]), int(block[1, 0]), int(block[1, 1]), DEFAULT_PRIME) != 0
-
-
-def test_csit_view_partition():
-    cfg = SystemConfig(4, 1, 3, 2)
-    kinds = [csit_view(cfg, i).kind for i in range(4)]
-    assert kinds == ["perfect", "perfect", "finite-precision", "finite-precision"]
 
 
 def test_rotation_identity_when_square():

@@ -2,6 +2,7 @@ import csv
 import json
 from fractions import Fraction as F
 
+import pytest
 
 from dofbc.cli import (
     main,
@@ -58,6 +59,26 @@ def test_invalid_config_exits_2(capsys):
     code, _, err = run_cli(capsys, "region", "4", "1", "3", "5")
     assert code == 2
     assert "invalid" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("simulate", "4", "1", "3", "2", "--snr", "abc"),
+        ("simulate", "4", "1", "3", "2", "--seed", "-1"),
+        ("figure", "fig3", "--certify", "--seed", "-1", "--out", "{tmp}"),
+        ("figure", "fig3", "--out", "{tmp}/missing"),
+        ("simulate", "4", "1", "3", "2", "--trials", "2", "--out", "{tmp}/missing/sim.json"),
+        ("region", "4", "1", "3", "2", "--out", "{tmp}/missing/region.json"),
+        ("simulate", "4", "1", "3", "2", "--delta-min", "0"),
+        ("simulate", "4", "1", "3", "2", "--trials", "2", "--snr", "nan,60,80"),
+    ],
+)
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, args):
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in args))
+    assert code == 2
+    assert err.startswith("invalid input:")
+    assert err.count("\n") == 1
 
 
 def test_sweep_k_values():

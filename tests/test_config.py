@@ -24,6 +24,7 @@ def test_ordered_input_unchanged():
         (4, 0, 3, 1),  # zero-antenna receiver
         (4, 1, 0, 1),
         (4, 1, 3, -1),
+        (4, "3", 1, 1),  # non-integer count
     ],
 )
 def test_invalid_configs_rejected(raw):
@@ -34,11 +35,3 @@ def test_invalid_configs_rejected(raw):
 def test_direct_construction_validates():
     with pytest.raises(InvalidConfigError):
         SystemConfig(4, 3, 1, 2)  # N1 > N2 not allowed post-normalization
-    with pytest.raises(InvalidConfigError):
-        SystemConfig(4, 1, 3, 2).informed(4)
-
-
-def test_informed_partition():
-    cfg = SystemConfig(4, 1, 3, 2)
-    assert [cfg.informed(i) for i in range(4)] == [True, True, False, False]
-    assert cfg.N == 4

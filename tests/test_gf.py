@@ -6,7 +6,6 @@ from dofbc.gf import (
     DEFAULT_PRIME,
     gf_array,
     gf_matmul,
-    gf_null_vector,
     gf_particular_solution,
     gf_rank,
     gf_rref,
@@ -25,6 +24,15 @@ def test_matmul_matches_python_ints():
         dtype=np.int64,
     )
     assert np.array_equal(gf_matmul(A, B), want)
+
+
+def test_matmul_rejects_inner_dimension_beyond_exact_range():
+    n = 2**16
+    full = np.full((1, n), P - 1, dtype=np.int64)
+    assert gf_matmul(full, full.T)[0, 0] == (n * (P - 1) ** 2) % P
+    wide = np.full((1, 2 * n), P - 1, dtype=np.int64)
+    with pytest.raises(ValueError):
+        gf_matmul(wide, wide.T)
 
 
 def test_rank_known_cases():
@@ -66,16 +74,6 @@ def test_particular_solution_free_vars_zero():
     R, pivots = gf_rref(A)
     free = [c for c in range(3) if c not in pivots]
     assert all(x[c] == 0 for c in free)
-
-
-def test_null_vector():
-    rng = np.random.default_rng(2)
-    A = rng.integers(1, P, size=(3, 5), dtype=np.int64)
-    v = gf_null_vector(A)
-    assert v.any()
-    assert not gf_matmul(A, v[:, None]).any()
-    with pytest.raises(ValueError):
-        gf_null_vector(np.eye(3, dtype=np.int64))
 
 
 def test_large_prime_rejected():

@@ -5,7 +5,7 @@ from dofbc.channel import ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import CapabilityExceededError, ResampleRequiredError
 from dofbc.gf import gf_matmul
-from dofbc.precoding import CHANNEL, CONSTANT, CancellationTarget, apzf_precoder, zf_precoder
+from dofbc.precoding import CHANNEL, CONSTANT, CancellationTarget, apzf_precoder
 
 
 def residual(channel, target, t):
@@ -109,31 +109,3 @@ def test_rank_deficient_active_submatrix():
     ch = ChannelRealization(cfg=cfg, H=H)
     with pytest.raises(ResampleRequiredError):
         apzf_precoder(ch, CancellationTarget(rx=1, antenna_rows=(0,)), np.ones(3))
-
-
-def test_zf_null_vector():
-    cfg = SystemConfig(2, 1, 1, 2)
-    ch = sample_channel(cfg, seed=8)
-    target = CancellationTarget(rx=1, antenna_rows=(0,))
-    vec = zf_precoder(ch, target)
-    assert np.abs(ch.H1 @ vec.coeffs).max() <= 1e-12
-    assert np.abs(vec.coeffs).max() > 0
-    assert vec.labels == (CHANNEL, CHANNEL)
-
-
-def test_zf_three_rows_in_four_antennas():
-    cfg = SystemConfig(4, 1, 3, 4)
-    ch = sample_channel(cfg, seed=9)
-    target = CancellationTarget(rx=2, antenna_rows=(0, 1, 2))
-    t = zf_precoder(ch, target).coeffs
-    assert residual(ch, target, t) <= 1e-12 * np.abs(ch.H).max()
-
-
-def test_zf_field_and_impossible():
-    cfg = SystemConfig(3, 1, 3, 3)
-    ch = field_channel(cfg, seed=10)
-    target = CancellationTarget(rx=2, antenna_rows=(0, 1))
-    t = zf_precoder(ch, target).coeffs
-    assert residual(ch, target, t) == 0
-    with pytest.raises(CapabilityExceededError):
-        zf_precoder(ch, CancellationTarget(rx=2, antenna_rows=(0, 1, 2)))

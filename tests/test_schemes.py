@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dofbc.config import SystemConfig
-from dofbc.errors import InvalidConfigError, RegimeError
+from dofbc.errors import InvalidConfigError
 from dofbc.precoding import CONSTANT
 from dofbc.region import sum_dof_lower, sum_dof_upper
 from dofbc.schemes import (
@@ -20,13 +21,15 @@ from dofbc.schemes import (
     TransmissionPlan,
     UnitRecipe,
     build_scheme_6331,
-    build_scheme_baseline,
-    build_scheme_low_k,
-    build_scheme_mid_k,
     select_scheme,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "plan_4132.json"
+
+# sha256 of select_scheme(SystemConfig(M, N1, N2, k), special).to_json_str()
+# concatenated in loop order over M, N1 <= N2 <= 8, 0 <= k <= M and both
+# values of `special`: 3,168 plans.
+CATALOGUE_SHA256 = "baadb8bc489a28070201446820430b7dc7b964b9351ba94c6f4b9a3e935e2455"
 
 
 @pytest.mark.parametrize(
@@ -38,7 +41,7 @@ GOLDEN = Path(__file__).parent / "data" / "plan_4132.json"
     ],
 )
 def test_mid_k_counts(shape, T, S1, S2, dof):
-    plan = build_scheme_mid_k(SystemConfig(*shape))
+    plan = select_scheme(SystemConfig(*shape))
     summary = plan.summary()
     assert (summary.T, summary.S1, summary.S2) == (T, S1, S2)
     assert plan.claimed_dof == dof
@@ -47,7 +50,7 @@ def test_mid_k_counts(shape, T, S1, S2, dof):
 
 def test_mid_k_phase_structure():
     cfg = SystemConfig(9, 3, 6, 4)
-    plan = build_scheme_mid_k(cfg)
+    plan = select_scheme(cfg)
     M, N1, N2, k = cfg.shape
     for t in range(N1):
         assert plan.fresh_count(t, 1) == M - k
@@ -64,17 +67,6 @@ def test_mid_k_phase_structure():
             assert all(ref.rx == 2 and ref.row >= k for ref in stream.payload.terms)
 
 
-def test_mid_k_regime_errors():
-    with pytest.raises(RegimeError):
-        build_scheme_mid_k(SystemConfig(4, 1, 3, 0))
-    with pytest.raises(RegimeError):
-        build_scheme_mid_k(SystemConfig(4, 1, 3, 3))
-    with pytest.raises(RegimeError):
-        build_scheme_mid_k(SystemConfig(3, 1, 3, 1))  # M <= N2
-    with pytest.raises(RegimeError):
-        build_scheme_mid_k(SystemConfig(9, 1, 3, 2))  # M > N1+N2, cap first
-
-
 @pytest.mark.parametrize(
     "shape,m,T,total,dof",
     [
@@ -84,22 +76,13 @@ def test_mid_k_regime_errors():
     ],
 )
 def test_low_k_counts(shape, m, T, total, dof):
-    plan = build_scheme_low_k(SystemConfig(*shape))
+    plan = select_scheme(SystemConfig(*shape))
     summary = plan.summary()
     assert summary.T == T
     assert summary.S1 + summary.S2 == total
     assert plan.claimed_dof == dof
     k = shape[3]
     assert summary.S1 == k * m
-
-
-def test_low_k_regime_errors():
-    with pytest.raises(RegimeError):
-        build_scheme_low_k(SystemConfig(6, 3, 3, 0))
-    with pytest.raises(RegimeError):
-        build_scheme_low_k(SystemConfig(6, 3, 3, 3))  # k >= N1
-    with pytest.raises(RegimeError):
-        build_scheme_low_k(SystemConfig(5, 4, 5, 3))  # min(N2, M-k) < k
 
 
 def test_table1_summary_and_structure():
@@ -119,12 +102,10 @@ def test_table1_summary_and_structure():
 
 
 def test_baseline_claims():
-    assert build_scheme_baseline(SystemConfig(4, 1, 3, 3)).claimed_dof == 4
-    assert build_scheme_baseline(SystemConfig(5, 2, 3, 0)).claimed_dof == 3
-    assert build_scheme_baseline(SystemConfig(2, 1, 3, 1)).claimed_dof == 2
-    assert build_scheme_baseline(SystemConfig(6, 3, 3, 4)).claimed_dof == 6
-    with pytest.raises(RegimeError):
-        build_scheme_baseline(SystemConfig(4, 1, 3, 2))
+    assert select_scheme(SystemConfig(4, 1, 3, 3)).claimed_dof == 4
+    assert select_scheme(SystemConfig(5, 2, 3, 0)).claimed_dof == 3
+    assert select_scheme(SystemConfig(2, 1, 3, 1)).claimed_dof == 2
+    assert select_scheme(SystemConfig(6, 3, 3, 4)).claimed_dof == 6
 
 
 def test_select_scheme_dispatch():
@@ -159,7 +140,7 @@ def test_mid_k_claim_equals_upper_bound_grid():
             for M in range(N2 + 1, min(10, N1 + N2) + 1):
                 for k in range(N1, N2):
                     cfg = SystemConfig(M, N1, N2, k)
-                    assert build_scheme_mid_k(cfg).claimed_dof == sum_dof_upper(cfg)
+                    assert select_scheme(cfg).claimed_dof == sum_dof_upper(cfg)
 
 
 def test_csit_label_discipline_all_plans():
@@ -167,8 +148,8 @@ def test_csit_label_discipline_all_plans():
         select_scheme(SystemConfig(4, 1, 3, 2)),
         select_scheme(SystemConfig(6, 3, 3, 1)),
         build_scheme_6331(),
-        build_scheme_baseline(SystemConfig(6, 3, 3, 4)),
-        build_scheme_baseline(SystemConfig(5, 2, 3, 0)),
+        select_scheme(SystemConfig(6, 3, 3, 4)),
+        select_scheme(SystemConfig(5, 2, 3, 0)),
     ]
     for plan in plans:
         k = plan.cfg.k
@@ -181,12 +162,12 @@ def test_csit_label_discipline_all_plans():
 def test_per_slot_stream_budget():
     for shape in [(4, 1, 3, 2), (9, 3, 6, 4), (5, 2, 4, 2)]:
         cfg = SystemConfig(*shape)
-        plan = build_scheme_mid_k(cfg)
+        plan = select_scheme(cfg)
         M, N1, N2, k = cfg.shape
         phase2 = max(0, M - k - N1)
         assert plan.max_streams_per_slot() <= M + phase2
     for shape in [(6, 3, 3, 1), (9, 3, 6, 2)]:
-        plan = build_scheme_low_k(SystemConfig(*shape))
+        plan = select_scheme(SystemConfig(*shape))
         assert plan.max_streams_per_slot() <= plan.cfg.M
 
 
@@ -222,7 +203,7 @@ def test_plan_validation_rejects_bad_structures():
 
 
 def test_plan_json_golden():
-    plan = build_scheme_mid_k(SystemConfig(4, 1, 3, 2))
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
     assert json.loads(plan.to_json_str()) == json.loads(GOLDEN.read_text())
 
 
@@ -234,3 +215,15 @@ def test_plan_json_shape():
     stream = doc["slots"][0]["streams"][0]
     assert stream["payload"]["kind"] == "coupled"
     assert stream["csit"] == [CONSTANT] * 6
+
+
+def test_plan_catalogue_digest():
+    digest = hashlib.sha256()
+    for M in range(1, 9):
+        for N1 in range(1, 9):
+            for N2 in range(N1, 9):
+                for k in range(M + 1):
+                    for special in (False, True):
+                        plan = select_scheme(SystemConfig(M, N1, N2, k), special)
+                        digest.update(plan.to_json_str().encode())
+    assert digest.hexdigest() == CATALOGUE_SHA256

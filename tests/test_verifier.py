@@ -16,9 +16,6 @@ from dofbc.schemes import (
     TransmissionPlan,
     UnitRecipe,
     build_scheme_6331,
-    build_scheme_baseline,
-    build_scheme_low_k,
-    build_scheme_mid_k,
     select_scheme,
 )
 from dofbc.verifier import (
@@ -36,7 +33,7 @@ from .helpers import adversarial_plan, empty_plan, overloaded_rx2_plan
 
 
 def test_realize_shapes_mid_k():
-    plan = build_scheme_mid_k(SystemConfig(4, 1, 3, 2))
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
     system = realize_plan(plan, field_channel(plan.cfg, seed=0))
     assert system.A1.shape == (2, 7)
     assert system.A2.shape == (6, 7)
@@ -58,14 +55,14 @@ def test_realize_empty_plan():
 
 
 def test_realize_rejects_mismatched_channel():
-    plan = build_scheme_mid_k(SystemConfig(4, 1, 3, 2))
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
     wrong = field_channel(SystemConfig(5, 1, 3, 2), seed=0)
     with pytest.raises(InvalidConfigError):
         realize_plan(plan, wrong)
 
 
 def test_decodability_mid_k_field():
-    plan = build_scheme_mid_k(SystemConfig(4, 1, 3, 2))
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
     report = decodability_check(realize_plan(plan, field_channel(plan.cfg, seed=1)))
     assert report.all_decodable
     assert report.rx1.rank_interference == 0  # RX2 symbols are invisible at RX1
@@ -116,8 +113,8 @@ def test_rank_criterion_matches_direct_inversion():
 @pytest.mark.parametrize(
     "builder,shape,expected",
     [
-        (build_scheme_mid_k, (4, 1, 3, 2), F(7, 2)),
-        (build_scheme_low_k, (6, 3, 3, 1), F(10, 3)),
+        (select_scheme, (4, 1, 3, 2), F(7, 2)),
+        (select_scheme, (6, 3, 3, 1), F(10, 3)),
         (None, None, F(4)),  # Table I
     ],
 )
@@ -144,7 +141,7 @@ def test_interference_bookkeeping_mid_k():
 
     cfg = SystemConfig(9, 3, 6, 4)
     M, N1, N2, k = cfg.shape
-    plan = build_scheme_mid_k(cfg)
+    plan = select_scheme(cfg)
     system = realize_plan(plan, field_channel(cfg, seed=21))
     a_cols = list(system.registry.owned_columns(1))
     phase1_rx1 = system.A1[: N1 * N1]
@@ -180,7 +177,7 @@ def test_dimension_ceiling():
 
 
 def test_certify_on_explicit_channels():
-    plan = build_scheme_mid_k(SystemConfig(4, 1, 3, 2))
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
     channels = [field_channel(plan.cfg, seed=5, index=i) for i in range(10)]
     result = certify_on_channels(plan, channels)
     assert result.ok and result.dof == F(7, 2)
@@ -207,7 +204,7 @@ def test_compliance_flags_adversarial_plan():
 
 def test_compliance_trivial_when_all_informed():
     cfg = SystemConfig(3, 1, 2, 3)
-    assert csit_compliance(build_scheme_baseline(cfg)).compliant
+    assert csit_compliance(select_scheme(cfg)).compliant
 
 
 def test_table1_slot_structure():
@@ -245,3 +242,5 @@ def test_rate_sim_config_validation():
         RateSimConfig(snr_db=(40.0, 50.0))  # span < 20 dB
     with pytest.raises(InvalidConfigError):
         RateSimConfig(snr_db=(60.0, 40.0))
+    with pytest.raises(InvalidConfigError):
+        RateSimConfig(snr_db=(float("nan"), 60.0, 80.0))
