@@ -83,13 +83,21 @@ def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return A, pivots
 
 
-def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
-    """Exact rank of A over GF(p)."""
+def gf_pivots(A: np.ndarray, p: int = DEFAULT_PRIME) -> list[int]:
+    """Pivot columns of A's row echelon form over GF(p).
+
+    Elimination runs left to right, so the pivots among the first c columns
+    number the rank of A[:, :c].
+    """
     A = gf_array(A, p).copy()
     if A.size == 0:
-        return 0
-    _, pivots = _eliminate(A, p)
-    return len(pivots)
+        return []
+    return _eliminate(A, p)[1]
+
+
+def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
+    """Exact rank of A over GF(p)."""
+    return len(gf_pivots(A, p))
 
 
 def gf_rref(A: np.ndarray, p: int = DEFAULT_PRIME) -> tuple[np.ndarray, list[int]]:
@@ -130,20 +138,22 @@ def gf_solve(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray
     return X[:, 0] if single else X
 
 
-def gf_particular_solution(A: np.ndarray, b: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """One solution of A x = b with all free variables set to zero.
+def gf_particular_solution(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """One solution X of A X = B (B a vector or one right-hand side per
+    column) with all free variables set to zero.
 
-    Requires the system to be consistent; raises ResampleRequiredError when
-    A does not have full row rank on the pivot structure (rank-deficient
-    cancellation systems are degenerate channel draws).
+    Raises ResampleRequiredError unless A has full row rank, which also
+    makes the system consistent: rank-deficient cancellation systems are
+    degenerate channel draws.
     """
     A = gf_array(A, p)
-    b = gf_array(b, p)
+    B = gf_array(B, p)
     rows, cols = A.shape
-    aug, pivots = gf_rref(np.hstack([A, b[:, None]]), p)
-    if any(c == cols for c in pivots):
-        raise ResampleRequiredError("inconsistent cancellation system over GF(p)")
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, cols]
-    return x
+    single = B.ndim == 1
+    rhs = B[:, None] if single else B
+    aug, pivots = gf_rref(np.hstack([A, rhs]), p)
+    if sum(c < cols for c in pivots) < rows:
+        raise ResampleRequiredError("rank-deficient cancellation system over GF(p)")
+    X = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
+    X[pivots] = aug[:rows, cols:]
+    return X[:, 0] if single else X

@@ -3,7 +3,9 @@
 The workhorse is active-passive zero forcing (AP-ZF): the M-k uninformed
 antennas transmit fixed channel-independent coefficients (the passive part),
 and the informed antennas solve a linear system so the stream vanishes at up
-to k chosen receive antennas.
+to k chosen receive antennas.  Streams cancelling at the same receive rows
+share that system's matrix, so `apzf_precoder` takes a stack of patterns and
+solves it once for all of them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError
-from .gf import gf_array, gf_matmul, gf_particular_solution, gf_rank, gf_solve
+from .gf import gf_array, gf_matmul, gf_particular_solution, gf_solve
 
 CHANNEL = "channel"
 CONSTANT = "constant"
@@ -36,7 +38,8 @@ class CancellationTarget:
 
 @dataclass(frozen=True)
 class PrecoderVector:
-    """Length-M coefficient vector plus a per-coefficient CSIT dependency label."""
+    """M coefficients (one column per stream when stacked) plus one CSIT
+    dependency label per antenna."""
 
     coeffs: np.ndarray
     labels: tuple[str, ...]
@@ -52,10 +55,12 @@ class PrecoderVector:
 
 
 def _residual_ok(H_sel: np.ndarray, t: np.ndarray, field) -> bool:
+    """Every column of t vanishes at H_sel (exactly on GF(p), to 1e-9 relative
+    precision per column on real channels)."""
     if field is None:
-        scale = max(np.abs(H_sel).max() * max(np.abs(t).max(), 1.0), 1.0)
-        return np.abs(H_sel @ t).max() <= 1e-9 * scale
-    return not np.any(gf_matmul(H_sel, t[:, None], field))
+        scale = np.maximum(np.abs(H_sel).max() * np.maximum(np.abs(t).max(axis=0), 1.0), 1.0)
+        return bool(np.all(np.abs(H_sel @ t).max(axis=0) <= 1e-9 * scale))
+    return not np.any(gf_matmul(H_sel, t, field))
 
 
 def apzf_precoder(
@@ -77,6 +82,10 @@ def apzf_precoder(
       solve, which lets a scheme sweep the full (M-k')-dimensional space of
       precoders cancelling at those rows while keeping determinism.
 
+    `passive` (and `aux`) may also stack one pattern per column; all of them
+    share the target's active block, which is then solved once, and the
+    coefficients come back with one column per pattern.
+
     Raises CapabilityExceededError when more than k rows are requested and
     ResampleRequiredError when the active submatrix is rank-deficient.
     """
@@ -86,48 +95,57 @@ def apzf_precoder(
     kp = len(rows)
     if kp > k:
         raise CapabilityExceededError(f"cannot cancel at {kp} antennas with only {k} informed")
+    passive = np.asarray(passive)
     if len(passive) != M - k:
         raise InvalidConfigError(f"passive part must have length {M - k}")
+    single = passive.ndim == 1
+    if single:
+        passive = passive[:, None]
     H_sel = channel.receiver_rows(target.rx, rows)
     field = channel.field
 
     if aux is None:
         solve_count = k
-        pattern = np.asarray(passive)
+        patterns = passive
     else:
+        aux = np.asarray(aux)
         if len(aux) != k - kp:
             raise InvalidConfigError(f"aux part must have length {k - kp}")
         solve_count = kp
-        pattern = np.concatenate([np.asarray(aux), np.asarray(passive)])
+        patterns = np.concatenate([aux[:, None] if single else aux, passive])
 
     if kp == 0:
-        active = np.zeros(solve_count, dtype=np.int64 if field else float)
+        active = np.zeros((solve_count, patterns.shape[1]), dtype=np.int64 if field else float)
     elif field is None:
         A = H_sel[:, :solve_count].astype(float)
         if np.linalg.matrix_rank(A) < kp:
             raise ResampleRequiredError("rank-deficient active submatrix")
-        rhs = -(H_sel[:, solve_count:] @ pattern.astype(float))
-        if solve_count == kp:
-            active = np.linalg.solve(A, rhs)
-        else:
-            active = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        # Column by column, so each result is bit-identical to a 1-D call.
+        H_fixed = H_sel[:, solve_count:]
+        columns = []
+        for pattern in np.ascontiguousarray(patterns.T, dtype=float):
+            rhs = -(H_fixed @ pattern)
+            if solve_count == kp:
+                columns.append(np.linalg.solve(A, rhs))
+            else:
+                columns.append(np.linalg.lstsq(A, rhs, rcond=None)[0])
+        active = np.column_stack(columns)
     else:
-        A = gf_array(H_sel[:, :solve_count], field)
-        if gf_rank(A, field) < kp:
-            raise ResampleRequiredError("rank-deficient active submatrix")
-        rhs = (-gf_matmul(H_sel[:, solve_count:], gf_array(pattern, field)[:, None], field)) % field
-        rhs = rhs[:, 0]
+        # gf_solve and gf_particular_solution raise ResampleRequiredError
+        # when the active block has rank below k'.
+        A = H_sel[:, :solve_count]
+        rhs = (-gf_matmul(H_sel[:, solve_count:], patterns, field)) % field
         if solve_count == kp:
             active = gf_solve(A, rhs, field)
         else:
             active = gf_particular_solution(A, rhs, field)
 
     if field is None:
-        t = np.concatenate([active, pattern.astype(float)])
+        t = np.concatenate([active, patterns.astype(float)])
     else:
-        t = np.concatenate([gf_array(active, field), gf_array(pattern, field)])
+        t = np.concatenate([gf_array(active, field), gf_array(patterns, field)])
     if kp and not _residual_ok(H_sel, t, field):
         raise ResampleRequiredError("cancellation residual check failed")
     solved_label = CHANNEL if kp else CONSTANT
     labels = (solved_label,) * solve_count + (CONSTANT,) * (M - solve_count)
-    return PrecoderVector(coeffs=t, labels=labels)
+    return PrecoderVector(coeffs=t[:, 0] if single else t, labels=labels)

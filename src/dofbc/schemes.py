@@ -181,11 +181,17 @@ class ApzfRecipe:
     pattern: tuple[int, ...]
 
     def vector(self, channel: ChannelRealization) -> np.ndarray:
-        k, kp = channel.cfg.k, len(self.rows)
-        pattern = np.asarray(self.pattern)
-        target = CancellationTarget(rx=self.rx, antenna_rows=self.rows)
+        return self.solve(channel, self.rx, self.rows, np.asarray(self.pattern))
+
+    @staticmethod
+    def solve(channel: ChannelRealization, rx: int, rows: tuple[int, ...], patterns) -> np.ndarray:
+        """Coefficients of the AP-ZF precoders cancelling at `rows` of `rx`
+        for one pattern, or for a stack of them with one pattern per column
+        (one coefficient column each, from a single solve)."""
+        k, kp = channel.cfg.k, len(rows)
+        target = CancellationTarget(rx=rx, antenna_rows=rows)
         return apzf_precoder(
-            channel, target, passive=pattern[k - kp :], aux=pattern[: k - kp]
+            channel, target, passive=patterns[k - kp :], aux=patterns[: k - kp]
         ).coeffs
 
     def labels(self, cfg: SystemConfig) -> tuple[str, ...]:

@@ -10,8 +10,11 @@ a pure rank statement:
     receiver i decodes its symbols  iff  rank(A_i) - rank(A_i without its
     columns) equals its desired-symbol count.
 
-Ranks are exact (fraction-free elimination mod p) on prime-field channels
-and SVD-thresholded on real ones.  Monte Carlo rate slopes use the standard
+Precoders are solved once per (channel, receiver, rows) group: every AP-ZF
+stream of a plan that cancels at the same rows of the same receiver shares
+one `apzf_precoder` call.  Ranks are exact (elimination mod p, one
+elimination per receiver giving both ranks) on prime-field channels and
+SVD-thresholded on real ones.  Monte Carlo rate slopes use the standard
 real-Gaussian log-det rate with the other user's columns treated as noise;
 the high-SNR slope against log2(sqrt(P)) then recovers each receiver's DoF.
 """
@@ -26,9 +29,11 @@ import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError
-from .gf import DEFAULT_PRIME, gf_array, gf_matmul, gf_rank, gf_solve
+from .gf import DEFAULT_PRIME, gf_array, gf_matmul, gf_pivots, gf_solve
+from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import CONSTANT
 from .schemes import (
+    ApzfRecipe,
     CoupledPayload,
     FreshPayload,
     InterferencePayload,
@@ -90,22 +95,47 @@ class DecodabilityReport:
         }
 
 
-def _rank(A: np.ndarray, fieldp: int | None, tol: float = SVD_RANK_TOL) -> int:
+def _svd_rank(A: np.ndarray, tol: float) -> int:
     if min(A.shape) == 0:
         return 0
-    if fieldp is not None:
-        return gf_rank(A, fieldp)
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > tol * s[0]))
 
 
-def _precoder_matrix(channel: ChannelRealization, slot) -> np.ndarray:
-    vectors = [stream.precoder.vector(channel) for stream in slot.streams]
+def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> list[np.ndarray]:
+    """One M x streams precoder matrix per slot of `plan` under `channel`.
+
+    AP-ZF streams that cancel at the same (rx, rows) share one active block,
+    so each such group is solved once for all its distinct patterns across
+    the plan; other recipes evaluate their own vector.
+    """
+    groups: dict[tuple, dict[tuple[int, ...], int]] = {}
+    for slot in plan.slots:
+        for stream in slot.streams:
+            recipe = stream.precoder
+            if isinstance(recipe, ApzfRecipe):
+                columns = groups.setdefault((recipe.rx, recipe.rows), {})
+                columns.setdefault(recipe.pattern, len(columns))
+    solved = {
+        key: ApzfRecipe.solve(channel, *key, np.array(list(columns)).T)
+        for key, columns in groups.items()
+    }
+
+    def vector(recipe) -> np.ndarray:
+        if isinstance(recipe, ApzfRecipe):
+            key = (recipe.rx, recipe.rows)
+            return solved[key][:, groups[key][recipe.pattern]]
+        return recipe.vector(channel)
+
+    matrices = [
+        np.column_stack([vector(stream.precoder) for stream in slot.streams])
+        for slot in plan.slots
+    ]
     if channel.field is None:
-        return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    return np.column_stack([gf_array(v, channel.field) for v in vectors])
+        return [T_mat.astype(float) for T_mat in matrices]
+    return [gf_array(T_mat, channel.field) for T_mat in matrices]
 
 
 def realize_plan(
@@ -133,6 +163,7 @@ def realize_plan(
     H = {1: channel.H1, 2: channel.H2}
     rows_cache: list[dict[int, np.ndarray]] = []
     aux_equations: dict[int, tuple] = {}
+    precoders = _precoder_matrices(plan, channel)
 
     for t, slot in enumerate(plan.slots):
         n_streams = len(slot.streams)
@@ -164,7 +195,7 @@ def realize_plan(
                 aux_equations[payload.aux] = payload.terms
             else:
                 raise InvalidConfigError(f"unknown payload {payload!r}")
-        T_mat = _precoder_matrix(channel, slot)
+        T_mat = precoders[t]
         if real and normalize and n_streams:
             # Equal power per stream, unit total power per slot: keeps every
             # receive gain O(1) so rate curves enter the DoF regime early.
@@ -220,17 +251,29 @@ def realize_plan(
 
 
 def decodability_check(system: ObservationSystem, tol: float = SVD_RANK_TOL) -> DecodabilityReport:
-    """Rank certificate of symbol recovery for both receivers."""
+    """Rank certificate of symbol recovery for both receivers.
+
+    On GF(p) one elimination of A's columns ordered [interference | desired]
+    gives both ranks: all its pivots count rank(A), and those among the
+    interference columns count the rank without the desired symbols.
+    """
     registry = system.registry
     reports = {}
     for rx in (1, 2):
         A = system.matrix(rx)
         desired_cols = list(registry.owned_columns(rx))
-        other_cols = [c for c in range(A.shape[1]) if c not in set(desired_cols)]
+        desired_set = set(desired_cols)
+        other_cols = [c for c in range(A.shape[1]) if c not in desired_set]
+        if system.field is None:
+            rank_full, rank_interference = _svd_rank(A, tol), _svd_rank(A[:, other_cols], tol)
+        else:
+            pivots = gf_pivots(A[:, other_cols + desired_cols], system.field)
+            rank_full = len(pivots)
+            rank_interference = sum(c < len(other_cols) for c in pivots)
         reports[rx] = ReceiverReport(
             desired=len(desired_cols),
-            rank_full=_rank(A, system.field, tol),
-            rank_interference=_rank(A[:, other_cols], system.field, tol),
+            rank_full=rank_full,
+            rank_interference=rank_interference,
         )
     decodable = reports[1].decodable and reports[2].decodable
     total = registry.S1 + registry.S2
@@ -352,12 +395,14 @@ def csit_compliance(
     cfg = plan.cfg
     ch_a = field_channel(cfg, seed, index=0, p=p)
     ch_b = field_channel(cfg, seed, index=1, p=p)
+    precoders_a = _precoder_matrices(plan, ch_a)
+    precoders_b = _precoder_matrices(plan, ch_b)
     violations = []
     for t, slot in enumerate(plan.slots):
         for s_idx, stream in enumerate(slot.streams):
             labels = stream.precoder.labels(cfg)
-            va = gf_array(stream.precoder.vector(ch_a), p)
-            vb = gf_array(stream.precoder.vector(ch_b), p)
+            va = precoders_a[t][:, s_idx]
+            vb = precoders_b[t][:, s_idx]
             for antenna in range(cfg.M):
                 constant_label = labels[antenna] == CONSTANT
                 if antenna >= cfg.k and not constant_label:
@@ -373,7 +418,7 @@ def csit_compliance(
 
 def stream_gains(plan: TransmissionPlan, channel: ChannelRealization, slot_index: int) -> dict:
     """Per-stream receive gains H_i @ t_s of one slot, keyed by receiver."""
-    T_mat = _precoder_matrix(channel, plan.slots[slot_index])
+    T_mat = _precoder_matrices(plan, channel)[slot_index]
     if channel.field is None:
         return {1: channel.H1 @ T_mat, 2: channel.H2 @ T_mat}
     return {

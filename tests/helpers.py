@@ -72,6 +72,24 @@ def overloaded_rx2_plan() -> TransmissionPlan:
     )
 
 
+def tight_regime_grid():
+    """Acceptance criterion 3: N1 <= k < N2 < M <= min(10, N1 + N2)."""
+    for N1 in range(1, 10):
+        for N2 in range(N1 + 1, 11):
+            for M in range(N2 + 1, min(10, N1 + N2) + 1):
+                for k in range(N1, N2):
+                    yield SystemConfig(M, N1, N2, k)
+
+
+def low_k_grid():
+    """Acceptance criterion 4: 1 <= k < N1 <= N2 <= 10, M <= 10, k <= M."""
+    for N1 in range(2, 11):
+        for N2 in range(N1, 11):
+            for M in range(1, 11):
+                for k in range(1, min(N1, M + 1)):
+                    yield SystemConfig(M, N1, N2, k)
+
+
 def empty_plan() -> TransmissionPlan:
     cfg = SystemConfig(4, 1, 3, 2)
     return TransmissionPlan(

@@ -33,7 +33,7 @@ from dofbc.verifier import (
     stream_gains,
 )
 
-from .helpers import adversarial_plan
+from .helpers import adversarial_plan, low_k_grid, tight_regime_grid
 from .oracles import outer_bound_halfplanes, vertex_oracle
 
 
@@ -72,18 +72,10 @@ def test_criterion_2_bound_table():
     _report(2, f"(9,3,6,k) bound table exact for k=0..9, {elapsed:.2f}s")
 
 
-def _tight_regime_grid():
-    for N1 in range(1, 10):
-        for N2 in range(N1 + 1, 11):
-            for M in range(N2 + 1, min(10, N1 + N2) + 1):
-                for k in range(N1, N2):
-                    yield SystemConfig(M, N1, N2, k)
-
-
 def test_criterion_3_end_to_end_tightness():
     start = time.monotonic()
     count = 0
-    for cfg in _tight_regime_grid():
+    for cfg in tight_regime_grid():
         result = achieved_dof(select_scheme(cfg), trials=50, seed=1)
         assert result.failures == (), (cfg.shape, result.failures)
         assert result.dof == sum_dof_upper(cfg), cfg.shape
@@ -96,23 +88,19 @@ def test_criterion_3_end_to_end_tightness():
 def test_criterion_4_proposition_1_certification():
     start = time.monotonic()
     count = 0
-    for N1 in range(2, 11):
-        for N2 in range(N1, 11):
-            for M in range(1, 11):
-                for k in range(1, min(N1, M + 1)):
-                    cfg = SystemConfig(M, N1, N2, k)
-                    baseline = F(min(N2, M))
-                    scheme_value = low_k_scheme_value(cfg)
-                    plan = select_scheme(cfg)
-                    result = achieved_dof(plan, trials=10, seed=2)
-                    assert result.ok, cfg.shape
-                    if scheme_value is not None and scheme_value > baseline:
-                        assert plan.scheme_id == "low-k"
-                        assert result.dof == scheme_value, cfg.shape
-                    else:
-                        assert plan.scheme_id == "rx2-baseline"
-                        assert result.dof == baseline, cfg.shape
-                    count += 1
+    for cfg in low_k_grid():
+        baseline = F(min(cfg.N2, cfg.M))
+        scheme_value = low_k_scheme_value(cfg)
+        plan = select_scheme(cfg)
+        result = achieved_dof(plan, trials=10, seed=2)
+        assert result.ok, cfg.shape
+        if scheme_value is not None and scheme_value > baseline:
+            assert plan.scheme_id == "low-k"
+            assert result.dof == scheme_value, cfg.shape
+        else:
+            assert plan.scheme_id == "rx2-baseline"
+            assert result.dof == baseline, cfg.shape
+        count += 1
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _report(4, f"{count} low-k configs certified (plan or fallback), {elapsed:.1f}s")

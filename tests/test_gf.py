@@ -7,6 +7,7 @@ from dofbc.gf import (
     gf_array,
     gf_matmul,
     gf_particular_solution,
+    gf_pivots,
     gf_rank,
     gf_rref,
     gf_solve,
@@ -79,3 +80,25 @@ def test_particular_solution_free_vars_zero():
 def test_large_prime_rejected():
     with pytest.raises(ValueError):
         gf_array([1], p=2**62 + 1)
+
+
+def test_pivots_count_leading_column_ranks():
+    A = np.array([[1, 2, 0, 1], [2, 4, 0, 3], [0, 0, 0, 5]], dtype=np.int64)
+    assert gf_pivots(A) == [0, 3]
+    for c in range(5):
+        assert sum(p < c for p in gf_pivots(A)) == gf_rank(A[:, :c])
+    assert gf_pivots(np.zeros((0, 3), dtype=np.int64)) == []
+
+
+def test_particular_solution_stacks_right_hand_sides():
+    A = np.array([[1, 2, 3], [0, 1, 4]], dtype=np.int64)
+    B = np.array([[7, 1], [9, 0]], dtype=np.int64)
+    X = gf_particular_solution(A, B)
+    for j in range(2):
+        assert np.array_equal(X[:, j], gf_particular_solution(A, B[:, j]))
+
+
+def test_particular_solution_rejects_rank_deficient_rows():
+    A = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
+    with pytest.raises(ResampleRequiredError):
+        gf_particular_solution(A, np.array([1, 2], dtype=np.int64))  # consistent

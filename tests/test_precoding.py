@@ -109,3 +109,28 @@ def test_rank_deficient_active_submatrix():
     ch = ChannelRealization(cfg=cfg, H=H)
     with pytest.raises(ResampleRequiredError):
         apzf_precoder(ch, CancellationTarget(rx=1, antenna_rows=(0,)), np.ones(3))
+
+
+@pytest.mark.parametrize("field", [False, True])
+@pytest.mark.parametrize("with_aux", [False, True])
+def test_stacked_patterns_equal_single_calls(field, with_aux):
+    cfg = SystemConfig(6, 2, 3, 3)
+    ch = field_channel(cfg, seed=8) if field else sample_channel(cfg, seed=8)
+    target = CancellationTarget(rx=2, antenna_rows=(0, 1))
+    passive = np.array([[1, 2, -1], [3, 0, 1], [-2, 5, 4]])
+    aux = np.array([[1, -1, 2]]) if with_aux else None
+    stacked = apzf_precoder(ch, target, passive, aux)
+    for j in range(passive.shape[1]):
+        single = apzf_precoder(ch, target, passive[:, j], None if aux is None else aux[:, j])
+        assert np.array_equal(stacked.coeffs[:, j], single.coeffs)
+        assert stacked.labels == single.labels
+
+
+def test_field_rank_deficient_active_block_resamples_with_spare_antennas():
+    # Two rows cancelled by three informed antennas whose block has rank 1:
+    # the system is consistent yet rank-deficient, a degenerate draw.
+    cfg = SystemConfig(4, 1, 3, 3)
+    H = np.ones((4, 4), dtype=np.int64)
+    ch = ChannelRealization(cfg=cfg, H=H, field=field_channel(cfg, seed=0).field)
+    with pytest.raises(ResampleRequiredError):
+        apzf_precoder(ch, CancellationTarget(rx=2, antenna_rows=(0, 1)), np.ones(1))
