@@ -7,9 +7,25 @@ mod p stands in for "generic position" arguments without any floating-point
 tolerance.
 
 The default prime is the Mersenne prime 2^31 - 1.  All arrays are int64 in
-[0, p); with p < 2^31 every intermediate product (p-1)^2 < 2^62 fits int64,
-which keeps the elimination fully vectorized.  Any prime with p^2 < 2^63 is
-accepted.
+[0, p); any p < 2^31 is accepted, so a product of two entries, and the
+difference of two such products, stays within int64 and the kernels are
+whole-array int64 operations.
+
+The matrices met in certification are small (tens of rows), so the cost of
+an elimination is the number of numpy calls per pivot.  There are two
+kernels, each one pass over the columns:
+
+* `_eliminate` (behind `gf_pivots` and `gf_rank`) finds only the pivot
+  columns.  Per pivot it updates the trailing block below and right of the
+  pivot alone, fraction-free: each row is multiplied by the (nonzero) pivot
+  before the pivot row times the row's entry is subtracted, so no inverse
+  is needed and no rank of leading columns changes.
+* `gf_rref` (behind `gf_solve` and `gf_particular_solution`) is
+  Gauss-Jordan: per pivot it normalises the pivot row and clears the pivot
+  column above and below in one outer-product update.
+
+The reduced row echelon form and the pivot columns of a matrix are unique,
+so neither kernel's shortcuts can change a result.
 """
 
 from __future__ import annotations
@@ -25,12 +41,12 @@ _MAX_INNER = 2**16  # largest inner dimension whose limb sums fit int64
 
 
 def _check_prime(p: int):
-    if p * p >= 2**63:
-        raise ValueError("prime too large for int64 arithmetic (need p^2 < 2^63)")
+    if p >= 2**31:
+        raise ValueError("prime too large for int64 arithmetic (need p < 2^31)")
 
 
 def gf_array(values, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Coerce to an int64 array reduced into [0, p)."""
+    """Coerce to a fresh int64 array reduced into [0, p)."""
     _check_prime(p)
     return np.asarray(values, dtype=np.int64) % p
 
@@ -38,49 +54,65 @@ def gf_array(values, p: int = DEFAULT_PRIME) -> np.ndarray:
 def gf_matmul(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
     """(A @ B) mod p without overflow, via 16-bit limb splitting of B.
 
-    Each limb product is below p * 2^16 < 2^47, so sums stay exact in int64
-    for an inner dimension of at most 2^16; larger products are rejected.
+    With n the inner dimension, the high-limb product is reduced mod p before
+    it is shifted back, so the one unreduced sum is at most
+    (p-1)(2^16-1) n + (p-1) 2^16, which is (p-1) 2^32 < 2^63 at n = 2^16;
+    larger inner dimensions are rejected.
     """
     A = gf_array(A, p)
     B = gf_array(B, p)
     if A.shape[-1] > _MAX_INNER:
         raise ValueError(f"inner dimension {A.shape[-1]} exceeds {_MAX_INNER}")
-    lo = B & ((1 << _SPLIT) - 1)
-    hi = B >> _SPLIT
-    out = (A @ lo) % p + (((A @ hi) % p) << _SPLIT) % p
-    return out % p
+    out = A @ (B >> _SPLIT)
+    out %= p
+    out <<= _SPLIT
+    out += A @ (B & ((1 << _SPLIT) - 1))
+    out %= p
+    return out
 
 
 def gf_inv_scalar(x: int, p: int = DEFAULT_PRIME) -> int:
     x = int(x) % p
     if x == 0:
         raise ZeroDivisionError("0 has no inverse mod p")
-    return pow(x, p - 2, p)
+    return pow(x, -1, p)
 
 
-def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """In-place forward elimination to row echelon form; returns pivot columns."""
+def _pivot_row(A: np.ndarray, r: int, c: int) -> bool:
+    """Move the first row at or below r with a nonzero in column c up to
+    row r, swapping columns c onwards only (no later step reads the earlier
+    ones); False if there is no such row."""
+    nz = A[r:, c].nonzero()[0]
+    if nz.size == 0:
+        return False
+    if nz[0]:
+        i = r + int(nz[0])
+        A[[r, i], c:] = A[[i, r], c:]
+    return True
+
+
+def _eliminate(A: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of A, eliminating in place.
+
+    Only the trailing block, the part a later pivot search reads, is
+    updated: the pivot row is never normalised, and the entries below each
+    pivot are left as they were instead of being zeroed.
+    """
     rows, cols = A.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        if not _pivot_row(A, r, c):
             continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        A[r] = (A[r] * gf_inv_scalar(A[r, c], p)) % p
-        below = A[r + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            factors = below[mask][:, None]
-            A[r + 1 :][mask] = (A[r + 1 :][mask] - factors * A[r][None, :]) % p
+        trailing = A[r + 1 :, c + 1 :]
+        trailing *= A[r, c]
+        trailing -= A[r + 1 :, c, None] * A[r, c + 1 :]
+        trailing %= p
         pivots.append(c)
         r += 1
-    return A, pivots
+    return pivots
 
 
 def gf_pivots(A: np.ndarray, p: int = DEFAULT_PRIME) -> list[int]:
@@ -89,10 +121,7 @@ def gf_pivots(A: np.ndarray, p: int = DEFAULT_PRIME) -> list[int]:
     Elimination runs left to right, so the pivots among the first c columns
     number the rank of A[:, :c].
     """
-    A = gf_array(A, p).copy()
-    if A.size == 0:
-        return []
-    return _eliminate(A, p)[1]
+    return _eliminate(gf_array(A, p), p)
 
 
 def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
@@ -101,18 +130,26 @@ def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
 
 
 def gf_rref(A: np.ndarray, p: int = DEFAULT_PRIME) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    A = gf_array(A, p).copy()
-    if A.size == 0:
-        return A, []
-    A, pivots = _eliminate(A, p)
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        above = A[:r, c]
-        mask = above != 0
-        if mask.any():
-            factors = above[mask][:, None]
-            A[:r][mask] = (A[:r][mask] - factors * A[r][None, :]) % p
+    """Reduced row echelon form and pivot columns (one Gauss-Jordan pass)."""
+    A = gf_array(A, p)
+    rows, cols = A.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        if not _pivot_row(A, r, c):
+            continue
+        row = A[r, c:]
+        row *= gf_inv_scalar(row[0], p)
+        row %= p
+        factors = A[:, c].copy()
+        factors[r] = 0
+        right = A[:, c:]
+        right -= factors[:, None] * row
+        right %= p
+        pivots.append(c)
+        r += 1
     return A, pivots
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,22 +71,30 @@ class SymbolRegistry:
         if len(set(ids)) != len(ids):
             raise InvalidConfigError("symbol ids must be unique")
 
+    @cached_property
+    def _columns(self) -> dict[str, int]:
+        return {s.id: i for i, s in enumerate(self.symbols)}
+
+    @cached_property
+    def _owned(self) -> dict[int, tuple[int, ...]]:
+        owned: dict[int, tuple[int, ...]] = {}
+        for i, s in enumerate(self.symbols):
+            owned[s.rx] = owned.get(s.rx, ()) + (i,)
+        return owned
+
     @property
     def S1(self) -> int:
-        return sum(1 for s in self.symbols if s.rx == 1)
+        return len(self.owned_columns(1))
 
     @property
     def S2(self) -> int:
-        return sum(1 for s in self.symbols if s.rx == 2)
+        return len(self.owned_columns(2))
 
     def index(self, symbol_id: str) -> int:
-        for i, s in enumerate(self.symbols):
-            if s.id == symbol_id:
-                return i
-        raise KeyError(symbol_id)
+        return self._columns[symbol_id]
 
     def owned_columns(self, rx: int) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.symbols) if s.rx == rx)
+        return self._owned.get(rx, ())
 
 
 class RxRowRef(NamedTuple):

@@ -202,13 +202,11 @@ def realize_plan(
             norms = np.linalg.norm(T_mat, axis=0)
             norms[norms == 0] = 1.0
             T_mat = T_mat / norms / np.sqrt(n_streams)
-        slot_rows = {}
-        for rx in (1, 2):
-            if real:
-                slot_rows[rx] = (H[rx] @ T_mat) @ forms
-            else:
-                slot_rows[rx] = gf_matmul(gf_matmul(H[rx], T_mat, fieldp), forms, fieldp)
-        rows_cache.append(slot_rows)
+        if real:
+            rows_cache.append({rx: (H[rx] @ T_mat) @ forms for rx in (1, 2)})
+        else:
+            received = gf_matmul(gf_matmul(channel.H, T_mat, fieldp), forms, fieldp)
+            rows_cache.append({1: received[: cfg.N1], 2: received[cfg.N1 :]})
 
     if plan.aux_count:
         if len(aux_equations) != plan.aux_count:
@@ -501,6 +499,7 @@ def rate_slope_estimate(
     cannot cancel.
     """
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
+    owned1, owned2 = plan.registry.owned_columns(1), plan.registry.owned_columns(2)
     totals = np.zeros(len(snrs))
     used = 0
     discarded = 0
@@ -510,15 +509,11 @@ def rate_slope_estimate(
             channel = sample_channel(plan.cfg, dist, seed, index=i * _MAX_RESAMPLE + attempt)
             try:
                 system = realize_plan(plan, channel, normalize=True)
-                rates = []
-                for P in snrs:
-                    r1 = _receiver_rate(
-                        system.A1, system.registry.owned_columns(1), P, plan.T, rsc.noise_var
-                    )
-                    r2 = _receiver_rate(
-                        system.A2, system.registry.owned_columns(2), P, plan.T, rsc.noise_var
-                    )
-                    rates.append(r1 + r2)
+                rates = [
+                    _receiver_rate(system.A1, owned1, P, plan.T, rsc.noise_var)
+                    + _receiver_rate(system.A2, owned2, P, plan.T, rsc.noise_var)
+                    for P in snrs
+                ]
                 break
             except (ResampleRequiredError, FloatingPointError, np.linalg.LinAlgError):
                 rates = None

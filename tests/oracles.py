@@ -70,3 +70,26 @@ def outer_bound_halfplanes(M: int, N1: int, N2: int, k: int) -> list[tuple]:
         q = min(N2, M) - k
         cons.append((q, p, p * q + k * p))
     return cons
+
+
+def rref_oracle(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over GF(p) of a list of integer rows, and
+    its pivot columns, by textbook Gauss-Jordan on Python ints."""
+    R = [[int(x) % p for x in row] for row in rows]
+    cols = len(R[0]) if R else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pivot is None:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots

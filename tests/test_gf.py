@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dofbc.errors import ResampleRequiredError
 from dofbc.gf import (
@@ -12,6 +14,8 @@ from dofbc.gf import (
     gf_rref,
     gf_solve,
 )
+
+from .oracles import rref_oracle
 
 P = DEFAULT_PRIME
 
@@ -31,6 +35,11 @@ def test_matmul_rejects_inner_dimension_beyond_exact_range():
     n = 2**16
     full = np.full((1, n), P - 1, dtype=np.int64)
     assert gf_matmul(full, full.T)[0, 0] == (n * (P - 1) ** 2) % P
+    # Right factors whose low 16-bit limb is all ones maximise the unreduced
+    # low-limb sum; the second also has a large high limb.
+    for b in (2**16 - 1, 2**31 - 2**16 - 1):
+        right = np.full((n, 1), b, dtype=np.int64)
+        assert gf_matmul(full, right)[0, 0] == (n * (P - 1) * b) % P
     wide = np.full((1, 2 * n), P - 1, dtype=np.int64)
     with pytest.raises(ValueError):
         gf_matmul(wide, wide.T)
@@ -80,6 +89,8 @@ def test_particular_solution_free_vars_zero():
 def test_large_prime_rejected():
     with pytest.raises(ValueError):
         gf_array([1], p=2**62 + 1)
+    with pytest.raises(ValueError):
+        gf_array([1], p=2**31 + 11)  # prime, but products overflow matmul's limbs
 
 
 def test_pivots_count_leading_column_ranks():
@@ -102,3 +113,55 @@ def test_particular_solution_rejects_rank_deficient_rows():
     A = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
     with pytest.raises(ResampleRequiredError):
         gf_particular_solution(A, np.array([1, 2], dtype=np.int64))  # consistent
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 7, P]),
+    rows=st.integers(0, 7),
+    cols=st.integers(0, 8),
+    inner=st.integers(0, 8),
+    rhs_cols=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=P, rows=0, cols=4, inner=2, rhs_cols=1, seed=0)
+@example(p=P, rows=4, cols=0, inner=2, rhs_cols=1, seed=0)
+@example(p=P, rows=5, cols=5, inner=5, rhs_cols=2, seed=0)
+@example(p=P, rows=3, cols=7, inner=3, rhs_cols=1, seed=0)
+@example(p=7, rows=6, cols=6, inner=2, rhs_cols=2, seed=1)
+def test_kernels_equal_python_int_gauss_jordan(p, rows, cols, inner, rhs_cols, seed):
+    # Products of thin factors are rank deficient when inner < min(rows, cols);
+    # adding multiples of p leaves entries negative or >= p, i.e. unreduced.
+    rng = np.random.default_rng(seed)
+    A = gf_matmul(rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols)), p)
+    A = A + p * rng.integers(-2, 3, A.shape)
+    B = rng.integers(0, p, (rows, rhs_cols)) + p * rng.integers(-2, 3, (rows, rhs_cols))
+
+    R_want, pivots_want = rref_oracle(A.tolist(), p)
+    assert gf_pivots(A, p) == pivots_want
+    assert gf_rank(A, p) == len(pivots_want)
+    R, pivots = gf_rref(A, p)
+    assert pivots == pivots_want
+    assert np.array_equal(R, np.array(R_want, dtype=np.int64).reshape(rows, cols))
+    for r, c in enumerate(pivots):
+        assert np.array_equal(R[:, c], np.eye(rows, dtype=np.int64)[r])
+
+    # The RREF of [A | B] carries the solutions in its right-hand columns.
+    aug_want, aug_pivots = rref_oracle(np.hstack([A, B]).tolist(), p)
+    if len(pivots_want) == rows:
+        X = np.zeros((cols, rhs_cols), dtype=np.int64)
+        X[pivots_want] = np.array(aug_want, dtype=np.int64).reshape(rows, cols + rhs_cols)[:, cols:]
+        assert np.array_equal(gf_particular_solution(A, B, p), X)
+    else:
+        with pytest.raises(ResampleRequiredError):
+            gf_particular_solution(A, B, p)
+
+    n = min(rows, cols)
+    square = A[:n, :n]
+    sq_want, sq_pivots = rref_oracle(np.hstack([square, B[:n]]).tolist(), p)
+    if sq_pivots[:n] == list(range(n)):
+        X = np.array(sq_want, dtype=np.int64).reshape(n, n + rhs_cols)[:, n:]
+        assert np.array_equal(gf_solve(square, B[:n], p), X)
+    else:
+        with pytest.raises(ResampleRequiredError):
+            gf_solve(square, B[:n], p)

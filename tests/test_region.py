@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dofbc.cli import region_document
 from dofbc.config import SystemConfig, normalize_config
 from dofbc.errors import EmptyRegionError, RegimeError
 from dofbc.region import (
@@ -17,6 +20,7 @@ from dofbc.region import (
     sum_dof_lower,
     sum_dof_upper,
 )
+from dofbc.schemes import select_scheme
 
 from .oracles import lp_max_sum_oracle, outer_bound_halfplanes, vertex_oracle
 
@@ -213,3 +217,35 @@ def test_analogy_gap():
         analogy_gap(SystemConfig(4, 1, 3, 3))  # k = N2 excluded
     with pytest.raises(RegimeError):
         analogy_gap(SystemConfig(5, 1, 3, 2))  # M != N1 + N2
+
+
+def _sorted_region(doc: dict, mirror: bool) -> dict:
+    """Order-free view of a region document, optionally with RX1/RX2 exchanged."""
+
+    def pair(d1, d2) -> tuple:
+        return (d2, d1) if mirror else (d1, d2)
+
+    return {
+        "constraints": sorted(pair(c["a1"], c["a2"]) + (c["b"],) for c in doc["constraints"]),
+        "vertices": sorted(pair(*v) for v in doc["vertices"]),
+        "achievable": sorted(pair(*v) for v in doc["achievable"]),
+        "sums": (doc["sum_dof_upper"], doc["sum_dof_lower"]),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), special=st.booleans())
+def test_region_layer_properties(data, special):
+    M = data.draw(st.integers(1, 12), label="M")
+    N1 = data.draw(st.integers(1, 8), label="N1")
+    N2 = data.draw(st.integers(1, 8), label="N2")
+    k = data.draw(st.integers(0, M), label="k")
+    cfg = normalize_config(M, N1, N2, k)
+    assert sum_dof_lower(cfg, special) <= sum_dof_upper(cfg)
+    assert select_scheme(cfg, special).claimed_dof == sum_dof_lower(cfg, special)
+    if N1 != N2:
+        # At N1 = N2 nothing is swapped, so the mirror property has no content.
+        doc = region_document(M, N1, N2, k)
+        swapped = region_document(M, N2, N1, k)
+        assert doc["config"]["swapped"] != swapped["config"]["swapped"]
+        assert _sorted_region(doc, mirror=False) == _sorted_region(swapped, mirror=True)
