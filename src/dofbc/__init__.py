@@ -26,7 +26,7 @@ from .errors import (
     RegimeError,
     ResampleRequiredError,
 )
-from .precoding import CancellationTarget, PrecoderVector, apzf_precoder
+from .precoding import apzf_precoder
 from .region import (
     DofPoint,
     DofRegion,
@@ -61,7 +61,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CancellationTarget",
     "CapabilityExceededError",
     "CertificationResult",
     "ChannelDistribution",
@@ -74,7 +73,6 @@ __all__ = [
     "LinearConstraint",
     "ObservationSystem",
     "PlanSummary",
-    "PrecoderVector",
     "RateSimConfig",
     "RegimeError",
     "ResampleRequiredError",

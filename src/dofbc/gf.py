@@ -180,8 +180,8 @@ def gf_particular_solution(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME)
     column) with all free variables set to zero.
 
     Raises ResampleRequiredError unless A has full row rank, which also
-    makes the system consistent: rank-deficient cancellation systems are
-    degenerate channel draws.
+    makes the system consistent.  No plan solves a wide system: AP-ZF
+    cancellation uses the square `gf_solve`.
     """
     A = gf_array(A, p)
     B = gf_array(B, p)
@@ -190,7 +190,7 @@ def gf_particular_solution(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME)
     rhs = B[:, None] if single else B
     aug, pivots = gf_rref(np.hstack([A, rhs]), p)
     if sum(c < cols for c in pivots) < rows:
-        raise ResampleRequiredError("rank-deficient cancellation system over GF(p)")
+        raise ResampleRequiredError("rank-deficient system over GF(p)")
     X = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
     X[pivots] = aug[:rows, cols:]
     return X[:, 0] if single else X

@@ -51,7 +51,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import SystemConfig
 from .errors import InvalidConfigError, RegimeError
-from .precoding import CHANNEL, CONSTANT, CancellationTarget, apzf_precoder
+from .precoding import CHANNEL, CONSTANT, apzf_precoder
 from .region import TABLE1_CONFIG, PlanShape, plan_shape, sum_dof_lower
 
 
@@ -190,18 +190,7 @@ class ApzfRecipe:
     pattern: tuple[int, ...]
 
     def vector(self, channel: ChannelRealization) -> np.ndarray:
-        return self.solve(channel, self.rx, self.rows, np.asarray(self.pattern))
-
-    @staticmethod
-    def solve(channel: ChannelRealization, rx: int, rows: tuple[int, ...], patterns) -> np.ndarray:
-        """Coefficients of the AP-ZF precoders cancelling at `rows` of `rx`
-        for one pattern, or for a stack of them with one pattern per column
-        (one coefficient column each, from a single solve)."""
-        k, kp = channel.cfg.k, len(rows)
-        target = CancellationTarget(rx=rx, antenna_rows=rows)
-        return apzf_precoder(
-            channel, target, passive=patterns[k - kp :], aux=patterns[: k - kp]
-        ).coeffs
+        return apzf_precoder(channel, self.rx, self.rows, np.array(self.pattern)[:, None])[:, 0]
 
     def labels(self, cfg: SystemConfig) -> tuple[str, ...]:
         kp = len(self.rows)
@@ -305,6 +294,10 @@ class TransmissionPlan:
                             "coupled streams must be sent from informed antennas"
                         )
                 if isinstance(precoder, ApzfRecipe):
+                    if precoder.rx not in (1, 2):
+                        raise InvalidConfigError("AP-ZF must cancel at receiver 1 or 2")
+                    if len(set(precoder.rows)) != len(precoder.rows):
+                        raise InvalidConfigError("AP-ZF cancellation rows must be distinct")
                     if len(precoder.rows) > cfg.k:
                         raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
                     if len(precoder.pattern) != cfg.M - len(precoder.rows):

@@ -29,9 +29,9 @@ import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError
-from .gf import DEFAULT_PRIME, gf_array, gf_matmul, gf_pivots, gf_solve
+from .gf import DEFAULT_PRIME, gf_matmul, gf_pivots, gf_solve
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
-from .precoding import CONSTANT
+from .precoding import CONSTANT, apzf_precoder
 from .schemes import (
     ApzfRecipe,
     CoupledPayload,
@@ -119,7 +119,7 @@ def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> l
                 columns = groups.setdefault((recipe.rx, recipe.rows), {})
                 columns.setdefault(recipe.pattern, len(columns))
     solved = {
-        key: ApzfRecipe.solve(channel, *key, np.array(list(columns)).T)
+        key: apzf_precoder(channel, *key, np.array(list(columns)).T)
         for key, columns in groups.items()
     }
 
@@ -129,13 +129,11 @@ def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> l
             return solved[key][:, groups[key][recipe.pattern]]
         return recipe.vector(channel)
 
-    matrices = [
+    # Every recipe returns the channel's dtype, reduced mod p on GF(p).
+    return [
         np.column_stack([vector(stream.precoder) for stream in slot.streams])
         for slot in plan.slots
     ]
-    if channel.field is None:
-        return [T_mat.astype(float) for T_mat in matrices]
-    return [gf_array(T_mat, channel.field) for T_mat in matrices]
 
 
 def realize_plan(
@@ -469,7 +467,14 @@ def _logdet2(A: np.ndarray) -> float:
     return logdet / np.log(2.0)
 
 
-def _receiver_rate(A: np.ndarray, desired_cols, P: float, T: int, noise_var: float) -> float:
+def _receiver_rate(
+    A: np.ndarray,
+    desired_cols: list[int],
+    other_cols: list[int],
+    P: float,
+    T: int,
+    noise_var: float,
+) -> float:
     """(1/2T) log2 det ratio: mutual information of the desired symbols with
     the other user's columns treated as Gaussian noise.  The 1/2 is the real
     Gaussian channel prelog, matching the DoF normalization against
@@ -477,9 +482,8 @@ def _receiver_rate(A: np.ndarray, desired_cols, P: float, T: int, noise_var: flo
     if not desired_cols:
         return 0.0
     n = A.shape[0]
-    desired = A[:, list(desired_cols)]
-    others = [c for c in range(A.shape[1]) if c not in set(desired_cols)]
-    interference = A[:, others]
+    desired = A[:, desired_cols]
+    interference = A[:, other_cols]
     sigma = noise_var * np.eye(n) + P * (interference @ interference.T)
     total = sigma + P * (desired @ desired.T)
     return (_logdet2(total) - _logdet2(sigma)) / (2.0 * T)
@@ -499,7 +503,11 @@ def rate_slope_estimate(
     cannot cancel.
     """
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
-    owned1, owned2 = plan.registry.owned_columns(1), plan.registry.owned_columns(2)
+    columns = []
+    for rx in (1, 2):
+        owned = plan.registry.owned_columns(rx)
+        others = [c for c in range(len(plan.registry.symbols)) if c not in owned]
+        columns.append((list(owned), others))
     totals = np.zeros(len(snrs))
     used = 0
     discarded = 0
@@ -510,8 +518,8 @@ def rate_slope_estimate(
             try:
                 system = realize_plan(plan, channel, normalize=True)
                 rates = [
-                    _receiver_rate(system.A1, owned1, P, plan.T, rsc.noise_var)
-                    + _receiver_rate(system.A2, owned2, P, plan.T, rsc.noise_var)
+                    _receiver_rate(system.A1, *columns[0], P, plan.T, rsc.noise_var)
+                    + _receiver_rate(system.A2, *columns[1], P, plan.T, rsc.noise_var)
                     for P in snrs
                 ]
                 break

@@ -7,7 +7,7 @@ import pytest
 
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError
-from dofbc.precoding import CONSTANT
+from dofbc.precoding import CHANNEL, CONSTANT
 from dofbc.region import sum_dof_lower, sum_dof_upper
 from dofbc.schemes import (
     ApzfRecipe,
@@ -157,6 +157,10 @@ def test_csit_label_discipline_all_plans():
             for stream in slot.streams:
                 labels = stream.precoder.labels(plan.cfg)
                 assert all(labels[a] == CONSTANT for a in range(k, plan.cfg.M))
+                if isinstance(stream.precoder, ApzfRecipe):
+                    # the first k' informed antennas solve; spare ones send constants
+                    kp = len(stream.precoder.rows)
+                    assert labels == (CHANNEL,) * kp + (CONSTANT,) * (plan.cfg.M - kp)
 
 
 def test_per_slot_stream_budget():
@@ -199,6 +203,12 @@ def test_plan_validation_rejects_bad_structures():
         )
     with pytest.raises(InvalidConfigError):  # AP-ZF beyond capability
         bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(0, 1, 2), pattern=(1,)))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+    with pytest.raises(InvalidConfigError):  # AP-ZF at a receiver that does not exist
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=3, rows=(0,), pattern=(1, 1, 1)))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+    with pytest.raises(InvalidConfigError):  # AP-ZF cancelling twice at one row
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(1, 1), pattern=(1, 1)))
         TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
 
 
