@@ -80,6 +80,8 @@ class ChannelRealization:
 
     def receiver_rows(self, rx: int, rows) -> np.ndarray:
         """Global H rows for receiver-local antenna indices (0-based)."""
+        if rx not in (1, 2):
+            raise InvalidConfigError(f"no receiver RX{rx}")
         offset = 0 if rx == 1 else self.cfg.N1
         limit = self.cfg.N1 if rx == 1 else self.cfg.N2
         rows = tuple(int(r) for r in rows)

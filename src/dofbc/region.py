@@ -4,13 +4,25 @@ Everything here is exact: coordinates and bounds are `fractions.Fraction`,
 so equality tests against closed-form values are legitimate.  The region of
 a config is a bounded polygon in the (d1, d2) quadrant described by linear
 constraints; vertices are enumerated by pairwise constraint intersection.
+
+The vertex and hull kernel runs on Python ints, which never round or
+overflow.  Each halfplane a1 d1 + a2 d2 <= b is multiplied by the lcm of
+its denominators, a positive factor, so the integer triple describes the
+same halfplane.  Two lines meet at (x/det, y/det) by Cramer's rule; with
+det made positive, the point satisfies p d1 + q d2 <= r exactly when
+p x + q y <= r det.  The feasible points are then put on one common
+denominator, the lcm of their dets, where comparing and taking cross
+products of the integer numerators decides the same orderings and
+orientations as on the rationals.  Only the output vertices become
+`Fraction`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from math import lcm
+from typing import Iterable, NamedTuple
 
 from .config import SystemConfig
 from .errors import EmptyRegionError, InvalidConfigError, RegimeError
@@ -39,18 +51,11 @@ class LinearConstraint(NamedTuple):
         return self.a1 * point.d1 + self.a2 * point.d2 == self.b
 
 
-def _point(d1, d2) -> DofPoint:
-    return DofPoint(Fraction(d1), Fraction(d2))
-
-
 def _constraint(a1, a2, b) -> LinearConstraint:
     c = LinearConstraint(Fraction(a1), Fraction(a2), Fraction(b))
     if c.a1 == 0 and c.a2 == 0:
         raise ValueError("constraint must involve at least one coordinate")
     return c
-
-
-_AXES = (_constraint(-1, 0, 0), _constraint(0, -1, 0))  # d1 >= 0, d2 >= 0
 
 
 @dataclass
@@ -106,63 +111,69 @@ def region_constraints(cfg: SystemConfig) -> DofRegion:
     return DofRegion(tuple(constraints))
 
 
-def _intersect(c1: LinearConstraint, c2: LinearConstraint) -> DofPoint | None:
-    det = c1.a1 * c2.a2 - c1.a2 * c2.a1
-    if det == 0:
-        return None
-    d1 = (c1.b * c2.a2 - c1.a2 * c2.b) / det
-    d2 = (c1.a1 * c2.b - c1.b * c2.a1) / det
-    return DofPoint(d1, d2)
+def _integer_line(c: LinearConstraint) -> tuple[int, int, int]:
+    """The halfplane `c` as an integer triple, scaled by the lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in c))
+    return tuple(v.numerator * (scale // v.denominator) for v in c)
 
 
-def _cross(o: DofPoint, a: DofPoint, b: DofPoint) -> Fraction:
-    return (a.d1 - o.d1) * (b.d2 - o.d2) - (a.d2 - o.d2) * (b.d1 - o.d1)
+_AXES = ((-1, 0, 0), (0, -1, 0))  # d1 >= 0, d2 >= 0
 
 
-def convex_hull(points: Iterable[DofPoint]) -> tuple[DofPoint, ...]:
-    """Exact 2D convex hull (monotone chain), counterclockwise order."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return tuple(pts)
-    lower: list[DofPoint] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[DofPoint] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return tuple(hull)
+def _chain(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """One half of Andrew's monotone chain, dropping collinear points."""
+    chain: list[tuple[int, int]] = []
+    for x, y in points:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        chain.append((x, y))
+    return chain
 
 
-def _start_at_origin(hull: Sequence[DofPoint]) -> tuple[DofPoint, ...]:
-    if not hull:
-        return tuple(hull)
-    start = min(range(len(hull)), key=lambda i: hull[i])
-    return tuple(hull[start:]) + tuple(hull[:start])
+def _hull(points: list[tuple[int, int, int]]) -> tuple[DofPoint, ...]:
+    """Convex hull of the points (x/den, y/den), counterclockwise.
+
+    The points go onto one common denominator D, the lcm of theirs, so the
+    hull runs on integer pairs.  It starts at the lexicographically smallest
+    point.
+    """
+    D = lcm(*(den for _, _, den in points))
+    pts = sorted({(x * (D // den), y * (D // den)) for x, y, den in points})
+    if len(pts) > 2:
+        pts = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
+    return tuple(DofPoint(Fraction(x, D), Fraction(y, D)) for x, y in pts)
 
 
 def region_vertices(region: DofRegion) -> tuple[DofPoint, ...]:
     """Vertices of `{d1, d2 >= 0} intersect region`, counterclockwise.
 
     Candidates are all pairwise intersections of the constraints (including
-    the axes); feasible candidates are deduplicated and ordered by their
-    convex hull, rotated to start at the lexicographically smallest point,
-    which is (0, 0) whenever the origin is feasible.
+    the axes), each solved by Cramer's rule on the integer triples with
+    det > 0, so the point (x/det, y/det) is feasible exactly when
+    p x + q y <= r det for every halfplane (p, q, r).  The feasible
+    candidates are ordered by their convex hull, starting at the
+    lexicographically smallest point, which is (0, 0) whenever the origin
+    is feasible.
     """
-    all_constraints = tuple(region.constraints) + _AXES
-    candidates: set[DofPoint] = set()
-    for i in range(len(all_constraints)):
-        for j in range(i + 1, len(all_constraints)):
-            p = _intersect(all_constraints[i], all_constraints[j])
-            if p is not None and region.contains(p):
-                candidates.add(p)
+    lines = _AXES + tuple(_integer_line(c) for c in region.constraints)
+    candidates = []
+    for i, (a1, a2, b) in enumerate(lines):
+        for c1, c2, e in lines[i + 1 :]:
+            det = a1 * c2 - a2 * c1
+            if det == 0:
+                continue
+            x = b * c2 - a2 * e
+            y = a1 * e - b * c1
+            if det < 0:
+                det, x, y = -det, -x, -y
+            if all(p * x + q * y <= r * det for p, q, r in lines):
+                candidates.append((x, y, det))
     if not candidates:
         raise EmptyRegionError("region has no feasible vertices")
-    return _start_at_origin(convex_hull(candidates))
+    return _hull(candidates)
 
 
 def max_sum_over(points: Iterable[DofPoint]) -> Fraction:
@@ -296,27 +307,16 @@ def plan_shape(cfg: SystemConfig, allow_special_cases: bool = False) -> PlanShap
     return PlanShape("low-k", p1=k, a=m, a_rows=k, b=k, b_rows=k, p2=m - k, b2=m)
 
 
-def scheme_split_point(cfg: SystemConfig, allow_special_cases: bool = False) -> DofPoint:
-    """Per-user (S1/T, S2/T) operating point of the selected built-in scheme."""
-    shape = plan_shape(cfg, allow_special_cases)
-    return DofPoint(Fraction(shape.S1, shape.T), Fraction(shape.S2, shape.T))
-
-
 def achievable_region(cfg: SystemConfig, allow_special_cases: bool = False) -> tuple[DofPoint, ...]:
-    """Hull of the single-user corners and the scheme split point.
+    """Hull of the single-user corners and the scheme split point (S1/T, S2/T).
 
     This is the region achievable by time-sharing the built-in plans; for
     k >= N1 its maximal d1+d2 equals `sum_dof_lower`.  No richer boundary is
     claimed for k < N1.
     """
     M, N1, N2, _ = cfg.shape
-    points = {
-        _point(0, 0),
-        _point(min(M, N1), 0),
-        _point(0, min(M, N2)),
-        scheme_split_point(cfg, allow_special_cases),
-    }
-    return _start_at_origin(convex_hull(points))
+    shape = plan_shape(cfg, allow_special_cases)
+    return _hull([(0, 0, 1), (min(M, N1), 0, 1), (0, min(M, N2), 1), (shape.S1, shape.S2, shape.T)])
 
 
 def pd_sum_dof(N1: int, N2: int) -> Fraction:

@@ -271,6 +271,7 @@ class TransmissionPlan:
         if self.claimed_dof != Fraction(total, T):
             raise InvalidConfigError("claimed DoF must equal (S1+S2)/T")
         fresh_seen = set()
+        targets = set()
         for t, slot in enumerate(self.slots):
             for stream in slot.streams:
                 payload, precoder = stream.payload, stream.precoder
@@ -294,14 +295,20 @@ class TransmissionPlan:
                             "coupled streams must be sent from informed antennas"
                         )
                 if isinstance(precoder, ApzfRecipe):
-                    if precoder.rx not in (1, 2):
-                        raise InvalidConfigError("AP-ZF must cancel at receiver 1 or 2")
-                    if len(set(precoder.rows)) != len(precoder.rows):
-                        raise InvalidConfigError("AP-ZF cancellation rows must be distinct")
-                    if len(precoder.rows) > cfg.k:
-                        raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
+                    targets.add((precoder.rx, precoder.rows))
                     if len(precoder.pattern) != cfg.M - len(precoder.rows):
                         raise InvalidConfigError("AP-ZF pattern has the wrong length")
+        # Many streams share a cancellation target; check each target once.
+        for rx, rows in targets:
+            if rx not in (1, 2):
+                raise InvalidConfigError("AP-ZF must cancel at receiver 1 or 2")
+            antennas = cfg.N1 if rx == 1 else cfg.N2
+            if any(not 0 <= r < antennas for r in rows):
+                raise InvalidConfigError(f"AP-ZF rows {rows} out of range for RX{rx}")
+            if len(set(rows)) != len(rows):
+                raise InvalidConfigError("AP-ZF cancellation rows must be distinct")
+            if len(rows) > cfg.k:
+                raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
         if fresh_seen != {s.id for s in self.registry.symbols}:
             raise InvalidConfigError("every information symbol must be sent exactly once")
 

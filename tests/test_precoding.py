@@ -3,7 +3,7 @@ import pytest
 
 from dofbc.channel import ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
-from dofbc.errors import CapabilityExceededError, ResampleRequiredError
+from dofbc.errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError
 from dofbc.gf import gf_matmul
 from dofbc.precoding import apzf_precoder
 
@@ -18,6 +18,15 @@ def residual(channel, rx, rows, t):
     if channel.field is None:
         return np.abs(H_sel @ t).max()
     return int(gf_matmul(H_sel, t, channel.field).max())
+
+
+def test_unknown_receiver_rejected():
+    ch = field_channel(SystemConfig(4, 1, 3, 2), seed=0)
+    for rx in (0, 3):
+        with pytest.raises(InvalidConfigError):
+            ch.receiver_rows(rx, (0,))
+        with pytest.raises(InvalidConfigError):
+            apzf_precoder(ch, rx, (0,), column([1, 1, 1]))
 
 
 def test_single_row_solution_closed_form():

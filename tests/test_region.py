@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +94,59 @@ def test_empty_region_raises():
     region = DofRegion((LinearConstraint(F(1), F(0), F(-1)),))
     with pytest.raises(EmptyRegionError):
         region_vertices(region)
+
+
+BOX = 8  # every drawn region lies in [0, BOX]^2
+COEFFICIENTS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+POSITIVE = st.fractions(min_value=0, max_value=BOX, max_denominator=6).filter(lambda x: x > 0)
+SCALES = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda x: x != 0)
+
+
+@st.composite
+def bounded_regions(draw):
+    """Regions with an interior: d1 <= u, d2 <= v and halfplanes with b > 0.
+
+    The extra halfplanes are fresh, parallel to an earlier one (either
+    orientation, any offset, so often redundant), or an earlier halfplane
+    written again with a positive scale (a repeated line).
+    """
+    constraints = [
+        LinearConstraint(F(1), F(0), draw(POSITIVE)),
+        LinearConstraint(F(0), F(1), draw(POSITIVE)),
+    ]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["fresh", "parallel", "repeat"]))
+        if kind == "fresh":
+            a1, a2, b = draw(COEFFICIENTS), draw(COEFFICIENTS), draw(POSITIVE)
+            constraints.append(LinearConstraint(a1, a2, b))
+            continue
+        a1, a2, b = draw(st.sampled_from(constraints))
+        s = draw(SCALES)
+        if kind == "parallel":
+            constraints.append(LinearConstraint(s * a1, s * a2, draw(POSITIVE)))
+        else:
+            constraints.append(LinearConstraint(abs(s) * a1, abs(s) * a2, abs(s) * b))
+    return DofRegion(tuple(draw(st.permutations(constraints))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(region=bounded_regions())
+def test_vertices_match_oracle_on_drawn_regions(region):
+    # An interior keeps the oracle's angular sort well defined (it raises
+    # ValueError on regions with two vertices or fewer).
+    for r in (region, region.swapped_axes()):
+        assert list(region_vertices(r)) == vertex_oracle(r.constraints)
+
+
+@settings(max_examples=100, deadline=None)
+@given(region=bounded_regions(), a1=COEFFICIENTS, a2=COEFFICIENTS, gap=POSITIVE)
+def test_drawn_empty_regions_raise(region, a1, a2, gap):
+    # a1 d1 + a2 d2 is at least min(0, a1 BOX) + min(0, a2 BOX) on the box.
+    cut = LinearConstraint(a1, a2, min(0, a1 * BOX) + min(0, a2 * BOX) - gap)
+    empty = DofRegion(region.constraints + (cut,))
+    assert vertex_oracle(empty.constraints) == []
+    with pytest.raises(EmptyRegionError):
+        region_vertices(empty)
 
 
 def test_sum_dof_upper_examples():
@@ -249,3 +304,21 @@ def test_region_layer_properties(data, special):
         swapped = region_document(M, N2, N1, k)
         assert doc["config"]["swapped"] != swapped["config"]["swapped"]
         assert _sorted_region(doc, mirror=False) == _sorted_region(swapped, mirror=True)
+
+
+REGION_SHA256 = "d38366fa43db610c6088f45b9be71aa1e1442e89131820503e5a683e537c2d04"
+
+
+def test_region_document_digest():
+    """Pins every region document and achievable hull for M <= 10, both orders."""
+    digest = hashlib.sha256()
+    for M in range(1, 11):
+        for N1 in range(1, 11):
+            for N2 in range(1, 11):
+                for k in range(M + 1):
+                    digest.update(json.dumps(region_document(M, N1, N2, k)).encode())
+                    cfg = normalize_config(M, N1, N2, k)
+                    for special in (False, True):
+                        hull = achievable_region(cfg, special)
+                        digest.update(json.dumps([[str(d1), str(d2)] for d1, d2 in hull]).encode())
+    assert digest.hexdigest() == REGION_SHA256

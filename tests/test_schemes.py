@@ -207,6 +207,12 @@ def test_plan_validation_rejects_bad_structures():
     with pytest.raises(InvalidConfigError):  # AP-ZF at a receiver that does not exist
         bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=3, rows=(0,), pattern=(1, 1, 1)))
         TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+    with pytest.raises(InvalidConfigError):  # AP-ZF at a row RX1 does not have
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=1, rows=(5,), pattern=(1, 1, 1)))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+    with pytest.raises(InvalidConfigError):  # AP-ZF at a row RX2 does not have
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(3,), pattern=(1, 1, 1)))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
     with pytest.raises(InvalidConfigError):  # AP-ZF cancelling twice at one row
         bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(1, 1), pattern=(1, 1)))
         TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
