@@ -10,12 +10,7 @@ finite-SNR rate-slope simulation.
 from .channel import (
     ChannelDistribution,
     ChannelRealization,
-    RotationMatrix,
-    apply_tx_rotation,
-    equivalent_square_channel,
     field_channel,
-    rotated_channel,
-    rotation_matrix,
     sample_channel,
 )
 from .config import SystemConfig, normalize_config
@@ -76,19 +71,16 @@ __all__ = [
     "RateSimConfig",
     "RegimeError",
     "ResampleRequiredError",
-    "RotationMatrix",
     "SymbolRegistry",
     "SystemConfig",
     "TransmissionPlan",
     "achievable_region",
     "achieved_dof",
     "analogy_gap",
-    "apply_tx_rotation",
     "apzf_precoder",
     "build_scheme_6331",
     "csit_compliance",
     "decodability_check",
-    "equivalent_square_channel",
     "field_channel",
     "normalize_config",
     "pd_sum_dof",
@@ -96,8 +88,6 @@ __all__ = [
     "realize_plan",
     "region_constraints",
     "region_vertices",
-    "rotated_channel",
-    "rotation_matrix",
     "sample_channel",
     "select_scheme",
     "sum_dof_lower",

@@ -372,27 +372,32 @@ def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
     b_syms = _symbols("b", 2, shape.S2)
     a_next, b_next = iter(a_syms), iter(b_syms)
 
-    def fresh(symbols, count: int, cancel_rx: int, rows: int) -> list[Stream]:
-        streams = []
-        for j in range(count):
-            if rows:
-                pattern = power_pattern(M - rows, pattern_node(j))
-                precoder = ApzfRecipe(rx=cancel_rx, rows=tuple(range(rows)), pattern=pattern)
-            else:
-                precoder = UnitRecipe(j)
-            streams.append(Stream(FreshPayload(next(symbols).id), precoder))
-        return streams
+    def recipes(count: int, cancel_rx: int, rows: int) -> list[UnitRecipe | ApzfRecipe]:
+        if not rows:
+            return [UnitRecipe(j) for j in range(count)]
+        cancel = tuple(range(rows))
+        return [
+            ApzfRecipe(rx=cancel_rx, rows=cancel, pattern=power_pattern(M - rows, pattern_node(j)))
+            for j in range(count)
+        ]
+
+    # A group's recipes are the same in every slot; only its symbols change.
+    a_recipes = recipes(shape.a, 2, shape.a_rows)
+    b_recipes = recipes(shape.b, 1, shape.b_rows)
+    b2_recipes = recipes(shape.b2, 1, shape.b_rows)
+
+    def fresh(symbols, precoders) -> list[Stream]:
+        return [Stream(FreshPayload(next(symbols).id), precoder) for precoder in precoders]
 
     slots = []
     for _ in range(shape.p1):
-        sent = fresh(a_next, shape.a, 2, shape.a_rows) + fresh(b_next, shape.b, 1, shape.b_rows)
-        slots.append(Slot(tuple(sent)))
+        slots.append(Slot(tuple(fresh(a_next, a_recipes) + fresh(b_next, b_recipes))))
     for u in range(shape.p2):
         forwarded = [
             Stream(InterferencePayload(1, (RxRowRef(i, 2, k + u, 1),)), UnitRecipe(i))
             for i in range(shape.p1)
         ]
-        slots.append(Slot(tuple(forwarded + fresh(b_next, shape.b2, 1, shape.b_rows))))
+        slots.append(Slot(tuple(forwarded + fresh(b_next, b2_recipes))))
     return TransmissionPlan(
         cfg=cfg,
         scheme_id=shape.scheme,
@@ -457,8 +462,9 @@ def build_scheme_6331() -> TransmissionPlan:
 
 
 def effective_config(cfg: SystemConfig) -> SystemConfig:
-    """Cap M at N1+N2 (the DoF does not grow beyond it; wide systems are
-    first reduced to this square equivalent by the channel rotation)."""
+    """Cap M at N1+N2: the DoF do not grow beyond it, so a wide system runs
+    its plan on the first N1+N2 antennas and the extra antennas stay silent,
+    which needs no CSI."""
     M, N1, N2, k = cfg.shape
     if M <= N1 + N2:
         return cfg

@@ -15,6 +15,7 @@ from dofbc.region import (
     LinearConstraint,
     achievable_region,
     analogy_gap,
+    _hull,
     max_sum_over,
     pd_sum_dof,
     region_constraints,
@@ -88,6 +89,12 @@ def test_vertex_certificate_and_lp_max():
         assert max_sum_over(region.vertices) == lp_max_sum_oracle(
             outer_bound_halfplanes(*shape)
         )
+
+
+def test_hull_drops_collinear_points():
+    # (1, 1) lies on the edge from (2, 0) to (0, 2), so it is not a vertex.
+    hull = _hull([(0, 0, 1), (2, 0, 1), (1, 1, 1), (0, 2, 1)])
+    assert [(v.d1, v.d2) for v in hull] == [(0, 0), (2, 0), (0, 2)]
 
 
 def test_empty_region_raises():

@@ -295,6 +295,27 @@ def test_grouped_precoders_equal_per_stream_precoders():
                     assert np.array_equal(T_mat[:, s_idx], expected), (plan.cfg.shape, s_idx)
 
 
+@st.composite
+def small_configs(draw):
+    M = draw(st.integers(1, 12), label="M")
+    N1 = draw(st.integers(1, 7), label="N1")
+    N2 = draw(st.integers(N1, 7), label="N2")
+    return SystemConfig(M, N1, N2, draw(st.integers(0, M), label="k"))
+
+
+# M > N1+N2 in about a fifth of the draws: those plans leave antennas silent.
+@settings(max_examples=150, deadline=None)
+@given(cfg=small_configs())
+@example(cfg=SystemConfig(6, 3, 3, 1))
+@example(cfg=SystemConfig(9, 2, 3, 2))
+def test_selected_plans_certify_and_comply(cfg):
+    for special in (False, True):
+        plan = select_scheme(cfg, special)
+        result = achieved_dof(plan, trials=2)
+        assert result.ok and result.dof == plan.claimed_dof, (cfg.shape, special)
+        assert csit_compliance(plan).compliant, (cfg.shape, special)
+
+
 @pytest.mark.parametrize("rx", [1, 2])
 def test_singular_apzf_block_resamples(rx):
     # (4,1,3,2) mid-k: RX1 streams cancel at RX2 rows 0-1 with antennas 0-1,
