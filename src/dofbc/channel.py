@@ -49,8 +49,9 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
 class ChannelRealization:
     """One channel block: H is (N1+N2) x M, rows split as [H1; H2].
 
-    `field` is None for a real-valued channel or the prime p for a GF(p)
-    channel.  Realizations are immutable; H must not be mutated.
+    `field` is None for a real-valued channel, whose H is float64, or the
+    prime p < 2^31 for a GF(p) channel, whose H is int64 with entries in
+    [0, p).  Realizations are immutable; H must not be mutated.
     """
 
     cfg: SystemConfig
@@ -61,6 +62,15 @@ class ChannelRealization:
         expected = (self.cfg.N, self.cfg.M)
         if self.H.shape != expected:
             raise InvalidConfigError(f"channel must have shape {expected}, got {self.H.shape}")
+        p = self.field
+        dtype = np.dtype(np.float64 if p is None else np.int64)
+        if self.H.dtype != dtype:
+            raise InvalidConfigError(f"channel entries must be {dtype}, got {self.H.dtype}")
+        if p is not None:
+            if not 2 <= p < 2**31:
+                raise InvalidConfigError(f"field size must satisfy 2 <= p < 2^31, got {p}")
+            if self.H.min() < 0 or self.H.max() >= p:
+                raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")
         self.H.setflags(write=False)
 
     @property

@@ -27,7 +27,7 @@ from pathlib import Path
 from .channel import ChannelDistribution
 from .config import normalize_config
 from .errors import InvalidConfigError, ResampleRequiredError
-from .figures import FIGURES, fig2_rows, fig4_bounds, write_figure
+from .figures import FIGURES, fig2_rows, repartition_bounds, write_figure
 from .region import (
     DofPoint,
     DofRegion,
@@ -105,11 +105,7 @@ def sweep_n2_rows(M: int, k: int) -> list[dict]:
     rows = []
     for N2 in range((M + 1) // 2, M + 1):
         N1 = M - N2
-        if N1 == 0:
-            upper = lower = Fraction(min(M, N2))
-        else:
-            cfg = normalize_config(M, N1, N2, k)
-            upper, lower = sum_dof_upper(cfg), sum_dof_lower(cfg)
+        upper, lower = repartition_bounds(M, N2, k)
         rows.append(
             {
                 "N2": N2,
@@ -221,7 +217,7 @@ def _certify_figures(name: str, trials: int, seed: int) -> list[str]:
         for N2 in range(10, 20):
             cfg = normalize_config(20, 20 - N2, N2, 12)
             result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
-            upper, lower = fig4_bounds(N2)
+            lower = repartition_bounds(20, N2, 12)[1]
             if not result.ok or result.dof != lower:
                 problems.append(f"fig4 N2={N2}: certified {result.dof}, table {lower}")
     return problems

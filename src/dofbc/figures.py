@@ -15,7 +15,7 @@ import csv
 from fractions import Fraction
 from pathlib import Path
 
-from .config import SystemConfig, normalize_config
+from .config import normalize_config
 from .region import region_constraints, sum_dof_lower, sum_dof_upper
 
 FIG2_CONFIG = (9, 6, 3)
@@ -68,27 +68,24 @@ def fig3_rows() -> list[dict]:
     return rows
 
 
-def fig4_bounds(N2: int) -> tuple[Fraction, Fraction]:
-    """(upper, lower) at one repartition point of the fig4 sweep.
+def repartition_bounds(M: int, N2: int, k: int) -> tuple[Fraction, Fraction]:
+    """(upper, lower) sum-DoF bounds at one point of a sweep with N1 + N2 = M.
 
     N2 = M leaves RX1 with zero antennas, which is not a valid two-user
-    config; the sweep value is the single-user limit min(M, N2) for both
-    bounds.
+    config; both bounds are then the single-user limit M.
     """
-    M, k = FIG4_CONFIG
-    N1 = M - N2
-    if N1 == 0:
-        return Fraction(min(M, N2)), Fraction(min(M, N2))
-    cfg = SystemConfig(M, N1, N2, k) if N1 <= N2 else normalize_config(M, N1, N2, k)
+    if N2 == M:
+        return Fraction(M), Fraction(M)
+    cfg = normalize_config(M, M - N2, N2, k)
     return sum_dof_upper(cfg), sum_dof_lower(cfg)
 
 
 def fig4_rows() -> list[dict]:
     """N2, upper, lower for M = N1+N2 = 20 and k = 12, N2 = 10..20."""
-    M, _ = FIG4_CONFIG
+    M, k = FIG4_CONFIG
     rows = []
     for N2 in range(M // 2, M + 1):
-        upper, lower = fig4_bounds(N2)
+        upper, lower = repartition_bounds(M, N2, k)
         rows.append(
             {
                 "N2": N2,

@@ -57,7 +57,7 @@ def apzf_precoder(
     field = channel.field
 
     if kp == 0:
-        active = np.zeros((0, patterns.shape[1]), dtype=np.int64 if field else float)
+        active = np.zeros((0, patterns.shape[1]), dtype=channel.H.dtype)
     elif field is None:
         A = H_sel[:, :kp].astype(float)
         if np.linalg.matrix_rank(A) < kp:

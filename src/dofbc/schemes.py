@@ -159,8 +159,7 @@ class UnitRecipe:
     antenna: int
 
     def vector(self, channel: ChannelRealization) -> np.ndarray:
-        dtype = float if channel.field is None else np.int64
-        t = np.zeros(channel.cfg.M, dtype=dtype)
+        t = np.zeros(channel.cfg.M, dtype=channel.H.dtype)
         t[self.antenna] = 1
         return t
 

@@ -12,9 +12,10 @@ a pure rank statement:
 
 Precoders are solved once per (channel, receiver, rows) group: every AP-ZF
 stream of a plan that cancels at the same rows of the same receiver shares
-one `apzf_precoder` call.  Ranks are exact (elimination mod p, one
-elimination per receiver giving both ranks) on prime-field channels and
-SVD-thresholded on real ones.  Monte Carlo rate slopes use the standard
+one `apzf_precoder` call.  Certification is exact: ranks come from
+elimination mod p on prime-field channels, one elimination per receiver
+giving both ranks.  Real channels serve only the rate slopes, realized at
+unit transmit power per slot.  Monte Carlo rate slopes use the standard
 real-Gaussian log-det rate with the other user's columns treated as noise;
 the high-SNR slope against log2(sqrt(P)) then recovers each receiver's DoF.
 """
@@ -40,7 +41,6 @@ from .schemes import (
     TransmissionPlan,
 )
 
-SVD_RANK_TOL = 1e-8
 _MAX_RESAMPLE = 25
 
 
@@ -95,15 +95,6 @@ class DecodabilityReport:
         }
 
 
-def _svd_rank(A: np.ndarray, tol: float) -> int:
-    if min(A.shape) == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
 def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> list[np.ndarray]:
     """One M x streams precoder matrix per slot of `plan` under `channel`.
 
@@ -136,51 +127,82 @@ def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> l
     ]
 
 
-def realize_plan(
-    plan: TransmissionPlan,
-    channel: ChannelRealization,
-    normalize: bool = False,
-) -> ObservationSystem:
+def _reduce(x, p: int | None):
+    """x mod p on GF(p); real values pass through."""
+    return x if p is None else x % p
+
+
+def _matmul(A: np.ndarray, B: np.ndarray, p: int | None) -> np.ndarray:
+    return A @ B if p is None else gf_matmul(A, B, p)
+
+
+def _slot_samples(channel: ChannelRealization, T_mat: np.ndarray, forms: np.ndarray):
+    """Noiseless samples (RX1, RX2) of one slot: H_i @ T_mat @ forms.
+
+    On a real channel the slot is first scaled to equal power per stream and
+    unit total power, which keeps every receive gain O(1) so rate curves
+    enter the DoF regime early; scaling never changes rank structure.
+    """
+    p = channel.field
+    if p is None:
+        norms = np.linalg.norm(T_mat, axis=0)
+        norms[norms == 0] = 1.0
+        T_mat = T_mat / norms / np.sqrt(T_mat.shape[1])
+        # One product per receiver: stacking them would change float bits.
+        return (channel.H1 @ T_mat) @ forms, (channel.H2 @ T_mat) @ forms
+    received = gf_matmul(gf_matmul(channel.H, T_mat, p), forms, p)
+    return received[: channel.cfg.N1], received[channel.cfg.N1 :]
+
+
+def _fixed_point(E: np.ndarray, S: int, p: int | None) -> np.ndarray:
+    """phi with phi = E[:, :S] + E[:, S:] @ phi: the coupled streams' forms."""
+    lhs = _reduce(np.eye(len(E), dtype=E.dtype) - E[:, S:], p)
+    if p is not None:
+        return gf_solve(lhs, E[:, :S], p)  # raises ResampleRequiredError if singular
+    try:
+        return np.linalg.solve(lhs, E[:, :S])
+    except np.linalg.LinAlgError as exc:
+        raise ResampleRequiredError("coupled-stream fixed point is singular") from exc
+
+
+def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> ObservationSystem:
     """Expand a plan against one channel into observation matrices A_1, A_2.
 
-    `normalize` (real channels only) rescales each slot to unit transmit
-    power and retransmission forms to unit norm; it changes rates by O(1)
-    but never affects rank structure.
+    GF(p) channels give the exact matrices that certification ranks.  Real
+    channels give the matrices behind the rate slopes, at unit transmit power
+    per slot and with unit-norm retransmitted forms.
     """
     cfg = plan.cfg
     if channel.cfg.shape != cfg.shape:
         raise InvalidConfigError(
             f"plan built for {cfg.shape} cannot run on channel {channel.cfg.shape}"
         )
-    fieldp = channel.field
+    p = channel.field
     S = len(plan.registry.symbols)
     ncols = S + plan.aux_count
-    real = fieldp is None
-    dtype = float if real else np.int64
-
-    H = {1: channel.H1, 2: channel.H2}
-    rows_cache: list[dict[int, np.ndarray]] = []
+    dtype = channel.H.dtype
+    samples: list[tuple[np.ndarray, np.ndarray]] = []
     aux_equations: dict[int, tuple] = {}
-    precoders = _precoder_matrices(plan, channel)
 
-    for t, slot in enumerate(plan.slots):
-        n_streams = len(slot.streams)
-        forms = np.zeros((n_streams, ncols), dtype=dtype)
+    def combine(terms) -> np.ndarray:
+        """Weighted sum of earlier received samples."""
+        acc = np.zeros(ncols, dtype=dtype)
+        for ref in terms:
+            sample = samples[ref.slot][ref.rx - 1][ref.row]
+            acc = _reduce(acc + _reduce(ref.weight, p) * sample, p)
+        return acc
+
+    for slot, T_mat in zip(plan.slots, _precoder_matrices(plan, channel)):
+        forms = np.zeros((len(slot.streams), ncols), dtype=dtype)
         for s_idx, stream in enumerate(slot.streams):
             payload = stream.payload
             if isinstance(payload, FreshPayload):
                 forms[s_idx, plan.registry.index(payload.symbol)] = 1
             elif isinstance(payload, InterferencePayload):
-                mask = np.zeros(ncols, dtype=bool)
-                mask[list(plan.registry.owned_columns(payload.owner))] = True
+                owned = list(plan.registry.owned_columns(payload.owner))
                 form = np.zeros(ncols, dtype=dtype)
-                for ref in payload.terms:
-                    sample = rows_cache[ref.slot][ref.rx][ref.row]
-                    weight = ref.weight if real else ref.weight % fieldp
-                    form = form + weight * np.where(mask, sample, 0)
-                    if not real:
-                        form %= fieldp
-                if real and normalize:
+                form[owned] = combine(payload.terms)[owned]
+                if p is None:
                     norm = np.linalg.norm(form)
                     if norm > 0:
                         form = form / norm
@@ -193,66 +215,36 @@ def realize_plan(
                 aux_equations[payload.aux] = payload.terms
             else:
                 raise InvalidConfigError(f"unknown payload {payload!r}")
-        T_mat = precoders[t]
-        if real and normalize and n_streams:
-            # Equal power per stream, unit total power per slot: keeps every
-            # receive gain O(1) so rate curves enter the DoF regime early.
-            norms = np.linalg.norm(T_mat, axis=0)
-            norms[norms == 0] = 1.0
-            T_mat = T_mat / norms / np.sqrt(n_streams)
-        if real:
-            rows_cache.append({rx: (H[rx] @ T_mat) @ forms for rx in (1, 2)})
-        else:
-            received = gf_matmul(gf_matmul(channel.H, T_mat, fieldp), forms, fieldp)
-            rows_cache.append({1: received[: cfg.N1], 2: received[cfg.N1 :]})
+        samples.append(_slot_samples(channel, T_mat, forms))
 
     if plan.aux_count:
         if len(aux_equations) != plan.aux_count:
             raise InvalidConfigError("every coupled stream needs a defining equation")
         E = np.zeros((plan.aux_count, ncols), dtype=dtype)
         for aux, terms in aux_equations.items():
-            acc = np.zeros(ncols, dtype=dtype)
-            for ref in terms:
-                weight = ref.weight if real else ref.weight % fieldp
-                acc = acc + weight * rows_cache[ref.slot][ref.rx][ref.row]
-                if not real:
-                    acc %= fieldp
-            E[aux] = acc
-        if real:
-            lhs = np.eye(plan.aux_count) - E[:, S:]
-            try:
-                phi = np.linalg.solve(lhs, E[:, :S])
-            except np.linalg.LinAlgError as exc:
-                raise ResampleRequiredError("coupled-stream fixed point is singular") from exc
-        else:
-            lhs = (np.eye(plan.aux_count, dtype=np.int64) - E[:, S:]) % fieldp
-            phi = gf_solve(lhs, E[:, :S], fieldp)
+            E[aux] = combine(terms)
+        phi = _fixed_point(E, S, p)
 
     def stack(rx: int) -> np.ndarray:
-        nrows = (cfg.N1 if rx == 1 else cfg.N2) * plan.T
         if plan.T == 0:
             return np.zeros((0, S), dtype=dtype)
-        full = np.vstack([rows_cache[t][rx] for t in range(plan.T)])
+        full = np.vstack([slot_samples[rx - 1] for slot_samples in samples])
         if plan.aux_count:
-            extra = full[:, S:] @ phi if real else gf_matmul(full[:, S:], phi, fieldp)
-            full = (full[:, :S] + extra) if real else (full[:, :S] + extra) % fieldp
-        else:
-            full = full[:, :S]
-        assert full.shape == (nrows, S)
-        return full
+            return _reduce(full[:, :S] + _matmul(full[:, S:], phi, p), p)
+        return full[:, :S]
 
-    return ObservationSystem(
-        A1=stack(1), A2=stack(2), registry=plan.registry, T=plan.T, field=fieldp
-    )
+    return ObservationSystem(A1=stack(1), A2=stack(2), registry=plan.registry, T=plan.T, field=p)
 
 
-def decodability_check(system: ObservationSystem, tol: float = SVD_RANK_TOL) -> DecodabilityReport:
-    """Rank certificate of symbol recovery for both receivers.
+def decodability_check(system: ObservationSystem) -> DecodabilityReport:
+    """Exact rank certificate of symbol recovery for both receivers.
 
-    On GF(p) one elimination of A's columns ordered [interference | desired]
+    One elimination mod p of A's columns ordered [interference | desired]
     gives both ranks: all its pivots count rank(A), and those among the
     interference columns count the rank without the desired symbols.
     """
+    if system.field is None:
+        raise InvalidConfigError("decodability is certified on GF(p) channels only")
     registry = system.registry
     reports = {}
     for rx in (1, 2):
@@ -260,16 +252,11 @@ def decodability_check(system: ObservationSystem, tol: float = SVD_RANK_TOL) -> 
         desired_cols = list(registry.owned_columns(rx))
         desired_set = set(desired_cols)
         other_cols = [c for c in range(A.shape[1]) if c not in desired_set]
-        if system.field is None:
-            rank_full, rank_interference = _svd_rank(A, tol), _svd_rank(A[:, other_cols], tol)
-        else:
-            pivots = gf_pivots(A[:, other_cols + desired_cols], system.field)
-            rank_full = len(pivots)
-            rank_interference = sum(c < len(other_cols) for c in pivots)
+        pivots = gf_pivots(A[:, other_cols + desired_cols], system.field)
         reports[rx] = ReceiverReport(
             desired=len(desired_cols),
-            rank_full=rank_full,
-            rank_interference=rank_interference,
+            rank_full=len(pivots),
+            rank_interference=sum(c < len(other_cols) for c in pivots),
         )
     decodable = reports[1].decodable and reports[2].decodable
     total = registry.S1 + registry.S2
@@ -289,15 +276,6 @@ class CertificationResult:
     @property
     def ok(self) -> bool:
         return not self.failures and self.dof is not None
-
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.plan_id,
-            "trials": self.trials,
-            "failures": list(self.failures),
-            "resamples": self.resamples,
-            "certified_dof": None if self.dof is None else str(self.dof),
-        }
 
 
 def _certification(
@@ -415,12 +393,7 @@ def csit_compliance(
 def stream_gains(plan: TransmissionPlan, channel: ChannelRealization, slot_index: int) -> dict:
     """Per-stream receive gains H_i @ t_s of one slot, keyed by receiver."""
     T_mat = _precoder_matrices(plan, channel)[slot_index]
-    if channel.field is None:
-        return {1: channel.H1 @ T_mat, 2: channel.H2 @ T_mat}
-    return {
-        1: gf_matmul(channel.H1, T_mat, channel.field),
-        2: gf_matmul(channel.H2, T_mat, channel.field),
-    }
+    return {1: _matmul(channel.H1, T_mat, channel.field), 2: _matmul(channel.H2, T_mat, channel.field)}
 
 
 @dataclass(frozen=True)
@@ -516,7 +489,7 @@ def rate_slope_estimate(
         for attempt in range(_MAX_RESAMPLE):
             channel = sample_channel(plan.cfg, dist, seed, index=i * _MAX_RESAMPLE + attempt)
             try:
-                system = realize_plan(plan, channel, normalize=True)
+                system = realize_plan(plan, channel)
                 rates = [
                     _receiver_rate(system.A1, *columns[0], P, plan.T, rsc.noise_var)
                     + _receiver_rate(system.A2, *columns[1], P, plan.T, rsc.noise_var)

@@ -26,8 +26,7 @@ class LeakyRecipe:
     (uninformed) antenna; the compliance check must flag it."""
 
     def vector(self, channel):
-        dtype = float if channel.field is None else np.int64
-        t = np.zeros(channel.cfg.M, dtype=dtype)
+        t = np.zeros(channel.cfg.M, dtype=channel.H.dtype)
         t[0] = 1
         t[-1] = channel.H[0, 0]
         return t

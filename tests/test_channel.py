@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from dofbc.channel import ChannelDistribution, field_channel, sample_channel, trial_rng
+from dofbc.channel import (
+    ChannelDistribution,
+    ChannelRealization,
+    field_channel,
+    sample_channel,
+    trial_rng,
+)
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError
 from dofbc.gf import DEFAULT_PRIME
@@ -60,3 +66,23 @@ def test_field_leading_minor_nonsingular_many_seeds():
         ch = field_channel(cfg, seed=11, index=i)
         block = ch.H2[: cfg.k, : cfg.k]
         assert det2_mod(int(block[0, 0]), int(block[0, 1]), int(block[1, 0]), int(block[1, 1]), DEFAULT_PRIME) != 0
+
+
+
+def test_channel_entries_checked_against_field():
+    cfg = SystemConfig(4, 1, 3, 2)
+    H = field_channel(cfg, seed=0).H
+    ChannelRealization(cfg=cfg, H=H.copy(), field=DEFAULT_PRIME)
+    # Floats would be truncated by the exact kernels.
+    bad = [(H.astype(float) + 0.5, DEFAULT_PRIME), (H % 2, 2**31 + 11), (H % 2, 1)]
+    for entry in (-1, DEFAULT_PRIME):
+        out_of_range = H.copy()
+        out_of_range[1, 2] = entry
+        bad.append((out_of_range, DEFAULT_PRIME))
+    bad.append((np.ones((4, 4), dtype=np.int64), None))  # a real channel needs floats
+    for entries, p in bad:
+        with pytest.raises(InvalidConfigError):
+            ChannelRealization(cfg=cfg, H=entries, field=p)
+    ChannelRealization(cfg=cfg, H=sample_channel(cfg, seed=0).H.copy())
+    with pytest.raises(InvalidConfigError):
+        field_channel(cfg, p=2**31 + 11)

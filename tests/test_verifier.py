@@ -88,6 +88,17 @@ def test_decodability_mid_k_field():
     assert doc["rx2"]["decodable"] and doc["achieved_dof"] == "7/2"
 
 
+def test_decodability_rejects_real_channels():
+    # Only exact ranks certify: RX1's interference cancels exactly here, yet
+    # its float singular values are about 1e-16, not 0.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    system = realize_plan(plan, sample_channel(plan.cfg, seed=1))
+    with pytest.raises(InvalidConfigError, match="GF\\(p\\)"):
+        decodability_check(system)
+    with pytest.raises(InvalidConfigError):
+        certify_on_channels(plan, [sample_channel(plan.cfg, seed=1)])
+
+
 def test_decodability_overloaded_plan_fails():
     report = decodability_check(realize_plan(overloaded_rx2_plan(), field_channel(SystemConfig(4, 1, 3, 2), seed=1)))
     assert not report.rx2.decodable  # 6 observations cannot carry 7 symbols
@@ -236,8 +247,14 @@ def test_table1_slot_structure():
 
 def test_rate_slopes_match_dof():
     rsc = RateSimConfig(snr_db=(40.0, 60.0, 80.0), trials=60)
-    for shape, target in [((4, 1, 3, 2), 3.5), ((4, 1, 3, 3), 4.0), ((5, 2, 3, 0), 3.0)]:
-        plan = select_scheme(SystemConfig(*shape))
+    cases = [
+        ((4, 1, 3, 2), False, 3.5),
+        ((4, 1, 3, 3), False, 4.0),
+        ((5, 2, 3, 0), False, 3.0),
+        ((6, 3, 3, 1), True, 4.0),  # the crafted plan: real coupled-stream fixed point
+    ]
+    for shape, special, target in cases:
+        plan = select_scheme(SystemConfig(*shape), allow_special_cases=special)
         result = rate_slope_estimate(plan, rsc, seed=1)
         assert abs(result.slope - target) <= 0.15, (shape, result.slope)
 
