@@ -35,7 +35,6 @@ from .region import (
     sum_dof_upper,
 )
 from .schemes import (
-    PlanSummary,
     SymbolRegistry,
     TransmissionPlan,
     build_scheme_6331,
@@ -67,7 +66,6 @@ __all__ = [
     "InvalidConfigError",
     "LinearConstraint",
     "ObservationSystem",
-    "PlanSummary",
     "RateSimConfig",
     "RegimeError",
     "ResampleRequiredError",

@@ -12,6 +12,8 @@ Two kinds of realization are produced from the same seed machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -45,6 +47,12 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
 
+@lru_cache(maxsize=None)
+def _is_prime(p: int) -> bool:
+    """Trial division, decided once per p: channels of a run share one field."""
+    return p == 2 or (p > 2 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2)))
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One channel block: H is (N1+N2) x M, rows split as [H1; H2].
@@ -67,8 +75,8 @@ class ChannelRealization:
         if self.H.dtype != dtype:
             raise InvalidConfigError(f"channel entries must be {dtype}, got {self.H.dtype}")
         if p is not None:
-            if not 2 <= p < 2**31:
-                raise InvalidConfigError(f"field size must satisfy 2 <= p < 2^31, got {p}")
+            if not (2 <= p < 2**31 and _is_prime(p)):
+                raise InvalidConfigError(f"field size must be a prime p < 2^31, got {p}")
             if self.H.min() < 0 or self.H.max() >= p:
                 raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")
         self.H.setflags(write=False)

@@ -134,15 +134,14 @@ def simulate_document(
     cfg = normalize_config(M, N1, N2, k)
     dist = ChannelDistribution(delta_min, delta_max)
     plan = select_scheme(cfg, allow_special_cases=special_cases)
-    summary = plan.summary()
     certification = achieved_dof(plan, trials=trials, seed=seed)
     compliance = csit_compliance(plan, seed=seed)
     doc = {
         "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": cfg.swapped},
         "scheme": plan.scheme_id,
-        "S1": summary.S1,
-        "S2": summary.S2,
-        "T": summary.T,
+        "S1": plan.registry.S1,
+        "S2": plan.registry.S2,
+        "T": plan.T,
         "claimed_dof": str(plan.claimed_dof),
         "certified_dof": None if certification.dof is None else str(certification.dof),
         "certified": certification.ok,

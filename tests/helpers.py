@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,9 +44,7 @@ def adversarial_plan() -> TransmissionPlan:
     cfg = SystemConfig(3, 1, 2, 1)
     registry = SymbolRegistry((Symbol("b1", 2),))
     slots = (Slot((Stream(FreshPayload("b1"), LeakyRecipe()),)),)
-    return TransmissionPlan(
-        cfg=cfg, scheme_id="adversarial", registry=registry, slots=slots, claimed_dof=Fraction(1)
-    )
+    return TransmissionPlan(cfg=cfg, scheme_id="adversarial", registry=registry, slots=slots)
 
 
 def overloaded_rx2_plan() -> TransmissionPlan:
@@ -67,7 +64,6 @@ def overloaded_rx2_plan() -> TransmissionPlan:
         scheme_id="overloaded",
         registry=registry,
         slots=(Slot(first), Slot(second)),
-        claimed_dof=Fraction(7, 2),
     )
 
 
@@ -87,14 +83,3 @@ def low_k_grid():
             for M in range(1, 11):
                 for k in range(1, min(N1, M + 1)):
                     yield SystemConfig(M, N1, N2, k)
-
-
-def empty_plan() -> TransmissionPlan:
-    cfg = SystemConfig(4, 1, 3, 2)
-    return TransmissionPlan(
-        cfg=cfg,
-        scheme_id="empty",
-        registry=SymbolRegistry(()),
-        slots=(),
-        claimed_dof=Fraction(0),
-    )

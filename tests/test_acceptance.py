@@ -16,7 +16,6 @@ from dofbc.config import SystemConfig
 from dofbc.figures import fig2_rows, fig3_rows, fig4_rows
 from dofbc.region import (
     analogy_gap,
-    low_k_scheme_value,
     pd_sum_dof,
     region_constraints,
     sum_dof_lower,
@@ -33,7 +32,12 @@ from dofbc.verifier import (
 )
 
 from .helpers import adversarial_plan, low_k_grid, tight_regime_grid
-from .oracles import outer_bound_halfplanes, vertex_oracle
+from .oracles import (
+    low_k_scheme_value,
+    outer_bound_halfplanes,
+    sum_dof_lower_closed_form,
+    vertex_oracle,
+)
 
 
 def _report(n, detail):
@@ -139,7 +143,7 @@ def test_criterion_6_rotation_reduction():
             wide = field_channel(cfg, seed=61, index=trial * 8 + j)
             channels.append(ChannelRealization(cfg=plan.cfg, H=wide.H[:, :N], field=wide.field))
         result = certify_on_channels(plan, channels)
-        assert result.ok and result.dof == sum_dof_lower(cfg), cfg.shape
+        assert result.ok and result.dof == sum_dof_lower_closed_form(cfg), cfg.shape
         assert csit_compliance(plan).compliant, cfg.shape
     elapsed = time.monotonic() - start
     assert elapsed < 30.0

@@ -73,8 +73,10 @@ def test_channel_entries_checked_against_field():
     cfg = SystemConfig(4, 1, 3, 2)
     H = field_channel(cfg, seed=0).H
     ChannelRealization(cfg=cfg, H=H.copy(), field=DEFAULT_PRIME)
+    ChannelRealization(cfg=cfg, H=H % 13, field=13)
     # Floats would be truncated by the exact kernels.
     bad = [(H.astype(float) + 0.5, DEFAULT_PRIME), (H % 2, 2**31 + 11), (H % 2, 1)]
+    bad += [(H % 15, 15), (H % 2, 2**30)]  # composite moduli are not fields
     for entry in (-1, DEFAULT_PRIME):
         out_of_range = H.copy()
         out_of_range[1, 2] = entry
@@ -84,5 +86,7 @@ def test_channel_entries_checked_against_field():
         with pytest.raises(InvalidConfigError):
             ChannelRealization(cfg=cfg, H=entries, field=p)
     ChannelRealization(cfg=cfg, H=sample_channel(cfg, seed=0).H.copy())
-    with pytest.raises(InvalidConfigError):
-        field_channel(cfg, p=2**31 + 11)
+    for p in (2**31 + 11, 15):
+        with pytest.raises(InvalidConfigError):
+            field_channel(cfg, p=p)
+

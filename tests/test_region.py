@@ -25,7 +25,12 @@ from dofbc.region import (
 )
 from dofbc.schemes import select_scheme
 
-from .oracles import lp_max_sum_oracle, outer_bound_halfplanes, vertex_oracle
+from .oracles import (
+    lp_max_sum_oracle,
+    outer_bound_halfplanes,
+    sum_dof_lower_closed_form,
+    vertex_oracle,
+)
 
 
 def cons_tuples(cfg):
@@ -169,6 +174,25 @@ def test_sum_dof_lower_examples():
     assert sum_dof_lower(SystemConfig(5, 2, 3, 0)) == 3
 
 
+def test_sum_dof_lower_matches_closed_form():
+    # plan_shape decides the regime; the closed form decides it independently.
+    for M in range(1, 21):
+        for N1 in range(1, 21):
+            for N2 in range(N1, 21):
+                for k in range(M + 1):
+                    cfg = SystemConfig(M, N1, N2, k)
+                    for flag in (False, True):
+                        expected = sum_dof_lower_closed_form(cfg, flag)
+                        assert sum_dof_lower(cfg, flag) == expected, (cfg.shape, flag)
+
+
+def test_region_equality_ignores_cached_vertices():
+    cfg = SystemConfig(4, 1, 3, 2)
+    read, fresh = region_constraints(cfg), region_constraints(cfg)
+    assert read.vertices  # caches the vertices on one of the two regions
+    assert read == fresh and hash(read) == hash(fresh)
+
+
 BOUND_TABLE_UPPER = [F(7), F(57, 8), F(51, 7), F(15, 2), F(39, 5), F(33, 4), 9, 9, 9, 9]
 BOUND_TABLE_LOWER = [F(6), F(37, 6), F(20, 3), F(15, 2), F(39, 5), F(33, 4), 9, 9, 9, 9]
 
@@ -304,7 +328,7 @@ def test_region_layer_properties(data, special):
     k = data.draw(st.integers(0, M), label="k")
     cfg = normalize_config(M, N1, N2, k)
     assert sum_dof_lower(cfg, special) <= sum_dof_upper(cfg)
-    assert select_scheme(cfg, special).claimed_dof == sum_dof_lower(cfg, special)
+    assert select_scheme(cfg, special).claimed_dof == sum_dof_lower_closed_form(cfg, special)
     if N1 != N2:
         # At N1 = N2 nothing is swapped, so the mirror property has no content.
         doc = region_document(M, N1, N2, k)

@@ -8,9 +8,10 @@ import pytest
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError
 from dofbc.precoding import CHANNEL, CONSTANT
-from dofbc.region import sum_dof_lower, sum_dof_upper
+from dofbc.region import sum_dof_upper
 from dofbc.schemes import (
     ApzfRecipe,
+    CoupledPayload,
     FreshPayload,
     InterferencePayload,
     RxRowRef,
@@ -23,6 +24,8 @@ from dofbc.schemes import (
     build_scheme_6331,
     select_scheme,
 )
+
+from .oracles import sum_dof_lower_closed_form
 
 GOLDEN = Path(__file__).parent / "data" / "plan_4132.json"
 
@@ -42,10 +45,8 @@ CATALOGUE_SHA256 = "baadb8bc489a28070201446820430b7dc7b964b9351ba94c6f4b9a3e935e
 )
 def test_mid_k_counts(shape, T, S1, S2, dof):
     plan = select_scheme(SystemConfig(*shape))
-    summary = plan.summary()
-    assert (summary.T, summary.S1, summary.S2) == (T, S1, S2)
-    assert plan.claimed_dof == dof
-    assert summary.claimed_dof == F(S1 + S2, T)
+    assert (plan.T, plan.registry.S1, plan.registry.S2) == (T, S1, S2)
+    assert plan.claimed_dof == dof == F(S1 + S2, T)
 
 
 def test_mid_k_phase_structure():
@@ -77,18 +78,16 @@ def test_mid_k_phase_structure():
 )
 def test_low_k_counts(shape, m, T, total, dof):
     plan = select_scheme(SystemConfig(*shape))
-    summary = plan.summary()
-    assert summary.T == T
-    assert summary.S1 + summary.S2 == total
+    assert plan.T == T
+    assert plan.registry.S1 + plan.registry.S2 == total
     assert plan.claimed_dof == dof
     k = shape[3]
-    assert summary.S1 == k * m
+    assert plan.registry.S1 == k * m
 
 
 def test_table1_summary_and_structure():
     plan = build_scheme_6331()
-    summary = plan.summary()
-    assert (summary.S1, summary.S2, summary.T) == (8, 8, 4)
+    assert (plan.registry.S1, plan.registry.S2, plan.T) == (8, 8, 4)
     assert plan.claimed_dof == 4
     assert plan.aux_count == 2
     # the crafted streams ride the informed antenna in every slot
@@ -120,7 +119,7 @@ def test_select_scheme_dispatch():
 def test_select_scheme_caps_wide_arrays():
     plan = select_scheme(SystemConfig(9, 1, 3, 2))
     assert plan.cfg.shape == (4, 1, 3, 2)
-    assert plan.claimed_dof == sum_dof_lower(SystemConfig(9, 1, 3, 2))
+    assert plan.claimed_dof == sum_dof_lower_closed_form(SystemConfig(9, 1, 3, 2))
 
 
 def test_selected_claim_matches_lower_bound_grid():
@@ -131,7 +130,7 @@ def test_selected_claim_matches_lower_bound_grid():
                     cfg = SystemConfig(M, N1, N2, k)
                     for flag in (False, True):
                         plan = select_scheme(cfg, allow_special_cases=flag)
-                        assert plan.claimed_dof == sum_dof_lower(cfg, flag), cfg.shape
+                        assert plan.claimed_dof == sum_dof_lower_closed_form(cfg, flag), cfg.shape
 
 
 def test_mid_k_claim_equals_upper_bound_grid():
@@ -187,35 +186,48 @@ def test_plan_validation_rejects_bad_structures():
     cfg = SystemConfig(4, 1, 3, 2)
     registry = SymbolRegistry((Symbol("a1", 1),))
     ok_stream = Stream(FreshPayload("a1"), UnitRecipe(0))
-    with pytest.raises(InvalidConfigError):  # claimed DoF mismatch
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)),), F(2))
+    with pytest.raises(InvalidConfigError, match="at least one slot"):
+        TransmissionPlan(cfg, "x", SymbolRegistry(()), ())
+    with pytest.raises(InvalidConfigError, match="no streams"):
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot(())))
+    with pytest.raises(InvalidConfigError, match="unknown payload"):
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, Stream("a1", UnitRecipe(1)))),))
+
+    def coupled(*terms) -> Stream:
+        return Stream(CoupledPayload(aux=0, terms=terms), UnitRecipe(1))
+
+    c, c_other = coupled(RxRowRef(0, 2, 0, 1)), coupled(RxRowRef(0, 2, 1, 1))
+    first = Slot((ok_stream, c))
+    TransmissionPlan(cfg, "x", registry, (first, Slot((c,))), aux_count=1)
+    with pytest.raises(InvalidConfigError, match="conflicting definitions"):
+        TransmissionPlan(cfg, "x", registry, (first, Slot((c_other,))), aux_count=1)
+    with pytest.raises(InvalidConfigError, match="defining equation"):
+        TransmissionPlan(cfg, "x", registry, (first,), aux_count=2)
     forward_ref = Stream(
         InterferencePayload(owner=1, terms=(RxRowRef(0, 2, 0, 1),)), UnitRecipe(0)
     )
     with pytest.raises(InvalidConfigError):  # retransmission must look backwards
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, forward_ref)),), F(1))
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, forward_ref)),))
     uninformed_retrans = Stream(
         InterferencePayload(owner=1, terms=(RxRowRef(0, 2, 0, 1),)), UnitRecipe(3)
     )
     with pytest.raises(InvalidConfigError):  # channel-dependent payload from TX with no CSI
-        TransmissionPlan(
-            cfg, "x", registry, (Slot((ok_stream,)), Slot((uninformed_retrans,))), F(1, 2)
-        )
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((uninformed_retrans,))))
     with pytest.raises(InvalidConfigError):  # AP-ZF beyond capability
         bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(0, 1, 2), pattern=(1,)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a receiver that does not exist
         bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=3, rows=(0,), pattern=(1, 1, 1)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a row RX1 does not have
         bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=1, rows=(5,), pattern=(1, 1, 1)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a row RX2 does not have
         bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(3,), pattern=(1, 1, 1)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
     with pytest.raises(InvalidConfigError):  # AP-ZF cancelling twice at one row
         bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(1, 1), pattern=(1, 1)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),), F(1))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
 
 
 def test_plan_json_golden():

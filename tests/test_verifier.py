@@ -36,11 +36,11 @@ from dofbc.verifier import (
 
 from .helpers import (
     adversarial_plan,
-    empty_plan,
     low_k_grid,
     overloaded_rx2_plan,
     tight_regime_grid,
 )
+from .oracles import sum_dof_lower_closed_form
 
 # sha256 of repr((scheme, str(dof), failures, resamples)) for every
 # criterion-3 config with achieved_dof(trials=3, seed=1), then every third
@@ -61,14 +61,6 @@ def test_realize_shapes_table1():
     system = realize_plan(plan, field_channel(plan.cfg, seed=0))
     assert system.A1.shape == (12, 16)
     assert system.A2.shape == (12, 16)
-
-
-def test_realize_empty_plan():
-    plan = empty_plan()
-    system = realize_plan(plan, field_channel(plan.cfg, seed=0))
-    assert system.A1.shape == (0, 0)
-    report = decodability_check(system)
-    assert report.all_decodable and report.achieved_dof is None
 
 
 def test_realize_rejects_mismatched_channel():
@@ -117,7 +109,7 @@ def test_rank_criterion_matches_direct_inversion():
     streams = tuple(
         Stream(FreshPayload(sym.id), UnitRecipe(i)) for i, sym in enumerate(registry.symbols)
     )
-    plan = TransmissionPlan(cfg, "diag", registry, (Slot(streams),), F(4))
+    plan = TransmissionPlan(cfg, "diag", registry, (Slot(streams),))
     system = realize_plan(plan, channel)
     # A1 rows are exactly the first two rows of the identity: direct inversion
     assert np.array_equal(system.A1, np.eye(4, dtype=np.int64)[:2])
@@ -132,7 +124,7 @@ def test_rank_criterion_matches_direct_inversion():
         Stream(FreshPayload("b1"), UnitRecipe(2)),
         Stream(FreshPayload("b2"), UnitRecipe(3)),
     )
-    plan2 = TransmissionPlan(cfg, "collide", registry, (Slot(collide),), F(4))
+    plan2 = TransmissionPlan(cfg, "collide", registry, (Slot(collide),))
     report2 = decodability_check(realize_plan(plan2, channel))
     assert not report2.rx1.decodable
     assert report2.rx2.decodable
@@ -152,6 +144,12 @@ def test_achieved_dof_examples(builder, shape, expected):
     assert result.ok
     assert result.dof == expected
     assert result.failures == ()
+
+
+def test_achieved_dof_rejects_composite_field():
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    with pytest.raises(InvalidConfigError, match="prime"):
+        achieved_dof(plan, trials=1, p=2**30)
 
 
 def test_achieved_dof_reports_failures():
@@ -329,7 +327,8 @@ def test_selected_plans_certify_and_comply(cfg):
     for special in (False, True):
         plan = select_scheme(cfg, special)
         result = achieved_dof(plan, trials=2)
-        assert result.ok and result.dof == plan.claimed_dof, (cfg.shape, special)
+        expected = sum_dof_lower_closed_form(cfg, special)
+        assert result.ok and result.dof == expected, (cfg.shape, special)
         assert csit_compliance(plan).compliant, (cfg.shape, special)
 
 
