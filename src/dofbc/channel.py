@@ -48,9 +48,14 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
 
 
 @lru_cache(maxsize=None)
-def _is_prime(p: int) -> bool:
-    """Trial division, decided once per p: channels of a run share one field."""
-    return p == 2 or (p > 2 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2)))
+def _check_field(p: int) -> None:
+    """Reject p unless it is a prime below 2^31.
+
+    Trial division, decided once per valid p: channels of a run share one field.
+    """
+    odd = 2 < p < 2**31 and p % 2 == 1
+    if not (p == 2 or (odd and all(p % d for d in range(3, isqrt(p) + 1, 2)))):
+        raise InvalidConfigError(f"field size must be a prime p < 2^31, got {p}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,7 @@ class ChannelRealization:
         if self.H.dtype != dtype:
             raise InvalidConfigError(f"channel entries must be {dtype}, got {self.H.dtype}")
         if p is not None:
-            if not (2 <= p < 2**31 and _is_prime(p)):
-                raise InvalidConfigError(f"field size must be a prime p < 2^31, got {p}")
+            _check_field(p)
             if self.H.min() < 0 or self.H.max() >= p:
                 raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")
         self.H.setflags(write=False)
@@ -119,6 +123,7 @@ def field_channel(
     cfg: SystemConfig, seed: int = 0, index: int = 0, p: int = DEFAULT_PRIME
 ) -> ChannelRealization:
     """GF(p) channel with i.i.d. uniform nonzero residues."""
+    _check_field(p)
     rng = trial_rng(seed, index)
     H = rng.integers(1, p, size=(cfg.N, cfg.M), dtype=np.int64)
     return ChannelRealization(cfg=cfg, H=H, field=p)

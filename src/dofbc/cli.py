@@ -17,8 +17,6 @@ here; see README for the schema.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -27,13 +25,19 @@ from pathlib import Path
 from .channel import ChannelDistribution
 from .config import normalize_config
 from .errors import InvalidConfigError, ResampleRequiredError
-from .figures import FIGURES, fig2_rows, repartition_bounds, write_figure
+from .figures import (
+    FIGURES,
+    certified_points,
+    rows_to_csv,
+    sweep_k_rows,
+    sweep_n2_rows,
+    write_figure,
+)
 from .region import (
     DofPoint,
     DofRegion,
     LinearConstraint,
     achievable_region,
-    pd_sum_dof,
     region_constraints,
     sum_dof_lower,
     sum_dof_upper,
@@ -58,7 +62,7 @@ def region_document(M: int, N1: int, N2: int, k: int) -> dict:
     hull = [_unswap_point(v, cfg.swapped) for v in achievable_region(cfg)]
     constraints = region.constraints
     if cfg.swapped:
-        constraints = tuple(LinearConstraint(c.a2, c.a1, c.b) for c in constraints)
+        constraints = region.swapped_axes().constraints
         vertices = sorted(vertices)
         hull = sorted(hull)
     return {
@@ -79,44 +83,6 @@ def region_from_json(doc: dict) -> DofRegion:
             for c in doc["constraints"]
         )
     )
-
-
-def sweep_k_rows(M: int, N1: int, N2: int) -> list[dict]:
-    rows = []
-    base = normalize_config(M, N1, N2, 0)
-    pd_ref = str(pd_sum_dof(base.N1, base.N2)) if M == N1 + N2 else ""
-    for k in range(M + 1):
-        cfg = normalize_config(M, N1, N2, k)
-        upper, lower = sum_dof_upper(cfg), sum_dof_lower(cfg)
-        rows.append(
-            {
-                "k": k,
-                "upper": str(upper),
-                "upper_decimal": f"{float(upper):.12g}",
-                "lower": str(lower),
-                "lower_decimal": f"{float(lower):.12g}",
-                "pd_reference": pd_ref,
-            }
-        )
-    return rows
-
-
-def sweep_n2_rows(M: int, k: int) -> list[dict]:
-    rows = []
-    for N2 in range((M + 1) // 2, M + 1):
-        N1 = M - N2
-        upper, lower = repartition_bounds(M, N2, k)
-        rows.append(
-            {
-                "N2": N2,
-                "upper": str(upper),
-                "upper_decimal": f"{float(upper):.12g}",
-                "lower": str(lower),
-                "lower_decimal": f"{float(lower):.12g}",
-                "pd_reference": str(pd_sum_dof(N1, N2)) if N1 >= 1 else "",
-            }
-        )
-    return rows
 
 
 def simulate_document(
@@ -171,17 +137,9 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _emit_rows(rows: list[dict], fmt: str, out: str | None):
     if fmt == "csv":
-        _emit(_rows_to_csv(rows), out)
+        _emit(rows_to_csv(rows), out)
     else:
         _emit(json.dumps(rows, indent=1), out)
 
@@ -194,31 +152,17 @@ def _region_csv(doc: dict) -> str:
         rows.append({"kind": "vertex", "index": i, "x": d1, "y": d2, "b": ""})
     for i, (d1, d2) in enumerate(doc["achievable"]):
         rows.append({"kind": "achievable", "index": i, "x": d1, "y": d2, "b": ""})
-    return _rows_to_csv(rows)
+    return rows_to_csv(rows)
 
 
 def _certify_figures(name: str, trials: int, seed: int) -> list[str]:
     """Re-run the verifier on each achievable point of a figure dataset."""
     problems = []
-    if name == "fig2":
-        for row in fig2_rows():
-            cfg = normalize_config(9, 6, 3, int(row["k"]))
-            result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
-            if not result.ok or str(result.dof) != row["lower_exact"]:
-                problems.append(f"fig2 k={row['k']}: certified {result.dof}, table {row['lower_exact']}")
-    elif name == "fig3":
-        for k in range(4):
-            cfg = normalize_config(4, 1, 3, k)
-            result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
-            if not result.ok or result.dof != sum_dof_lower(cfg):
-                problems.append(f"fig3 k={k}: certified {result.dof}")
-    else:
-        for N2 in range(10, 20):
-            cfg = normalize_config(20, 20 - N2, N2, 12)
-            result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
-            lower = repartition_bounds(20, N2, 12)[1]
-            if not result.ok or result.dof != lower:
-                problems.append(f"fig4 N2={N2}: certified {result.dof}, table {lower}")
+    for label, cfg in certified_points(name):
+        result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
+        lower = sum_dof_lower(cfg)
+        if not (result.ok and result.dof == lower):
+            problems.append(f"{name} {label}: certified {result.dof}, table {lower}")
     return problems
 
 
@@ -230,22 +174,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_args: int):
-        names = ["M", "N1", "N2", "k"][:config_args]
-        if config_args == 2:
-            names = ["M", "k"]
-        for name in names:
+    def add_common(p, *positionals: str):
+        for name in positionals:
             p.add_argument(name, type=int)
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
-    add_common(sub.add_parser("region", help="DoF region constraints and vertices"), 4)
-    add_common(sub.add_parser("sweep-k", help="bounds for k = 0..M"), 3)
-    add_common(sub.add_parser("sweep-n2", help="bounds versus N2 with N1+N2 = M"), 2)
+    config = ("M", "N1", "N2", "k")
+    add_common(sub.add_parser("region", help="DoF region constraints and vertices"), *config)
+    add_common(sub.add_parser("sweep-k", help="bounds for k = 0..M"), "M", "N1", "N2")
+    add_common(sub.add_parser("sweep-n2", help="bounds versus N2 with N1+N2 = M"), "M", "k")
 
     sim = sub.add_parser("simulate", help="build and certify a transmission plan")
-    add_common(sim, 4)
+    add_common(sim, *config)
     sim.add_argument("--trials", type=int, default=50)
     sim.add_argument("--seed", type=int, default=1)
     sim.add_argument("--snr", help="comma-separated SNR points in dB, e.g. 40,60,80")

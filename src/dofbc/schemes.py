@@ -65,7 +65,8 @@ class Symbol(NamedTuple):
 
 @dataclass(frozen=True)
 class SymbolRegistry:
-    """Ordered information symbols; position defines the observation column."""
+    """Ordered information symbols, each meant for RX1 or RX2; position
+    defines the observation column."""
 
     symbols: tuple[Symbol, ...]
 
@@ -73,6 +74,8 @@ class SymbolRegistry:
         ids = [s.id for s in self.symbols]
         if len(set(ids)) != len(ids):
             raise InvalidConfigError("symbol ids must be unique")
+        if not self._owned.keys() <= {1, 2}:
+            raise InvalidConfigError("every symbol must be meant for RX1 or RX2")
 
     @cached_property
     def _columns(self) -> dict[str, int]:
@@ -98,6 +101,10 @@ class SymbolRegistry:
 
     def owned_columns(self, rx: int) -> tuple[int, ...]:
         return self._owned.get(rx, ())
+
+    def split(self, rx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(desired, interference) columns at receiver `rx`."""
+        return self.owned_columns(rx), self.owned_columns(3 - rx)
 
 
 class RxRowRef(NamedTuple):
@@ -236,7 +243,6 @@ class TransmissionPlan:
     scheme_id: str
     registry: SymbolRegistry
     slots: tuple[Slot, ...]
-    aux_count: int = 0
 
     def __post_init__(self):
         self._validate()
@@ -248,6 +254,12 @@ class TransmissionPlan:
     @property
     def claimed_dof(self) -> Fraction:
         return Fraction(self.registry.S1 + self.registry.S2, self.T)
+
+    @cached_property
+    def aux_count(self) -> int:
+        """Number of coupled streams; validation makes their indices 0..aux_count-1."""
+        payloads = (stream.payload for slot in self.slots for stream in slot.streams)
+        return len({p.aux for p in payloads if isinstance(p, CoupledPayload)})
 
     def _validate(self):
         """Check the plan's structure once, so realizing it needs no structural checks."""
@@ -275,8 +287,6 @@ class TransmissionPlan:
                             "channel-dependent payloads must be sent from informed antennas"
                         )
                 elif isinstance(payload, CoupledPayload):
-                    if not 0 <= payload.aux < self.aux_count:
-                        raise InvalidConfigError("coupled stream index out of range")
                     if not precoder.support_in_informed(cfg):
                         raise InvalidConfigError(
                             "coupled streams must be sent from informed antennas"
@@ -302,8 +312,8 @@ class TransmissionPlan:
                 raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
         if fresh_seen != {s.id for s in self.registry.symbols}:
             raise InvalidConfigError("every information symbol must be sent exactly once")
-        if len(coupled) != self.aux_count:
-            raise InvalidConfigError("every coupled stream needs a defining equation")
+        if coupled.keys() != set(range(len(coupled))):
+            raise InvalidConfigError("coupled stream indices must be 0..n-1")
 
     def max_streams_per_slot(self) -> int:
         return max((len(s.streams) for s in self.slots), default=0)
@@ -448,7 +458,6 @@ def build_scheme_6331() -> TransmissionPlan:
         scheme_id="table1",
         registry=registry,
         slots=slots,
-        aux_count=2,
     )
 
 

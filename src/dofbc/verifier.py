@@ -10,6 +10,11 @@ a pure rank statement:
     receiver i decodes its symbols  iff  rank(A_i) - rank(A_i without its
     columns) equals its desired-symbol count.
 
+The plan's registry splits A_i's columns into the desired and interference
+symbols of receiver i (`SymbolRegistry.split`); the certificate and the rate
+slopes both read that one split.  A decodability report holds ranks only: a
+certified plan achieves the DoF it claims, `plan.claimed_dof`.
+
 Precoders are solved once per (channel, receiver, rows) group: every AP-ZF
 stream of a plan that cancels at the same rows of the same receiver shares
 one `apzf_precoder` call.  Certification is exact: ranks come from
@@ -37,6 +42,7 @@ from .schemes import (
     ApzfRecipe,
     FreshPayload,
     InterferencePayload,
+    SymbolRegistry,
     TransmissionPlan,
 )
 
@@ -49,12 +55,8 @@ class ObservationSystem:
 
     A1: np.ndarray
     A2: np.ndarray
-    registry: object
-    T: int
+    registry: SymbolRegistry
     field: int | None
-
-    def matrix(self, rx: int) -> np.ndarray:
-        return self.A1 if rx == 1 else self.A2
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ class ReceiverReport:
 class DecodabilityReport:
     rx1: ReceiverReport
     rx2: ReceiverReport
-    achieved_dof: Fraction | None
 
     @property
     def all_decodable(self) -> bool:
@@ -87,11 +88,7 @@ class DecodabilityReport:
                 "decodable": r.decodable,
             }
 
-        return {
-            "rx1": rx_doc(self.rx1),
-            "rx2": rx_doc(self.rx2),
-            "achieved_dof": None if self.achieved_dof is None else str(self.achieved_dof),
-        }
+        return {"rx1": rx_doc(self.rx1), "rx2": rx_doc(self.rx2)}
 
 
 def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> list[np.ndarray]:
@@ -223,7 +220,7 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
             return _reduce(full[:, :S] + _matmul(full[:, S:], phi, p), p)
         return full[:, :S]
 
-    return ObservationSystem(A1=stack(1), A2=stack(2), registry=plan.registry, T=plan.T, field=p)
+    return ObservationSystem(A1=stack(1), A2=stack(2), registry=plan.registry, field=p)
 
 
 def decodability_check(system: ObservationSystem) -> DecodabilityReport:
@@ -235,23 +232,18 @@ def decodability_check(system: ObservationSystem) -> DecodabilityReport:
     """
     if system.field is None:
         raise InvalidConfigError("decodability is certified on GF(p) channels only")
-    registry = system.registry
-    reports = {}
-    for rx in (1, 2):
-        A = system.matrix(rx)
-        desired_cols = list(registry.owned_columns(rx))
-        desired_set = set(desired_cols)
-        other_cols = [c for c in range(A.shape[1]) if c not in desired_set]
-        pivots = gf_pivots(A[:, other_cols + desired_cols], system.field)
-        reports[rx] = ReceiverReport(
-            desired=len(desired_cols),
-            rank_full=len(pivots),
-            rank_interference=sum(c < len(other_cols) for c in pivots),
+    reports = []
+    for rx, A in ((1, system.A1), (2, system.A2)):
+        desired, interference = system.registry.split(rx)
+        pivots = gf_pivots(A[:, interference + desired], system.field)
+        reports.append(
+            ReceiverReport(
+                desired=len(desired),
+                rank_full=len(pivots),
+                rank_interference=sum(c < len(interference) for c in pivots),
+            )
         )
-    decodable = reports[1].decodable and reports[2].decodable
-    total = registry.S1 + registry.S2
-    dof = Fraction(total, system.T) if decodable else None
-    return DecodabilityReport(rx1=reports[1], rx2=reports[2], achieved_dof=dof)
+    return DecodabilityReport(*reports)
 
 
 @dataclass(frozen=True)
@@ -431,8 +423,8 @@ def _logdet2(A: np.ndarray) -> float:
 
 def _receiver_rate(
     A: np.ndarray,
-    desired_cols: list[int],
-    other_cols: list[int],
+    desired_cols: tuple[int, ...],
+    other_cols: tuple[int, ...],
     P: float,
     T: int,
     noise_var: float,
@@ -465,11 +457,7 @@ def rate_slope_estimate(
     cannot cancel.
     """
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
-    columns = []
-    for rx in (1, 2):
-        owned = plan.registry.owned_columns(rx)
-        others = [c for c in range(len(plan.registry.symbols)) if c not in owned]
-        columns.append((list(owned), others))
+    columns = [plan.registry.split(rx) for rx in (1, 2)]
     totals = np.zeros(len(snrs))
     used = 0
     discarded = 0

@@ -4,16 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from dofbc.cli import (
-    main,
-    region_document,
-    region_from_json,
-    simulate_document,
-    sweep_k_rows,
-    sweep_n2_rows,
-)
+from dofbc import cli
+from dofbc.cli import main, region_document, region_from_json, simulate_document
 from dofbc.config import SystemConfig
-from dofbc.region import region_constraints
+from dofbc.figures import certified_points, sweep_k_rows, sweep_n2_rows
+from dofbc.region import region_constraints, sum_dof_lower
 
 
 def run_cli(capsys, *args):
@@ -159,6 +154,18 @@ def test_figure_certify(tmp_path, capsys):
         capsys, "figure", "fig3", "--out", str(tmp_path), "--certify", "--trials", "3"
     )
     assert code == 0, err
+
+
+def test_figure_certify_reports_each_mismatch(tmp_path, capsys, monkeypatch):
+    certified = [(label, sum_dof_lower(cfg)) for label, cfg in certified_points("fig3")]
+    monkeypatch.setattr(cli, "sum_dof_lower", lambda cfg: F(-1))  # a table no plan meets
+    code, _, err = run_cli(
+        capsys, "figure", "fig3", "--out", str(tmp_path), "--certify", "--trials", "1"
+    )
+    assert code == 3
+    assert err.splitlines() == [
+        f"fig3 {label}: certified {dof}, table -1" for label, dof in certified
+    ]
 
 
 def test_output_file(tmp_path, capsys):

@@ -193,16 +193,19 @@ def test_plan_validation_rejects_bad_structures():
     with pytest.raises(InvalidConfigError, match="unknown payload"):
         TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, Stream("a1", UnitRecipe(1)))),))
 
-    def coupled(*terms) -> Stream:
-        return Stream(CoupledPayload(aux=0, terms=terms), UnitRecipe(1))
+    with pytest.raises(InvalidConfigError, match="RX1 or RX2"):
+        SymbolRegistry((Symbol("a1", 1), Symbol("b1", 2), Symbol("x", 3)))
 
-    c, c_other = coupled(RxRowRef(0, 2, 0, 1)), coupled(RxRowRef(0, 2, 1, 1))
+    def coupled(aux, *terms) -> Stream:
+        return Stream(CoupledPayload(aux=aux, terms=terms), UnitRecipe(1))
+
+    c, c_other = coupled(0, RxRowRef(0, 2, 0, 1)), coupled(0, RxRowRef(0, 2, 1, 1))
     first = Slot((ok_stream, c))
-    TransmissionPlan(cfg, "x", registry, (first, Slot((c,))), aux_count=1)
+    assert TransmissionPlan(cfg, "x", registry, (first, Slot((c,)))).aux_count == 1
     with pytest.raises(InvalidConfigError, match="conflicting definitions"):
-        TransmissionPlan(cfg, "x", registry, (first, Slot((c_other,))), aux_count=1)
-    with pytest.raises(InvalidConfigError, match="defining equation"):
-        TransmissionPlan(cfg, "x", registry, (first,), aux_count=2)
+        TransmissionPlan(cfg, "x", registry, (first, Slot((c_other,))))
+    with pytest.raises(InvalidConfigError, match="0..n-1"):  # stream 1 without stream 0
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, coupled(1, RxRowRef(0, 2, 0, 1)))),))
     forward_ref = Stream(
         InterferencePayload(owner=1, terms=(RxRowRef(0, 2, 0, 1),)), UnitRecipe(0)
     )
