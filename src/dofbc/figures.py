@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import SystemConfig, normalize_config
+from .errors import InvalidConfigError
 from .region import pd_sum_dof, region_constraints, sum_dof_lower, sum_dof_upper
 
 FIG2_CONFIG = (9, 6, 3)  # (M, N1, N2), k = 0..M
@@ -60,8 +61,11 @@ def sweep_n2_rows(M: int, k: int) -> list[dict]:
     """Sum-DoF bounds versus N2 = ceil(M/2)..M with N1 + N2 = M.
 
     N2 = M leaves RX1 with zero antennas, which is not a valid two-user
-    config; both bounds are then the single-user limit M.
+    config; both bounds are then the single-user limit M.  M and k are
+    checked here, since that row builds no config that would check them.
     """
+    if M < 1 or not 0 <= k <= M:
+        raise InvalidConfigError(f"sweep-n2 needs M >= 1 and 0 <= k <= M, got M={M}, k={k}")
     rows = []
     for N2 in range((M + 1) // 2, M + 1):
         N1 = M - N2

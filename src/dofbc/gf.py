@@ -71,13 +71,6 @@ def gf_matmul(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarra
     return out
 
 
-def gf_inv_scalar(x: int, p: int = DEFAULT_PRIME) -> int:
-    x = int(x) % p
-    if x == 0:
-        raise ZeroDivisionError("0 has no inverse mod p")
-    return pow(x, -1, p)
-
-
 def _pivot_row(A: np.ndarray, r: int, c: int) -> bool:
     """Move the first row at or below r with a nonzero in column c up to
     row r, swapping columns c onwards only (no later step reads the earlier
@@ -141,7 +134,7 @@ def gf_rref(A: np.ndarray, p: int = DEFAULT_PRIME) -> tuple[np.ndarray, list[int
         if not _pivot_row(A, r, c):
             continue
         row = A[r, c:]
-        row *= gf_inv_scalar(row[0], p)
+        row *= pow(int(row[0]), -1, p)
         row %= p
         factors = A[:, c].copy()
         factors[r] = 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError
-from .gf import gf_array, gf_matmul, gf_solve
+from .gf import gf_matmul, gf_solve
 
 CHANNEL = "channel"
 CONSTANT = "constant"
@@ -55,6 +55,10 @@ def apzf_precoder(
         raise InvalidConfigError(f"pattern must have length {M - kp}")
     H_sel = channel.receiver_rows(rx, rows)
     field = channel.field
+    if field is not None:
+        # Reduce before any int64 cast: a long power pattern of Python ints
+        # can exceed 2^63.
+        patterns = np.asarray(patterns % field, dtype=np.int64)
 
     if kp == 0:
         active = np.zeros((0, patterns.shape[1]), dtype=channel.H.dtype)
@@ -76,7 +80,7 @@ def apzf_precoder(
     if field is None:
         t = np.concatenate([active, patterns.astype(float)])
     else:
-        t = np.concatenate([active, gf_array(patterns, field)])
+        t = np.concatenate([active, patterns])
     if kp and not _residual_ok(H_sel, t, field):
         raise ResampleRequiredError("cancellation residual check failed")
     return t

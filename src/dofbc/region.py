@@ -45,12 +45,6 @@ class LinearConstraint(NamedTuple):
     a2: Fraction
     b: Fraction
 
-    def satisfied_by(self, point: DofPoint) -> bool:
-        return self.a1 * point.d1 + self.a2 * point.d2 <= self.b
-
-    def active_at(self, point: DofPoint) -> bool:
-        return self.a1 * point.d1 + self.a2 * point.d2 == self.b
-
 
 def _constraint(a1, a2, b) -> LinearConstraint:
     c = LinearConstraint(Fraction(a1), Fraction(a2), Fraction(b))
@@ -73,11 +67,6 @@ class DofRegion:
     @cached_property
     def vertices(self) -> tuple[DofPoint, ...]:
         return region_vertices(self)
-
-    def contains(self, point: DofPoint) -> bool:
-        if point.d1 < 0 or point.d2 < 0:
-            return False
-        return all(c.satisfied_by(point) for c in self.constraints)
 
     def swapped_axes(self) -> "DofRegion":
         """The same region with the roles of d1 and d2 exchanged."""
@@ -172,10 +161,6 @@ def region_vertices(region: DofRegion) -> tuple[DofPoint, ...]:
     if not candidates:
         raise EmptyRegionError("region has no feasible vertices")
     return _hull(candidates)
-
-
-def max_sum_over(points: Iterable[DofPoint]) -> Fraction:
-    return max(p.d1 + p.d2 for p in points)
 
 
 def sum_dof_upper(cfg: SystemConfig) -> Fraction:
@@ -290,18 +275,13 @@ def pd_sum_dof(N1: int, N2: int) -> Fraction:
 def analogy_gap(cfg: SystemConfig) -> tuple[Fraction, Fraction]:
     """DoF losses of the two imperfect-CSIT settings relative to M = N1+N2.
 
-    Returns (delayed-CSIT loss, distributed-CSIT loss):
-
-        N2*N1/(N1+N2)  and  (N2-k)*N1/(N1+(N2-k)),
-
-    the second being (N1+N2) - sum_dof_lower(cfg).  Requires M = N1+N2 and
-    N1 <= k < N2.
+    Returns (delayed-CSIT loss, distributed-CSIT loss), that is
+    M - pd_sum_dof(N1, N2) and M - sum_dof_lower(cfg).  Requires M = N1+N2
+    and N1 <= k < N2.
     """
     M, N1, N2, k = cfg.shape
     if M != N1 + N2:
         raise RegimeError("loss comparison is defined for M = N1 + N2")
     if not N1 <= k < N2:
         raise RegimeError("loss comparison requires N1 <= k < N2")
-    pd_loss = Fraction(N2 * N1, N1 + N2)
-    distributed_loss = Fraction((N2 - k) * N1, N1 + (N2 - k))
-    return (pd_loss, distributed_loss)
+    return (M - pd_sum_dof(N1, N2), M - sum_dof_lower(cfg))

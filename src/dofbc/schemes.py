@@ -43,7 +43,6 @@ the same counts off the shape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,7 +53,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import SystemConfig
 from .errors import InvalidConfigError
-from .precoding import CHANNEL, CONSTANT, apzf_precoder
+from .precoding import CHANNEL, CONSTANT
 from .region import TABLE1_CONFIG, PlanShape, plan_shape
 
 
@@ -198,9 +197,6 @@ class ApzfRecipe:
     rows: tuple[int, ...]
     pattern: tuple[int, ...]
 
-    def vector(self, channel: ChannelRealization) -> np.ndarray:
-        return apzf_precoder(channel, self.rx, self.rows, np.array(self.pattern)[:, None])[:, 0]
-
     def labels(self, cfg: SystemConfig) -> tuple[str, ...]:
         kp = len(self.rows)
         return (CHANNEL,) * kp + (CONSTANT,) * (cfg.M - kp)
@@ -315,18 +311,6 @@ class TransmissionPlan:
         if coupled.keys() != set(range(len(coupled))):
             raise InvalidConfigError("coupled stream indices must be 0..n-1")
 
-    def max_streams_per_slot(self) -> int:
-        return max((len(s.streams) for s in self.slots), default=0)
-
-    def fresh_count(self, slot: int, rx: int) -> int:
-        count = 0
-        for stream in self.slots[slot].streams:
-            if isinstance(stream.payload, FreshPayload):
-                sym = self.registry.symbols[self.registry.index(stream.payload.symbol)]
-                if sym.rx == rx:
-                    count += 1
-        return count
-
     def to_json(self) -> dict:
         return {
             "scheme": self.scheme_id,
@@ -338,9 +322,6 @@ class TransmissionPlan:
                 for slot in self.slots
             ],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=1)
 
 
 def pattern_node(index: int) -> int:

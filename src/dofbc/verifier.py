@@ -248,7 +248,6 @@ def decodability_check(system: ObservationSystem) -> DecodabilityReport:
 
 @dataclass(frozen=True)
 class CertificationResult:
-    plan_id: str
     trials: int
     failures: tuple[int, ...]
     resamples: int
@@ -266,7 +265,6 @@ def _certification(
     """Fold per-trial decodability reports into one result."""
     failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
     return CertificationResult(
-        plan_id=plan.scheme_id,
         trials=len(reports),
         failures=failures,
         resamples=resamples,
@@ -371,19 +369,12 @@ def csit_compliance(
     return ComplianceReport(violations=tuple(violations))
 
 
-def stream_gains(plan: TransmissionPlan, channel: ChannelRealization, slot_index: int) -> dict:
-    """Per-stream receive gains H_i @ t_s of one slot, keyed by receiver."""
-    T_mat = _precoder_matrices(plan, channel)[slot_index]
-    return {1: _matmul(channel.H1, T_mat, channel.field), 2: _matmul(channel.H2, T_mat, channel.field)}
-
-
 @dataclass(frozen=True)
 class RateSimConfig:
     """Finite-SNR simulation settings (SNR points in dB, strictly increasing)."""
 
     snr_db: tuple[float, ...] = (40.0, 60.0, 80.0)
     trials: int = 100
-    noise_var: float = 1.0
 
     def __post_init__(self):
         if not all(math.isfinite(s) for s in self.snr_db):
@@ -427,18 +418,17 @@ def _receiver_rate(
     other_cols: tuple[int, ...],
     P: float,
     T: int,
-    noise_var: float,
 ) -> float:
     """(1/2T) log2 det ratio: mutual information of the desired symbols with
-    the other user's columns treated as Gaussian noise.  The 1/2 is the real
-    Gaussian channel prelog, matching the DoF normalization against
-    log2(sqrt(P))."""
+    the other user's columns treated as Gaussian noise, over unit-variance
+    receiver noise.  The 1/2 is the real Gaussian channel prelog, matching
+    the DoF normalization against log2(sqrt(P))."""
     if not desired_cols:
         return 0.0
     n = A.shape[0]
     desired = A[:, desired_cols]
     interference = A[:, other_cols]
-    sigma = noise_var * np.eye(n) + P * (interference @ interference.T)
+    sigma = np.eye(n) + P * (interference @ interference.T)
     total = sigma + P * (desired @ desired.T)
     return (_logdet2(total) - _logdet2(sigma)) / (2.0 * T)
 
@@ -468,8 +458,8 @@ def rate_slope_estimate(
             try:
                 system = realize_plan(plan, channel)
                 rates = [
-                    _receiver_rate(system.A1, *columns[0], P, plan.T, rsc.noise_var)
-                    + _receiver_rate(system.A2, *columns[1], P, plan.T, rsc.noise_var)
+                    _receiver_rate(system.A1, *columns[0], P, plan.T)
+                    + _receiver_rate(system.A2, *columns[1], P, plan.T)
                     for P in snrs
                 ]
                 break

@@ -1,4 +1,5 @@
-"""Shared fixtures: hand-built plans for negative tests."""
+"""Shared fixtures: hand-built plans for negative tests, and plan queries
+that only tests ask."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dofbc.config import SystemConfig
+from dofbc.gf import gf_matmul
 from dofbc.precoding import CONSTANT
 from dofbc.schemes import (
     FreshPayload,
@@ -17,6 +19,7 @@ from dofbc.schemes import (
     TransmissionPlan,
     UnitRecipe,
 )
+from dofbc.verifier import _precoder_matrices
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,27 @@ def overloaded_rx2_plan() -> TransmissionPlan:
         registry=registry,
         slots=(Slot(first), Slot(second)),
     )
+
+
+def max_streams_per_slot(plan: TransmissionPlan) -> int:
+    return max(len(s.streams) for s in plan.slots)
+
+
+def fresh_count(plan: TransmissionPlan, slot: int, rx: int) -> int:
+    """Fresh symbols meant for receiver `rx` that slot `slot` of `plan` sends."""
+    symbols = plan.registry.symbols
+    return sum(
+        1
+        for stream in plan.slots[slot].streams
+        if isinstance(stream.payload, FreshPayload)
+        and symbols[plan.registry.index(stream.payload.symbol)].rx == rx
+    )
+
+
+def stream_gains(plan: TransmissionPlan, channel, slot_index: int) -> dict:
+    """Per-stream receive gains H_i @ t_s of one slot on a GF(p) channel, keyed by receiver."""
+    T_mat = _precoder_matrices(plan, channel)[slot_index]
+    return {rx: gf_matmul(H, T_mat, channel.field) for rx, H in ((1, channel.H1), (2, channel.H2))}
 
 
 def tight_regime_grid():

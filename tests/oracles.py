@@ -2,8 +2,8 @@
 
 Everything here recomputes results from first principles (pairwise
 constraint intersection, explicit determinants, the closed-form sum-DoF
-lower bound of each regime) without calling into the package's own code
-paths.
+lower bound of each regime, the closed-form analogy losses) without calling
+into the package's own code paths.
 """
 
 from __future__ import annotations
@@ -107,6 +107,13 @@ def sum_dof_lower_closed_form(cfg, allow_special_cases: bool = False) -> Fractio
     if scheme is None:
         return baseline
     return max(baseline, scheme)
+
+
+def analogy_gap_closed_form(cfg) -> tuple[Fraction, Fraction]:
+    """(delayed-CSIT loss, distributed-CSIT loss) against M = N1+N2 for
+    N1 <= k < N2: N2*N1/(N1+N2) and (N2-k)*N1/(N1+(N2-k))."""
+    M, N1, N2, k = cfg.shape
+    return Fraction(N2 * N1, N1 + N2), Fraction((N2 - k) * N1, N1 + (N2 - k))
 
 
 def det2_mod(a, b, c, d, p: int) -> int:

@@ -28,10 +28,9 @@ from dofbc.verifier import (
     certify_on_channels,
     csit_compliance,
     rate_slope_estimate,
-    stream_gains,
 )
 
-from .helpers import adversarial_plan, low_k_grid, tight_regime_grid
+from .helpers import adversarial_plan, low_k_grid, stream_gains, tight_regime_grid
 from .oracles import (
     low_k_scheme_value,
     outer_bound_halfplanes,

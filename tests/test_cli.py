@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dofbc import cli
 from dofbc.cli import main, region_document, region_from_json, simulate_document
@@ -67,6 +72,9 @@ def test_invalid_config_exits_2(capsys):
         ("region", "4", "1", "3", "2", "--out", "{tmp}/missing/region.json"),
         ("simulate", "4", "1", "3", "2", "--delta-min", "0"),
         ("simulate", "4", "1", "3", "2", "--trials", "2", "--snr", "nan,60,80"),
+        ("sweep-n2", "0", "0"),
+        ("sweep-n2", "1", "5"),
+        ("sweep-n2", "-1", "0", "--format", "csv"),
     ],
 )
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, args):
@@ -174,3 +182,67 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_file.read_text())
     assert doc["vertices"][2] == ["1", "9/4"]
+
+
+COUNT = st.integers(-3, 25).map(str)
+OUT = st.sampled_from([None, "missing"])
+
+
+def _flag(name: str, values) -> st.SearchStrategy:
+    """Either no `name` flag or `name` with one of `values`."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, v]))
+
+
+def _switch(name: str) -> st.SearchStrategy:
+    return st.sampled_from([[], [name]])
+
+
+@st.composite
+def cli_calls(draw):
+    """A parseable command line: any counts, valid, boundary and junk flags."""
+    command = draw(st.sampled_from(["region", "sweep-k", "sweep-n2", "simulate", "figure"]))
+    if command == "figure":
+        args = [command, draw(st.sampled_from(["fig2", "fig3", "fig4"]))]
+        args += draw(_switch("--certify"))
+    else:
+        positionals = {"sweep-k": 3, "sweep-n2": 2}.get(command, 4)
+        args = [command] + [draw(COUNT) for _ in range(positionals)]
+    if command in ("region", "sweep-k", "sweep-n2"):
+        args += draw(_flag("--format", ["json", "csv"]))
+    if command in ("simulate", "figure"):
+        # --trials is always set: the default 50 trials would take seconds.
+        args += ["--trials", draw(st.sampled_from(["-1", "0", "1", "2"]))]
+        args += draw(_flag("--seed", ["-1", "0", "7"]))
+    if command == "simulate":
+        args += draw(_flag("--snr", ["40", "60,40", "nan,1,2", "40,60"]))
+        args += draw(_flag("--delta-min", ["0", "-1", "inf", "0.1"]))
+        args += draw(_switch("--special-cases"))
+    return args, draw(OUT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=cli_calls())
+@example(call=(["sweep-n2", "-1", "0", "--format", "csv"], None))
+@example(call=(["simulate", "25", "5", "20", "3", "--trials", "1"], None))
+def test_cli_exit_code_contract(call):
+    args, out = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if out:  # a directory that does not exist
+            target = f"{tmp}/missing" if args[0] == "figure" else f"{tmp}/missing/out.txt"
+            args = args + ["--out", target]
+        elif args[0] == "figure":
+            args = args + ["--out", tmp]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)  # any exception escaping main fails the test
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), (args, code)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("invalid input:") and err.count("\n") == 1, (args, err)
+    if code == 0 and "csv" in args and not out:
+        rows = list(csv.DictReader(stdout.getvalue().splitlines()))
+        assert rows and all(None not in row and None not in row.values() for row in rows)
+    if args[0] == "sweep-n2":
+        M, k = int(args[1]), int(args[2])
+        assert (code == 0) == (M >= 1 and 0 <= k <= M and not out), (args, code)

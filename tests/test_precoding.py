@@ -143,3 +143,13 @@ def test_field_rank_deficient_active_block_resamples_with_spare_antennas():
     ch = ChannelRealization(cfg=cfg, H=H, field=field_channel(cfg, seed=0).field)
     with pytest.raises(ResampleRequiredError):
         apzf_precoder(ch, 2, (0, 1), column([1, 1]))
+
+
+def test_field_patterns_beyond_int64_are_reduced_exactly():
+    # Long power patterns of Python ints exceed 2^63 before reduction mod p.
+    ch = field_channel(SystemConfig(4, 1, 3, 2), seed=3)
+    big = [10**21, -(7**30), 1]
+    reduced = [x % ch.field for x in big]
+    assert np.array_equal(
+        apzf_precoder(ch, 2, (0,), column(big)), apzf_precoder(ch, 2, (0,), column(reduced))
+    )

@@ -16,7 +16,6 @@ from dofbc.region import (
     achievable_region,
     analogy_gap,
     _hull,
-    max_sum_over,
     pd_sum_dof,
     region_constraints,
     region_vertices,
@@ -26,6 +25,7 @@ from dofbc.region import (
 from dofbc.schemes import select_scheme
 
 from .oracles import (
+    analogy_gap_closed_form,
     lp_max_sum_oracle,
     outer_bound_halfplanes,
     sum_dof_lower_closed_form,
@@ -88,10 +88,10 @@ def test_vertex_certificate_and_lp_max():
         region = region_constraints(cfg)
         axes = (LinearConstraint(F(-1), F(0), F(0)), LinearConstraint(F(0), F(-1), F(0)))
         for v in region.vertices:
-            assert region.contains(v)
-            active = sum(1 for c in region.constraints + axes if c.active_at(v))
-            assert active >= 2
-        assert max_sum_over(region.vertices) == lp_max_sum_oracle(
+            slack = [c.b - c.a1 * v.d1 - c.a2 * v.d2 for c in region.constraints + axes]
+            assert min(slack) >= 0  # inside the region, axes included
+            assert slack.count(0) >= 2  # at least two active constraints
+        assert max(v.d1 + v.d2 for v in region.vertices) == lp_max_sum_oracle(
             outer_bound_halfplanes(*shape)
         )
 
@@ -284,7 +284,7 @@ def test_achievable_max_sum_matches_lower_bound():
     for shape in [(4, 1, 3, 1), (4, 1, 3, 2), (4, 1, 3, 3), (9, 3, 6, 4), (5, 2, 4, 2)]:
         cfg = SystemConfig(*shape)
         if cfg.k >= cfg.N1:
-            assert max_sum_over(achievable_region(cfg)) == sum_dof_lower(cfg)
+            assert max(v.d1 + v.d2 for v in achievable_region(cfg)) == sum_dof_lower(cfg)
 
 
 def test_pd_sum_dof():
@@ -297,8 +297,13 @@ def test_pd_sum_dof():
 def test_analogy_gap():
     assert analogy_gap(SystemConfig(4, 1, 3, 1)) == (F(3, 4), F(2, 3))
     assert analogy_gap(SystemConfig(4, 1, 3, 2)) == (F(3, 4), F(1, 2))
-    cfg = SystemConfig(4, 1, 3, 2)
-    assert (cfg.N1 + cfg.N2) - sum_dof_lower(cfg) == analogy_gap(cfg)[1]
+    # The losses are read off pd_sum_dof and sum_dof_lower; the closed forms
+    # check both over the whole domain M = N1+N2, N1 <= k < N2, N2 < 20.
+    for N2 in range(2, 20):
+        for N1 in range(1, N2):
+            for k in range(N1, N2):
+                cfg = SystemConfig(N1 + N2, N1, N2, k)
+                assert analogy_gap(cfg) == analogy_gap_closed_form(cfg), cfg.shape
     with pytest.raises(RegimeError):
         analogy_gap(SystemConfig(4, 1, 3, 3))  # k = N2 excluded
     with pytest.raises(RegimeError):

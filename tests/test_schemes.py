@@ -25,13 +25,15 @@ from dofbc.schemes import (
     select_scheme,
 )
 
+from .helpers import fresh_count, max_streams_per_slot
 from .oracles import sum_dof_lower_closed_form
 
 GOLDEN = Path(__file__).parent / "data" / "plan_4132.json"
 
-# sha256 of select_scheme(SystemConfig(M, N1, N2, k), special).to_json_str()
-# concatenated in loop order over M, N1 <= N2 <= 8, 0 <= k <= M and both
-# values of `special`: 3,168 plans.
+# sha256 of json.dumps(plan.to_json(), indent=1) for every
+# plan = select_scheme(SystemConfig(M, N1, N2, k), special), concatenated in
+# loop order over M, N1 <= N2 <= 8, 0 <= k <= M and both values of
+# `special`: 3,168 plans.
 CATALOGUE_SHA256 = "baadb8bc489a28070201446820430b7dc7b964b9351ba94c6f4b9a3e935e2455"
 
 
@@ -54,11 +56,11 @@ def test_mid_k_phase_structure():
     plan = select_scheme(cfg)
     M, N1, N2, k = cfg.shape
     for t in range(N1):
-        assert plan.fresh_count(t, 1) == M - k
-        assert plan.fresh_count(t, 2) == M - N1
+        assert fresh_count(plan, t, 1) == M - k
+        assert fresh_count(plan, t, 2) == M - N1
     for u in range(N1, plan.T):
-        assert plan.fresh_count(u, 1) == 0
-        assert plan.fresh_count(u, 2) == N2 - N1
+        assert fresh_count(plan, u, 1) == 0
+        assert fresh_count(plan, u, 2) == N2 - N1
         retrans = [s for s in plan.slots[u].streams if isinstance(s.payload, InterferencePayload)]
         assert len(retrans) == N1
         for stream in retrans:
@@ -168,10 +170,10 @@ def test_per_slot_stream_budget():
         plan = select_scheme(cfg)
         M, N1, N2, k = cfg.shape
         phase2 = max(0, M - k - N1)
-        assert plan.max_streams_per_slot() <= M + phase2
+        assert max_streams_per_slot(plan) <= M + phase2
     for shape in [(6, 3, 3, 1), (9, 3, 6, 2)]:
         plan = select_scheme(SystemConfig(*shape))
-        assert plan.max_streams_per_slot() <= plan.cfg.M
+        assert max_streams_per_slot(plan) <= plan.cfg.M
 
 
 def test_rx2_allocation_never_exceeds_n2():
@@ -179,7 +181,7 @@ def test_rx2_allocation_never_exceeds_n2():
         cfg = SystemConfig(*shape)
         plan = select_scheme(cfg)
         for t in range(plan.T):
-            assert plan.fresh_count(t, 2) <= cfg.N2
+            assert fresh_count(plan, t, 2) <= cfg.N2
 
 
 def test_plan_validation_rejects_bad_structures():
@@ -235,7 +237,7 @@ def test_plan_validation_rejects_bad_structures():
 
 def test_plan_json_golden():
     plan = select_scheme(SystemConfig(4, 1, 3, 2))
-    assert json.loads(plan.to_json_str()) == json.loads(GOLDEN.read_text())
+    assert json.loads(json.dumps(plan.to_json(), indent=1)) == json.loads(GOLDEN.read_text())
 
 
 def test_plan_json_shape():
@@ -256,5 +258,5 @@ def test_plan_catalogue_digest():
                 for k in range(M + 1):
                     for special in (False, True):
                         plan = select_scheme(SystemConfig(M, N1, N2, k), special)
-                        digest.update(plan.to_json_str().encode())
+                        digest.update(json.dumps(plan.to_json(), indent=1).encode())
     assert digest.hexdigest() == CATALOGUE_SHA256

@@ -10,7 +10,9 @@ from dofbc.channel import ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError, ResampleRequiredError
 from dofbc.gf import DEFAULT_PRIME, gf_matmul, gf_rank
+from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
+    ApzfRecipe,
     FreshPayload,
     Slot,
     Stream,
@@ -31,13 +33,13 @@ from dofbc.verifier import (
     rate_slope_estimate,
     realize_plan,
     RateSimConfig,
-    stream_gains,
 )
 
 from .helpers import (
     adversarial_plan,
     low_k_grid,
     overloaded_rx2_plan,
+    stream_gains,
     tight_regime_grid,
 )
 from .oracles import sum_dof_lower_closed_form
@@ -285,8 +287,9 @@ def _certification_digest() -> str:
     runs = [(cfg, 3, 1) for cfg in tight_regime_grid()]
     runs += [(cfg, 2, 2) for cfg in list(low_k_grid())[::3]]
     for cfg, trials, seed in runs:
-        result = achieved_dof(select_scheme(cfg), trials=trials, seed=seed)
-        record = (result.plan_id, str(result.dof), result.failures, result.resamples)
+        plan = select_scheme(cfg)
+        result = achieved_dof(plan, trials=trials, seed=seed)
+        record = (plan.scheme_id, str(result.dof), result.failures, result.resamples)
         digest.update(repr(record).encode())
     return digest.hexdigest()
 
@@ -310,7 +313,12 @@ def test_grouped_precoders_equal_per_stream_precoders():
             matrices = _precoder_matrices(plan, channel)
             for slot, T_mat in zip(plan.slots, matrices):
                 for s_idx, stream in enumerate(slot.streams):
-                    expected = stream.precoder.vector(channel)
+                    recipe = stream.precoder
+                    if isinstance(recipe, ApzfRecipe):
+                        pattern = np.array(recipe.pattern)[:, None]
+                        expected = apzf_precoder(channel, recipe.rx, recipe.rows, pattern)[:, 0]
+                    else:
+                        expected = recipe.vector(channel)
                     assert np.array_equal(T_mat[:, s_idx], expected), (plan.cfg.shape, s_idx)
 
 
@@ -327,6 +335,7 @@ def small_configs(draw):
 @given(cfg=small_configs())
 @example(cfg=SystemConfig(6, 3, 3, 1))
 @example(cfg=SystemConfig(9, 2, 3, 2))
+@example(cfg=SystemConfig(25, 5, 20, 3))  # power patterns beyond int64
 def test_selected_plans_certify_and_comply(cfg):
     for special in (False, True):
         plan = select_scheme(cfg, special)
