@@ -5,8 +5,11 @@ Two kinds of realization are produced from the same seed machinery:
 * real-valued channels with entries drawn uniformly from
   +-[delta_min, delta_max], the bounded-away-from-0-and-infinity model used
   for Monte Carlo rate simulation and floating residual checks;
-* prime-field channels with uniform nonzero residues mod p, used by the
-  verifier for exact generic-rank certification.
+* prime-field channels with uniform nonzero residues mod p = 2^31 - 1,
+  used by the verifier for exact generic-rank certification.
+
+`ChannelRealization` accepts a channel over any prime field below 2^31;
+the library itself draws on GF(2^31 - 1) only.
 """
 
 from __future__ import annotations
@@ -119,11 +122,8 @@ def sample_channel(
     return ChannelRealization(cfg=cfg, H=magnitudes * signs, field=None)
 
 
-def field_channel(
-    cfg: SystemConfig, seed: int = 0, index: int = 0, p: int = DEFAULT_PRIME
-) -> ChannelRealization:
-    """GF(p) channel with i.i.d. uniform nonzero residues."""
-    _check_field(p)
+def field_channel(cfg: SystemConfig, seed: int = 0, index: int = 0) -> ChannelRealization:
+    """GF(2^31 - 1) channel with i.i.d. uniform nonzero residues."""
     rng = trial_rng(seed, index)
-    H = rng.integers(1, p, size=(cfg.N, cfg.M), dtype=np.int64)
-    return ChannelRealization(cfg=cfg, H=H, field=p)
+    H = rng.integers(1, DEFAULT_PRIME, size=(cfg.N, cfg.M), dtype=np.int64)
+    return ChannelRealization(cfg=cfg, H=H, field=DEFAULT_PRIME)

@@ -57,16 +57,17 @@ def _unswap_point(p: DofPoint, swapped: bool) -> tuple[Fraction, Fraction]:
 def region_document(M: int, N1: int, N2: int, k: int) -> dict:
     """Region document in the caller's receiver labeling."""
     cfg = normalize_config(M, N1, N2, k)
+    swapped = N1 > N2
     region = region_constraints(cfg)
-    vertices = [_unswap_point(v, cfg.swapped) for v in region.vertices]
-    hull = [_unswap_point(v, cfg.swapped) for v in achievable_region(cfg)]
+    vertices = [_unswap_point(v, swapped) for v in region.vertices]
+    hull = [_unswap_point(v, swapped) for v in achievable_region(cfg)]
     constraints = region.constraints
-    if cfg.swapped:
+    if swapped:
         constraints = region.swapped_axes().constraints
         vertices = sorted(vertices)
         hull = sorted(hull)
     return {
-        "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": cfg.swapped},
+        "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": swapped},
         "constraints": [{"a1": str(c.a1), "a2": str(c.a2), "b": str(c.b)} for c in constraints],
         "vertices": [[str(d1), str(d2)] for d1, d2 in vertices],
         "achievable": [[str(d1), str(d2)] for d1, d2 in hull],
@@ -97,16 +98,21 @@ def simulate_document(
     delta_min: float = 0.1,
     delta_max: float = 1.0,
 ) -> dict:
+    """Simulation document; `S1`/`S2` count symbols in the caller's receiver order."""
     cfg = normalize_config(M, N1, N2, k)
+    swapped = N1 > N2
     dist = ChannelDistribution(delta_min, delta_max)
     plan = select_scheme(cfg, allow_special_cases=special_cases)
     certification = achieved_dof(plan, trials=trials, seed=seed)
     compliance = csit_compliance(plan, seed=seed)
+    S1, S2 = plan.registry.S1, plan.registry.S2
+    if swapped:
+        S1, S2 = S2, S1
     doc = {
-        "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": cfg.swapped},
+        "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": swapped},
         "scheme": plan.scheme_id,
-        "S1": plan.registry.S1,
-        "S2": plan.registry.S2,
+        "S1": S1,
+        "S2": S2,
         "T": plan.T,
         "claimed_dof": str(plan.claimed_dof),
         "certified_dof": None if certification.dof is None else str(certification.dof),
@@ -178,13 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
         for name in positionals:
             p.add_argument(name, type=int)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
+    def add_table(p, *positionals: str):
+        add_common(p, *positionals).add_argument("--format", choices=("json", "csv"), default="json")
+
     config = ("M", "N1", "N2", "k")
-    add_common(sub.add_parser("region", help="DoF region constraints and vertices"), *config)
-    add_common(sub.add_parser("sweep-k", help="bounds for k = 0..M"), "M", "N1", "N2")
-    add_common(sub.add_parser("sweep-n2", help="bounds versus N2 with N1+N2 = M"), "M", "k")
+    add_table(sub.add_parser("region", help="DoF region constraints and vertices"), *config)
+    add_table(sub.add_parser("sweep-k", help="bounds for k = 0..M"), "M", "N1", "N2")
+    add_table(sub.add_parser("sweep-n2", help="bounds versus N2 with N1+N2 = M"), "M", "k")
 
     sim = sub.add_parser("simulate", help="build and certify a transmission plan")
     add_common(sim, *config)

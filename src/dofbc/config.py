@@ -4,8 +4,9 @@ A system is described by the tuple (M, N1, N2, k): M transmit antennas serve
 two receivers with N1 and N2 antennas, and only the first k transmit antennas
 hold perfect channel knowledge (the remaining M - k hold finite-precision
 knowledge only).  All analysis assumes the receiver labels are ordered so
-that N1 <= N2; `normalize_config` applies that convention and remembers
-whether the labels were swapped so results can be reported in user order.
+that N1 <= N2; `normalize_config` applies that convention.  A config does
+not remember the caller's order: the CLI, which reports in that order,
+swaps back itself when the caller's N1 > N2.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ class SystemConfig:
         N2: antennas at the stronger receiver.
         k: number of transmit antennas with perfect channel knowledge
             (0 <= k <= M); by convention these are antennas 1..k.
-        swapped: True if the receiver labels were exchanged during
-            normalization (the caller's RX1 is this config's RX2).
     """
 
     M: int
     N1: int
     N2: int
     k: int
-    swapped: bool = False
 
     def __post_init__(self):
         for name in ("M", "N1", "N2", "k"):
@@ -60,12 +58,7 @@ class SystemConfig:
 
 
 def normalize_config(M: int, N1: int, N2: int, k: int) -> SystemConfig:
-    """Swap receiver labels if needed so N1 <= N2; `SystemConfig` validates.
-
-    Returns a `SystemConfig` whose `swapped` flag records whether the two
-    receivers were exchanged, so downstream region output can be un-swapped
-    back to the caller's labeling.
-    """
+    """Swap receiver labels if needed so N1 <= N2; `SystemConfig` validates."""
     if isinstance(N1, int) and isinstance(N2, int) and N1 > N2:
-        return SystemConfig(M, N2, N1, k, swapped=True)
-    return SystemConfig(M, N1, N2, k, swapped=False)
+        return SystemConfig(M, N2, N1, k)
+    return SystemConfig(M, N1, N2, k)

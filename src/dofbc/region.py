@@ -28,8 +28,6 @@ from typing import Iterable, NamedTuple
 from .config import SystemConfig
 from .errors import EmptyRegionError, InvalidConfigError, RegimeError
 
-TABLE1_CONFIG = (6, 3, 3, 1)  # the config of the crafted special-case plan
-
 
 class DofPoint(NamedTuple):
     """A (d1, d2) pair with exact rational coordinates."""
@@ -207,24 +205,19 @@ class PlanShape(NamedTuple):
         return self.p1 * self.b + self.p2 * self.b2
 
 
-# The crafted (6,3,3,1) plan is not built from the template; its shape only
-# records its counts (8 symbols per receiver over 4 slots).
-TABLE1_SHAPE = PlanShape("table1", p1=4, a=2, a_rows=0, b=2, b_rows=0)
-
-
-def plan_shape(cfg: SystemConfig, allow_special_cases: bool = False) -> PlanShape:
-    """The built-in plan for `cfg`, decided on integers with M capped at N1+N2.
+def plan_shape(cfg: SystemConfig) -> PlanShape:
+    """The template plan for `cfg`, decided on integers with M capped at N1+N2.
 
     k = 0, M <= N2, or a low-k scheme that does not beat min(N2, M): serve
     RX2 alone.  k >= N2: one fully separated ZF slot.  N1 <= k < N2: the
     two-phase mid-k plan, a single slot when M <= N1+k.  1 <= k < N1: the
     low-k retransmission plan with m = min(N2, M-k), when m + k^2/m wins.
+    The crafted (6,3,3,1) plan is not a template instance; only
+    `schemes.select_scheme` chooses it, on request.
     """
     M, N1, N2, k = cfg.shape
     M = min(M, N1 + N2)
     k = min(k, M)
-    if allow_special_cases and (M, N1, N2, k) == TABLE1_CONFIG:
-        return TABLE1_SHAPE
     rx2_only = PlanShape("rx2-baseline", p1=1, a=0, a_rows=0, b=min(N2, M), b_rows=0)
     if k == 0 or M <= N2:
         return rx2_only
@@ -242,26 +235,25 @@ def plan_shape(cfg: SystemConfig, allow_special_cases: bool = False) -> PlanShap
     return PlanShape("low-k", p1=k, a=m, a_rows=k, b=k, b_rows=k, p2=m - k, b2=m)
 
 
-def sum_dof_lower(cfg: SystemConfig, allow_special_cases: bool = False) -> Fraction:
-    """Sum DoF (S1+S2)/T of the built-in plan that `plan_shape` picks for `cfg`.
+def sum_dof_lower(cfg: SystemConfig) -> Fraction:
+    """Sum DoF (S1+S2)/T of the template plan that `plan_shape` picks for `cfg`.
 
     `plan_shape` is the one place the regime is decided; this bound is read
-    off its symbol and slot counts.  With `allow_special_cases`, the
-    hand-crafted (6,3,3,1) plan raises that config's value to 4.
+    off its symbol and slot counts.
     """
-    shape = plan_shape(cfg, allow_special_cases)
+    shape = plan_shape(cfg)
     return Fraction(shape.S1 + shape.S2, shape.T)
 
 
-def achievable_region(cfg: SystemConfig, allow_special_cases: bool = False) -> tuple[DofPoint, ...]:
+def achievable_region(cfg: SystemConfig) -> tuple[DofPoint, ...]:
     """Hull of the single-user corners and the scheme split point (S1/T, S2/T).
 
-    This is the region achievable by time-sharing the built-in plans; its
+    This is the region achievable by time-sharing the template plans; its
     maximal d1+d2 equals `sum_dof_lower`, read off the same shape.  No richer
     boundary is claimed for k < N1.
     """
     M, N1, N2, _ = cfg.shape
-    shape = plan_shape(cfg, allow_special_cases)
+    shape = plan_shape(cfg)
     return _hull([(0, 0, 1), (min(M, N1), 0, 1), (0, min(M, N2), 1), (shape.S1, shape.S2, shape.T)])
 
 

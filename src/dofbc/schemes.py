@@ -38,7 +38,9 @@ place the regime is decided:
 A plan delivers S1 = p1 a and S2 = p1 b + p2 b2 symbols over T = p1 + p2
 slots.  Its claimed sum DoF is not stated anywhere: a plan derives it as
 (S1+S2)/T from its own symbols and slots, and `region.sum_dof_lower` reads
-the same counts off the shape.
+the same counts off the shape.  `select_scheme` builds the template plan,
+except that with `allow_special_cases` a config capping to (6,3,3,1) gets
+the crafted plan, which claims 4 where `sum_dof_lower` stays 10/3.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ from .channel import ChannelRealization
 from .config import SystemConfig
 from .errors import InvalidConfigError
 from .precoding import CHANNEL, CONSTANT
-from .region import TABLE1_CONFIG, PlanShape, plan_shape
+from .region import PlanShape, plan_shape
+
+TABLE1_CONFIG = (6, 3, 3, 1)  # the config of the crafted special-case plan
 
 
 class Symbol(NamedTuple):
@@ -450,12 +454,16 @@ def effective_config(cfg: SystemConfig) -> SystemConfig:
     if M <= N1 + N2:
         return cfg
     eff_M = N1 + N2
-    return SystemConfig(eff_M, N1, N2, min(k, eff_M), swapped=cfg.swapped)
+    return SystemConfig(eff_M, N1, N2, min(k, eff_M))
 
 
 def select_scheme(cfg: SystemConfig, allow_special_cases: bool = False) -> TransmissionPlan:
-    """The built-in plan chosen by `plan_shape`."""
-    shape = plan_shape(cfg, allow_special_cases)
-    if shape.scheme == "table1":
+    """The template plan `plan_shape` picks for `cfg`, run on the capped config.
+
+    With `allow_special_cases`, a config that caps to (6,3,3,1) gets the
+    crafted plan of `build_scheme_6331` instead.
+    """
+    eff = effective_config(cfg)
+    if allow_special_cases and eff.shape == TABLE1_CONFIG:
         return build_scheme_6331()
-    return _two_phase_plan(effective_config(cfg), shape)
+    return _two_phase_plan(eff, plan_shape(eff))

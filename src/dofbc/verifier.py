@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError
-from .gf import DEFAULT_PRIME, gf_matmul, gf_pivots, gf_solve
+from .gf import gf_matmul, gf_pivots, gf_solve
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import CONSTANT, apzf_precoder
 from .schemes import (
@@ -280,13 +280,8 @@ def certify_on_channels(plan: TransmissionPlan, channels) -> CertificationResult
     )
 
 
-def achieved_dof(
-    plan: TransmissionPlan,
-    trials: int = 50,
-    seed: int = 1,
-    p: int = DEFAULT_PRIME,
-) -> CertificationResult:
-    """Certify the plan on `trials` independent prime-field channels.
+def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> CertificationResult:
+    """Certify the plan on `trials` independent GF(2^31 - 1) channels.
 
     Singular draws (AP-ZF submatrix or fixed-point degeneracies) are
     resampled, as they are measure-zero events; genuine decodability
@@ -298,7 +293,7 @@ def achieved_dof(
     resamples = 0
     for i in range(trials):
         for attempt in range(_MAX_RESAMPLE):
-            channel = field_channel(plan.cfg, seed, index=i * _MAX_RESAMPLE + attempt, p=p)
+            channel = field_channel(plan.cfg, seed, index=i * _MAX_RESAMPLE + attempt)
             try:
                 reports.append(decodability_check(realize_plan(plan, channel)))
                 break
@@ -335,9 +330,7 @@ class ComplianceReport:
         }
 
 
-def csit_compliance(
-    plan: TransmissionPlan, seed: int = 0, p: int = DEFAULT_PRIME
-) -> ComplianceReport:
+def csit_compliance(plan: TransmissionPlan, seed: int = 0) -> ComplianceReport:
     """Check that uninformed antennas never emit channel-dependent coefficients.
 
     The plan's precoders are evaluated under two independent channels; every
@@ -346,8 +339,8 @@ def csit_compliance(
     must sit on an informed antenna.
     """
     cfg = plan.cfg
-    ch_a = field_channel(cfg, seed, index=0, p=p)
-    ch_b = field_channel(cfg, seed, index=1, p=p)
+    ch_a = field_channel(cfg, seed, index=0)
+    ch_b = field_channel(cfg, seed, index=1)
     precoders_a = _precoder_matrices(plan, ch_a)
     precoders_b = _precoder_matrices(plan, ch_b)
     violations = []

@@ -119,6 +119,19 @@ def test_simulate_document_and_exit(capsys):
     assert doc["slope"] is None
 
 
+def test_simulate_reports_symbols_in_callers_order(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "4", "3", "1", "2", "--trials", "2")
+    doc = json.loads(out)
+    assert code == 0 and doc["config"]["swapped"] is True
+    assert (doc["S1"], doc["S2"]) == (5, 2)
+
+
+def test_simulate_has_no_format_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "4", "1", "3", "2", "--trials", "1", "--format", "csv"])
+    assert exc.value.code == 2
+
+
 def test_simulate_special_case_table1(capsys):
     code, out, _ = run_cli(capsys, "simulate", "6", "3", "3", "1", "--trials", "5", "--special-cases")
     doc = json.loads(out)

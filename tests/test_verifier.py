@@ -147,17 +147,6 @@ def test_achieved_dof_examples(builder, shape, expected):
     assert result.failures == ()
 
 
-def test_achieved_dof_rejects_composite_field():
-    plan = select_scheme(SystemConfig(4, 1, 3, 2))
-    with pytest.raises(InvalidConfigError, match="prime"):
-        achieved_dof(plan, trials=1, p=2**30)
-    for p in (1, 0, -7):  # no field at all: rejected before the channel draw
-        with pytest.raises(InvalidConfigError, match="prime"):
-            achieved_dof(plan, trials=1, p=p)
-        with pytest.raises(InvalidConfigError, match="prime"):
-            csit_compliance(plan, p=p)
-
-
 def test_achieved_dof_reports_failures():
     result = achieved_dof(overloaded_rx2_plan(), trials=5, seed=1)
     assert not result.ok
