@@ -56,8 +56,8 @@ def apzf_precoder(
     H_sel = channel.receiver_rows(rx, rows)
     field = channel.field
     if field is not None:
-        # Reduce before any int64 cast: a long power pattern of Python ints
-        # can exceed 2^63.
+        # Reduce before any int64 cast: built-in plans send 0/1 patterns, but
+        # a caller's pattern of Python ints can exceed 2^63.
         patterns = np.asarray(patterns % field, dtype=np.int64)
 
     if kp == 0:

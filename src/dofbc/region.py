@@ -205,8 +205,19 @@ class PlanShape(NamedTuple):
         return self.p1 * self.b + self.p2 * self.b2
 
 
+def effective_config(cfg: SystemConfig) -> SystemConfig:
+    """Cap M at N1+N2: the DoF do not grow beyond it, so a wide system runs
+    its plan on the first N1+N2 antennas and the extra antennas stay silent,
+    which needs no CSI."""
+    M, N1, N2, k = cfg.shape
+    if M <= N1 + N2:
+        return cfg
+    eff_M = N1 + N2
+    return SystemConfig(eff_M, N1, N2, min(k, eff_M))
+
+
 def plan_shape(cfg: SystemConfig) -> PlanShape:
-    """The template plan for `cfg`, decided on integers with M capped at N1+N2.
+    """The template plan for `cfg`, decided on its capped config `effective_config(cfg)`.
 
     k = 0, M <= N2, or a low-k scheme that does not beat min(N2, M): serve
     RX2 alone.  k >= N2: one fully separated ZF slot.  N1 <= k < N2: the
@@ -215,9 +226,7 @@ def plan_shape(cfg: SystemConfig) -> PlanShape:
     The crafted (6,3,3,1) plan is not a template instance; only
     `schemes.select_scheme` chooses it, on request.
     """
-    M, N1, N2, k = cfg.shape
-    M = min(M, N1 + N2)
-    k = min(k, M)
+    M, N1, N2, k = effective_config(cfg).shape
     rx2_only = PlanShape("rx2-baseline", p1=1, a=0, a_rows=0, b=min(N2, M), b_rows=0)
     if k == 0 or M <= N2:
         return rx2_only

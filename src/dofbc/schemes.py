@@ -10,8 +10,8 @@ defining equations are solved as a within-block fixed point.
 
 Plans are built without any channel realization; the verifier realizes them
 against channels.  Independence of simultaneously transmitted streams is
-arranged with distinct power-basis constant patterns and then *verified* by
-the rank checks, never assumed.
+arranged with distinct unit constant patterns and then *verified* by the
+rank checks, never assumed.
 
 Every built-in plan except the crafted (6,3,3,1) one follows one two-phase
 template on the config with M capped at N1+N2.  Phase 1 has p1 slots, each
@@ -22,9 +22,11 @@ phase-1 slot i leaked onto RX2's unprotected antennas (a pure RX1-symbol
 form RX2 already holds and RX1 still needs), then sends b2 fresh RX2
 streams cancelled at RX1 rows range(b_rows).  With j its index within its
 group, a fresh stream cancelled at r > 0 rows uses the AP-ZF pattern
-power_pattern(M-r, pattern_node(j)); one cancelled at no rows is sent from
-antenna j alone.  `region.plan_shape` picks the parameters; it is the one
-place the regime is decided:
+unit_pattern(M-r, j): passive antenna r+j sends it with coefficient 1 and
+antennas 0..r-1 cancel it.  One cancelled at no rows is sent from antenna j
+alone.  No group holds more streams than it has passive antennas, so the
+patterns within a group are distinct.  `region.plan_shape` picks the
+parameters; it is the one place the regime is decided:
 
     regime (capped config)     id            p1  a     a_rows       b          b_rows  p2      b2
     k = 0, M <= N2, or k < N1
@@ -56,7 +58,7 @@ from .channel import ChannelRealization
 from .config import SystemConfig
 from .errors import InvalidConfigError
 from .precoding import CHANNEL, CONSTANT
-from .region import PlanShape, plan_shape
+from .region import PlanShape, effective_config, plan_shape
 
 TABLE1_CONFIG = (6, 3, 3, 1)  # the config of the crafted special-case plan
 
@@ -191,10 +193,11 @@ class ApzfRecipe:
     """AP-ZF cancellation at `rows` of receiver `rx` with a constant pattern.
 
     `pattern` has length M - len(rows): its entries are the fixed constant
-    coefficients of every antenna except the len(rows) solving antennas
-    (which are the first len(rows) informed ones).  Distinct patterns give
-    simultaneously transmitted streams generically independent effective
-    channels.
+    coefficients of the passive antennas, every antenna except the len(rows)
+    solving ones (which are the first len(rows) informed antennas).  Every
+    built-in plan uses unit patterns, one passive antenna per stream; distinct
+    patterns give streams cancelled at the same rows generically independent
+    effective channels.
     """
 
     rx: int
@@ -328,23 +331,6 @@ class TransmissionPlan:
         }
 
 
-def pattern_node(index: int) -> int:
-    """Small symmetric node sequence 0, 1, -1, 2, -2, ...: distinct nodes keep
-    the Vandermonde patterns independent, small magnitudes keep the floating
-    realizations well conditioned."""
-    if index == 0:
-        return 0
-    half = (index + 1) // 2
-    return half if index % 2 else -half
-
-
-def power_pattern(length: int, node: int) -> tuple[int, ...]:
-    """[1, node, node^2, ...]: any <= length of these with distinct nodes are
-    linearly independent (Vandermonde), giving generically independent
-    effective channels to co-scheduled streams."""
-    return tuple(node**i for i in range(length))
-
-
 def unit_pattern(length: int, position: int) -> tuple[int, ...]:
     return tuple(1 if i == position else 0 for i in range(length))
 
@@ -365,7 +351,7 @@ def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
             return [UnitRecipe(j) for j in range(count)]
         cancel = tuple(range(rows))
         return [
-            ApzfRecipe(rx=cancel_rx, rows=cancel, pattern=power_pattern(M - rows, pattern_node(j)))
+            ApzfRecipe(rx=cancel_rx, rows=cancel, pattern=unit_pattern(M - rows, j))
             for j in range(count)
         ]
 
@@ -444,17 +430,6 @@ def build_scheme_6331() -> TransmissionPlan:
         registry=registry,
         slots=slots,
     )
-
-
-def effective_config(cfg: SystemConfig) -> SystemConfig:
-    """Cap M at N1+N2: the DoF do not grow beyond it, so a wide system runs
-    its plan on the first N1+N2 antennas and the extra antennas stay silent,
-    which needs no CSI."""
-    M, N1, N2, k = cfg.shape
-    if M <= N1 + N2:
-        return cfg
-    eff_M = N1 + N2
-    return SystemConfig(eff_M, N1, N2, min(k, eff_M))
 
 
 def select_scheme(cfg: SystemConfig, allow_special_cases: bool = False) -> TransmissionPlan:

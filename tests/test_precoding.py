@@ -146,7 +146,7 @@ def test_field_rank_deficient_active_block_resamples_with_spare_antennas():
 
 
 def test_field_patterns_beyond_int64_are_reduced_exactly():
-    # Long power patterns of Python ints exceed 2^63 before reduction mod p.
+    # A caller's pattern of Python ints can exceed 2^63 before reduction mod p.
     ch = field_channel(SystemConfig(4, 1, 3, 2), seed=3)
     big = [10**21, -(7**30), 1]
     reduced = [x % ch.field for x in big]

@@ -34,7 +34,7 @@ GOLDEN = Path(__file__).parent / "data" / "plan_4132.json"
 # plan = select_scheme(SystemConfig(M, N1, N2, k), special), concatenated in
 # loop order over M, N1 <= N2 <= 8, 0 <= k <= M and both values of
 # `special`: 3,168 plans.
-CATALOGUE_SHA256 = "baadb8bc489a28070201446820430b7dc7b964b9351ba94c6f4b9a3e935e2455"
+CATALOGUE_SHA256 = "dc56bb8d5ab7db6aeef4bfcf420d54e6a5b6e94d92f66f15fadd528078115c43"
 
 
 @pytest.mark.parametrize(
