@@ -1,15 +1,18 @@
 """Active-passive zero-forcing (AP-ZF) precoders under the distributed-CSIT
 constraint.
 
-Every AP-ZF stream cancels at k' <= k chosen receive antennas.  The first
-k' informed antennas solve the k' x k' system that makes the stream vanish
-there; every other antenna, informed or not, sends the fixed
-channel-independent constant that the stream's pattern gives it.  Streams
+Every stream is sent from one antenna with the fixed coefficient 1.  An
+AP-ZF stream also cancels at k' <= k chosen receive antennas: the first k'
+informed antennas solve the k' x k' system that makes it vanish there, and
+every other antenna sends the channel-independent constant 0.  Streams
 cancelling at the same receive rows share that system's matrix, so
-`apzf_precoder` takes a stack of patterns and solves it once for all of them.
+`apzf_precoder` takes the sending antennas of a whole group and solves it
+once for all of them.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -34,14 +37,15 @@ def apzf_precoder(
     channel: ChannelRealization,
     rx: int,
     rows: tuple[int, ...],
-    patterns: np.ndarray,
+    antennas: Iterable[int],
 ) -> np.ndarray:
     """M x n coefficients of the AP-ZF precoders cancelling at `rows` of
-    receiver `rx`, one column per column of `patterns`.
+    receiver `rx`, one column per entry of `antennas`.
 
-    `patterns` is the (M - k') x n stack of constant patterns, k' = len(rows):
-    row j is the coefficient of antenna k' + j.  The first k' informed
-    antennas solve the k' x k' block once for every column.
+    Column j sends coefficient 1 from antenna antennas[j], which must be one
+    of the passive antennas k' .. M-1 (k' = len(rows)), and 0 from the other
+    passive antennas; the first k' informed antennas solve the k' x k' block
+    once for every column.
 
     Raises CapabilityExceededError when more than k rows are requested and
     ResampleRequiredError when the k' x k' block is singular.
@@ -50,37 +54,26 @@ def apzf_precoder(
     kp = len(rows)
     if kp > k:
         raise CapabilityExceededError(f"cannot cancel at {kp} antennas with only {k} informed")
-    patterns = np.asarray(patterns)
-    if len(patterns) != M - kp:
-        raise InvalidConfigError(f"pattern must have length {M - kp}")
+    antennas = list(antennas)
+    if any(not kp <= a < M for a in antennas):
+        raise InvalidConfigError(f"AP-ZF streams must be sent from antennas {kp}..{M - 1}")
     H_sel = channel.receiver_rows(rx, rows)
     field = channel.field
-    if field is not None:
-        # Reduce before any int64 cast: built-in plans send 0/1 patterns, but
-        # a caller's pattern of Python ints can exceed 2^63.
-        patterns = np.asarray(patterns % field, dtype=np.int64)
-
-    if kp == 0:
-        active = np.zeros((0, patterns.shape[1]), dtype=channel.H.dtype)
-    elif field is None:
-        A = H_sel[:, :kp].astype(float)
+    t = np.zeros((M, len(antennas)), dtype=channel.H.dtype)
+    t[antennas, range(len(antennas))] = 1
+    if not kp:
+        return t
+    if field is None:
+        A = H_sel[:, :kp]
         if np.linalg.matrix_rank(A) < kp:
             raise ResampleRequiredError("rank-deficient active submatrix")
-        # Column by column, so each result is bit-identical to a one-pattern call.
-        H_fixed = H_sel[:, kp:]
-        active = np.column_stack([
-            np.linalg.solve(A, -(H_fixed @ pattern))
-            for pattern in np.ascontiguousarray(patterns.T, dtype=float)
-        ])
+        # Column by column, so each result is bit-identical to a one-antenna call.
+        for j, a in enumerate(antennas):
+            t[:kp, j] = np.linalg.solve(A, -H_sel[:, a])
     else:
-        # gf_solve raises ResampleRequiredError on a singular block.
-        rhs = (-gf_matmul(H_sel[:, kp:], patterns, field)) % field
-        active = gf_solve(H_sel[:, :kp], rhs, field)
-
-    if field is None:
-        t = np.concatenate([active, patterns.astype(float)])
-    else:
-        t = np.concatenate([active, patterns])
-    if kp and not _residual_ok(H_sel, t, field):
+        # gf_solve reduces the right-hand side mod p and raises
+        # ResampleRequiredError on a singular block.
+        t[:kp] = gf_solve(H_sel[:, :kp], -H_sel[:, antennas], field)
+    if not _residual_ok(H_sel, t, field):
         raise ResampleRequiredError("cancellation residual check failed")
     return t

@@ -9,9 +9,11 @@ antennas), or the coupled streams of the hand-crafted (6,3,3,1) plan whose
 defining equations are solved as a within-block fixed point.
 
 Plans are built without any channel realization; the verifier realizes them
-against channels.  Independence of simultaneously transmitted streams is
-arranged with distinct unit constant patterns and then *verified* by the
-rank checks, never assumed.
+against channels.  Every stream has one precoder recipe, `ApzfRecipe`: it is
+sent with coefficient 1 from one antenna and, when it names AP-ZF rows, the
+first informed antennas cancel it there.  Independence of simultaneously
+transmitted streams is arranged with distinct sending antennas and then
+*verified* by the rank checks, never assumed.
 
 Every built-in plan except the crafted (6,3,3,1) one follows one two-phase
 template on the config with M capped at N1+N2.  Phase 1 has p1 slots, each
@@ -21,12 +23,11 @@ slots; slot u forwards, from informed antenna i, the RX2 row k+u that
 phase-1 slot i leaked onto RX2's unprotected antennas (a pure RX1-symbol
 form RX2 already holds and RX1 still needs), then sends b2 fresh RX2
 streams cancelled at RX1 rows range(b_rows).  With j its index within its
-group, a fresh stream cancelled at r > 0 rows uses the AP-ZF pattern
-unit_pattern(M-r, j): passive antenna r+j sends it with coefficient 1 and
-antennas 0..r-1 cancel it.  One cancelled at no rows is sent from antenna j
-alone.  No group holds more streams than it has passive antennas, so the
-patterns within a group are distinct.  `region.plan_shape` picks the
-parameters; it is the one place the regime is decided:
+group, a fresh stream cancelled at r rows is sent from antenna r+j, and
+antennas 0..r-1 cancel it.  No group holds more streams than it has passive
+antennas, so the sending antennas within a group are distinct.
+`region.plan_shape` picks the parameters; it is the one place the regime is
+decided:
 
     regime (capped config)     id            p1  a     a_rows       b          b_rows  p2      b2
     k = 0, M <= N2, or k < N1
@@ -52,9 +53,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
-from .channel import ChannelRealization
 from .config import SystemConfig
 from .errors import InvalidConfigError
 from .precoding import CHANNEL, CONSTANT
@@ -167,68 +165,46 @@ class CoupledPayload:
         return {"kind": "coupled", "aux": self.aux, "terms": [list(t) for t in self.terms]}
 
 
-@dataclass(frozen=True)
-class UnitRecipe:
-    """Transmit from a single antenna with constant coefficient 1."""
+class ApzfRecipe(NamedTuple):
+    """Send from `antenna` with coefficient 1, cancelled at `rows` of receiver `rx`.
 
-    antenna: int
-
-    def vector(self, channel: ChannelRealization) -> np.ndarray:
-        t = np.zeros(channel.cfg.M, dtype=channel.H.dtype)
-        t[self.antenna] = 1
-        return t
-
-    def labels(self, cfg: SystemConfig) -> tuple[str, ...]:
-        return (CONSTANT,) * cfg.M
-
-    def support_in_informed(self, cfg: SystemConfig) -> bool:
-        return self.antenna < cfg.k
-
-    def to_json(self):
-        return {"kind": "unit", "antenna": self.antenna}
-
-
-@dataclass(frozen=True)
-class ApzfRecipe:
-    """AP-ZF cancellation at `rows` of receiver `rx` with a constant pattern.
-
-    `pattern` has length M - len(rows): its entries are the fixed constant
-    coefficients of the passive antennas, every antenna except the len(rows)
-    solving ones (which are the first len(rows) informed antennas).  Every
-    built-in plan uses unit patterns, one passive antenna per stream; distinct
-    patterns give streams cancelled at the same rows generically independent
-    effective channels.
+    When `rows` is non-empty, the first len(rows) informed antennas solve for
+    the coefficients that make the stream vanish at those rows; every other
+    antenna sends a fixed constant, 1 on `antenna` and 0 elsewhere.  With no
+    rows the stream is sent from `antenna` alone.  Streams cancelled at the
+    same rows from distinct antennas get generically independent effective
+    channels.
     """
 
-    rx: int
-    rows: tuple[int, ...]
-    pattern: tuple[int, ...]
+    antenna: int
+    rx: int = 0
+    rows: tuple[int, ...] = ()
 
     def labels(self, cfg: SystemConfig) -> tuple[str, ...]:
         kp = len(self.rows)
         return (CHANNEL,) * kp + (CONSTANT,) * (cfg.M - kp)
 
     def support_in_informed(self, cfg: SystemConfig) -> bool:
-        return False
+        return self.antenna < cfg.k
 
-    def to_json(self):
-        return {
-            "kind": "apzf",
-            "rx": self.rx,
-            "rows": list(self.rows),
-            "pattern": list(self.pattern),
-        }
+    def to_json(self, cfg: SystemConfig):
+        if not self.rows:
+            return {"kind": "unit", "antenna": self.antenna}
+        kp = len(self.rows)
+        pattern = [0] * (cfg.M - kp)
+        pattern[self.antenna - kp] = 1
+        return {"kind": "apzf", "rx": self.rx, "rows": list(self.rows), "pattern": pattern}
 
 
 @dataclass(frozen=True)
 class Stream:
     payload: FreshPayload | InterferencePayload | CoupledPayload
-    precoder: UnitRecipe | ApzfRecipe
+    precoder: ApzfRecipe
 
     def to_json(self, cfg: SystemConfig):
         return {
             "payload": self.payload.to_json(),
-            "precoder": self.precoder.to_json(),
+            "precoder": self.precoder.to_json(cfg),
             "csit": list(self.precoder.labels(cfg)),
         }
 
@@ -277,6 +253,8 @@ class TransmissionPlan:
                 raise InvalidConfigError(f"slot {t} sends no streams")
             for stream in slot.streams:
                 payload, precoder = stream.payload, stream.precoder
+                if not isinstance(precoder, ApzfRecipe):
+                    raise InvalidConfigError(f"unknown precoder {precoder!r}")
                 if isinstance(payload, FreshPayload):
                     self.registry.index(payload.symbol)
                     if payload.symbol in fresh_seen:
@@ -298,10 +276,13 @@ class TransmissionPlan:
                         raise InvalidConfigError("conflicting definitions for coupled stream")
                 else:
                     raise InvalidConfigError(f"unknown payload {payload!r}")
-                if isinstance(precoder, ApzfRecipe):
+                if not len(precoder.rows) <= precoder.antenna < cfg.M:
+                    raise InvalidConfigError(
+                        f"stream cancelled at {len(precoder.rows)} rows cannot be sent "
+                        f"from antenna {precoder.antenna} of {cfg.M}"
+                    )
+                if precoder.rows:
                     targets.add((precoder.rx, precoder.rows))
-                    if len(precoder.pattern) != cfg.M - len(precoder.rows):
-                        raise InvalidConfigError("AP-ZF pattern has the wrong length")
         # Many streams share a cancellation target; check each target once.
         for rx, rows in targets:
             if rx not in (1, 2):
@@ -331,29 +312,20 @@ class TransmissionPlan:
         }
 
 
-def unit_pattern(length: int, position: int) -> tuple[int, ...]:
-    return tuple(1 if i == position else 0 for i in range(length))
-
-
 def _symbols(prefix: str, rx: int, count: int) -> list[Symbol]:
     return [Symbol(f"{prefix}{i}", rx) for i in range(1, count + 1)]
 
 
 def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
     """Build the template plan `shape` on the capped config `cfg`."""
-    M, k = cfg.M, cfg.k
+    k = cfg.k
     a_syms = _symbols("a", 1, shape.S1)
     b_syms = _symbols("b", 2, shape.S2)
     a_next, b_next = iter(a_syms), iter(b_syms)
 
-    def recipes(count: int, cancel_rx: int, rows: int) -> list[UnitRecipe | ApzfRecipe]:
-        if not rows:
-            return [UnitRecipe(j) for j in range(count)]
+    def recipes(count: int, cancel_rx: int, rows: int) -> list[ApzfRecipe]:
         cancel = tuple(range(rows))
-        return [
-            ApzfRecipe(rx=cancel_rx, rows=cancel, pattern=unit_pattern(M - rows, j))
-            for j in range(count)
-        ]
+        return [ApzfRecipe(rows + j, cancel_rx, cancel) for j in range(count)]
 
     # A group's recipes are the same in every slot; only its symbols change.
     a_recipes = recipes(shape.a, 2, shape.a_rows)
@@ -368,7 +340,7 @@ def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
         slots.append(Slot(tuple(fresh(a_next, a_recipes) + fresh(b_next, b_recipes))))
     for u in range(shape.p2):
         forwarded = [
-            Stream(InterferencePayload(1, (RxRowRef(i, 2, k + u, 1),)), UnitRecipe(i))
+            Stream(InterferencePayload(1, (RxRowRef(i, 2, k + u, 1),)), ApzfRecipe(i))
             for i in range(shape.p1)
         ]
         slots.append(Slot(tuple(forwarded + fresh(b_next, b2_recipes))))
@@ -408,21 +380,16 @@ def build_scheme_6331() -> TransmissionPlan:
     )
 
     def info_streams(symbols, cancel_rx):
-        streams = []
-        for j, sym in enumerate(symbols):
-            streams.append(
-                Stream(
-                    FreshPayload(sym.id),
-                    ApzfRecipe(rx=cancel_rx, rows=(2,), pattern=unit_pattern(5, j)),
-                )
-            )
-        return streams
+        return [
+            Stream(FreshPayload(sym.id), ApzfRecipe(1 + j, cancel_rx, (2,)))
+            for j, sym in enumerate(symbols)
+        ]
 
     slots = (
-        Slot(tuple([Stream(c_payload, UnitRecipe(0))] + info_streams(a_syms[:5], 2))),
-        Slot(tuple([Stream(c_payload, UnitRecipe(0))] + info_streams(b_syms[:5], 1))),
-        Slot(tuple([Stream(d_payload, UnitRecipe(0))] + info_streams(a_syms[5:], 2))),
-        Slot(tuple([Stream(d_payload, UnitRecipe(0))] + info_streams(b_syms[5:], 1))),
+        Slot(tuple([Stream(c_payload, ApzfRecipe(0))] + info_streams(a_syms[:5], 2))),
+        Slot(tuple([Stream(c_payload, ApzfRecipe(0))] + info_streams(b_syms[:5], 1))),
+        Slot(tuple([Stream(d_payload, ApzfRecipe(0))] + info_streams(a_syms[5:], 2))),
+        Slot(tuple([Stream(d_payload, ApzfRecipe(0))] + info_streams(b_syms[5:], 1))),
     )
     return TransmissionPlan(
         cfg=cfg,

@@ -15,14 +15,15 @@ symbols of receiver i (`SymbolRegistry.split`); the certificate and the rate
 slopes both read that one split.  A decodability report holds ranks only: a
 certified plan achieves the DoF it claims, `plan.claimed_dof`.
 
-Precoders are solved once per (channel, receiver, rows) group: every AP-ZF
-stream of a plan that cancels at the same rows of the same receiver shares
-one `apzf_precoder` call.  Certification is exact: ranks come from
-elimination mod p on prime-field channels, one elimination per receiver
-giving both ranks.  Real channels serve only the rate slopes, realized at
-unit transmit power per slot.  Monte Carlo rate slopes use the standard
-real-Gaussian log-det rate with the other user's columns treated as noise;
-the high-SNR slope against log2(sqrt(P)) then recovers each receiver's DoF.
+Every stream is sent with coefficient 1 from its one antenna; only the
+streams that AP-ZF cancels need a solve, and those that cancel at the same
+rows of the same receiver share one `apzf_precoder` call per channel.
+Certification is exact: ranks come from elimination mod p on prime-field
+channels, one elimination per receiver giving both ranks.  Real channels
+serve only the rate slopes, realized at unit transmit power per slot.
+Monte Carlo rate slopes use the standard real-Gaussian log-det rate with the
+other user's columns treated as noise; the high-SNR slope against
+log2(sqrt(P)) then recovers each receiver's DoF.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .gf import gf_matmul, gf_pivots, gf_solve
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import CONSTANT, apzf_precoder
 from .schemes import (
-    ApzfRecipe,
     FreshPayload,
     InterferencePayload,
     SymbolRegistry,
@@ -94,33 +94,32 @@ class DecodabilityReport:
 def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> list[np.ndarray]:
     """One M x streams precoder matrix per slot of `plan` under `channel`.
 
-    AP-ZF streams that cancel at the same (rx, rows) share one active block,
-    so each such group is solved once for all its distinct patterns across
-    the plan; other recipes evaluate their own vector.
+    Column j holds stream j's coefficients: a 1 on its antenna and zeros
+    elsewhere, except that a cancelled stream takes its column from the AP-ZF
+    solve of its (rx, rows) group.  Each group is solved once for all its
+    distinct antennas across the plan.  Entries have the channel's dtype and
+    are reduced mod p on GF(p).
     """
-    groups: dict[tuple, dict[tuple[int, ...], int]] = {}
+    groups: dict[tuple, dict[int, int]] = {}
     for slot in plan.slots:
         for stream in slot.streams:
             recipe = stream.precoder
-            if isinstance(recipe, ApzfRecipe):
+            if recipe.rows:
                 columns = groups.setdefault((recipe.rx, recipe.rows), {})
-                columns.setdefault(recipe.pattern, len(columns))
-    solved = {
-        key: apzf_precoder(channel, *key, np.array(list(columns)).T)
-        for key, columns in groups.items()
-    }
-
-    def vector(recipe) -> np.ndarray:
-        if isinstance(recipe, ApzfRecipe):
-            key = (recipe.rx, recipe.rows)
-            return solved[key][:, groups[key][recipe.pattern]]
-        return recipe.vector(channel)
-
-    # Every recipe returns the channel's dtype, reduced mod p on GF(p).
-    return [
-        np.column_stack([vector(stream.precoder) for stream in slot.streams])
-        for slot in plan.slots
-    ]
+                columns.setdefault(recipe.antenna, len(columns))
+    solved = {key: apzf_precoder(channel, *key, columns) for key, columns in groups.items()}
+    matrices = []
+    for slot in plan.slots:
+        T_mat = np.zeros((channel.cfg.M, len(slot.streams)), dtype=channel.H.dtype)
+        for j, stream in enumerate(slot.streams):
+            recipe = stream.precoder
+            if recipe.rows:
+                key = (recipe.rx, recipe.rows)
+                T_mat[:, j] = solved[key][:, groups[key][recipe.antenna]]
+            else:
+                T_mat[recipe.antenna, j] = 1
+        matrices.append(T_mat)
+    return matrices
 
 
 def _reduce(x, p: int | None):
@@ -370,6 +369,8 @@ class RateSimConfig:
     trials: int = 100
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise InvalidConfigError("at least one trial required")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise InvalidConfigError("SNR points must be finite")
         if len(self.snr_db) < 2:

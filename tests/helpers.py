@@ -3,51 +3,35 @@ that only tests ask."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from dofbc.config import SystemConfig
 from dofbc.gf import gf_matmul
-from dofbc.precoding import CONSTANT
+from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
+    ApzfRecipe,
     FreshPayload,
     Slot,
     Stream,
     Symbol,
     SymbolRegistry,
     TransmissionPlan,
-    UnitRecipe,
 )
 from dofbc.verifier import _precoder_matrices
 
 
-@dataclass(frozen=True)
-class LeakyRecipe:
-    """Claims constant coefficients but sneaks a channel entry onto the last
-    (uninformed) antenna; the compliance check must flag it."""
-
-    def vector(self, channel):
-        t = np.zeros(channel.cfg.M, dtype=channel.H.dtype)
-        t[0] = 1
-        t[-1] = channel.H[0, 0]
-        return t
-
-    def labels(self, cfg):
-        return (CONSTANT,) * cfg.M
-
-    def support_in_informed(self, cfg):
-        return False
-
-    def to_json(self):
-        return {"kind": "leaky"}
-
-
 def adversarial_plan() -> TransmissionPlan:
+    """One RX2 symbol sent from antenna 1 of (3,1,2,1), cancelled at RX1 row 0."""
     cfg = SystemConfig(3, 1, 2, 1)
     registry = SymbolRegistry((Symbol("b1", 2),))
-    slots = (Slot((Stream(FreshPayload("b1"), LeakyRecipe()),)),)
+    slots = (Slot((Stream(FreshPayload("b1"), ApzfRecipe(1, 1, (0,))),)),)
     return TransmissionPlan(cfg=cfg, scheme_id="adversarial", registry=registry, slots=slots)
+
+
+def leaky_apzf_precoder(channel, rx, rows, antennas):
+    """`apzf_precoder` that sneaks a channel entry onto (uninformed) antenna 2,
+    whose coefficients stay labelled constant; the compliance check must flag it."""
+    t = apzf_precoder(channel, rx, rows, antennas)
+    t[2] = channel.H[0, 0]
+    return t
 
 
 def overloaded_rx2_plan() -> TransmissionPlan:
@@ -57,10 +41,10 @@ def overloaded_rx2_plan() -> TransmissionPlan:
     syms = tuple(Symbol(f"b{i}", 2) for i in range(1, 8))
     registry = SymbolRegistry(syms)
     first = tuple(
-        Stream(FreshPayload(f"b{i + 1}"), UnitRecipe(i % cfg.M)) for i in range(4)
+        Stream(FreshPayload(f"b{i + 1}"), ApzfRecipe(i % cfg.M)) for i in range(4)
     )
     second = tuple(
-        Stream(FreshPayload(f"b{i + 5}"), UnitRecipe(i % cfg.M)) for i in range(3)
+        Stream(FreshPayload(f"b{i + 5}"), ApzfRecipe(i % cfg.M)) for i in range(3)
     )
     return TransmissionPlan(
         cfg=cfg,

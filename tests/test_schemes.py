@@ -20,7 +20,6 @@ from dofbc.schemes import (
     Symbol,
     SymbolRegistry,
     TransmissionPlan,
-    UnitRecipe,
     build_scheme_6331,
     select_scheme,
 )
@@ -64,7 +63,7 @@ def test_mid_k_phase_structure():
         retrans = [s for s in plan.slots[u].streams if isinstance(s.payload, InterferencePayload)]
         assert len(retrans) == N1
         for stream in retrans:
-            assert isinstance(stream.precoder, UnitRecipe)
+            assert not stream.precoder.rows
             assert stream.precoder.antenna < k
             assert all(ref.slot < u for ref in stream.payload.terms)
             assert all(ref.rx == 2 and ref.row >= k for ref in stream.payload.terms)
@@ -95,7 +94,7 @@ def test_table1_summary_and_structure():
     # the crafted streams ride the informed antenna in every slot
     for slot in plan.slots:
         lead = slot.streams[0]
-        assert isinstance(lead.precoder, UnitRecipe) and lead.precoder.antenna == 0
+        assert lead.precoder == ApzfRecipe(0)
     # slots 1-2 share the c equation, slots 3-4 the d equation
     assert plan.slots[0].streams[0].payload == plan.slots[1].streams[0].payload
     assert plan.slots[2].streams[0].payload == plan.slots[3].streams[0].payload
@@ -187,19 +186,24 @@ def test_rx2_allocation_never_exceeds_n2():
 def test_plan_validation_rejects_bad_structures():
     cfg = SystemConfig(4, 1, 3, 2)
     registry = SymbolRegistry((Symbol("a1", 1),))
-    ok_stream = Stream(FreshPayload("a1"), UnitRecipe(0))
+    ok_stream = Stream(FreshPayload("a1"), ApzfRecipe(0))
+    leak = InterferencePayload(owner=1, terms=(RxRowRef(0, 2, 0, 1),))
     with pytest.raises(InvalidConfigError, match="at least one slot"):
         TransmissionPlan(cfg, "x", SymbolRegistry(()), ())
     with pytest.raises(InvalidConfigError, match="no streams"):
         TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot(())))
     with pytest.raises(InvalidConfigError, match="unknown payload"):
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, Stream("a1", UnitRecipe(1)))),))
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, Stream("a1", ApzfRecipe(1)))),))
+    with pytest.raises(InvalidConfigError, match="unknown precoder"):
+        TransmissionPlan(cfg, "x", registry, (Slot((Stream(FreshPayload("a1"), 0),)),))
+    with pytest.raises(InvalidConfigError, match="unknown precoder"):
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(leak, 0),))))
 
     with pytest.raises(InvalidConfigError, match="RX1 or RX2"):
         SymbolRegistry((Symbol("a1", 1), Symbol("b1", 2), Symbol("x", 3)))
 
     def coupled(aux, *terms) -> Stream:
-        return Stream(CoupledPayload(aux=aux, terms=terms), UnitRecipe(1))
+        return Stream(CoupledPayload(aux=aux, terms=terms), ApzfRecipe(1))
 
     c, c_other = coupled(0, RxRowRef(0, 2, 0, 1)), coupled(0, RxRowRef(0, 2, 1, 1))
     first = Slot((ok_stream, c))
@@ -208,31 +212,40 @@ def test_plan_validation_rejects_bad_structures():
         TransmissionPlan(cfg, "x", registry, (first, Slot((c_other,))))
     with pytest.raises(InvalidConfigError, match="0..n-1"):  # stream 1 without stream 0
         TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, coupled(1, RxRowRef(0, 2, 0, 1)))),))
-    forward_ref = Stream(
-        InterferencePayload(owner=1, terms=(RxRowRef(0, 2, 0, 1),)), UnitRecipe(0)
-    )
+    forward_ref = Stream(leak, ApzfRecipe(0))
     with pytest.raises(InvalidConfigError):  # retransmission must look backwards
         TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, forward_ref)),))
-    uninformed_retrans = Stream(
-        InterferencePayload(owner=1, terms=(RxRowRef(0, 2, 0, 1),)), UnitRecipe(3)
-    )
+    uninformed_retrans = Stream(leak, ApzfRecipe(3))
     with pytest.raises(InvalidConfigError):  # channel-dependent payload from TX with no CSI
         TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((uninformed_retrans,))))
     with pytest.raises(InvalidConfigError):  # AP-ZF beyond capability
-        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(0, 1, 2), pattern=(1,)))
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(3, rx=2, rows=(0, 1, 2)))
         TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a receiver that does not exist
-        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=3, rows=(0,), pattern=(1, 1, 1)))
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(1, rx=3, rows=(0,)))
         TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a row RX1 does not have
-        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=1, rows=(5,), pattern=(1, 1, 1)))
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(1, rx=1, rows=(5,)))
         TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a row RX2 does not have
-        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(3,), pattern=(1, 1, 1)))
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(1, rx=2, rows=(3,)))
         TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
     with pytest.raises(InvalidConfigError):  # AP-ZF cancelling twice at one row
-        bad = Stream(FreshPayload("a1"), ApzfRecipe(rx=2, rows=(1, 1), pattern=(1, 1)))
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(2, rx=2, rows=(1, 1)))
         TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
+    # Negative indices must not pass as informed antennas: numpy would send
+    # this retransmission from uninformed antenna 3.
+    negative = Stream(leak, ApzfRecipe(-1))
+    with pytest.raises(InvalidConfigError, match="antenna -1"):
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((negative,))))
+    with pytest.raises(InvalidConfigError, match="antenna 9"):  # beyond the array
+        TransmissionPlan(cfg, "x", registry, (Slot((Stream(FreshPayload("a1"), ApzfRecipe(9)),)),))
+    with pytest.raises(InvalidConfigError, match="antenna 1"):  # one of the solving antennas
+        bad = Stream(FreshPayload("a1"), ApzfRecipe(1, rx=2, rows=(0, 1)))
+        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
+    # A cancelled retransmission from informed antenna 1, solved by antenna 0.
+    informed = Stream(leak, ApzfRecipe(1, 2, (0,)))
+    assert TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((informed,)))).T == 2
 
 
 def test_plan_json_golden():

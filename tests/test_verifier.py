@@ -19,7 +19,6 @@ from dofbc.schemes import (
     Symbol,
     SymbolRegistry,
     TransmissionPlan,
-    UnitRecipe,
     build_scheme_6331,
     select_scheme,
 )
@@ -37,6 +36,7 @@ from dofbc.verifier import (
 
 from .helpers import (
     adversarial_plan,
+    leaky_apzf_precoder,
     low_k_grid,
     overloaded_rx2_plan,
     stream_gains,
@@ -108,7 +108,7 @@ def test_rank_criterion_matches_direct_inversion():
         (Symbol("a1", 1), Symbol("a2", 1), Symbol("b1", 2), Symbol("b2", 2))
     )
     streams = tuple(
-        Stream(FreshPayload(sym.id), UnitRecipe(i)) for i, sym in enumerate(registry.symbols)
+        Stream(FreshPayload(sym.id), ApzfRecipe(i)) for i, sym in enumerate(registry.symbols)
     )
     plan = TransmissionPlan(cfg, "diag", registry, (Slot(streams),))
     system = realize_plan(plan, channel)
@@ -120,10 +120,10 @@ def test_rank_criterion_matches_direct_inversion():
     # Same channel, but both RX1 symbols forced through one antenna: direct
     # inversion is impossible and the rank criterion agrees.
     collide = (
-        Stream(FreshPayload("a1"), UnitRecipe(0)),
-        Stream(FreshPayload("a2"), UnitRecipe(0)),
-        Stream(FreshPayload("b1"), UnitRecipe(2)),
-        Stream(FreshPayload("b2"), UnitRecipe(3)),
+        Stream(FreshPayload("a1"), ApzfRecipe(0)),
+        Stream(FreshPayload("a2"), ApzfRecipe(0)),
+        Stream(FreshPayload("b1"), ApzfRecipe(2)),
+        Stream(FreshPayload("b2"), ApzfRecipe(3)),
     )
     plan2 = TransmissionPlan(cfg, "collide", registry, (Slot(collide),))
     report2 = decodability_check(realize_plan(plan2, channel))
@@ -215,7 +215,9 @@ def test_compliance_built_in_plans():
         assert csit_compliance(plan).compliant, plan.scheme_id
 
 
-def test_compliance_flags_adversarial_plan():
+def test_compliance_flags_adversarial_plan(monkeypatch):
+    assert csit_compliance(adversarial_plan()).compliant
+    monkeypatch.setattr("dofbc.verifier.apzf_precoder", leaky_apzf_precoder)
     report = csit_compliance(adversarial_plan())
     assert not report.compliant
     assert any(v.antenna == 2 and "varies" in v.reason for v in report.violations)
@@ -278,6 +280,8 @@ def test_rate_sim_config_validation():
         RateSimConfig(snr_db=(60.0, 40.0))
     with pytest.raises(InvalidConfigError):
         RateSimConfig(snr_db=(float("nan"), 60.0, 80.0))
+    with pytest.raises(InvalidConfigError, match="at least one trial"):
+        RateSimConfig(trials=0)
 
 
 def _certification_digest() -> str:
@@ -308,22 +312,20 @@ def _catalogue_plans():
 def test_grouped_precoders_equal_per_stream_precoders():
     for plan in _catalogue_plans():
         for slot in plan.slots:
-            apzf = [s.precoder for s in slot.streams if isinstance(s.precoder, ApzfRecipe)]
-            # Each AP-ZF stream is sent from one passive antenna, a distinct
-            # one among the streams cancelled at the same rows.
-            for recipe in apzf:
-                assert sorted(recipe.pattern) == [0] * (len(recipe.pattern) - 1) + [1], recipe
-            assert len({(r.rx, r.rows, r.pattern) for r in apzf}) == len(apzf), plan.cfg.shape
+            # Streams cancelled at the same rows are sent from distinct antennas.
+            recipes = [stream.precoder for stream in slot.streams]
+            cancelled = [(r.rx, r.rows, r.antenna) for r in recipes if r.rows]
+            assert len(set(cancelled)) == len(cancelled), plan.cfg.shape
         for channel in (field_channel(plan.cfg, seed=3), sample_channel(plan.cfg, seed=3)):
             matrices = _precoder_matrices(plan, channel)
             for slot, T_mat in zip(plan.slots, matrices):
                 for s_idx, stream in enumerate(slot.streams):
                     recipe = stream.precoder
-                    if isinstance(recipe, ApzfRecipe):
-                        pattern = np.array(recipe.pattern)[:, None]
-                        expected = apzf_precoder(channel, recipe.rx, recipe.rows, pattern)[:, 0]
+                    if recipe.rows:
+                        single = apzf_precoder(channel, recipe.rx, recipe.rows, [recipe.antenna])
+                        expected = single[:, 0]
                     else:
-                        expected = recipe.vector(channel)
+                        expected = np.eye(plan.cfg.M, dtype=channel.H.dtype)[:, recipe.antenna]
                     assert np.array_equal(T_mat[:, s_idx], expected), (plan.cfg.shape, s_idx)
 
 
@@ -340,7 +342,7 @@ def small_configs(draw):
 @given(cfg=small_configs())
 @example(cfg=SystemConfig(6, 3, 3, 1))
 @example(cfg=SystemConfig(9, 2, 3, 2))
-@example(cfg=SystemConfig(25, 5, 20, 3))  # 22-entry AP-ZF patterns
+@example(cfg=SystemConfig(25, 5, 20, 3))  # 20 AP-ZF streams share one (rx, rows) group
 def test_selected_plans_certify_and_comply(cfg):
     for special in (False, True):
         plan = select_scheme(cfg, special)
