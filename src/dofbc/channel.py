@@ -43,7 +43,9 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
     Distinct indices give statistically independent streams, and the mapping
     is stable across runs and platforms.  `achieved_dof` and
     `rate_slope_estimate` draw attempt a of trial i at index 25*i + a (a
-    counts resamples), and `csit_compliance` uses indices 0 and 1.
+    counts resamples).  CSIT compliance compares the precoders of trial 0's
+    and trial 1's accepted draws; a one-trial `achieved_dof` precodes index
+    25, trial 1's first draw, for it.
     """
     if seed < 0 or index < 0:
         raise InvalidConfigError(f"seed and trial index must be non-negative, got {seed}, {index}")

@@ -19,8 +19,11 @@ Every stream is sent with coefficient 1 from its one antenna; only the
 streams that AP-ZF cancels need a solve, and those that cancel at the same
 rows of the same receiver share one `apzf_precoder` call per channel.
 Certification is exact: ranks come from elimination mod p on prime-field
-channels, one elimination per receiver giving both ranks.  Real channels
-serve only the rate slopes, realized at unit transmit power per slot.
+channels, one elimination per receiver giving both ranks.  Certification
+also checks CSIT compliance, by comparing the precoders that `realize_plan`
+recorded under two of its own channels, so each channel is drawn and
+precoded once.  Real channels serve only the rate slopes, realized at unit
+transmit power per slot.
 Monte Carlo rate slopes use the standard real-Gaussian log-det rate with the
 other user's columns treated as noise; the high-SNR slope against
 log2(sqrt(P)) then recovers each receiver's DoF.
@@ -51,12 +54,17 @@ _MAX_RESAMPLE = 25
 
 @dataclass(frozen=True)
 class ObservationSystem:
-    """Stacked symbol-to-sample maps for both receivers under one channel."""
+    """Stacked symbol-to-sample maps for both receivers under one channel.
+
+    `precoders` holds the per-slot M x streams precoder matrices the maps
+    were built with; CSIT compliance compares them across channels.
+    """
 
     A1: np.ndarray
     A2: np.ndarray
     registry: SymbolRegistry
     field: int | None
+    precoders: tuple[np.ndarray, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -187,7 +195,8 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
             acc = _reduce(acc + _reduce(ref.weight, p) * sample, p)
         return acc
 
-    for slot, T_mat in zip(plan.slots, _precoder_matrices(plan, channel)):
+    precoders = _precoder_matrices(plan, channel)
+    for slot, T_mat in zip(plan.slots, precoders):
         forms = np.zeros((len(slot.streams), ncols), dtype=dtype)
         for s_idx, stream in enumerate(slot.streams):
             payload = stream.payload
@@ -219,7 +228,9 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
             return _reduce(full[:, :S] + _matmul(full[:, S:], phi, p), p)
         return full[:, :S]
 
-    return ObservationSystem(A1=stack(1), A2=stack(2), registry=plan.registry, field=p)
+    return ObservationSystem(
+        A1=stack(1), A2=stack(2), registry=plan.registry, field=p, precoders=tuple(precoders)
+    )
 
 
 def decodability_check(system: ObservationSystem) -> DecodabilityReport:
@@ -251,6 +262,7 @@ class CertificationResult:
     failures: tuple[int, ...]
     resamples: int
     dof: Fraction | None
+    compliance: ComplianceReport
     first_failure_report: DecodabilityReport | None = None
 
     @property
@@ -259,7 +271,10 @@ class CertificationResult:
 
 
 def _certification(
-    plan: TransmissionPlan, reports: list[DecodabilityReport], resamples: int = 0
+    plan: TransmissionPlan,
+    reports: list[DecodabilityReport],
+    compliance: ComplianceReport,
+    resamples: int = 0,
 ) -> CertificationResult:
     """Fold per-trial decodability reports into one result."""
     failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
@@ -268,15 +283,23 @@ def _certification(
         failures=failures,
         resamples=resamples,
         dof=None if failures else plan.claimed_dof,
+        compliance=compliance,
         first_failure_report=reports[failures[0]] if failures else None,
     )
 
 
 def certify_on_channels(plan: TransmissionPlan, channels) -> CertificationResult:
-    """Run the decodability certificate on explicit channel realizations."""
-    return _certification(
-        plan, [decodability_check(realize_plan(plan, channel)) for channel in channels]
-    )
+    """Certify decodability and CSIT compliance on explicit channel realizations.
+
+    Compliance compares the precoders of the first two channels, so at least
+    two are required.
+    """
+    channels = list(channels)
+    if len(channels) < 2:
+        raise InvalidConfigError("certification needs at least two channels to check CSIT compliance")
+    systems = [realize_plan(plan, channel) for channel in channels]
+    compliance = csit_compliance(plan, systems[0].precoders, systems[1].precoders)
+    return _certification(plan, [decodability_check(system) for system in systems], compliance)
 
 
 def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> CertificationResult:
@@ -284,23 +307,32 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
 
     Singular draws (AP-ZF submatrix or fixed-point degeneracies) are
     resampled, as they are measure-zero events; genuine decodability
-    failures are recorded with their trial index.
+    failures are recorded with their trial index.  CSIT compliance compares
+    the precoders of trial 0's and trial 1's accepted channels; a one-trial
+    run precodes trial 1's first draw (index 25) for it, without realizing
+    or ranking it, and a singular draw there raises ResampleRequiredError.
     """
     if trials < 1:
         raise InvalidConfigError("at least one trial required")
     reports = []
+    precoders = []
     resamples = 0
     for i in range(trials):
         for attempt in range(_MAX_RESAMPLE):
             channel = field_channel(plan.cfg, seed, index=i * _MAX_RESAMPLE + attempt)
             try:
-                reports.append(decodability_check(realize_plan(plan, channel)))
+                system = realize_plan(plan, channel)
                 break
             except ResampleRequiredError:
                 resamples += 1
         else:
             raise ResampleRequiredError(f"resampling exhausted on trial {i}")
-    return _certification(plan, reports, resamples)
+        reports.append(decodability_check(system))
+        if i < 2:
+            precoders.append(system.precoders)
+    if trials == 1:
+        precoders.append(_precoder_matrices(plan, field_channel(plan.cfg, seed, index=_MAX_RESAMPLE)))
+    return _certification(plan, reports, csit_compliance(plan, *precoders), resamples)
 
 
 @dataclass(frozen=True)
@@ -329,32 +361,28 @@ class ComplianceReport:
         }
 
 
-def csit_compliance(plan: TransmissionPlan, seed: int = 0) -> ComplianceReport:
+def csit_compliance(plan: TransmissionPlan, precoders_a, precoders_b) -> ComplianceReport:
     """Check that uninformed antennas never emit channel-dependent coefficients.
 
-    The plan's precoders are evaluated under two independent channels; every
-    coefficient on an uninformed antenna must be labeled constant and take
-    identical values in both realizations, and every channel-dependent label
-    must sit on an informed antenna.
+    `precoders_a` and `precoders_b` are the plan's per-slot precoder matrices
+    under two independent channels (`ObservationSystem.precoders`); no
+    channel is drawn here.  Every coefficient on an uninformed antenna must
+    be labeled constant and take identical values in both realizations, and
+    every channel-dependent label must sit on an informed antenna.
     """
     cfg = plan.cfg
-    ch_a = field_channel(cfg, seed, index=0)
-    ch_b = field_channel(cfg, seed, index=1)
-    precoders_a = _precoder_matrices(plan, ch_a)
-    precoders_b = _precoder_matrices(plan, ch_b)
     violations = []
-    for t, slot in enumerate(plan.slots):
+    for t, (slot, T_a, T_b) in enumerate(zip(plan.slots, precoders_a, precoders_b)):
+        varies = (T_a != T_b).T.tolist()
         for s_idx, stream in enumerate(slot.streams):
             labels = stream.precoder.labels(cfg)
-            va = precoders_a[t][:, s_idx]
-            vb = precoders_b[t][:, s_idx]
             for antenna in range(cfg.M):
                 constant_label = labels[antenna] == CONSTANT
                 if antenna >= cfg.k and not constant_label:
                     violations.append(
                         ComplianceViolation(t, s_idx, antenna, "uninformed antenna labeled channel-dependent")
                     )
-                if constant_label and va[antenna] != vb[antenna]:
+                if constant_label and varies[s_idx][antenna]:
                     violations.append(
                         ComplianceViolation(t, s_idx, antenna, "coefficient labeled constant varies with H")
                     )

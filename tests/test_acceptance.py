@@ -26,7 +26,6 @@ from dofbc.verifier import (
     RateSimConfig,
     achieved_dof,
     certify_on_channels,
-    csit_compliance,
     rate_slope_estimate,
 )
 
@@ -120,6 +119,7 @@ def test_criterion_5_table_one():
     channels = [field_channel(plan.cfg, seed=5, index=i) for i in range(100)]
     result = certify_on_channels(plan, channels)
     assert result.ok and result.dof == 4
+    assert result.compliance.compliant
     for channel in channels[:10]:
         slot2 = stream_gains(plan, channel, 1)[1][2]  # RX1 antenna 3, second slot
         assert slot2[0] != 0 and not slot2[1:].any()
@@ -149,7 +149,7 @@ def test_criterion_6_rotation_reduction():
             channels.append(ChannelRealization(cfg=plan.cfg, H=wide.H[:, :N], field=wide.field))
         result = certify_on_channels(plan, channels)
         assert result.ok and result.dof == sum_dof_lower_closed_form(cfg), cfg.shape
-        assert csit_compliance(plan).compliant, cfg.shape
+        assert result.compliance.compliant, cfg.shape
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     _report(
@@ -173,9 +173,9 @@ def test_criterion_7_csit_compliance(monkeypatch):
         select_scheme(SystemConfig(5, 2, 4, 2)),
     ]
     for plan in built_ins:
-        assert csit_compliance(plan).compliant, plan.scheme_id
+        assert achieved_dof(plan, trials=2).compliance.compliant, plan.scheme_id
     monkeypatch.setattr("dofbc.verifier.apzf_precoder", leaky_apzf_precoder)
-    flagged = csit_compliance(adversarial_plan())
+    flagged = achieved_dof(adversarial_plan(), trials=2).compliance
     assert any(v.antenna == 2 and "varies" in v.reason for v in flagged.violations)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

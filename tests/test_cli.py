@@ -15,6 +15,8 @@ from dofbc.config import SystemConfig
 from dofbc.figures import certified_points, sweep_k_rows, sweep_n2_rows
 from dofbc.region import region_constraints, sum_dof_lower
 
+from .helpers import leaky_apzf_precoder
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -187,6 +189,16 @@ def test_figure_certify_reports_each_mismatch(tmp_path, capsys, monkeypatch):
     assert err.splitlines() == [
         f"fig3 {label}: certified {dof}, table -1" for label, dof in certified
     ]
+
+
+def test_figure_certify_checks_compliance(tmp_path, capsys, monkeypatch):
+    # A figure point passes exactly when `simulate` would exit 0 on it.
+    monkeypatch.setattr("dofbc.verifier.apzf_precoder", leaky_apzf_precoder)
+    code, _, err = run_cli(
+        capsys, "figure", "fig3", "--certify", "--trials", "2", "--out", str(tmp_path)
+    )
+    assert code == 3
+    assert "not CSIT-compliant" in err
 
 
 def test_output_file(tmp_path, capsys):

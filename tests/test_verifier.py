@@ -27,7 +27,6 @@ from dofbc.verifier import (
     _precoder_matrices,
     achieved_dof,
     certify_on_channels,
-    csit_compliance,
     decodability_check,
     rate_slope_estimate,
     realize_plan,
@@ -90,6 +89,8 @@ def test_decodability_rejects_real_channels():
         decodability_check(system)
     with pytest.raises(InvalidConfigError):
         certify_on_channels(plan, [sample_channel(plan.cfg, seed=1)])
+    with pytest.raises(InvalidConfigError, match="GF\\(p\\)"):
+        certify_on_channels(plan, [sample_channel(plan.cfg, seed=1, index=i) for i in range(2)])
 
 
 def test_decodability_overloaded_plan_fails():
@@ -200,6 +201,16 @@ def test_certify_on_explicit_channels():
     channels = [field_channel(plan.cfg, seed=5, index=i) for i in range(10)]
     result = certify_on_channels(plan, channels)
     assert result.ok and result.dof == F(7, 2)
+    assert result.compliance.compliant
+
+
+def test_certify_on_channels_needs_two_channels():
+    # Compliance compares the precoders of the first two channels.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    with pytest.raises(InvalidConfigError, match="two channels"):
+        certify_on_channels(plan, [])
+    with pytest.raises(InvalidConfigError, match="two channels"):
+        certify_on_channels(plan, [field_channel(plan.cfg, seed=5)])
 
 
 def test_compliance_built_in_plans():
@@ -212,20 +223,34 @@ def test_compliance_built_in_plans():
         select_scheme(SystemConfig(9, 3, 6, 4)),
     ]
     for plan in plans:
-        assert csit_compliance(plan).compliant, plan.scheme_id
+        assert achieved_dof(plan, trials=1).compliance.compliant, plan.scheme_id
 
 
-def test_compliance_flags_adversarial_plan(monkeypatch):
-    assert csit_compliance(adversarial_plan()).compliant
+@pytest.mark.parametrize("trials,resample_first", [(1, False), (2, False), (1, True), (2, True)])
+def test_compliance_flags_adversarial_plan(monkeypatch, trials, resample_first):
+    assert achieved_dof(adversarial_plan(), trials=trials).compliance.compliant
     monkeypatch.setattr("dofbc.verifier.apzf_precoder", leaky_apzf_precoder)
-    report = csit_compliance(adversarial_plan())
-    assert not report.compliant
-    assert any(v.antenna == 2 and "varies" in v.reason for v in report.violations)
+    if resample_first:
+        # Trial 0 is then accepted on draw 1; the second channel compliance
+        # reads must be another draw, or a channel would be compared with itself.
+        calls = []
+
+        def realize_after_one_resample(plan, channel):
+            calls.append(channel)
+            if len(calls) == 1:
+                raise ResampleRequiredError("forced")
+            return realize_plan(plan, channel)
+
+        monkeypatch.setattr("dofbc.verifier.realize_plan", realize_after_one_resample)
+    result = achieved_dof(adversarial_plan(), trials=trials)
+    assert result.resamples == resample_first
+    assert not result.compliance.compliant
+    assert any(v.antenna == 2 and "varies" in v.reason for v in result.compliance.violations)
 
 
 def test_compliance_trivial_when_all_informed():
     cfg = SystemConfig(3, 1, 2, 3)
-    assert csit_compliance(select_scheme(cfg)).compliant
+    assert achieved_dof(select_scheme(cfg), trials=1).compliance.compliant
 
 
 def test_table1_slot_structure():
@@ -349,7 +374,7 @@ def test_selected_plans_certify_and_comply(cfg):
         result = achieved_dof(plan, trials=2)
         expected = sum_dof_lower_closed_form(cfg, special)
         assert result.ok and result.dof == expected, (cfg.shape, special)
-        assert csit_compliance(plan).compliant, (cfg.shape, special)
+        assert result.compliance.compliant, (cfg.shape, special)
 
 
 @pytest.mark.parametrize("rx", [1, 2])
