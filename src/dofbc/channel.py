@@ -8,15 +8,12 @@ Two kinds of realization are produced from the same seed machinery:
 * prime-field channels with uniform nonzero residues mod p = 2^31 - 1,
   used by the verifier for exact generic-rank certification.
 
-`ChannelRealization` accepts a channel over any prime field below 2^31;
-the library itself draws on GF(2^31 - 1) only.
+A realization's dtype decides its kind: float64 is real, int64 is GF(2^31 - 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
@@ -52,43 +49,33 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
 
-@lru_cache(maxsize=None)
-def _check_field(p: int) -> None:
-    """Reject p unless it is a prime below 2^31.
-
-    Trial division, decided once per valid p: channels of a run share one field.
-    """
-    odd = 2 < p < 2**31 and p % 2 == 1
-    if not (p == 2 or (odd and all(p % d for d in range(3, isqrt(p) + 1, 2)))):
-        raise InvalidConfigError(f"field size must be a prime p < 2^31, got {p}")
-
-
 @dataclass(frozen=True)
 class ChannelRealization:
     """One channel block: H is (N1+N2) x M, rows split as [H1; H2].
 
-    `field` is None for a real-valued channel, whose H is float64, or the
-    prime p < 2^31 for a GF(p) channel, whose H is int64 with entries in
-    [0, p).  Realizations are immutable; H must not be mutated.
+    H's dtype decides the field: a float64 H is a real-valued channel, an
+    int64 H with entries in [0, p) a GF(p) channel, p = 2^31 - 1.
+    Realizations are immutable; H must not be mutated.
     """
 
     cfg: SystemConfig
     H: np.ndarray
-    field: int | None = None
 
     def __post_init__(self):
         expected = (self.cfg.N, self.cfg.M)
         if self.H.shape != expected:
             raise InvalidConfigError(f"channel must have shape {expected}, got {self.H.shape}")
+        if self.H.dtype not in (np.float64, np.int64):
+            raise InvalidConfigError(f"channel must be float64 or int64, got {self.H.dtype}")
         p = self.field
-        dtype = np.dtype(np.float64 if p is None else np.int64)
-        if self.H.dtype != dtype:
-            raise InvalidConfigError(f"channel entries must be {dtype}, got {self.H.dtype}")
-        if p is not None:
-            _check_field(p)
-            if self.H.min() < 0 or self.H.max() >= p:
-                raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")
+        if p is not None and (self.H.min() < 0 or self.H.max() >= p):
+            raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")
         self.H.setflags(write=False)
+
+    @property
+    def field(self) -> int | None:
+        """The prime p of a GF(p) channel, None for a real-valued one."""
+        return DEFAULT_PRIME if self.H.dtype.kind == "i" else None
 
     @property
     def H1(self) -> np.ndarray:
@@ -121,11 +108,11 @@ def sample_channel(
     shape = (cfg.N, cfg.M)
     magnitudes = rng.uniform(dist.delta_min, dist.delta_max, size=shape)
     signs = rng.choice((-1.0, 1.0), size=shape)
-    return ChannelRealization(cfg=cfg, H=magnitudes * signs, field=None)
+    return ChannelRealization(cfg=cfg, H=magnitudes * signs)
 
 
 def field_channel(cfg: SystemConfig, seed: int = 0, index: int = 0) -> ChannelRealization:
     """GF(2^31 - 1) channel with i.i.d. uniform nonzero residues."""
     rng = trial_rng(seed, index)
     H = rng.integers(1, DEFAULT_PRIME, size=(cfg.N, cfg.M), dtype=np.int64)
-    return ChannelRealization(cfg=cfg, H=H, field=DEFAULT_PRIME)
+    return ChannelRealization(cfg=cfg, H=H)

@@ -35,8 +35,6 @@ from .figures import (
 )
 from .region import (
     DofPoint,
-    DofRegion,
-    LinearConstraint,
     achievable_region,
     region_constraints,
     sum_dof_lower,
@@ -74,16 +72,6 @@ def region_document(M: int, N1: int, N2: int, k: int) -> dict:
         "sum_dof_upper": str(sum_dof_upper(cfg)),
         "sum_dof_lower": str(sum_dof_lower(cfg)),
     }
-
-
-def region_from_json(doc: dict) -> DofRegion:
-    """Re-parse a region document (exact rationals preserved)."""
-    return DofRegion(
-        tuple(
-            LinearConstraint(Fraction(c["a1"]), Fraction(c["a2"]), Fraction(c["b"]))
-            for c in doc["constraints"]
-        )
-    )
 
 
 def simulate_document(

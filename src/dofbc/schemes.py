@@ -247,6 +247,7 @@ class TransmissionPlan:
             raise InvalidConfigError("a plan needs at least one slot")
         fresh_seen = set()
         targets = set()
+        refs: set[RxRowRef] = set()
         coupled: dict[int, tuple[RxRowRef, ...]] = {}
         for t, slot in enumerate(self.slots):
             if not slot.streams:
@@ -256,17 +257,19 @@ class TransmissionPlan:
                 if not isinstance(precoder, ApzfRecipe):
                     raise InvalidConfigError(f"unknown precoder {precoder!r}")
                 if isinstance(payload, FreshPayload):
-                    self.registry.index(payload.symbol)
                     if payload.symbol in fresh_seen:
                         raise InvalidConfigError(f"symbol {payload.symbol} sent fresh twice")
                     fresh_seen.add(payload.symbol)
                 elif isinstance(payload, InterferencePayload):
+                    if payload.owner not in (1, 2):
+                        raise InvalidConfigError("interference owner must be RX1 or RX2")
                     if any(ref.slot >= t for ref in payload.terms):
                         raise InvalidConfigError("retransmission must reference earlier slots")
                     if not precoder.support_in_informed(cfg):
                         raise InvalidConfigError(
                             "channel-dependent payloads must be sent from informed antennas"
                         )
+                    refs.update(payload.terms)
                 elif isinstance(payload, CoupledPayload):
                     if not precoder.support_in_informed(cfg):
                         raise InvalidConfigError(
@@ -274,6 +277,7 @@ class TransmissionPlan:
                         )
                     if coupled.setdefault(payload.aux, payload.terms) != payload.terms:
                         raise InvalidConfigError("conflicting definitions for coupled stream")
+                    refs.update(payload.terms)
                 else:
                     raise InvalidConfigError(f"unknown payload {payload!r}")
                 if not len(precoder.rows) <= precoder.antenna < cfg.M:
@@ -283,17 +287,20 @@ class TransmissionPlan:
                     )
                 if precoder.rows:
                     targets.add((precoder.rx, precoder.rows))
-        # Many streams share a cancellation target; check each target once.
+        # Many streams share a cancellation target or a sample; check each once.
+        receive_antennas = {1: cfg.N1, 2: cfg.N2}
         for rx, rows in targets:
-            if rx not in (1, 2):
+            if rx not in receive_antennas:
                 raise InvalidConfigError("AP-ZF must cancel at receiver 1 or 2")
-            antennas = cfg.N1 if rx == 1 else cfg.N2
-            if any(not 0 <= r < antennas for r in rows):
+            if any(not 0 <= r < receive_antennas[rx] for r in rows):
                 raise InvalidConfigError(f"AP-ZF rows {rows} out of range for RX{rx}")
             if len(set(rows)) != len(rows):
                 raise InvalidConfigError("AP-ZF cancellation rows must be distinct")
             if len(rows) > cfg.k:
                 raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
+        for ref in refs:
+            if not (0 <= ref.slot < self.T and 0 <= ref.row < receive_antennas.get(ref.rx, 0)):
+                raise InvalidConfigError(f"{ref} names no sample of this plan")
         if fresh_seen != {s.id for s in self.registry.symbols}:
             raise InvalidConfigError("every information symbol must be sent exactly once")
         if coupled.keys() != set(range(len(coupled))):

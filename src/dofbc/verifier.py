@@ -270,41 +270,11 @@ class CertificationResult:
         return not self.failures and self.dof is not None
 
 
-def _certification(
-    plan: TransmissionPlan,
-    reports: list[DecodabilityReport],
-    compliance: ComplianceReport,
-    resamples: int = 0,
-) -> CertificationResult:
-    """Fold per-trial decodability reports into one result."""
-    failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
-    return CertificationResult(
-        trials=len(reports),
-        failures=failures,
-        resamples=resamples,
-        dof=None if failures else plan.claimed_dof,
-        compliance=compliance,
-        first_failure_report=reports[failures[0]] if failures else None,
-    )
-
-
-def certify_on_channels(plan: TransmissionPlan, channels) -> CertificationResult:
-    """Certify decodability and CSIT compliance on explicit channel realizations.
-
-    Compliance compares the precoders of the first two channels, so at least
-    two are required.
-    """
-    channels = list(channels)
-    if len(channels) < 2:
-        raise InvalidConfigError("certification needs at least two channels to check CSIT compliance")
-    systems = [realize_plan(plan, channel) for channel in channels]
-    compliance = csit_compliance(plan, systems[0].precoders, systems[1].precoders)
-    return _certification(plan, [decodability_check(system) for system in systems], compliance)
-
-
 def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> CertificationResult:
     """Certify the plan on `trials` independent GF(2^31 - 1) channels.
 
+    This is the one certification entry point; on channels of your own,
+    compose `realize_plan`, `decodability_check` and `csit_compliance`.
     Singular draws (AP-ZF submatrix or fixed-point degeneracies) are
     resampled, as they are measure-zero events; genuine decodability
     failures are recorded with their trial index.  CSIT compliance compares
@@ -332,7 +302,15 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
             precoders.append(system.precoders)
     if trials == 1:
         precoders.append(_precoder_matrices(plan, field_channel(plan.cfg, seed, index=_MAX_RESAMPLE)))
-    return _certification(plan, reports, csit_compliance(plan, *precoders), resamples)
+    failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
+    return CertificationResult(
+        trials=trials,
+        failures=failures,
+        resamples=resamples,
+        dof=None if failures else plan.claimed_dof,
+        compliance=csit_compliance(plan, *precoders),
+        first_failure_report=reports[failures[0]] if failures else None,
+    )
 
 
 @dataclass(frozen=True)

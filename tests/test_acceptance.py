@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from dofbc.channel import ChannelRealization, field_channel
+from dofbc.channel import field_channel
 from dofbc.config import SystemConfig
 from dofbc.figures import fig2_rows, fig3_rows, fig4_rows
 from dofbc.region import (
@@ -25,7 +25,6 @@ from dofbc.schemes import build_scheme_6331, select_scheme
 from dofbc.verifier import (
     RateSimConfig,
     achieved_dof,
-    certify_on_channels,
     rate_slope_estimate,
 )
 
@@ -116,11 +115,10 @@ def test_criterion_4_proposition_1_certification():
 def test_criterion_5_table_one():
     start = time.monotonic()
     plan = build_scheme_6331()
-    channels = [field_channel(plan.cfg, seed=5, index=i) for i in range(100)]
-    result = certify_on_channels(plan, channels)
+    result = achieved_dof(plan, trials=100, seed=5)
     assert result.ok and result.dof == 4
     assert result.compliance.compliant
-    for channel in channels[:10]:
+    for channel in (field_channel(plan.cfg, seed=5, index=i) for i in range(10)):
         slot2 = stream_gains(plan, channel, 1)[1][2]  # RX1 antenna 3, second slot
         assert slot2[0] != 0 and not slot2[1:].any()
         slot3 = stream_gains(plan, channel, 2)[2][2]  # RX2 antenna 3, third slot
@@ -140,14 +138,7 @@ def test_criterion_6_rotation_reduction():
         M = int(rng.integers(N1 + N2 + 1, 13))
         k = int(rng.integers(0, M + 1))
         cfg = SystemConfig(M, N1, N2, k)
-        N = cfg.N
-
-        plan = select_scheme(cfg)
-        channels = []
-        for j in range(2):
-            wide = field_channel(cfg, seed=61, index=trial * 8 + j)
-            channels.append(ChannelRealization(cfg=plan.cfg, H=wide.H[:, :N], field=wide.field))
-        result = certify_on_channels(plan, channels)
+        result = achieved_dof(select_scheme(cfg), trials=2, seed=61 + trial)
         assert result.ok and result.dof == sum_dof_lower_closed_form(cfg), cfg.shape
         assert result.compliance.compliant, cfg.shape
     elapsed = time.monotonic() - start

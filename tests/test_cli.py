@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dofbc import cli
-from dofbc.cli import main, region_document, region_from_json, simulate_document
+from dofbc.cli import main, region_document, simulate_document
 from dofbc.config import SystemConfig
 from dofbc.figures import certified_points, sweep_k_rows, sweep_n2_rows
-from dofbc.region import region_constraints, sum_dof_lower
+from dofbc.region import DofRegion, LinearConstraint, region_constraints, sum_dof_lower
 
 from .helpers import leaky_apzf_precoder
 
@@ -35,7 +35,9 @@ def test_region_command_json(capsys):
 
 def test_region_round_trip():
     doc = region_document(4, 1, 3, 2)
-    parsed = region_from_json(json.loads(json.dumps(doc)))
+    parsed = DofRegion(
+        tuple(LinearConstraint(*map(F, c.values())) for c in json.loads(json.dumps(doc))["constraints"])
+    )
     assert parsed.constraints == region_constraints(SystemConfig(4, 1, 3, 2)).constraints
     assert parsed.vertices == region_constraints(SystemConfig(4, 1, 3, 2)).vertices
 

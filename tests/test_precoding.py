@@ -140,6 +140,6 @@ def test_field_rank_deficient_active_block_resamples_with_spare_antennas():
     # block has rank 1: a degenerate draw even though antenna 2 is spare.
     cfg = SystemConfig(4, 1, 3, 3)
     H = np.ones((4, 4), dtype=np.int64)
-    ch = ChannelRealization(cfg=cfg, H=H, field=field_channel(cfg, seed=0).field)
+    ch = ChannelRealization(cfg=cfg, H=H)
     with pytest.raises(ResampleRequiredError):
         apzf_precoder(ch, 2, (0, 1), [2, 3])

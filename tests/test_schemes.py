@@ -246,6 +246,22 @@ def test_plan_validation_rejects_bad_structures():
     # A cancelled retransmission from informed antenna 1, solved by antenna 0.
     informed = Stream(leak, ApzfRecipe(1, 2, (0,)))
     assert TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((informed,)))).T == 2
+    # Every referenced sample must be one the plan receives; realizing would
+    # otherwise index past it, or wrap around to another slot, row or receiver.
+    unreceived = [
+        InterferencePayload(1, (RxRowRef(0, 3, 0, 1),)),  # no RX3
+        InterferencePayload(1, (RxRowRef(0, 2, 9, 1),)),  # RX2 has 3 antennas
+        InterferencePayload(1, (RxRowRef(0, 2, -1, 1),)),
+        InterferencePayload(1, (RxRowRef(-1, 2, 0, 1),)),
+        InterferencePayload(3, (RxRowRef(0, 2, 0, 1),)),  # no RX3 symbols to restrict to
+        CoupledPayload(0, (RxRowRef(9, 2, 0, 1),)),  # the plan has 2 slots
+        CoupledPayload(0, (RxRowRef(0, 0, 0, 1),)),  # rx 0 would alias RX2
+    ]
+    for payload in unreceived:
+        with pytest.raises(InvalidConfigError):
+            TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(payload, ApzfRecipe(0)),))))
+    with pytest.raises(InvalidConfigError, match="exactly once"):  # a symbol the registry lacks
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, Stream(FreshPayload("zz"), ApzfRecipe(1)))),))
 
 
 def test_plan_json_golden():
