@@ -9,6 +9,8 @@ Two kinds of realization are produced from the same seed machinery:
   used by the verifier for exact generic-rank certification.
 
 A realization's dtype decides its kind: float64 is real, int64 is GF(2^31 - 1).
+A real realization may stack several draws on a leading trial axis, which
+`rate_slope_estimate` uses to rate a block of trials in one pass.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ class ChannelRealization:
     """One channel block: H is (N1+N2) x M, rows split as [H1; H2].
 
     H's dtype decides the field: a float64 H is a real-valued channel, an
-    int64 H with entries in [0, p) a GF(p) channel, p = 2^31 - 1.
+    int64 H with entries in [0, p) a GF(p) channel, p = 2^31 - 1.  A real H
+    may also be a (trials, N1+N2, M) stack of independent draws; every view
+    below then keeps that leading axis.
     Realizations are immutable; H must not be mutated.
     """
 
@@ -62,12 +66,16 @@ class ChannelRealization:
     H: np.ndarray
 
     def __post_init__(self):
-        expected = (self.cfg.N, self.cfg.M)
-        if self.H.shape != expected:
-            raise InvalidConfigError(f"channel must have shape {expected}, got {self.H.shape}")
         if self.H.dtype not in (np.float64, np.int64):
             raise InvalidConfigError(f"channel must be float64 or int64, got {self.H.dtype}")
         p = self.field
+        expected = (self.cfg.N, self.cfg.M)
+        ndims = (2,) if p is not None else (2, 3)
+        if self.H.shape[-2:] != expected or self.H.ndim not in ndims:
+            stacked = "" if p is not None else f" or (trials, {self.cfg.N}, {self.cfg.M})"
+            raise InvalidConfigError(
+                f"channel must have shape {expected}{stacked}, got {self.H.shape}"
+            )
         if p is not None and (self.H.min() < 0 or self.H.max() >= p):
             raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")
         self.H.setflags(write=False)
@@ -79,11 +87,11 @@ class ChannelRealization:
 
     @property
     def H1(self) -> np.ndarray:
-        return self.H[: self.cfg.N1]
+        return self.H[..., : self.cfg.N1, :]
 
     @property
     def H2(self) -> np.ndarray:
-        return self.H[self.cfg.N1 :]
+        return self.H[..., self.cfg.N1 :, :]
 
     def receiver_rows(self, rx: int, rows) -> np.ndarray:
         """Global H rows for receiver-local antenna indices (0-based)."""
@@ -94,7 +102,7 @@ class ChannelRealization:
         rows = tuple(int(r) for r in rows)
         if any(not 0 <= r < limit for r in rows):
             raise InvalidConfigError(f"antenna rows {rows} out of range for RX{rx}")
-        return self.H[[offset + r for r in rows], :]
+        return self.H[..., [offset + r for r in rows], :]
 
 
 def sample_channel(

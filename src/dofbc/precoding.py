@@ -26,9 +26,10 @@ CONSTANT = "constant"
 
 def _residual_ok(H_sel: np.ndarray, t: np.ndarray) -> bool:
     """Every column of the real-valued t vanishes at H_sel, to 1e-9 relative
-    precision per column.  GF(p) solves are exact and need no check."""
-    scale = np.maximum(np.abs(H_sel).max() * np.maximum(np.abs(t).max(axis=0), 1.0), 1.0)
-    return bool(np.all(np.abs(H_sel @ t).max(axis=0) <= 1e-9 * scale))
+    precision per column and trial.  GF(p) solves are exact and need no check."""
+    H_max = np.abs(H_sel).max(axis=(-2, -1))[..., None]
+    scale = np.maximum(H_max * np.maximum(np.abs(t).max(axis=-2), 1.0), 1.0)
+    return bool(np.all(np.abs(H_sel @ t).max(axis=-2) <= 1e-9 * scale))
 
 
 def apzf_precoder(
@@ -43,7 +44,9 @@ def apzf_precoder(
     Column j sends coefficient 1 from antenna antennas[j], which must be one
     of the passive antennas k' .. M-1 (k' = len(rows)), and 0 from the other
     passive antennas; the first k' informed antennas solve the k' x k' block
-    once for every column.
+    once for every column.  On a real channel with a leading trial axis,
+    the result has that axis too, and each trial's columns equal a one-draw
+    call's bit for bit.
 
     Raises CapabilityExceededError when more than k rows are requested and
     ResampleRequiredError when the k' x k' block is singular.
@@ -57,17 +60,20 @@ def apzf_precoder(
         raise InvalidConfigError(f"AP-ZF streams must be sent from antennas {kp}..{M - 1}")
     H_sel = channel.receiver_rows(rx, rows)
     field = channel.field
-    t = np.zeros((M, len(antennas)), dtype=channel.H.dtype)
-    t[antennas, range(len(antennas))] = 1
+    n = len(antennas)
+    t = np.zeros(channel.H.shape[:-2] + (M, n), dtype=channel.H.dtype)
+    t[..., antennas, range(n)] = 1
     if not kp:
         return t
     if field is None:
-        A = H_sel[:, :kp]
-        if np.linalg.matrix_rank(A) < kp:
+        A = H_sel[..., :kp]
+        if np.any(np.linalg.matrix_rank(A) < kp):
             raise ResampleRequiredError("rank-deficient active submatrix")
-        # Column by column, so each result is bit-identical to a one-antenna call.
-        for j, a in enumerate(antennas):
-            t[:kp, j] = np.linalg.solve(A, -H_sel[:, a])
+        # One LAPACK solve per column, so each result is bit-identical to a
+        # one-antenna call; a multi-column right-hand side could round apart.
+        rhs = np.swapaxes(-H_sel[..., antennas], -1, -2)[..., None]
+        blocks = np.broadcast_to(A[..., None, :, :], A.shape[:-2] + (n, kp, kp))
+        t[..., :kp, :] = np.swapaxes(np.linalg.solve(blocks, rhs)[..., 0], -1, -2)
         if not _residual_ok(H_sel, t):
             raise ResampleRequiredError("cancellation residual check failed")
     else:

@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 from .config import SystemConfig
@@ -111,7 +112,8 @@ class SymbolRegistry:
 
 
 class RxRowRef(NamedTuple):
-    """Reference to one noiseless received sample: (slot, receiver, local row)."""
+    """Reference to one noiseless received sample: (slot, receiver, local row),
+    with the integer weight it takes in a combination."""
 
     slot: int
     rx: int
@@ -301,6 +303,13 @@ class TransmissionPlan:
         for ref in refs:
             if not (0 <= ref.slot < self.T and 0 <= ref.row < receive_antennas.get(ref.rx, 0)):
                 raise InvalidConfigError(f"{ref} names no sample of this plan")
+        # Weights enter GF(p) forms, which hold integers mod p only.  Checked
+        # per type, since an ABC check per sample would slow plan building.
+        for weight_type in {type(ref.weight) for ref in refs}:
+            if weight_type is bool or not issubclass(weight_type, Integral):
+                raise InvalidConfigError(
+                    f"sample weights must be integers, got {weight_type.__name__}"
+                )
         if fresh_seen != {s.id for s in self.registry.symbols}:
             raise InvalidConfigError("every information symbol must be sent exactly once")
         if coupled.keys() != set(range(len(coupled))):

@@ -26,12 +26,16 @@ precoded once.  Real channels serve only the rate slopes, realized at unit
 transmit power per slot.
 Monte Carlo rate slopes use the standard real-Gaussian log-det rate with the
 other user's columns treated as noise; the high-SNR slope against
-log2(sqrt(P)) then recovers each receiver's DoF.
+log2(sqrt(P)) then recovers each receiver's DoF.  Their trials are realized
+and rated in blocks, on a stack of the same per-index draws a trial-by-trial
+loop would make; every numpy call on the stack rounds each trial as it would
+alone, so the slopes are bit-identical to rating one trial at a time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,6 +54,10 @@ from .schemes import (
 )
 
 _MAX_RESAMPLE = 25
+# Trials that `rate_slope_estimate` realizes and rates in one pass: enough to
+# spread the per-call overhead, few enough to keep the stacks small.
+_RATE_BLOCK = 10
+_RESAMPLE_ERRORS = (ResampleRequiredError, FloatingPointError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,8 @@ class ObservationSystem:
     """Stacked symbol-to-sample maps for both receivers under one channel.
 
     `precoders` holds the per-slot M x streams precoder matrices the maps
-    were built with; CSIT compliance compares them across channels.
+    were built with; CSIT compliance compares them across channels.  Under
+    a stacked real channel every array has its leading trial axis.
     """
 
     A1: np.ndarray
@@ -99,6 +108,18 @@ class DecodabilityReport:
         return {"rx1": rx_doc(self.rx1), "rx2": rx_doc(self.rx2)}
 
 
+def _check_trials(trials) -> None:
+    """A trial count is a positive integer; a bool or a float is rejected."""
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        count = None
+    if count is None or isinstance(trials, bool):
+        raise InvalidConfigError(f"trial count must be an integer, got {trials!r}")
+    if count < 1:
+        raise InvalidConfigError("at least one trial required")
+
+
 def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> list[np.ndarray]:
     """One M x streams precoder matrix per slot of `plan` under `channel`.
 
@@ -106,7 +127,7 @@ def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> l
     elsewhere, except that a cancelled stream takes its column from the AP-ZF
     solve of its (rx, rows) group.  Each group is solved once for all its
     distinct antennas across the plan.  Entries have the channel's dtype and
-    are reduced mod p on GF(p).
+    are reduced mod p on GF(p); a stacked real channel stacks the matrices.
     """
     groups: dict[tuple, dict[int, int]] = {}
     for slot in plan.slots:
@@ -118,14 +139,15 @@ def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> l
     solved = {key: apzf_precoder(channel, *key, columns) for key, columns in groups.items()}
     matrices = []
     for slot in plan.slots:
-        T_mat = np.zeros((channel.cfg.M, len(slot.streams)), dtype=channel.H.dtype)
+        shape = channel.H.shape[:-2] + (channel.cfg.M, len(slot.streams))
+        T_mat = np.zeros(shape, dtype=channel.H.dtype)
         for j, stream in enumerate(slot.streams):
             recipe = stream.precoder
             if recipe.rows:
                 key = (recipe.rx, recipe.rows)
-                T_mat[:, j] = solved[key][:, groups[key][recipe.antenna]]
+                T_mat[..., j] = solved[key][..., groups[key][recipe.antenna]]
             else:
-                T_mat[recipe.antenna, j] = 1
+                T_mat[..., recipe.antenna, j] = 1
         matrices.append(T_mat)
     return matrices
 
@@ -148,9 +170,9 @@ def _slot_samples(channel: ChannelRealization, T_mat: np.ndarray, forms: np.ndar
     """
     p = channel.field
     if p is None:
-        norms = np.linalg.norm(T_mat, axis=0)
+        norms = np.linalg.norm(T_mat, axis=-2)
         norms[norms == 0] = 1.0
-        T_mat = T_mat / norms / np.sqrt(T_mat.shape[1])
+        T_mat = T_mat / norms[..., None, :] / np.sqrt(T_mat.shape[-1])
         # One product per receiver: stacking them would change float bits.
         return (channel.H1 @ T_mat) @ forms, (channel.H2 @ T_mat) @ forms
     received = gf_matmul(gf_matmul(channel.H, T_mat, p), forms, p)
@@ -159,11 +181,11 @@ def _slot_samples(channel: ChannelRealization, T_mat: np.ndarray, forms: np.ndar
 
 def _fixed_point(E: np.ndarray, S: int, p: int | None) -> np.ndarray:
     """phi with phi = E[:, :S] + E[:, S:] @ phi: the coupled streams' forms."""
-    lhs = _reduce(np.eye(len(E), dtype=E.dtype) - E[:, S:], p)
+    lhs = _reduce(np.eye(E.shape[-2], dtype=E.dtype) - E[..., S:], p)
     if p is not None:
         return gf_solve(lhs, E[:, :S], p)  # raises ResampleRequiredError if singular
     try:
-        return np.linalg.solve(lhs, E[:, :S])
+        return np.linalg.solve(lhs, E[..., :S])
     except np.linalg.LinAlgError as exc:
         raise ResampleRequiredError("coupled-stream fixed point is singular") from exc
 
@@ -173,7 +195,10 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
 
     GF(p) channels give the exact matrices that certification ranks.  Real
     channels give the matrices behind the rate slopes, at unit transmit power
-    per slot and with unit-norm retransmitted forms.
+    per slot and with unit-norm retransmitted forms.  A real channel with a
+    leading trial axis gives A_1, A_2 (and precoders) with that axis, each
+    trial bit-identical to realizing its draw alone; a singular draw anywhere
+    in the stack raises ResampleRequiredError for the whole stack.
     """
     cfg = plan.cfg
     if channel.cfg.shape != cfg.shape:
@@ -184,49 +209,51 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
     S = len(plan.registry.symbols)
     ncols = S + plan.aux_count
     dtype = channel.H.dtype
+    trials = channel.H.shape[:-2]
     samples: list[tuple[np.ndarray, np.ndarray]] = []
     aux_equations: dict[int, tuple] = {}
 
     def combine(terms) -> np.ndarray:
         """Weighted sum of earlier received samples."""
-        acc = np.zeros(ncols, dtype=dtype)
+        acc = np.zeros(trials + (ncols,), dtype=dtype)
         for ref in terms:
-            sample = samples[ref.slot][ref.rx - 1][ref.row]
+            sample = samples[ref.slot][ref.rx - 1][..., ref.row, :]
             acc = _reduce(acc + _reduce(ref.weight, p) * sample, p)
         return acc
 
     precoders = _precoder_matrices(plan, channel)
     for slot, T_mat in zip(plan.slots, precoders):
-        forms = np.zeros((len(slot.streams), ncols), dtype=dtype)
+        forms = np.zeros(trials + (len(slot.streams), ncols), dtype=dtype)
         for s_idx, stream in enumerate(slot.streams):
             payload = stream.payload
             if isinstance(payload, FreshPayload):
-                forms[s_idx, plan.registry.index(payload.symbol)] = 1
+                forms[..., s_idx, plan.registry.index(payload.symbol)] = 1
             elif isinstance(payload, InterferencePayload):
                 owned = list(plan.registry.owned_columns(payload.owner))
-                form = np.zeros(ncols, dtype=dtype)
-                form[owned] = combine(payload.terms)[owned]
+                form = np.zeros(trials + (ncols,), dtype=dtype)
+                form[..., owned] = combine(payload.terms)[..., owned]
                 if p is None:
-                    norm = np.linalg.norm(form)
-                    if norm > 0:
-                        form = form / norm
-                forms[s_idx] = form
+                    # The same dot product as np.linalg.norm's, per trial.
+                    norm = np.sqrt(form[..., None, :] @ form[..., :, None])[..., 0]
+                    norm[~(norm > 0)] = 1.0  # as for one draw: divide by positive norms only
+                    form = form / norm
+                forms[..., s_idx, :] = form
             else:  # CoupledPayload; the plan checked that its definitions agree
-                forms[s_idx, S + payload.aux] = 1
+                forms[..., s_idx, S + payload.aux] = 1
                 aux_equations[payload.aux] = payload.terms
         samples.append(_slot_samples(channel, T_mat, forms))
 
     if plan.aux_count:
-        E = np.zeros((plan.aux_count, ncols), dtype=dtype)
+        E = np.zeros(trials + (plan.aux_count, ncols), dtype=dtype)
         for aux, terms in aux_equations.items():
-            E[aux] = combine(terms)
+            E[..., aux, :] = combine(terms)
         phi = _fixed_point(E, S, p)
 
     def stack(rx: int) -> np.ndarray:
-        full = np.vstack([slot_samples[rx - 1] for slot_samples in samples])
+        full = np.concatenate([slot_samples[rx - 1] for slot_samples in samples], axis=-2)
         if plan.aux_count:
-            return _reduce(full[:, :S] + _matmul(full[:, S:], phi, p), p)
-        return full[:, :S]
+            return _reduce(full[..., :S] + _matmul(full[..., S:], phi, p), p)
+        return full[..., :S]
 
     return ObservationSystem(
         A1=stack(1), A2=stack(2), registry=plan.registry, field=p, precoders=tuple(precoders)
@@ -282,8 +309,7 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     run precodes trial 1's first draw (index 25) for it, without realizing
     or ranking it, and a singular draw there raises ResampleRequiredError.
     """
-    if trials < 1:
-        raise InvalidConfigError("at least one trial required")
+    _check_trials(trials)
     reports = []
     precoders = []
     resamples = 0
@@ -375,8 +401,7 @@ class RateSimConfig:
     trials: int = 100
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidConfigError("at least one trial required")
+        _check_trials(self.trials)
         if not all(math.isfinite(s) for s in self.snr_db):
             raise InvalidConfigError("SNR points must be finite")
         if len(self.snr_db) < 2:
@@ -405,32 +430,49 @@ class SlopeResult:
         }
 
 
-def _logdet2(A: np.ndarray) -> float:
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X @ X^T over the last two axes."""
+    return X @ np.swapaxes(X, -1, -2)
+
+
+def _log2det(A: np.ndarray) -> np.ndarray:
     sign, logdet = np.linalg.slogdet(A)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise FloatingPointError("non positive-definite covariance")
     return logdet / np.log(2.0)
 
 
-def _receiver_rate(
+def _receiver_rates(
     A: np.ndarray,
     desired_cols: tuple[int, ...],
     other_cols: tuple[int, ...],
-    P: float,
+    snrs: list[float],
     T: int,
-) -> float:
-    """(1/2T) log2 det ratio: mutual information of the desired symbols with
-    the other user's columns treated as Gaussian noise, over unit-variance
-    receiver noise.  The 1/2 is the real Gaussian channel prelog, matching
-    the DoF normalization against log2(sqrt(P))."""
+) -> np.ndarray:
+    """(1/2T) log2 det ratio at each SNR point: mutual information of the
+    desired symbols with the other user's columns treated as Gaussian noise,
+    over unit-variance receiver noise.  The 1/2 is the real Gaussian channel
+    prelog, matching the DoF normalization against log2(sqrt(P)).
+
+    A may carry a leading trial axis; the result is (..., len(snrs)).  Each
+    covariance takes one `slogdet` call per SNR point over all trials, and
+    is built in place, so a block of trials holds few n x n matrices at once.
+    """
     if not desired_cols:
-        return 0.0
-    n = A.shape[0]
-    desired = A[:, desired_cols]
-    interference = A[:, other_cols]
-    sigma = np.eye(n) + P * (interference @ interference.T)
-    total = sigma + P * (desired @ desired.T)
-    return (_logdet2(total) - _logdet2(sigma)) / (2.0 * T)
+        return np.zeros(A.shape[:-2] + (len(snrs),))
+    gram_desired = _gram(A[..., desired_cols])
+    gram_interference = _gram(A[..., other_cols])
+    eye = np.eye(A.shape[-2])
+    rates = []
+    for P in snrs:
+        # In place, in the order eye + P G_i, then + P G_d: the same bits as
+        # building each covariance afresh, since float addition commutes.
+        covariance = P * gram_interference
+        covariance += eye
+        noise = _log2det(covariance)
+        covariance += P * gram_desired
+        rates.append((_log2det(covariance) - noise) / (2.0 * T))
+    return np.stack(rates, axis=-1)
 
 
 def rate_slope_estimate(
@@ -445,31 +487,48 @@ def rate_slope_estimate(
     Uninformed-antenna recipes are channel-independent by construction, so
     finite-precision CSIT enters only through the interference that AP-ZF
     cannot cancel.
+
+    Trial i is rated on draw 25*i + a, where a counts its resamples.  Trials
+    are rated in blocks: each block stacks its trials' first draws and is
+    realized and rated in one pass.  If that pass raises a resample, the
+    block is redone trial by trial, so every result equals rating each trial
+    alone, bit for bit.  A trial whose rates are not finite is discarded.
     """
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
     columns = [plan.registry.split(rx) for rx in (1, 2)]
-    totals = np.zeros(len(snrs))
-    used = 0
-    discarded = 0
-    for i in range(rsc.trials):
-        rates = None
+
+    def sum_rates(channel: ChannelRealization) -> np.ndarray:
+        system = realize_plan(plan, channel)
+        return _receiver_rates(system.A1, *columns[0], snrs, plan.T) + _receiver_rates(
+            system.A2, *columns[1], snrs, plan.T
+        )
+
+    def trial_rates(i: int) -> np.ndarray | None:
         for attempt in range(_MAX_RESAMPLE):
             channel = sample_channel(plan.cfg, dist, seed, index=i * _MAX_RESAMPLE + attempt)
             try:
-                system = realize_plan(plan, channel)
-                rates = [
-                    _receiver_rate(system.A1, *columns[0], P, plan.T)
-                    + _receiver_rate(system.A2, *columns[1], P, plan.T)
-                    for P in snrs
-                ]
-                break
-            except (ResampleRequiredError, FloatingPointError, np.linalg.LinAlgError):
-                rates = None
-        if rates is None or not np.all(np.isfinite(rates)):
-            discarded += 1
-            continue
-        totals += np.asarray(rates)
-        used += 1
+                return sum_rates(channel)
+            except _RESAMPLE_ERRORS:
+                pass
+        return None
+
+    totals = np.zeros(len(snrs))
+    used = 0
+    discarded = 0
+    for start in range(0, rsc.trials, _RATE_BLOCK):
+        block = range(start, min(start + _RATE_BLOCK, rsc.trials))
+        draws = [sample_channel(plan.cfg, dist, seed, index=i * _MAX_RESAMPLE) for i in block]
+        H = np.stack([channel.H for channel in draws])
+        try:
+            rates = sum_rates(ChannelRealization(plan.cfg, H))
+        except _RESAMPLE_ERRORS:
+            rates = [trial_rates(i) for i in block]
+        for row in rates:
+            if row is None or not np.all(np.isfinite(row)):
+                discarded += 1
+                continue
+            totals += row  # in trial order: a pairwise np.sum would change the bits
+            used += 1
     if used == 0:
         raise ResampleRequiredError("all Monte Carlo trials were discarded")
     means = totals / used

@@ -3,7 +3,11 @@ that only tests ask."""
 
 from __future__ import annotations
 
+import numpy as np
+
+from dofbc.channel import ChannelDistribution, sample_channel
 from dofbc.config import SystemConfig
+from dofbc.errors import ResampleRequiredError
 from dofbc.gf import gf_matmul
 from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
@@ -15,7 +19,7 @@ from dofbc.schemes import (
     SymbolRegistry,
     TransmissionPlan,
 )
-from dofbc.verifier import _precoder_matrices
+from dofbc.verifier import _precoder_matrices, realize_plan
 
 
 def adversarial_plan() -> TransmissionPlan:
@@ -91,3 +95,50 @@ def low_k_grid():
             for M in range(1, 11):
                 for k in range(1, min(N1, M + 1)):
                     yield SystemConfig(M, N1, N2, k)
+
+
+def per_trial_rate_slope(plan, rsc, seed=1, dist=ChannelDistribution(), draw=sample_channel):
+    """(slope, mean_sum_rates, trials_used, discarded) of `rate_slope_estimate`,
+    computed one trial and one SNR point at a time on 2-D matrices: the
+    reference that rating trials in blocks must equal bit for bit.
+    `draw(cfg, dist, seed, index)` makes each channel."""
+
+    def log2det(A):
+        sign, logdet = np.linalg.slogdet(A)
+        if sign <= 0:
+            raise FloatingPointError("non positive-definite covariance")
+        return logdet / np.log(2.0)
+
+    def rate(A, desired_cols, other_cols, P):
+        if not desired_cols:
+            return 0.0
+        desired = A[:, desired_cols]
+        interference = A[:, other_cols]  # one buffer on both sides: numpy's A @ A.T path
+        sigma = np.eye(A.shape[0]) + P * (interference @ interference.T)
+        total = sigma + P * (desired @ desired.T)
+        return (log2det(total) - log2det(sigma)) / (2.0 * plan.T)
+
+    snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
+    columns = [plan.registry.split(rx) for rx in (1, 2)]
+    totals = np.zeros(len(snrs))
+    used = discarded = 0
+    for i in range(rsc.trials):
+        rates = None
+        for attempt in range(25):
+            channel = draw(plan.cfg, dist, seed, index=25 * i + attempt)
+            try:
+                system = realize_plan(plan, channel)
+                rates = [
+                    rate(system.A1, *columns[0], P) + rate(system.A2, *columns[1], P) for P in snrs
+                ]
+                break
+            except (ResampleRequiredError, FloatingPointError, np.linalg.LinAlgError):
+                rates = None
+        if rates is None or not np.all(np.isfinite(rates)):
+            discarded += 1
+            continue
+        totals += np.asarray(rates)
+        used += 1
+    means = totals / used
+    slope = float(np.polyfit(np.log2(np.sqrt(snrs)), means, 1)[0])
+    return slope, tuple(float(v) for v in means), used, discarded

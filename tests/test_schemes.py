@@ -3,6 +3,7 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dofbc.config import SystemConfig
@@ -260,6 +261,15 @@ def test_plan_validation_rejects_bad_structures():
     for payload in unreceived:
         with pytest.raises(InvalidConfigError):
             TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(payload, ApzfRecipe(0)),))))
+    # A weight is an integer, which reduces exactly mod p; realizing would
+    # truncate a float's GF(p) combination into the int64 form.
+    for weight in (0.5, 2.0, True, F(1, 2)):
+        payload = InterferencePayload(1, (RxRowRef(0, 2, 2, weight),))
+        with pytest.raises(InvalidConfigError, match="weights must be integers"):
+            TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(payload, ApzfRecipe(0)),))))
+    for weight in (2**40, -1, np.int64(3)):
+        payload = InterferencePayload(1, (RxRowRef(0, 2, 2, weight),))
+        assert TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(payload, ApzfRecipe(0)),)))).T == 2
     with pytest.raises(InvalidConfigError, match="exactly once"):  # a symbol the registry lacks
         TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, Stream(FreshPayload("zz"), ApzfRecipe(1)))),))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dofbc.channel import ChannelRealization, field_channel, sample_channel
+from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError, ResampleRequiredError
 from dofbc.gf import DEFAULT_PRIME, gf_matmul, gf_rank
@@ -25,6 +25,7 @@ from dofbc.schemes import (
 from dofbc.verifier import (
     ObservationSystem,
     _precoder_matrices,
+    _receiver_rates,
     achieved_dof,
     decodability_check,
     rate_slope_estimate,
@@ -37,6 +38,7 @@ from .helpers import (
     leaky_apzf_precoder,
     low_k_grid,
     overloaded_rx2_plan,
+    per_trial_rate_slope,
     stream_gains,
     tight_regime_grid,
 )
@@ -307,6 +309,20 @@ def test_rate_sim_config_validation():
         RateSimConfig(snr_db=(float("nan"), 60.0, 80.0))
     with pytest.raises(InvalidConfigError, match="at least one trial"):
         RateSimConfig(trials=0)
+    for trials in (2.5, 3.0, True, "3", None):
+        with pytest.raises(InvalidConfigError, match="integer"):
+            RateSimConfig(trials=trials)
+    assert RateSimConfig(trials=np.int64(3)).trials == 3
+
+
+def test_achieved_dof_trial_count_validation():
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    for trials in (2.5, True, "3"):
+        with pytest.raises(InvalidConfigError, match="integer"):
+            achieved_dof(plan, trials=trials)
+    with pytest.raises(InvalidConfigError, match="at least one trial"):
+        achieved_dof(plan, trials=0)
+    assert achieved_dof(plan, trials=np.int64(2)).ok
 
 
 def _certification_digest() -> str:
@@ -417,3 +433,71 @@ def test_decodability_ranks_equal_separate_ranks(p, rows, inner, owners, seed):
         other = [c for c in range(cols) if owners[c] != rx]
         assert rx_report.rank_full == gf_rank(A, p)
         assert rx_report.rank_interference == gf_rank(A[:, other], p)
+
+
+# Every template regime, and the crafted plan's coupled fixed point.  No
+# first draw of any M <= 12, N2 <= 7 plan (10 trials at seed 5) needs a
+# resample, so the stacked pass is not expected to raise here.
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=small_configs(),
+    special=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 23),
+)
+@example(cfg=SystemConfig(6, 3, 3, 1), special=True, seed=1, trials=12)
+@example(cfg=SystemConfig(9, 3, 6, 4), special=False, seed=2, trials=10)
+def test_trial_axis_equals_per_trial_evaluation(cfg, special, seed, trials):
+    plan = select_scheme(cfg, special)
+    rsc = RateSimConfig(trials=trials)
+    snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
+    draws = [sample_channel(plan.cfg, seed=seed, index=25 * i) for i in range(min(trials, 10))]
+    system = realize_plan(plan, ChannelRealization(plan.cfg, np.stack([d.H for d in draws])))
+    rates = [
+        _receiver_rates(A, *plan.registry.split(rx), snrs, plan.T)
+        for rx, A in ((1, system.A1), (2, system.A2))
+    ]
+    for i, draw in enumerate(draws):
+        alone = realize_plan(plan, draw)
+        assert np.array_equal(system.A1[i], alone.A1) and np.array_equal(system.A2[i], alone.A2)
+        for T, T_alone in zip(system.precoders, alone.precoders):
+            assert np.array_equal(T[i], T_alone)
+        for rx, A in ((1, alone.A1), (2, alone.A2)):
+            one = _receiver_rates(A, *plan.registry.split(rx), snrs, plan.T)
+            assert np.array_equal(rates[rx - 1][i], one)
+    result = rate_slope_estimate(plan, rsc, seed=seed)
+    expected = per_trial_rate_slope(plan, rsc, seed=seed)
+    assert (result.slope, result.mean_sum_rates, result.trials_used, result.discarded) == expected
+
+
+def test_singular_trial_redoes_its_block_per_trial(monkeypatch):
+    # (4,1,3,2): RX1 streams cancel at RX2 rows 0-1 with antennas 0-1.  Zero
+    # that block on trial 3's first draw (it resamples) and on every draw of
+    # trial 12 (it is discarded); each stacked pass then raises.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+
+    def planted(cfg, dist=ChannelDistribution(), seed=0, index=0):
+        channel = sample_channel(cfg, dist, seed, index)
+        if index == 25 * 3 or index // 25 == 12:
+            H = channel.H.copy()
+            H[1:3, :2] = 0
+            channel = ChannelRealization(cfg, H)
+        return channel
+
+    stacked_raises = []
+
+    def realize_counting(plan, channel):
+        try:
+            return realize_plan(plan, channel)
+        except ResampleRequiredError:
+            stacked_raises.append(channel.H.ndim == 3)
+            raise
+
+    monkeypatch.setattr("dofbc.verifier.sample_channel", planted)
+    monkeypatch.setattr("dofbc.verifier.realize_plan", realize_counting)
+    rsc = RateSimConfig(trials=20)
+    result = rate_slope_estimate(plan, rsc, seed=1)
+    assert stacked_raises.count(True) == 2  # both blocks, then one draw at a time
+    assert (result.trials_used, result.discarded) == (19, 1)
+    expected = per_trial_rate_slope(plan, rsc, seed=1, draw=planted)
+    assert (result.slope, result.mean_sum_rates, result.trials_used, result.discarded) == expected
