@@ -51,8 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain
 from numbers import Integral
 from typing import NamedTuple
+
+import numpy as np
 
 from .config import SystemConfig
 from .errors import InvalidConfigError
@@ -216,6 +219,24 @@ class Slot:
     streams: tuple[Stream, ...]
 
 
+class SlotLayout(NamedTuple):
+    """One slot of `TransmissionPlan.layout`; a stream's column is that of its
+    precoder in [I_M | Z], Z being the plan's AP-ZF columns."""
+
+    columns: np.ndarray
+    onehot: tuple[np.ndarray, np.ndarray]  # (stream, form column): fresh, then coupled streams
+    fresh: tuple[np.ndarray, np.ndarray]  # (symbol column, column) of each fresh stream
+    mixed: np.ndarray  # interference and coupled streams: their samples need a product
+    interference: tuple  # (stream, owner's symbol columns, terms) per interference stream
+    constant: np.ndarray  # M x streams: where `ApzfRecipe.labels` says constant
+
+
+class PlanLayout(NamedTuple):
+    groups: tuple  # (rx, rows, sending antennas) per AP-ZF group, in Z's column order
+    slots: tuple[SlotLayout, ...]
+    coupled: tuple  # each coupled stream's terms, by aux index
+
+
 @dataclass(frozen=True)
 class TransmissionPlan:
     """A complete transmission program; it claims the sum DoF (S1+S2)/T."""
@@ -236,11 +257,52 @@ class TransmissionPlan:
     def claimed_dof(self) -> Fraction:
         return Fraction(self.registry.S1 + self.registry.S2, self.T)
 
-    @cached_property
+    @property
     def aux_count(self) -> int:
         """Number of coupled streams; validation makes their indices 0..aux_count-1."""
-        payloads = (stream.payload for slot in self.slots for stream in slot.streams)
-        return len({p.aux for p in payloads if isinstance(p, CoupledPayload)})
+        return len(self.layout.coupled)
+
+    @cached_property
+    def layout(self) -> PlanLayout:
+        """The plan as index arrays, so realizing it walks no stream per
+        channel.  Built on first use, from lists and one array cut into views."""
+        M, S, registry = self.cfg.M, len(self.registry.symbols), self.registry
+        groups: dict[tuple, dict[int, int]] = {}  # (rx, rows) -> {antenna: column}
+        for r in (s.precoder for slot in self.slots for s in slot.streams if s.precoder.rows):
+            groups.setdefault((r.rx, r.rows), {})[r.antenna] = 0
+        column = M
+        for antennas in groups.values():
+            for antenna in antennas:
+                antennas[antenna], column = column, column + 1
+        lists, interference, coupled = [], [], {}
+        for slot in self.slots:
+            columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
+            for j, (payload, r) in enumerate((s.payload, s.precoder) for s in slot.streams):
+                columns.append(groups[r.rx, r.rows][r.antenna] if r.rows else r.antenna)
+                cancelled.append(len(r.rows))
+                if isinstance(payload, FreshPayload):
+                    rows.append(j)
+                    forms.append(registry.index(payload.symbol))
+                elif isinstance(payload, InterferencePayload):
+                    terms.append((j, list(registry.owned_columns(payload.owner)), payload.terms))
+                else:
+                    aux_rows.append(j)
+                    aux_forms.append(S + payload.aux)
+                    coupled[payload.aux] = payload.terms
+            sources, mixed = [columns[j] for j in rows], [t[0] for t in terms] + aux_rows
+            lists += [columns, cancelled, rows + aux_rows, forms + aux_forms, sources, mixed]
+            interference.append(tuple(terms))
+        sizes = list(map(len, lists))
+        flat = np.fromiter(chain.from_iterable(lists), dtype=np.intp)
+        views = [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+        antenna, slots = np.arange(M)[:, None], []
+        for t, terms in enumerate(interference):
+            columns, cancelled, rows, forms, sources, mixed = views[6 * t : 6 * t + 6]
+            constant = antenna >= cancelled  # labelled constant past the AP-ZF antennas
+            fresh = (forms[: len(sources)], sources)
+            slots.append(SlotLayout(columns, (rows, forms), fresh, mixed, terms, constant))
+        coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
+        return PlanLayout(tuple(k + (tuple(a),) for k, a in groups.items()), tuple(slots), coupled_terms)
 
     def _validate(self):
         """Check the plan's structure once, so realizing it needs no structural checks."""

@@ -7,23 +7,23 @@ Retransmission payloads are expanded to their linear forms over the original
 symbols (coupled streams via a within-block fixed point), so decodability is
 a pure rank statement:
 
-    receiver i decodes its symbols  iff  rank(A_i) - rank(A_i without its
-    columns) equals its desired-symbol count.
+    receiver i decodes its symbols  iff  it recovers them all, where it
+    recovers rank(A_i) - rank(A_i without its columns) symbols.
 
 The plan's registry splits A_i's columns into the desired and interference
 symbols of receiver i (`SymbolRegistry.split`); the certificate and the rate
-slopes both read that one split.  A decodability report holds ranks only: a
-certified plan achieves the DoF it claims, `plan.claimed_dof`.
-
-Every stream is sent with coefficient 1 from its one antenna; only the
-streams that AP-ZF cancels need a solve, and those that cancel at the same
-rows of the same receiver share one `apzf_precoder` call per channel.
-Certification is exact: ranks come from elimination mod p on prime-field
-channels, one elimination per receiver giving both ranks.  Certification
-also checks CSIT compliance, by comparing the precoders that `realize_plan`
-recorded under two of its own channels, so each channel is drawn and
-precoded once.  Real channels serve only the rate slopes, realized at unit
-transmit power per slot.
+slopes both read that one split.  Certification is exact: one elimination mod
+p of [interference | desired] counts the recovered symbols as its pivots among
+the desired columns, and a receiver with no desired symbols recovers 0 of 0
+without one.  A certified plan achieves the DoF it claims, `plan.claimed_dof`.
+Realizing reads the plan's index arrays (`TransmissionPlan.layout`).  Every
+stream is sent with coefficient 1 from its one antenna; streams that AP-ZF
+cancels at the same rows of the same receiver share one `apzf_precoder` call
+per channel.  On GF(p) one product H @ Z covers every AP-ZF column, a fresh
+stream's samples are a gather, and only interference and coupled streams
+need a product.  CSIT compliance compares the precoders `realize_plan`
+recorded under two of the certification's own channels.  Real channels serve
+only the rate slopes, realized at unit transmit power per slot.
 Monte Carlo rate slopes use the standard real-Gaussian log-det rate with the
 other user's columns treated as noise; the high-SNR slope against
 log2(sqrt(P)) then recovers each receiver's DoF.  Their trials are realized
@@ -45,13 +45,8 @@ from .channel import ChannelDistribution, ChannelRealization, field_channel, sam
 from .errors import InvalidConfigError, ResampleRequiredError
 from .gf import gf_matmul, gf_pivots, gf_solve
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
-from .precoding import CONSTANT, apzf_precoder
-from .schemes import (
-    FreshPayload,
-    InterferencePayload,
-    SymbolRegistry,
-    TransmissionPlan,
-)
+from .precoding import apzf_precoder
+from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
 
 _MAX_RESAMPLE = 25
 # Trials that `rate_slope_estimate` realizes and rates in one pass: enough to
@@ -79,12 +74,11 @@ class ObservationSystem:
 @dataclass(frozen=True)
 class ReceiverReport:
     desired: int
-    rank_full: int
-    rank_interference: int
+    recovered: int  # rank(A) - rank(A without the desired columns)
 
     @property
     def decodable(self) -> bool:
-        return self.rank_full - self.rank_interference == self.desired
+        return self.recovered == self.desired
 
 
 @dataclass(frozen=True)
@@ -98,12 +92,7 @@ class DecodabilityReport:
 
     def to_json(self) -> dict:
         def rx_doc(r):
-            return {
-                "desired": r.desired,
-                "rank": r.rank_full,
-                "rank_without_desired": r.rank_interference,
-                "decodable": r.decodable,
-            }
+            return {"desired": r.desired, "recovered": r.recovered, "decodable": r.decodable}
 
         return {"rx1": rx_doc(self.rx1), "rx2": rx_doc(self.rx2)}
 
@@ -120,36 +109,20 @@ def _check_trials(trials) -> None:
         raise InvalidConfigError("at least one trial required")
 
 
-def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> list[np.ndarray]:
-    """One M x streams precoder matrix per slot of `plan` under `channel`.
+def _precoder_columns(plan: TransmissionPlan, channel: ChannelRealization) -> np.ndarray:
+    """[I_M | Z] under `channel`, Z holding each AP-ZF group's columns from one
+    `apzf_precoder` call per group; every stream's precoder is one column."""
+    H, M = channel.H, channel.cfg.M
+    eye = np.eye(M, dtype=H.dtype) + np.zeros(H.shape[:-2] + (1, 1), dtype=H.dtype)
+    solved = [apzf_precoder(channel, *group) for group in plan.layout.groups]
+    return np.concatenate([eye, *solved], axis=-1) if solved else eye
 
-    Column j holds stream j's coefficients: a 1 on its antenna and zeros
-    elsewhere, except that a cancelled stream takes its column from the AP-ZF
-    solve of its (rx, rows) group.  Each group is solved once for all its
-    distinct antennas across the plan.  Entries have the channel's dtype and
-    are reduced mod p on GF(p); a stacked real channel stacks the matrices.
-    """
-    groups: dict[tuple, dict[int, int]] = {}
-    for slot in plan.slots:
-        for stream in slot.streams:
-            recipe = stream.precoder
-            if recipe.rows:
-                columns = groups.setdefault((recipe.rx, recipe.rows), {})
-                columns.setdefault(recipe.antenna, len(columns))
-    solved = {key: apzf_precoder(channel, *key, columns) for key, columns in groups.items()}
-    matrices = []
-    for slot in plan.slots:
-        shape = channel.H.shape[:-2] + (channel.cfg.M, len(slot.streams))
-        T_mat = np.zeros(shape, dtype=channel.H.dtype)
-        for j, stream in enumerate(slot.streams):
-            recipe = stream.precoder
-            if recipe.rows:
-                key = (recipe.rx, recipe.rows)
-                T_mat[..., j] = solved[key][..., groups[key][recipe.antenna]]
-            else:
-                T_mat[..., recipe.antenna, j] = 1
-        matrices.append(T_mat)
-    return matrices
+
+def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> list[np.ndarray]:
+    """One M x streams precoder matrix per slot of `plan` under `channel`,
+    with the channel's dtype (reduced mod p on GF(p)) and its trial axis."""
+    columns = _precoder_columns(plan, channel)
+    return [columns.take(slot.columns, axis=-1) for slot in plan.layout.slots]
 
 
 def _reduce(x, p: int | None):
@@ -157,16 +130,14 @@ def _reduce(x, p: int | None):
     return x if p is None else x % p
 
 
-def _matmul(A: np.ndarray, B: np.ndarray, p: int | None) -> np.ndarray:
-    return A @ B if p is None else gf_matmul(A, B, p)
-
-
-def _slot_samples(channel: ChannelRealization, T_mat: np.ndarray, forms: np.ndarray):
+def _slot_samples(channel: ChannelRealization, T_mat, forms, slot: SlotLayout, gains: np.ndarray):
     """Noiseless samples (RX1, RX2) of one slot: H_i @ T_mat @ forms.
 
     On a real channel the slot is first scaled to equal power per stream and
     unit total power, which keeps every receive gain O(1) so rate curves
-    enter the DoF regime early; scaling never changes rank structure.
+    enter the DoF regime early; scaling never changes rank structure.  On
+    GF(p), a fresh stream's samples are its column of `gains` = H @ [I_M | Z];
+    only interference and coupled streams need a product.
     """
     p = channel.field
     if p is None:
@@ -175,7 +146,12 @@ def _slot_samples(channel: ChannelRealization, T_mat: np.ndarray, forms: np.ndar
         T_mat = T_mat / norms[..., None, :] / np.sqrt(T_mat.shape[-1])
         # One product per receiver: stacking them would change float bits.
         return (channel.H1 @ T_mat) @ forms, (channel.H2 @ T_mat) @ forms
-    received = gf_matmul(gf_matmul(channel.H, T_mat, p), forms, p)
+    received = np.zeros((channel.cfg.N, forms.shape[-1]), dtype=np.int64)
+    symbols, sources = slot.fresh
+    received[:, symbols] = gains.take(sources, axis=1)
+    if slot.mixed.size:
+        mixed = gf_matmul(gains.take(slot.columns[slot.mixed], axis=1), forms[slot.mixed], p)
+        received = (received + mixed) % p
     return received[: channel.cfg.N1], received[channel.cfg.N1 :]
 
 
@@ -210,49 +186,43 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
     ncols = S + plan.aux_count
     dtype = channel.H.dtype
     trials = channel.H.shape[:-2]
+    columns = _precoder_columns(plan, channel)
+    gains = channel.H
+    if p is not None and plan.layout.groups:  # one product per channel, for all AP-ZF columns
+        gains = np.concatenate([channel.H, gf_matmul(channel.H, columns[:, cfg.M :], p)], axis=1)
     samples: list[tuple[np.ndarray, np.ndarray]] = []
-    aux_equations: dict[int, tuple] = {}
 
     def combine(terms) -> np.ndarray:
         """Weighted sum of earlier received samples."""
         acc = np.zeros(trials + (ncols,), dtype=dtype)
-        for ref in terms:
-            sample = samples[ref.slot][ref.rx - 1][..., ref.row, :]
-            acc = _reduce(acc + _reduce(ref.weight, p) * sample, p)
+        for slot, rx, row, weight in terms:
+            acc = _reduce(acc + _reduce(weight, p) * samples[slot][rx - 1][..., row, :], p)
         return acc
 
-    precoders = _precoder_matrices(plan, channel)
-    for slot, T_mat in zip(plan.slots, precoders):
-        forms = np.zeros(trials + (len(slot.streams), ncols), dtype=dtype)
-        for s_idx, stream in enumerate(slot.streams):
-            payload = stream.payload
-            if isinstance(payload, FreshPayload):
-                forms[..., s_idx, plan.registry.index(payload.symbol)] = 1
-            elif isinstance(payload, InterferencePayload):
-                owned = list(plan.registry.owned_columns(payload.owner))
-                form = np.zeros(trials + (ncols,), dtype=dtype)
-                form[..., owned] = combine(payload.terms)[..., owned]
-                if p is None:
-                    # The same dot product as np.linalg.norm's, per trial.
-                    norm = np.sqrt(form[..., None, :] @ form[..., :, None])[..., 0]
-                    norm[~(norm > 0)] = 1.0  # as for one draw: divide by positive norms only
-                    form = form / norm
-                forms[..., s_idx, :] = form
-            else:  # CoupledPayload; the plan checked that its definitions agree
-                forms[..., s_idx, S + payload.aux] = 1
-                aux_equations[payload.aux] = payload.terms
-        samples.append(_slot_samples(channel, T_mat, forms))
+    precoders = [columns.take(slot.columns, axis=-1) for slot in plan.layout.slots]
+    for slot, T_mat in zip(plan.layout.slots, precoders):
+        forms = np.zeros(trials + (len(slot.columns), ncols), dtype=dtype)
+        forms[..., slot.onehot[0], slot.onehot[1]] = 1
+        for s_idx, owned, terms in slot.interference:
+            form = np.zeros(trials + (ncols,), dtype=dtype)
+            form[..., owned] = combine(terms)[..., owned]
+            if p is None:
+                # The same dot product as np.linalg.norm's, per trial.
+                norm = np.sqrt(form[..., None, :] @ form[..., :, None])[..., 0]
+                norm[~(norm > 0)] = 1.0  # as for one draw: divide by positive norms only
+                form = form / norm
+            forms[..., s_idx, :] = form
+        samples.append(_slot_samples(channel, T_mat, forms, slot, gains))
 
     if plan.aux_count:
-        E = np.zeros(trials + (plan.aux_count, ncols), dtype=dtype)
-        for aux, terms in aux_equations.items():
-            E[..., aux, :] = combine(terms)
+        E = np.stack([combine(terms) for terms in plan.layout.coupled], axis=-2)
         phi = _fixed_point(E, S, p)
 
     def stack(rx: int) -> np.ndarray:
         full = np.concatenate([slot_samples[rx - 1] for slot_samples in samples], axis=-2)
         if plan.aux_count:
-            return _reduce(full[..., :S] + _matmul(full[..., S:], phi, p), p)
+            coupled = full[..., S:] @ phi if p is None else gf_matmul(full[..., S:], phi, p)
+            return _reduce(full[..., :S] + coupled, p)
         return full[..., :S]
 
     return ObservationSystem(
@@ -263,23 +233,21 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
 def decodability_check(system: ObservationSystem) -> DecodabilityReport:
     """Exact rank certificate of symbol recovery for both receivers.
 
-    One elimination mod p of A's columns ordered [interference | desired]
-    gives both ranks: all its pivots count rank(A), and those among the
-    interference columns count the rank without the desired symbols.
+    A receiver recovers rank(A) - rank(A without its desired columns)
+    symbols: the pivots among the desired columns of one elimination mod p
+    of A's columns ordered [interference | desired].  A receiver with no
+    desired symbols recovers 0 of 0 for every A, so it needs no elimination.
     """
     if system.field is None:
         raise InvalidConfigError("decodability is certified on GF(p) channels only")
     reports = []
     for rx, A in ((1, system.A1), (2, system.A2)):
         desired, interference = system.registry.split(rx)
-        pivots = gf_pivots(A[:, interference + desired], system.field)
-        reports.append(
-            ReceiverReport(
-                desired=len(desired),
-                rank_full=len(pivots),
-                rank_interference=sum(c < len(interference) for c in pivots),
-            )
-        )
+        recovered = 0
+        if desired:
+            pivots = gf_pivots(A.take(interference + desired, axis=1), system.field)
+            recovered = sum(c >= len(interference) for c in pivots)
+        reports.append(ReceiverReport(desired=len(desired), recovered=recovered))
     return DecodabilityReport(*reports)
 
 
@@ -369,27 +337,27 @@ def csit_compliance(plan: TransmissionPlan, precoders_a, precoders_b) -> Complia
     """Check that uninformed antennas never emit channel-dependent coefficients.
 
     `precoders_a` and `precoders_b` are the plan's per-slot precoder matrices
-    under two independent channels (`ObservationSystem.precoders`); no
-    channel is drawn here.  Every coefficient on an uninformed antenna must
-    be labeled constant and take identical values in both realizations, and
-    every channel-dependent label must sit on an informed antenna.
+    under two channels (`ObservationSystem.precoders`), one M x streams matrix
+    per slot; no channel is drawn here.  Every coefficient on an uninformed
+    antenna must be labeled constant and take identical values in both
+    realizations, and every channel-dependent label must sit on an informed
+    antenna.
     """
-    cfg = plan.cfg
+    slots, k = plan.layout.slots, plan.cfg.k
+    shapes = [slot.constant.shape for slot in slots]
+    if not [np.shape(T) for T in precoders_a] == [np.shape(T) for T in precoders_b] == shapes:
+        raise InvalidConfigError("compliance needs one M x streams precoder matrix per slot")
     violations = []
-    for t, (slot, T_a, T_b) in enumerate(zip(plan.slots, precoders_a, precoders_b)):
-        varies = (T_a != T_b).T.tolist()
-        for s_idx, stream in enumerate(slot.streams):
-            labels = stream.precoder.labels(cfg)
-            for antenna in range(cfg.M):
-                constant_label = labels[antenna] == CONSTANT
-                if antenna >= cfg.k and not constant_label:
-                    violations.append(
-                        ComplianceViolation(t, s_idx, antenna, "uninformed antenna labeled channel-dependent")
-                    )
-                if constant_label and varies[s_idx][antenna]:
-                    violations.append(
-                        ComplianceViolation(t, s_idx, antenna, "coefficient labeled constant varies with H")
-                    )
+    for t, (slot, T_a, T_b) in enumerate(zip(slots, precoders_a, precoders_b)):
+        varies = slot.constant & (T_a != T_b)
+        if slot.constant[k:].all() and not varies.any():
+            continue
+        uninformed_channel = ~slot.constant & (np.arange(plan.cfg.M)[:, None] >= k)
+        for s_idx, antenna in np.argwhere((uninformed_channel | varies).T).tolist():
+            reason = "coefficient labeled constant varies with H" if varies[antenna, s_idx] else (
+                "uninformed antenna labeled channel-dependent"
+            )
+            violations.append(ComplianceViolation(t, s_idx, antenna, reason))
     return ComplianceReport(violations=tuple(violations))
 
 

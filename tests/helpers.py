@@ -8,11 +8,14 @@ import numpy as np
 from dofbc.channel import ChannelDistribution, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import ResampleRequiredError
-from dofbc.gf import gf_matmul
+from dofbc.gf import gf_matmul, gf_solve
 from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
     ApzfRecipe,
+    CoupledPayload,
     FreshPayload,
+    InterferencePayload,
+    RxRowRef,
     Slot,
     Stream,
     Symbol,
@@ -56,6 +59,41 @@ def overloaded_rx2_plan() -> TransmissionPlan:
         registry=registry,
         slots=(Slot(first), Slot(second)),
     )
+
+
+def weighted_retransmission_plan() -> TransmissionPlan:
+    """(4,1,3,2) plan whose retransmissions weigh samples by -1, 2^40 and 3,
+    one for each receiver's symbols, next to AP-ZF and unit streams."""
+    cfg = SystemConfig(4, 1, 3, 2)
+    registry = SymbolRegistry((Symbol("a1", 1), Symbol("b1", 2), Symbol("b2", 2), Symbol("b3", 2)))
+    first = (
+        Stream(FreshPayload("a1"), ApzfRecipe(2, 2, (0, 1))),
+        Stream(FreshPayload("b1"), ApzfRecipe(1, 1, (0,))),
+        Stream(FreshPayload("b2"), ApzfRecipe(3)),
+    )
+    second = (
+        Stream(InterferencePayload(1, (RxRowRef(0, 2, 2, -1), RxRowRef(0, 2, 1, 2**40))), ApzfRecipe(0)),
+        Stream(FreshPayload("b3"), ApzfRecipe(2, 1, (0,))),
+        Stream(InterferencePayload(2, (RxRowRef(0, 1, 0, 3),)), ApzfRecipe(1)),
+    )
+    return TransmissionPlan(cfg, "weighted", registry, (Slot(first), Slot(second)))
+
+
+def repeated_coupled_plan() -> TransmissionPlan:
+    """(4,1,3,2) plan that sends coupled stream 0 twice in its first slot,
+    from both informed antennas, with weights -1 and 2^40 in its definition."""
+    cfg = SystemConfig(4, 1, 3, 2)
+    registry = SymbolRegistry((Symbol("a1", 1), Symbol("b1", 2), Symbol("b2", 2)))
+    c = CoupledPayload(0, (RxRowRef(0, 2, 0, 1), RxRowRef(1, 1, 0, 2**40)))
+    d = CoupledPayload(1, (RxRowRef(1, 2, 2, -1),))
+    first = (
+        Stream(FreshPayload("a1"), ApzfRecipe(2, 2, (0, 1))),
+        Stream(c, ApzfRecipe(0)),
+        Stream(FreshPayload("b1"), ApzfRecipe(3)),
+        Stream(c, ApzfRecipe(1)),
+    )
+    second = (Stream(FreshPayload("b2"), ApzfRecipe(3)), Stream(d, ApzfRecipe(1)), Stream(c, ApzfRecipe(0)))
+    return TransmissionPlan(cfg, "repeated-coupled", registry, (Slot(first), Slot(second)))
 
 
 def max_streams_per_slot(plan: TransmissionPlan) -> int:
@@ -142,3 +180,102 @@ def per_trial_rate_slope(plan, rsc, seed=1, dist=ChannelDistribution(), draw=sam
     means = totals / used
     slope = float(np.polyfit(np.log2(np.sqrt(snrs)), means, 1)[0])
     return slope, tuple(float(v) for v in means), used, discarded
+
+
+def reference_precoder_matrices(plan: TransmissionPlan, channel) -> list[np.ndarray]:
+    """Per-slot precoder matrices built stream by stream: the frozen
+    reference for `verifier._precoder_matrices` and `realize_plan`."""
+    groups: dict[tuple, dict[int, int]] = {}
+    for slot in plan.slots:
+        for stream in slot.streams:
+            recipe = stream.precoder
+            if recipe.rows:
+                columns = groups.setdefault((recipe.rx, recipe.rows), {})
+                columns.setdefault(recipe.antenna, len(columns))
+    solved = {key: apzf_precoder(channel, *key, columns) for key, columns in groups.items()}
+    matrices = []
+    for slot in plan.slots:
+        shape = channel.H.shape[:-2] + (channel.cfg.M, len(slot.streams))
+        T_mat = np.zeros(shape, dtype=channel.H.dtype)
+        for j, stream in enumerate(slot.streams):
+            recipe = stream.precoder
+            if recipe.rows:
+                key = (recipe.rx, recipe.rows)
+                T_mat[..., j] = solved[key][..., groups[key][recipe.antenna]]
+            else:
+                T_mat[..., recipe.antenna, j] = 1
+        matrices.append(T_mat)
+    return matrices
+
+
+def reference_realize(plan: TransmissionPlan, channel):
+    """(A1, A2, precoders) of `realize_plan`, computed stream by stream with a
+    full H @ T @ forms product per slot: the frozen reference the plan
+    layout must equal, bit for bit, on GF(p) and on real channels."""
+    p = channel.field
+    S = len(plan.registry.symbols)
+    ncols = S + plan.aux_count
+    dtype = channel.H.dtype
+    trials = channel.H.shape[:-2]
+
+    def reduce(x):
+        return x if p is None else x % p
+
+    def matmul(A, B):
+        return A @ B if p is None else gf_matmul(A, B, p)
+
+    samples = []
+    aux_equations = {}
+
+    def combine(terms):
+        acc = np.zeros(trials + (ncols,), dtype=dtype)
+        for ref in terms:
+            sample = samples[ref.slot][ref.rx - 1][..., ref.row, :]
+            acc = reduce(acc + reduce(ref.weight) * sample)
+        return acc
+
+    precoders = reference_precoder_matrices(plan, channel)
+    for slot, T_mat in zip(plan.slots, precoders):
+        forms = np.zeros(trials + (len(slot.streams), ncols), dtype=dtype)
+        for s_idx, stream in enumerate(slot.streams):
+            payload = stream.payload
+            if isinstance(payload, FreshPayload):
+                forms[..., s_idx, plan.registry.index(payload.symbol)] = 1
+            elif isinstance(payload, InterferencePayload):
+                owned = list(plan.registry.owned_columns(payload.owner))
+                form = np.zeros(trials + (ncols,), dtype=dtype)
+                form[..., owned] = combine(payload.terms)[..., owned]
+                if p is None:
+                    norm = np.sqrt(form[..., None, :] @ form[..., :, None])[..., 0]
+                    norm[~(norm > 0)] = 1.0
+                    form = form / norm
+                forms[..., s_idx, :] = form
+            else:
+                forms[..., s_idx, S + payload.aux] = 1
+                aux_equations[payload.aux] = payload.terms
+        if p is None:
+            norms = np.linalg.norm(T_mat, axis=-2)
+            norms[norms == 0] = 1.0
+            scaled = T_mat / norms[..., None, :] / np.sqrt(T_mat.shape[-1])
+            samples.append(((channel.H1 @ scaled) @ forms, (channel.H2 @ scaled) @ forms))
+        else:
+            received = gf_matmul(gf_matmul(channel.H, T_mat, p), forms, p)
+            samples.append((received[: channel.cfg.N1], received[channel.cfg.N1 :]))
+
+    if plan.aux_count:
+        E = np.zeros(trials + (plan.aux_count, ncols), dtype=dtype)
+        for aux, terms in aux_equations.items():
+            E[..., aux, :] = combine(terms)
+        lhs = reduce(np.eye(plan.aux_count, dtype=dtype) - E[..., S:])
+        try:
+            phi = gf_solve(lhs, E[:, :S], p) if p is not None else np.linalg.solve(lhs, E[..., :S])
+        except np.linalg.LinAlgError as exc:
+            raise ResampleRequiredError("coupled-stream fixed point is singular") from exc
+
+    def stack(rx):
+        full = np.concatenate([slot_samples[rx - 1] for slot_samples in samples], axis=-2)
+        if plan.aux_count:
+            return reduce(full[..., :S] + matmul(full[..., S:], phi))
+        return full[..., :S]
+
+    return stack(1), stack(2), tuple(precoders)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError, ResampleRequiredError
-from dofbc.gf import DEFAULT_PRIME, gf_matmul, gf_rank
+from dofbc.gf import DEFAULT_PRIME, gf_matmul, gf_pivots, gf_rank
 from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
     ApzfRecipe,
@@ -27,6 +27,7 @@ from dofbc.verifier import (
     _precoder_matrices,
     _receiver_rates,
     achieved_dof,
+    csit_compliance,
     decodability_check,
     rate_slope_estimate,
     realize_plan,
@@ -39,8 +40,11 @@ from .helpers import (
     low_k_grid,
     overloaded_rx2_plan,
     per_trial_rate_slope,
+    reference_realize,
+    repeated_coupled_plan,
     stream_gains,
     tight_regime_grid,
+    weighted_retransmission_plan,
 )
 from .oracles import sum_dof_lower_closed_form
 
@@ -74,11 +78,34 @@ def test_realize_rejects_mismatched_channel():
 
 def test_decodability_mid_k_field():
     plan = select_scheme(SystemConfig(4, 1, 3, 2))
-    report = decodability_check(realize_plan(plan, field_channel(plan.cfg, seed=1)))
+    system = realize_plan(plan, field_channel(plan.cfg, seed=1))
+    report = decodability_check(system)
     assert report.all_decodable
-    assert report.rx1.rank_interference == 0  # RX2 symbols are invisible at RX1
+    rx2_symbols = list(system.registry.owned_columns(2))
+    assert not system.A1[:, rx2_symbols].any()  # RX2 symbols are invisible at RX1
     doc = report.to_json()
-    assert doc["rx2"]["decodable"] and list(doc) == ["rx1", "rx2"]
+    assert list(doc) == ["rx1", "rx2"]
+    assert doc["rx2"] == {"desired": 5, "recovered": 5, "decodable": True}
+
+
+@pytest.mark.parametrize("shape,eliminations", [((7, 5, 6, 2), 1), ((4, 1, 3, 2), 2)])
+def test_receiver_without_desired_symbols_needs_no_elimination(monkeypatch, shape, eliminations):
+    # (7,5,6,2) is an rx2-baseline plan: RX1 decodes nothing, so only RX2 is
+    # eliminated.  The mid-k (4,1,3,2) plan has symbols for both receivers.
+    plan = select_scheme(SystemConfig(*shape))
+    system = realize_plan(plan, field_channel(plan.cfg, seed=1))
+    calls = []
+
+    def counting_pivots(A, p):
+        calls.append(A.shape)
+        return gf_pivots(A, p)
+
+    monkeypatch.setattr("dofbc.verifier.gf_pivots", counting_pivots)
+    report = decodability_check(system)
+    assert report.all_decodable and len(calls) == eliminations
+    if eliminations == 1:
+        assert plan.scheme_id == "rx2-baseline"
+        assert (report.rx1.desired, report.rx1.recovered) == (0, 0)
 
 
 def test_decodability_rejects_real_channels():
@@ -228,6 +255,28 @@ def test_compliance_flags_adversarial_plan(monkeypatch, trials, resample_first):
     assert any(v.antenna == 2 and "varies" in v.reason for v in result.compliance.violations)
 
 
+def _cut_precoders(case, precoders):
+    """Precoder lists that are not one M x streams matrix per slot."""
+    if case == "empty":
+        return ()
+    if case == "short":
+        return precoders[:-1]
+    if case == "long":
+        return precoders + precoders[:1]
+    cut = np.s_[:-1] if case == "missing-antenna" else np.s_[:, :-1]
+    return (precoders[0][cut],) + precoders[1:]
+
+
+@pytest.mark.parametrize("case", ["empty", "short", "long", "missing-antenna", "missing-stream"])
+def test_compliance_requires_one_matrix_per_slot(case):
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))  # two slots
+    a, b = (realize_plan(plan, field_channel(plan.cfg, seed=7, index=i)).precoders for i in range(2))
+    assert csit_compliance(plan, a, b).compliant
+    for args in ((_cut_precoders(case, a), _cut_precoders(case, b)), (a, _cut_precoders(case, b))):
+        with pytest.raises(InvalidConfigError, match="one M x streams"):
+            csit_compliance(plan, *args)
+
+
 def test_compliance_trivial_when_all_informed():
     cfg = SystemConfig(3, 1, 2, 3)
     assert achieved_dof(select_scheme(cfg), trials=1).compliance.compliant
@@ -370,6 +419,49 @@ def test_grouped_precoders_equal_per_stream_precoders():
                     assert np.array_equal(T_mat[:, s_idx], expected), (plan.cfg.shape, s_idx)
 
 
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+HAND_BUILT_PLANS = (weighted_retransmission_plan(), repeated_coupled_plan(), build_scheme_6331())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    plan=st.one_of(
+        st.builds(select_scheme, st.deferred(lambda: small_configs()), st.booleans()),
+        st.sampled_from(HAND_BUILT_PLANS),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(plan=HAND_BUILT_PLANS[0], seed=1)
+@example(plan=HAND_BUILT_PLANS[1], seed=1)
+@example(plan=HAND_BUILT_PLANS[2], seed=1)
+@example(plan=select_scheme(SystemConfig(9, 3, 6, 4)), seed=2)
+@example(plan=select_scheme(SystemConfig(7, 5, 6, 2)), seed=2)  # rx2-baseline
+def test_layout_realizes_what_per_stream_loops_did(plan, seed):
+    stacked = np.stack([sample_channel(plan.cfg, seed=seed, index=25 * i).H for i in range(3)])
+    channels = (
+        field_channel(plan.cfg, seed),
+        sample_channel(plan.cfg, seed=seed),
+        ChannelRealization(plan.cfg, stacked),
+    )
+    for channel in channels:
+        try:
+            want = reference_realize(plan, channel)
+        except ResampleRequiredError:
+            with pytest.raises(ResampleRequiredError):
+                realize_plan(plan, channel)
+            continue
+        system = realize_plan(plan, channel)
+        _assert_bits_equal(system.A1, want[0])
+        _assert_bits_equal(system.A2, want[1])
+        assert len(system.precoders) == len(want[2]) == plan.T
+        for T_mat, T_want in zip(system.precoders, want[2]):
+            _assert_bits_equal(T_mat, T_want)
+
+
 @st.composite
 def small_configs(draw):
     M = draw(st.integers(1, 12), label="M")
@@ -431,8 +523,9 @@ def test_decodability_ranks_equal_separate_ranks(p, rows, inner, owners, seed):
     report = decodability_check(ObservationSystem(A1, A2, registry, field=p))
     for rx, A, rx_report in ((1, A1, report.rx1), (2, A2, report.rx2)):
         other = [c for c in range(cols) if owners[c] != rx]
-        assert rx_report.rank_full == gf_rank(A, p)
-        assert rx_report.rank_interference == gf_rank(A[:, other], p)
+        assert rx_report.desired == cols - len(other)
+        assert rx_report.recovered == gf_rank(A, p) - gf_rank(A[:, other], p)
+        assert rx_report.decodable == (rx_report.recovered == rx_report.desired)
 
 
 # Every template regime, and the crafted plan's coupled fixed point.  No
