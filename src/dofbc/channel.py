@@ -9,8 +9,9 @@ Two kinds of realization are produced from the same seed machinery:
   used by the verifier for exact generic-rank certification.
 
 A realization's dtype decides its kind: float64 is real, int64 is GF(2^31 - 1).
-A real realization may stack several draws on a leading trial axis, which
-`rate_slope_estimate` uses to rate a block of trials in one pass.
+Either kind may stack several draws on a leading trial axis, which
+`achieved_dof` and `rate_slope_estimate` use to realize a block of trials in
+one pass.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ChannelRealization:
     """One channel block: H is (N1+N2) x M, rows split as [H1; H2].
 
     H's dtype decides the field: a float64 H is a real-valued channel, an
-    int64 H with entries in [0, p) a GF(p) channel, p = 2^31 - 1.  A real H
+    int64 H with entries in [0, p) a GF(p) channel, p = 2^31 - 1.  Either
     may also be a (trials, N1+N2, M) stack of independent draws; every view
     below then keeps that leading axis.
     Realizations are immutable; H must not be mutated.
@@ -70,11 +71,10 @@ class ChannelRealization:
             raise InvalidConfigError(f"channel must be float64 or int64, got {self.H.dtype}")
         p = self.field
         expected = (self.cfg.N, self.cfg.M)
-        ndims = (2,) if p is not None else (2, 3)
-        if self.H.shape[-2:] != expected or self.H.ndim not in ndims:
-            stacked = "" if p is not None else f" or (trials, {self.cfg.N}, {self.cfg.M})"
+        if self.H.shape[-2:] != expected or self.H.ndim not in (2, 3):
             raise InvalidConfigError(
-                f"channel must have shape {expected}{stacked}, got {self.H.shape}"
+                f"channel must have shape {expected} or (trials, {self.cfg.N}, {self.cfg.M}),"
+                f" got {self.H.shape}"
             )
         if p is not None and (self.H.min() < 0 or self.H.max() >= p):
             raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")

@@ -12,23 +12,28 @@ difference of two such products, stays within int64 and the kernels are
 whole-array int64 operations.
 
 The matrices met in certification are small (tens of rows), so the cost of
-an elimination is the number of numpy calls per pivot.  There are two
+an elimination is the number of numpy calls per pivot.  There are three
 kernels, each one pass over the columns:
 
 * `_eliminate` (behind `gf_pivots` and `gf_rank`) finds only the pivot
-  columns.  Per pivot it updates the trailing block below and right of the
-  pivot alone, fraction-free: each row is multiplied by the (nonzero) pivot
-  before the pivot row times the row's entry is subtracted, so no inverse
-  is needed and no rank of leading columns changes.
-* `gf_rref` (behind `gf_solve` and `gf_particular_solution`) is
-  Gauss-Jordan: per pivot it normalises the pivot row and clears the pivot
-  column above and below in one outer-product update.
+  columns of one matrix.  Per pivot it updates every row below the pivot,
+  whole and fraction-free: each row is multiplied by the (nonzero) pivot
+  before the pivot row times the row's entry is subtracted.  Whole rows are
+  contiguous, and row operations keep the row space, so no inverse is needed
+  and no rank of leading columns changes.
+* `gf_rref` (behind `gf_particular_solution`) is Gauss-Jordan: per pivot it
+  normalises the pivot row and clears the pivot column above and below in
+  one outer-product update.
+* `gf_solve` runs the same Gauss-Jordan on a stack of square systems at
+  once, whose pivots are the diagonal unless a member is singular.
 
 The reduced row echelon form and the pivot columns of a matrix are unique,
-so neither kernel's shortcuts can change a result.
+so none of the kernels' shortcuts can change a result.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,39 +77,49 @@ def gf_matmul(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarra
 
 
 def _pivot_row(A: np.ndarray, r: int, c: int) -> bool:
-    """Move the first row at or below r with a nonzero in column c up to
-    row r, swapping columns c onwards only (no later step reads the earlier
-    ones); False if there is no such row."""
-    nz = A[r:, c].nonzero()[0]
+    """Make A[r, c] nonzero, swapping in the first row below r with a nonzero
+    in column c (basic slices, whole rows); False if there is no such row."""
+    if A[r, c]:
+        return True
+    nz = A[r + 1 :, c].nonzero()[0]
     if nz.size == 0:
         return False
-    if nz[0]:
-        i = r + int(nz[0])
-        A[[r, i], c:] = A[[i, r], c:]
+    i = r + 1 + int(nz[0])
+    row = A[i].copy()
+    A[i] = A[r]
+    A[r] = row
     return True
 
 
 def _eliminate(A: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of A, eliminating in place.
+    """Pivot columns of A, eliminating in place (or in a trimmed copy).
 
-    Only the trailing block, the part a later pivot search reads, is
-    updated: the pivot row is never normalised, and the entries below each
-    pivot are left as they were instead of being zeroed.
+    Each pivot updates the whole rows below it, which are contiguous.  No
+    later step reads the columns left of the pivot, so their entries are
+    left as the row operations make them, and once those dead columns
+    outnumber the live ones they are cut off, with the finished rows, in
+    one copy.
     """
     rows, cols = A.shape
     pivots: list[int] = []
-    r = 0
+    top = base = 0  # rows and columns of the input cut from A
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        if not _pivot_row(A, r, c):
+        if c - base > cols - c:
+            A = A[r - top :, c - base :].copy()
+            top, base = r, c
+        i, j = r - top, c - base
+        if not _pivot_row(A, i, j):
             continue
-        trailing = A[r + 1 :, c + 1 :]
-        trailing *= A[r, c]
-        trailing -= A[r + 1 :, c, None] * A[r, c + 1 :]
-        trailing %= p
         pivots.append(c)
-        r += 1
+        below = A[i + 1 :]
+        if below.size:
+            products = below[:, j, None] * A[i]
+            below *= A[i, j]
+            below -= products
+            below %= p
     return pivots
 
 
@@ -149,23 +164,40 @@ def gf_rref(A: np.ndarray, p: int = DEFAULT_PRIME) -> tuple[np.ndarray, list[int
 def gf_solve(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
     """Solve A X = B for square nonsingular A over GF(p).
 
-    Raises ResampleRequiredError if A is singular, since in this package a
-    singular square system always means a degenerate channel draw.
+    A may stack systems on leading axes, (..., n, n), with B (..., n) or
+    (..., n, m); one Gauss-Jordan pass solves them all, each member exactly
+    as it would be solved alone.  Raises ResampleRequiredError if any member
+    is singular, since in this package a singular square system always means
+    a degenerate channel draw.
     """
     A = gf_array(A, p)
     B = gf_array(B, p)
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
+    n = A.shape[-1]
+    if A.ndim < 2 or A.shape[-2] != n:
         raise ValueError("gf_solve expects a square matrix")
-    single = B.ndim == 1
-    rhs = B[:, None] if single else B
-    if rhs.shape[0] != n:
+    single = B.ndim == A.ndim - 1
+    rhs = B[..., None] if single else B
+    if rhs.shape[:-1] != A.shape[:-1]:
         raise ValueError("right-hand side has incompatible shape")
-    aug, pivots = gf_rref(np.hstack([A, rhs]), p)
-    if len(pivots) < n or any(c >= n for c in pivots):
-        raise ResampleRequiredError("singular system over GF(p)")
-    X = aug[:n, n:]
-    return X[:, 0] if single else X
+    lead = A.shape[:-2]
+    aug = np.concatenate([A, rhs], axis=-1).reshape((math.prod(lead), n, n + rhs.shape[-1]))
+    for c in range(n):
+        diagonal = aug[:, c, c].tolist()
+        for member, entry in enumerate(diagonal):
+            if not entry:
+                if not _pivot_row(aug[member], c, c):
+                    raise ResampleRequiredError("singular system over GF(p)")
+                diagonal[member] = int(aug[member, c, c])
+        row = aug[:, c, c:]
+        row *= np.array([pow(entry, -1, p) for entry in diagonal], dtype=np.int64)[:, None]
+        row %= p
+        factors = aug[:, :, c].copy()
+        factors[:, c] = 0
+        right = aug[:, :, c:]
+        right -= factors[:, :, None] * row[:, None, :]
+        right %= p
+    X = aug[:, :, n:].reshape(rhs.shape)
+    return X[..., 0] if single else X
 
 
 def gf_particular_solution(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:

@@ -44,8 +44,8 @@ def apzf_precoder(
     Column j sends coefficient 1 from antenna antennas[j], which must be one
     of the passive antennas k' .. M-1 (k' = len(rows)), and 0 from the other
     passive antennas; the first k' informed antennas solve the k' x k' block
-    once for every column.  On a real channel with a leading trial axis,
-    the result has that axis too, and each trial's columns equal a one-draw
+    once for every column.  On a channel with a leading trial axis, the
+    result has that axis too, and each trial's columns equal a one-draw
     call's bit for bit.
 
     Raises CapabilityExceededError when more than k rows are requested and
@@ -78,6 +78,7 @@ def apzf_precoder(
             raise ResampleRequiredError("cancellation residual check failed")
     else:
         # gf_solve reduces the right-hand side mod p and raises
-        # ResampleRequiredError on a singular block; its solution is exact.
-        t[:kp] = gf_solve(H_sel[:, :kp], -H_sel[:, antennas], field)
+        # ResampleRequiredError if any trial's block is singular; its
+        # solutions are exact.
+        t[..., :kp, :] = gf_solve(H_sel[..., :kp], -H_sel[..., antennas], field)
     return t

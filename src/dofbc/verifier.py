@@ -26,10 +26,17 @@ recorded under two of the certification's own channels.  Real channels serve
 only the rate slopes, realized at unit transmit power per slot.
 Monte Carlo rate slopes use the standard real-Gaussian log-det rate with the
 other user's columns treated as noise; the high-SNR slope against
-log2(sqrt(P)) then recovers each receiver's DoF.  Their trials are realized
-and rated in blocks, on a stack of the same per-index draws a trial-by-trial
-loop would make; every numpy call on the stack rounds each trial as it would
-alone, so the slopes are bit-identical to rating one trial at a time.
+log2(sqrt(P)) then recovers each receiver's DoF.
+
+Both `achieved_dof` and `rate_slope_estimate` realize their trials in blocks
+of `_BLOCK`, on a stack of the same per-index draws a trial-by-trial loop
+would make.  A block with a singular draw anywhere in it is redone trial by
+trial, with that loop's resamples, so every result equals one of evaluating
+each trial alone: GF(p) arithmetic is exact, and every float numpy call on
+the stack rounds each trial as it would alone, so the slopes are
+bit-identical too.  Certification still ranks each trial on its own 2-D
+matrices: a batched elimination is slower at the one or two trials a
+certification run typically has.
 """
 
 from __future__ import annotations
@@ -49,9 +56,9 @@ from .precoding import apzf_precoder
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
 
 _MAX_RESAMPLE = 25
-# Trials that `rate_slope_estimate` realizes and rates in one pass: enough to
-# spread the per-call overhead, few enough to keep the stacks small.
-_RATE_BLOCK = 10
+# Trials that `achieved_dof` and `rate_slope_estimate` realize in one pass:
+# enough to spread the per-call overhead, few enough to keep the stacks small.
+_BLOCK = 10
 _RESAMPLE_ERRORS = (ResampleRequiredError, FloatingPointError, np.linalg.LinAlgError)
 
 
@@ -146,20 +153,20 @@ def _slot_samples(channel: ChannelRealization, T_mat, forms, slot: SlotLayout, g
         T_mat = T_mat / norms[..., None, :] / np.sqrt(T_mat.shape[-1])
         # One product per receiver: stacking them would change float bits.
         return (channel.H1 @ T_mat) @ forms, (channel.H2 @ T_mat) @ forms
-    received = np.zeros((channel.cfg.N, forms.shape[-1]), dtype=np.int64)
+    received = np.zeros(gains.shape[:-1] + forms.shape[-1:], dtype=np.int64)
     symbols, sources = slot.fresh
-    received[:, symbols] = gains.take(sources, axis=1)
+    received[..., symbols] = gains.take(sources, axis=-1)
     if slot.mixed.size:
-        mixed = gf_matmul(gains.take(slot.columns[slot.mixed], axis=1), forms[slot.mixed], p)
+        mixed = gf_matmul(gains.take(slot.columns[slot.mixed], axis=-1), forms[..., slot.mixed, :], p)
         received = (received + mixed) % p
-    return received[: channel.cfg.N1], received[channel.cfg.N1 :]
+    return received[..., : channel.cfg.N1, :], received[..., channel.cfg.N1 :, :]
 
 
 def _fixed_point(E: np.ndarray, S: int, p: int | None) -> np.ndarray:
     """phi with phi = E[:, :S] + E[:, S:] @ phi: the coupled streams' forms."""
     lhs = _reduce(np.eye(E.shape[-2], dtype=E.dtype) - E[..., S:], p)
     if p is not None:
-        return gf_solve(lhs, E[:, :S], p)  # raises ResampleRequiredError if singular
+        return gf_solve(lhs, E[..., :S], p)  # raises ResampleRequiredError if singular
     try:
         return np.linalg.solve(lhs, E[..., :S])
     except np.linalg.LinAlgError as exc:
@@ -171,7 +178,7 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
 
     GF(p) channels give the exact matrices that certification ranks.  Real
     channels give the matrices behind the rate slopes, at unit transmit power
-    per slot and with unit-norm retransmitted forms.  A real channel with a
+    per slot and with unit-norm retransmitted forms.  A channel with a
     leading trial axis gives A_1, A_2 (and precoders) with that axis, each
     trial bit-identical to realizing its draw alone; a singular draw anywhere
     in the stack raises ResampleRequiredError for the whole stack.
@@ -189,7 +196,7 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
     columns = _precoder_columns(plan, channel)
     gains = channel.H
     if p is not None and plan.layout.groups:  # one product per channel, for all AP-ZF columns
-        gains = np.concatenate([channel.H, gf_matmul(channel.H, columns[:, cfg.M :], p)], axis=1)
+        gains = np.concatenate([channel.H, gf_matmul(channel.H, columns[..., cfg.M :], p)], axis=-1)
     samples: list[tuple[np.ndarray, np.ndarray]] = []
 
     def combine(terms) -> np.ndarray:
@@ -265,6 +272,37 @@ class CertificationResult:
         return not self.failures and self.dof is not None
 
 
+def _first_draw_blocks(cfg, trials: int, draw, evaluate, errors, extra=()):
+    """Yield (block, result) for consecutive blocks of up to `_BLOCK` trials.
+
+    `result` is `evaluate` on one channel that stacks the block's first draws
+    (index 25 i for trial i), followed on block 0 by the draws at `extra`;
+    it is None if that raised one of `errors`, and the caller then redoes
+    the block trial by trial with `_resampled`.
+    """
+    for start in range(0, trials, _BLOCK):
+        block = range(start, min(start + _BLOCK, trials))
+        indices = [i * _MAX_RESAMPLE for i in block] + list(extra if start == 0 else ())
+        H = np.stack([draw(index).H for index in indices])
+        try:
+            result = evaluate(ChannelRealization(cfg, H))
+        except errors:
+            result = None
+        yield block, result
+
+
+def _resampled(i: int, draw, evaluate, errors):
+    """(result, resamples) of trial i alone: `evaluate` on draws 25 i + a,
+    a = 0, 1, ..., until one does not raise one of `errors`; (None, 25) if
+    every draw does."""
+    for attempt in range(_MAX_RESAMPLE):
+        try:
+            return evaluate(draw(i * _MAX_RESAMPLE + attempt)), attempt
+        except errors:
+            pass
+    return None, _MAX_RESAMPLE
+
+
 def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> CertificationResult:
     """Certify the plan on `trials` independent GF(2^31 - 1) channels.
 
@@ -274,28 +312,49 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     resampled, as they are measure-zero events; genuine decodability
     failures are recorded with their trial index.  CSIT compliance compares
     the precoders of trial 0's and trial 1's accepted channels; a one-trial
-    run precodes trial 1's first draw (index 25) for it, without realizing
-    or ranking it, and a singular draw there raises ResampleRequiredError.
+    run precodes trial 1's first draw (index 25) for it, without ranking it,
+    and a singular draw there raises ResampleRequiredError.
+
+    Trials are realized in blocks: one `realize_plan` call on a stack of the
+    block's first draws, with index 25 added to a one-trial run's block.  If
+    any draw in it is singular, the block is redone trial by trial, so
+    `dof`, `failures`, `resamples` and compliance equal those of realizing
+    each trial alone.  Each trial is ranked on its own.
     """
     _check_trials(trials)
+
+    def draw(index: int) -> ChannelRealization:
+        return field_channel(plan.cfg, seed, index=index)
+
+    def realize(channel: ChannelRealization) -> ObservationSystem:
+        return realize_plan(plan, channel)
+
     reports = []
     precoders = []
     resamples = 0
-    for i in range(trials):
-        for attempt in range(_MAX_RESAMPLE):
-            channel = field_channel(plan.cfg, seed, index=i * _MAX_RESAMPLE + attempt)
-            try:
-                system = realize_plan(plan, channel)
-                break
-            except ResampleRequiredError:
-                resamples += 1
+    extra = (_MAX_RESAMPLE,) if trials == 1 else ()
+    blocks = _first_draw_blocks(plan.cfg, trials, draw, realize, ResampleRequiredError, extra)
+    for block, stacked in blocks:
+        if stacked is None:
+            systems = []
+            for i in block:
+                system, attempts = _resampled(i, draw, realize, ResampleRequiredError)
+                resamples += attempts
+                if system is None:
+                    raise ResampleRequiredError(f"resampling exhausted on trial {i}")
+                systems.append(system)
+            if block.start == 0:
+                precoders = [system.precoders for system in systems[:2]]
         else:
-            raise ResampleRequiredError(f"resampling exhausted on trial {i}")
-        reports.append(decodability_check(system))
-        if i < 2:
-            precoders.append(system.precoders)
-    if trials == 1:
-        precoders.append(_precoder_matrices(plan, field_channel(plan.cfg, seed, index=_MAX_RESAMPLE)))
+            systems = [
+                ObservationSystem(A1, A2, plan.registry, stacked.field)
+                for A1, A2 in zip(stacked.A1, stacked.A2)
+            ]
+            if block.start == 0:
+                precoders = [tuple(T[b] for T in stacked.precoders) for b in range(2)]
+        reports += [decodability_check(system) for system in systems[: len(block)]]
+    if len(precoders) < 2:  # a one-trial block redone trial by trial
+        precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
     failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
     return CertificationResult(
         trials=trials,
@@ -471,26 +530,15 @@ def rate_slope_estimate(
             system.A2, *columns[1], snrs, plan.T
         )
 
-    def trial_rates(i: int) -> np.ndarray | None:
-        for attempt in range(_MAX_RESAMPLE):
-            channel = sample_channel(plan.cfg, dist, seed, index=i * _MAX_RESAMPLE + attempt)
-            try:
-                return sum_rates(channel)
-            except _RESAMPLE_ERRORS:
-                pass
-        return None
+    def draw(index: int) -> ChannelRealization:
+        return sample_channel(plan.cfg, dist, seed, index=index)
 
     totals = np.zeros(len(snrs))
     used = 0
     discarded = 0
-    for start in range(0, rsc.trials, _RATE_BLOCK):
-        block = range(start, min(start + _RATE_BLOCK, rsc.trials))
-        draws = [sample_channel(plan.cfg, dist, seed, index=i * _MAX_RESAMPLE) for i in block]
-        H = np.stack([channel.H for channel in draws])
-        try:
-            rates = sum_rates(ChannelRealization(plan.cfg, H))
-        except _RESAMPLE_ERRORS:
-            rates = [trial_rates(i) for i in block]
+    for block, rates in _first_draw_blocks(plan.cfg, rsc.trials, draw, sum_rates, _RESAMPLE_ERRORS):
+        if rates is None:
+            rates = [_resampled(i, draw, sum_rates, _RESAMPLE_ERRORS)[0] for i in block]
         for row in rates:
             if row is None or not np.all(np.isfinite(row)):
                 discarded += 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dofbc.channel import ChannelDistribution, sample_channel
+from dofbc.channel import ChannelDistribution, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import ResampleRequiredError
 from dofbc.gf import gf_matmul, gf_solve
@@ -22,7 +22,13 @@ from dofbc.schemes import (
     SymbolRegistry,
     TransmissionPlan,
 )
-from dofbc.verifier import _precoder_matrices, realize_plan
+from dofbc.verifier import (
+    CertificationResult,
+    _precoder_matrices,
+    csit_compliance,
+    decodability_check,
+    realize_plan,
+)
 
 
 def adversarial_plan() -> TransmissionPlan:
@@ -35,9 +41,10 @@ def adversarial_plan() -> TransmissionPlan:
 
 def leaky_apzf_precoder(channel, rx, rows, antennas):
     """`apzf_precoder` that sneaks a channel entry onto (uninformed) antenna 2,
-    whose coefficients stay labelled constant; the compliance check must flag it."""
+    whose coefficients stay labelled constant; the compliance check must flag it.
+    On a stack of draws, each draw leaks its own entry."""
     t = apzf_precoder(channel, rx, rows, antennas)
-    t[2] = channel.H[0, 0]
+    t[..., 2, :] = channel.H[..., 0, :1]
     return t
 
 
@@ -180,6 +187,38 @@ def per_trial_rate_slope(plan, rsc, seed=1, dist=ChannelDistribution(), draw=sam
     means = totals / used
     slope = float(np.polyfit(np.log2(np.sqrt(snrs)), means, 1)[0])
     return slope, tuple(float(v) for v in means), used, discarded
+
+
+def per_trial_certification(plan, trials, seed=1, draw=field_channel) -> CertificationResult:
+    """`achieved_dof` computed one trial at a time on 2-D draws: trial i is
+    realized on draw 25 i + a (a counts its resamples) and ranked, and a
+    one-trial run precodes index 25 for compliance.  The reference that
+    realizing trials in blocks must equal.  `draw(cfg, seed, index)` makes
+    each channel."""
+    reports, precoders, resamples = [], [], 0
+    for i in range(trials):
+        for attempt in range(25):
+            try:
+                system = realize_plan(plan, draw(plan.cfg, seed, index=25 * i + attempt))
+                break
+            except ResampleRequiredError:
+                resamples += 1
+        else:
+            raise ResampleRequiredError(f"resampling exhausted on trial {i}")
+        reports.append(decodability_check(system))
+        if i < 2:
+            precoders.append(system.precoders)
+    if trials == 1:
+        precoders.append(_precoder_matrices(plan, draw(plan.cfg, seed, index=25)))
+    failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
+    return CertificationResult(
+        trials=trials,
+        failures=failures,
+        resamples=resamples,
+        dof=None if failures else plan.claimed_dof,
+        compliance=csit_compliance(plan, *precoders),
+        first_failure_report=reports[failures[0]] if failures else None,
+    )
 
 
 def reference_precoder_matrices(plan: TransmissionPlan, channel) -> list[np.ndarray]:

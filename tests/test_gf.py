@@ -129,6 +129,8 @@ def test_particular_solution_rejects_rank_deficient_rows():
 @example(p=P, rows=5, cols=5, inner=5, rhs_cols=2, seed=0)
 @example(p=P, rows=3, cols=7, inner=3, rhs_cols=1, seed=0)
 @example(p=7, rows=6, cols=6, inner=2, rhs_cols=2, seed=1)
+@example(p=7, rows=5, cols=5, inner=5, rhs_cols=1, seed=46)  # zeros at pivots 1 and 2: row swaps
+@example(p=2, rows=4, cols=8, inner=3, rhs_cols=1, seed=141)  # dead columns cut before pivots 5, 6
 def test_kernels_equal_python_int_gauss_jordan(p, rows, cols, inner, rhs_cols, seed):
     # Products of thin factors are rank deficient when inner < min(rows, cols);
     # adding multiples of p leaves entries negative or >= p, i.e. unreduced.
@@ -165,3 +167,37 @@ def test_kernels_equal_python_int_gauss_jordan(p, rows, cols, inner, rhs_cols, s
     else:
         with pytest.raises(ResampleRequiredError):
             gf_solve(square, B[:n], p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 7, P]),
+    members=st.integers(1, 4),
+    n=st.integers(0, 5),
+    rhs_cols=st.one_of(st.none(), st.integers(0, 3)),
+    planted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=P, members=3, n=4, rhs_cols=2, planted=False, seed=0)
+@example(p=P, members=3, n=4, rhs_cols=None, planted=True, seed=0)
+def test_stacked_solve_equals_per_member_solve(p, members, n, rhs_cols, planted, seed):
+    # A stack solves each member as it would be solved alone, and raises if
+    # any member is singular; `planted` zeroes a column of one member.
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, (members, n, n)) + p * rng.integers(-2, 3, (members, n, n))
+    B = rng.integers(0, p, (members, n) if rhs_cols is None else (members, n, rhs_cols))
+    if planted and n:
+        A[rng.integers(members), :, rng.integers(n)] = 0
+    alone = []
+    for member in range(members):
+        try:
+            alone.append(gf_solve(A[member], B[member], p))
+        except ResampleRequiredError:
+            alone.append(None)
+    if any(X is None for X in alone):
+        with pytest.raises(ResampleRequiredError):
+            gf_solve(A, B, p)
+    else:
+        X = gf_solve(A, B, p)
+        assert X.shape == B.shape
+        assert np.array_equal(X, np.stack(alone))

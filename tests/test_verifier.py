@@ -39,6 +39,7 @@ from .helpers import (
     leaky_apzf_precoder,
     low_k_grid,
     overloaded_rx2_plan,
+    per_trial_certification,
     per_trial_rate_slope,
     reference_realize,
     repeated_coupled_plan,
@@ -240,11 +241,11 @@ def test_compliance_flags_adversarial_plan(monkeypatch, trials, resample_first):
     if resample_first:
         # Trial 0 is then accepted on draw 1; the second channel compliance
         # reads must be another draw, or a channel would be compared with itself.
-        calls = []
+        # Draw index 0 is refused alone and in any stack that holds it.
+        first = field_channel(adversarial_plan().cfg, seed=1, index=0).H
 
         def realize_after_one_resample(plan, channel):
-            calls.append(channel)
-            if len(calls) == 1:
+            if (channel.H == first).all(axis=(-2, -1)).any():
                 raise ResampleRequiredError("forced")
             return realize_plan(plan, channel)
 
@@ -462,6 +463,40 @@ def test_layout_realizes_what_per_stream_loops_did(plan, seed):
             _assert_bits_equal(T_mat, T_want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    plan=st.one_of(
+        st.builds(select_scheme, st.deferred(lambda: small_configs()), st.booleans()),
+        st.sampled_from(HAND_BUILT_PLANS),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    members=st.integers(1, 4),
+)
+@example(plan=HAND_BUILT_PLANS[0], seed=1, members=3)
+@example(plan=HAND_BUILT_PLANS[1], seed=1, members=3)
+@example(plan=HAND_BUILT_PLANS[2], seed=1, members=3)  # the crafted plan's coupled fixed point
+@example(plan=select_scheme(SystemConfig(9, 3, 6, 4)), seed=2, members=2)
+def test_gf_trial_axis_equals_per_draw_realization(plan, seed, members):
+    draws = [field_channel(plan.cfg, seed, index=25 * i) for i in range(members)]
+    stacked = ChannelRealization(plan.cfg, np.stack([draw.H for draw in draws]))
+    alone = []
+    for draw in draws:
+        try:
+            alone.append(realize_plan(plan, draw))
+        except ResampleRequiredError:
+            alone.append(None)
+    if any(system is None for system in alone):
+        with pytest.raises(ResampleRequiredError):
+            realize_plan(plan, stacked)
+        return
+    system = realize_plan(plan, stacked)
+    for i, one in enumerate(alone):
+        assert np.array_equal(system.A1[i], one.A1) and np.array_equal(system.A2[i], one.A2)
+        assert len(system.precoders) == len(one.precoders) == plan.T
+        for T, T_one in zip(system.precoders, one.precoders):
+            assert np.array_equal(T[i], T_one)
+
+
 @st.composite
 def small_configs(draw):
     M = draw(st.integers(1, 12), label="M")
@@ -594,3 +629,72 @@ def test_singular_trial_redoes_its_block_per_trial(monkeypatch):
     assert (result.trials_used, result.discarded) == (19, 1)
     expected = per_trial_rate_slope(plan, rsc, seed=1, draw=planted)
     assert (result.slope, result.mean_sum_rates, result.trials_used, result.discarded) == expected
+
+
+# (4,1,3,2) mid-k: the RX2 streams cancel at RX1 row 0 with antenna 0, so a
+# zero H[0, 0] makes their AP-ZF block singular.  Planted draw indices:
+# trial 0's first draw; one in each of two blocks; two draws of trial 3;
+# the compliance draw of a one-trial run, which raises rather than resamples.
+@pytest.mark.parametrize(
+    "trials,planted,stacked_raises",
+    [(1, (0,), 1), (2, (0,), 1), (12, (0, 25 * 11), 2), (12, (75, 76), 1), (1, (25,), 1)],
+)
+def test_singular_draw_redoes_its_certification_block_per_trial(
+    monkeypatch, trials, planted, stacked_raises
+):
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+
+    def planted_channel(cfg, seed=0, index=0):
+        channel = field_channel(cfg, seed, index)
+        if index in planted:
+            H = channel.H.copy()
+            H[0, 0] = 0
+            channel = ChannelRealization(cfg, H)
+        return channel
+
+    try:
+        want = per_trial_certification(plan, trials, seed=1, draw=planted_channel)
+    except ResampleRequiredError:
+        want = None
+    raises = []
+
+    def realize_counting(plan, channel):
+        try:
+            return realize_plan(plan, channel)
+        except ResampleRequiredError:
+            raises.append(channel.H.ndim == 3)
+            raise
+
+    monkeypatch.setattr("dofbc.verifier.field_channel", planted_channel)
+    monkeypatch.setattr("dofbc.verifier.realize_plan", realize_counting)
+    if want is None:
+        with pytest.raises(ResampleRequiredError):
+            achieved_dof(plan, trials=trials, seed=1)
+    else:
+        assert achieved_dof(plan, trials=trials, seed=1) == want
+        assert want.resamples == sum(index < 25 * trials for index in planted)
+    assert raises.count(True) == stacked_raises
+
+
+# float.hex of (slope, mean_sum_rates) of rate_slope_estimate(plan,
+# RateSimConfig(trials=20), seed), the crafted plan for (6,3,3,1); recorded
+# with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64 before GF(p) channels
+# gained a trial axis through the same `realize_plan`.  Compared bit for bit.
+RATE_SLOPE_BITS = {
+    ((4, 1, 3, 2), 1): ("0x1.b3f3b9b043754p+1", ("0x1.c193672e6cc10p+3", "0x1.91d5cb4545b00p+4", "0x1.256b4b6b1b808p+5")),
+    ((4, 1, 3, 2), 2): ("0x1.bbb7df53acf6ap+1", ("0x1.ebdb384dfd65ep+3", "0x1.ac885fdcd20d5p+4", "0x1.3336cf1b1aaa4p+5")),
+    ((6, 3, 3, 1), 1): ("0x1.f71f1bd99d7d3p+1", ("0x1.13fabaaed732fp+4", "0x1.e202708cb0202p+4", "0x1.5ae80970ae662p+5")),
+    ((6, 3, 3, 1), 2): ("0x1.f75a9cfa4b816p+1", ("0x1.084051f38aa8fp+4", "0x1.d64f12f0ee33ap+4", "0x1.55238a7e62162p+5")),
+    ((9, 3, 6, 4), 1): ("0x1.da0ca86078579p+2", ("0x1.da51d4d1edc4ap+4", "0x1.abe7c98c6ce96p+5", "0x1.3b6cb81c38825p+6")),
+    ((9, 3, 6, 4), 2): ("0x1.cc970287d4118p+2", ("0x1.b536a3437058ap+4", "0x1.926b6ef0eab6fp+5", "0x1.2c8f258071fa0p+6")),
+}
+
+
+@pytest.mark.parametrize("shape,seed", RATE_SLOPE_BITS, ids=str)
+def test_rate_slope_bits_pinned(shape, seed):
+    plan = select_scheme(SystemConfig(*shape), allow_special_cases=True)
+    result = rate_slope_estimate(plan, RateSimConfig(trials=20), seed=seed)
+    slope, means = RATE_SLOPE_BITS[shape, seed]
+    assert (result.trials_used, result.discarded) == (20, 0)
+    assert result.slope.hex() == slope
+    assert tuple(v.hex() for v in result.mean_sum_rates) == means
