@@ -9,9 +9,11 @@ Two kinds of realization are produced from the same seed machinery:
   used by the verifier for exact generic-rank certification.
 
 A realization's dtype decides its kind: float64 is real, int64 is GF(2^31 - 1).
-Either kind may stack several draws on a leading trial axis, which
-`achieved_dof` and `rate_slope_estimate` use to realize a block of trials in
-one pass.
+Either kind may stack several draws on a leading trial axis: given a
+sequence of draw indices, `sample_channel` and `field_channel` return one
+such stack, each draw from its own `trial_rng(seed, index)`, so a stacked
+draw equals its per-index draws bit for bit.  `achieved_dof` and
+`rate_slope_estimate` draw and realize a block of trials this way.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, as_integer
 from .gf import DEFAULT_PRIME
 
 
@@ -43,13 +45,17 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
     Distinct indices give statistically independent streams, and the mapping
     is stable across runs and platforms.  `achieved_dof` and
     `rate_slope_estimate` draw attempt a of trial i at index 25*i + a (a
-    counts resamples).  CSIT compliance compares the precoders of trial 0's
-    and trial 1's accepted draws; a one-trial `achieved_dof` precodes index
-    25, trial 1's first draw, for it.
+    counts resamples); a block of trials draws its first draws, indices
+    25*i, in one call with a sequence of indices, one generator per index.
+    CSIT compliance compares the precoders of trial 0's and trial 1's
+    accepted draws; a one-trial `achieved_dof` precodes index 25, trial 1's
+    first draw, for it.  A seed or index that is not an integer (a float or
+    a bool) is rejected, not truncated.
     """
+    seed, index = as_integer(seed, "seed"), as_integer(index, "draw index")
     if seed < 0 or index < 0:
         raise InvalidConfigError(f"seed and trial index must be non-negative, got {seed}, {index}")
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
 @dataclass(frozen=True)
@@ -105,22 +111,44 @@ class ChannelRealization:
         return self.H[..., [offset + r for r in rows], :]
 
 
+def _draws(cfg: SystemConfig, seed: int, index, draw) -> ChannelRealization:
+    """`draw(trial_rng(seed, index))` as a realization; for a sequence of
+    indices, a stack of one such draw per index, validated once."""
+    if np.ndim(index) == 0:
+        return ChannelRealization(cfg=cfg, H=draw(trial_rng(seed, index)))
+    indices = list(index)
+    if not indices:
+        raise InvalidConfigError("at least one draw index required")
+    return ChannelRealization(cfg=cfg, H=np.stack([draw(trial_rng(seed, i)) for i in indices]))
+
+
 def sample_channel(
     cfg: SystemConfig,
     dist: ChannelDistribution = ChannelDistribution(),
     seed: int = 0,
-    index: int = 0,
+    index=0,
 ) -> ChannelRealization:
-    """Real channel with i.i.d. entries uniform over +-[delta_min, delta_max]."""
-    rng = trial_rng(seed, index)
+    """Real channel with i.i.d. entries uniform over +-[delta_min, delta_max].
+
+    `index` is one draw index, or a sequence of them for a stack of draws.
+    """
     shape = (cfg.N, cfg.M)
-    magnitudes = rng.uniform(dist.delta_min, dist.delta_max, size=shape)
-    signs = rng.choice((-1.0, 1.0), size=shape)
-    return ChannelRealization(cfg=cfg, H=magnitudes * signs)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        magnitudes = rng.uniform(dist.delta_min, dist.delta_max, size=shape)
+        return magnitudes * rng.choice((-1.0, 1.0), size=shape)
+
+    return _draws(cfg, seed, index, draw)
 
 
-def field_channel(cfg: SystemConfig, seed: int = 0, index: int = 0) -> ChannelRealization:
-    """GF(2^31 - 1) channel with i.i.d. uniform nonzero residues."""
-    rng = trial_rng(seed, index)
-    H = rng.integers(1, DEFAULT_PRIME, size=(cfg.N, cfg.M), dtype=np.int64)
-    return ChannelRealization(cfg=cfg, H=H)
+def field_channel(cfg: SystemConfig, seed: int = 0, index=0) -> ChannelRealization:
+    """GF(2^31 - 1) channel with i.i.d. uniform nonzero residues.
+
+    `index` is one draw index, or a sequence of them for a stack of draws.
+    """
+    shape = (cfg.N, cfg.M)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(1, DEFAULT_PRIME, size=shape, dtype=np.int64)
+
+    return _draws(cfg, seed, index, draw)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import operator
 
 
 class InvalidConfigError(ValueError):
@@ -20,3 +23,14 @@ class ResampleRequiredError(RuntimeError):
 
 class EmptyRegionError(ValueError):
     """Raised when vertex enumeration is attempted on an empty region."""
+
+
+def as_integer(value, what: str) -> int:
+    """`value` as an int: any integer type passes; a bool, a float or anything
+    else raises InvalidConfigError instead of being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidConfigError(f"{what} must be an integer, got {value!r}")

@@ -29,36 +29,41 @@ other user's columns treated as noise; the high-SNR slope against
 log2(sqrt(P)) then recovers each receiver's DoF.
 
 Both `achieved_dof` and `rate_slope_estimate` realize their trials in blocks
-of `_BLOCK`, on a stack of the same per-index draws a trial-by-trial loop
-would make.  A block with a singular draw anywhere in it is redone trial by
-trial, with that loop's resamples, so every result equals one of evaluating
-each trial alone: GF(p) arithmetic is exact, and every float numpy call on
-the stack rounds each trial as it would alone, so the slopes are
-bit-identical too.  Certification still ranks each trial on its own 2-D
-matrices: a batched elimination is slower at the one or two trials a
-certification run typically has.
+sized by a cell budget: a block holds max(10, `_BLOCK_CELLS` // cells)
+trials, where cells = N T (S + aux) is the size of one trial's observation
+matrices, so a small plan's trials all fit in one stack.  A block is the
+stack of its trials' first draws, drawn in one call from the same per-index
+generators a trial-by-trial loop would use.  A block whose evaluation raises
+is halved on those draws and each half retried; only a single failing trial
+falls back to that loop's resamples.  Trials are independent, so every
+result equals one of evaluating each trial alone: GF(p) arithmetic is
+exact, and every float numpy call on the stack rounds each trial as it
+would alone, so the slopes are bit-identical too.  Certification still ranks
+each trial on its own 2-D matrices: a batched elimination is slower at the
+one or two trials a certification run typically has.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
-from .errors import InvalidConfigError, ResampleRequiredError
+from .errors import InvalidConfigError, ResampleRequiredError, as_integer
 from .gf import gf_matmul, gf_pivots, gf_solve
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import apzf_precoder
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
 
 _MAX_RESAMPLE = 25
-# Trials that `achieved_dof` and `rate_slope_estimate` realize in one pass:
-# enough to spread the per-call overhead, few enough to keep the stacks small.
-_BLOCK = 10
+# Observation-matrix cells that `achieved_dof` and `rate_slope_estimate`
+# realize in one pass, and the fewest trials a block holds: enough to spread
+# the per-call overhead, few enough to keep the stacks small.
+_BLOCK_CELLS = 2**15
+_MIN_BLOCK = 10
 _RESAMPLE_ERRORS = (ResampleRequiredError, FloatingPointError, np.linalg.LinAlgError)
 
 
@@ -106,13 +111,7 @@ class DecodabilityReport:
 
 def _check_trials(trials) -> None:
     """A trial count is a positive integer; a bool or a float is rejected."""
-    try:
-        count = operator.index(trials)
-    except TypeError:
-        count = None
-    if count is None or isinstance(trials, bool):
-        raise InvalidConfigError(f"trial count must be an integer, got {trials!r}")
-    if count < 1:
+    if as_integer(trials, "trial count") < 1:
         raise InvalidConfigError("at least one trial required")
 
 
@@ -272,23 +271,56 @@ class CertificationResult:
         return not self.failures and self.dof is not None
 
 
-def _first_draw_blocks(cfg, trials: int, draw, evaluate, errors, extra=()):
-    """Yield (block, result) for consecutive blocks of up to `_BLOCK` trials.
+def _block_size(plan: TransmissionPlan) -> int:
+    """Trials per block: `_BLOCK_CELLS` over one trial's N T (S + aux)
+    observation-matrix cells, and at least `_MIN_BLOCK`."""
+    cells = plan.cfg.N * plan.T * (len(plan.registry.symbols) + plan.aux_count)
+    return max(_MIN_BLOCK, _BLOCK_CELLS // cells)
 
-    `result` is `evaluate` on one channel that stacks the block's first draws
-    (index 25 i for trial i), followed on block 0 by the draws at `extra`;
-    it is None if that raised one of `errors`, and the caller then redoes
-    the block trial by trial with `_resampled`.
+
+def _bisected(channel: ChannelRealization, indices, evaluate, errors):
+    """Yield (index, result) for each draw of the stacked `channel`, in order.
+
+    `evaluate` maps a channel to one result per draw.  If it raises one of
+    `errors`, the stack is halved and each half of two or more draws is
+    evaluated in turn the same way; a single draw left over yields None, and
+    the caller redoes it alone.
     """
-    for start in range(0, trials, _BLOCK):
-        block = range(start, min(start + _BLOCK, trials))
-        indices = [i * _MAX_RESAMPLE for i in block] + list(extra if start == 0 else ())
-        H = np.stack([draw(index).H for index in indices])
-        try:
-            result = evaluate(ChannelRealization(cfg, H))
-        except errors:
-            result = None
-        yield block, result
+    try:
+        results = evaluate(channel)
+    except errors:
+        results = None
+    if results is not None:
+        yield from zip(indices, results)
+        return
+    half = len(indices) // 2
+    for part in (slice(None, half), slice(half, None)):
+        if len(indices[part]) == 1:
+            yield indices[part][0], None
+        elif indices[part]:
+            piece = ChannelRealization(channel.cfg, channel.H[part])
+            yield from _bisected(piece, indices[part], evaluate, errors)
+
+
+def _trial_results(plan: TransmissionPlan, trials: int, draw, evaluate, errors, extra=()):
+    """Yield (result, resamples) of trials 0, 1, ..., then of the draws at `extra`.
+
+    Trials run in blocks of `_block_size(plan)`: `evaluate` runs on one
+    stack of the block's first draws (index 25 i for trial i), with the
+    `extra` indices added to block 0, bisected by `_bisected` if it raises.
+    A trial left alone is redone by `_resampled`; an extra draw left alone
+    yields (None, 0).
+    """
+    size = _block_size(plan)
+    for start in range(0, trials, size):
+        indices = [i * _MAX_RESAMPLE for i in range(start, min(start + size, trials))]
+        indices += list(extra if start == 0 else ())
+        for index, result in _bisected(draw(indices), indices, evaluate, errors):
+            i = index // _MAX_RESAMPLE
+            if result is None and i < trials:
+                yield _resampled(i, draw, evaluate, errors)
+            else:
+                yield result, 0
 
 
 def _resampled(i: int, draw, evaluate, errors):
@@ -297,7 +329,8 @@ def _resampled(i: int, draw, evaluate, errors):
     every draw does."""
     for attempt in range(_MAX_RESAMPLE):
         try:
-            return evaluate(draw(i * _MAX_RESAMPLE + attempt)), attempt
+            (result,) = evaluate(draw(i * _MAX_RESAMPLE + attempt))
+            return result, attempt
         except errors:
             pass
     return None, _MAX_RESAMPLE
@@ -315,46 +348,48 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     run precodes trial 1's first draw (index 25) for it, without ranking it,
     and a singular draw there raises ResampleRequiredError.
 
-    Trials are realized in blocks: one `realize_plan` call on a stack of the
-    block's first draws, with index 25 added to a one-trial run's block.  If
-    any draw in it is singular, the block is redone trial by trial, so
+    Trials are realized in blocks sized by the plan's cells (see the module
+    docstring): one `realize_plan` call on a stack of the block's first
+    draws, with index 25 added to a one-trial run's block.  A block with a
+    singular draw is bisected down to the trials that need a resample, so
     `dof`, `failures`, `resamples` and compliance equal those of realizing
     each trial alone.  Each trial is ranked on its own.
     """
     _check_trials(trials)
 
-    def draw(index: int) -> ChannelRealization:
+    def draw(index) -> ChannelRealization:
         return field_channel(plan.cfg, seed, index=index)
 
-    def realize(channel: ChannelRealization) -> ObservationSystem:
-        return realize_plan(plan, channel)
+    def realize(channel: ChannelRealization) -> list[ObservationSystem]:
+        """One 2-D system per draw of `channel`, stacked or not."""
+        system = realize_plan(plan, channel)
+        if channel.H.ndim == 2:
+            return [system]
+        return [
+            ObservationSystem(
+                A1, A2, plan.registry, system.field, tuple(T[j] for T in system.precoders)
+            )
+            for j, (A1, A2) in enumerate(zip(system.A1, system.A2))
+        ]
 
     reports = []
     precoders = []
     resamples = 0
     extra = (_MAX_RESAMPLE,) if trials == 1 else ()
-    blocks = _first_draw_blocks(plan.cfg, trials, draw, realize, ResampleRequiredError, extra)
-    for block, stacked in blocks:
-        if stacked is None:
-            systems = []
-            for i in block:
-                system, attempts = _resampled(i, draw, realize, ResampleRequiredError)
-                resamples += attempts
-                if system is None:
-                    raise ResampleRequiredError(f"resampling exhausted on trial {i}")
-                systems.append(system)
-            if block.start == 0:
-                precoders = [system.precoders for system in systems[:2]]
-        else:
-            systems = [
-                ObservationSystem(A1, A2, plan.registry, stacked.field)
-                for A1, A2 in zip(stacked.A1, stacked.A2)
-            ]
-            if block.start == 0:
-                precoders = [tuple(T[b] for T in stacked.precoders) for b in range(2)]
-        reports += [decodability_check(system) for system in systems[: len(block)]]
-    if len(precoders) < 2:  # a one-trial block redone trial by trial
-        precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
+    results = _trial_results(plan, trials, draw, realize, ResampleRequiredError, extra)
+    for i, (system, attempts) in enumerate(results):
+        if i == trials:  # the compliance draw of a one-trial run, not ranked
+            if system is None:  # it failed alone: its precoders may still exist
+                precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
+            else:
+                precoders.append(system.precoders)
+            break
+        if system is None:
+            raise ResampleRequiredError(f"resampling exhausted on trial {i}")
+        resamples += attempts
+        reports.append(decodability_check(system))
+        if i < 2:
+            precoders.append(system.precoders)
     failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
     return CertificationResult(
         trials=trials,
@@ -470,26 +505,20 @@ def _log2det(A: np.ndarray) -> np.ndarray:
 
 
 def _receiver_rates(
-    A: np.ndarray,
-    desired_cols: tuple[int, ...],
-    other_cols: tuple[int, ...],
-    snrs: list[float],
-    T: int,
+    gram_desired: np.ndarray, gram_interference: np.ndarray, snrs: list[float], T: int
 ) -> np.ndarray:
     """(1/2T) log2 det ratio at each SNR point: mutual information of the
     desired symbols with the other user's columns treated as Gaussian noise,
     over unit-variance receiver noise.  The 1/2 is the real Gaussian channel
     prelog, matching the DoF normalization against log2(sqrt(P)).
 
-    A may carry a leading trial axis; the result is (..., len(snrs)).  Each
-    covariance takes one `slogdet` call per SNR point over all trials, and
-    is built in place, so a block of trials holds few n x n matrices at once.
+    The arguments are the `_gram` matrices of a receiver's desired and other
+    columns of A, with any leading trial axis; the result is
+    (..., len(snrs)).  Each covariance takes one `slogdet` call per SNR point
+    over all trials, and is built in place, so a block of trials holds few
+    n x n matrices at once.
     """
-    if not desired_cols:
-        return np.zeros(A.shape[:-2] + (len(snrs),))
-    gram_desired = _gram(A[..., desired_cols])
-    gram_interference = _gram(A[..., other_cols])
-    eye = np.eye(A.shape[-2])
+    eye = np.eye(gram_desired.shape[-1])
     rates = []
     for P in snrs:
         # In place, in the order eye + P G_i, then + P G_d: the same bits as
@@ -516,35 +545,42 @@ def rate_slope_estimate(
     cannot cancel.
 
     Trial i is rated on draw 25*i + a, where a counts its resamples.  Trials
-    are rated in blocks: each block stacks its trials' first draws and is
-    realized and rated in one pass.  If that pass raises a resample, the
-    block is redone trial by trial, so every result equals rating each trial
-    alone, bit for bit.  A trial whose rates are not finite is discarded.
+    are rated in blocks sized by the plan's cells (see the module
+    docstring): each block stacks its trials' first draws and is realized
+    and rated in one pass.  If that pass raises a resample, the block is
+    bisected down to the trials that need one, so every result equals
+    rating each trial alone, bit for bit.  A trial whose rates are not
+    finite is discarded.
     """
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
     columns = [plan.registry.split(rx) for rx in (1, 2)]
 
     def sum_rates(channel: ChannelRealization) -> np.ndarray:
+        """One row of sum rates per draw of `channel`, stacked or not."""
         system = realize_plan(plan, channel)
-        return _receiver_rates(system.A1, *columns[0], snrs, plan.T) + _receiver_rates(
-            system.A2, *columns[1], snrs, plan.T
-        )
+        grams = [
+            (_gram(A[..., desired]), _gram(A[..., other]))
+            for A, (desired, other) in zip((system.A1, system.A2), columns)
+            if desired
+        ]
+        del system  # only the Gram matrices are rated: free A before the log-dets
+        rates = np.zeros(channel.H.shape[:-2] + (len(snrs),))
+        for gram_pair in grams:
+            rates = rates + _receiver_rates(*gram_pair, snrs, plan.T)
+        return rates.reshape(-1, len(snrs))
 
-    def draw(index: int) -> ChannelRealization:
+    def draw(index) -> ChannelRealization:
         return sample_channel(plan.cfg, dist, seed, index=index)
 
     totals = np.zeros(len(snrs))
     used = 0
     discarded = 0
-    for block, rates in _first_draw_blocks(plan.cfg, rsc.trials, draw, sum_rates, _RESAMPLE_ERRORS):
-        if rates is None:
-            rates = [_resampled(i, draw, sum_rates, _RESAMPLE_ERRORS)[0] for i in block]
-        for row in rates:
-            if row is None or not np.all(np.isfinite(row)):
-                discarded += 1
-                continue
-            totals += row  # in trial order: a pairwise np.sum would change the bits
-            used += 1
+    for row, _ in _trial_results(plan, rsc.trials, draw, sum_rates, _RESAMPLE_ERRORS):
+        if row is None or not np.all(np.isfinite(row)):
+            discarded += 1
+            continue
+        totals += row  # in trial order: a pairwise np.sum would change the bits
+        used += 1
     if used == 0:
         raise ResampleRequiredError("all Monte Carlo trials were discarded")
     means = totals / used

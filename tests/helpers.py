@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dofbc.channel import ChannelDistribution, field_channel, sample_channel
+from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import ResampleRequiredError
 from dofbc.gf import gf_matmul, gf_solve
@@ -46,6 +46,25 @@ def leaky_apzf_precoder(channel, rx, rows, antennas):
     t = apzf_precoder(channel, rx, rows, antennas)
     t[..., 2, :] = channel.H[..., 0, :1]
     return t
+
+
+def planted_draws(draw, hit, plant):
+    """`draw` (`field_channel` or `sample_channel`, same arguments) with
+    `plant(H)` applied in place to the H of every draw whose index satisfies
+    `hit(index)`: of the one draw, or of each member of a stack of draws."""
+
+    def planted(*args, index=0):
+        channel = draw(*args, index=index)
+        hits = [j for j, i in enumerate(np.atleast_1d(index)) if hit(int(i))]
+        if not hits:
+            return channel
+        H = channel.H.copy()
+        members = H.reshape((-1,) + H.shape[-2:])
+        for j in hits:
+            plant(members[j])
+        return ChannelRealization(channel.cfg, H)
+
+    return planted
 
 
 def overloaded_rx2_plan() -> TransmissionPlan:

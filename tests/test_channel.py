@@ -11,6 +11,8 @@ from dofbc.channel import (
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError
 from dofbc.gf import DEFAULT_PRIME
+from dofbc.schemes import select_scheme
+from dofbc.verifier import RateSimConfig, achieved_dof, rate_slope_estimate
 
 from .oracles import det2_mod
 
@@ -83,3 +85,42 @@ def test_channel_entries_checked_against_field():
     for entries in bad:
         with pytest.raises(InvalidConfigError):
             ChannelRealization(cfg=cfg, H=entries)
+
+
+@pytest.mark.parametrize("draw", [sample_channel, field_channel], ids=lambda f: f.__name__)
+def test_index_sequence_stacks_per_index_draws(draw):
+    # Each member of a stack comes from its own SeedSequence((seed, index)).
+    cfg = SystemConfig(5, 2, 3, 1)
+    indices = [0, 25, 7, 25]
+    stacked = draw(cfg, seed=4, index=indices)
+    alone = np.stack([draw(cfg, seed=4, index=i).H for i in indices])
+    assert stacked.H.shape == (4, cfg.N, cfg.M) and stacked.H.dtype == alone.dtype
+    assert stacked.H.tobytes() == alone.tobytes()
+    for same in ((0, 25, 7, 25), np.array(indices), [np.int64(i) for i in indices]):
+        assert draw(cfg, seed=4, index=same).H.tobytes() == alone.tobytes()
+    assert draw(cfg, seed=4, index=[7]).H.tobytes() == alone[2:3].tobytes()
+
+
+def test_non_integer_seed_or_index_rejected():
+    # int() used to truncate these: index=1.7 gave draw 1 and seed=True seed 1.
+    cfg = SystemConfig(4, 1, 3, 2)
+    for draw in (field_channel, sample_channel):
+        for bad in (1.7, 1.0, True, "1", None):
+            with pytest.raises(InvalidConfigError, match="integer"):
+                draw(cfg, seed=0, index=bad)
+            with pytest.raises(InvalidConfigError, match="integer"):
+                draw(cfg, seed=bad, index=0)
+        for bad in ([0, 1.5], [True], [[0]], ["3"]):
+            with pytest.raises(InvalidConfigError, match="integer"):
+                draw(cfg, seed=0, index=bad)
+        with pytest.raises(InvalidConfigError, match="at least one draw index"):
+            draw(cfg, seed=0, index=[])
+        with pytest.raises(InvalidConfigError, match="non-negative"):
+            draw(cfg, seed=0, index=[0, -25])
+    numpy_ints = field_channel(cfg, np.int64(3), index=np.int64(2)).H
+    assert np.array_equal(numpy_ints, field_channel(cfg, 3, 2).H)
+    plan = select_scheme(cfg)
+    with pytest.raises(InvalidConfigError, match="integer"):
+        achieved_dof(plan, trials=2, seed=1.5)
+    with pytest.raises(InvalidConfigError, match="integer"):
+        rate_slope_estimate(plan, RateSimConfig(trials=2), seed=True)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -24,6 +25,8 @@ from dofbc.schemes import (
 )
 from dofbc.verifier import (
     ObservationSystem,
+    _block_size,
+    _gram,
     _precoder_matrices,
     _receiver_rates,
     achieved_dof,
@@ -34,6 +37,7 @@ from dofbc.verifier import (
     RateSimConfig,
 )
 
+from . import helpers
 from .helpers import (
     adversarial_plan,
     leaky_apzf_precoder,
@@ -41,6 +45,7 @@ from .helpers import (
     overloaded_rx2_plan,
     per_trial_certification,
     per_trial_rate_slope,
+    planted_draws,
     reference_realize,
     repeated_coupled_plan,
     stream_gains,
@@ -581,37 +586,45 @@ def test_trial_axis_equals_per_trial_evaluation(cfg, special, seed, trials):
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
     draws = [sample_channel(plan.cfg, seed=seed, index=25 * i) for i in range(min(trials, 10))]
     system = realize_plan(plan, ChannelRealization(plan.cfg, np.stack([d.H for d in draws])))
-    rates = [
-        _receiver_rates(A, *plan.registry.split(rx), snrs, plan.T)
-        for rx, A in ((1, system.A1), (2, system.A2))
-    ]
+
+    def receiver_rates(A, rx):
+        desired, other = plan.registry.split(rx)
+        if not desired:
+            return np.zeros(A.shape[:-2] + (len(snrs),))
+        return _receiver_rates(_gram(A[..., desired]), _gram(A[..., other]), snrs, plan.T)
+
+    rates = [receiver_rates(A, rx) for rx, A in ((1, system.A1), (2, system.A2))]
     for i, draw in enumerate(draws):
         alone = realize_plan(plan, draw)
         assert np.array_equal(system.A1[i], alone.A1) and np.array_equal(system.A2[i], alone.A2)
         for T, T_alone in zip(system.precoders, alone.precoders):
             assert np.array_equal(T[i], T_alone)
         for rx, A in ((1, alone.A1), (2, alone.A2)):
-            one = _receiver_rates(A, *plan.registry.split(rx), snrs, plan.T)
-            assert np.array_equal(rates[rx - 1][i], one)
+            assert np.array_equal(rates[rx - 1][i], receiver_rates(A, rx))
     result = rate_slope_estimate(plan, rsc, seed=seed)
     expected = per_trial_rate_slope(plan, rsc, seed=seed)
     assert (result.slope, result.mean_sum_rates, result.trials_used, result.discarded) == expected
 
 
+def _zero_rx2_block(H):
+    H[1:3, :2] = 0
+
+
+def _zero_h00(H):
+    H[0, 0] = 0
+
+
 def test_singular_trial_redoes_its_block_per_trial(monkeypatch):
     # (4,1,3,2): RX1 streams cancel at RX2 rows 0-1 with antennas 0-1.  Zero
     # that block on trial 3's first draw (it resamples) and on every draw of
-    # trial 12 (it is discarded); each stacked pass then raises.
+    # trial 12 (it is discarded).  All 20 trials share one block, drawn in one
+    # call; it is halved down to pieces of one trial, each redone alone.
     plan = select_scheme(SystemConfig(4, 1, 3, 2))
 
-    def planted(cfg, dist=ChannelDistribution(), seed=0, index=0):
-        channel = sample_channel(cfg, dist, seed, index)
-        if index == 25 * 3 or index // 25 == 12:
-            H = channel.H.copy()
-            H[1:3, :2] = 0
-            channel = ChannelRealization(cfg, H)
-        return channel
+    def hit(index):
+        return index == 75 or index // 25 == 12
 
+    planted = planted_draws(sample_channel, hit, _zero_rx2_block)
     stacked_raises = []
 
     def realize_counting(plan, channel):
@@ -625,7 +638,8 @@ def test_singular_trial_redoes_its_block_per_trial(monkeypatch):
     monkeypatch.setattr("dofbc.verifier.realize_plan", realize_counting)
     rsc = RateSimConfig(trials=20)
     result = rate_slope_estimate(plan, rsc, seed=1)
-    assert stacked_raises.count(True) == 2  # both blocks, then one draw at a time
+    # Trials 0-19, 0-9, 10-19, 0-4, 2-4, 3-4, 10-14, 12-14: each raises once.
+    assert stacked_raises.count(True) == 8
     assert (result.trials_used, result.discarded) == (19, 1)
     expected = per_trial_rate_slope(plan, rsc, seed=1, draw=planted)
     assert (result.slope, result.mean_sum_rates, result.trials_used, result.discarded) == expected
@@ -633,25 +647,20 @@ def test_singular_trial_redoes_its_block_per_trial(monkeypatch):
 
 # (4,1,3,2) mid-k: the RX2 streams cancel at RX1 row 0 with antenna 0, so a
 # zero H[0, 0] makes their AP-ZF block singular.  Planted draw indices:
-# trial 0's first draw; one in each of two blocks; two draws of trial 3;
-# the compliance draw of a one-trial run, which raises rather than resamples.
+# trial 0's first draw; one in each half of a 12-trial block; two draws of
+# trial 3; the compliance draw of a one-trial run, which raises rather than
+# resamples.  Each block is one stack, halved while it raises: the stacks of
+# trials 0-11, 0-5, 0-2, 6-11, 9-11 and 10-11 raise for (0, 275), and those
+# of 0-11, 0-5 and 3-5 for (75, 76).
 @pytest.mark.parametrize(
     "trials,planted,stacked_raises",
-    [(1, (0,), 1), (2, (0,), 1), (12, (0, 25 * 11), 2), (12, (75, 76), 1), (1, (25,), 1)],
+    [(1, (0,), 1), (2, (0,), 1), (12, (0, 25 * 11), 6), (12, (75, 76), 3), (1, (25,), 1)],
 )
 def test_singular_draw_redoes_its_certification_block_per_trial(
     monkeypatch, trials, planted, stacked_raises
 ):
     plan = select_scheme(SystemConfig(4, 1, 3, 2))
-
-    def planted_channel(cfg, seed=0, index=0):
-        channel = field_channel(cfg, seed, index)
-        if index in planted:
-            H = channel.H.copy()
-            H[0, 0] = 0
-            channel = ChannelRealization(cfg, H)
-        return channel
-
+    planted_channel = planted_draws(field_channel, lambda index: index in planted, _zero_h00)
     try:
         want = per_trial_certification(plan, trials, seed=1, draw=planted_channel)
     except ResampleRequiredError:
@@ -676,25 +685,126 @@ def test_singular_draw_redoes_its_certification_block_per_trial(
     assert raises.count(True) == stacked_raises
 
 
+def _planted_zero(H):
+    H[...] = 0
+
+
+def _raising_on_planted(fn, stacked=None):
+    """`fn(plan, channel)` that raises ResampleRequiredError if any draw of
+    `channel` is all zero (a planted draw; no real or GF(p) draw is), and
+    appends to `stacked` whether each call ran on a stack."""
+
+    def wrapped(plan, channel):
+        if stacked is not None:
+            stacked.append(channel.H.ndim == 3)
+        if (channel.H == 0).all(axis=(-2, -1)).any():
+            raise ResampleRequiredError("planted singular draw")
+        return fn(plan, channel)
+
+    return wrapped
+
+
+@st.composite
+def planted_runs(draw):
+    """(trials, {trial: planted draws}, compliance draw planted)."""
+    trials = draw(st.integers(1, 120), label="trials")
+    depths = st.sampled_from([1, 2, 25])  # 25: every draw of the trial
+    planted = draw(st.dictionaries(st.integers(0, trials - 1), depths, max_size=3), label="planted")
+    return trials, planted, trials == 1 and draw(st.booleans(), label="compliance")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plan=st.builds(select_scheme, st.deferred(lambda: small_configs()), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+    run=planted_runs(),
+)
+@example(plan=select_scheme(SystemConfig(4, 1, 3, 2)), seed=1, run=(1, {}, True))
+@example(plan=select_scheme(SystemConfig(4, 1, 3, 2)), seed=1, run=(100, {37: 1}, False))
+@example(plan=select_scheme(SystemConfig(9, 3, 6, 4)), seed=2, run=(45, {20: 2}, False))
+@example(plan=build_scheme_6331(), seed=1, run=(120, {0: 25, 119: 1}, False))
+def test_bisected_blocks_equal_per_trial_loops(plan, seed, run):
+    trials, planted, compliance = run
+    indices = {25 * i + a for i, depth in planted.items() for a in range(depth)}
+    indices |= {25} if compliance else set()
+    hit = indices.__contains__
+    size = _block_size(plan)
+    blocks = -(-trials // size)
+    # One planted trial costs its block 1 + 2 ceil(log2 B) stacked passes at
+    # most.  It is redone alone, and so are at most two trials beside it (the
+    # lone members of the halves of a piece of 3 and then of 2), on one draw.
+    bound = blocks + (2 * math.ceil(math.log2(min(size, trials))) if planted else 0)
+    alone_bound = sum(planted.values()) + 3
+    real = planted_draws(sample_channel, hit, _planted_zero)
+    field = planted_draws(field_channel, hit, _planted_zero)
+    rsc = RateSimConfig(trials=trials)
+    with pytest.MonkeyPatch.context() as patch:
+        stacked = []
+        patch.setattr("dofbc.verifier.realize_plan", _raising_on_planted(realize_plan, stacked))
+        patch.setattr("dofbc.verifier._precoder_matrices", _raising_on_planted(_precoder_matrices))
+        patch.setattr("dofbc.verifier.sample_channel", real)
+        patch.setattr("dofbc.verifier.field_channel", field)
+        for name in ("realize_plan", "_precoder_matrices"):
+            patch.setattr(f"tests.helpers.{name}", _raising_on_planted(getattr(helpers, name)))
+        if all(depth == 25 for depth in planted.values()) and len(planted) == trials:
+            with pytest.raises(ResampleRequiredError, match="discarded"):
+                rate_slope_estimate(plan, rsc, seed=seed)
+        else:
+            result = rate_slope_estimate(plan, rsc, seed=seed)
+            expected = per_trial_rate_slope(plan, rsc, seed=seed, draw=real)
+            got = (result.slope, result.mean_sum_rates, result.trials_used, result.discarded)
+            assert got == expected
+        if len(planted) <= 1:
+            assert stacked.count(True) <= bound and stacked.count(False) <= alone_bound
+        stacked.clear()
+        try:
+            want = per_trial_certification(plan, trials, seed=seed, draw=field)
+        except ResampleRequiredError:
+            with pytest.raises(ResampleRequiredError):
+                achieved_dof(plan, trials=trials, seed=seed)
+        else:
+            assert achieved_dof(plan, trials=trials, seed=seed) == want
+        if len(planted) <= 1 and not compliance:
+            assert stacked.count(True) <= bound and stacked.count(False) <= alone_bound
+
+
 # float.hex of (slope, mean_sum_rates) of rate_slope_estimate(plan,
-# RateSimConfig(trials=20), seed), the crafted plan for (6,3,3,1); recorded
-# with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64 before GF(p) channels
-# gained a trial axis through the same `realize_plan`.  Compared bit for bit.
+# RateSimConfig(trials=trials), seed), keyed by (shape, seed) then trials,
+# the crafted plan for (6,3,3,1); recorded with numpy 2.4.6 and OpenBLAS
+# 0.3.31 on x86-64: the 20-trial bits before GF(p) channels gained a trial
+# axis through the same `realize_plan`, the 100-trial bits before blocks
+# were sized by cells, when they still held 10 trials.  Compared bit for bit.
 RATE_SLOPE_BITS = {
-    ((4, 1, 3, 2), 1): ("0x1.b3f3b9b043754p+1", ("0x1.c193672e6cc10p+3", "0x1.91d5cb4545b00p+4", "0x1.256b4b6b1b808p+5")),
-    ((4, 1, 3, 2), 2): ("0x1.bbb7df53acf6ap+1", ("0x1.ebdb384dfd65ep+3", "0x1.ac885fdcd20d5p+4", "0x1.3336cf1b1aaa4p+5")),
-    ((6, 3, 3, 1), 1): ("0x1.f71f1bd99d7d3p+1", ("0x1.13fabaaed732fp+4", "0x1.e202708cb0202p+4", "0x1.5ae80970ae662p+5")),
-    ((6, 3, 3, 1), 2): ("0x1.f75a9cfa4b816p+1", ("0x1.084051f38aa8fp+4", "0x1.d64f12f0ee33ap+4", "0x1.55238a7e62162p+5")),
-    ((9, 3, 6, 4), 1): ("0x1.da0ca86078579p+2", ("0x1.da51d4d1edc4ap+4", "0x1.abe7c98c6ce96p+5", "0x1.3b6cb81c38825p+6")),
-    ((9, 3, 6, 4), 2): ("0x1.cc970287d4118p+2", ("0x1.b536a3437058ap+4", "0x1.926b6ef0eab6fp+5", "0x1.2c8f258071fa0p+6")),
+    ((4, 1, 3, 2), 1): {
+        20: ("0x1.b3f3b9b043754p+1", ("0x1.c193672e6cc10p+3", "0x1.91d5cb4545b00p+4", "0x1.256b4b6b1b808p+5")),
+        100: ("0x1.b990edddc59a0p+1", ("0x1.de0ed83c2acaep+3", "0x1.a4369d8abb1a0p+4", "0x1.2edef0e3c197ep+5")),
+    },
+    ((4, 1, 3, 2), 2): {
+        20: ("0x1.bbb7df53acf6ap+1", ("0x1.ebdb384dfd65ep+3", "0x1.ac885fdcd20d5p+4", "0x1.3336cf1b1aaa4p+5")),
+        100: ("0x1.b8ce52cc3273ep+1", ("0x1.ed3e59e63ba2ep+3", "0x1.abc39cb41d5cep+4", "0x1.325a0262a16f1p+5")),
+    },
+    ((6, 3, 3, 1), 1): {
+        20: ("0x1.f71f1bd99d7d3p+1", ("0x1.13fabaaed732fp+4", "0x1.e202708cb0202p+4", "0x1.5ae80970ae662p+5")),
+    },
+    ((6, 3, 3, 1), 2): {
+        20: ("0x1.f75a9cfa4b816p+1", ("0x1.084051f38aa8fp+4", "0x1.d64f12f0ee33ap+4", "0x1.55238a7e62162p+5")),
+    },
+    ((9, 3, 6, 4), 1): {
+        20: ("0x1.da0ca86078579p+2", ("0x1.da51d4d1edc4ap+4", "0x1.abe7c98c6ce96p+5", "0x1.3b6cb81c38825p+6")),
+        100: ("0x1.dd284259101a2p+2", ("0x1.d8b0ed33db266p+4", "0x1.ad06f37a3df01p+5", "0x1.3c4edbfde0570p+6")),
+    },
+    ((9, 3, 6, 4), 2): {
+        20: ("0x1.cc970287d4118p+2", ("0x1.b536a3437058ap+4", "0x1.926b6ef0eab6fp+5", "0x1.2c8f258071fa0p+6")),
+        100: ("0x1.dbdfe24f888f1p+2", ("0x1.d37b58d7f60afp+4", "0x1.a99a1adc16137p+5", "0x1.3a791c10eaf2fp+6")),
+    },
 }
 
 
 @pytest.mark.parametrize("shape,seed", RATE_SLOPE_BITS, ids=str)
 def test_rate_slope_bits_pinned(shape, seed):
     plan = select_scheme(SystemConfig(*shape), allow_special_cases=True)
-    result = rate_slope_estimate(plan, RateSimConfig(trials=20), seed=seed)
-    slope, means = RATE_SLOPE_BITS[shape, seed]
-    assert (result.trials_used, result.discarded) == (20, 0)
-    assert result.slope.hex() == slope
-    assert tuple(v.hex() for v in result.mean_sum_rates) == means
+    for trials, (slope, means) in RATE_SLOPE_BITS[shape, seed].items():
+        result = rate_slope_estimate(plan, RateSimConfig(trials=trials), seed=seed)
+        assert (result.trials_used, result.discarded) == (trials, 0)
+        assert result.slope.hex() == slope, trials
+        assert tuple(v.hex() for v in result.mean_sum_rates) == means, trials
