@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, as_integer
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,8 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("M", "N1", "N2", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+            # Any integer type is stored as an int; a bool or a float raises.
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.M < 1:
             raise InvalidConfigError("at least one transmit antenna is required")
         if self.N1 < 1 or self.N2 < 1:
@@ -59,6 +58,5 @@ class SystemConfig:
 
 def normalize_config(M: int, N1: int, N2: int, k: int) -> SystemConfig:
     """Swap receiver labels if needed so N1 <= N2; `SystemConfig` validates."""
-    if isinstance(N1, int) and isinstance(N2, int) and N1 > N2:
-        return SystemConfig(M, N2, N1, k)
-    return SystemConfig(M, N1, N2, k)
+    N1, N2 = as_integer(N1, "N1"), as_integer(N2, "N2")
+    return SystemConfig(M, N2, N1, k) if N1 > N2 else SystemConfig(M, N1, N2, k)

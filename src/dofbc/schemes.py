@@ -1,29 +1,34 @@
 """Transmission plans: explicit per-slot linear programs over information symbols.
 
-A plan lists, slot by slot, the streams to superpose on the transmit array.
-Each stream has a payload recipe (what linear form over information symbols
-it carries) and a precoder recipe (how the M antennas weight it).  Payloads
-are either fresh symbols, interference retransmissions (channel-dependent
-linear forms over earlier received samples, reconstructible at the informed
-antennas), or the coupled streams of the hand-crafted (6,3,3,1) plan whose
-defining equations are solved as a within-block fixed point.
+A plan lists, slot by slot, the streams to superpose on the transmit array,
+in stream groups.  Each stream has a payload recipe (what linear form over
+information symbols it carries) and a precoder recipe (how the M antennas
+weight it).  Payloads are either fresh symbols, interference retransmissions
+(channel-dependent linear forms over earlier received samples,
+reconstructible at the informed antennas), or the coupled streams of the
+hand-crafted (6,3,3,1) plan whose defining equations are solved as a
+within-block fixed point.
 
 Plans are built without any channel realization; the verifier realizes them
 against channels.  Every stream has one precoder recipe, `ApzfRecipe`: it is
 sent with coefficient 1 from one antenna and, when it names AP-ZF rows, the
-first informed antennas cancel it there.  Independence of simultaneously
-transmitted streams is arranged with distinct sending antennas and then
-*verified* by the rank checks, never assumed.
+first informed antennas cancel it there.  A `StreamGroup` holds payloads in
+order under one recipe family: stream j of the group is sent from antenna
+`precoder.antenna + j`, cancelled at the same rows of the same receiver.  A
+plan is checked, laid out and serialized group by group; `Slot.streams`
+lists each stream with its own recipe for readers.  Independence of
+simultaneously transmitted streams is arranged with distinct sending
+antennas and then *verified* by the rank checks, never assumed.
 
 Every built-in plan except the crafted (6,3,3,1) one follows one two-phase
 template on the config with M capped at N1+N2.  Phase 1 has p1 slots, each
-sending `a` fresh RX1 streams cancelled at RX2 rows range(a_rows), then `b`
-fresh RX2 streams cancelled at RX1 rows range(b_rows).  Phase 2 has p2
-slots; slot u forwards, from informed antenna i, the RX2 row k+u that
-phase-1 slot i leaked onto RX2's unprotected antennas (a pure RX1-symbol
-form RX2 already holds and RX1 still needs), then sends b2 fresh RX2
-streams cancelled at RX1 rows range(b_rows).  With j its index within its
-group, a fresh stream cancelled at r rows is sent from antenna r+j, and
+sending a group of `a` fresh RX1 streams cancelled at RX2 rows
+range(a_rows), then a group of `b` fresh RX2 streams cancelled at RX1 rows
+range(b_rows).  Phase 2 has p2 slots; slot u sends a group that forwards,
+from informed antenna i, the RX2 row k+u that phase-1 slot i leaked onto
+RX2's unprotected antennas (a pure RX1-symbol form RX2 already holds and RX1
+still needs), then a group of b2 fresh RX2 streams cancelled at RX1 rows
+range(b_rows).  A fresh group cancelled at r rows starts at antenna r, and
 antennas 0..r-1 cancel it.  No group holds more streams than it has passive
 antennas, so the sending antennas within a group are distinct.
 `region.plan_shape` picks the parameters; it is the one place the regime is
@@ -51,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from numbers import Integral
 from typing import NamedTuple
 
@@ -90,10 +95,10 @@ class SymbolRegistry:
 
     @cached_property
     def _owned(self) -> dict[int, tuple[int, ...]]:
-        owned: dict[int, tuple[int, ...]] = {}
+        owned: dict[int, list[int]] = {}
         for i, s in enumerate(self.symbols):
-            owned[s.rx] = owned.get(s.rx, ()) + (i,)
-        return owned
+            owned.setdefault(s.rx, []).append(i)
+        return {rx: tuple(columns) for rx, columns in owned.items()}
 
     @property
     def S1(self) -> int:
@@ -189,34 +194,49 @@ class ApzfRecipe(NamedTuple):
         kp = len(self.rows)
         return (CHANNEL,) * kp + (CONSTANT,) * (cfg.M - kp)
 
-    def support_in_informed(self, cfg: SystemConfig) -> bool:
-        return self.antenna < cfg.k
-
-    def to_json(self, cfg: SystemConfig):
+    def to_json(self, cfg: SystemConfig, count: int) -> list[dict]:
+        """The recipes of `count` streams sent from `antenna` onwards, as JSON."""
+        antennas = range(self.antenna, self.antenna + count)
         if not self.rows:
-            return {"kind": "unit", "antenna": self.antenna}
-        kp = len(self.rows)
-        pattern = [0] * (cfg.M - kp)
-        pattern[self.antenna - kp] = 1
-        return {"kind": "apzf", "rx": self.rx, "rows": list(self.rows), "pattern": pattern}
+            return [{"kind": "unit", "antenna": a} for a in antennas]
+        kp, rows, zeros = len(self.rows), list(self.rows), [0] * (cfg.M - len(self.rows))
+        dicts = []
+        for a in antennas:
+            pattern = zeros.copy()
+            pattern[a - kp] = 1
+            dicts.append({"kind": "apzf", "rx": self.rx, "rows": rows, "pattern": pattern})
+        return dicts
 
 
-@dataclass(frozen=True)
-class Stream:
+class Stream(NamedTuple):
+    """One stream with its own recipe, as `Slot.streams` lists it."""
+
     payload: FreshPayload | InterferencePayload | CoupledPayload
     precoder: ApzfRecipe
 
-    def to_json(self, cfg: SystemConfig):
-        return {
-            "payload": self.payload.to_json(),
-            "precoder": self.precoder.to_json(cfg),
-            "csit": list(self.precoder.labels(cfg)),
-        }
+
+@dataclass(frozen=True)
+class StreamGroup:
+    """Streams under one recipe family: stream j carries `payloads[j]` and is
+    sent from antenna `precoder.antenna + j`, cancelled at `precoder.rows` of
+    receiver `precoder.rx` like every other stream of the group."""
+
+    payloads: tuple[FreshPayload | InterferencePayload | CoupledPayload, ...]
+    precoder: ApzfRecipe
 
 
 @dataclass(frozen=True)
 class Slot:
-    streams: tuple[Stream, ...]
+    groups: tuple[StreamGroup, ...]
+
+    @property
+    def streams(self) -> tuple[Stream, ...]:
+        """Every stream of the slot in order, each with its own recipe."""
+        return tuple(
+            Stream(payload, ApzfRecipe(g.precoder.antenna + j, g.precoder.rx, g.precoder.rows))
+            for g in self.groups
+            for j, payload in enumerate(g.payloads)
+        )
 
 
 class SlotLayout(NamedTuple):
@@ -232,7 +252,7 @@ class SlotLayout(NamedTuple):
 
 
 class PlanLayout(NamedTuple):
-    groups: tuple  # (rx, rows, sending antennas) per AP-ZF group, in Z's column order
+    targets: tuple  # (rx, rows, sending antennas) per AP-ZF target, in Z's column order
     slots: tuple[SlotLayout, ...]
     coupled: tuple  # each coupled stream's terms, by aux index
 
@@ -265,30 +285,36 @@ class TransmissionPlan:
     @cached_property
     def layout(self) -> PlanLayout:
         """The plan as index arrays, so realizing it walks no stream per
-        channel.  Built on first use, from lists and one array cut into views."""
+        channel.  Built on first use, group by group, from lists and one
+        array cut into views: a group's antennas are one range."""
         M, S, registry = self.cfg.M, len(self.registry.symbols), self.registry
-        groups: dict[tuple, dict[int, int]] = {}  # (rx, rows) -> {antenna: column}
-        for r in (s.precoder for slot in self.slots for s in slot.streams if s.precoder.rows):
-            groups.setdefault((r.rx, r.rows), {})[r.antenna] = 0
+        targets: dict[tuple, dict[int, int]] = {}  # (rx, rows) -> {antenna: column}
+        for r, n in ((g.precoder, len(g.payloads)) for slot in self.slots for g in slot.groups):
+            if r.rows:  # new antennas join the target's columns in order
+                antennas = dict.fromkeys(range(r.antenna, r.antenna + n))
+                targets.setdefault((r.rx, r.rows), {}).update(antennas)
         column = M
-        for antennas in groups.values():
+        for antennas in targets.values():
             for antenna in antennas:
                 antennas[antenna], column = column, column + 1
         lists, interference, coupled = [], [], {}
         for slot in self.slots:
             columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
-            for j, (payload, r) in enumerate((s.payload, s.precoder) for s in slot.streams):
-                columns.append(groups[r.rx, r.rows][r.antenna] if r.rows else r.antenna)
-                cancelled.append(len(r.rows))
-                if isinstance(payload, FreshPayload):
-                    rows.append(j)
-                    forms.append(registry.index(payload.symbol))
-                elif isinstance(payload, InterferencePayload):
-                    terms.append((j, list(registry.owned_columns(payload.owner)), payload.terms))
-                else:
-                    aux_rows.append(j)
-                    aux_forms.append(S + payload.aux)
-                    coupled[payload.aux] = payload.terms
+            for g in slot.groups:
+                r, first = g.precoder, len(columns)
+                antennas = range(r.antenna, r.antenna + len(g.payloads))
+                columns += map(targets[r.rx, r.rows].__getitem__, antennas) if r.rows else antennas
+                cancelled += [len(r.rows)] * len(antennas)
+                for j, payload in enumerate(g.payloads, first):
+                    if isinstance(payload, FreshPayload):
+                        rows.append(j)
+                        forms.append(registry.index(payload.symbol))
+                    elif isinstance(payload, InterferencePayload):
+                        terms.append((j, list(registry.owned_columns(payload.owner)), payload.terms))
+                    else:
+                        aux_rows.append(j)
+                        aux_forms.append(S + payload.aux)
+                        coupled[payload.aux] = payload.terms
             sources, mixed = [columns[j] for j in rows], [t[0] for t in terms] + aux_rows
             lists += [columns, cancelled, rows + aux_rows, forms + aux_forms, sources, mixed]
             interference.append(tuple(terms))
@@ -302,58 +328,66 @@ class TransmissionPlan:
             fresh = (forms[: len(sources)], sources)
             slots.append(SlotLayout(columns, (rows, forms), fresh, mixed, terms, constant))
         coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
-        return PlanLayout(tuple(k + (tuple(a),) for k, a in groups.items()), tuple(slots), coupled_terms)
+        return PlanLayout(tuple(k + (tuple(a),) for k, a in targets.items()), tuple(slots), coupled_terms)
 
     def _validate(self):
-        """Check the plan's structure once, so realizing it needs no structural checks."""
+        """Check the plan's structure once, so realizing it needs no structural
+        checks.  A group's recipe is checked once: its streams share rx and
+        rows, and their antennas run from its first antenna to its last."""
         cfg = self.cfg
         if not self.slots:
             raise InvalidConfigError("a plan needs at least one slot")
-        fresh_seen = set()
+        fresh: list[str] = []
         targets = set()
         refs: set[RxRowRef] = set()
         coupled: dict[int, tuple[RxRowRef, ...]] = {}
         for t, slot in enumerate(self.slots):
-            if not slot.streams:
+            if not slot.groups:
                 raise InvalidConfigError(f"slot {t} sends no streams")
-            for stream in slot.streams:
-                payload, precoder = stream.payload, stream.precoder
+            for group in slot.groups:
+                if not isinstance(group, StreamGroup):
+                    raise InvalidConfigError(f"unknown stream group {group!r}")
+                precoder, last = group.precoder, len(group.payloads) - 1
                 if not isinstance(precoder, ApzfRecipe):
                     raise InvalidConfigError(f"unknown precoder {precoder!r}")
-                if isinstance(payload, FreshPayload):
-                    if payload.symbol in fresh_seen:
-                        raise InvalidConfigError(f"symbol {payload.symbol} sent fresh twice")
-                    fresh_seen.add(payload.symbol)
-                elif isinstance(payload, InterferencePayload):
-                    if payload.owner not in (1, 2):
-                        raise InvalidConfigError("interference owner must be RX1 or RX2")
-                    if any(ref.slot >= t for ref in payload.terms):
-                        raise InvalidConfigError("retransmission must reference earlier slots")
-                    if not precoder.support_in_informed(cfg):
-                        raise InvalidConfigError(
-                            "channel-dependent payloads must be sent from informed antennas"
-                        )
-                    refs.update(payload.terms)
-                elif isinstance(payload, CoupledPayload):
-                    if not precoder.support_in_informed(cfg):
-                        raise InvalidConfigError(
-                            "coupled streams must be sent from informed antennas"
-                        )
-                    if coupled.setdefault(payload.aux, payload.terms) != payload.terms:
-                        raise InvalidConfigError("conflicting definitions for coupled stream")
-                    refs.update(payload.terms)
-                else:
-                    raise InvalidConfigError(f"unknown payload {payload!r}")
-                if not len(precoder.rows) <= precoder.antenna < cfg.M:
+                if last < 0:
+                    raise InvalidConfigError(f"slot {t} sends an empty stream group")
+                dependent = None  # (index, message) of the group's last channel-dependent stream
+                for j, payload in enumerate(group.payloads):
+                    if isinstance(payload, FreshPayload):
+                        fresh.append(payload.symbol)
+                    elif isinstance(payload, InterferencePayload):
+                        if payload.owner not in (1, 2):
+                            raise InvalidConfigError("interference owner must be RX1 or RX2")
+                        if any(ref.slot >= t for ref in payload.terms):
+                            raise InvalidConfigError("retransmission must reference earlier slots")
+                        dependent = j, "channel-dependent payloads must be sent from informed antennas"
+                        refs.update(payload.terms)
+                    elif isinstance(payload, CoupledPayload):
+                        if coupled.setdefault(payload.aux, payload.terms) != payload.terms:
+                            raise InvalidConfigError("conflicting definitions for coupled stream")
+                        dependent = j, "coupled streams must be sent from informed antennas"
+                        refs.update(payload.terms)
+                    else:
+                        raise InvalidConfigError(f"unknown payload {payload!r}")
+                kp, first = len(precoder.rows), precoder.antenna
+                if type(first) is not int:  # a float or bool would index as another antenna
+                    raise InvalidConfigError(f"stream antenna must be an int, got {first!r}")
+                if not (kp <= first and first + last < cfg.M):
+                    antenna = cfg.M if kp <= first < cfg.M else first  # the first stream off range
                     raise InvalidConfigError(
-                        f"stream cancelled at {len(precoder.rows)} rows cannot be sent "
-                        f"from antenna {precoder.antenna} of {cfg.M}"
+                        f"stream cancelled at {kp} rows cannot be sent "
+                        f"from antenna {antenna} of {cfg.M}"
                     )
+                if dependent and first + dependent[0] >= cfg.k:
+                    raise InvalidConfigError(dependent[1])
                 if precoder.rows:
                     targets.add((precoder.rx, precoder.rows))
-        # Many streams share a cancellation target or a sample; check each once.
+        # Many groups share a cancellation target or a sample; check each once.
         receive_antennas = {1: cfg.N1, 2: cfg.N2}
         for rx, rows in targets:
+            if not all(type(v) is int for v in (rx, *rows)):
+                raise InvalidConfigError(f"AP-ZF target {(rx, rows)} must name int rows of an int receiver")
             if rx not in receive_antennas:
                 raise InvalidConfigError("AP-ZF must cancel at receiver 1 or 2")
             if any(not 0 <= r < receive_antennas[rx] for r in rows):
@@ -372,62 +406,79 @@ class TransmissionPlan:
                 raise InvalidConfigError(
                     f"sample weights must be integers, got {weight_type.__name__}"
                 )
+        fresh_seen = set(fresh)
+        if len(fresh_seen) < len(fresh):
+            twice = next(s for i, s in enumerate(fresh) if s in fresh[:i])
+            raise InvalidConfigError(f"symbol {twice} sent fresh twice")
         if fresh_seen != {s.id for s in self.registry.symbols}:
             raise InvalidConfigError("every information symbol must be sent exactly once")
         if coupled.keys() != set(range(len(coupled))):
             raise InvalidConfigError("coupled stream indices must be 0..n-1")
 
     def to_json(self) -> dict:
+        """The plan as JSON-ready dicts, one per stream.  The streams of a
+        group share their `csit` list, and groups of one recipe family and
+        size, in any slot, share their `precoder` dicts and `csit`: mutating
+        one stream's `precoder` or `csit` changes the others'."""
+        cfg, shared = self.cfg, {}  # (recipe family, size) -> (precoder dicts, csit)
+
+        def streams(group: StreamGroup) -> list[dict]:
+            key = (group.precoder, len(group.payloads))
+            if key not in shared:
+                shared[key] = (group.precoder.to_json(cfg, key[1]), list(group.precoder.labels(cfg)))
+            precoders, csit = shared[key]
+            return [
+                {"payload": payload.to_json(), "precoder": precoder, "csit": csit}
+                for payload, precoder in zip(group.payloads, precoders)
+            ]
+
         return {
             "scheme": self.scheme_id,
-            "config": {"M": self.cfg.M, "N1": self.cfg.N1, "N2": self.cfg.N2, "k": self.cfg.k},
+            "config": {"M": cfg.M, "N1": cfg.N1, "N2": cfg.N2, "k": cfg.k},
             "claimed_dof": str(self.claimed_dof),
             "symbols": [{"id": s.id, "rx": s.rx} for s in self.registry.symbols],
             "slots": [
-                {"streams": [stream.to_json(self.cfg) for stream in slot.streams]}
+                {"streams": [stream for group in slot.groups for stream in streams(group)]}
                 for slot in self.slots
             ],
         }
 
 
-def _symbols(prefix: str, rx: int, count: int) -> list[Symbol]:
-    return [Symbol(f"{prefix}{i}", rx) for i in range(1, count + 1)]
+# Symbols prefix1, prefix2, ... and their fresh payloads, by (prefix, rx):
+# both are immutable, so every plan shares them.  A longer request rebuilds
+# both at twice its length; threads that race only rebuild them twice.
+_FRESH: dict[tuple[str, int], tuple[tuple[Symbol, ...], tuple[FreshPayload, ...]]] = {}
+
+
+def _symbols(prefix: str, rx: int, count: int) -> tuple[tuple, tuple]:
+    """The first `count` symbols for receiver `rx`, and the fresh payloads that send them."""
+    symbols, payloads = _FRESH.get((prefix, rx), ((), ()))
+    if len(symbols) < count:
+        symbols = tuple(Symbol(f"{prefix}{i}", rx) for i in range(1, 2 * count + 1))
+        payloads = tuple(FreshPayload(s.id) for s in symbols)
+        _FRESH[prefix, rx] = symbols, payloads
+    return symbols[:count], payloads[:count]
 
 
 def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
     """Build the template plan `shape` on the capped config `cfg`."""
     k = cfg.k
-    a_syms = _symbols("a", 1, shape.S1)
-    b_syms = _symbols("b", 2, shape.S2)
-    a_next, b_next = iter(a_syms), iter(b_syms)
+    a_syms, a_fresh = _symbols("a", 1, shape.S1)
+    b_syms, b_fresh = _symbols("b", 2, shape.S2)
+    a_next, b_next = iter(a_fresh), iter(b_fresh)
+    # A group's recipe family is the same in every slot; only its payloads change.
+    a_recipe = ApzfRecipe(shape.a_rows, 2, tuple(range(shape.a_rows)))
+    b_recipe = ApzfRecipe(shape.b_rows, 1, tuple(range(shape.b_rows)))
 
-    def recipes(count: int, cancel_rx: int, rows: int) -> list[ApzfRecipe]:
-        cancel = tuple(range(rows))
-        return [ApzfRecipe(rows + j, cancel_rx, cancel) for j in range(count)]
+    def slot(*groups) -> Slot:
+        """The next `count` payloads under `recipe`, per non-empty (payloads, count, recipe)."""
+        return Slot(tuple(StreamGroup(tuple(islice(p, n)), r) for p, n, r in groups if n))
 
-    # A group's recipes are the same in every slot; only its symbols change.
-    a_recipes = recipes(shape.a, 2, shape.a_rows)
-    b_recipes = recipes(shape.b, 1, shape.b_rows)
-    b2_recipes = recipes(shape.b2, 1, shape.b_rows)
-
-    def fresh(symbols, precoders) -> list[Stream]:
-        return [Stream(FreshPayload(next(symbols).id), precoder) for precoder in precoders]
-
-    slots = []
-    for _ in range(shape.p1):
-        slots.append(Slot(tuple(fresh(a_next, a_recipes) + fresh(b_next, b_recipes))))
+    slots = [slot((a_next, shape.a, a_recipe), (b_next, shape.b, b_recipe)) for _ in range(shape.p1)]
     for u in range(shape.p2):
-        forwarded = [
-            Stream(InterferencePayload(1, (RxRowRef(i, 2, k + u, 1),)), ApzfRecipe(i))
-            for i in range(shape.p1)
-        ]
-        slots.append(Slot(tuple(forwarded + fresh(b_next, b2_recipes))))
-    return TransmissionPlan(
-        cfg=cfg,
-        scheme_id=shape.scheme,
-        registry=SymbolRegistry(tuple(a_syms + b_syms)),
-        slots=tuple(slots),
-    )
+        forwarded = (InterferencePayload(1, (RxRowRef(i, 2, k + u, 1),)) for i in range(shape.p1))
+        slots.append(slot((forwarded, shape.p1, ApzfRecipe(0)), (b_next, shape.b2, b_recipe)))
+    return TransmissionPlan(cfg, shape.scheme, SymbolRegistry(a_syms + b_syms), tuple(slots))
 
 
 def build_scheme_6331() -> TransmissionPlan:
@@ -445,36 +496,23 @@ def build_scheme_6331() -> TransmissionPlan:
     so each receiver can strip its own known sample from the decoded c or d
     and recover the cross observation it is missing.
     """
-    cfg = SystemConfig(*TABLE1_CONFIG)
-    a_syms = _symbols("a", 1, 8)
-    b_syms = _symbols("b", 2, 8)
-    registry = SymbolRegistry(tuple(a_syms + b_syms))
+    a_syms, a_fresh = _symbols("a", 1, 8)
+    b_syms, b_fresh = _symbols("b", 2, 8)
+    c_payload = CoupledPayload(aux=0, terms=(RxRowRef(0, 2, 0, 1), RxRowRef(1, 1, 0, 1)))
+    d_payload = CoupledPayload(aux=1, terms=(RxRowRef(0, 2, 1, 1), RxRowRef(1, 1, 1, 1)))
 
-    c_payload = CoupledPayload(
-        aux=0, terms=(RxRowRef(0, 2, 0, 1), RxRowRef(1, 1, 0, 1))
-    )
-    d_payload = CoupledPayload(
-        aux=1, terms=(RxRowRef(0, 2, 1, 1), RxRowRef(1, 1, 1, 1))
-    )
-
-    def info_streams(symbols, cancel_rx):
-        return [
-            Stream(FreshPayload(sym.id), ApzfRecipe(1 + j, cancel_rx, (2,)))
-            for j, sym in enumerate(symbols)
-        ]
+    def slot(crafted, fresh, cancel_rx) -> Slot:
+        crafted_group = StreamGroup((crafted,), ApzfRecipe(0))
+        return Slot((crafted_group, StreamGroup(fresh, ApzfRecipe(1, cancel_rx, (2,)))))
 
     slots = (
-        Slot(tuple([Stream(c_payload, ApzfRecipe(0))] + info_streams(a_syms[:5], 2))),
-        Slot(tuple([Stream(c_payload, ApzfRecipe(0))] + info_streams(b_syms[:5], 1))),
-        Slot(tuple([Stream(d_payload, ApzfRecipe(0))] + info_streams(a_syms[5:], 2))),
-        Slot(tuple([Stream(d_payload, ApzfRecipe(0))] + info_streams(b_syms[5:], 1))),
+        slot(c_payload, a_fresh[:5], 2),
+        slot(c_payload, b_fresh[:5], 1),
+        slot(d_payload, a_fresh[5:], 2),
+        slot(d_payload, b_fresh[5:], 1),
     )
-    return TransmissionPlan(
-        cfg=cfg,
-        scheme_id="table1",
-        registry=registry,
-        slots=slots,
-    )
+    registry = SymbolRegistry(a_syms + b_syms)
+    return TransmissionPlan(SystemConfig(*TABLE1_CONFIG), "table1", registry, slots)
 
 
 def select_scheme(cfg: SystemConfig, allow_special_cases: bool = False) -> TransmissionPlan:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -116,11 +117,11 @@ def _check_trials(trials) -> None:
 
 
 def _precoder_columns(plan: TransmissionPlan, channel: ChannelRealization) -> np.ndarray:
-    """[I_M | Z] under `channel`, Z holding each AP-ZF group's columns from one
-    `apzf_precoder` call per group; every stream's precoder is one column."""
+    """[I_M | Z] under `channel`, Z holding each AP-ZF target's columns from one
+    `apzf_precoder` call per target; every stream's precoder is one column."""
     H, M = channel.H, channel.cfg.M
     eye = np.eye(M, dtype=H.dtype) + np.zeros(H.shape[:-2] + (1, 1), dtype=H.dtype)
-    solved = [apzf_precoder(channel, *group) for group in plan.layout.groups]
+    solved = [apzf_precoder(channel, *target) for target in plan.layout.targets]
     return np.concatenate([eye, *solved], axis=-1) if solved else eye
 
 
@@ -194,7 +195,7 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
     trials = channel.H.shape[:-2]
     columns = _precoder_columns(plan, channel)
     gains = channel.H
-    if p is not None and plan.layout.groups:  # one product per channel, for all AP-ZF columns
+    if p is not None and plan.layout.targets:  # one product per channel, for all AP-ZF columns
         gains = np.concatenate([channel.H, gf_matmul(channel.H, columns[..., cfg.M :], p)], axis=-1)
     samples: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -464,6 +465,8 @@ class RateSimConfig:
 
     def __post_init__(self):
         _check_trials(self.trials)
+        if any(isinstance(s, bool) or not isinstance(s, Real) for s in self.snr_db):
+            raise InvalidConfigError(f"SNR points must be numbers in dB, got {self.snr_db!r}")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise InvalidConfigError("SNR points must be finite")
         if len(self.snr_db) < 2:

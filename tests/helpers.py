@@ -9,7 +9,7 @@ from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import ResampleRequiredError
 from dofbc.gf import gf_matmul, gf_solve
-from dofbc.precoding import apzf_precoder
+from dofbc.precoding import CHANNEL, CONSTANT, apzf_precoder
 from dofbc.schemes import (
     ApzfRecipe,
     CoupledPayload,
@@ -18,6 +18,7 @@ from dofbc.schemes import (
     RxRowRef,
     Slot,
     Stream,
+    StreamGroup,
     Symbol,
     SymbolRegistry,
     TransmissionPlan,
@@ -31,11 +32,26 @@ from dofbc.verifier import (
 )
 
 
+def streams_slot(*streams: Stream) -> Slot:
+    """A slot sending `streams` in order.  A stream joins the group before it
+    when it continues that group's recipe family on the next antenna, so
+    hand-built plans exercise multi-stream groups."""
+    groups: list[StreamGroup] = []
+    for payload, recipe in streams:
+        if groups and isinstance(recipe, ApzfRecipe) and isinstance(groups[-1].precoder, ApzfRecipe):
+            last = groups[-1]
+            if recipe == last.precoder._replace(antenna=last.precoder.antenna + len(last.payloads)):
+                groups[-1] = StreamGroup(last.payloads + (payload,), last.precoder)
+                continue
+        groups.append(StreamGroup((payload,), recipe))
+    return Slot(tuple(groups))
+
+
 def adversarial_plan() -> TransmissionPlan:
     """One RX2 symbol sent from antenna 1 of (3,1,2,1), cancelled at RX1 row 0."""
     cfg = SystemConfig(3, 1, 2, 1)
     registry = SymbolRegistry((Symbol("b1", 2),))
-    slots = (Slot((Stream(FreshPayload("b1"), ApzfRecipe(1, 1, (0,))),)),)
+    slots = (streams_slot(Stream(FreshPayload("b1"), ApzfRecipe(1, 1, (0,)))),)
     return TransmissionPlan(cfg=cfg, scheme_id="adversarial", registry=registry, slots=slots)
 
 
@@ -83,7 +99,7 @@ def overloaded_rx2_plan() -> TransmissionPlan:
         cfg=cfg,
         scheme_id="overloaded",
         registry=registry,
-        slots=(Slot(first), Slot(second)),
+        slots=(streams_slot(*first), streams_slot(*second)),
     )
 
 
@@ -102,7 +118,7 @@ def weighted_retransmission_plan() -> TransmissionPlan:
         Stream(FreshPayload("b3"), ApzfRecipe(2, 1, (0,))),
         Stream(InterferencePayload(2, (RxRowRef(0, 1, 0, 3),)), ApzfRecipe(1)),
     )
-    return TransmissionPlan(cfg, "weighted", registry, (Slot(first), Slot(second)))
+    return TransmissionPlan(cfg, "weighted", registry, (streams_slot(*first), streams_slot(*second)))
 
 
 def repeated_coupled_plan() -> TransmissionPlan:
@@ -119,7 +135,21 @@ def repeated_coupled_plan() -> TransmissionPlan:
         Stream(c, ApzfRecipe(1)),
     )
     second = (Stream(FreshPayload("b2"), ApzfRecipe(3)), Stream(d, ApzfRecipe(1)), Stream(c, ApzfRecipe(0)))
-    return TransmissionPlan(cfg, "repeated-coupled", registry, (Slot(first), Slot(second)))
+    return TransmissionPlan(cfg, "repeated-coupled", registry, (streams_slot(*first), streams_slot(*second)))
+
+
+def overlapping_groups_plan() -> TransmissionPlan:
+    """(4,1,3,2) plan whose groups share the AP-ZF target RX1 row 0 from
+    different first antennas: the later group's columns in Z are not one
+    range, and it adds antennas the first group lacks."""
+    cfg = SystemConfig(4, 1, 3, 2)
+    registry = SymbolRegistry((Symbol("a1", 1),) + tuple(Symbol(f"b{i}", 2) for i in range(1, 5)))
+    first = Slot((
+        StreamGroup((FreshPayload("a1"),), ApzfRecipe(2, 2, (0, 1))),
+        StreamGroup((FreshPayload("b1"),), ApzfRecipe(3, 1, (0,))),
+    ))
+    second = Slot((StreamGroup(tuple(FreshPayload(f"b{i}") for i in (2, 3, 4)), ApzfRecipe(1, 1, (0,))),))
+    return TransmissionPlan(cfg, "overlapping-groups", registry, (first, second))
 
 
 def max_streams_per_slot(plan: TransmissionPlan) -> int:
@@ -337,3 +367,70 @@ def reference_realize(plan: TransmissionPlan, channel):
         return full[..., :S]
 
     return stack(1), stack(2), tuple(precoders)
+
+
+def reference_plan_json(plan: TransmissionPlan) -> dict:
+    """`plan.to_json()` built stream by stream, every dict and list its own:
+    the frozen per-stream serializer the grouped one must match byte for byte."""
+    cfg = plan.cfg
+
+    def precoder_json(recipe: ApzfRecipe) -> dict:
+        if not recipe.rows:
+            return {"kind": "unit", "antenna": recipe.antenna}
+        kp = len(recipe.rows)
+        pattern = [0] * (cfg.M - kp)
+        pattern[recipe.antenna - kp] = 1
+        return {"kind": "apzf", "rx": recipe.rx, "rows": list(recipe.rows), "pattern": pattern}
+
+    def stream_json(stream: Stream) -> dict:
+        kp = len(stream.precoder.rows)
+        return {
+            "payload": stream.payload.to_json(),
+            "precoder": precoder_json(stream.precoder),
+            "csit": [CHANNEL] * kp + [CONSTANT] * (cfg.M - kp),
+        }
+
+    return {
+        "scheme": plan.scheme_id,
+        "config": {"M": cfg.M, "N1": cfg.N1, "N2": cfg.N2, "k": cfg.k},
+        "claimed_dof": str(plan.claimed_dof),
+        "symbols": [{"id": s.id, "rx": s.rx} for s in plan.registry.symbols],
+        "slots": [{"streams": [stream_json(s) for s in slot.streams]} for slot in plan.slots],
+    }
+
+
+def reference_layout(plan: TransmissionPlan) -> tuple:
+    """(targets, per-slot arrays, coupled terms) of `plan.layout`, built
+    stream by stream: the frozen reference the grouped layout must equal.
+    Each slot gives (columns, onehot rows, onehot forms, fresh symbols,
+    fresh sources, mixed, interference, constant)."""
+    M, S, registry = plan.cfg.M, len(plan.registry.symbols), plan.registry
+    groups: dict[tuple, dict[int, int]] = {}
+    for r in (s.precoder for slot in plan.slots for s in slot.streams if s.precoder.rows):
+        groups.setdefault((r.rx, r.rows), {})[r.antenna] = 0
+    column = M
+    for antennas in groups.values():
+        for antenna in antennas:
+            antennas[antenna], column = column, column + 1
+    slots, coupled = [], {}
+    for slot in plan.slots:
+        columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
+        for j, (payload, r) in enumerate(slot.streams):
+            columns.append(groups[r.rx, r.rows][r.antenna] if r.rows else r.antenna)
+            cancelled.append(len(r.rows))
+            if isinstance(payload, FreshPayload):
+                rows.append(j)
+                forms.append(registry.index(payload.symbol))
+            elif isinstance(payload, InterferencePayload):
+                terms.append((j, list(registry.owned_columns(payload.owner)), payload.terms))
+            else:
+                aux_rows.append(j)
+                aux_forms.append(S + payload.aux)
+                coupled[payload.aux] = payload.terms
+        sources = [columns[j] for j in rows]
+        mixed = [t[0] for t in terms] + aux_rows
+        constant = np.arange(M)[:, None] >= np.array(cancelled, dtype=np.intp)
+        arrays = [np.array(a, dtype=np.intp) for a in (columns, rows + aux_rows, forms + aux_forms, forms, sources, mixed)]
+        slots.append((*arrays, tuple(terms), constant))
+    coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
+    return tuple(k + (tuple(a),) for k, a in groups.items()), tuple(slots), coupled_terms

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dofbc.config import SystemConfig
+from dofbc.config import SystemConfig, normalize_config
 from dofbc.errors import InvalidConfigError
 from dofbc.precoding import CHANNEL, CONSTANT
 from dofbc.region import sum_dof_upper
@@ -18,6 +20,7 @@ from dofbc.schemes import (
     RxRowRef,
     Slot,
     Stream,
+    StreamGroup,
     Symbol,
     SymbolRegistry,
     TransmissionPlan,
@@ -25,7 +28,14 @@ from dofbc.schemes import (
     select_scheme,
 )
 
-from .helpers import fresh_count, max_streams_per_slot
+from . import helpers
+from .helpers import (
+    fresh_count,
+    max_streams_per_slot,
+    reference_layout,
+    reference_plan_json,
+    streams_slot,
+)
 from .oracles import sum_dof_lower_closed_form
 
 GOLDEN = Path(__file__).parent / "data" / "plan_4132.json"
@@ -192,13 +202,13 @@ def test_plan_validation_rejects_bad_structures():
     with pytest.raises(InvalidConfigError, match="at least one slot"):
         TransmissionPlan(cfg, "x", SymbolRegistry(()), ())
     with pytest.raises(InvalidConfigError, match="no streams"):
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot(())))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream), streams_slot()))
     with pytest.raises(InvalidConfigError, match="unknown payload"):
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, Stream("a1", ApzfRecipe(1)))),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream, Stream("a1", ApzfRecipe(1))),))
     with pytest.raises(InvalidConfigError, match="unknown precoder"):
-        TransmissionPlan(cfg, "x", registry, (Slot((Stream(FreshPayload("a1"), 0),)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(Stream(FreshPayload("a1"), 0)),))
     with pytest.raises(InvalidConfigError, match="unknown precoder"):
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(leak, 0),))))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream), streams_slot(Stream(leak, 0))))
 
     with pytest.raises(InvalidConfigError, match="RX1 or RX2"):
         SymbolRegistry((Symbol("a1", 1), Symbol("b1", 2), Symbol("x", 3)))
@@ -207,46 +217,46 @@ def test_plan_validation_rejects_bad_structures():
         return Stream(CoupledPayload(aux=aux, terms=terms), ApzfRecipe(1))
 
     c, c_other = coupled(0, RxRowRef(0, 2, 0, 1)), coupled(0, RxRowRef(0, 2, 1, 1))
-    first = Slot((ok_stream, c))
-    assert TransmissionPlan(cfg, "x", registry, (first, Slot((c,)))).aux_count == 1
+    first = streams_slot(ok_stream, c)
+    assert TransmissionPlan(cfg, "x", registry, (first, streams_slot(c))).aux_count == 1
     with pytest.raises(InvalidConfigError, match="conflicting definitions"):
-        TransmissionPlan(cfg, "x", registry, (first, Slot((c_other,))))
+        TransmissionPlan(cfg, "x", registry, (first, streams_slot(c_other)))
     with pytest.raises(InvalidConfigError, match="0..n-1"):  # stream 1 without stream 0
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, coupled(1, RxRowRef(0, 2, 0, 1)))),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream, coupled(1, RxRowRef(0, 2, 0, 1))),))
     forward_ref = Stream(leak, ApzfRecipe(0))
     with pytest.raises(InvalidConfigError):  # retransmission must look backwards
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, forward_ref)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream, forward_ref),))
     uninformed_retrans = Stream(leak, ApzfRecipe(3))
     with pytest.raises(InvalidConfigError):  # channel-dependent payload from TX with no CSI
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((uninformed_retrans,))))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream), streams_slot(uninformed_retrans)))
     with pytest.raises(InvalidConfigError):  # AP-ZF beyond capability
         bad = Stream(FreshPayload("a1"), ApzfRecipe(3, rx=2, rows=(0, 1, 2)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(bad),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a receiver that does not exist
         bad = Stream(FreshPayload("a1"), ApzfRecipe(1, rx=3, rows=(0,)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(bad),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a row RX1 does not have
         bad = Stream(FreshPayload("a1"), ApzfRecipe(1, rx=1, rows=(5,)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(bad),))
     with pytest.raises(InvalidConfigError):  # AP-ZF at a row RX2 does not have
         bad = Stream(FreshPayload("a1"), ApzfRecipe(1, rx=2, rows=(3,)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(bad),))
     with pytest.raises(InvalidConfigError):  # AP-ZF cancelling twice at one row
         bad = Stream(FreshPayload("a1"), ApzfRecipe(2, rx=2, rows=(1, 1)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(bad),))
     # Negative indices must not pass as informed antennas: numpy would send
     # this retransmission from uninformed antenna 3.
     negative = Stream(leak, ApzfRecipe(-1))
     with pytest.raises(InvalidConfigError, match="antenna -1"):
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((negative,))))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream), streams_slot(negative)))
     with pytest.raises(InvalidConfigError, match="antenna 9"):  # beyond the array
-        TransmissionPlan(cfg, "x", registry, (Slot((Stream(FreshPayload("a1"), ApzfRecipe(9)),)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(Stream(FreshPayload("a1"), ApzfRecipe(9))),))
     with pytest.raises(InvalidConfigError, match="antenna 1"):  # one of the solving antennas
         bad = Stream(FreshPayload("a1"), ApzfRecipe(1, rx=2, rows=(0, 1)))
-        TransmissionPlan(cfg, "x", registry, (Slot((bad,)),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(bad),))
     # A cancelled retransmission from informed antenna 1, solved by antenna 0.
     informed = Stream(leak, ApzfRecipe(1, 2, (0,)))
-    assert TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((informed,)))).T == 2
+    assert TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream), streams_slot(informed))).T == 2
     # Every referenced sample must be one the plan receives; realizing would
     # otherwise index past it, or wrap around to another slot, row or receiver.
     unreceived = [
@@ -260,18 +270,55 @@ def test_plan_validation_rejects_bad_structures():
     ]
     for payload in unreceived:
         with pytest.raises(InvalidConfigError):
-            TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(payload, ApzfRecipe(0)),))))
+            TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream), streams_slot(Stream(payload, ApzfRecipe(0)))))
     # A weight is an integer, which reduces exactly mod p; realizing would
     # truncate a float's GF(p) combination into the int64 form.
     for weight in (0.5, 2.0, True, F(1, 2)):
         payload = InterferencePayload(1, (RxRowRef(0, 2, 2, weight),))
         with pytest.raises(InvalidConfigError, match="weights must be integers"):
-            TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(payload, ApzfRecipe(0)),))))
+            TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream), streams_slot(Stream(payload, ApzfRecipe(0)))))
     for weight in (2**40, -1, np.int64(3)):
         payload = InterferencePayload(1, (RxRowRef(0, 2, 2, weight),))
-        assert TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)), Slot((Stream(payload, ApzfRecipe(0)),)))).T == 2
+        assert TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream), streams_slot(Stream(payload, ApzfRecipe(0))))).T == 2
     with pytest.raises(InvalidConfigError, match="exactly once"):  # a symbol the registry lacks
-        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream, Stream(FreshPayload("zz"), ApzfRecipe(1)))),))
+        TransmissionPlan(cfg, "x", registry, (streams_slot(ok_stream, Stream(FreshPayload("zz"), ApzfRecipe(1))),))
+
+    # The same rejections with the bad stream last in a multi-stream group:
+    # a group's recipe is checked once, and that check covers every member.
+    three = SymbolRegistry(tuple(Symbol(f"a{i}", 1) for i in (1, 2, 3)))
+    fresh = tuple(FreshPayload(f"a{i}") for i in (1, 2, 3))
+    leak2 = InterferencePayload(owner=1, terms=(RxRowRef(0, 2, 1, 1),))
+    rejected = [  # (message, slots)
+        ("stream cancelled at 0 rows cannot be sent from antenna 4 of 4", [(fresh, ApzfRecipe(2))]),
+        ("stream cancelled at 1 rows cannot be sent from antenna 4 of 4", [(fresh, ApzfRecipe(2, 1, (0,)))]),
+        ("channel-dependent payloads must be sent from informed antennas", [(fresh, ApzfRecipe(1)), ((leak, leak2), ApzfRecipe(1))]),
+        ("coupled streams must be sent from informed antennas", [(fresh, ApzfRecipe(1)), ((c.payload, c.payload), ApzfRecipe(1))]),
+        ("symbol a1 sent fresh twice", [(fresh[:2], ApzfRecipe(0)), ((fresh[2], fresh[0]), ApzfRecipe(2))]),
+        (r"AP-ZF rows \(5,\) out of range for RX1", [(fresh, ApzfRecipe(1, 1, (5,)))]),
+    ]
+    for message, groups in rejected:
+        slots = [Slot((StreamGroup(payloads, recipe),)) for payloads, recipe in groups]
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            TransmissionPlan(cfg, "x", three, tuple(slots))
+        # The per-stream form of each plan, with one-stream groups, is rejected alike.
+        singles = [Slot(tuple(StreamGroup((s.payload,), s.precoder) for s in slot.streams)) for slot in slots]
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            TransmissionPlan(cfg, "x", three, tuple(singles))
+    # Recipe fields index antennas and receive rows: 1.0 or True must not pass as 1.
+    for recipe, message in (
+        (ApzfRecipe(1.0), "stream antenna must be an int"),
+        (ApzfRecipe(True), "stream antenna must be an int"),
+        (ApzfRecipe(1, 1.0, (0,)), "must name int rows"),
+        (ApzfRecipe(1, 1, (0.0,)), "must name int rows"),
+    ):
+        with pytest.raises(InvalidConfigError, match=message):
+            TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, recipe),)),))
+    with pytest.raises(InvalidConfigError, match="empty stream group"):
+        TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, ApzfRecipe(0)), StreamGroup((), ApzfRecipe(3)))),))
+    with pytest.raises(InvalidConfigError, match="unknown stream group"):
+        TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)),))
+    grouped = TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, ApzfRecipe(1)),)),))
+    assert [s.precoder.antenna for s in grouped.slots[0].streams] == [1, 2, 3]
 
 
 def test_plan_json_golden():
@@ -299,3 +346,46 @@ def test_plan_catalogue_digest():
                         plan = select_scheme(SystemConfig(M, N1, N2, k), special)
                         digest.update(json.dumps(plan.to_json(), indent=1).encode())
     assert digest.hexdigest() == CATALOGUE_SHA256
+
+
+@st.composite
+def caller_configs(draw):
+    """(M, N1, N2, k) in the caller's order, N1 > N2 about half the time."""
+    M, N1, N2 = (draw(st.integers(1, 20), label=name) for name in ("M", "N1", "N2"))
+    return M, N1, N2, draw(st.integers(0, M), label="k")
+
+
+HAND_BUILT_PLANS = (
+    helpers.adversarial_plan(),
+    helpers.overloaded_rx2_plan(),
+    helpers.weighted_retransmission_plan(),
+    helpers.repeated_coupled_plan(),
+    helpers.overlapping_groups_plan(),
+)
+
+
+# Template plans over the range bounds-sweep draws from, past the catalogue
+# digest's M <= 8, and the hand-built plans with their merged groups.
+@settings(max_examples=150, deadline=None)
+@given(
+    plan=st.one_of(
+        st.builds(lambda c, s: select_scheme(normalize_config(*c), s), caller_configs(), st.booleans()),
+        st.sampled_from(HAND_BUILT_PLANS),
+    )
+)
+@example(plan=select_scheme(normalize_config(20, 13, 7, 9)))  # mid-k, phase 2, swapped receivers
+@example(plan=select_scheme(normalize_config(20, 2, 18, 1)))  # low-k with a wide forwarding group
+@example(plan=select_scheme(normalize_config(12, 3, 3, 1), True))  # caps to the crafted plan
+@example(plan=HAND_BUILT_PLANS[3])
+@example(plan=HAND_BUILT_PLANS[4])
+def test_grouped_plans_serialize_and_lay_out_as_per_stream_code(plan):
+    assert json.dumps(plan.to_json(), indent=1) == json.dumps(reference_plan_json(plan), indent=1)
+    targets, slots, coupled = reference_layout(plan)
+    layout = plan.layout
+    assert layout.targets == targets and layout.coupled == coupled and len(layout.slots) == len(slots)
+    for got, want in zip(layout.slots, slots):
+        arrays = (got.columns, *got.onehot, *got.fresh, got.mixed)
+        for array, expected in zip(arrays, want[:6]):
+            assert array.dtype == expected.dtype and np.array_equal(array, expected)
+        assert got.interference == want[6]
+        assert got.constant.shape == want[7].shape and np.array_equal(got.constant, want[7])

@@ -15,7 +15,6 @@ from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
     ApzfRecipe,
     FreshPayload,
-    Slot,
     Stream,
     Symbol,
     SymbolRegistry,
@@ -141,7 +140,7 @@ def test_rank_criterion_matches_direct_inversion():
     streams = tuple(
         Stream(FreshPayload(sym.id), ApzfRecipe(i)) for i, sym in enumerate(registry.symbols)
     )
-    plan = TransmissionPlan(cfg, "diag", registry, (Slot(streams),))
+    plan = TransmissionPlan(cfg, "diag", registry, (helpers.streams_slot(*streams),))
     system = realize_plan(plan, channel)
     # A1 rows are exactly the first two rows of the identity: direct inversion
     assert np.array_equal(system.A1, np.eye(4, dtype=np.int64)[:2])
@@ -156,7 +155,7 @@ def test_rank_criterion_matches_direct_inversion():
         Stream(FreshPayload("b1"), ApzfRecipe(2)),
         Stream(FreshPayload("b2"), ApzfRecipe(3)),
     )
-    plan2 = TransmissionPlan(cfg, "collide", registry, (Slot(collide),))
+    plan2 = TransmissionPlan(cfg, "collide", registry, (helpers.streams_slot(*collide),))
     report2 = decodability_check(realize_plan(plan2, channel))
     assert not report2.rx1.decodable
     assert report2.rx2.decodable
@@ -362,6 +361,11 @@ def test_rate_sim_config_validation():
         RateSimConfig(snr_db=(60.0, 40.0))
     with pytest.raises(InvalidConfigError):
         RateSimConfig(snr_db=(float("nan"), 60.0, 80.0))
+    # True would read as 1 dB; a string is no SNR point either.
+    for snr_db in ((True, 40.0), (0.0, 20.0, False), ("40", 60.0, 80.0)):
+        with pytest.raises(InvalidConfigError, match="SNR points must be numbers"):
+            RateSimConfig(snr_db=snr_db)
+    assert RateSimConfig(snr_db=(np.float64(40.0), 60, 80.0)).snr_db[1] == 60
     with pytest.raises(InvalidConfigError, match="at least one trial"):
         RateSimConfig(trials=0)
     for trials in (2.5, 3.0, True, "3", None):
@@ -430,7 +434,12 @@ def _assert_bits_equal(got, want):
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
-HAND_BUILT_PLANS = (weighted_retransmission_plan(), repeated_coupled_plan(), build_scheme_6331())
+HAND_BUILT_PLANS = (
+    weighted_retransmission_plan(),
+    repeated_coupled_plan(),
+    build_scheme_6331(),
+    helpers.overlapping_groups_plan(),
+)
 
 
 @settings(max_examples=80, deadline=None)
@@ -444,6 +453,7 @@ HAND_BUILT_PLANS = (weighted_retransmission_plan(), repeated_coupled_plan(), bui
 @example(plan=HAND_BUILT_PLANS[0], seed=1)
 @example(plan=HAND_BUILT_PLANS[1], seed=1)
 @example(plan=HAND_BUILT_PLANS[2], seed=1)
+@example(plan=HAND_BUILT_PLANS[3], seed=1)  # a group's Z columns out of order
 @example(plan=select_scheme(SystemConfig(9, 3, 6, 4)), seed=2)
 @example(plan=select_scheme(SystemConfig(7, 5, 6, 2)), seed=2)  # rx2-baseline
 def test_layout_realizes_what_per_stream_loops_did(plan, seed):
