@@ -136,7 +136,10 @@ def sample_channel(
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         magnitudes = rng.uniform(dist.delta_min, dist.delta_max, size=shape)
-        return magnitudes * rng.choice((-1.0, 1.0), size=shape)
+        # The index draw inside rng.choice((-1.0, 1.0), size=shape): the same
+        # signs and generator state, without choice's overhead.
+        positive = rng.integers(0, 2, size=shape, dtype=np.int64)
+        return np.where(positive, magnitudes, -magnitudes)
 
     return _draws(cfg, seed, index, draw)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .channel import ChannelDistribution
@@ -34,9 +34,11 @@ from .figures import (
     write_figure,
 )
 from .region import (
-    DofPoint,
-    achievable_region,
-    region_constraints,
+    _achievable_points,
+    _integer_hull,
+    _integer_vertices,
+    _outer_lines,
+    plan_shape,
     sum_dof_lower,
     sum_dof_upper,
 )
@@ -48,29 +50,37 @@ EXIT_INVALID = 2
 EXIT_CERTIFICATION = 3
 
 
-def _unswap_point(p: DofPoint, swapped: bool) -> tuple[Fraction, Fraction]:
-    return (p.d2, p.d1) if swapped else (p.d1, p.d2)
+def _ratio_str(n: int, d: int) -> str:
+    """`str(Fraction(n, d))` for d > 0, without building the `Fraction`."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def region_document(M: int, N1: int, N2: int, k: int) -> dict:
-    """Region document in the caller's receiver labeling."""
+    """Region document in the caller's receiver labeling.
+
+    It is written from the region kernel's integers: the outer halfplanes,
+    and the vertices and achievable hull as numerator pairs over one
+    positive denominator each.  A swapped document swaps each pair and sorts
+    them, which orders them as sorting the rational points would.
+    """
     cfg = normalize_config(M, N1, N2, k)
     swapped = N1 > N2
-    region = region_constraints(cfg)
-    vertices = [_unswap_point(v, swapped) for v in region.vertices]
-    hull = [_unswap_point(v, swapped) for v in achievable_region(cfg)]
-    constraints = region.constraints
+    shape = plan_shape(cfg)
+    lines = _outer_lines(cfg)
+    vertices, vd = _integer_vertices(lines)
+    hull, hd = _integer_hull(_achievable_points(cfg, shape))
     if swapped:
-        constraints = region.swapped_axes().constraints
-        vertices = sorted(vertices)
-        hull = sorted(hull)
+        lines = [(a2, a1, b) for a1, a2, b in lines]
+        vertices = sorted((y, x) for x, y in vertices)
+        hull = sorted((y, x) for x, y in hull)
     return {
         "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": swapped},
-        "constraints": [{"a1": str(c.a1), "a2": str(c.a2), "b": str(c.b)} for c in constraints],
-        "vertices": [[str(d1), str(d2)] for d1, d2 in vertices],
-        "achievable": [[str(d1), str(d2)] for d1, d2 in hull],
+        "constraints": [{"a1": str(a1), "a2": str(a2), "b": str(b)} for a1, a2, b in lines],
+        "vertices": [[_ratio_str(x, vd), _ratio_str(y, vd)] for x, y in vertices],
+        "achievable": [[_ratio_str(x, hd), _ratio_str(y, hd)] for x, y in hull],
         "sum_dof_upper": str(sum_dof_upper(cfg)),
-        "sum_dof_lower": str(sum_dof_lower(cfg)),
+        "sum_dof_lower": _ratio_str(shape.S1 + shape.S2, shape.T),
     }
 
 

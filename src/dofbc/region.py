@@ -5,16 +5,18 @@ so equality tests against closed-form values are legitimate.  The region of
 a config is a bounded polygon in the (d1, d2) quadrant described by linear
 constraints; vertices are enumerated by pairwise constraint intersection.
 
-The vertex and hull kernel runs on Python ints, which never round or
-overflow.  Each halfplane a1 d1 + a2 d2 <= b is multiplied by the lcm of
-its denominators, a positive factor, so the integer triple describes the
-same halfplane.  Two lines meet at (x/det, y/det) by Cramer's rule; with
-det made positive, the point satisfies p d1 + q d2 <= r exactly when
+One integer kernel computes all of it on Python ints, which never round or
+overflow.  The outer-bound halfplanes are integer triples (`_outer_lines`);
+a fractional halfplane a1 d1 + a2 d2 <= b is multiplied by the lcm of its
+denominators, a positive factor, so the integer triple describes the same
+halfplane.  Two lines meet at (x/det, y/det) by Cramer's rule; with det
+made positive, the point satisfies p d1 + q d2 <= r exactly when
 p x + q y <= r det.  The feasible points are then put on one common
 denominator, the lcm of their dets, where comparing and taking cross
 products of the integer numerators decides the same orderings and
-orientations as on the rationals.  Only the output vertices become
-`Fraction`s.
+orientations as on the rationals.  The public functions wrap the kernel's
+integers in `Fraction`s and `DofPoint`s; `cli.region_document` writes its
+halfplanes, vertices, hull and lower bound straight from the integers.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ class LinearConstraint(NamedTuple):
     a1: Fraction
     a2: Fraction
     b: Fraction
-
-
-def _constraint(a1, a2, b) -> LinearConstraint:
-    c = LinearConstraint(Fraction(a1), Fraction(a2), Fraction(b))
-    if c.a1 == 0 and c.a2 == 0:
-        raise ValueError("constraint must involve at least one coordinate")
-    return c
 
 
 @dataclass(frozen=True)
@@ -83,17 +78,18 @@ def region_constraints(cfg: SystemConfig) -> DofRegion:
     Otherwise (k >= N2 or M <= N2) only the three cap constraints remain,
     which is also the region under perfect CSIT everywhere.
     """
+    return DofRegion(tuple(LinearConstraint(*map(Fraction, line)) for line in _outer_lines(cfg)))
+
+
+def _outer_lines(cfg: SystemConfig) -> tuple[tuple[int, int, int], ...]:
+    """The halfplanes of `region_constraints(cfg)` as integer triples."""
     M, N1, N2, k = cfg.shape
-    constraints = [
-        _constraint(1, 0, min(M, N1)),
-        _constraint(0, 1, min(M, N2)),
-        _constraint(1, 1, min(M, N1 + N2)),
-    ]
+    lines = ((1, 0, min(M, N1)), (0, 1, min(M, N2)), (1, 1, min(M, N1 + N2)))
     if k < N2 and M > N2:
         p = min(M, N1 + N2) - k  # weight on d2 after clearing denominators
         q = min(N2, M) - k  # weight on d1
-        constraints.append(_constraint(q, p, p * q + k * p))
-    return DofRegion(tuple(constraints))
+        lines += ((q, p, p * q + k * p),)
+    return lines
 
 
 def _integer_line(c: LinearConstraint) -> tuple[int, int, int]:
@@ -118,32 +114,48 @@ def _chain(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return chain
 
 
-def _hull(points: list[tuple[int, int, int]]) -> tuple[DofPoint, ...]:
-    """Convex hull of the points (x/den, y/den), counterclockwise.
+def _integer_hull(points: list[tuple[int, int, int]]) -> tuple[list[tuple[int, int]], int]:
+    """Convex hull of the points (x/den, y/den), counterclockwise, as integer
+    numerator pairs over one common denominator D, the lcm of theirs.
 
-    The points go onto one common denominator D, the lcm of theirs, so the
-    hull runs on integer pairs.  It starts at the lexicographically smallest
-    point.
+    The hull starts at the lexicographically smallest point.
     """
     D = lcm(*(den for _, _, den in points))
     pts = sorted({(x * (D // den), y * (D // den)) for x, y, den in points})
     if len(pts) > 2:
         pts = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
+    return pts, D
+
+
+def _dof_points(pts: list[tuple[int, int]], D: int) -> tuple[DofPoint, ...]:
     return tuple(DofPoint(Fraction(x, D), Fraction(y, D)) for x, y in pts)
+
+
+def _hull(points: list[tuple[int, int, int]]) -> tuple[DofPoint, ...]:
+    """Convex hull of the points (x/den, y/den) as `DofPoint`s, counterclockwise."""
+    return _dof_points(*_integer_hull(points))
 
 
 def region_vertices(region: DofRegion) -> tuple[DofPoint, ...]:
     """Vertices of `{d1, d2 >= 0} intersect region`, counterclockwise.
 
-    Candidates are all pairwise intersections of the constraints (including
-    the axes), each solved by Cramer's rule on the integer triples with
-    det > 0, so the point (x/det, y/det) is feasible exactly when
-    p x + q y <= r det for every halfplane (p, q, r).  The feasible
-    candidates are ordered by their convex hull, starting at the
-    lexicographically smallest point, which is (0, 0) whenever the origin
-    is feasible.
+    The lexicographically smallest vertex comes first, which is (0, 0)
+    whenever the origin is feasible.
     """
-    lines = _AXES + tuple(_integer_line(c) for c in region.constraints)
+    return _dof_points(*_integer_vertices(tuple(_integer_line(c) for c in region.constraints)))
+
+
+def _integer_vertices(lines: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, int]], int]:
+    """`region_vertices` of the integer halfplanes `lines`, as numerator pairs
+    over one common denominator.
+
+    Candidates are all pairwise intersections of the lines (including the
+    axes), each solved by Cramer's rule with det > 0, so the point
+    (x/det, y/det) is feasible exactly when p x + q y <= r det for every
+    halfplane (p, q, r).  The feasible candidates are ordered by their
+    convex hull.
+    """
+    lines = _AXES + lines
     candidates = []
     for i, (a1, a2, b) in enumerate(lines):
         for c1, c2, e in lines[i + 1 :]:
@@ -154,11 +166,14 @@ def region_vertices(region: DofRegion) -> tuple[DofPoint, ...]:
             y = a1 * e - b * c1
             if det < 0:
                 det, x, y = -det, -x, -y
-            if all(p * x + q * y <= r * det for p, q, r in lines):
+            for p, q, r in lines:
+                if p * x + q * y > r * det:
+                    break
+            else:
                 candidates.append((x, y, det))
     if not candidates:
         raise EmptyRegionError("region has no feasible vertices")
-    return _hull(candidates)
+    return _integer_hull(candidates)
 
 
 def sum_dof_upper(cfg: SystemConfig) -> Fraction:
@@ -261,9 +276,14 @@ def achievable_region(cfg: SystemConfig) -> tuple[DofPoint, ...]:
     maximal d1+d2 equals `sum_dof_lower`, read off the same shape.  No richer
     boundary is claimed for k < N1.
     """
+    return _hull(_achievable_points(cfg, plan_shape(cfg)))
+
+
+def _achievable_points(cfg: SystemConfig, shape: PlanShape) -> list[tuple[int, int, int]]:
+    """The points (x, y, den) that `achievable_region(cfg)` spans, for
+    `shape = plan_shape(cfg)`."""
     M, N1, N2, _ = cfg.shape
-    shape = plan_shape(cfg)
-    return _hull([(0, 0, 1), (min(M, N1), 0, 1), (0, min(M, N2), 1), (shape.S1, shape.S2, shape.T)])
+    return [(0, 0, 1), (min(M, N1), 0, 1), (0, min(M, N2), 1), (shape.S1, shape.S2, shape.T)]
 
 
 def pd_sum_dof(N1: int, N2: int) -> Fraction:

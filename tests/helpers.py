@@ -6,10 +6,11 @@ from __future__ import annotations
 import numpy as np
 
 from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
-from dofbc.config import SystemConfig
+from dofbc.config import SystemConfig, normalize_config
 from dofbc.errors import ResampleRequiredError
 from dofbc.gf import gf_matmul, gf_solve
 from dofbc.precoding import CHANNEL, CONSTANT, apzf_precoder
+from dofbc.region import achievable_region, region_constraints, sum_dof_lower, sum_dof_upper
 from dofbc.schemes import (
     ApzfRecipe,
     CoupledPayload,
@@ -434,3 +435,31 @@ def reference_layout(plan: TransmissionPlan) -> tuple:
         slots.append((*arrays, tuple(terms), constant))
     coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
     return tuple(k + (tuple(a),) for k, a in groups.items()), tuple(slots), coupled_terms
+
+
+def reference_region_document(M: int, N1: int, N2: int, k: int) -> dict:
+    """`cli.region_document` composed from `Fraction`s and `DofPoint`s of the
+    public API: the frozen reference the integer-numerator document must
+    match byte for byte."""
+    cfg = normalize_config(M, N1, N2, k)
+    swapped = N1 > N2
+    region = region_constraints(cfg)
+
+    def unswap(p):
+        return (p.d2, p.d1) if swapped else (p.d1, p.d2)
+
+    vertices = [unswap(v) for v in region.vertices]
+    hull = [unswap(v) for v in achievable_region(cfg)]
+    constraints = region.constraints
+    if swapped:
+        constraints = region.swapped_axes().constraints
+        vertices = sorted(vertices)
+        hull = sorted(hull)
+    return {
+        "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": swapped},
+        "constraints": [{"a1": str(c.a1), "a2": str(c.a2), "b": str(c.b)} for c in constraints],
+        "vertices": [[str(d1), str(d2)] for d1, d2 in vertices],
+        "achievable": [[str(d1), str(d2)] for d1, d2 in hull],
+        "sum_dof_upper": str(sum_dof_upper(cfg)),
+        "sum_dof_lower": str(sum_dof_lower(cfg)),
+    }

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dofbc.channel import (
     ChannelDistribution,
@@ -42,6 +46,38 @@ def test_magnitudes_bounded_away():
     assert samples.size == 400 * 25
     assert samples.min() >= 0.1
     assert samples.max() <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    index=st.integers(0, 10**6),
+    N1=st.integers(1, 10),
+    extra=st.integers(0, 10),
+    M=st.integers(1, 20),
+    delta_min=st.floats(0.01, 1.0),
+)
+def test_sign_draw_matches_rng_choice(seed, index, N1, extra, M, delta_min):
+    # sample_channel draws its signs as the index draw inside
+    # rng.choice((-1.0, 1.0)); the entries and the generator state it leaves
+    # behind must equal what the choice draw gives.
+    cfg = SystemConfig(M, N1, N1 + extra, 0)
+    dist = ChannelDistribution(delta_min, 1.0)
+    used = []
+
+    def recording_rng(*args):
+        used.append(trial_rng(*args))
+        return used[-1]
+
+    with mock.patch("dofbc.channel.trial_rng", recording_rng):
+        H = sample_channel(cfg, dist, seed=seed, index=index).H
+    reference = trial_rng(seed, index)
+    shape = (cfg.N, cfg.M)
+    magnitudes = reference.uniform(delta_min, 1.0, size=shape)
+    expected = magnitudes * reference.choice((-1.0, 1.0), size=shape)
+    assert H.dtype == expected.dtype and H.tobytes() == expected.tobytes()
+    assert len(used) == 1
+    assert used[0].bit_generator.state == reference.bit_generator.state
 
 
 def test_shapes_and_blocks():

@@ -3,10 +3,10 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dofbc.cli import region_document
+from dofbc.cli import _ratio_str, region_document
 from dofbc.config import SystemConfig, normalize_config
 from dofbc.errors import EmptyRegionError, RegimeError
 from dofbc.region import (
@@ -24,6 +24,7 @@ from dofbc.region import (
 )
 from dofbc.schemes import select_scheme
 
+from .helpers import reference_region_document
 from .oracles import (
     analogy_gap_closed_form,
     lp_max_sum_oracle,
@@ -358,3 +359,34 @@ def test_region_document_digest():
                     hull = achievable_region(normalize_config(M, N1, N2, k))
                     digest.update(json.dumps([[str(d1), str(d2)] for d1, d2 in hull]).encode())
     assert digest.hexdigest() == REGION_SHA256
+
+
+@st.composite
+def caller_configs(draw):
+    """(M, N1, N2, k) in the caller's receiver order, M, N1, N2 <= 40 and any k."""
+    M, N1, N2 = (draw(st.integers(1, 40)) for _ in range(3))
+    return M, N1, N2, draw(st.integers(0, M))
+
+
+@settings(max_examples=500, deadline=None)
+@given(config=caller_configs())
+@example(config=(5, 4, 2, 1))  # swapped, fractional vertices and hull
+@example(config=(4, 3, 1, 3))  # swapped, in the known crossing vertex order
+@example(config=(40, 40, 39, 0))
+def test_region_document_matches_fraction_reference(config):
+    """The document written from integer numerators equals the one composed
+    from the public `Fraction` API, byte for byte, beyond REGION_SHA256's M <= 10."""
+    assert json.dumps(region_document(*config), indent=1) == json.dumps(
+        reference_region_document(*config), indent=1
+    )
+
+
+@given(n=st.integers(-(10**40), 10**40), d=st.integers(1, 10**40))
+@example(n=0, d=1)
+@example(n=0, d=7)
+@example(n=-6, d=4)
+@example(n=-12, d=4)
+@example(n=10**40 + 1, d=10**20)
+@example(n=3 * 10**40, d=3)
+def test_ratio_str_is_fraction_str(n, d):
+    assert _ratio_str(n, d) == str(F(n, d))
