@@ -100,26 +100,33 @@ class ChannelRealization:
         return self.H[..., self.cfg.N1 :, :]
 
     def receiver_rows(self, rx: int, rows) -> np.ndarray:
-        """Global H rows for receiver-local antenna indices (0-based)."""
-        if rx not in (1, 2):
+        """Global H rows for receiver-local antenna indices (0-based).
+
+        The receiver and the rows must be integers: a bool or a float is
+        rejected, not truncated."""
+        if as_integer(rx, "receiver") not in (1, 2):
             raise InvalidConfigError(f"no receiver RX{rx}")
         offset = 0 if rx == 1 else self.cfg.N1
         limit = self.cfg.N1 if rx == 1 else self.cfg.N2
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(as_integer(r, "receiver row") for r in rows)
         if any(not 0 <= r < limit for r in rows):
             raise InvalidConfigError(f"antenna rows {rows} out of range for RX{rx}")
         return self.H[..., [offset + r for r in rows], :]
 
 
-def _draws(cfg: SystemConfig, seed: int, index, draw) -> ChannelRealization:
+def _draws(cfg: SystemConfig, seed: int, index, draw, dtype) -> ChannelRealization:
     """`draw(trial_rng(seed, index))` as a realization; for a sequence of
-    indices, a stack of one such draw per index, validated once."""
+    indices, a stack of one such draw per index, written into one `dtype`
+    array and validated once."""
     if np.ndim(index) == 0:
         return ChannelRealization(cfg=cfg, H=draw(trial_rng(seed, index)))
     indices = list(index)
     if not indices:
         raise InvalidConfigError("at least one draw index required")
-    return ChannelRealization(cfg=cfg, H=np.stack([draw(trial_rng(seed, i)) for i in indices]))
+    H = np.empty((len(indices), cfg.N, cfg.M), dtype=dtype)
+    for j, i in enumerate(indices):
+        H[j] = draw(trial_rng(seed, i))
+    return ChannelRealization(cfg=cfg, H=H)
 
 
 def sample_channel(
@@ -141,7 +148,7 @@ def sample_channel(
         positive = rng.integers(0, 2, size=shape, dtype=np.int64)
         return np.where(positive, magnitudes, -magnitudes)
 
-    return _draws(cfg, seed, index, draw)
+    return _draws(cfg, seed, index, draw, np.float64)
 
 
 def field_channel(cfg: SystemConfig, seed: int = 0, index=0) -> ChannelRealization:
@@ -154,4 +161,4 @@ def field_channel(cfg: SystemConfig, seed: int = 0, index=0) -> ChannelRealizati
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.integers(1, DEFAULT_PRIME, size=shape, dtype=np.int64)
 
-    return _draws(cfg, seed, index, draw)
+    return _draws(cfg, seed, index, draw, np.int64)

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError
+from .errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError, as_integer
 from .gf import gf_solve
 
 CHANNEL = "channel"
@@ -48,14 +48,16 @@ def apzf_precoder(
     result has that axis too, and each trial's columns equal a one-draw
     call's bit for bit.
 
-    Raises CapabilityExceededError when more than k rows are requested and
-    ResampleRequiredError when the k' x k' block is singular.
+    Raises CapabilityExceededError when more than k rows are requested,
+    InvalidConfigError when the receiver, a row or an antenna is not an
+    integer (a bool or a float is rejected, not truncated) or is out of
+    range, and ResampleRequiredError when the k' x k' block is singular.
     """
     M, k = channel.cfg.M, channel.cfg.k
     kp = len(rows)
     if kp > k:
         raise CapabilityExceededError(f"cannot cancel at {kp} antennas with only {k} informed")
-    antennas = list(antennas)
+    antennas = [as_integer(a, "sending antenna") for a in antennas]
     if any(not kp <= a < M for a in antennas):
         raise InvalidConfigError(f"AP-ZF streams must be sent from antennas {kp}..{M - 1}")
     H_sel = channel.receiver_rows(rx, rows)

@@ -49,10 +49,18 @@ slots.  Its claimed sum DoF is not stated anywhere: a plan derives it as
 the same counts off the shape.  `select_scheme` builds the template plan,
 except that with `allow_special_cases` a config capping to (6,3,3,1) gets
 the crafted plan, which claims 4 where `sum_dof_lower` stays 10/3.
+
+Within a process, template plans with the same (shape, M, k) share their
+registry, slots and layout; k counts only when the shape has a phase 2.
+The first plan of a key enters a bounded module table when its layout is
+first built, on its first realization, and later plans of that key are
+served from the table.  Plans that are only serialized add nothing.  Each
+plan still carries its own config and is validated against it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -90,10 +98,6 @@ class SymbolRegistry:
             raise InvalidConfigError("every symbol must be meant for RX1 or RX2")
 
     @cached_property
-    def _columns(self) -> dict[str, int]:
-        return {s.id: i for i, s in enumerate(self.symbols)}
-
-    @cached_property
     def _owned(self) -> dict[int, tuple[int, ...]]:
         owned: dict[int, list[int]] = {}
         for i, s in enumerate(self.symbols):
@@ -107,9 +111,6 @@ class SymbolRegistry:
     @property
     def S2(self) -> int:
         return len(self.owned_columns(2))
-
-    def index(self, symbol_id: str) -> int:
-        return self._columns[symbol_id]
 
     def owned_columns(self, rx: int) -> tuple[int, ...]:
         return self._owned.get(rx, ())
@@ -129,7 +130,7 @@ class RxRowRef(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreshPayload:
     symbol: str
 
@@ -137,7 +138,7 @@ class FreshPayload:
         return {"kind": "fresh", "symbol": self.symbol}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterferencePayload:
     """Constant-weight combination of earlier received samples, restricted to
     the columns of `owner`'s symbols (the interference part of those samples).
@@ -158,7 +159,7 @@ class InterferencePayload:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoupledPayload:
     """A crafted stream defined as a sum of full received samples.
 
@@ -215,7 +216,7 @@ class Stream(NamedTuple):
     precoder: ApzfRecipe
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamGroup:
     """Streams under one recipe family: stream j carries `payloads[j]` and is
     sent from antenna `precoder.antenna + j`, cancelled at `precoder.rows` of
@@ -225,7 +226,7 @@ class StreamGroup:
     precoder: ApzfRecipe
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     groups: tuple[StreamGroup, ...]
 
@@ -241,11 +242,13 @@ class Slot:
 
 class SlotLayout(NamedTuple):
     """One slot of `TransmissionPlan.layout`; a stream's column is that of its
-    precoder in [I_M | Z], Z being the plan's AP-ZF columns."""
+    precoder in [I_M | Z], Z being the plan's AP-ZF columns.  The arrays are
+    read-only, and slots and plans may share them."""
 
     columns: np.ndarray
-    onehot: tuple[np.ndarray, np.ndarray]  # (stream, form column): fresh, then coupled streams
-    fresh: tuple[np.ndarray, np.ndarray]  # (symbol column, column) of each fresh stream
+    rows: np.ndarray  # (rows[i], forms[i]) is one-hot: fresh streams, then coupled ones
+    forms: np.ndarray  # a fresh stream's form column is its symbol's column
+    sources: np.ndarray  # the column of each fresh stream, in order
     mixed: np.ndarray  # interference and coupled streams: their samples need a product
     interference: tuple  # (stream, owner's symbol columns, terms) per interference stream
     constant: np.ndarray  # M x streams: where `ApzfRecipe.labels` says constant
@@ -268,6 +271,8 @@ class TransmissionPlan:
 
     def __post_init__(self):
         self._validate()
+        dof = Fraction(self.registry.S1 + self.registry.S2, self.T)
+        object.__setattr__(self, "_claimed_dof", dof)  # once: certifying and reporting both read it
 
     @property
     def T(self) -> int:
@@ -275,7 +280,7 @@ class TransmissionPlan:
 
     @property
     def claimed_dof(self) -> Fraction:
-        return Fraction(self.registry.S1 + self.registry.S2, self.T)
+        return self._claimed_dof
 
     @property
     def aux_count(self) -> int:
@@ -284,9 +289,17 @@ class TransmissionPlan:
 
     @cached_property
     def layout(self) -> PlanLayout:
-        """The plan as index arrays, so realizing it walks no stream per
-        channel.  Built on first use, group by group, from lists and one
-        array cut into views: a group's antennas are one range."""
+        """The plan as read-only index arrays, so realizing it walks no
+        stream per channel.  Built on first use, group by group, from lists
+        and one array cut into views: a group's antennas are one range.  A
+        template plan's layout is shared through `_TEMPLATES`."""
+        layout = self._build_layout()
+        key = getattr(self, "_template_key", None)  # set on fresh template plans only
+        if key is not None:
+            _remember(key, self, layout)
+        return layout
+
+    def _build_layout(self) -> PlanLayout:
         M, S, registry = self.cfg.M, len(self.registry.symbols), self.registry
         targets: dict[tuple, dict[int, int]] = {}  # (rx, rows) -> {antenna: column}
         for r, n in ((g.precoder, len(g.payloads)) for slot in self.slots for g in slot.groups):
@@ -297,7 +310,11 @@ class TransmissionPlan:
         for antennas in targets.values():
             for antenna in antennas:
                 antennas[antenna], column = column, column + 1
-        lists, interference, coupled = [], [], {}
+        index = {s.id: i for i, s in enumerate(registry.symbols)}  # not kept: shared layouts stay small
+        owned: dict[int, np.ndarray] = {}  # one symbol-column array per owner, shared by its streams
+        # Each distinct index list is stored once: slots of one phase differ in their forms only.
+        segments: dict[tuple[int, ...], int] = {}
+        per_slot, coupled = [], {}
         for slot in self.slots:
             columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
             for g in slot.groups:
@@ -308,25 +325,28 @@ class TransmissionPlan:
                 for j, payload in enumerate(g.payloads, first):
                     if isinstance(payload, FreshPayload):
                         rows.append(j)
-                        forms.append(registry.index(payload.symbol))
+                        forms.append(index[payload.symbol])
                     elif isinstance(payload, InterferencePayload):
-                        terms.append((j, list(registry.owned_columns(payload.owner)), payload.terms))
+                        if payload.owner not in owned:
+                            columns_of = np.array(registry.owned_columns(payload.owner), dtype=np.intp)
+                            owned[payload.owner] = _readonly(columns_of)
+                        terms.append((j, owned[payload.owner], payload.terms))
                     else:
                         aux_rows.append(j)
                         aux_forms.append(S + payload.aux)
                         coupled[payload.aux] = payload.terms
             sources, mixed = [columns[j] for j in rows], [t[0] for t in terms] + aux_rows
-            lists += [columns, cancelled, rows + aux_rows, forms + aux_forms, sources, mixed]
-            interference.append(tuple(terms))
-        sizes = list(map(len, lists))
-        flat = np.fromiter(chain.from_iterable(lists), dtype=np.intp)
+            fields = (columns, rows + aux_rows, forms + aux_forms, sources, mixed)
+            ids = [segments.setdefault(tuple(f), len(segments)) for f in fields]
+            per_slot.append((ids, tuple(cancelled), tuple(terms)))
+        sizes = list(map(len, segments))
+        flat = _readonly(np.fromiter(chain.from_iterable(segments), dtype=np.intp))
         views = [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
-        antenna, slots = np.arange(M)[:, None], []
-        for t, terms in enumerate(interference):
-            columns, cancelled, rows, forms, sources, mixed = views[6 * t : 6 * t + 6]
-            constant = antenna >= cancelled  # labelled constant past the AP-ZF antennas
-            fresh = (forms[: len(sources)], sources)
-            slots.append(SlotLayout(columns, (rows, forms), fresh, mixed, terms, constant))
+        antenna, masks, slots = np.arange(M)[:, None], {}, []
+        for ids, cancelled, terms in per_slot:
+            if cancelled not in masks:  # labelled constant past the AP-ZF antennas
+                masks[cancelled] = _readonly(antenna >= np.array(cancelled, dtype=np.intp))
+            slots.append(SlotLayout(*map(views.__getitem__, ids), terms, masks[cancelled]))
         coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
         return PlanLayout(tuple(k + (tuple(a),) for k, a in targets.items()), tuple(slots), coupled_terms)
 
@@ -460,9 +480,60 @@ def _symbols(prefix: str, rx: int, count: int) -> tuple[tuple, tuple]:
     return symbols[:count], payloads[:count]
 
 
+# Phase 2's forwarded payloads by RX2 row: payload i forwards that row of
+# phase-1 slot i, sent from informed antenna i alone.  Immutable and shared
+# by every plan, like `_FRESH`.
+_FORWARDED: dict[int, tuple[InterferencePayload, ...]] = {}
+_FORWARD_RECIPE = ApzfRecipe(0)
+
+
+def _forwarded(row: int, count: int) -> tuple[InterferencePayload, ...]:
+    """The payloads forwarding RX2 row `row` of phase-1 slots 0..count-1."""
+    payloads = _FORWARDED.get(row, ())
+    if len(payloads) < count:
+        payloads = tuple(InterferencePayload(1, (RxRowRef(i, 2, row, 1),)) for i in range(2 * count))
+        _FORWARDED[row] = payloads
+    return payloads[:count]
+
+
+# Template plans by (shape, M, k) of their capped config, k only when the
+# shape has a phase 2: the registry, slots and layout of the first such plan
+# whose layout was built.  Plans with the same key share all three: the slots
+# depend only on the shape and on k (phase 2 forwards RX2 row k + u), the
+# layout only on the slots, the registry and M.  Each plan still carries and
+# validates its own config.  A fresh template plan keeps its key in
+# `_template_key`, and its entry is added when its layout is first built, so
+# plans that are only serialized add none; past _TEMPLATE_LIMIT entries the
+# oldest is dropped.
+_TEMPLATES: dict[tuple, tuple[SymbolRegistry, tuple[Slot, ...], PlanLayout]] = {}
+_TEMPLATE_LIMIT = 512
+_TEMPLATES_LOCK = threading.Lock()
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _remember(key: tuple, plan: TransmissionPlan, layout: PlanLayout) -> None:
+    """Add a template plan's structure under `key`, dropping the oldest entry past the limit."""
+    with _TEMPLATES_LOCK:
+        _TEMPLATES[key] = plan.registry, plan.slots, layout
+        while len(_TEMPLATES) > _TEMPLATE_LIMIT:
+            del _TEMPLATES[next(iter(_TEMPLATES))]
+
+
 def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
-    """Build the template plan `shape` on the capped config `cfg`."""
+    """Build the template plan `shape` on the capped config `cfg`, or serve
+    its registry, slots and layout from `_TEMPLATES`."""
     k = cfg.k
+    key = (shape, cfg.M, k if shape.p2 else None)
+    entry = _TEMPLATES.get(key)
+    if entry is not None:
+        registry, slots, layout = entry
+        plan = TransmissionPlan(cfg, shape.scheme, registry, slots)
+        object.__setattr__(plan, "layout", layout)  # the cached_property reads it as computed
+        return plan
     a_syms, a_fresh = _symbols("a", 1, shape.S1)
     b_syms, b_fresh = _symbols("b", 2, shape.S2)
     a_next, b_next = iter(a_fresh), iter(b_fresh)
@@ -476,9 +547,11 @@ def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
 
     slots = [slot((a_next, shape.a, a_recipe), (b_next, shape.b, b_recipe)) for _ in range(shape.p1)]
     for u in range(shape.p2):
-        forwarded = (InterferencePayload(1, (RxRowRef(i, 2, k + u, 1),)) for i in range(shape.p1))
-        slots.append(slot((forwarded, shape.p1, ApzfRecipe(0)), (b_next, shape.b2, b_recipe)))
-    return TransmissionPlan(cfg, shape.scheme, SymbolRegistry(a_syms + b_syms), tuple(slots))
+        forwarded = iter(_forwarded(k + u, shape.p1))
+        slots.append(slot((forwarded, shape.p1, _FORWARD_RECIPE), (b_next, shape.b2, b_recipe)))
+    plan = TransmissionPlan(cfg, shape.scheme, SymbolRegistry(a_syms + b_syms), tuple(slots))
+    object.__setattr__(plan, "_template_key", key)
+    return plan
 
 
 def build_scheme_6331() -> TransmissionPlan:

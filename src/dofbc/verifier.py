@@ -154,8 +154,7 @@ def _slot_samples(channel: ChannelRealization, T_mat, forms, slot: SlotLayout, g
         # One product per receiver: stacking them would change float bits.
         return (channel.H1 @ T_mat) @ forms, (channel.H2 @ T_mat) @ forms
     received = np.zeros(gains.shape[:-1] + forms.shape[-1:], dtype=np.int64)
-    symbols, sources = slot.fresh
-    received[..., symbols] = gains.take(sources, axis=-1)
+    received[..., slot.forms[: len(slot.sources)]] = gains.take(slot.sources, axis=-1)
     if slot.mixed.size:
         mixed = gf_matmul(gains.take(slot.columns[slot.mixed], axis=-1), forms[..., slot.mixed, :], p)
         received = (received + mixed) % p
@@ -209,7 +208,7 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
     precoders = [columns.take(slot.columns, axis=-1) for slot in plan.layout.slots]
     for slot, T_mat in zip(plan.layout.slots, precoders):
         forms = np.zeros(trials + (len(slot.columns), ncols), dtype=dtype)
-        forms[..., slot.onehot[0], slot.onehot[1]] = 1
+        forms[..., slot.rows, slot.forms] = 1
         for s_idx, owned, terms in slot.interference:
             form = np.zeros(trials + (ncols,), dtype=dtype)
             form[..., owned] = combine(terms)[..., owned]
@@ -226,7 +225,8 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
         phi = _fixed_point(E, S, p)
 
     def stack(rx: int) -> np.ndarray:
-        full = np.concatenate([slot_samples[rx - 1] for slot_samples in samples], axis=-2)
+        parts = [slot_samples[rx - 1] for slot_samples in samples]
+        full = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
         if plan.aux_count:
             coupled = full[..., S:] @ phi if p is None else gf_matmul(full[..., S:], phi, p)
             return _reduce(full[..., :S] + coupled, p)
@@ -247,12 +247,17 @@ def decodability_check(system: ObservationSystem) -> DecodabilityReport:
     """
     if system.field is None:
         raise InvalidConfigError("decodability is certified on GF(p) channels only")
+    return _decodability(system.A1, system.A2, system.registry, system.field)
+
+
+def _decodability(A1, A2, registry: SymbolRegistry, p: int) -> DecodabilityReport:
+    """`decodability_check` of the 2-D GF(p) matrices A1, A2."""
     reports = []
-    for rx, A in ((1, system.A1), (2, system.A2)):
-        desired, interference = system.registry.split(rx)
+    for rx, A in ((1, A1), (2, A2)):
+        desired, interference = registry.split(rx)
         recovered = 0
         if desired:
-            pivots = gf_pivots(A.take(interference + desired, axis=1), system.field)
+            pivots = gf_pivots(A.take(interference + desired, axis=1), p)
             recovered = sum(c >= len(interference) for c in pivots)
         reports.append(ReceiverReport(desired=len(desired), recovered=recovered))
     return DecodabilityReport(*reports)
@@ -361,36 +366,33 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     def draw(index) -> ChannelRealization:
         return field_channel(plan.cfg, seed, index=index)
 
-    def realize(channel: ChannelRealization) -> list[ObservationSystem]:
-        """One 2-D system per draw of `channel`, stacked or not."""
+    def realize(channel: ChannelRealization) -> list[tuple[ObservationSystem, object]]:
+        """(system, j) per draw of `channel`, stacked or not: the draw's
+        matrices are system.A1[j] and system.A2[j], and j is `...` when
+        `channel` holds one draw."""
         system = realize_plan(plan, channel)
-        if channel.H.ndim == 2:
-            return [system]
-        return [
-            ObservationSystem(
-                A1, A2, plan.registry, system.field, tuple(T[j] for T in system.precoders)
-            )
-            for j, (A1, A2) in enumerate(zip(system.A1, system.A2))
-        ]
+        return [(system, j) for j in (range(len(system.A1)) if channel.H.ndim == 3 else [...])]
 
     reports = []
     precoders = []
     resamples = 0
     extra = (_MAX_RESAMPLE,) if trials == 1 else ()
     results = _trial_results(plan, trials, draw, realize, ResampleRequiredError, extra)
-    for i, (system, attempts) in enumerate(results):
+    for i, (drawn, attempts) in enumerate(results):
         if i == trials:  # the compliance draw of a one-trial run, not ranked
-            if system is None:  # it failed alone: its precoders may still exist
+            if drawn is None:  # it failed alone: its precoders may still exist
                 precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
             else:
-                precoders.append(system.precoders)
+                system, j = drawn
+                precoders.append(tuple(T[j] for T in system.precoders))
             break
-        if system is None:
+        if drawn is None:
             raise ResampleRequiredError(f"resampling exhausted on trial {i}")
         resamples += attempts
-        reports.append(decodability_check(system))
+        system, j = drawn
+        reports.append(_decodability(system.A1[j], system.A2[j], plan.registry, system.field))
         if i < 2:
-            precoders.append(system.precoders)
+            precoders.append(tuple(T[j] for T in system.precoders))
     failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
     return CertificationResult(
         trials=trials,

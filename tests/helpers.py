@@ -157,6 +157,11 @@ def max_streams_per_slot(plan: TransmissionPlan) -> int:
     return max(len(s.streams) for s in plan.slots)
 
 
+def symbol_column(registry: SymbolRegistry, symbol_id: str) -> int:
+    """The observation column of the symbol `symbol_id`: its position in the registry."""
+    return [s.id for s in registry.symbols].index(symbol_id)
+
+
 def fresh_count(plan: TransmissionPlan, slot: int, rx: int) -> int:
     """Fresh symbols meant for receiver `rx` that slot `slot` of `plan` sends."""
     symbols = plan.registry.symbols
@@ -164,7 +169,7 @@ def fresh_count(plan: TransmissionPlan, slot: int, rx: int) -> int:
         1
         for stream in plan.slots[slot].streams
         if isinstance(stream.payload, FreshPayload)
-        and symbols[plan.registry.index(stream.payload.symbol)].rx == rx
+        and symbols[symbol_column(plan.registry, stream.payload.symbol)].rx == rx
     )
 
 
@@ -329,7 +334,7 @@ def reference_realize(plan: TransmissionPlan, channel):
         for s_idx, stream in enumerate(slot.streams):
             payload = stream.payload
             if isinstance(payload, FreshPayload):
-                forms[..., s_idx, plan.registry.index(payload.symbol)] = 1
+                forms[..., s_idx, symbol_column(plan.registry, payload.symbol)] = 1
             elif isinstance(payload, InterferencePayload):
                 owned = list(plan.registry.owned_columns(payload.owner))
                 form = np.zeros(trials + (ncols,), dtype=dtype)
@@ -421,7 +426,7 @@ def reference_layout(plan: TransmissionPlan) -> tuple:
             cancelled.append(len(r.rows))
             if isinstance(payload, FreshPayload):
                 rows.append(j)
-                forms.append(registry.index(payload.symbol))
+                forms.append(symbol_column(registry, payload.symbol))
             elif isinstance(payload, InterferencePayload):
                 terms.append((j, list(registry.owned_columns(payload.owner)), payload.terms))
             else:

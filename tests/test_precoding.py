@@ -33,6 +33,36 @@ def test_antennas_outside_the_passive_range_rejected():
             apzf_precoder(ch, 2, (0, 1), antennas)
 
 
+# A bool or a float receiver, row or antenna used to be truncated or to
+# index as another one: rows (0.9,) cancelled at row 0, (True,) at row 1,
+# rx=True and rx=1.0 passed as RX1, and a float antenna raised IndexError.
+@pytest.mark.parametrize(
+    "rx,rows,antennas",
+    [
+        (2, (0.9,), [1]),
+        (2, (True,), [1]),
+        (2, (np.float64(0.0),), [1]),
+        (True, (0,), [1]),
+        (1.0, (0,), [1]),
+        (2, (0,), [1.0]),
+        (2, (0,), [True]),
+        (2, (0,), [np.float64(2.0)]),
+    ],
+)
+@pytest.mark.parametrize("draw", [field_channel, sample_channel])
+def test_non_integer_receiver_rows_and_antennas_rejected(draw, rx, rows, antennas):
+    ch = draw(SystemConfig(4, 1, 3, 2), seed=0)
+    with pytest.raises(InvalidConfigError, match="integer"):
+        apzf_precoder(ch, rx, rows, antennas)
+    if type(antennas[0]) is int:  # the receiver or a row is at fault
+        with pytest.raises(InvalidConfigError, match="integer"):
+            ch.receiver_rows(rx, rows)
+    # Integer types other than int are accepted, as everywhere else.
+    assert np.array_equal(
+        apzf_precoder(ch, np.int64(2), (np.int64(0),), [np.int64(1)]), apzf_precoder(ch, 2, (0,), [1])
+    )
+
+
 def test_single_row_solution_closed_form():
     cfg = SystemConfig(2, 1, 1, 1)
     H = np.array([[0.3, -0.7], [0.5, 0.9]])

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dofbc import schemes
+from dofbc.channel import field_channel, sample_channel
 from dofbc.config import SystemConfig, normalize_config
 from dofbc.errors import InvalidConfigError
 from dofbc.precoding import CHANNEL, CONSTANT
@@ -27,6 +29,7 @@ from dofbc.schemes import (
     build_scheme_6331,
     select_scheme,
 )
+from dofbc.verifier import realize_plan
 
 from . import helpers
 from .helpers import (
@@ -384,8 +387,113 @@ def test_grouped_plans_serialize_and_lay_out_as_per_stream_code(plan):
     layout = plan.layout
     assert layout.targets == targets and layout.coupled == coupled and len(layout.slots) == len(slots)
     for got, want in zip(layout.slots, slots):
-        arrays = (got.columns, *got.onehot, *got.fresh, got.mixed)
+        arrays = (got.columns, got.rows, got.forms, got.forms[: len(got.sources)], got.sources, got.mixed)
         for array, expected in zip(arrays, want[:6]):
             assert array.dtype == expected.dtype and np.array_equal(array, expected)
-        assert got.interference == want[6]
+        assert [(j, owned.tolist(), terms) for j, owned, terms in got.interference] == list(want[6])
         assert got.constant.shape == want[7].shape and np.array_equal(got.constant, want[7])
+
+
+# The template table: plans with the same (shape, M, k) share registry, slots
+# and layout once one of them has been realized.
+
+
+def _layout_arrays(layout):
+    """Every array of a layout, in order, with the owned-column arrays."""
+    for slot in layout.slots:
+        yield from (slot.columns, slot.rows, slot.forms, slot.sources, slot.mixed, slot.constant)
+        yield from (owned for _, owned, _ in slot.interference)
+
+
+def _assert_same_plan(served, fresh):
+    assert served == fresh  # config, scheme id, registry and slots
+    assert served.layout.targets == fresh.layout.targets
+    assert served.layout.coupled == fresh.layout.coupled
+    for slot, fresh_slot in zip(served.layout.slots, fresh.layout.slots, strict=True):
+        assert [t[::2] for t in slot.interference] == [t[::2] for t in fresh_slot.interference]
+    pairs = zip(_layout_arrays(served.layout), _layout_arrays(fresh.layout), strict=True)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
+    assert json.dumps(served.to_json(), indent=1) == json.dumps(fresh.to_json(), indent=1)
+    for channel in (field_channel(served.cfg, seed=3), sample_channel(served.cfg, seed=3)):
+        got, want = realize_plan(served, channel), realize_plan(fresh, channel)
+        assert np.array_equal(got.A1, want.A1) and np.array_equal(got.A2, want.A2)
+        for T, T_want in zip(got.precoders, want.precoders, strict=True):
+            assert np.array_equal(T, T_want)
+
+
+def _small_config(draw) -> SystemConfig:
+    M = draw(st.integers(1, 12), label="M")
+    N1 = draw(st.integers(1, 7), label="N1")
+    N2 = draw(st.integers(N1, 7), label="N2")
+    return SystemConfig(M, N1, N2, draw(st.integers(0, M), label="k"))
+
+
+@st.composite
+def warm_and_served_configs(draw):
+    """(warm, cfg, special, shared): `warm` is realized first, then `cfg` is
+    built; `shared` says whether the two share a table key (None: unknown)."""
+    cfg, special = _small_config(draw), draw(st.booleans(), label="special")
+    if draw(st.booleans(), label="same"):
+        return cfg, cfg, special, True
+    return _small_config(draw), cfg, special, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(configs=warm_and_served_configs())
+@example(configs=(SystemConfig(7, 4, 6, 2), SystemConfig(7, 5, 6, 2), False, True))  # one rx2-baseline key
+@example(configs=(SystemConfig(7, 4, 6, 2), SystemConfig(6, 4, 6, 2), False, False))  # same shape, other M
+@example(configs=(SystemConfig(9, 3, 6, 4), SystemConfig(9, 3, 6, 4), False, True))  # mid-k with a phase 2
+@example(configs=(SystemConfig(10, 6, 8, 3), SystemConfig(10, 6, 8, 3), False, True))  # low-k
+@example(configs=(SystemConfig(6, 3, 3, 1), SystemConfig(6, 3, 3, 1), True, True))  # crafted plan
+def test_served_plans_equal_plans_built_cold(configs):
+    warm, cfg, special, shared = configs
+    schemes._TEMPLATES.clear()
+    first = select_scheme(warm, special)
+    assert not schemes._TEMPLATES  # building alone adds nothing
+    realize_plan(first, field_channel(first.cfg, seed=1))
+    served = select_scheme(cfg, special)
+    if first.scheme_id == "table1":  # the crafted plan never enters the table
+        assert not schemes._TEMPLATES
+        shared = False
+    else:
+        assert len(schemes._TEMPLATES) == 1
+    if shared is not None:
+        assert (served.layout is first.layout) == shared
+        assert (served.slots is first.slots and served.registry is first.registry) == shared
+    schemes._TEMPLATES.clear()
+    _assert_same_plan(served, select_scheme(cfg, special))
+
+
+def test_serializing_plans_leaves_the_table_empty():
+    schemes._TEMPLATES.clear()
+    for M in range(1, 13):
+        for N1 in range(1, 8):
+            for k in range(M + 1):
+                select_scheme(normalize_config(M, N1, 7 - N1 // 2, k)).to_json()
+    assert not schemes._TEMPLATES
+
+
+def test_shared_layout_arrays_are_read_only():
+    schemes._TEMPLATES.clear()
+    plan = select_scheme(SystemConfig(9, 3, 6, 4))
+    realize_plan(plan, field_channel(plan.cfg, seed=1))
+    arrays = list(_layout_arrays(select_scheme(SystemConfig(9, 3, 6, 4)).layout))
+    assert any(array.size for array in arrays)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_table_drops_its_oldest_entry_past_the_limit(monkeypatch):
+    monkeypatch.setattr(schemes, "_TEMPLATE_LIMIT", 2)
+    schemes._TEMPLATES.clear()
+    configs = [SystemConfig(4, 1, 3, 2), SystemConfig(9, 3, 6, 4), SystemConfig(7, 5, 6, 2)]
+    plans = []
+    for cfg in configs:
+        plans.append(select_scheme(cfg))
+        plans[-1].layout  # built as on the plan's first realization
+    assert len(schemes._TEMPLATES) == 2
+    assert select_scheme(configs[0]).layout is not plans[0].layout  # dropped: built afresh
+    assert select_scheme(configs[2]).layout is plans[2].layout
+    assert select_scheme(configs[1]).layout is not plans[1].layout  # dropped by the rebuild above

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dofbc import schemes
 from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError, ResampleRequiredError
@@ -384,11 +385,15 @@ def test_achieved_dof_trial_count_validation():
     assert achieved_dof(plan, trials=np.int64(2)).ok
 
 
-def _certification_digest() -> str:
+def _certification_digest(cold: bool = False) -> str:
+    """Digest of the certification outputs; `cold` clears the template table
+    before each plan is built, so no plan is served from it."""
     digest = hashlib.sha256()
     runs = [(cfg, 3, 1) for cfg in tight_regime_grid()]
     runs += [(cfg, 2, 2) for cfg in list(low_k_grid())[::3]]
     for cfg, trials, seed in runs:
+        if cold:
+            schemes._TEMPLATES.clear()
         plan = select_scheme(cfg)
         result = achieved_dof(plan, trials=trials, seed=seed)
         record = (plan.scheme_id, str(result.dof), result.failures, result.resamples)
@@ -397,7 +402,12 @@ def _certification_digest() -> str:
 
 
 def test_certification_outputs_digest():
-    assert _certification_digest() == CERTIFICATION_SHA256
+    assert _certification_digest(cold=True) == CERTIFICATION_SHA256
+    _certification_digest()  # fills the table with every key of the runs
+    filled = dict(schemes._TEMPLATES)
+    assert _certification_digest() == CERTIFICATION_SHA256  # every plan served from the table
+    assert schemes._TEMPLATES.keys() == filled.keys()
+    assert all(schemes._TEMPLATES[key] is entry for key, entry in filled.items())
 
 
 def _catalogue_plans():
