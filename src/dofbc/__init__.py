@@ -16,7 +16,6 @@ from .channel import (
 from .config import SystemConfig, normalize_config
 from .errors import (
     CapabilityExceededError,
-    EmptyRegionError,
     InvalidConfigError,
     RegimeError,
     ResampleRequiredError,
@@ -24,7 +23,6 @@ from .errors import (
 from .precoding import apzf_precoder
 from .region import (
     DofPoint,
-    DofRegion,
     LinearConstraint,
     achievable_region,
     analogy_gap,
@@ -61,8 +59,6 @@ __all__ = [
     "ChannelRealization",
     "DecodabilityReport",
     "DofPoint",
-    "DofRegion",
-    "EmptyRegionError",
     "InvalidConfigError",
     "LinearConstraint",
     "ObservationSystem",

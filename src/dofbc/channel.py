@@ -19,6 +19,7 @@ draw equals its per-index draws bit for bit.  `achieved_dof` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -35,6 +36,9 @@ class ChannelDistribution:
     delta_max: float = 1.0
 
     def __post_init__(self):
+        bounds = (self.delta_min, self.delta_max)
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in bounds):
+            raise InvalidConfigError(f"delta_min and delta_max must be numbers, got {bounds!r}")
         if not 0 < self.delta_min <= self.delta_max < np.inf:
             raise InvalidConfigError("need 0 < delta_min <= delta_max < inf")
 

@@ -40,7 +40,6 @@ from .region import (
     _outer_lines,
     plan_shape,
     sum_dof_lower,
-    sum_dof_upper,
 )
 from .schemes import select_scheme
 from .verifier import RateSimConfig, achieved_dof, rate_slope_estimate
@@ -62,7 +61,8 @@ def region_document(M: int, N1: int, N2: int, k: int) -> dict:
     It is written from the region kernel's integers: the outer halfplanes,
     and the vertices and achievable hull as numerator pairs over one
     positive denominator each.  A swapped document swaps each pair and sorts
-    them, which orders them as sorting the rational points would.
+    them, which orders them as sorting the rational points would.  The
+    upper bound is the largest vertex sum, which no swap changes.
     """
     cfg = normalize_config(M, N1, N2, k)
     swapped = N1 > N2
@@ -79,7 +79,7 @@ def region_document(M: int, N1: int, N2: int, k: int) -> dict:
         "constraints": [{"a1": str(a1), "a2": str(a2), "b": str(b)} for a1, a2, b in lines],
         "vertices": [[_ratio_str(x, vd), _ratio_str(y, vd)] for x, y in vertices],
         "achievable": [[_ratio_str(x, hd), _ratio_str(y, hd)] for x, y in hull],
-        "sum_dof_upper": str(sum_dof_upper(cfg)),
+        "sum_dof_upper": _ratio_str(max(x + y for x, y in vertices), vd),
         "sum_dof_lower": _ratio_str(shape.S1 + shape.S2, shape.T),
     }
 

@@ -21,10 +21,6 @@ class ResampleRequiredError(RuntimeError):
     """A measure-zero degeneracy (singular submatrix) was hit; draw a new channel."""
 
 
-class EmptyRegionError(ValueError):
-    """Raised when vertex enumeration is attempted on an empty region."""
-
-
 def as_integer(value, what: str) -> int:
     """`value` as an int: any integer type passes; a bool, a float or anything
     else raises InvalidConfigError instead of being truncated."""

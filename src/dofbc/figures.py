@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .config import SystemConfig, normalize_config
 from .errors import InvalidConfigError
-from .region import pd_sum_dof, region_constraints, sum_dof_lower, sum_dof_upper
+from .region import pd_sum_dof, region_vertices, sum_dof_lower, sum_dof_upper
 
 FIG2_CONFIG = (9, 6, 3)  # (M, N1, N2), k = 0..M
 FIG3_CONFIG = (4, 1, 3)  # (M, N1, N2), k = 0..3
@@ -118,7 +118,7 @@ def fig3_rows() -> list[dict]:
     """k, vertex_index, d1, d2 for the (4,1,3,k) regions, k in {0..3}."""
     rows = []
     for _, cfg in certified_points("fig3"):
-        for idx, vertex in enumerate(region_constraints(cfg).vertices):
+        for idx, vertex in enumerate(region_vertices(cfg)):
             rows.append(
                 {
                     "k": cfg.k,

@@ -51,7 +51,8 @@ def apzf_precoder(
     Raises CapabilityExceededError when more than k rows are requested,
     InvalidConfigError when the receiver, a row or an antenna is not an
     integer (a bool or a float is rejected, not truncated) or is out of
-    range, and ResampleRequiredError when the k' x k' block is singular.
+    range, or when a row repeats, and ResampleRequiredError when the k' x k'
+    block is singular.
     """
     M, k = channel.cfg.M, channel.cfg.k
     kp = len(rows)
@@ -61,6 +62,8 @@ def apzf_precoder(
     if any(not kp <= a < M for a in antennas):
         raise InvalidConfigError(f"AP-ZF streams must be sent from antennas {kp}..{M - 1}")
     H_sel = channel.receiver_rows(rx, rows)
+    if len(set(rows)) != kp:  # a repeated row makes every draw's block singular
+        raise InvalidConfigError("AP-ZF cancellation rows must be distinct")
     field = channel.field
     n = len(antennas)
     t = np.zeros(channel.H.shape[:-2] + (M, n), dtype=channel.H.dtype)

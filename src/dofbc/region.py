@@ -1,34 +1,33 @@
 """Exact-rational DoF region computation and sum-DoF bounds.
 
 Everything here is exact: coordinates and bounds are `fractions.Fraction`,
-so equality tests against closed-form values are legitimate.  The region of
-a config is a bounded polygon in the (d1, d2) quadrant described by linear
-constraints; vertices are enumerated by pairwise constraint intersection.
+so equality tests against closed-form values are legitimate.  Every region
+and bound function takes a `SystemConfig`, except the centralized benchmark
+`pd_sum_dof`, which needs only N1 and N2.  The outer region of a config is
+a bounded polygon in the (d1, d2) quadrant cut by integer halfplanes
+(`_outer_lines`, the one place its regime is tested); vertices are
+enumerated by pairwise constraint intersection, and the sum-DoF upper
+bound is the largest d1 + d2 among them.
 
 One integer kernel computes all of it on Python ints, which never round or
-overflow.  The outer-bound halfplanes are integer triples (`_outer_lines`);
-a fractional halfplane a1 d1 + a2 d2 <= b is multiplied by the lcm of its
-denominators, a positive factor, so the integer triple describes the same
-halfplane.  Two lines meet at (x/det, y/det) by Cramer's rule; with det
+overflow.  Two lines meet at (x/det, y/det) by Cramer's rule; with det
 made positive, the point satisfies p d1 + q d2 <= r exactly when
 p x + q y <= r det.  The feasible points are then put on one common
 denominator, the lcm of their dets, where comparing and taking cross
 products of the integer numerators decides the same orderings and
 orientations as on the rationals.  The public functions wrap the kernel's
 integers in `Fraction`s and `DofPoint`s; `cli.region_document` writes its
-halfplanes, vertices, hull and lower bound straight from the integers.
+halfplanes, vertices, hull and bounds straight from the integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple
 
 from .config import SystemConfig
-from .errors import EmptyRegionError, InvalidConfigError, RegimeError
+from .errors import InvalidConfigError, RegimeError
 
 
 class DofPoint(NamedTuple):
@@ -46,27 +45,7 @@ class LinearConstraint(NamedTuple):
     b: Fraction
 
 
-@dataclass(frozen=True)
-class DofRegion:
-    """A bounded polygon of achievable/outer-bound (d1, d2) pairs.
-
-    `constraints` excludes the implicit nonnegativity constraints; those are
-    always enforced during vertex enumeration.  Vertices are computed lazily
-    and cached; regions compare equal by their constraints alone.
-    """
-
-    constraints: tuple[LinearConstraint, ...]
-
-    @cached_property
-    def vertices(self) -> tuple[DofPoint, ...]:
-        return region_vertices(self)
-
-    def swapped_axes(self) -> "DofRegion":
-        """The same region with the roles of d1 and d2 exchanged."""
-        return DofRegion(tuple(LinearConstraint(c.a2, c.a1, c.b) for c in self.constraints))
-
-
-def region_constraints(cfg: SystemConfig) -> DofRegion:
+def region_constraints(cfg: SystemConfig) -> tuple[LinearConstraint, ...]:
     """Outer-bound constraints of the DoF region for `cfg`.
 
     If k < N2 and M > N2, four constraints apply: the three single/sum caps
@@ -76,9 +55,10 @@ def region_constraints(cfg: SystemConfig) -> DofRegion:
             <= (min(M,N1+N2)-k) (min(N2,M)-k) + k (min(M,N1+N2)-k).
 
     Otherwise (k >= N2 or M <= N2) only the three cap constraints remain,
-    which is also the region under perfect CSIT everywhere.
+    which is also the region under perfect CSIT everywhere.  The implicit
+    constraints d1, d2 >= 0 are not listed.
     """
-    return DofRegion(tuple(LinearConstraint(*map(Fraction, line)) for line in _outer_lines(cfg)))
+    return tuple(LinearConstraint(*map(Fraction, line)) for line in _outer_lines(cfg))
 
 
 def _outer_lines(cfg: SystemConfig) -> tuple[tuple[int, int, int], ...]:
@@ -90,12 +70,6 @@ def _outer_lines(cfg: SystemConfig) -> tuple[tuple[int, int, int], ...]:
         q = min(N2, M) - k  # weight on d1
         lines += ((q, p, p * q + k * p),)
     return lines
-
-
-def _integer_line(c: LinearConstraint) -> tuple[int, int, int]:
-    """The halfplane `c` as an integer triple, scaled by the lcm of its denominators."""
-    scale = lcm(*(v.denominator for v in c))
-    return tuple(v.numerator * (scale // v.denominator) for v in c)
 
 
 _AXES = ((-1, 0, 0), (0, -1, 0))  # d1 >= 0, d2 >= 0
@@ -131,23 +105,15 @@ def _dof_points(pts: list[tuple[int, int]], D: int) -> tuple[DofPoint, ...]:
     return tuple(DofPoint(Fraction(x, D), Fraction(y, D)) for x, y in pts)
 
 
-def _hull(points: list[tuple[int, int, int]]) -> tuple[DofPoint, ...]:
-    """Convex hull of the points (x/den, y/den) as `DofPoint`s, counterclockwise."""
-    return _dof_points(*_integer_hull(points))
-
-
-def region_vertices(region: DofRegion) -> tuple[DofPoint, ...]:
-    """Vertices of `{d1, d2 >= 0} intersect region`, counterclockwise.
-
-    The lexicographically smallest vertex comes first, which is (0, 0)
-    whenever the origin is feasible.
-    """
-    return _dof_points(*_integer_vertices(tuple(_integer_line(c) for c in region.constraints)))
+def region_vertices(cfg: SystemConfig) -> tuple[DofPoint, ...]:
+    """Vertices of the outer region of `cfg`, counterclockwise from (0, 0)."""
+    return _dof_points(*_integer_vertices(_outer_lines(cfg)))
 
 
 def _integer_vertices(lines: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, int]], int]:
-    """`region_vertices` of the integer halfplanes `lines`, as numerator pairs
-    over one common denominator.
+    """Vertices of `{d1, d2 >= 0}` cut by the integer halfplanes `lines`,
+    counterclockwise from the lexicographically smallest, as numerator pairs
+    over one common denominator; no vertices if the cut is empty.
 
     Candidates are all pairwise intersections of the lines (including the
     axes), each solved by Cramer's rule with det > 0, so the point
@@ -171,22 +137,14 @@ def _integer_vertices(lines: tuple[tuple[int, int, int], ...]) -> tuple[list[tup
                     break
             else:
                 candidates.append((x, y, det))
-    if not candidates:
-        raise EmptyRegionError("region has no feasible vertices")
     return _integer_hull(candidates)
 
 
 def sum_dof_upper(cfg: SystemConfig) -> Fraction:
-    """Exact sum-DoF upper bound for `cfg`.
-
-    In the regime k < N2 < M the weighted bound contributes a third term;
-    otherwise the bound collapses to the perfect-CSIT value min(M, N1+N2).
-    """
-    M, N1, N2, k = cfg.shape
-    if k < N2 and M > N2:
-        third = N2 + Fraction(N1 * min(N1, M - N2), min(N1 + N2, M) - k)
-        return min(Fraction(N1 + N2), Fraction(M), third)
-    return Fraction(min(M, N1 + N2))
+    """Exact sum-DoF upper bound for `cfg`: the largest d1 + d2 over its
+    outer region, read off the region's vertices."""
+    vertices, D = _integer_vertices(_outer_lines(cfg))
+    return Fraction(max(x + y for x, y in vertices), D)
 
 
 class PlanShape(NamedTuple):
@@ -276,7 +234,7 @@ def achievable_region(cfg: SystemConfig) -> tuple[DofPoint, ...]:
     maximal d1+d2 equals `sum_dof_lower`, read off the same shape.  No richer
     boundary is claimed for k < N1.
     """
-    return _hull(_achievable_points(cfg, plan_shape(cfg)))
+    return _dof_points(*_integer_hull(_achievable_points(cfg, plan_shape(cfg))))
 
 
 def _achievable_points(cfg: SystemConfig, shape: PlanShape) -> list[tuple[int, int, int]]:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError, as_integer
-from .gf import gf_matmul, gf_pivots, gf_solve
+from .gf import DEFAULT_PRIME, gf_matmul, gf_pivots, gf_solve
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import apzf_precoder
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
@@ -80,8 +80,12 @@ class ObservationSystem:
     A1: np.ndarray
     A2: np.ndarray
     registry: SymbolRegistry
-    field: int | None
     precoders: tuple[np.ndarray, ...] = ()
+
+    @property
+    def field(self) -> int | None:
+        """2^31 - 1 for int64 maps, None for real ones, as `ChannelRealization.field`."""
+        return DEFAULT_PRIME if self.A1.dtype.kind == "i" else None
 
 
 @dataclass(frozen=True)
@@ -232,9 +236,7 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
             return _reduce(full[..., :S] + coupled, p)
         return full[..., :S]
 
-    return ObservationSystem(
-        A1=stack(1), A2=stack(2), registry=plan.registry, field=p, precoders=tuple(precoders)
-    )
+    return ObservationSystem(stack(1), stack(2), plan.registry, tuple(precoders))
 
 
 def decodability_check(system: ObservationSystem) -> DecodabilityReport:

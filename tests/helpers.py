@@ -10,7 +10,7 @@ from dofbc.config import SystemConfig, normalize_config
 from dofbc.errors import ResampleRequiredError
 from dofbc.gf import gf_matmul, gf_solve
 from dofbc.precoding import CHANNEL, CONSTANT, apzf_precoder
-from dofbc.region import achievable_region, region_constraints, sum_dof_lower, sum_dof_upper
+from dofbc.region import achievable_region, region_constraints, region_vertices, sum_dof_lower
 from dofbc.schemes import (
     ApzfRecipe,
     CoupledPayload,
@@ -31,6 +31,8 @@ from dofbc.verifier import (
     decodability_check,
     realize_plan,
 )
+
+from .oracles import sum_dof_upper_closed_form
 
 
 def streams_slot(*streams: Stream) -> Slot:
@@ -445,26 +447,25 @@ def reference_layout(plan: TransmissionPlan) -> tuple:
 def reference_region_document(M: int, N1: int, N2: int, k: int) -> dict:
     """`cli.region_document` composed from `Fraction`s and `DofPoint`s of the
     public API: the frozen reference the integer-numerator document must
-    match byte for byte."""
+    match byte for byte.  Its upper bound is the closed-form oracle's, not
+    the vertex sum the document reads it from."""
     cfg = normalize_config(M, N1, N2, k)
     swapped = N1 > N2
-    region = region_constraints(cfg)
 
-    def unswap(p):
-        return (p.d2, p.d1) if swapped else (p.d1, p.d2)
+    def unswap(d1, d2):
+        return (d2, d1) if swapped else (d1, d2)
 
-    vertices = [unswap(v) for v in region.vertices]
-    hull = [unswap(v) for v in achievable_region(cfg)]
-    constraints = region.constraints
+    vertices = [unswap(*v) for v in region_vertices(cfg)]
+    hull = [unswap(*v) for v in achievable_region(cfg)]
+    constraints = [(*unswap(c.a1, c.a2), c.b) for c in region_constraints(cfg)]
     if swapped:
-        constraints = region.swapped_axes().constraints
         vertices = sorted(vertices)
         hull = sorted(hull)
     return {
         "config": {"M": M, "N1": N1, "N2": N2, "k": k, "swapped": swapped},
-        "constraints": [{"a1": str(c.a1), "a2": str(c.a2), "b": str(c.b)} for c in constraints],
+        "constraints": [{"a1": str(a1), "a2": str(a2), "b": str(b)} for a1, a2, b in constraints],
         "vertices": [[str(d1), str(d2)] for d1, d2 in vertices],
         "achievable": [[str(d1), str(d2)] for d1, d2 in hull],
-        "sum_dof_upper": str(sum_dof_upper(cfg)),
+        "sum_dof_upper": str(sum_dof_upper_closed_form(cfg)),
         "sum_dof_lower": str(sum_dof_lower(cfg)),
     }

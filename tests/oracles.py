@@ -2,8 +2,8 @@
 
 Everything here recomputes results from first principles (pairwise
 constraint intersection, explicit determinants, the closed-form sum-DoF
-lower bound of each regime, the closed-form analogy losses) without calling
-into the package's own code paths.
+upper and lower bounds of each regime, the closed-form analogy losses)
+without calling into the package's own code paths.
 """
 
 from __future__ import annotations
@@ -77,6 +77,19 @@ def low_k_scheme_value(cfg) -> Fraction | None:
     if m < k:
         return None
     return m + Fraction(k * k, m)
+
+
+def sum_dof_upper_closed_form(cfg) -> Fraction:
+    """Sum-DoF upper bound in closed form.
+
+    In the regime k < N2 < M the weighted bound contributes a third term;
+    otherwise the bound collapses to the perfect-CSIT value min(M, N1+N2).
+    """
+    M, N1, N2, k = cfg.shape
+    if k < N2 and M > N2:
+        third = N2 + Fraction(N1 * min(N1, M - N2), min(N1 + N2, M) - k)
+        return min(Fraction(N1 + N2), Fraction(M), third)
+    return Fraction(min(M, N1 + N2))
 
 
 def sum_dof_lower_closed_form(cfg, allow_special_cases: bool = False) -> Fraction:

@@ -17,7 +17,7 @@ from dofbc.figures import fig2_rows, fig3_rows, fig4_rows
 from dofbc.region import (
     analogy_gap,
     pd_sum_dof,
-    region_constraints,
+    region_vertices,
     sum_dof_lower,
     sum_dof_upper,
 )
@@ -57,7 +57,7 @@ def test_criterion_1_region_exactness():
     }
     for k in range(4):
         cfg = SystemConfig(4, 1, 3, k)
-        got = [(v.d1, v.d2) for v in region_constraints(cfg).vertices]
+        got = [(v.d1, v.d2) for v in region_vertices(cfg)]
         assert got == expected[k], (k, got)
         oracle = vertex_oracle(outer_bound_halfplanes(4, 1, 3, k))
         assert got == oracle, (k, oracle)

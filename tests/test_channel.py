@@ -91,6 +91,16 @@ def test_shapes_and_blocks():
         ch.receiver_rows(1, [1])
 
 
+@pytest.mark.parametrize(
+    "bounds", [(True, True), (0.1, True), (False, 1.0), ("0.1", 1.0), (None, 1.0), (0.1, "1")]
+)
+def test_distribution_bounds_must_be_numbers(bounds):
+    # A bool used to pass as 0 or 1, and a string or None raised a bare TypeError.
+    with pytest.raises(InvalidConfigError, match="numbers"):
+        ChannelDistribution(*bounds)
+    assert ChannelDistribution(np.float64(0.2), 1) == ChannelDistribution(0.2, 1.0)
+
+
 def test_field_channel_entries_nonzero():
     cfg = SystemConfig(3, 2, 2, 1)
     for i in range(50):

@@ -13,7 +13,7 @@ from dofbc import cli
 from dofbc.cli import main, region_document, simulate_document
 from dofbc.config import SystemConfig
 from dofbc.figures import certified_points, sweep_k_rows, sweep_n2_rows
-from dofbc.region import DofRegion, LinearConstraint, region_constraints, sum_dof_lower
+from dofbc.region import LinearConstraint, region_constraints, region_vertices, sum_dof_lower
 
 from .helpers import leaky_apzf_precoder
 
@@ -34,12 +34,11 @@ def test_region_command_json(capsys):
 
 
 def test_region_round_trip():
-    doc = region_document(4, 1, 3, 2)
-    parsed = DofRegion(
-        tuple(LinearConstraint(*map(F, c.values())) for c in json.loads(json.dumps(doc))["constraints"])
-    )
-    assert parsed.constraints == region_constraints(SystemConfig(4, 1, 3, 2)).constraints
-    assert parsed.vertices == region_constraints(SystemConfig(4, 1, 3, 2)).vertices
+    cfg = SystemConfig(4, 1, 3, 2)
+    parsed = json.loads(json.dumps(region_document(*cfg.shape)))
+    constraints = tuple(LinearConstraint(*map(F, c.values())) for c in parsed["constraints"])
+    assert constraints == region_constraints(cfg)
+    assert tuple(tuple(map(F, v)) for v in parsed["vertices"]) == region_vertices(cfg)
 
 
 def test_region_unswaps_axes():

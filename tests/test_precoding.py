@@ -63,6 +63,17 @@ def test_non_integer_receiver_rows_and_antennas_rejected(draw, rx, rows, antenna
     )
 
 
+@pytest.mark.parametrize("draw", [field_channel, sample_channel])
+def test_repeated_rows_rejected(draw):
+    # A repeated row makes the block singular on every draw, so resampling
+    # cannot help: the call is invalid, as plan validation says.
+    ch = draw(SystemConfig(4, 1, 3, 2), seed=0)
+    with pytest.raises(InvalidConfigError, match="AP-ZF cancellation rows must be distinct"):
+        apzf_precoder(ch, 2, (0, 0), [2])
+    with pytest.raises(InvalidConfigError, match="distinct"):
+        apzf_precoder(ch, 2, (1, np.int64(1)), [2, 3])
+
+
 def test_single_row_solution_closed_form():
     cfg = SystemConfig(2, 1, 1, 1)
     H = np.array([[0.3, -0.7], [0.5, 0.9]])

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from dofbc.cli import _ratio_str, region_document
 from dofbc.config import SystemConfig, normalize_config
-from dofbc.errors import EmptyRegionError, RegimeError
+from dofbc.errors import RegimeError
 from dofbc.region import (
     DofPoint,
-    DofRegion,
     LinearConstraint,
     achievable_region,
     analogy_gap,
-    _hull,
+    _integer_hull,
+    _integer_vertices,
     pd_sum_dof,
     region_constraints,
     region_vertices,
@@ -30,12 +30,13 @@ from .oracles import (
     lp_max_sum_oracle,
     outer_bound_halfplanes,
     sum_dof_lower_closed_form,
+    sum_dof_upper_closed_form,
     vertex_oracle,
 )
 
 
 def cons_tuples(cfg):
-    return [(c.a1, c.a2, c.b) for c in region_constraints(cfg).constraints]
+    return [(c.a1, c.a2, c.b) for c in region_constraints(cfg)]
 
 
 def test_constraints_mid_regime_include_weighted_bound():
@@ -65,7 +66,7 @@ FIG3_VERTICES = {
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_vertices_4_1_3_family(k):
     cfg = SystemConfig(4, 1, 3, k)
-    vertices = region_constraints(cfg).vertices
+    vertices = region_vertices(cfg)
     assert [(v.d1, v.d2) for v in vertices] == FIG3_VERTICES[k]
     assert vertices == tuple(
         DofPoint(F(x), F(y)) for x, y in vertex_oracle(outer_bound_halfplanes(4, 1, 3, k))
@@ -78,7 +79,7 @@ def test_vertices_match_oracle_on_grid():
             for N2 in range(N1, 7):
                 for k in range(0, M + 1):
                     cfg = SystemConfig(M, N1, N2, k)
-                    got = [(v.d1, v.d2) for v in region_constraints(cfg).vertices]
+                    got = [(v.d1, v.d2) for v in region_vertices(cfg)]
                     want = vertex_oracle(outer_bound_halfplanes(M, N1, N2, k))
                     assert got == want, cfg.shape
 
@@ -86,86 +87,79 @@ def test_vertices_match_oracle_on_grid():
 def test_vertex_certificate_and_lp_max():
     for shape in [(4, 1, 3, 0), (4, 1, 3, 2), (9, 3, 6, 4), (5, 2, 4, 2), (7, 2, 3, 1)]:
         cfg = SystemConfig(*shape)
-        region = region_constraints(cfg)
+        constraints, vertices = region_constraints(cfg), region_vertices(cfg)
         axes = (LinearConstraint(F(-1), F(0), F(0)), LinearConstraint(F(0), F(-1), F(0)))
-        for v in region.vertices:
-            slack = [c.b - c.a1 * v.d1 - c.a2 * v.d2 for c in region.constraints + axes]
+        for v in vertices:
+            slack = [c.b - c.a1 * v.d1 - c.a2 * v.d2 for c in constraints + axes]
             assert min(slack) >= 0  # inside the region, axes included
             assert slack.count(0) >= 2  # at least two active constraints
-        assert max(v.d1 + v.d2 for v in region.vertices) == lp_max_sum_oracle(
+        assert max(v.d1 + v.d2 for v in vertices) == lp_max_sum_oracle(
             outer_bound_halfplanes(*shape)
         )
 
 
 def test_hull_drops_collinear_points():
     # (1, 1) lies on the edge from (2, 0) to (0, 2), so it is not a vertex.
-    hull = _hull([(0, 0, 1), (2, 0, 1), (1, 1, 1), (0, 2, 1)])
-    assert [(v.d1, v.d2) for v in hull] == [(0, 0), (2, 0), (0, 2)]
+    hull, D = _integer_hull([(0, 0, 1), (2, 0, 1), (1, 1, 1), (0, 2, 1)])
+    assert (hull, D) == ([(0, 0), (2, 0), (0, 2)], 1)
 
 
-def test_empty_region_raises():
-    region = DofRegion((LinearConstraint(F(1), F(0), F(-1)),))
-    with pytest.raises(EmptyRegionError):
-        region_vertices(region)
-
-
-BOX = 8  # every drawn region lies in [0, BOX]^2
-COEFFICIENTS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-POSITIVE = st.fractions(min_value=0, max_value=BOX, max_denominator=6).filter(lambda x: x > 0)
-SCALES = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda x: x != 0)
+WEIGHTS = st.integers(1, 6)
+COEFFICIENTS = st.integers(-24, 24)
+POSITIVE = st.integers(1, 48)
+SCALES = st.integers(-3, 3).filter(bool)
 
 
 @st.composite
-def bounded_regions(draw):
-    """Regions with an interior: d1 <= u, d2 <= v and halfplanes with b > 0.
+def bounded_lines(draw):
+    """Integer halfplanes with an interior: w1 d1 <= u, w2 d2 <= v
+    (w1, w2 > 0) and halfplanes with r > 0.
 
     The extra halfplanes are fresh, parallel to an earlier one (either
     orientation, any offset, so often redundant), or an earlier halfplane
     written again with a positive scale (a repeated line).
     """
-    constraints = [
-        LinearConstraint(F(1), F(0), draw(POSITIVE)),
-        LinearConstraint(F(0), F(1), draw(POSITIVE)),
-    ]
+    lines = [(draw(WEIGHTS), 0, draw(POSITIVE)), (0, draw(WEIGHTS), draw(POSITIVE))]
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(["fresh", "parallel", "repeat"]))
         if kind == "fresh":
-            a1, a2, b = draw(COEFFICIENTS), draw(COEFFICIENTS), draw(POSITIVE)
-            constraints.append(LinearConstraint(a1, a2, b))
+            lines.append((draw(COEFFICIENTS), draw(COEFFICIENTS), draw(POSITIVE)))
             continue
-        a1, a2, b = draw(st.sampled_from(constraints))
+        a1, a2, b = draw(st.sampled_from(lines))
         s = draw(SCALES)
         if kind == "parallel":
-            constraints.append(LinearConstraint(s * a1, s * a2, draw(POSITIVE)))
+            lines.append((s * a1, s * a2, draw(POSITIVE)))
         else:
-            constraints.append(LinearConstraint(abs(s) * a1, abs(s) * a2, abs(s) * b))
-    return DofRegion(tuple(draw(st.permutations(constraints))))
+            lines.append((abs(s) * a1, abs(s) * a2, abs(s) * b))
+    return tuple(draw(st.permutations(lines)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(region=bounded_regions())
-def test_vertices_match_oracle_on_drawn_regions(region):
-    # An interior keeps the oracle's angular sort well defined (it raises
-    # ValueError on regions with two vertices or fewer).
-    for r in (region, region.swapped_axes()):
-        assert list(region_vertices(r)) == vertex_oracle(r.constraints)
-
-
-@settings(max_examples=100, deadline=None)
-@given(region=bounded_regions(), a1=COEFFICIENTS, a2=COEFFICIENTS, gap=POSITIVE)
-def test_drawn_empty_regions_raise(region, a1, a2, gap):
-    # a1 d1 + a2 d2 is at least min(0, a1 BOX) + min(0, a2 BOX) on the box.
-    cut = LinearConstraint(a1, a2, min(0, a1 * BOX) + min(0, a2 * BOX) - gap)
-    empty = DofRegion(region.constraints + (cut,))
-    assert vertex_oracle(empty.constraints) == []
-    with pytest.raises(EmptyRegionError):
-        region_vertices(empty)
+@given(lines=bounded_lines())
+def test_vertices_match_oracle_on_drawn_regions(lines):
+    # The kernel on halfplanes no config produces.  An interior keeps the
+    # oracle's angular sort well defined (it raises ValueError on regions
+    # with two vertices or fewer).
+    for ls in (lines, tuple((a2, a1, b) for a1, a2, b in lines)):
+        vertices, D = _integer_vertices(ls)
+        assert [(F(x, D), F(y, D)) for x, y in vertices] == vertex_oracle(ls)
 
 
 def test_sum_dof_upper_examples():
     assert sum_dof_upper(SystemConfig(6, 3, 3, 1)) == F(24, 5)
     assert sum_dof_upper(SystemConfig(4, 1, 3, 3)) == 4
     assert sum_dof_upper(SystemConfig(9, 3, 6, 4)) == F(39, 5)
+
+
+def test_sum_dof_upper_matches_closed_form():
+    # The bound is read off the vertices; the closed form decides the regime
+    # independently.
+    for M in range(1, 21):
+        for N1 in range(1, 21):
+            for N2 in range(N1, 21):
+                for k in range(M + 1):
+                    cfg = SystemConfig(M, N1, N2, k)
+                    assert sum_dof_upper(cfg) == sum_dof_upper_closed_form(cfg), cfg.shape
 
 
 def test_sum_dof_lower_examples():
@@ -190,13 +184,6 @@ def test_sum_dof_lower_matches_closed_form():
         assert plan.claimed_dof == sum_dof_lower_closed_form(cfg, True) == 4, M
 
 
-def test_region_equality_ignores_cached_vertices():
-    cfg = SystemConfig(4, 1, 3, 2)
-    read, fresh = region_constraints(cfg), region_constraints(cfg)
-    assert read.vertices  # caches the vertices on one of the two regions
-    assert read == fresh and hash(read) == hash(fresh)
-
-
 BOUND_TABLE_UPPER = [F(7), F(57, 8), F(51, 7), F(15, 2), F(39, 5), F(33, 4), 9, 9, 9, 9]
 BOUND_TABLE_LOWER = [F(6), F(37, 6), F(20, 3), F(15, 2), F(39, 5), F(33, 4), 9, 9, 9, 9]
 
@@ -213,7 +200,7 @@ def test_regime_consistency_three_constraints():
         cfg = SystemConfig(*shape)
         M, N1, N2, k = cfg.shape
         if k >= N2 or M <= N2:
-            assert len(region_constraints(cfg).constraints) == 3
+            assert len(region_constraints(cfg)) == 3
             assert sum_dof_upper(cfg) == min(M, N1 + N2)
 
 
@@ -264,14 +251,9 @@ def test_lower_never_exceeds_upper():
 
 
 def test_swap_covariance():
-    plain = region_constraints(normalize_config(9, 3, 6, 4))
-    swapped = region_constraints(normalize_config(9, 6, 3, 4))
-    assert swapped.constraints == plain.constraints  # normalization maps to same system
-    mirrored = swapped.swapped_axes()
-    assert {(c.a1, c.a2, c.b) for c in mirrored.constraints} == {
-        (c.a2, c.a1, c.b) for c in plain.constraints
-    }
-    assert sorted((v.d2, v.d1) for v in plain.vertices) == sorted(mirrored.vertices)
+    # Normalization maps both orders to the same system, so to the same
+    # region; the documents mirror it (test_region_layer_properties).
+    assert normalize_config(9, 6, 3, 4) == normalize_config(9, 3, 6, 4)
 
 
 def test_achievable_region_examples():

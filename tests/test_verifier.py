@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dofbc import schemes
+from dofbc import schemes, verifier
 from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError, ResampleRequiredError
@@ -24,7 +24,6 @@ from dofbc.schemes import (
     select_scheme,
 )
 from dofbc.verifier import (
-    ObservationSystem,
     _block_size,
     _gram,
     _precoder_matrices,
@@ -119,6 +118,9 @@ def test_decodability_rejects_real_channels():
     # its float singular values are about 1e-16, not 0.
     plan = select_scheme(SystemConfig(4, 1, 3, 2))
     system = realize_plan(plan, sample_channel(plan.cfg, seed=1))
+    # The field is read off the maps' dtype, as a channel's is.
+    assert system.field is None
+    assert realize_plan(plan, field_channel(plan.cfg, seed=1)).field == DEFAULT_PRIME
     with pytest.raises(InvalidConfigError, match="GF\\(p\\)"):
         decodability_check(system)
 
@@ -580,7 +582,7 @@ def test_decodability_ranks_equal_separate_ranks(p, rows, inner, owners, seed):
         gf_matmul(rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols)), p)
         for _ in range(2)
     )
-    report = decodability_check(ObservationSystem(A1, A2, registry, field=p))
+    report = verifier._decodability(A1, A2, registry, p)
     for rx, A, rx_report in ((1, A1, report.rx1), (2, A2, report.rx2)):
         other = [c for c in range(cols) if owners[c] != rx]
         assert rx_report.desired == cols - len(other)
