@@ -32,8 +32,11 @@ Both `achieved_dof` and `rate_slope_estimate` realize their trials in blocks
 sized by a cell budget: a block holds max(10, `_BLOCK_CELLS` // cells)
 trials, where cells = N T (S + aux) is the size of one trial's observation
 matrices, so a small plan's trials all fit in one stack.  A block is the
-stack of its trials' first draws, drawn in one call from the same per-index
-generators a trial-by-trial loop would use.  A block whose evaluation raises
+stack of its trials' first draws, drawn in one call with the same generator
+states a trial-by-trial loop would use: a block of at least
+`channel._VECTOR_MIN` draws is seeded in one vectorized pass with the exact
+bits of SeedSequence((seed, index)), a smaller one index by index.  A block
+whose evaluation raises
 is halved on those draws and each half retried; only a single failing trial
 falls back to that loop's resamples.  Trials are independent, so every
 result equals one of evaluating each trial alone: GF(p) arithmetic is

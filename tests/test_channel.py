@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dofbc.channel import (
+    _VECTOR_MIN,
     ChannelDistribution,
     ChannelRealization,
+    _block_states,
     field_channel,
     sample_channel,
     trial_rng,
@@ -170,3 +173,55 @@ def test_non_integer_seed_or_index_rejected():
         achieved_dof(plan, trials=2, seed=1.5)
     with pytest.raises(InvalidConfigError, match="integer"):
         rate_slope_estimate(plan, RateSimConfig(trials=2), seed=True)
+
+
+# Seeds of one to five 32-bit words: the index word after them lands in
+# pool word 1, 2 or 3 (the last), or is mixed in after the pool is full.
+BLOCK_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 + 1)
+
+
+@pytest.mark.parametrize("length", [2, _VECTOR_MIN - 1, _VECTOR_MIN, 4 * _VECTOR_MIN])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.sampled_from(BLOCK_SEEDS),
+    data=st.data(),
+    numpy_ints=st.booleans(),
+    M=st.integers(1, 6),
+    N=st.integers(2, 6),
+)
+def test_block_seeding_matches_per_index_draws(length, seed, data, numpy_ints, M, N):
+    # Blocks on both sides of _VECTOR_MIN, each with a repeated index: the
+    # stack must equal the per-index draws byte for byte, and the one-pass
+    # states those of SeedSequence((seed, i)) seeding PCG64.
+    word = st.one_of(st.sampled_from((0, 2**32 - 1)), st.integers(0, 2**32 - 1), st.integers(0, 300))
+    indices = data.draw(st.lists(word, min_size=length - 1, max_size=length - 1))
+    indices.append(indices[0])
+    cfg = SystemConfig(M, 1, N - 1, 0)
+    block = [np.uint32(i) if numpy_ints and i % 2 else i for i in indices]
+    for draw in (field_channel, sample_channel):
+        alone = np.stack([draw(cfg, seed=seed, index=i).H for i in indices])
+        stacked = draw(cfg, seed=seed, index=block).H
+        assert stacked.dtype == alone.dtype and stacked.tobytes() == alone.tobytes()
+    states = list(_block_states(seed, [int(i) for i in indices]))
+    assert states == [np.random.PCG64(np.random.SeedSequence((seed, i))).state for i in indices]
+
+
+def test_long_block_validated_as_trial_rng():
+    # A block of at least _VECTOR_MIN indices rejects what trial_rng
+    # rejects, with its message, and still draws an index of 2^32 or more.
+    cfg = SystemConfig(4, 1, 3, 2)
+    n = _VECTOR_MIN + 2
+    cases = [(0, bad, n // 2) for bad in (1.5, True, "3", -25)]
+    cases += [(bad, 0, 0) for bad in (-1, 2.0, False, "1")]
+    for seed, bad, at in cases:
+        indices = list(range(0, 25 * n, 25))
+        indices[at] = bad
+        with pytest.raises(InvalidConfigError) as expected:
+            trial_rng(seed, bad)
+        for draw in (field_channel, sample_channel):
+            with pytest.raises(InvalidConfigError, match=f"^{re.escape(str(expected.value))}$"):
+                draw(cfg, seed=seed, index=indices)
+    indices = [2**32 - 1, 2**32, 2**40 + 3, *range(n)]
+    for draw in (field_channel, sample_channel):
+        alone = np.stack([draw(cfg, seed=5, index=i).H for i in indices])
+        assert draw(cfg, seed=5, index=indices).H.tobytes() == alone.tobytes()
