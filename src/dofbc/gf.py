@@ -12,15 +12,16 @@ difference of two such products, stays within int64 and the kernels are
 whole-array int64 operations.
 
 The matrices met in certification are small (tens of rows), so the cost of
-an elimination is the number of numpy calls per pivot.  There are three
+a numpy elimination is the number of numpy calls per pivot.  There are three
 kernels, each one pass over the columns:
 
-* `_eliminate` (behind `gf_pivots` and `gf_rank`) finds only the pivot
-  columns of one matrix.  Per pivot it updates every row below the pivot,
-  whole and fraction-free: each row is multiplied by the (nonzero) pivot
-  before the pivot row times the row's entry is subtracted.  Whole rows are
-  contiguous, and row operations keep the row space, so no inverse is needed
-  and no rank of leading columns changes.
+* `_eliminate` finds only the pivot columns of one matrix.  Per pivot it
+  updates every row below the pivot, whole and fraction-free: each row is
+  multiplied by the (nonzero) pivot before the pivot row times the row's
+  entry is subtracted.  Whole rows are contiguous, and row operations keep
+  the row space, so no inverse is needed and no rank of leading columns
+  changes.  `gf_pivots` and `gf_rank` run the same elimination compiled,
+  from `_gfkernel.c`, and `_eliminate` is its fallback and its test oracle.
 * `gf_rref` (behind `gf_particular_solution`) is Gauss-Jordan: per pivot it
   normalises the pivot row and clears the pivot column above and below in
   one outer-product update.
@@ -29,11 +30,28 @@ kernels, each one pass over the columns:
 
 The reduced row echelon form and the pivot columns of a matrix are unique,
 so none of the kernels' shortcuts can change a result.
+
+The compiled kernel is built on first import: `_load_kernel` compiles
+`_gfkernel.c` with `cc -O2 -shared -fPIC` into `_gfkernel-<tag>.so` next to
+this file, where the tag hashes the source, the command and the machine
+type, and every later import loads that file through ctypes.  If there is
+no compiler, the directory is not writable, or the build or the load fails,
+`_KERNEL` is None and `gf_pivots` runs `_eliminate`; nothing is raised and
+no file is left behind.  Both give the same pivots.  The C code keeps each
+entry as a representative in (-p, p), not [0, p), so each product is below
+2^62 in magnitude and the difference of two of them still fits in int64; it
+reduces through a quotient rounded in double precision, which is within one
+of the exact quotient, rather than through an integer division.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+from pathlib import Path
 
 import numpy as np
 
@@ -123,13 +141,75 @@ def _eliminate(A: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
+_COMPILE = ("-O2", "-shared", "-fPIC")  # no -march=native: the built file may move to another CPU
+_COMPILE_TIMEOUT_S = 120
+
+
+def _load_kernel(directory: Path, compiler: str = "cc"):
+    """The compiled `gf_pivots` of `_gfkernel.c`, built into `directory` if
+    it is not there yet, or None if it cannot be built or loaded."""
+    source = Path(__file__).with_name("_gfkernel.c")
+    command = (compiler, *_COMPILE)
+    try:
+        digest = hashlib.sha256(source.read_bytes())
+        digest.update(" ".join(command).encode())
+        digest.update(platform.machine().encode())
+        target = Path(directory) / f"_gfkernel-{digest.hexdigest()[:16]}.so"
+        if target.exists():
+            kernel = ctypes.CDLL(str(target)).gf_pivots
+        else:
+            kernel = _build(source, command, target)
+    except (OSError, AttributeError):  # no source or directory, a failed dlopen, no such symbol
+        return None
+    if kernel is not None:
+        int64 = ctypes.c_int64
+        kernel.argtypes = (ctypes.c_void_p, int64, int64, int64, ctypes.POINTER(int64))
+        kernel.restype = int64
+    return kernel
+
+
+def _build(source: Path, command: tuple[str, ...], target: Path):
+    """Compile `source` into a temporary file beside `target`, load it, and
+    only then rename it to `target`, so processes importing at once never
+    load a partial file.  A build that fails or does not load leaves no file
+    and gives None."""
+    import subprocess
+    import tempfile
+
+    handle, tmp = tempfile.mkstemp(prefix=target.stem + "-", suffix=".so", dir=target.parent)
+    os.close(handle)
+    try:
+        subprocess.run([*command, "-o", tmp, str(source)], check=True, capture_output=True,
+                       timeout=_COMPILE_TIMEOUT_S)
+        os.chmod(tmp, 0o755)  # mkstemp made it private to this user
+        kernel = ctypes.CDLL(tmp).gf_pivots
+        os.replace(tmp, target)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        os.unlink(tmp)
+        return None
+    return kernel
+
+
+_KERNEL = _load_kernel(Path(__file__).parent)
+
+
 def gf_pivots(A: np.ndarray, p: int = DEFAULT_PRIME) -> list[int]:
     """Pivot columns of A's row echelon form over GF(p).
 
     Elimination runs left to right, so the pivots among the first c columns
-    number the rank of A[:, :c].
+    number the rank of A[:, :c].  The compiled kernel eliminates a reduced
+    C-ordered copy of A, never A itself, and writes at most min(rows, cols)
+    pivots into a buffer sized from that copy's shape.
     """
-    return _eliminate(gf_array(A, p), p)
+    A = gf_array(A, p)
+    if A.ndim != 2:
+        raise ValueError(f"gf_pivots expects a 2-D matrix, got {A.ndim} dimensions")
+    if _KERNEL is None:
+        return _eliminate(A, p)
+    A = np.ascontiguousarray(A)
+    rows, cols = A.shape
+    pivots = (ctypes.c_int64 * max(min(rows, cols), 1))()
+    return pivots[: _KERNEL(A.ctypes.data, rows, cols, int(p), pivots)]
 
 
 def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:

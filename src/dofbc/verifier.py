@@ -49,6 +49,7 @@ one or two trials a certification run typically has.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -263,7 +264,7 @@ def _decodability(A1, A2, registry: SymbolRegistry, p: int) -> DecodabilityRepor
         recovered = 0
         if desired:
             pivots = gf_pivots(A.take(interference + desired, axis=1), p)
-            recovered = sum(c >= len(interference) for c in pivots)
+            recovered = len(pivots) - bisect_left(pivots, len(interference))
         reports.append(ReceiverReport(desired=len(desired), recovered=recovered))
     return DecodabilityReport(*reports)
 

@@ -1,8 +1,14 @@
+import ctypes
+import os
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dofbc import gf, verifier
+from dofbc.config import SystemConfig
 from dofbc.errors import ResampleRequiredError
 from dofbc.gf import (
     DEFAULT_PRIME,
@@ -14,7 +20,10 @@ from dofbc.gf import (
     gf_rref,
     gf_solve,
 )
+from dofbc.schemes import select_scheme
+from dofbc.verifier import achieved_dof
 
+from .helpers import adversarial_plan, low_k_grid, overloaded_rx2_plan, tight_regime_grid
 from .oracles import rref_oracle
 
 P = DEFAULT_PRIME
@@ -201,3 +210,149 @@ def test_stacked_solve_equals_per_member_solve(p, members, n, rhs_cols, planted,
         X = gf_solve(A, B, p)
         assert X.shape == B.shape
         assert np.array_equal(X, np.stack(alone))
+
+
+compiled = pytest.mark.skipif(gf._KERNEL is None, reason="the compiled rank kernel is not loaded")
+
+
+def _oracle_pivots(A, p=P):
+    return gf._eliminate(gf_array(A, p), p)
+
+
+@st.composite
+def planted_matrices(draw):
+    """A matrix over GF(p) with planted degeneracies, and p."""
+    p = draw(st.sampled_from([2, 3, 65521, P]))
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # 0, 1 and p - 1 only: many zero pivots and row swaps
+        A = rng.choice(np.array([0, 1, p - 1]), (rows, cols))
+    else:
+        A = rng.integers(0, p, (rows, cols))
+    if rows and cols:
+        if draw(st.booleans()):  # thin product: rank below min(rows, cols)
+            inner = int(rng.integers(0, min(rows, cols)))
+            A = gf_matmul(rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols)), p)
+        if draw(st.booleans()):
+            A[:, rng.integers(cols, size=rng.integers(1, cols + 1))] = 0
+        if rows > 1 and draw(st.booleans()):
+            A[rng.integers(1, rows)] = A[rng.integers(rows)]
+        if draw(st.booleans()):
+            A[rng.random((rows, cols)) < 0.3] = p - 1
+    if draw(st.booleans()):
+        A = np.zeros_like(A)
+    return A, p
+
+
+def _laid_out(A, layout):
+    if layout == "fortran":
+        return np.asfortranarray(A)
+    if layout == "strided":
+        rows, cols = A.shape
+        big = np.full((2 * rows, 3 * cols), -1, dtype=np.int64)
+        big[::2, ::3] = A
+        return big[::2, ::3]
+    return A
+
+
+@compiled
+@settings(max_examples=400, deadline=None)
+@given(case=planted_matrices(), layout=st.sampled_from(["c", "fortran", "strided"]))
+def test_compiled_pivots_equal_numpy_elimination(case, layout):
+    A, p = case
+    A = _laid_out(A, layout)
+    before = A.copy()
+    assert gf_pivots(A, p) == _oracle_pivots(A, p)
+    assert np.array_equal(A, before)  # the kernel eliminates a copy
+
+
+@compiled
+@pytest.mark.parametrize("p", [2, 3, 65521, P])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1), (1, 9), (9, 1), (12, 12), (40, 60)])
+def test_compiled_pivots_on_edge_shapes(p, shape):
+    rng = np.random.default_rng(sum(shape))
+    for A in (np.zeros(shape, dtype=np.int64), np.full(shape, p - 1), rng.integers(0, p, shape),
+              rng.integers(-(2**40), 2**40, shape)):
+        assert gf_pivots(A, p) == _oracle_pivots(A, p)
+        assert gf_pivots(A.T, p) == _oracle_pivots(A.T, p)
+
+
+def test_pivots_reject_arrays_that_are_not_matrices():
+    for A in (np.int64(3), np.ones(4, dtype=np.int64), np.ones((2, 3, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="2-D"):
+            gf_pivots(A)
+
+
+@compiled
+def test_compiled_pivots_equal_numpy_on_a_certification(monkeypatch):
+    # Every matrix that certifying the largest criterion-3 plan ranks.
+    seen = []
+
+    def recording(A, p):
+        seen.append((A.copy(), p))
+        return gf_pivots(A, p)
+
+    monkeypatch.setattr(verifier, "gf_pivots", recording)
+    assert achieved_dof(select_scheme(SystemConfig(10, 1, 9, 1)), trials=50, seed=1).ok
+    assert len(seen) == 100
+    for A, p in seen:
+        assert gf_pivots(A, p) == _oracle_pivots(A, p)
+
+
+def _kernel_names(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+def _fake_compiler(path, body):
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_kernel_loader_falls_back_without_leaving_files(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert gf._load_kernel(out, "dofbc-no-such-compiler") is None
+    assert gf._load_kernel(tmp_path / "missing", "cc") is None
+    assert gf._load_kernel(out, "false") is None  # the compile fails
+    writes_junk = 'while [ $# -gt 0 ]; do [ "$1" = -o ] && echo junk > "$2"; shift; done\n'
+    assert gf._load_kernel(out, _fake_compiler(tmp_path / "junk-cc", writes_junk)) is None  # dlopen fails
+    assert _kernel_names(out) == []
+    assert _kernel_names(tmp_path) == ["junk-cc", "out"]
+
+
+def test_kernel_loader_gives_up_on_a_slow_compile(tmp_path, monkeypatch):
+    monkeypatch.setattr(gf, "_COMPILE_TIMEOUT_S", 0.2)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert gf._load_kernel(out, _fake_compiler(tmp_path / "slow-cc", "exec sleep 3\n")) is None
+    assert _kernel_names(out) == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_loader_builds_once_and_reuses_the_file(tmp_path):
+    kernel = gf._load_kernel(tmp_path, "cc")
+    (name,) = _kernel_names(tmp_path)
+    assert name.startswith("_gfkernel-") and name.endswith(".so") and len(name) == len("_gfkernel-.so") + 16
+    built = os.stat(tmp_path / name)
+    assert gf._load_kernel(tmp_path, "cc") is not None
+    assert os.stat(tmp_path / name).st_mtime_ns == built.st_mtime_ns
+    A = np.array([[0, 2, 4], [0, 1, 2], [0, 0, 3]], dtype=np.int64)
+    pivots = (ctypes.c_int64 * 3)()
+    assert pivots[: kernel(A.ctypes.data, 3, 3, P, pivots)] == [1, 2]
+    # A file of that name that is not a library is not loaded, and is left alone.
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / name).write_bytes(b"junk")
+    assert gf._load_kernel(other, "cc") is None
+    assert _kernel_names(other) == [name]
+
+
+def test_numpy_fallback_certifies_identically(monkeypatch):
+    plans = [select_scheme(cfg) for cfg in list(tight_regime_grid())[::25]]
+    plans += [select_scheme(cfg) for cfg in list(low_k_grid())[::150]]
+    plans += [adversarial_plan(), overloaded_rx2_plan()]
+    results = [achieved_dof(plan, trials=5, seed=3) for plan in plans]
+    assert results[-1].first_failure_report is not None
+    monkeypatch.setattr(gf, "_KERNEL", None)
+    assert [achieved_dof(plan, trials=5, seed=3) for plan in plans] == results
