@@ -58,7 +58,7 @@ import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError, as_integer
-from .gf import DEFAULT_PRIME, gf_matmul, gf_pivots, gf_solve
+from .gf import DEFAULT_PRIME, _pivots, gf_array, gf_matmul, gf_solve
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import apzf_precoder
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
@@ -251,19 +251,25 @@ def decodability_check(system: ObservationSystem) -> DecodabilityReport:
     of A's columns ordered [interference | desired].  A receiver with no
     desired symbols recovers 0 of 0 for every A, so it needs no elimination.
     """
-    if system.field is None:
+    p = system.field
+    if p is None:
         raise InvalidConfigError("decodability is certified on GF(p) channels only")
-    return _decodability(system.A1, system.A2, system.registry, system.field)
+    A1, A2 = gf_array(system.A1, p), gf_array(system.A2, p)  # any integer dtype, any entries
+    if A1.ndim != 2 or A2.ndim != 2:
+        raise ValueError(f"decodability_check expects 2-D maps, not {A1.ndim}-D and {A2.ndim}-D")
+    return _decodability(A1, A2, system.registry, p)
 
 
 def _decodability(A1, A2, registry: SymbolRegistry, p: int) -> DecodabilityReport:
-    """`decodability_check` of the 2-D GF(p) matrices A1, A2."""
+    """`decodability_check` of the 2-D int64 matrices A1, A2 with entries in
+    [0, p), as `realize_plan` builds them: the compiled elimination reads
+    and writes int64 entries and relies on their range."""
     reports = []
     for rx, A in ((1, A1), (2, A2)):
         desired, interference = registry.split(rx)
         recovered = 0
         if desired:
-            pivots = gf_pivots(A.take(interference + desired, axis=1), p)
+            pivots = _pivots(A.take(interference + desired, axis=1), p)  # a fresh copy
             recovered = len(pivots) - bisect_left(pivots, len(interference))
         reports.append(ReceiverReport(desired=len(desired), recovered=recovered))
     return DecodabilityReport(*reports)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dofbc import gf, verifier
+from dofbc import gf, precoding, verifier
 from dofbc.config import SystemConfig
 from dofbc.errors import ResampleRequiredError
 from dofbc.gf import (
@@ -100,6 +100,28 @@ def test_large_prime_rejected():
         gf_array([1], p=2**62 + 1)
     with pytest.raises(ValueError):
         gf_array([1], p=2**31 + 11)  # prime, but products overflow matmul's limbs
+
+
+@pytest.mark.parametrize("p", [2.5, float(P), -7, 0, 1, True, np.bool_(True), np.int64(7), "7", None, 4,
+                               65519 * 3, 2**31 + 11])
+def test_bad_primes_rejected_before_any_kernel(p):
+    # A composite p has no inverses, a float would be read as int64 bits, a
+    # bool would be taken for 1, and numpy's Gauss-Jordan cannot invert
+    # modulo a NumPy integer: each is rejected on every entry point.
+    A = np.array([[1, 2], [3, 5]], dtype=np.int64)
+    for call in (gf_array, gf_pivots, gf_rank, gf_rref):
+        with pytest.raises(ValueError):
+            call(A, p)
+    for call in (gf_matmul, gf_solve, gf_particular_solution):
+        with pytest.raises(ValueError):
+            call(A, A, p)
+
+
+def test_small_and_large_primes_accepted():
+    A = np.array([[1, 2], [3, 5]], dtype=np.int64)
+    for p in (2, 3, 65521, P):
+        X = gf_solve(A, np.eye(2, dtype=np.int64), p)  # det A = -1: invertible mod every p
+        assert np.array_equal(gf_matmul(A, X, p), np.eye(2, dtype=np.int64))
 
 
 def test_pivots_count_leading_column_ranks():
@@ -248,10 +270,10 @@ def _laid_out(A, layout):
     if layout == "fortran":
         return np.asfortranarray(A)
     if layout == "strided":
-        rows, cols = A.shape
-        big = np.full((2 * rows, 3 * cols), -1, dtype=np.int64)
-        big[::2, ::3] = A
-        return big[::2, ::3]
+        rows, cols = A.shape[-2:]
+        big = np.full(A.shape[:-2] + (2 * rows, 3 * cols), -1, dtype=np.int64)
+        big[..., ::2, ::3] = A
+        return big[..., ::2, ::3]
     return A
 
 
@@ -290,13 +312,182 @@ def test_compiled_pivots_equal_numpy_on_a_certification(monkeypatch):
 
     def recording(A, p):
         seen.append((A.copy(), p))
-        return gf_pivots(A, p)
+        return gf._pivots(A, p)
 
-    monkeypatch.setattr(verifier, "gf_pivots", recording)
+    monkeypatch.setattr(verifier, "_pivots", recording)
     assert achieved_dof(select_scheme(SystemConfig(10, 1, 9, 1)), trials=50, seed=1).ok
     assert len(seen) == 100
     for A, p in seen:
         assert gf_pivots(A, p) == _oracle_pivots(A, p)
+
+
+def _on_numpy(call, *args):
+    """`_outcome` with the compiled kernel unloaded."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf, "_KERNEL", None)
+        return _outcome(call, *args)
+
+
+def _outcome(call, *args):
+    """`call(*args)`, or the type of the exception it raised; the caller's
+    arrays are checked unmodified."""
+    before = [np.array(a, copy=True) for a in args[:2]]
+    try:
+        out = call(*args)
+    except (ResampleRequiredError, ValueError) as exc:
+        out = type(exc)
+    assert all(np.array_equal(a, b) for a, b in zip(args, before))  # nothing eliminated in place
+    return out
+
+
+def _same(compiled_out, numpy_out):
+    if isinstance(numpy_out, type):
+        return compiled_out is numpy_out
+    return (not isinstance(compiled_out, type) and compiled_out.dtype == numpy_out.dtype
+            and compiled_out.shape == numpy_out.shape and np.array_equal(compiled_out, numpy_out))
+
+
+def _entries(rng, p, shape, kind):
+    """Entries of one of four kinds: uniform, only 0, 1 and p - 1 (zero
+    pivots and row swaps), all p - 1, or uniform and then unreduced (shifted
+    by multiples of p, so negative or at least p)."""
+    if kind == "sparse":
+        return rng.choice(np.array([0, 1, p - 1]), shape)
+    if kind == "top":
+        return np.full(shape, p - 1, dtype=np.int64)
+    values = rng.integers(0, p, shape)
+    return values + p * rng.integers(-2, 3, shape) if kind == "unreduced" else values
+
+
+KINDS = st.sampled_from(["uniform", "sparse", "top", "unreduced"])
+LAYOUTS = st.sampled_from(["c", "fortran", "strided"])
+
+
+@compiled
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, P]),
+    members=st.integers(1, 6),
+    stacked=st.booleans(),
+    n=st.integers(0, 6),
+    rhs_cols=st.one_of(st.none(), st.integers(0, 3)),
+    kind=KINDS,
+    planted=st.sampled_from([None, "column", "row"]),
+    layout=LAYOUTS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=P, members=6, stacked=True, n=6, rhs_cols=2, kind="uniform", planted="row", layout="c", seed=0)
+@example(p=P, members=1, stacked=False, n=1, rhs_cols=None, kind="top", planted=None, layout="c", seed=0)
+@example(p=3, members=4, stacked=True, n=0, rhs_cols=3, kind="uniform", planted=None, layout="strided", seed=0)
+def test_compiled_solve_equals_numpy_solve(p, members, stacked, n, rhs_cols, kind, planted, layout, seed):
+    # `planted` makes one member singular: a zero column, or a repeated row.
+    rng = np.random.default_rng(seed)
+    lead = (members,) if stacked else ()
+    A = _entries(rng, p, lead + (n, n), kind)
+    B = _entries(rng, p, lead + (n,) if rhs_cols is None else lead + (n, rhs_cols), kind)
+    member = (int(rng.integers(members)),) if stacked else ()
+    if planted == "column" and n:
+        A[member + (Ellipsis, int(rng.integers(n)))] = 0
+    if planted == "row" and n > 1:
+        A[member + (n - 1,)] = A[member + (0,)]
+    A = _laid_out(A, layout)
+    if B.ndim >= 2:
+        B = _laid_out(B, layout)
+    want = _on_numpy(gf_solve, A, B, p)
+    assert _same(_outcome(gf_solve, A, B, p), want)
+    if planted and n > 1:
+        assert want is ResampleRequiredError
+
+
+@st.composite
+def broadcast_leads(draw):
+    """Two leading shapes that broadcast against each other."""
+    common = draw(st.lists(st.integers(1, 3), max_size=2))
+    leads = []
+    for _ in range(2):
+        lead = [1 if draw(st.booleans()) else size for size in common]
+        leads.append(tuple(lead[draw(st.integers(0, len(lead))) :]))
+    return tuple(leads)
+
+
+@compiled
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, P]),
+    leads=broadcast_leads(),
+    rows=st.integers(0, 6),
+    inner=st.integers(0, 6),
+    cols=st.integers(0, 6),
+    kind=KINDS,
+    layout=LAYOUTS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=P, leads=((3, 1), (2,)), rows=4, inner=5, cols=3, kind="unreduced", layout="fortran", seed=0)
+@example(p=P, leads=((2,), (2,)), rows=3, inner=0, cols=2, kind="uniform", layout="c", seed=0)
+def test_compiled_matmul_equals_numpy_matmul(p, leads, rows, inner, cols, kind, layout, seed):
+    rng = np.random.default_rng(seed)
+    A = _laid_out(_entries(rng, p, leads[0] + (rows, inner), kind), layout)
+    B = _laid_out(_entries(rng, p, leads[1] + (inner, cols), kind), layout)
+    want = _on_numpy(gf_matmul, A, B, p)
+    assert want.shape == np.broadcast_shapes(leads[0], leads[1]) + (rows, cols)
+    assert _same(_outcome(gf_matmul, A, B, p), want)
+
+
+@compiled
+@pytest.mark.parametrize("p", [2, 3, 65521, P])
+def test_compiled_matmul_at_the_largest_inner_dimension(p):
+    # Every entry p - 1 over 2^16 terms: the largest sums either accumulator meets.
+    n = 2**16
+    A = np.full((2, n), p - 1, dtype=np.int64)
+    B = np.full((n, 3), p - 1, dtype=np.int64)
+    want = (n * (p - 1) ** 2) % p
+    assert np.array_equal(_on_numpy(gf_matmul, A, B, p), np.full((2, 3), want))
+    assert np.array_equal(gf_matmul(A, B, p), np.full((2, 3), want))
+    wide = (np.ones((1, n + 1), dtype=np.int64), np.ones((n + 1, 1), dtype=np.int64), p)
+    assert _outcome(gf_matmul, *wide) is ValueError
+    assert _on_numpy(gf_matmul, *wide) is ValueError
+
+
+def test_matmul_and_solve_reject_mismatched_shapes_on_both_paths():
+    for kernel in (gf._KERNEL, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gf, "_KERNEL", kernel)
+            with pytest.raises(ValueError):
+                gf_matmul(np.ones((2, 3), dtype=np.int64), np.ones((4, 2), dtype=np.int64))
+            with pytest.raises(ValueError):
+                gf_matmul(np.ones((2, 2, 3), dtype=np.int64), np.ones((3, 3, 2), dtype=np.int64))
+            with pytest.raises(ValueError):
+                gf_solve(np.ones((2, 3), dtype=np.int64), np.ones(2, dtype=np.int64))
+            with pytest.raises(ValueError):
+                gf_solve(np.eye(2, dtype=np.int64), np.ones(3, dtype=np.int64))
+
+
+@compiled
+@pytest.mark.parametrize("shape,special", [((10, 1, 9, 1), False), ((6, 3, 3, 1), True)])
+def test_compiled_solves_and_products_equal_numpy_on_a_certification(monkeypatch, shape, special):
+    # Every AP-ZF solve, product and (for the crafted plan) coupled
+    # fixed-point solve that certifying the plan runs.
+    seen = []
+
+    def recording(module, name):
+        call = getattr(module, name)
+
+        def record(*args):
+            seen.append((f"{module.__name__}.{name}", call, [np.array(a, copy=True) for a in args[:2]],
+                         args[2:]))
+            return call(*args)
+
+        monkeypatch.setattr(module, name, record)
+
+    for module, name in ((precoding, "gf_solve"), (verifier, "gf_solve"), (verifier, "gf_matmul")):
+        recording(module, name)
+    plan = select_scheme(SystemConfig(*shape), allow_special_cases=special)
+    assert achieved_dof(plan, trials=50, seed=1).ok
+    callers = {caller for caller, *_ in seen}
+    assert {"dofbc.verifier.gf_matmul", "dofbc.precoding.gf_solve"} <= callers
+    assert ("dofbc.verifier.gf_solve" in callers) == special  # the coupled fixed point
+    for _, call, operands, rest in seen:
+        assert _same(_outcome(call, *operands, *rest), _on_numpy(call, *operands, *rest))
 
 
 def _kernel_names(directory):
@@ -333,13 +524,14 @@ def test_kernel_loader_gives_up_on_a_slow_compile(tmp_path, monkeypatch):
 def test_kernel_loader_builds_once_and_reuses_the_file(tmp_path):
     kernel = gf._load_kernel(tmp_path, "cc")
     (name,) = _kernel_names(tmp_path)
-    assert name.startswith("_gfkernel-") and name.endswith(".so") and len(name) == len("_gfkernel-.so") + 16
+    prefix = f"_gfkernel-{gf._MACHINE}-"
+    assert name.startswith(prefix) and name.endswith(".so") and len(name) == len(prefix + ".so") + 16
     built = os.stat(tmp_path / name)
     assert gf._load_kernel(tmp_path, "cc") is not None
     assert os.stat(tmp_path / name).st_mtime_ns == built.st_mtime_ns
     A = np.array([[0, 2, 4], [0, 1, 2], [0, 0, 3]], dtype=np.int64)
     pivots = (ctypes.c_int64 * 3)()
-    assert pivots[: kernel(A.ctypes.data, 3, 3, P, pivots)] == [1, 2]
+    assert pivots[: kernel.gf_pivots(A.ctypes.data, 3, 3, P, pivots)] == [1, 2]
     # A file of that name that is not a library is not loaded, and is left alone.
     other = tmp_path / "other"
     other.mkdir()
@@ -348,9 +540,37 @@ def test_kernel_loader_builds_once_and_reuses_the_file(tmp_path):
     assert _kernel_names(other) == [name]
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_build_removes_stale_kernels_only(tmp_path):
+    # A build removes the kernels of other sources (16 hex digits) for its
+    # machine type beside its own, and those named without a machine type,
+    # but not another machine's kernel, another build's temporary file or
+    # any other name.
+    machine = gf._MACHINE
+    other = "riscv64" if machine != "riscv64" else "s390x"
+    stale = [f"_gfkernel-{machine}-0123456789abcdef.so", "_gfkernel-0123456789abcdef.so"]
+    kept = [f"_gfkernel-{other}-0123456789abcdef.so", f"_gfkernel-{machine}-0123456789abcdef-k2j4x9_q.so",
+            "_gfkernel-0123456789abcdef-k2j4x9_q.so", f"_gfkernel-{machine}-0123456789ABCDEF.so",
+            f"_gfkernel-{machine}-0123456789abcde.so", f"_gfkernel-{machine}-0123456789abcdef.so.bak",
+            "_gfkernel.c"]
+    for name in (*stale, *kept):
+        (tmp_path / name).write_bytes(b"old")
+    assert gf._load_kernel(tmp_path, "cc") is not None
+    (built,) = set(_kernel_names(tmp_path)) - set(kept)
+    assert built not in stale and _kernel_names(tmp_path) == sorted([built, *kept])
+    # Loading a kernel that is already built removes nothing.
+    for name in stale:
+        (tmp_path / name).write_bytes(b"old")
+    assert gf._load_kernel(tmp_path, "cc") is not None
+    assert _kernel_names(tmp_path) == sorted([built, *stale, *kept])
+
+
+@pytest.mark.filterwarnings("error")
 def test_numpy_fallback_certifies_identically(monkeypatch):
     plans = [select_scheme(cfg) for cfg in list(tight_regime_grid())[::25]]
+    plans += [select_scheme(SystemConfig(9, 3, 6, 4))]
     plans += [select_scheme(cfg) for cfg in list(low_k_grid())[::150]]
+    plans += [select_scheme(SystemConfig(6, 3, 3, 1), allow_special_cases=True)]  # solves a fixed point
     plans += [adversarial_plan(), overloaded_rx2_plan()]
     results = [achieved_dof(plan, trials=5, seed=3) for plan in plans]
     assert results[-1].first_failure_report is not None

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dofbc import schemes, verifier
+from dofbc import gf, schemes, verifier
 from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError, ResampleRequiredError
-from dofbc.gf import DEFAULT_PRIME, gf_matmul, gf_pivots, gf_rank
+from dofbc.gf import DEFAULT_PRIME, gf_matmul, gf_rank
 from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
     ApzfRecipe,
@@ -103,9 +103,9 @@ def test_receiver_without_desired_symbols_needs_no_elimination(monkeypatch, shap
 
     def counting_pivots(A, p):
         calls.append(A.shape)
-        return gf_pivots(A, p)
+        return gf._pivots(A, p)
 
-    monkeypatch.setattr("dofbc.verifier.gf_pivots", counting_pivots)
+    monkeypatch.setattr("dofbc.verifier._pivots", counting_pivots)
     report = decodability_check(system)
     assert report.all_decodable and len(calls) == eliminations
     if eliminations == 1:
@@ -123,6 +123,36 @@ def test_decodability_rejects_real_channels():
     assert realize_plan(plan, field_channel(plan.cfg, seed=1)).field == DEFAULT_PRIME
     with pytest.raises(InvalidConfigError, match="GF\\(p\\)"):
         decodability_check(system)
+
+
+@pytest.mark.parametrize("case", ["int32", "int16", "int8", "unreduced int64"])
+def test_decodability_check_reduces_user_built_maps(case):
+    # Any signed-integer maps count as GF(p) maps; their ranks must be those
+    # of the reduced entries, and the caller's arrays stay as they were.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    base = realize_plan(plan, field_channel(plan.cfg, seed=1))
+    rng = np.random.default_rng(7)
+
+    def user_maps(A):
+        if case == "unreduced int64":  # entries up to about 2^62 in magnitude, both signs
+            return A + DEFAULT_PRIME * rng.integers(-(2**31), 2**31, size=A.shape)
+        if case == "int32":
+            return A.astype(np.int32)
+        small = {"int16": 2**15, "int8": 2**7}[case]
+        return (A % small - small // 2).astype(case)  # keeps A's zeros, fits the dtype
+
+    system = verifier.ObservationSystem(user_maps(base.A1), user_maps(base.A2), base.registry)
+    kept = (system.A1.copy(), system.A2.copy())
+    assert system.field == DEFAULT_PRIME
+    report = decodability_check(system)
+    for rx, A, got in ((1, system.A1, report.rx1), (2, system.A2, report.rx2)):
+        desired, interference = system.registry.split(rx)
+        recovered = gf_rank(A[:, interference + desired]) - gf_rank(A[:, interference])
+        assert (got.desired, got.recovered) == (len(desired), recovered)
+    assert all(np.array_equal(A, B) and A.dtype == B.dtype for A, B in zip(kept, (system.A1, system.A2)))
+    stacked = verifier.ObservationSystem(system.A1[None], system.A2[None], system.registry)
+    with pytest.raises(ValueError, match="2-D"):
+        decodability_check(stacked)
 
 
 def test_decodability_overloaded_plan_fails():
