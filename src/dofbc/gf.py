@@ -12,7 +12,7 @@ two entries, and the difference of two such products, stays within int64
 and the kernels are whole-array int64 operations.
 
 The matrices met in certification are small (tens of rows), so the cost of
-a numpy elimination is the number of numpy calls per pivot.  There are three
+a numpy elimination is the number of numpy calls per pivot.  There are two
 elimination kernels, each one pass over the columns:
 
 * `_eliminate` finds only the pivot columns of one matrix.  Per pivot it
@@ -21,28 +21,26 @@ elimination kernels, each one pass over the columns:
   entry is subtracted.  Whole rows are contiguous, and row operations keep
   the row space, so no inverse is needed and no rank of leading columns
   changes.
-* `gf_rref` (behind `gf_particular_solution`) is Gauss-Jordan: per pivot it
-  normalises the pivot row and clears the pivot column above and below in
-  one outer-product update.
-* `_solve` runs the same Gauss-Jordan on a stack of square systems at once,
-  whose pivots are the diagonal unless a member is singular.
+* `_solve` is Gauss-Jordan on a stack of square systems at once: per pivot
+  it normalises the pivot row and clears the pivot column above and below
+  in one outer-product update.  The pivots are the diagonal unless a member
+  is singular.
 
-The reduced row echelon form, the pivot columns and the solution of a
-nonsingular system are unique, so none of the kernels' shortcuts can change
-a result.
+The pivot columns and the solution of a nonsingular system are unique, so
+neither kernel's shortcuts can change a result.  `gf_particular_solution`
+takes `gf_pivots` of A, then `gf_solve` on A's pivot columns.
 
 Three of the public functions run compiled, from `_gfkernel.c`, whenever
 `_KERNEL` is loaded: `gf_pivots` (and `gf_rank`), `gf_solve` and
 `gf_matmul`.  Their numpy bodies, `_eliminate`, `_solve` and `_matmul`,
-are the fallbacks and the test oracles; `gf_rref` runs in numpy only.  The
-kernel is built on first import: `_load_kernel` compiles `_gfkernel.c` with
-`cc -O2 -shared -fPIC` into `_gfkernel-<machine>-<tag>.so` next to this
-file (the tag hashes the source, the command and the machine type) and
-removes the kernels of other tags for the same machine type there; every
-later import loads that file through ctypes.  If there is no compiler, the
-directory is not writable, or the build or the load fails, `_KERNEL` is
-None and all three run in numpy; nothing is raised and no file is left
-behind.
+are the fallbacks and the test oracles.  The kernel is built on first
+import: `_load_kernel` compiles `_gfkernel.c` with `cc -O2 -shared -fPIC`
+into `_gfkernel-<machine>-<tag>.so` next to this file (the tag hashes the
+source, the command and the machine type) and removes the kernels of other
+tags for the same machine type there; every later import loads that file
+through ctypes.  If there is no compiler, the directory is not writable, or
+the build or the load fails, `_KERNEL` is None and all three run in numpy;
+nothing is raised and no file is left behind.
 
 Overflow in the compiled kernels:
 
@@ -319,30 +317,6 @@ def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
     return len(gf_pivots(A, p))
 
 
-def gf_rref(A: np.ndarray, p: int = DEFAULT_PRIME) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns (one Gauss-Jordan pass)."""
-    A = gf_array(A, p)
-    rows, cols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        if not _pivot_row(A, r, c):
-            continue
-        row = A[r, c:]
-        row *= pow(int(row[0]), -1, p)
-        row %= p
-        factors = A[:, c].copy()
-        factors[r] = 0
-        right = A[:, c:]
-        right -= factors[:, None] * row
-        right %= p
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
 def gf_solve(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
     """Solve A X = B for square nonsingular A over GF(p).
 
@@ -400,17 +374,15 @@ def gf_particular_solution(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME)
     column) with all free variables set to zero.
 
     Raises ResampleRequiredError unless A has full row rank, which also
-    makes the system consistent.  No plan solves a wide system: AP-ZF
-    cancellation uses the square `gf_solve`.
+    makes the system consistent, and the square system on A's pivot columns
+    nonsingular: its one solution is X on the pivots.  No plan solves a wide
+    system: AP-ZF cancellation uses the square `gf_solve`.
     """
     A = gf_array(A, p)
     B = gf_array(B, p)
-    rows, cols = A.shape
-    single = B.ndim == 1
-    rhs = B[:, None] if single else B
-    aug, pivots = gf_rref(np.hstack([A, rhs]), p)
-    if sum(c < cols for c in pivots) < rows:
+    pivots = gf_pivots(A, p)
+    if len(pivots) < A.shape[0]:
         raise ResampleRequiredError("rank-deficient system over GF(p)")
-    X = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
-    X[pivots] = aug[:rows, cols:]
-    return X[:, 0] if single else X
+    X = np.zeros(A.shape[1:] + B.shape[1:], dtype=np.int64)
+    X[pivots] = gf_solve(A[:, pivots], B, p)
+    return X

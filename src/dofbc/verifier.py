@@ -36,14 +36,14 @@ stack of its trials' first draws, drawn in one call with the same generator
 states a trial-by-trial loop would use: a block of at least
 `channel._VECTOR_MIN` draws is seeded in one vectorized pass with the exact
 bits of SeedSequence((seed, index)), a smaller one index by index.  A block
-whose evaluation raises
-is halved on those draws and each half retried; only a single failing trial
-falls back to that loop's resamples.  Trials are independent, so every
-result equals one of evaluating each trial alone: GF(p) arithmetic is
-exact, and every float numpy call on the stack rounds each trial as it
-would alone, so the slopes are bit-identical too.  Certification still ranks
-each trial on its own 2-D matrices: a batched elimination is slower at the
-one or two trials a certification run typically has.
+whose evaluation raises (a singular draw, a measure-zero event) is redone
+trial by trial, each trial on one-draw stacks with that loop's resamples.
+Trials are independent, so every result equals one of evaluating each
+trial alone: GF(p) arithmetic is exact, and every float numpy call on the
+stack rounds each trial as it would alone, so the slopes are bit-identical
+too.  Certification still ranks each trial on its own 2-D matrices: a
+batched elimination is slower at the one or two trials a certification run
+typically has.
 """
 
 from __future__ import annotations
@@ -296,58 +296,38 @@ def _block_size(plan: TransmissionPlan) -> int:
     return max(_MIN_BLOCK, _BLOCK_CELLS // cells)
 
 
-def _bisected(channel: ChannelRealization, indices, evaluate, errors):
-    """Yield (index, result) for each draw of the stacked `channel`, in order.
-
-    `evaluate` maps a channel to one result per draw.  If it raises one of
-    `errors`, the stack is halved and each half of two or more draws is
-    evaluated in turn the same way; a single draw left over yields None, and
-    the caller redoes it alone.
-    """
-    try:
-        results = evaluate(channel)
-    except errors:
-        results = None
-    if results is not None:
-        yield from zip(indices, results)
-        return
-    half = len(indices) // 2
-    for part in (slice(None, half), slice(half, None)):
-        if len(indices[part]) == 1:
-            yield indices[part][0], None
-        elif indices[part]:
-            piece = ChannelRealization(channel.cfg, channel.H[part])
-            yield from _bisected(piece, indices[part], evaluate, errors)
-
-
 def _trial_results(plan: TransmissionPlan, trials: int, draw, evaluate, errors, extra=()):
     """Yield (result, resamples) of trials 0, 1, ..., then of the draws at `extra`.
 
-    Trials run in blocks of `_block_size(plan)`: `evaluate` runs on one
-    stack of the block's first draws (index 25 i for trial i), with the
-    `extra` indices added to block 0, bisected by `_bisected` if it raises.
-    A trial left alone is redone by `_resampled`; an extra draw left alone
-    yields (None, 0).
+    Trials run in blocks of `_block_size(plan)`: `evaluate` maps one stack
+    of the block's first draws (index 25 i for trial i, with the `extra`
+    indices added to block 0) to one result per draw.  If it raises one of
+    `errors`, each trial of the block is redone alone by `_resampled`, and
+    each extra draw yields (None, 0).
     """
     size = _block_size(plan)
     for start in range(0, trials, size):
         indices = [i * _MAX_RESAMPLE for i in range(start, min(start + size, trials))]
         indices += list(extra if start == 0 else ())
-        for index, result in _bisected(draw(indices), indices, evaluate, errors):
+        try:
+            results = evaluate(draw(indices))
+        except errors:
+            results = None  # redone below, once the raising stack is freed
+        if results is not None:
+            yield from ((result, 0) for result in results)
+            continue
+        for index in indices:
             i = index // _MAX_RESAMPLE
-            if result is None and i < trials:
-                yield _resampled(i, draw, evaluate, errors)
-            else:
-                yield result, 0
+            yield _resampled(i, draw, evaluate, errors) if i < trials else (None, 0)
 
 
 def _resampled(i: int, draw, evaluate, errors):
-    """(result, resamples) of trial i alone: `evaluate` on draws 25 i + a,
-    a = 0, 1, ..., until one does not raise one of `errors`; (None, 25) if
-    every draw does."""
+    """(result, resamples) of trial i alone: `evaluate` on the one-draw
+    stacks of draws 25 i + a, a = 0, 1, ..., until one does not raise one of
+    `errors`; (None, 25) if every draw does."""
     for attempt in range(_MAX_RESAMPLE):
         try:
-            (result,) = evaluate(draw(i * _MAX_RESAMPLE + attempt))
+            (result,) = evaluate(draw([i * _MAX_RESAMPLE + attempt]))
             return result, attempt
         except errors:
             pass
@@ -368,22 +348,21 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
 
     Trials are realized in blocks sized by the plan's cells (see the module
     docstring): one `realize_plan` call on a stack of the block's first
-    draws, with index 25 added to a one-trial run's block.  A block with a
-    singular draw is bisected down to the trials that need a resample, so
-    `dof`, `failures`, `resamples` and compliance equal those of realizing
-    each trial alone.  Each trial is ranked on its own.
+    draws, with index 25 added to a one-trial run's block.  If a draw of the
+    block is singular, each of its trials is realized and resampled alone,
+    so `dof`, `failures`, `resamples` and compliance equal those of
+    realizing each trial alone.  Each trial is ranked on its own.
     """
     _check_trials(trials)
 
     def draw(index) -> ChannelRealization:
         return field_channel(plan.cfg, seed, index=index)
 
-    def realize(channel: ChannelRealization) -> list[tuple[ObservationSystem, object]]:
-        """(system, j) per draw of `channel`, stacked or not: the draw's
-        matrices are system.A1[j] and system.A2[j], and j is `...` when
-        `channel` holds one draw."""
+    def realize(channel: ChannelRealization) -> list[tuple[ObservationSystem, int]]:
+        """(system, j) per draw of the stacked `channel`: the draw's
+        matrices are system.A1[j] and system.A2[j]."""
         system = realize_plan(plan, channel)
-        return [(system, j) for j in (range(len(system.A1)) if channel.H.ndim == 3 else [...])]
+        return [(system, j) for j in range(len(system.A1))]
 
     reports = []
     precoders = []
@@ -392,7 +371,7 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     results = _trial_results(plan, trials, draw, realize, ResampleRequiredError, extra)
     for i, (drawn, attempts) in enumerate(results):
         if i == trials:  # the compliance draw of a one-trial run, not ranked
-            if drawn is None:  # it failed alone: its precoders may still exist
+            if drawn is None:  # its block raised: precode it alone, raising if singular
                 precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
             else:
                 system, j = drawn
@@ -564,16 +543,16 @@ def rate_slope_estimate(
     Trial i is rated on draw 25*i + a, where a counts its resamples.  Trials
     are rated in blocks sized by the plan's cells (see the module
     docstring): each block stacks its trials' first draws and is realized
-    and rated in one pass.  If that pass raises a resample, the block is
-    bisected down to the trials that need one, so every result equals
-    rating each trial alone, bit for bit.  A trial whose rates are not
-    finite is discarded.
+    and rated in one pass.  If that pass raises a resample, each trial of
+    the block is rated and resampled alone, so every result equals rating
+    each trial alone, bit for bit.  A trial whose rates are not finite is
+    discarded.
     """
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
     columns = [plan.registry.split(rx) for rx in (1, 2)]
 
     def sum_rates(channel: ChannelRealization) -> np.ndarray:
-        """One row of sum rates per draw of `channel`, stacked or not."""
+        """One row of sum rates per draw of the stacked `channel`."""
         system = realize_plan(plan, channel)
         grams = [
             (_gram(A[..., desired]), _gram(A[..., other]))
@@ -584,7 +563,7 @@ def rate_slope_estimate(
         rates = np.zeros(channel.H.shape[:-2] + (len(snrs),))
         for gram_pair in grams:
             rates = rates + _receiver_rates(*gram_pair, snrs, plan.T)
-        return rates.reshape(-1, len(snrs))
+        return rates
 
     def draw(index) -> ChannelRealization:
         return sample_channel(plan.cfg, dist, seed, index=index)

@@ -17,7 +17,6 @@ from dofbc.gf import (
     gf_particular_solution,
     gf_pivots,
     gf_rank,
-    gf_rref,
     gf_solve,
 )
 from dofbc.schemes import select_scheme
@@ -90,8 +89,7 @@ def test_particular_solution_free_vars_zero():
     b = np.array([7, 9], dtype=np.int64)
     x = gf_particular_solution(A, b)
     assert np.array_equal(gf_matmul(A, x[:, None])[:, 0], b)
-    R, pivots = gf_rref(A)
-    free = [c for c in range(3) if c not in pivots]
+    free = [c for c in range(3) if c not in gf_pivots(A)]
     assert all(x[c] == 0 for c in free)
 
 
@@ -109,7 +107,7 @@ def test_bad_primes_rejected_before_any_kernel(p):
     # bool would be taken for 1, and numpy's Gauss-Jordan cannot invert
     # modulo a NumPy integer: each is rejected on every entry point.
     A = np.array([[1, 2], [3, 5]], dtype=np.int64)
-    for call in (gf_array, gf_pivots, gf_rank, gf_rref):
+    for call in (gf_array, gf_pivots, gf_rank):
         with pytest.raises(ValueError):
             call(A, p)
     for call in (gf_matmul, gf_solve, gf_particular_solution):
@@ -170,14 +168,9 @@ def test_kernels_equal_python_int_gauss_jordan(p, rows, cols, inner, rhs_cols, s
     A = A + p * rng.integers(-2, 3, A.shape)
     B = rng.integers(0, p, (rows, rhs_cols)) + p * rng.integers(-2, 3, (rows, rhs_cols))
 
-    R_want, pivots_want = rref_oracle(A.tolist(), p)
+    _, pivots_want = rref_oracle(A.tolist(), p)
     assert gf_pivots(A, p) == pivots_want
     assert gf_rank(A, p) == len(pivots_want)
-    R, pivots = gf_rref(A, p)
-    assert pivots == pivots_want
-    assert np.array_equal(R, np.array(R_want, dtype=np.int64).reshape(rows, cols))
-    for r, c in enumerate(pivots):
-        assert np.array_equal(R[:, c], np.eye(rows, dtype=np.int64)[r])
 
     # The RREF of [A | B] carries the solutions in its right-hand columns.
     aug_want, aug_pivots = rref_oracle(np.hstack([A, B]).tolist(), p)
