@@ -2,7 +2,8 @@
  * gf.py.  `gf_pivots` finds pivot columns (gf._eliminate), `gf_solve` solves
  * stacked square systems (gf._solve) and `gf_matmul` multiplies stacked
  * matrices (gf._matmul).  Every matrix is C-ordered int64 with entries in
- * [0, p), and p is a prime with 2 <= p < 2^31; gf.py checks both.
+ * [0, p), and p is a prime with 2 <= p < 2^31; gf.py checks both.  At the
+ * end, `channel_draws` makes channel.py's seeded channel draws.
  *
  * gf_pivots: `a` is a rows x cols matrix, eliminated in place.  `pivots` must
  * hold min(rows, cols) entries.  Returns the number of pivot columns written.
@@ -170,6 +171,181 @@ void gf_matmul(const int64_t *restrict a, const int64_t *restrict b, int64_t *re
             }
             for (int64_t j = 0; j < m; j++)
                 acc[j] %= (uint64_t)p;
+        }
+    }
+}
+
+/* channel_draws: numpy's channel draws, replayed bit for bit for channel.py.
+ * Draw j of `count` comes from the generator of
+ * default_rng(SeedSequence((seed, index_j))) and fills `cells` consecutive
+ * entries of `out`.  `seed` holds the seed's `words` 32-bit words and
+ * `indices` the `count` indices (each below 2^32, so one word), all
+ * little-endian.  With p > 0, `out` is int64 and each draw is
+ * integers(1, p, size=cells, dtype=int64); with p == 0, `out` is double and
+ * each draw is uniform(lo, hi, size=cells) with every cell's sign then taken
+ * from integers(0, 2, size=cells, dtype=int64), 0 meaning negative.
+ *
+ * SeedSequence hashes its entropy words (the seed's, then the index's) into a
+ * pool of four: each pool word is the hash of its entropy word (0 past the
+ * last), every word is mixed into the three others, and the words past the
+ * fourth are mixed into all four.  One running constant, INIT_A times MULT_A
+ * per hash, keys every hash of the pool.  generate_state(4, uint64) then
+ * hashes the pool, cycled twice, into eight words keyed from INIT_B, read as
+ * four uint64 (low word first): PCG64's initial state (high, low) and
+ * sequence (high, low).  PCG64 sets inc = 2 sequence + 1 and state =
+ * (inc + initial state) MULT + inc, all mod 2^128, and each output steps
+ * state = state MULT + inc and returns the XSL-RR of the new state.  numpy
+ * takes a 32-bit output from the low half of a 64-bit one and keeps the high
+ * half for the next; a double is (next64 >> 11) 2^-53, and a bounded integer
+ * in [0, range] is Lemire's multiply-and-reject on 32-bit outputs. */
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_L 0xca01f9ddu
+#define MIX_R 0x4973f715u
+
+typedef struct {
+    uint64_t high, low;
+} u128;
+
+typedef struct {
+    u128 state, inc;
+    int has32;
+    uint32_t next32;
+} pcg64;
+
+static const u128 PCG64_MULT = {0x2360ed051fc65da4u, 0x4385df649fccf645u};
+
+static uint32_t word(const unsigned char *b)
+{
+    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+}
+
+static uint32_t hash(uint32_t value, uint32_t *key, uint32_t mult)
+{
+    value ^= *key;
+    *key *= mult;
+    value *= *key;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_L * x - MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+/* The high 64 bits of a b. */
+static inline uint64_t mulhi(uint64_t a, uint64_t b)
+{
+#ifdef __SIZEOF_INT128__
+    return (uint64_t)(((unsigned __int128)a * b) >> 64);
+#else
+    uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
+    uint64_t middle = (a0 * b0 >> 32) + (uint32_t)(a1 * b0) + a0 * b1;
+    return a1 * b1 + (a1 * b0 >> 32) + (middle >> 32);
+#endif
+}
+
+static inline u128 add(u128 a, u128 b)
+{
+    u128 r = {a.high + b.high, a.low + b.low};
+    r.high += r.low < b.low;
+    return r;
+}
+
+/* a PCG64_MULT + c mod 2^128. */
+static inline u128 step(u128 a, u128 c)
+{
+    u128 r = {mulhi(a.low, PCG64_MULT.low) + a.low * PCG64_MULT.high + a.high * PCG64_MULT.low,
+              a.low * PCG64_MULT.low};
+    return add(r, c);
+}
+
+/* Entropy word i < words + 1 of SeedSequence((seed, index)). */
+static uint32_t entropy(const unsigned char *seed, int64_t words, uint32_t index, int64_t i)
+{
+    return i < words ? word(seed + 4 * i) : index;
+}
+
+static void seed_pcg64(pcg64 *g, const unsigned char *seed, int64_t words, uint32_t index)
+{
+    int64_t n = words + 1;
+    uint32_t pool[4], key = INIT_A, out[8];
+    for (int64_t i = 0; i < 4; i++)
+        pool[i] = hash(i < n ? entropy(seed, words, index, i) : 0, &key, MULT_A);
+    for (int s = 0; s < 4; s++)
+        for (int d = 0; d < 4; d++)
+            if (d != s)
+                pool[d] = mix(pool[d], hash(pool[s], &key, MULT_A));
+    for (int64_t s = 4; s < n; s++)
+        for (int d = 0; d < 4; d++)
+            pool[d] = mix(pool[d], hash(entropy(seed, words, index, s), &key, MULT_A));
+    key = INIT_B;
+    for (int i = 0; i < 8; i++)
+        out[i] = hash(pool[i % 4], &key, MULT_B);
+    uint64_t state[4];
+    for (int i = 0; i < 4; i++)
+        state[i] = out[2 * i] | (uint64_t)out[2 * i + 1] << 32;
+    u128 initial = {state[0], state[1]};
+    g->inc = (u128){state[2] << 1 | state[3] >> 63, state[3] << 1 | 1};
+    g->state = step(add(g->inc, initial), g->inc);
+    g->has32 = 0;
+}
+
+static inline uint64_t next64(pcg64 *g)
+{
+    g->state = step(g->state, g->inc);
+    uint64_t x = g->state.high ^ g->state.low;
+    unsigned rot = (unsigned)(g->state.high >> 58);
+    return (x >> rot) | (x << ((0u - rot) & 63));
+}
+
+static inline uint32_t next32(pcg64 *g)
+{
+    if (g->has32) {
+        g->has32 = 0;
+        return g->next32;
+    }
+    uint64_t x = next64(g);
+    g->has32 = 1;
+    g->next32 = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
+
+/* A uniform integer in [0, range], range < 2^32 - 1, as numpy draws it for
+ * an int64 array. */
+static inline uint64_t bounded(pcg64 *g, uint32_t range)
+{
+    uint32_t excl = range + 1;
+    uint64_t m = (uint64_t)next32(g) * excl;
+    if ((uint32_t)m < excl) {
+        uint32_t threshold = (UINT32_MAX - range) % excl;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next32(g) * excl;
+    }
+    return m >> 32;
+}
+
+void channel_draws(const unsigned char *seed, int64_t words, const unsigned char *indices,
+                   int64_t count, int64_t cells, int64_t p, double lo, double hi, void *out)
+{
+    double range = hi - lo;
+    pcg64 g;
+    for (int64_t j = 0; j < count; j++) {
+        seed_pcg64(&g, seed, words, word(indices + 4 * j));
+        if (p > 0) {
+            int64_t *draw = (int64_t *)out + j * cells;
+            for (int64_t c = 0; c < cells; c++)
+                draw[c] = 1 + (int64_t)bounded(&g, (uint32_t)(p - 2));
+        } else {
+            double *draw = (double *)out + j * cells;
+            for (int64_t c = 0; c < cells; c++)
+                draw[c] = lo + range * ((double)(next64(&g) >> 11) * (1.0 / 9007199254740992.0));
+            for (int64_t c = 0; c < cells; c++)
+                if (!bounded(&g, 1))
+                    draw[c] = -draw[c];
         }
     }
 }

@@ -11,25 +11,36 @@ Two kinds of realization are produced from the same seed machinery:
 A realization's dtype decides its kind: float64 is real, int64 is GF(2^31 - 1).
 Either kind may stack several draws on a leading trial axis: given a
 sequence of draw indices, `sample_channel` and `field_channel` return one
-such stack, each draw from the state of its own `trial_rng(seed, index)`,
-so a stacked draw equals its per-index draws bit for bit.  A stack of at
-least `_VECTOR_MIN` draws gets those states in one vectorized pass that
-replays SeedSequence((seed, index)) and PCG64's seeding on uint32 arrays, a
-smaller stack calls `trial_rng` per index.  `achieved_dof` and
-`rate_slope_estimate` draw and realize a block of trials this way.
+such stack, each draw equal to numpy's draw from its own
+`trial_rng(seed, index)`, so a stacked draw equals its per-index draws bit
+for bit.  When every index is below 2^32, one call of the compiled kernel
+(`channel_draws` in `_gfkernel.c`) makes every draw, one draw or a stack: it
+replays SeedSequence((seed, index)), PCG64 and numpy's own `integers` and
+`uniform` draws in C.  NumPy fixes SeedSequence and PCG64 across releases
+but not its `Generator` methods, so the kernel (`_KERNEL`) is used only if
+one probe draw of each kind equals numpy's at the first draw (`_probed`).
+Without the kernel, or for an index of 2^32 or more, each draw calls
+`trial_rng` and numpy.
+`achieved_dof` and `rate_slope_estimate` draw and realize a block of trials
+this way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import ctypes
+import functools
+import struct
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
+from . import gf
 from .config import SystemConfig
 from .errors import InvalidConfigError, as_integer
 from .gf import DEFAULT_PRIME
+
+_MAX_INDEX = 2**32 - 1  # the largest draw index the compiled kernel takes, one 32-bit word
 
 
 @dataclass(frozen=True)
@@ -62,96 +73,16 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
     is stable across runs and platforms.  `achieved_dof` and
     `rate_slope_estimate` draw attempt a of trial i at index 25*i + a (a
     counts resamples); a block of trials draws its first draws, indices
-    25*i, in one call with a sequence of indices.  A block of at least
-    `_VECTOR_MIN` indices is seeded in one vectorized pass that gives each
-    index the exact generator state of this function; a smaller block, or
-    one with an index of 2^32 or more, calls this function per index.
+    25*i, in one call with a sequence of indices.  The compiled draws
+    replay this function's generator, and numpy's draws from it, for every
+    index below 2^32; without the kernel, or for a block with an index of
+    2^32 or more, every draw calls this function.
     CSIT compliance compares the precoders of trial 0's and trial 1's
     accepted draws; a one-trial `achieved_dof` precodes index 25, trial 1's
     first draw, for it.  A seed or index that is not an integer (a float or
     a bool) is rejected, not truncated.
     """
     return np.random.default_rng(np.random.SeedSequence(_checked(seed, index)))
-
-
-# SeedSequence's hash constants and PCG64's multiplier: fixed by NumPy's
-# stream-compatibility policy (NEP 19), so `_block_states` can replay them.
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Smallest block seeded in one pass: below it the pass's fixed cost exceeds
-# what it saves over per-index SeedSequence and default_rng calls.
-_VECTOR_MIN = 8
-
-
-def _hash_constants(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiplier, as uint32 columns, of each hash call number t
-    in `calls`: SeedSequence's hash xors with init * mult**t and multiplies by
-    init * mult**(t+1), mod 2^32."""
-    xor = [init * pow(mult, t, 2**32) & _MASK32 for t in calls]
-    times = [init * pow(mult, t + 1, 2**32) & _MASK32 for t in calls]
-    return np.array(xor, np.uint32)[:, None], np.array(times, np.uint32)[:, None]
-
-
-# Pool word i takes hash call i; then each source word s mixes into the
-# other three with calls 4 + 3s, 5 + 3s, 6 + 3s (call 0 fills the unused
-# slot s, whose result is discarded); generate_state uses the B constants.
-_FILL = _hash_constants(_INIT_A, _MULT_A, range(4))
-_CROSS = [
-    _hash_constants(_INIT_A, _MULT_A, [0 if d == s else 4 + 3 * s + d - (d > s) for d in range(4)])
-    for s in range(4)
-]
-_OUTPUT = _hash_constants(_INIT_B, _MULT_B, range(8))
-
-
-def _hash(words: np.ndarray, constants) -> np.ndarray:
-    xor, times = constants
-    words = (words ^ xor) * times
-    return words ^ (words >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = _MIX_L * x - _MIX_R * y
-    return mixed ^ (mixed >> 16)
-
-
-def _block_states(seed: int, indices: list[int]) -> Iterator[dict]:
-    """The PCG64 state of `trial_rng(seed, i)` for each index i < 2^32, in
-    order, from one pass of uint32 array arithmetic over the block.
-
-    It replays SeedSequence((seed, i)): the entropy words are the seed's
-    32-bit words, least significant first, then i's one word; the pool of
-    four words is filled, cross-mixed, and extended by the words past the
-    fourth; generate_state(4, uint64) hashes it into the PCG64 seed and
-    increment words, from which PCG64 takes two steps."""
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    words.append(np.array(indices, np.uint32))
-    pool = np.zeros((4, len(indices)), np.uint32)
-    for i, word in enumerate(words[:4]):
-        pool[i] = word
-    pool = _hash(pool, _FILL)
-    for s in range(4):
-        mixed = _mix(pool, _hash(pool[s], _CROSS[s]))
-        mixed[s] = pool[s]
-        pool = mixed
-    for n, word in enumerate(words[4:]):
-        calls = range(16 + 4 * n, 20 + 4 * n)
-        pool = _mix(pool, _hash(np.asarray(word, np.uint32), _hash_constants(_INIT_A, _MULT_A, calls)))
-    out = _hash(np.concatenate((pool, pool)), _OUTPUT).astype(np.uint64)
-    halves = (out[0::2] | (out[1::2] << np.uint64(32))).tolist()
-    for high, low, inc_high, inc_low in zip(*halves):
-        inc = ((inc_high << 65) | (inc_low << 1) | 1) & _MASK128
-        state = ((inc + ((high << 64) | low)) * _PCG64_MULT + inc) & _MASK128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
 
 
 @dataclass(frozen=True)
@@ -210,29 +141,80 @@ class ChannelRealization:
         return self.H[..., [offset + r for r in rows], :]
 
 
-def _draws(cfg: SystemConfig, seed: int, index, draw, dtype) -> ChannelRealization:
-    """`draw(trial_rng(seed, index))` as a realization; for a sequence of
-    indices, a stack of one such draw per index, written into one `dtype`
-    array and validated once.  A sequence of at least `_VECTOR_MIN` indices
-    below 2^32 is seeded in one pass (`_block_states`), a shorter one index
-    by index."""
-    if np.ndim(index) == 0:
-        return ChannelRealization(cfg=cfg, H=draw(trial_rng(seed, index)))
-    indices = list(index)
+def _numpy_draw(rng: np.random.Generator, shape, dist: ChannelDistribution | None) -> np.ndarray:
+    """One draw from `rng`: a GF(2^31 - 1) channel if `dist` is None, else a
+    real one."""
+    if dist is None:
+        return rng.integers(1, DEFAULT_PRIME, size=shape, dtype=np.int64)
+    magnitudes = rng.uniform(dist.delta_min, dist.delta_max, size=shape)
+    # The index draw inside rng.choice((-1.0, 1.0), size=shape): the same
+    # signs and generator state, without choice's overhead.
+    positive = rng.integers(0, 2, size=shape, dtype=np.int64)
+    return np.where(positive, magnitudes, -magnitudes)
+
+
+def _kernel_draws(kernel, seed: int, indices: list[int], out: np.ndarray,
+                  dist: ChannelDistribution | None) -> None:
+    """Write `_numpy_draw(trial_rng(seed, i), ...)` for each index i < 2^32
+    into `out`, one draw per index along its first axis, with the compiled
+    `channel_draws`.  `out` is a fresh C-ordered array, so its address is
+    read through `ctypes.c_char.from_buffer`, faster than `out.ctypes`."""
+    # The seed's 32-bit words, as SeedSequence splits it: 0 is one word.
+    words = max(1, (seed.bit_length() + 31) // 32)
+    p, lo, hi = (DEFAULT_PRIME, 0.0, 0.0) if dist is None else (0, dist.delta_min, dist.delta_max)
+    kernel.channel_draws(seed.to_bytes(4 * words, "little"), words,
+                         struct.pack(f"<{len(indices)}I", *indices), len(indices),
+                         out.size // len(indices), p, lo, hi,
+                         ctypes.addressof(ctypes.c_char.from_buffer(out)))
+
+
+@functools.cache
+def _probed(kernel):
+    """`kernel` if its draws of both kinds equal numpy's on a probe case, else
+    None.  NumPy's stream-compatibility policy (NEP 19) fixes SeedSequence and
+    PCG64 but not the `Generator` methods, so a numpy release may draw
+    differently from the replay in C.  The probe runs at the first draw, not
+    at import: importing `numpy.random` costs a process that draws no channel
+    about 2 MB."""
+    if kernel is None:
+        return None
+    seed, index, shape = 2**130 + 12345, 2**32 - 1, (3, 5)  # six entropy words, odd cells
+    for dist in (None, ChannelDistribution(0.3, 0.7)):
+        expected = _numpy_draw(trial_rng(seed, index), shape, dist)
+        out = np.empty(shape, expected.dtype)
+        _kernel_draws(kernel, seed, [index], out, dist)
+        if out.tobytes() != expected.tobytes():
+            return None
+    return kernel
+
+
+# The compiled kernel the draws run in once `_probed` passes it; None, or a
+# failed probe, leaves every draw to `trial_rng`.
+_KERNEL = gf._KERNEL
+
+
+def _draws(cfg: SystemConfig, seed: int, index,
+           dist: ChannelDistribution | None) -> ChannelRealization:
+    """`_numpy_draw(trial_rng(seed, index), ...)` as a realization; for a
+    sequence of indices, a stack of one such draw per index, written into one
+    array and validated once.  The compiled kernel draws every index when all
+    are below 2^32, `trial_rng` each one otherwise."""
+    # np.ndim would first convert a list into an array.
+    scalar = not isinstance(index, (list, tuple)) and np.ndim(index) == 0
+    indices = [index] if scalar else list(index)
     if not indices:
         raise InvalidConfigError("at least one draw index required")
-    H = np.empty((len(indices), cfg.N, cfg.M), dtype=dtype)
-    if len(indices) >= _VECTOR_MIN:
-        seed = as_integer(seed, "seed")
-        indices = [_checked(seed, i)[1] for i in indices]
-        if max(indices) <= _MASK32:
-            rng = np.random.default_rng(0)
-            for j, state in enumerate(_block_states(seed, indices)):
-                rng.bit_generator.state = state
-                H[j] = draw(rng)
-            return ChannelRealization(cfg=cfg, H=H)
-    for j, i in enumerate(indices):
-        H[j] = draw(trial_rng(seed, i))
+    seed = as_integer(seed, "seed")
+    indices = [_checked(seed, i)[1] for i in indices]
+    shape = (cfg.N, cfg.M)
+    kernel = _probed(_KERNEL)
+    if kernel is not None and max(indices) <= _MAX_INDEX:
+        dtype = np.int64 if dist is None else np.float64
+        H = np.empty(shape if scalar else (len(indices), *shape), dtype)
+        _kernel_draws(kernel, seed, indices, H, dist)
+    else:
+        draws = [_numpy_draw(trial_rng(seed, i), shape, dist) for i in indices]
+        H = draws[0] if scalar else np.stack(draws)
     return ChannelRealization(cfg=cfg, H=H)
 
 
@@ -246,16 +228,7 @@ def sample_channel(
 
     `index` is one draw index, or a sequence of them for a stack of draws.
     """
-    shape = (cfg.N, cfg.M)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        magnitudes = rng.uniform(dist.delta_min, dist.delta_max, size=shape)
-        # The index draw inside rng.choice((-1.0, 1.0), size=shape): the same
-        # signs and generator state, without choice's overhead.
-        positive = rng.integers(0, 2, size=shape, dtype=np.int64)
-        return np.where(positive, magnitudes, -magnitudes)
-
-    return _draws(cfg, seed, index, draw, np.float64)
+    return _draws(cfg, seed, index, dist)
 
 
 def field_channel(cfg: SystemConfig, seed: int = 0, index=0) -> ChannelRealization:
@@ -263,9 +236,4 @@ def field_channel(cfg: SystemConfig, seed: int = 0, index=0) -> ChannelRealizati
 
     `index` is one draw index, or a sequence of them for a stack of draws.
     """
-    shape = (cfg.N, cfg.M)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(1, DEFAULT_PRIME, size=shape, dtype=np.int64)
-
-    return _draws(cfg, seed, index, draw, np.int64)
+    return _draws(cfg, seed, index, None)

@@ -33,14 +33,18 @@ takes `gf_pivots` of A, then `gf_solve` on A's pivot columns.
 Three of the public functions run compiled, from `_gfkernel.c`, whenever
 `_KERNEL` is loaded: `gf_pivots` (and `gf_rank`), `gf_solve` and
 `gf_matmul`.  Their numpy bodies, `_eliminate`, `_solve` and `_matmul`,
-are the fallbacks and the test oracles.  The kernel is built on first
-import: `_load_kernel` compiles `_gfkernel.c` with `cc -O2 -shared -fPIC`
-into `_gfkernel-<machine>-<tag>.so` next to this file (the tag hashes the
+are the fallbacks and the test oracles.  The kernel also exports
+`channel_draws`, numpy's seeded channel draws replayed in C, which
+`dofbc.channel` uses once a probe draw of each kind matches numpy.  The
+kernel is built on first import: `_load_kernel` compiles `_gfkernel.c`
+with `cc -O2 -ffp-contract=off -shared -fPIC` into
+`_gfkernel-<machine>-<tag>.so` next to this file (the tag hashes the
 source, the command and the machine type) and removes the kernels of other
 tags for the same machine type there; every later import loads that file
 through ctypes.  If there is no compiler, the directory is not writable, or
-the build or the load fails, `_KERNEL` is None and all three run in numpy;
-nothing is raised and no file is left behind.
+the build or the load fails, `_KERNEL` is None, all three run in numpy
+and every channel draw calls `channel.trial_rng`; nothing is raised and no
+file is left behind.
 
 Overflow in the compiled kernels:
 
@@ -213,13 +217,17 @@ def _eliminate(A: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-_COMPILE = ("-O2", "-shared", "-fPIC")  # no -march=native: the built file may move to another CPU
+# No -march=native: the built file may move to another CPU.  No contraction of
+# a + b * c into one fused multiply-add: the channel draws round as numpy does.
+_COMPILE = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
 _INT64 = ctypes.c_int64
 _SIGNATURES = {  # (argtypes, restype) of each function `_gfkernel.c` exports
     "gf_pivots": ((ctypes.c_void_p, _INT64, _INT64, _INT64, ctypes.POINTER(_INT64)), _INT64),
     "gf_solve": ((ctypes.c_void_p, _INT64, _INT64, _INT64, _INT64), _INT64),
     "gf_matmul": ((ctypes.c_void_p,) * 3 + (_INT64,) * 5, None),
+    "channel_draws": ((ctypes.c_char_p, _INT64, ctypes.c_char_p) + (_INT64,) * 3
+                      + (ctypes.c_double,) * 2 + (ctypes.c_void_p,), None),
 }
 _MACHINE = re.sub(r"\W", "_", platform.machine()) or "unknown"
 # Kernels a build replaces: this machine type's, and the older names that

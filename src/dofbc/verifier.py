@@ -32,12 +32,12 @@ Both `achieved_dof` and `rate_slope_estimate` realize their trials in blocks
 sized by a cell budget: a block holds max(10, `_BLOCK_CELLS` // cells)
 trials, where cells = N T (S + aux) is the size of one trial's observation
 matrices, so a small plan's trials all fit in one stack.  A block is the
-stack of its trials' first draws, drawn in one call with the same generator
-states a trial-by-trial loop would use: a block of at least
-`channel._VECTOR_MIN` draws is seeded in one vectorized pass with the exact
-bits of SeedSequence((seed, index)), a smaller one index by index.  A block
-whose evaluation raises (a singular draw, a measure-zero event) is redone
-trial by trial, each trial on one-draw stacks with that loop's resamples.
+stack of its trials' first draws, drawn in one call with the same bits a
+trial-by-trial loop would draw: by the compiled kernel, which replays
+SeedSequence((seed, index)) and numpy's draws, or else index by index
+through `channel.trial_rng`.  A block whose evaluation raises (a singular
+draw, a measure-zero event) is redone trial by trial, each trial on
+one-draw stacks with that loop's resamples.
 Trials are independent, so every result equals one of evaluating each
 trial alone: GF(p) arithmetic is exact, and every float numpy call on the
 stack rounds each trial as it would alone, so the slopes are bit-identical

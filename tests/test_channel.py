@@ -1,3 +1,4 @@
+import ctypes
 import re
 from unittest import mock
 
@@ -6,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dofbc import channel, gf
 from dofbc.channel import (
-    _VECTOR_MIN,
     ChannelDistribution,
     ChannelRealization,
-    _block_states,
     field_channel,
     sample_channel,
     trial_rng,
@@ -62,8 +62,9 @@ def test_magnitudes_bounded_away():
 )
 def test_sign_draw_matches_rng_choice(seed, index, N1, extra, M, delta_min):
     # sample_channel draws its signs as the index draw inside
-    # rng.choice((-1.0, 1.0)); the entries and the generator state it leaves
-    # behind must equal what the choice draw gives.
+    # rng.choice((-1.0, 1.0)); the entries must equal what the choice draw
+    # gives on both paths, and without the kernel the one generator used must
+    # be left in the choice draw's state.
     cfg = SystemConfig(M, N1, N1 + extra, 0)
     dist = ChannelDistribution(delta_min, 1.0)
     used = []
@@ -72,7 +73,7 @@ def test_sign_draw_matches_rng_choice(seed, index, N1, extra, M, delta_min):
         used.append(trial_rng(*args))
         return used[-1]
 
-    with mock.patch("dofbc.channel.trial_rng", recording_rng):
+    with mock.patch("dofbc.channel.trial_rng", recording_rng), mock.patch.object(channel, "_KERNEL", None):
         H = sample_channel(cfg, dist, seed=seed, index=index).H
     reference = trial_rng(seed, index)
     shape = (cfg.N, cfg.M)
@@ -81,6 +82,9 @@ def test_sign_draw_matches_rng_choice(seed, index, N1, extra, M, delta_min):
     assert H.dtype == expected.dtype and H.tobytes() == expected.tobytes()
     assert len(used) == 1
     assert used[0].bit_generator.state == reference.bit_generator.state
+    for index_or_block in (index, [index]):
+        H = sample_channel(cfg, dist, seed=seed, index=index_or_block).H
+        assert H.tobytes() == expected.tobytes()
 
 
 def test_shapes_and_blocks():
@@ -178,9 +182,84 @@ def test_non_integer_seed_or_index_rejected():
 # Seeds of one to five 32-bit words: the index word after them lands in
 # pool word 1, 2 or 3 (the last), or is mixed in after the pool is full.
 BLOCK_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 + 1)
+# Index words: both ends of the kernel's range, any word, small ones.
+INDEX_WORDS = st.one_of(st.sampled_from((0, 2**32 - 1)), st.integers(0, 2**32 - 1), st.integers(0, 300))
 
 
-@pytest.mark.parametrize("length", [2, _VECTOR_MIN - 1, _VECTOR_MIN, 4 * _VECTOR_MIN])
+def numpy_draws(seed, indices, shape, dist=None) -> np.ndarray:
+    """The oracle: per index, trial_rng(seed, i) followed by numpy's own
+    calls, integers(1, p) for a field channel, uniform then integers(0, 2)
+    signs for a real one."""
+    draws = []
+    for i in indices:
+        rng = trial_rng(seed, i)
+        if dist is None:
+            draws.append(rng.integers(1, DEFAULT_PRIME, size=shape, dtype=np.int64))
+        else:
+            magnitudes = rng.uniform(dist.delta_min, dist.delta_max, size=shape)
+            positive = rng.integers(0, 2, size=shape, dtype=np.int64)
+            draws.append(np.where(positive, magnitudes, -magnitudes))
+    return np.stack(draws)
+
+
+def assert_draws_match_oracle(cfg, dist, seed, indices):
+    """Both kinds of draw, as a block and per index, equal `numpy_draws`
+    byte for byte."""
+    shape = (cfg.N, cfg.M)
+    for kind, draw in ((None, lambda index: field_channel(cfg, seed, index)),
+                       (dist, lambda index: sample_channel(cfg, dist, seed, index))):
+        expected = numpy_draws(seed, indices, shape, kind)
+        block = draw(indices).H
+        assert block.dtype == expected.dtype and block.tobytes() == expected.tobytes()
+        for j in sorted({0, len(indices) - 1}):
+            assert draw(indices[j]).H.tobytes() == expected[j].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(BLOCK_SEEDS), st.integers(0, 2**200)),
+    data=st.data(),
+    N1=st.integers(1, 10),
+    M=st.integers(1, 20),
+    delta_min=st.floats(0.01, 10.0),
+    equal_bounds=st.booleans(),
+    repeat=st.booleans(),
+)
+def test_draws_match_numpy_oracle(seed, data, N1, M, delta_min, equal_bounds, repeat):
+    # Shapes from 2 x 1 (one antenna per receiver, one transmit antenna) up
+    # to 20 x 20, blocks of 1-5 indices, a repeated index, and
+    # delta_min == delta_max.
+    N2 = data.draw(st.integers(N1, 20 - N1))
+    delta_max = delta_min if equal_bounds else data.draw(st.floats(delta_min, 20.0))
+    indices = data.draw(st.lists(INDEX_WORDS, min_size=1, max_size=5))
+    if repeat:
+        indices.append(indices[0])
+    assert_draws_match_oracle(SystemConfig(M, N1, N2, 0), ChannelDistribution(delta_min, delta_max),
+                              seed, indices)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.sampled_from(BLOCK_SEEDS),
+    indices=st.lists(st.one_of(INDEX_WORDS, st.integers(2**32, 2**70)), min_size=1, max_size=5),
+    M=st.integers(1, 6),
+)
+def test_draws_without_kernel_identical(seed, indices, M):
+    # With the kernel disabled every draw calls trial_rng, and gives the same
+    # bytes; blocks with an index of 2^32 or more take that path anyway.
+    cfg = SystemConfig(M, 2, 3, 0)
+    dist = ChannelDistribution(0.2, 0.9)
+    with_kernel = [field_channel(cfg, seed, indices).H, sample_channel(cfg, dist, seed, indices).H,
+                   field_channel(cfg, seed, indices[-1]).H, sample_channel(cfg, dist, seed, indices[-1]).H]
+    with mock.patch.object(channel, "_KERNEL", None):
+        assert_draws_match_oracle(cfg, dist, seed, indices)
+        without = [field_channel(cfg, seed, indices).H, sample_channel(cfg, dist, seed, indices).H,
+                   field_channel(cfg, seed, indices[-1]).H, sample_channel(cfg, dist, seed, indices[-1]).H]
+    for a, b in zip(with_kernel, without):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("length", [2, 7, 8, 32])
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.sampled_from(BLOCK_SEEDS),
@@ -190,38 +269,82 @@ BLOCK_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 + 1)
     N=st.integers(2, 6),
 )
 def test_block_seeding_matches_per_index_draws(length, seed, data, numpy_ints, M, N):
-    # Blocks on both sides of _VECTOR_MIN, each with a repeated index: the
-    # stack must equal the per-index draws byte for byte, and the one-pass
-    # states those of SeedSequence((seed, i)) seeding PCG64.
-    word = st.one_of(st.sampled_from((0, 2**32 - 1)), st.integers(0, 2**32 - 1), st.integers(0, 300))
-    indices = data.draw(st.lists(word, min_size=length - 1, max_size=length - 1))
+    # Short and long blocks, each with a repeated index and some indices as
+    # NumPy integers: the stack must equal the per-index draws and the
+    # oracle byte for byte.
+    indices = data.draw(st.lists(INDEX_WORDS, min_size=length - 1, max_size=length - 1))
     indices.append(indices[0])
     cfg = SystemConfig(M, 1, N - 1, 0)
     block = [np.uint32(i) if numpy_ints and i % 2 else i for i in indices]
-    for draw in (field_channel, sample_channel):
+    dist = ChannelDistribution()
+    for kind, draw in ((None, field_channel), (dist, sample_channel)):
         alone = np.stack([draw(cfg, seed=seed, index=i).H for i in indices])
         stacked = draw(cfg, seed=seed, index=block).H
         assert stacked.dtype == alone.dtype and stacked.tobytes() == alone.tobytes()
-    states = list(_block_states(seed, [int(i) for i in indices]))
-    assert states == [np.random.PCG64(np.random.SeedSequence((seed, i))).state for i in indices]
+        assert stacked.tobytes() == numpy_draws(seed, indices, (cfg.N, cfg.M), kind).tobytes()
 
 
 def test_long_block_validated_as_trial_rng():
-    # A block of at least _VECTOR_MIN indices rejects what trial_rng
-    # rejects, with its message, and still draws an index of 2^32 or more.
+    # A block rejects what trial_rng rejects, with its message, with the
+    # kernel and without it, and still draws an index of 2^32 or more.
     cfg = SystemConfig(4, 1, 3, 2)
-    n = _VECTOR_MIN + 2
+    n = 10
     cases = [(0, bad, n // 2) for bad in (1.5, True, "3", -25)]
     cases += [(bad, 0, 0) for bad in (-1, 2.0, False, "1")]
-    for seed, bad, at in cases:
-        indices = list(range(0, 25 * n, 25))
-        indices[at] = bad
-        with pytest.raises(InvalidConfigError) as expected:
-            trial_rng(seed, bad)
-        for draw in (field_channel, sample_channel):
-            with pytest.raises(InvalidConfigError, match=f"^{re.escape(str(expected.value))}$"):
-                draw(cfg, seed=seed, index=indices)
-    indices = [2**32 - 1, 2**32, 2**40 + 3, *range(n)]
-    for draw in (field_channel, sample_channel):
-        alone = np.stack([draw(cfg, seed=5, index=i).H for i in indices])
-        assert draw(cfg, seed=5, index=indices).H.tobytes() == alone.tobytes()
+    for kernel in (channel._KERNEL, None):
+        with mock.patch.object(channel, "_KERNEL", kernel):
+            for seed, bad, at in cases:
+                indices = list(range(0, 25 * n, 25))
+                indices[at] = bad
+                with pytest.raises(InvalidConfigError) as expected:
+                    trial_rng(seed, bad)
+                for draw in (field_channel, sample_channel):
+                    with pytest.raises(InvalidConfigError, match=f"^{re.escape(str(expected.value))}$"):
+                        draw(cfg, seed=seed, index=indices)
+            indices = [2**32 - 1, 2**32, 2**40 + 3, *range(n)]
+            assert_draws_match_oracle(cfg, ChannelDistribution(), 5, indices)
+
+
+class SkewedKernel:
+    """The compiled kernel with one draw entry changed: the first cell of
+    every field (or every real) draw call has its lowest bit flipped."""
+
+    def __init__(self, field: bool):
+        self.field = field
+
+    def channel_draws(self, *args):
+        gf._KERNEL.channel_draws(*args)
+        p, out = args[5], args[-1]
+        if (p > 0) == self.field:
+            ctypes.c_int64.from_address(out).value ^= 1
+
+
+@pytest.mark.skipif(gf._KERNEL is None, reason="no compiled kernel")
+@pytest.mark.parametrize("field", [True, False], ids=["field", "real"])
+def test_probe_mismatch_leaves_draws_on_numpy(field):
+    # A kernel whose probe draw of either kind disagrees with numpy is not
+    # used, and every draw then equals numpy's.
+    skewed = SkewedKernel(field)
+    out = np.empty((1, 3, 5), np.int64 if field else np.float64)
+    channel._kernel_draws(skewed, 7, [25], out, None if field else ChannelDistribution())
+    assert out.tobytes() != numpy_draws(7, [25], (3, 5), None if field else ChannelDistribution()).tobytes()
+    assert channel._probed(skewed) is None and channel._probed(None) is None
+    assert channel._probed(gf._KERNEL) is gf._KERNEL is channel._KERNEL
+    with mock.patch.object(channel, "_KERNEL", skewed):
+        assert_draws_match_oracle(SystemConfig(5, 2, 3, 1), ChannelDistribution(), 3, [0, 25, 2**32 - 1])
+
+
+@pytest.mark.skipif(channel._probed(channel._KERNEL) is None, reason="no compiled draws")
+def test_certification_and_slopes_draw_in_kernel():
+    # Below 2^32 every draw runs in the kernel: a fall back to trial_rng,
+    # which would still give the same bits, shows here.  The probe, which
+    # calls trial_rng, has run in the skip condition.
+    def no_rng(*args):
+        raise AssertionError(f"trial_rng{args} called with the kernel loaded")
+
+    with mock.patch("dofbc.channel.trial_rng", no_rng):
+        for cfg in (SystemConfig(9, 3, 6, 4), SystemConfig(7, 5, 6, 2)):
+            plan = select_scheme(cfg)
+            for trials in (1, 12):
+                assert achieved_dof(plan, trials=trials, seed=2**70).ok
+            rate_slope_estimate(plan, RateSimConfig(trials=12), seed=3)
