@@ -1,9 +1,13 @@
 /* Exact linear algebra over GF(p): the compiled twins of the numpy kernels in
  * gf.py.  `gf_pivots` finds pivot columns (gf._eliminate), `gf_solve` solves
  * stacked square systems (gf._solve) and `gf_matmul` multiplies stacked
- * matrices (gf._matmul).  Every matrix is C-ordered int64 with entries in
- * [0, p), and p is a prime with 2 <= p < 2^31; gf.py checks both.  At the
- * end, `channel_draws` makes channel.py's seeded channel draws.
+ * matrices (gf._matmul).  Every matrix is C-ordered int64, and p is a prime
+ * with 2 <= p < 2^31.  `gf_pivots` and `gf_matmul` take entries in [0, p);
+ * `gf_solve` takes them anywhere in (-p, p), so an AP-ZF right-hand side may
+ * arrive negated.  gf.py's entries (`_pivots`, `_product` and
+ * `_solve_in_place`) check that every array is C-ordered int64, and writable
+ * where it is written; their callers keep the entries in range and p prime.
+ * At the end, `channel_draws` makes channel.py's seeded channel draws.
  *
  * gf_pivots: `a` is a rows x cols matrix, eliminated in place.  `pivots` must
  * hold min(rows, cols) entries.  Returns the number of pivot columns written.
@@ -93,10 +97,12 @@ int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t p, int64_t *pi
  *
  * For each column c, the first row at or below c with a nonzero entry is
  * swapped up, scaled by the inverse of its pivot, and subtracted from every
- * other row with a nonzero entry in column c.  Entries stay in (-p, p): a
- * scaled entry is a product below p^2, and an updated one x - f y has
- * |x| < p and |f y| < p^2, so both are below 2p^2 < 2^63 and `reduce`
- * applies.  Left of column c the pivot row is zero, so updates start at
+ * other row with a nonzero entry in column c.  Entries start in (-p, p) and
+ * stay there: `invert` takes a pivot of either sign, a scaled entry is a
+ * product below p^2, and an updated one x - f y has |x| < p and
+ * |f y| < p^2, so both are below 2p^2 < 2^63 and `reduce` applies.  An
+ * entry is zero exactly when it is zero mod p, so the singular members are
+ * those of gf._solve.  Left of column c the pivot row is zero, so updates start at
  * c + 1.  The solution of a nonsingular system is unique, so it is
  * gf._solve's. */
 int64_t gf_solve(int64_t *aug, int64_t count, int64_t n, int64_t width, int64_t p)

@@ -30,10 +30,27 @@ The pivot columns and the solution of a nonsingular system are unique, so
 neither kernel's shortcuts can change a result.  `gf_particular_solution`
 takes `gf_pivots` of A, then `gf_solve` on A's pivot columns.
 
-Three of the public functions run compiled, from `_gfkernel.c`, whenever
-`_KERNEL` is loaded: `gf_pivots` (and `gf_rank`), `gf_solve` and
-`gf_matmul`.  Their numpy bodies, `_eliminate`, `_solve` and `_matmul`,
-are the fallbacks and the test oracles.  The kernel also exports
+Three private entries call the compiled kernels, from `_gfkernel.c`,
+whenever `_KERNEL` is loaded, and fall back to the numpy bodies
+`_eliminate`, `_solve` and `_matmul`, which are also the test oracles:
+
+* `_pivots(A, p)` eliminates a fresh, writable matrix with entries in
+  [0, p) in place;
+* `_product(a, b, p)` multiplies two stacks with the same leading axes and
+  entries in [0, p), either of them read-only, into a fresh stack;
+* `_solve_in_place(aug, p)` solves a fresh, writable stack of augmented
+  systems whose entries lie anywhere in (-p, p), so an AP-ZF right-hand
+  side may arrive negated.
+
+They neither reduce nor copy their operands; each raises ValueError, before
+any kernel reads an array, unless the array is C-ordered int64 and writable
+where it is written.  They read a writable array's address through
+`ctypes.c_char.from_buffer`, about a third of the cost of `a.ctypes.data`,
+and only a read-only one (a channel's H) through `a.ctypes`.
+`verifier.realize_plan` and `precoding.apzf_precoder` call them directly.
+The public `gf_pivots` (and `gf_rank`), `gf_matmul` and `gf_solve` check
+their arguments and reduce them with `gf_array` into C-ordered copies, then
+call the same entries.  The kernel also exports
 `channel_draws`, numpy's seeded channel draws replayed in C, which
 `dofbc.channel` uses once a probe draw of each kind matches numpy.  The
 kernel is built on first import: `_load_kernel` compiles `_gfkernel.c`
@@ -49,12 +66,15 @@ file is left behind.
 Overflow in the compiled kernels:
 
 * The eliminations (pivots and solves) keep each entry as a representative
-  in (-p, p), not [0, p).  A row update x * pivot - f * y (pivots) or
-  x - f * y (solves), and a solve's scaling of its pivot row by an inverse
-  in (-p, p), are below 2p^2 < 2^63 in magnitude.  Each is reduced through
-  a quotient rounded in double precision, which is within one of the exact
+  in (-p, p), not [0, p), so a solve may also start from entries anywhere
+  in (-p, p).  A row update x * pivot - f * y (pivots) or x - f * y
+  (solves), and a solve's scaling of its pivot row by an inverse in
+  (-p, p), are below 2p^2 < 2^63 in magnitude.  Each is reduced through a
+  quotient rounded in double precision, which is within one of the exact
   quotient, rather than through an integer division.  The solutions are
-  shifted into [0, p) at the end.
+  shifted into [0, p) at the end.  `_solve`'s first pivot step reduces
+  every column into [0, p), and each later step's products stay below
+  p^2 + p.
 * The product accumulates the products of entries in [0, p), each below
   2^62, unreduced in a uint64 that is kept below 2^63: after an addition it
   is below 2^63 + 2^62 < 2^64, and if it reached 2^63 it drops by the
@@ -130,28 +150,58 @@ def gf_matmul(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarra
     """(A @ B) mod p without overflow, in [0, p); leading axes broadcast as
     for `@`.  Inner dimensions above 2^16 are rejected.
 
-    Stacks of matrices are multiplied by the compiled kernel, vectors and
-    every product without the kernel by `_matmul`.
+    Vectors are multiplied by `_matmul`, stacks of matrices by `_product`
+    on reduced C-ordered copies.
     """
     A = gf_array(A, p)
     B = gf_array(B, p)
     if A.shape[-1] > _MAX_INNER:
         raise ValueError(f"inner dimension {A.shape[-1]} exceeds {_MAX_INNER}")
-    if _KERNEL is None or A.ndim < 2 or B.ndim < 2:
+    if A.ndim < 2 or B.ndim < 2:
         return _matmul(A, B, p)
-    (rows, inner), (inner_b, cols) = A.shape[-2:], B.shape[-2:]
-    if inner != inner_b:
-        raise ValueError(f"inner dimensions {inner} and {inner_b} differ")
     lead = A.shape[:-2]
     if B.shape[:-2] != lead:
         lead = np.broadcast_shapes(lead, B.shape[:-2])
         A = np.broadcast_to(A, lead + A.shape[-2:])
         B = np.broadcast_to(B, lead + B.shape[-2:])
-    A = np.ascontiguousarray(A)
-    B = np.ascontiguousarray(B)
-    out = np.empty(lead + (rows, cols), dtype=np.int64)
-    _KERNEL.gf_matmul(A.ctypes.data, B.ctypes.data, out.ctypes.data, math.prod(lead), rows, inner,
-                      cols, p)
+    return _product(np.ascontiguousarray(A), np.ascontiguousarray(B), p)
+
+
+def _check(a: np.ndarray, written: bool = False) -> None:
+    """Raise ValueError unless `a` is a C-ordered int64 array, and writable
+    if it is `written`: the kernels read every operand, and write some, as
+    such, so nothing else may reach them."""
+    flags = a.flags
+    if a.dtype != np.int64 or not flags.c_contiguous or (written and not flags.writeable):
+        raise ValueError("the GF(p) kernels take C-ordered int64 arrays, writable where written")
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of the data of a non-empty array that passed `_check`.
+    A writable array's is read through `ctypes.c_char.from_buffer`, a
+    third of the cost of `a.ctypes`; a read-only one, such as a channel's
+    H, only through `a.ctypes`."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """`gf_matmul` of C-ordered int64 stacks a (..., r, n) and b (..., n, m)
+    with the same leading axes and entries in [0, p), for a valid prime p,
+    into a fresh C-ordered array: the compiled product, or `_matmul`
+    without the kernel or for an empty operand.  Neither operand is reduced
+    or copied, and either may be read-only."""
+    _check(a)
+    _check(b)
+    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}")
+    if a.shape[-1] > _MAX_INNER:
+        raise ValueError(f"inner dimension {a.shape[-1]} exceeds {_MAX_INNER}")
+    if _KERNEL is None or not (a.size and b.size):
+        return _matmul(a, b, p)
+    (rows, inner), cols = a.shape[-2:], b.shape[-1]
+    out = np.empty(a.shape[:-1] + (cols,), dtype=np.int64)
+    _KERNEL.gf_matmul(_address(a), _address(b), _address(out), a.size // (rows * inner), rows,
+                      inner, cols, p)
     return out
 
 
@@ -313,11 +363,12 @@ def _pivots(A: np.ndarray, p: int) -> list[int]:
     valid prime p, eliminating A in place: for callers whose matrix is
     already a fresh reduced copy.  The compiled kernel writes at most
     min(rows, cols) pivots into a buffer sized from A's shape."""
-    if _KERNEL is None:
+    _check(A, written=True)
+    if _KERNEL is None or not A.size:
         return _eliminate(A, p)
     rows, cols = A.shape
-    pivots = (ctypes.c_int64 * max(min(rows, cols), 1))()
-    return pivots[: _KERNEL.gf_pivots(A.ctypes.data, rows, cols, p, pivots)]
+    pivots = (ctypes.c_int64 * min(rows, cols))()
+    return pivots[: _KERNEL.gf_pivots(_address(A), rows, cols, p, pivots)]
 
 
 def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
@@ -346,19 +397,35 @@ def gf_solve(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray
     lead = A.shape[:-2]
     aug = np.concatenate([A, rhs], axis=-1).reshape((math.prod(lead), n, n + rhs.shape[-1]))
     aug = np.ascontiguousarray(aug)  # a Fortran-ordered A gives a Fortran-ordered stack
-    if _KERNEL is None:
-        _solve(aug, p)
-    elif _KERNEL.gf_solve(aug.ctypes.data, *aug.shape, p) >= 0:
-        raise ResampleRequiredError("singular system over GF(p)")
+    _solve_in_place(aug, p)
     X = aug[:, :, n:].reshape(rhs.shape)
     return X[..., 0] if single else X
 
 
-def _solve(aug: np.ndarray, p: int) -> None:
-    """Gauss-Jordan in numpy on a (members, n, n + m) stack of reduced
-    augmented systems [A | B], in place, all members at once: `gf_solve`
-    without the kernel.  Raises ResampleRequiredError if a member is
+def _solve_in_place(aug: np.ndarray, p: int) -> None:
+    """Solve a C-ordered, writable int64 stack (..., n, n + m) of augmented
+    systems [A | B] in place, for a valid prime p: afterwards each member's
+    last m columns hold its solution X of A X = B, in [0, p).  Entries may
+    lie anywhere in (-p, p), so a caller may pass a negated B as it is.
+    The compiled kernel solves the stack, or `_solve` without the kernel or
+    for an empty stack.  Raises ResampleRequiredError if any member is
     singular."""
+    _check(aug, written=True)
+    if aug.ndim < 2 or aug.shape[-2] > aug.shape[-1]:
+        raise ValueError(f"cannot solve a stack of shape {aug.shape}")
+    n, width = aug.shape[-2:]
+    if _KERNEL is None or not aug.size:
+        _solve(aug.reshape((math.prod(aug.shape[:-2]), n, width)), p)  # a view: solved in place
+    elif _KERNEL.gf_solve(_address(aug), aug.size // (n * width), n, width, p) >= 0:
+        raise ResampleRequiredError("singular system over GF(p)")
+
+
+def _solve(aug: np.ndarray, p: int) -> None:
+    """Gauss-Jordan in numpy on a (members, n, n + m) stack of augmented
+    systems [A | B] with entries in (-p, p), in place, all members at once:
+    `_solve_in_place` without the kernel.  Each pivot step reduces every
+    column from the pivot's on into [0, p), so the solutions end there.
+    Raises ResampleRequiredError if a member is singular."""
     n = aug.shape[1]
     for c in range(n):
         diagonal = aug[:, c, c].tolist()

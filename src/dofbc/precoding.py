@@ -8,6 +8,16 @@ every other antenna sends the channel-independent constant 0.  Streams
 cancelling at the same receive rows share that system's matrix, so
 `apzf_precoder` takes the sending antennas of a whole group and solves it
 once for all of them.
+
+On GF(p) one core serves `apzf_precoder` and the verifier alike: the
+augmented system [H[rows, :k'] | H[rows, antennas]] is gathered by one
+`take` of flat indices (`_system_index`, relative to the receiver's first
+row of H), its right-hand side negated in place, and every trial's system
+solved in one call (`_field_solution`).  A plan's layout records those
+indices once per AP-ZF target, so realizing a plan needs no call of
+`apzf_precoder` and none of its checks; the public function checks its
+arguments and builds the indices per call.  The real-valued path solves
+with LAPACK and checks the residual.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError, as_integer
-from .gf import gf_solve
+from .gf import _solve_in_place
 
 CHANNEL = "channel"
 CONSTANT = "constant"
@@ -82,8 +92,29 @@ def apzf_precoder(
         if not _residual_ok(H_sel, t):
             raise ResampleRequiredError("cancellation residual check failed")
     else:
-        # gf_solve reduces the right-hand side mod p and raises
-        # ResampleRequiredError if any trial's block is singular; its
-        # solutions are exact.
-        t[..., :kp, :] = gf_solve(H_sel[..., :kp], -H_sel[..., antennas], field)
+        first_row = 0 if rx == 1 else channel.cfg.N1
+        t[..., :kp, :] = _field_solution(channel.H, first_row, _system_index(M, rows, antennas), field)
     return t
+
+
+def _system_index(M: int, rows, antennas) -> np.ndarray:
+    """Flat indices of the augmented AP-ZF system [H[rows, :k'] | H[rows,
+    antennas]], k' = len(rows), within one trial's rows of the receiver
+    (M entries a row, local row 0 first): a k' x (k' + n) array."""
+    columns = np.array([*range(len(rows)), *antennas], dtype=np.intp)
+    return np.array(rows, dtype=np.intp)[:, None] * M + columns
+
+
+def _field_solution(H: np.ndarray, first_row: int, index: np.ndarray, p: int) -> np.ndarray:
+    """The AP-ZF coefficients X of the first k' antennas on GF(p), in [0, p):
+    A X = -B for the system [A | B] that `index` (from `_system_index`)
+    gathers from the receiver whose rows of H begin at `first_row`, with H's
+    trial axis, if any.  One `take` gathers every trial's system as a fresh
+    stack, B is negated in place into (-p, 0], and one call solves the
+    stack.  Raises ResampleRequiredError if any trial's A is singular."""
+    M = H.shape[-1]
+    aug = H.reshape(H.shape[:-2] + (-1,))[..., first_row * M :].take(index, axis=-1)
+    rhs = aug[..., index.shape[0] :]
+    rhs *= -1  # not np.negative(rhs, out=rhs): numpy 2.4 negates 64-byte strides in place wrongly
+    _solve_in_place(aug, p)
+    return rhs

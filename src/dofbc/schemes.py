@@ -72,7 +72,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .errors import InvalidConfigError
-from .precoding import CHANNEL, CONSTANT
+from .precoding import CHANNEL, CONSTANT, _system_index
 from .region import PlanShape, effective_config, plan_shape
 
 TABLE1_CONFIG = (6, 3, 3, 1)  # the config of the crafted special-case plan
@@ -258,6 +258,10 @@ class PlanLayout(NamedTuple):
     targets: tuple  # (rx, rows, sending antennas) per AP-ZF target, in Z's column order
     slots: tuple[SlotLayout, ...]
     coupled: tuple  # each coupled stream's terms, by aux index
+    # The GF(p) path: [I_M | Z] with its AP-ZF entries zero, and per target
+    # (rx, k', Z's columns as a slice, `precoding._system_index` of its system).
+    template: np.ndarray
+    systems: tuple
 
 
 @dataclass(frozen=True)
@@ -307,9 +311,16 @@ class TransmissionPlan:
                 antennas = dict.fromkeys(range(r.antenna, r.antenna + n))
                 targets.setdefault((r.rx, r.rows), {}).update(antennas)
         column = M
-        for antennas in targets.values():
+        systems = []
+        for (rx, rows), antennas in targets.items():
+            start = column
             for antenna in antennas:
                 antennas[antenna], column = column, column + 1
+            index = _readonly(_system_index(M, rows, antennas))
+            systems.append((rx, len(rows), slice(start, column), index))
+        template = np.eye(M, column, dtype=np.int64)
+        for antennas in targets.values():
+            template[list(antennas), list(antennas.values())] = 1
         index = {s.id: i for i, s in enumerate(registry.symbols)}  # not kept: shared layouts stay small
         owned: dict[int, np.ndarray] = {}  # one symbol-column array per owner, shared by its streams
         # Each distinct index list is stored once: slots of one phase differ in their forms only.
@@ -348,7 +359,8 @@ class TransmissionPlan:
                 masks[cancelled] = _readonly(antenna >= np.array(cancelled, dtype=np.intp))
             slots.append(SlotLayout(*map(views.__getitem__, ids), terms, masks[cancelled]))
         coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
-        return PlanLayout(tuple(k + (tuple(a),) for k, a in targets.items()), tuple(slots), coupled_terms)
+        return PlanLayout(tuple(k + (tuple(a),) for k, a in targets.items()), tuple(slots),
+                          coupled_terms, _readonly(template), tuple(systems))
 
     def _validate(self):
         """Check the plan's structure once, so realizing it needs no structural

@@ -18,10 +18,17 @@ the desired columns, and a receiver with no desired symbols recovers 0 of 0
 without one.  A certified plan achieves the DoF it claims, `plan.claimed_dof`.
 Realizing reads the plan's index arrays (`TransmissionPlan.layout`).  Every
 stream is sent with coefficient 1 from its one antenna; streams that AP-ZF
-cancels at the same rows of the same receiver share one `apzf_precoder` call
-per channel.  On GF(p) one product H @ Z covers every AP-ZF column, a fresh
-stream's samples are a gather, and only interference and coupled streams
-need a product.  CSIT compliance compares the precoders `realize_plan`
+cancels at the same rows of the same receiver share one solve per channel.
+On GF(p) the precoders come straight from the layout, without
+`apzf_precoder` or its checks, which `TransmissionPlan._validate` made once:
+a copy of the layout's [I_M | Z] template receives each target's solution,
+gathered from H by the layout's flat indices and solved in one compiled
+call (`precoding._field_solution`).  One product H [I_M | Z] covers every
+column, a fresh stream's samples are a gather, and only interference and
+coupled streams need a product.  Every GF(p) product and solve goes through
+`gf._product` and `gf._solve_in_place`, on fresh C-ordered arrays already in
+range, so nothing is reduced or checked twice.  Real channels keep one
+`apzf_precoder` call per target.  CSIT compliance compares the precoders `realize_plan`
 recorded under two of the certification's own channels.  Real channels serve
 only the rate slopes, realized at unit transmit power per slot.
 Monte Carlo rate slopes use the standard real-Gaussian log-det rate with the
@@ -58,9 +65,9 @@ import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError, as_integer
-from .gf import DEFAULT_PRIME, _pivots, gf_array, gf_matmul, gf_solve
+from .gf import DEFAULT_PRIME, _pivots, _product, _solve_in_place, gf_array
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
-from .precoding import apzf_precoder
+from .precoding import _field_solution, apzf_precoder
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
 
 _MAX_RESAMPLE = 25
@@ -125,12 +132,22 @@ def _check_trials(trials) -> None:
 
 
 def _precoder_columns(plan: TransmissionPlan, channel: ChannelRealization) -> np.ndarray:
-    """[I_M | Z] under `channel`, Z holding each AP-ZF target's columns from one
-    `apzf_precoder` call per target; every stream's precoder is one column."""
-    H, M = channel.H, channel.cfg.M
-    eye = np.eye(M, dtype=H.dtype) + np.zeros(H.shape[:-2] + (1, 1), dtype=H.dtype)
-    solved = [apzf_precoder(channel, *target) for target in plan.layout.targets]
-    return np.concatenate([eye, *solved], axis=-1) if solved else eye
+    """[I_M | Z] under `channel`, with its trial axis if any; every stream's
+    precoder is one column.  On GF(p), a copy of the layout's template
+    receives each AP-ZF target's solution, gathered and solved straight from
+    the layout (`precoding._field_solution`); on a real channel, Z holds one
+    `apzf_precoder` call's columns per target."""
+    H, layout = channel.H, plan.layout
+    p = channel.field
+    if p is None:
+        eye = np.eye(channel.cfg.M) + np.zeros(H.shape[:-2] + (1, 1))
+        solved = [apzf_precoder(channel, *target) for target in layout.targets]
+        return np.concatenate([eye, *solved], axis=-1) if solved else eye
+    columns = np.empty(H.shape[:-2] + layout.template.shape, dtype=np.int64)
+    columns[...] = layout.template
+    for rx, kp, span, index in layout.systems:
+        columns[..., :kp, span] = _field_solution(H, 0 if rx == 1 else channel.cfg.N1, index, p)
+    return columns
 
 
 def _precoder_matrices(plan: TransmissionPlan, channel: ChannelRealization) -> list[np.ndarray]:
@@ -163,9 +180,10 @@ def _slot_samples(channel: ChannelRealization, T_mat, forms, slot: SlotLayout, g
         return (channel.H1 @ T_mat) @ forms, (channel.H2 @ T_mat) @ forms
     received = np.zeros(gains.shape[:-1] + forms.shape[-1:], dtype=np.int64)
     received[..., slot.forms[: len(slot.sources)]] = gains.take(slot.sources, axis=-1)
-    if slot.mixed.size:
-        mixed = gf_matmul(gains.take(slot.columns[slot.mixed], axis=-1), forms[..., slot.mixed, :], p)
-        received = (received + mixed) % p
+    if slot.mixed.size:  # both factors are fresh reduced C-ordered gathers
+        received += _product(gains.take(slot.columns[slot.mixed], axis=-1),
+                             forms.take(slot.mixed, axis=-2), p)
+        received %= p
     return received[..., : channel.cfg.N1, :], received[..., channel.cfg.N1 :, :]
 
 
@@ -173,7 +191,9 @@ def _fixed_point(E: np.ndarray, S: int, p: int | None) -> np.ndarray:
     """phi with phi = E[:, :S] + E[:, S:] @ phi: the coupled streams' forms."""
     lhs = _reduce(np.eye(E.shape[-2], dtype=E.dtype) - E[..., S:], p)
     if p is not None:
-        return gf_solve(lhs, E[..., :S], p)  # raises ResampleRequiredError if singular
+        aug = np.concatenate([lhs, E[..., :S]], axis=-1)  # fresh, C-ordered, in [0, p)
+        _solve_in_place(aug, p)  # raises ResampleRequiredError if singular
+        return aug[..., E.shape[-2] :]
     try:
         return np.linalg.solve(lhs, E[..., :S])
     except np.linalg.LinAlgError as exc:
@@ -202,8 +222,8 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
     trials = channel.H.shape[:-2]
     columns = _precoder_columns(plan, channel)
     gains = channel.H
-    if p is not None and plan.layout.targets:  # one product per channel, for all AP-ZF columns
-        gains = np.concatenate([channel.H, gf_matmul(channel.H, columns[..., cfg.M :], p)], axis=-1)
+    if p is not None and plan.layout.systems:  # H [I_M | Z] = [H | H Z], one product per channel
+        gains = _product(np.ascontiguousarray(channel.H), columns, p)
     samples: list[tuple[np.ndarray, np.ndarray]] = []
 
     def combine(terms) -> np.ndarray:
@@ -236,7 +256,10 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
         parts = [slot_samples[rx - 1] for slot_samples in samples]
         full = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
         if plan.aux_count:
-            coupled = full[..., S:] @ phi if p is None else gf_matmul(full[..., S:], phi, p)
+            if p is None:
+                coupled = full[..., S:] @ phi
+            else:
+                coupled = _product(np.ascontiguousarray(full[..., S:]), np.ascontiguousarray(phi), p)
             return _reduce(full[..., :S] + coupled, p)
         return full[..., :S]
 

@@ -26,6 +26,7 @@ from dofbc.schemes import (
 )
 from dofbc.verifier import (
     CertificationResult,
+    _precoder_columns,
     _precoder_matrices,
     csit_compliance,
     decodability_check,
@@ -58,13 +59,16 @@ def adversarial_plan() -> TransmissionPlan:
     return TransmissionPlan(cfg=cfg, scheme_id="adversarial", registry=registry, slots=slots)
 
 
-def leaky_apzf_precoder(channel, rx, rows, antennas):
-    """`apzf_precoder` that sneaks a channel entry onto (uninformed) antenna 2,
-    whose coefficients stay labelled constant; the compliance check must flag it.
-    On a stack of draws, each draw leaks its own entry."""
-    t = apzf_precoder(channel, rx, rows, antennas)
-    t[..., 2, :] = channel.H[..., 0, :1]
-    return t
+def leaky_precoder_columns(plan, channel):
+    """`verifier._precoder_columns` that sneaks a channel entry onto
+    (uninformed) antenna 2 of every AP-ZF column, whose coefficients stay
+    labelled constant; the compliance check must flag it.  On a stack of
+    draws, each draw leaks its own entry.  Patch it over
+    `dofbc.verifier._precoder_columns`, which builds every precoder that
+    realizing a plan, or precoding a compliance draw, reads."""
+    columns = _precoder_columns(plan, channel)
+    columns[..., 2, plan.cfg.M :] = channel.H[..., 0, :1]
+    return columns
 
 
 def planted_draws(draw, hit, plant):

@@ -15,7 +15,7 @@ from dofbc.config import SystemConfig
 from dofbc.figures import certified_points, sweep_k_rows, sweep_n2_rows
 from dofbc.region import LinearConstraint, region_constraints, region_vertices, sum_dof_lower
 
-from .helpers import leaky_apzf_precoder
+from .helpers import leaky_precoder_columns
 
 
 def run_cli(capsys, *args):
@@ -194,7 +194,7 @@ def test_figure_certify_reports_each_mismatch(tmp_path, capsys, monkeypatch):
 
 def test_figure_certify_checks_compliance(tmp_path, capsys, monkeypatch):
     # A figure point passes exactly when `simulate` would exit 0 on it.
-    monkeypatch.setattr("dofbc.verifier.apzf_precoder", leaky_apzf_precoder)
+    monkeypatch.setattr("dofbc.verifier._precoder_columns", leaky_precoder_columns)
     code, _, err = run_cli(
         capsys, "figure", "fig3", "--certify", "--trials", "2", "--out", str(tmp_path)
     )

@@ -459,28 +459,139 @@ def test_matmul_and_solve_reject_mismatched_shapes_on_both_paths():
 @pytest.mark.parametrize("shape,special", [((10, 1, 9, 1), False), ((6, 3, 3, 1), True)])
 def test_compiled_solves_and_products_equal_numpy_on_a_certification(monkeypatch, shape, special):
     # Every AP-ZF solve, product and (for the crafted plan) coupled
-    # fixed-point solve that certifying the plan runs.
+    # fixed-point solve that certifying the plan runs, through the private
+    # entries that realizing calls.
     seen = []
 
     def recording(module, name):
         call = getattr(module, name)
 
         def record(*args):
-            seen.append((f"{module.__name__}.{name}", call, [np.array(a, copy=True) for a in args[:2]],
-                         args[2:]))
+            seen.append((f"{module.__name__}.{name}", call, [a.copy() for a in args[:-1]], args[-1]))
             return call(*args)
 
         monkeypatch.setattr(module, name, record)
 
-    for module, name in ((precoding, "gf_solve"), (verifier, "gf_solve"), (verifier, "gf_matmul")):
+    for module, name in ((precoding, "_solve_in_place"), (verifier, "_solve_in_place"),
+                         (verifier, "_product")):
         recording(module, name)
     plan = select_scheme(SystemConfig(*shape), allow_special_cases=special)
     assert achieved_dof(plan, trials=50, seed=1).ok
     callers = {caller for caller, *_ in seen}
-    assert {"dofbc.verifier.gf_matmul", "dofbc.precoding.gf_solve"} <= callers
-    assert ("dofbc.verifier.gf_solve" in callers) == special  # the coupled fixed point
-    for _, call, operands, rest in seen:
-        assert _same(_outcome(call, *operands, *rest), _on_numpy(call, *operands, *rest))
+    assert {"dofbc.verifier._product", "dofbc.precoding._solve_in_place"} <= callers
+    assert ("dofbc.verifier._solve_in_place" in callers) == special  # the coupled fixed point
+    for _, call, operands, p in seen:
+        compiled_out = _entry_outcome(call, operands, p)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gf, "_KERNEL", None)
+            assert _same(compiled_out, _entry_outcome(call, operands, p))
+
+
+def _entry_outcome(call, operands, p):
+    """What a private entry makes of copies of `operands`: its result, the
+    stack it solved in place, or the type of the exception it raised."""
+    operands = [a.copy() for a in operands]
+    try:
+        out = call(*operands, p)
+    except (ResampleRequiredError, ValueError) as exc:
+        return type(exc)
+    return operands[0] if out is None else out
+
+
+@st.composite
+def private_entry_stacks(draw):
+    """Operands of `gf._product` and `gf._solve_in_place`: p, a leading shape
+    (possibly of size zero), a reduced product pair, and an augmented stack
+    with entries anywhere in (-p, p), one member possibly singular."""
+    p = draw(st.sampled_from([2, 3, 65521, P]))
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    rows, inner, cols, n, rhs = (draw(st.integers(0, 5)) for _ in range(5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(KINDS.filter(lambda kind: kind != "unreduced"))
+    a = _entries(rng, p, lead + (rows, inner), kind)
+    b = _entries(rng, p, lead + (inner, cols), kind)
+    aug = _entries(rng, p, lead + (n, n + rhs), kind)
+    if draw(st.booleans()):  # negated entries, as an AP-ZF right-hand side: (-p, 0]
+        aug[..., n:] *= -1
+    if draw(st.booleans()):  # any sign anywhere
+        aug = np.where(rng.random(aug.shape) < 0.5, -aug, aug)
+    if n and aug.size and draw(st.booleans()):  # one member's column zero
+        member = tuple(int(rng.integers(size)) for size in lead)
+        aug[member + (Ellipsis, int(rng.integers(n)))] = 0
+    return p, np.ascontiguousarray(a), np.ascontiguousarray(b), np.ascontiguousarray(aug)
+
+
+def _solved_or_raised(solve, aug, p):
+    """The stack `solve` leaves in a copy of `aug`, or ResampleRequiredError."""
+    aug = aug.copy()
+    try:
+        solve(aug, p)
+    except ResampleRequiredError:
+        return ResampleRequiredError
+    return aug[..., aug.shape[-2] :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=private_entry_stacks(), compiled_kernel=st.booleans())
+@example(case=(P, np.zeros((0, 2, 3), np.int64), np.zeros((0, 3, 2), np.int64),
+               np.zeros((0, 2, 3), np.int64)), compiled_kernel=True)
+@example(case=(P, np.ones((2, 0), np.int64), np.ones((0, 3), np.int64),
+               np.zeros((0, 1), np.int64)), compiled_kernel=True)
+def test_private_entries_equal_numpy_kernels(case, compiled_kernel):
+    # `_product` and `_solve_in_place` equal `_matmul` and `_solve` on the
+    # inputs realizing gives them, with and without the compiled kernel.
+    p, a, b, aug = case
+    with pytest.MonkeyPatch.context() as patch:
+        if not compiled_kernel:
+            patch.setattr(gf, "_KERNEL", None)
+        for x in (a, b):  # read-only factors are read, never written
+            x.setflags(write=False)
+        got = gf._product(a, b, p)
+        want = gf._matmul(a, b, p)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        assert got.flags.c_contiguous and got.flags.writeable
+        if aug.size:  # `_solve` takes one (members, n, n + m) stack
+            want_solved = _solved_or_raised(lambda x, p: gf._solve(x.reshape((-1,) + x.shape[-2:]), p),
+                                            aug, p)
+        else:
+            want_solved = aug[..., aug.shape[-2] :]
+        got_solved = _solved_or_raised(gf._solve_in_place, aug, p)
+        assert _same(got_solved, want_solved)
+        if not isinstance(got_solved, type):
+            assert ((0 <= got_solved) & (got_solved < p)).all()
+
+
+class _Unreachable:
+    """A stand-in kernel whose every function fails the test if called."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the kernel's {name} was reached")
+
+
+@pytest.mark.parametrize("compiled_kernel", [True, False])
+def test_private_entries_reject_operands_the_kernels_cannot_take(monkeypatch, compiled_kernel):
+    # An operand that is not C-ordered or not int64, or a read-only stack
+    # that would be solved in place, raises before any kernel reads it.
+    monkeypatch.setattr(gf, "_KERNEL", _Unreachable() if compiled_kernel else None)
+    good = np.arange(1, 13, dtype=np.int64).reshape(3, 4) % 7
+    read_only = good.copy()
+    read_only.setflags(write=False)
+    strided = np.repeat(good, 2, axis=1)[:, ::2]
+    for bad in (np.asfortranarray(good), strided, good.astype(np.int32), good.astype(np.float64),
+                good.astype(">i8")):
+        assert bad.shape == (3, 4) and np.array_equal(bad, good)
+        with pytest.raises(ValueError):
+            gf._product(bad, np.ones((4, 2), dtype=np.int64), 7)
+        with pytest.raises(ValueError):
+            gf._product(np.ones((2, 3), dtype=np.int64), bad, 7)
+        with pytest.raises(ValueError):
+            gf._solve_in_place(bad, 7)
+    with pytest.raises(ValueError):
+        gf._solve_in_place(read_only, 7)
+    with pytest.raises(ValueError):  # more rows than columns: no square system
+        gf._solve_in_place(good.T.copy(), 7)
+    with pytest.raises(ValueError):  # inner dimensions differ
+        gf._product(good, good, 7)
 
 
 def _kernel_names(directory):

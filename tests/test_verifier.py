@@ -10,7 +10,7 @@ from dofbc import gf, schemes, verifier
 from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from dofbc.config import SystemConfig
 from dofbc.errors import InvalidConfigError, ResampleRequiredError
-from dofbc.gf import DEFAULT_PRIME, gf_matmul, gf_rank
+from dofbc.gf import DEFAULT_PRIME, gf_matmul, gf_rank, gf_solve
 from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
     ApzfRecipe,
@@ -25,6 +25,7 @@ from dofbc.schemes import (
 from dofbc.verifier import (
     _block_size,
     _gram,
+    _precoder_columns,
     _precoder_matrices,
     _receiver_rates,
     achieved_dof,
@@ -38,7 +39,7 @@ from dofbc.verifier import (
 from . import helpers
 from .helpers import (
     adversarial_plan,
-    leaky_apzf_precoder,
+    leaky_precoder_columns,
     low_k_grid,
     overloaded_rx2_plan,
     per_trial_certification,
@@ -273,7 +274,7 @@ def test_compliance_built_in_plans():
 @pytest.mark.parametrize("trials,resample_first", [(1, False), (2, False), (1, True), (2, True)])
 def test_compliance_flags_adversarial_plan(monkeypatch, trials, resample_first):
     assert achieved_dof(adversarial_plan(), trials=trials).compliance.compliant
-    monkeypatch.setattr("dofbc.verifier.apzf_precoder", leaky_apzf_precoder)
+    monkeypatch.setattr("dofbc.verifier._precoder_columns", leaky_precoder_columns)
     if resample_first:
         # Trial 0 is then accepted on draw 1; the second channel compliance
         # reads must be another draw, or a channel would be compared with itself.
@@ -468,6 +469,63 @@ def test_grouped_precoders_equal_per_stream_precoders():
                     else:
                         expected = np.eye(plan.cfg.M, dtype=channel.H.dtype)[:, recipe.antenna]
                     assert np.array_equal(T_mat[:, s_idx], expected), (plan.cfg.shape, s_idx)
+
+
+def _solved_target(channel, rx, rows, antennas):
+    """One AP-ZF target's M x n columns on GF(p) through the public `gf_solve`
+    on `receiver_rows` slices: a reference that shares no gather index, row
+    offset or negation with the layout path."""
+    H_sel = channel.receiver_rows(rx, rows)
+    kp, n = len(rows), len(antennas)
+    t = np.zeros(channel.H.shape[:-2] + (channel.cfg.M, n), dtype=np.int64)
+    t[..., antennas, range(n)] = 1
+    t[..., :kp, :] = gf_solve(H_sel[..., :kp], -H_sel[..., antennas], DEFAULT_PRIME)
+    return t
+
+
+@pytest.mark.parametrize("compiled_kernel", [True, False])
+def test_layout_precoder_columns_equal_per_target_apzf_precoders(monkeypatch, compiled_kernel):
+    # Realizing on GF(p) gathers and solves each AP-ZF target straight from
+    # the layout.  Its [I_M | Z] must equal, bit for bit, the identity beside
+    # one stacked `apzf_precoder` call per target, and the same columns
+    # solved through the public `gf_solve`, on one draw and on a stack.
+    # Template plans of one key share their layout across N1, so RX2's rows
+    # start at a different offset of H for plans of the same layout.
+    if not compiled_kernel:
+        monkeypatch.setattr(gf, "_KERNEL", None)
+    for plan in _catalogue_plans():
+        M, targets = plan.cfg.M, plan.layout.targets
+        for index in (3, [0, 25, 50]):
+            channel = field_channel(plan.cfg, seed=5, index=index)
+            eye = np.eye(M, dtype=np.int64) + np.zeros(channel.H.shape[:-2] + (1, 1), dtype=np.int64)
+            got = _precoder_columns(plan, channel)
+            for solve in (apzf_precoder, _solved_target):
+                want = np.concatenate([eye, *(solve(channel, *target) for target in targets)], axis=-1)
+                _assert_bits_equal(got, want)
+
+
+@pytest.mark.parametrize("compiled_kernel", [True, False])
+@pytest.mark.parametrize("rx", [1, 2])
+def test_layout_precoder_columns_raise_on_a_singular_block(monkeypatch, compiled_kernel, rx):
+    # (4,1,3,2): RX1 streams cancel at RX2 rows 0-1, RX2 streams at RX1 row
+    # 0.  A singular block of either target raises on one draw and as one
+    # member of a stack, on the layout path and through `apzf_precoder`.
+    if not compiled_kernel:
+        monkeypatch.setattr(gf, "_KERNEL", None)
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    H = field_channel(plan.cfg, seed=0, index=[0, 25, 50]).H.copy()
+    if rx == 1:
+        H[1, 0, 0] = 0
+    else:
+        H[1, 2, :2] = 2 * H[1, 1, :2] % DEFAULT_PRIME
+    (target,) = [t for t in plan.layout.targets if t[0] == rx]
+    for channel in (ChannelRealization(plan.cfg, H[1]), ChannelRealization(plan.cfg, H)):
+        with pytest.raises(ResampleRequiredError):
+            _precoder_columns(plan, channel)
+        with pytest.raises(ResampleRequiredError):
+            apzf_precoder(channel, *target)
+        with pytest.raises(ResampleRequiredError):
+            realize_plan(plan, channel)
 
 
 def _assert_bits_equal(got, want):
