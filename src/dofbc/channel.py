@@ -89,10 +89,10 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
 class ChannelRealization:
     """One channel block: H is (N1+N2) x M, rows split as [H1; H2].
 
-    H's dtype decides the field: a float64 H is a real-valued channel, an
-    int64 H with entries in [0, p) a GF(p) channel, p = 2^31 - 1.  Either
-    may also be a (trials, N1+N2, M) stack of independent draws; every view
-    below then keeps that leading axis.
+    H's dtype decides the field: a float64 H with finite entries is a
+    real-valued channel, an int64 H with entries in [0, p) a GF(p) channel,
+    p = 2^31 - 1.  Either may also be a (trials, N1+N2, M) stack of one or
+    more independent draws; every view below then keeps that leading axis.
     Realizations are immutable; H must not be mutated.
     """
 
@@ -104,11 +104,14 @@ class ChannelRealization:
             raise InvalidConfigError(f"channel must be float64 or int64, got {self.H.dtype}")
         p = self.field
         expected = (self.cfg.N, self.cfg.M)
-        if self.H.shape[-2:] != expected or self.H.ndim not in (2, 3):
+        # The config has antennas, so only a stack of no draws has no entries.
+        if self.H.shape[-2:] != expected or self.H.ndim not in (2, 3) or not self.H.size:
             raise InvalidConfigError(
-                f"channel must have shape {expected} or (trials, {self.cfg.N}, {self.cfg.M}),"
+                f"channel must have shape {expected} or (trials >= 1, {self.cfg.N}, {self.cfg.M}),"
                 f" got {self.H.shape}"
             )
+        if p is None and not np.isfinite(self.H).all():
+            raise InvalidConfigError("real channel entries must be finite")
         if p is not None and (self.H.min() < 0 or self.H.max() >= p):
             raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")
         self.H.setflags(write=False)

@@ -47,7 +47,7 @@ any kernel reads an array, unless the array is C-ordered int64 and writable
 where it is written.  They read a writable array's address through
 `ctypes.c_char.from_buffer`, about a third of the cost of `a.ctypes.data`,
 and only a read-only one (a channel's H) through `a.ctypes`.
-`verifier.realize_plan` and `precoding.apzf_precoder` call them directly.
+`verifier` calls all three directly, and `precoding._solution` the solve.
 The public `gf_pivots` (and `gf_rank`), `gf_matmul` and `gf_solve` check
 their arguments and reduce them with `gf_array` into C-ordered copies, then
 call the same entries.  The kernel also exports

@@ -9,15 +9,13 @@ cancelling at the same receive rows share that system's matrix, so
 `apzf_precoder` takes the sending antennas of a whole group and solves it
 once for all of them.
 
-On GF(p) one core serves `apzf_precoder` and the verifier alike: the
-augmented system [H[rows, :k'] | H[rows, antennas]] is gathered by one
-`take` of flat indices (`_system_index`, relative to the receiver's first
-row of H), its right-hand side negated in place, and every trial's system
-solved in one call (`_field_solution`).  A plan's layout records those
-indices once per AP-ZF target, so realizing a plan needs no call of
-`apzf_precoder` and none of its checks; the public function checks its
-arguments and builds the indices per call.  The real-valued path solves
-with LAPACK and checks the residual.
+One core, `_solution`, makes every AP-ZF solve on either field, for
+`apzf_precoder` and the verifier alike: one `take` of flat indices
+(`_system_index`, relative to the receiver's first row of H) gathers every
+trial's augmented system [H[rows, :k'] | H[rows, antennas]].  GF(p) solves
+them exactly in one compiled call, a real channel in checked LAPACK solves.
+A plan's layout records those indices once per AP-ZF target, so realizing
+a plan calls neither `apzf_precoder` nor its argument checks.
 """
 
 from __future__ import annotations
@@ -32,14 +30,6 @@ from .gf import _solve_in_place
 
 CHANNEL = "channel"
 CONSTANT = "constant"
-
-
-def _residual_ok(H_sel: np.ndarray, t: np.ndarray) -> bool:
-    """Every column of the real-valued t vanishes at H_sel, to 1e-9 relative
-    precision per column and trial.  GF(p) solves are exact and need no check."""
-    H_max = np.abs(H_sel).max(axis=(-2, -1))[..., None]
-    scale = np.maximum(H_max * np.maximum(np.abs(t).max(axis=-2), 1.0), 1.0)
-    return bool(np.all(np.abs(H_sel @ t).max(axis=-2) <= 1e-9 * scale))
 
 
 def apzf_precoder(
@@ -62,7 +52,8 @@ def apzf_precoder(
     InvalidConfigError when the receiver, a row or an antenna is not an
     integer (a bool or a float is rejected, not truncated) or is out of
     range, or when a row repeats, and ResampleRequiredError when the k' x k'
-    block is singular.
+    block is singular or, on a real channel, the solution fails its
+    residual check.
     """
     M, k = channel.cfg.M, channel.cfg.k
     kp = len(rows)
@@ -71,29 +62,15 @@ def apzf_precoder(
     antennas = [as_integer(a, "sending antenna") for a in antennas]
     if any(not kp <= a < M for a in antennas):
         raise InvalidConfigError(f"AP-ZF streams must be sent from antennas {kp}..{M - 1}")
-    H_sel = channel.receiver_rows(rx, rows)
+    channel.receiver_rows(rx, rows)  # checks the receiver and its rows
     if len(set(rows)) != kp:  # a repeated row makes every draw's block singular
         raise InvalidConfigError("AP-ZF cancellation rows must be distinct")
-    field = channel.field
     n = len(antennas)
     t = np.zeros(channel.H.shape[:-2] + (M, n), dtype=channel.H.dtype)
     t[..., antennas, range(n)] = 1
-    if not kp:
-        return t
-    if field is None:
-        A = H_sel[..., :kp]
-        if np.any(np.linalg.matrix_rank(A) < kp):
-            raise ResampleRequiredError("rank-deficient active submatrix")
-        # One LAPACK solve per column, so each result is bit-identical to a
-        # one-antenna call; a multi-column right-hand side could round apart.
-        rhs = np.swapaxes(-H_sel[..., antennas], -1, -2)[..., None]
-        blocks = np.broadcast_to(A[..., None, :, :], A.shape[:-2] + (n, kp, kp))
-        t[..., :kp, :] = np.swapaxes(np.linalg.solve(blocks, rhs)[..., 0], -1, -2)
-        if not _residual_ok(H_sel, t):
-            raise ResampleRequiredError("cancellation residual check failed")
-    else:
+    if kp:
         first_row = 0 if rx == 1 else channel.cfg.N1
-        t[..., :kp, :] = _field_solution(channel.H, first_row, _system_index(M, rows, antennas), field)
+        t[..., :kp, :] = _solution(channel.H, first_row, _system_index(M, rows, antennas), channel.field)
     return t
 
 
@@ -105,16 +82,37 @@ def _system_index(M: int, rows, antennas) -> np.ndarray:
     return np.array(rows, dtype=np.intp)[:, None] * M + columns
 
 
-def _field_solution(H: np.ndarray, first_row: int, index: np.ndarray, p: int) -> np.ndarray:
-    """The AP-ZF coefficients X of the first k' antennas on GF(p), in [0, p):
-    A X = -B for the system [A | B] that `index` (from `_system_index`)
-    gathers from the receiver whose rows of H begin at `first_row`, with H's
-    trial axis, if any.  One `take` gathers every trial's system as a fresh
-    stack, B is negated in place into (-p, 0], and one call solves the
-    stack.  Raises ResampleRequiredError if any trial's A is singular."""
-    M = H.shape[-1]
+def _residual_ok(aug: np.ndarray, X: np.ndarray) -> bool:
+    """A X + B of the real systems aug = [A | B] vanishes to 1e-9 relative
+    precision per column and trial: relative to the trial's largest |entry|
+    of [A | B] times the column's largest |entry| of X, each at least 1."""
+    kp = X.shape[-2]
+    H_max = np.abs(aug).max(axis=(-2, -1))[..., None]
+    scale = np.maximum(H_max * np.maximum(np.abs(X).max(axis=-2), 1.0), 1.0)
+    return bool(np.all(np.abs(aug[..., :kp] @ X + aug[..., kp:]).max(axis=-2) <= 1e-9 * scale))
+
+
+def _solution(H: np.ndarray, first_row: int, index: np.ndarray, p: int | None) -> np.ndarray:
+    """The AP-ZF coefficients X of the first k' antennas: A X = -B for the
+    system [A | B] that `index` (from `_system_index`) gathers, with H's trial
+    axis if any, from the receiver whose rows of H begin at `first_row`.  On
+    GF(p), B is negated in place into (-p, 0] and one call solves the stack
+    into [0, p).  On a real channel, LAPACK solves each column alone, so its
+    bits do not depend on the others.  Raises ResampleRequiredError if any
+    trial's A is singular (on a real channel: rank-deficient, or the solution
+    fails `_residual_ok`)."""
+    M, kp = H.shape[-1], index.shape[0]
     aug = H.reshape(H.shape[:-2] + (-1,))[..., first_row * M :].take(index, axis=-1)
-    rhs = aug[..., index.shape[0] :]
-    rhs *= -1  # not np.negative(rhs, out=rhs): numpy 2.4 negates 64-byte strides in place wrongly
-    _solve_in_place(aug, p)
-    return rhs
+    rhs = aug[..., kp:]
+    if p is not None:
+        rhs *= -1  # not np.negative(rhs, out=rhs): numpy 2.4 negates 64-byte strides in place wrongly
+        _solve_in_place(aug, p)
+        return rhs
+    A = aug[..., :kp]
+    if np.any(np.linalg.matrix_rank(A) < kp):
+        raise ResampleRequiredError("rank-deficient active submatrix")
+    columns = np.swapaxes(-rhs, -1, -2)[..., None]  # one right-hand side per solve
+    X = np.swapaxes(np.linalg.solve(A[..., None, :, :], columns)[..., 0], -1, -2)
+    if not _residual_ok(aug, X):
+        raise ResampleRequiredError("cancellation residual check failed")
+    return X

@@ -255,11 +255,11 @@ class SlotLayout(NamedTuple):
 
 
 class PlanLayout(NamedTuple):
-    targets: tuple  # (rx, rows, sending antennas) per AP-ZF target, in Z's column order
     slots: tuple[SlotLayout, ...]
     coupled: tuple  # each coupled stream's terms, by aux index
-    # The GF(p) path: [I_M | Z] with its AP-ZF entries zero, and per target
-    # (rx, k', Z's columns as a slice, `precoding._system_index` of its system).
+    # Every AP-ZF solve, on either field: [I_M | Z] with its AP-ZF entries
+    # zero, and per target (rx, k', Z's columns as a slice,
+    # `precoding._system_index` of its system), in Z's column order.
     template: np.ndarray
     systems: tuple
 
@@ -359,8 +359,7 @@ class TransmissionPlan:
                 masks[cancelled] = _readonly(antenna >= np.array(cancelled, dtype=np.intp))
             slots.append(SlotLayout(*map(views.__getitem__, ids), terms, masks[cancelled]))
         coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
-        return PlanLayout(tuple(k + (tuple(a),) for k, a in targets.items()), tuple(slots),
-                          coupled_terms, _readonly(template), tuple(systems))
+        return PlanLayout(tuple(slots), coupled_terms, _readonly(template), tuple(systems))
 
     def _validate(self):
         """Check the plan's structure once, so realizing it needs no structural

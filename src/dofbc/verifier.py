@@ -19,18 +19,19 @@ without one.  A certified plan achieves the DoF it claims, `plan.claimed_dof`.
 Realizing reads the plan's index arrays (`TransmissionPlan.layout`).  Every
 stream is sent with coefficient 1 from its one antenna; streams that AP-ZF
 cancels at the same rows of the same receiver share one solve per channel.
-On GF(p) the precoders come straight from the layout, without
-`apzf_precoder` or its checks, which `TransmissionPlan._validate` made once:
-a copy of the layout's [I_M | Z] template receives each target's solution,
-gathered from H by the layout's flat indices and solved in one compiled
-call (`precoding._field_solution`).  One product H [I_M | Z] covers every
-column, a fresh stream's samples are a gather, and only interference and
-coupled streams need a product.  Every GF(p) product and solve goes through
-`gf._product` and `gf._solve_in_place`, on fresh C-ordered arrays already in
-range, so nothing is reduced or checked twice.  Real channels keep one
-`apzf_precoder` call per target.  CSIT compliance compares the precoders `realize_plan`
-recorded under two of the certification's own channels.  Real channels serve
-only the rate slopes, realized at unit transmit power per slot.
+On either field the precoders come straight from the layout, without
+`apzf_precoder` or its argument checks, which `TransmissionPlan._validate`
+made once: a copy of the layout's [I_M | Z] template in H's dtype receives
+each target's solution, gathered from H by the layout's flat indices and
+solved by `precoding._solution`, the one AP-ZF solve (one compiled call on
+GF(p); checked LAPACK solves on a real channel).  On GF(p) one product
+H [I_M | Z] covers every column, a fresh stream's samples are a gather, and
+only interference and coupled streams need a product.  Every GF(p) product
+and solve goes through `gf._product` and `gf._solve_in_place`, on fresh
+C-ordered arrays already in range, so nothing is reduced or checked twice.
+CSIT compliance compares the precoders `realize_plan` recorded under two of
+the certification's own channels.  Real channels serve only the rate
+slopes, realized at unit transmit power per slot.
 Monte Carlo rate slopes use the standard real-Gaussian log-det rate with the
 other user's columns treated as noise; the high-SNR slope against
 log2(sqrt(P)) then recovers each receiver's DoF.
@@ -67,7 +68,7 @@ from .channel import ChannelDistribution, ChannelRealization, field_channel, sam
 from .errors import InvalidConfigError, ResampleRequiredError, as_integer
 from .gf import DEFAULT_PRIME, _pivots, _product, _solve_in_place, gf_array
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
-from .precoding import _field_solution, apzf_precoder
+from .precoding import _solution
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
 
 _MAX_RESAMPLE = 25
@@ -132,21 +133,15 @@ def _check_trials(trials) -> None:
 
 
 def _precoder_columns(plan: TransmissionPlan, channel: ChannelRealization) -> np.ndarray:
-    """[I_M | Z] under `channel`, with its trial axis if any; every stream's
-    precoder is one column.  On GF(p), a copy of the layout's template
-    receives each AP-ZF target's solution, gathered and solved straight from
-    the layout (`precoding._field_solution`); on a real channel, Z holds one
-    `apzf_precoder` call's columns per target."""
+    """[I_M | Z] under `channel`, in its dtype and with its trial axis if
+    any; every stream's precoder is one column.  A copy of the layout's
+    template receives each AP-ZF target's solution, gathered and solved
+    straight from the layout (`precoding._solution`)."""
     H, layout = channel.H, plan.layout
-    p = channel.field
-    if p is None:
-        eye = np.eye(channel.cfg.M) + np.zeros(H.shape[:-2] + (1, 1))
-        solved = [apzf_precoder(channel, *target) for target in layout.targets]
-        return np.concatenate([eye, *solved], axis=-1) if solved else eye
-    columns = np.empty(H.shape[:-2] + layout.template.shape, dtype=np.int64)
+    columns = np.empty(H.shape[:-2] + layout.template.shape, dtype=H.dtype)
     columns[...] = layout.template
     for rx, kp, span, index in layout.systems:
-        columns[..., :kp, span] = _field_solution(H, 0 if rx == 1 else channel.cfg.N1, index, p)
+        columns[..., :kp, span] = _solution(H, 0 if rx == 1 else channel.cfg.N1, index, channel.field)
     return columns
 
 

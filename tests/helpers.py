@@ -411,19 +411,28 @@ def reference_plan_json(plan: TransmissionPlan) -> dict:
     }
 
 
+def reference_targets(plan: TransmissionPlan) -> tuple:
+    """(rx, rows, sending antennas) per AP-ZF target of `plan`, built stream
+    by stream: targets and their antennas in the order of first use, which
+    is the order of Z's columns in [I_M | Z]."""
+    groups: dict[tuple, dict[int, None]] = {}
+    for r in (s.precoder for slot in plan.slots for s in slot.streams if s.precoder.rows):
+        groups.setdefault((r.rx, r.rows), {})[r.antenna] = None
+    return tuple(key + (tuple(antennas),) for key, antennas in groups.items())
+
+
 def reference_layout(plan: TransmissionPlan) -> tuple:
     """(targets, per-slot arrays, coupled terms) of `plan.layout`, built
     stream by stream: the frozen reference the grouped layout must equal.
     Each slot gives (columns, onehot rows, onehot forms, fresh symbols,
     fresh sources, mixed, interference, constant)."""
     M, S, registry = plan.cfg.M, len(plan.registry.symbols), plan.registry
+    targets = reference_targets(plan)
     groups: dict[tuple, dict[int, int]] = {}
-    for r in (s.precoder for slot in plan.slots for s in slot.streams if s.precoder.rows):
-        groups.setdefault((r.rx, r.rows), {})[r.antenna] = 0
     column = M
-    for antennas in groups.values():
-        for antenna in antennas:
-            antennas[antenna], column = column, column + 1
+    for rx, rows, antennas in targets:
+        groups[rx, rows] = dict(zip(antennas, range(column, column + len(antennas))))
+        column += len(antennas)
     slots, coupled = [], {}
     for slot in plan.slots:
         columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
@@ -445,7 +454,7 @@ def reference_layout(plan: TransmissionPlan) -> tuple:
         arrays = [np.array(a, dtype=np.intp) for a in (columns, rows + aux_rows, forms + aux_forms, forms, sources, mixed)]
         slots.append((*arrays, tuple(terms), constant))
     coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
-    return tuple(k + (tuple(a),) for k, a in groups.items()), tuple(slots), coupled_terms
+    return targets, tuple(slots), coupled_terms
 
 
 def reference_region_document(M: int, N1: int, N2: int, k: int) -> dict:

@@ -140,6 +140,27 @@ def test_channel_entries_checked_against_field():
             ChannelRealization(cfg=cfg, H=entries)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_zero_draw_stack_rejected(dtype):
+    # An empty int64 stack used to raise numpy's ValueError from H.min(),
+    # and an empty float64 one realized plans into empty matrices.
+    cfg = SystemConfig(4, 1, 3, 2)
+    with pytest.raises(InvalidConfigError, match="trials >= 1"):
+        ChannelRealization(cfg, np.empty((0, cfg.N, cfg.M), dtype))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_real_entries_rejected(entry):
+    # A NaN used to reach LAPACK ("SVD did not converge") in an AP-ZF solve,
+    # and an inf a RuntimeWarning and a residual resample.
+    cfg = SystemConfig(4, 1, 3, 2)
+    for index in (0, [0, 25]):
+        H = sample_channel(cfg, seed=0, index=index).H.copy()
+        H[..., 1, 0] = entry
+        with pytest.raises(InvalidConfigError, match="finite"):
+            ChannelRealization(cfg, H)
+
+
 @pytest.mark.parametrize("draw", [sample_channel, field_channel], ids=lambda f: f.__name__)
 def test_index_sequence_stacks_per_index_draws(draw):
     # Each member of a stack comes from its own SeedSequence((seed, index)).

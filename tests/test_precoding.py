@@ -8,6 +8,8 @@ from dofbc.config import SystemConfig
 from dofbc.errors import CapabilityExceededError, InvalidConfigError, ResampleRequiredError
 from dofbc.gf import gf_matmul
 from dofbc.precoding import apzf_precoder
+from dofbc.schemes import select_scheme
+from dofbc.verifier import realize_plan
 
 
 def residual(channel, rx, rows, t):
@@ -141,6 +143,25 @@ def test_rank_deficient_active_submatrix():
     ch = ChannelRealization(cfg=cfg, H=H)
     with pytest.raises(ResampleRequiredError):
         apzf_precoder(ch, 1, (0,), [1, 2, 3])
+
+
+@pytest.mark.parametrize("error,raises", [(1e-6, True), (1e-13, False)])
+def test_real_residual_check_raises_a_resample(monkeypatch, error, raises):
+    # Every LAPACK solution is shifted by `error`: a residual A X + B past
+    # the 1e-9 relative bound raises a resample through `apzf_precoder` and
+    # `realize_plan`, on one draw and on a stack; a rounding-sized one passes.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    lapack = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: lapack(a, b) + error)
+    for index in (0, [0, 25, 50]):
+        ch = sample_channel(plan.cfg, seed=0, index=index)
+        for call in (lambda: apzf_precoder(ch, 2, (0, 1), [2, 3]), lambda: apzf_precoder(ch, 1, (0,), [1]),
+                     lambda: realize_plan(plan, ch)):
+            if raises:
+                with pytest.raises(ResampleRequiredError, match="residual"):
+                    call()
+            else:
+                call()
 
 
 @pytest.mark.parametrize("field", [False, True])

@@ -367,6 +367,29 @@ HAND_BUILT_PLANS = (
 )
 
 
+def _target_systems(M, targets):
+    """`PlanLayout.systems` and `.template` of the AP-ZF targets (rx, rows,
+    antennas), whose Z columns follow I_M in order: each system's flat
+    indices of [H[rows, :k'] | H[rows, antennas]] within the receiver's rows."""
+    template = np.eye(M, M + sum(len(antennas) for *_, antennas in targets), dtype=np.int64)
+    systems, column = [], M
+    for rx, rows, antennas in targets:
+        span = slice(column, column + len(antennas))
+        index = [[r * M + c for c in (*range(len(rows)), *antennas)] for r in rows]
+        systems.append((rx, len(rows), span, np.array(index, dtype=np.intp)))
+        template[list(antennas), range(span.start, span.stop)] = 1
+        column = span.stop
+    return systems, template
+
+
+def _assert_same_systems(layout, systems, template):
+    assert len(layout.systems) == len(systems)
+    for got, want in zip(layout.systems, systems):
+        assert got[:3] == want[:3]
+        assert got[3].dtype == want[3].dtype and np.array_equal(got[3], want[3])
+    assert layout.template.dtype == template.dtype and np.array_equal(layout.template, template)
+
+
 # Template plans over the range bounds-sweep draws from, past the catalogue
 # digest's M <= 8, and the hand-built plans with their merged groups.
 @settings(max_examples=150, deadline=None)
@@ -385,7 +408,8 @@ def test_grouped_plans_serialize_and_lay_out_as_per_stream_code(plan):
     assert json.dumps(plan.to_json(), indent=1) == json.dumps(reference_plan_json(plan), indent=1)
     targets, slots, coupled = reference_layout(plan)
     layout = plan.layout
-    assert layout.targets == targets and layout.coupled == coupled and len(layout.slots) == len(slots)
+    _assert_same_systems(layout, *_target_systems(plan.cfg.M, targets))
+    assert layout.coupled == coupled and len(layout.slots) == len(slots)
     for got, want in zip(layout.slots, slots):
         arrays = (got.columns, got.rows, got.forms, got.forms[: len(got.sources)], got.sources, got.mixed)
         for array, expected in zip(arrays, want[:6]):
@@ -407,7 +431,7 @@ def _layout_arrays(layout):
 
 def _assert_same_plan(served, fresh):
     assert served == fresh  # config, scheme id, registry and slots
-    assert served.layout.targets == fresh.layout.targets
+    _assert_same_systems(served.layout, fresh.layout.systems, fresh.layout.template)
     assert served.layout.coupled == fresh.layout.coupled
     for slot, fresh_slot in zip(served.layout.slots, fresh.layout.slots, strict=True):
         assert [t[::2] for t in slot.interference] == [t[::2] for t in fresh_slot.interference]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -472,32 +473,40 @@ def test_grouped_precoders_equal_per_stream_precoders():
 
 
 def _solved_target(channel, rx, rows, antennas):
-    """One AP-ZF target's M x n columns on GF(p) through the public `gf_solve`
-    on `receiver_rows` slices: a reference that shares no gather index, row
-    offset or negation with the layout path."""
+    """One AP-ZF target's M x n columns through public entries on
+    `receiver_rows` slices: `gf_solve` on GF(p), and on a real channel one
+    `np.linalg.solve` per column and draw.  A reference that shares no
+    gather index, row offset, negation or stacking with the layout path."""
     H_sel = channel.receiver_rows(rx, rows)
     kp, n = len(rows), len(antennas)
-    t = np.zeros(channel.H.shape[:-2] + (channel.cfg.M, n), dtype=np.int64)
+    t = np.zeros(channel.H.shape[:-2] + (channel.cfg.M, n), dtype=channel.H.dtype)
     t[..., antennas, range(n)] = 1
-    t[..., :kp, :] = gf_solve(H_sel[..., :kp], -H_sel[..., antennas], DEFAULT_PRIME)
+    if channel.field is not None:
+        t[..., :kp, :] = gf_solve(H_sel[..., :kp], -H_sel[..., antennas], DEFAULT_PRIME)
+        return t
+    for draw in np.ndindex(channel.H.shape[:-2]):
+        for j, a in enumerate(antennas):
+            t[draw + (slice(kp), j)] = np.linalg.solve(H_sel[draw][:, :kp], -H_sel[draw][:, a])
     return t
 
 
 @pytest.mark.parametrize("compiled_kernel", [True, False])
 def test_layout_precoder_columns_equal_per_target_apzf_precoders(monkeypatch, compiled_kernel):
-    # Realizing on GF(p) gathers and solves each AP-ZF target straight from
-    # the layout.  Its [I_M | Z] must equal, bit for bit, the identity beside
-    # one stacked `apzf_precoder` call per target, and the same columns
-    # solved through the public `gf_solve`, on one draw and on a stack.
+    # Realizing gathers and solves each AP-ZF target straight from the
+    # layout, on GF(p) and on real channels.  Its [I_M | Z] must equal, bit
+    # for bit, the identity beside one stacked `apzf_precoder` call per
+    # target, and the same columns solved without the layout (`gf_solve`,
+    # or one LAPACK solve per column and draw), on one draw and on a stack.
+    # The targets are read off the plan's streams, not its layout.
     # Template plans of one key share their layout across N1, so RX2's rows
     # start at a different offset of H for plans of the same layout.
     if not compiled_kernel:
         monkeypatch.setattr(gf, "_KERNEL", None)
     for plan in _catalogue_plans():
-        M, targets = plan.cfg.M, plan.layout.targets
-        for index in (3, [0, 25, 50]):
-            channel = field_channel(plan.cfg, seed=5, index=index)
-            eye = np.eye(M, dtype=np.int64) + np.zeros(channel.H.shape[:-2] + (1, 1), dtype=np.int64)
+        M, targets = plan.cfg.M, helpers.reference_targets(plan)
+        for index, draw in itertools.product((3, [0, 25, 50]), (field_channel, sample_channel)):
+            channel = draw(plan.cfg, seed=5, index=index)
+            eye = np.eye(M, dtype=channel.H.dtype) + np.zeros(channel.H.shape[:-2] + (1, 1), channel.H.dtype)
             got = _precoder_columns(plan, channel)
             for solve in (apzf_precoder, _solved_target):
                 want = np.concatenate([eye, *(solve(channel, *target) for target in targets)], axis=-1)
@@ -508,24 +517,28 @@ def test_layout_precoder_columns_equal_per_target_apzf_precoders(monkeypatch, co
 @pytest.mark.parametrize("rx", [1, 2])
 def test_layout_precoder_columns_raise_on_a_singular_block(monkeypatch, compiled_kernel, rx):
     # (4,1,3,2): RX1 streams cancel at RX2 rows 0-1, RX2 streams at RX1 row
-    # 0.  A singular block of either target raises on one draw and as one
-    # member of a stack, on the layout path and through `apzf_precoder`.
+    # 0.  A singular block of either target, on GF(p) or rank-deficient on a
+    # real channel, raises on one draw and as one member of a stack, on the
+    # layout path and through `apzf_precoder`.
     if not compiled_kernel:
         monkeypatch.setattr(gf, "_KERNEL", None)
     plan = select_scheme(SystemConfig(4, 1, 3, 2))
-    H = field_channel(plan.cfg, seed=0, index=[0, 25, 50]).H.copy()
-    if rx == 1:
-        H[1, 0, 0] = 0
-    else:
-        H[1, 2, :2] = 2 * H[1, 1, :2] % DEFAULT_PRIME
-    (target,) = [t for t in plan.layout.targets if t[0] == rx]
-    for channel in (ChannelRealization(plan.cfg, H[1]), ChannelRealization(plan.cfg, H)):
-        with pytest.raises(ResampleRequiredError):
-            _precoder_columns(plan, channel)
-        with pytest.raises(ResampleRequiredError):
-            apzf_precoder(channel, *target)
-        with pytest.raises(ResampleRequiredError):
-            realize_plan(plan, channel)
+    (target,) = [t for t in helpers.reference_targets(plan) if t[0] == rx]
+    for draw in (field_channel, sample_channel):
+        H = draw(plan.cfg, seed=0, index=[0, 25, 50]).H.copy()
+        if rx == 1:
+            H[1, 0, 0] = 0
+        else:
+            H[1, 2, :2] = 2 * H[1, 1, :2]
+            if H.dtype == np.int64:
+                H[1, 2, :2] %= DEFAULT_PRIME
+        for channel in (ChannelRealization(plan.cfg, H[1]), ChannelRealization(plan.cfg, H)):
+            with pytest.raises(ResampleRequiredError):
+                _precoder_columns(plan, channel)
+            with pytest.raises(ResampleRequiredError):
+                apzf_precoder(channel, *target)
+            with pytest.raises(ResampleRequiredError):
+                realize_plan(plan, channel)
 
 
 def _assert_bits_equal(got, want):
