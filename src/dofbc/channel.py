@@ -20,7 +20,12 @@ replays SeedSequence((seed, index)), PCG64 and numpy's own `integers` and
 but not its `Generator` methods, so the kernel (`_KERNEL`) is used only if
 one probe draw of each kind equals numpy's at the first draw (`_probed`).
 Without the kernel, or for an index of 2^32 or more, each draw calls
-`trial_rng` and numpy.
+`trial_rng` and numpy.  A kernel-drawn stack is not rescanned: the kernel
+writes only residues in [1, p) or reals in +-[delta_min, delta_max] into an
+array of the declared shape and dtype, so its realization skips
+`ChannelRealization`'s dtype, shape and range checks.  A numpy-drawn stack,
+and every realization built through the public constructor, is checked in
+full.
 `achieved_dof` and `rate_slope_estimate` draw and realize a block of trials
 this way.
 """
@@ -116,6 +121,17 @@ class ChannelRealization:
             raise InvalidConfigError(f"GF({p}) channel entries must lie in [0, {p})")
         self.H.setflags(write=False)
 
+    @classmethod
+    def _drawn(cls, cfg: SystemConfig, H: np.ndarray) -> ChannelRealization:
+        """`H` as a read-only realization, without `__post_init__`'s scans:
+        for a stack the probed kernel wrote into an array `_draws` allocated
+        with the declared shape and dtype, and so with residues in [1, p) or
+        reals in +-[delta_min, delta_max] only."""
+        H.setflags(write=False)
+        realization = object.__new__(cls)
+        realization.__dict__.update(cfg=cfg, H=H)
+        return realization
+
     @property
     def field(self) -> int | None:
         """The prime p of a GF(p) channel, None for a real-valued one."""
@@ -200,25 +216,27 @@ def _draws(cfg: SystemConfig, seed: int, index,
            dist: ChannelDistribution | None) -> ChannelRealization:
     """`_numpy_draw(trial_rng(seed, index), ...)` as a realization; for a
     sequence of indices, a stack of one such draw per index, written into one
-    array and validated once.  The compiled kernel draws every index when all
-    are below 2^32, `trial_rng` each one otherwise."""
+    array.  The compiled kernel draws every index when all are below 2^32,
+    into an array allocated here, which is therefore not rescanned
+    (`ChannelRealization._drawn`); otherwise `trial_rng` draws each index,
+    and the stack is validated once."""
     # np.ndim would first convert a list into an array.
     scalar = not isinstance(index, (list, tuple)) and np.ndim(index) == 0
     indices = [index] if scalar else list(index)
     if not indices:
         raise InvalidConfigError("at least one draw index required")
     seed = as_integer(seed, "seed")
-    indices = [_checked(seed, i)[1] for i in indices]
+    if seed < 0 or not all(type(i) is int and i >= 0 for i in indices):
+        indices = [_checked(seed, i)[1] for i in indices]  # raises trial_rng's error, if any
     shape = (cfg.N, cfg.M)
     kernel = _probed(_KERNEL)
     if kernel is not None and max(indices) <= _MAX_INDEX:
         dtype = np.int64 if dist is None else np.float64
         H = np.empty(shape if scalar else (len(indices), *shape), dtype)
         _kernel_draws(kernel, seed, indices, H, dist)
-    else:
-        draws = [_numpy_draw(trial_rng(seed, i), shape, dist) for i in indices]
-        H = draws[0] if scalar else np.stack(draws)
-    return ChannelRealization(cfg=cfg, H=H)
+        return ChannelRealization._drawn(cfg, H)
+    draws = [_numpy_draw(trial_rng(seed, i), shape, dist) for i in indices]
+    return ChannelRealization(cfg=cfg, H=draws[0] if scalar else np.stack(draws))
 
 
 def sample_channel(

@@ -55,7 +55,12 @@ registry, slots and layout; k counts only when the shape has a phase 2.
 The first plan of a key enters a bounded module table when its layout is
 first built, on its first realization, and later plans of that key are
 served from the table.  Plans that are only serialized add nothing.  Each
-plan still carries its own config and is validated against it.
+plan still carries its own config.  A fresh plan is validated in full; a
+served plan only against the rows it uses at RX1 and at RX2 and the
+informed antennas it needs, recorded once per key.  That is enough: every
+other check reads the registry, the slots or M alone, which the key fixes,
+and they passed when the key's first plan was built.  A config that misses
+those needs is built afresh, and fails as it would with an empty table.
 """
 
 from __future__ import annotations
@@ -118,6 +123,20 @@ class SymbolRegistry:
     def split(self, rx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(desired, interference) columns at receiver `rx`."""
         return self.owned_columns(rx), self.owned_columns(3 - rx)
+
+    @cached_property
+    def _rank_orders(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """(order, split) at RX1, then at RX2: the receiver's `split` columns
+        as [interference | desired] in one read-only intp array, and the
+        count of interference columns, where the desired ones start.  The
+        rank checks and rate slopes read a receiver's columns from it, so
+        plans that share a registry share it."""
+        orders = []
+        for rx in (1, 2):
+            desired, interference = self.split(rx)
+            order = _readonly(np.array(interference + desired, dtype=np.intp))
+            orders.append((order, len(interference)))
+        return tuple(orders)
 
 
 class RxRowRef(NamedTuple):
@@ -277,6 +296,19 @@ class TransmissionPlan:
         self._validate()
         dof = Fraction(self.registry.S1 + self.registry.S2, self.T)
         object.__setattr__(self, "_claimed_dof", dof)  # once: certifying and reporting both read it
+
+    @classmethod
+    def _served(cls, cfg: SystemConfig, scheme_id: str, entry: _Template) -> TransmissionPlan:
+        """The plan on `cfg` with `entry`'s registry, slots, layout and
+        claimed DoF, without `_validate`: `_two_phase_plan` serves it only
+        once `cfg` meets the entry's needs, the one part of `_validate` that
+        reads N1, N2 or k.  The rest passed when the entry's plan was built."""
+        plan = object.__new__(cls)
+        plan.__dict__.update(
+            cfg=cfg, scheme_id=scheme_id, registry=entry.registry, slots=entry.slots,
+            layout=entry.layout, _claimed_dof=entry.claimed_dof,
+        )
+        return plan
 
     @property
     def T(self) -> int:
@@ -507,16 +539,31 @@ def _forwarded(row: int, count: int) -> tuple[InterferencePayload, ...]:
     return payloads[:count]
 
 
+class _Template(NamedTuple):
+    """A `_TEMPLATES` entry: what plans of one key share, and the least N1,
+    N2 and k a config needs for them (`_needs`)."""
+
+    registry: SymbolRegistry
+    slots: tuple[Slot, ...]
+    layout: PlanLayout
+    claimed_dof: Fraction
+    rx1_rows: int
+    rx2_rows: int
+    informed: int
+
+
 # Template plans by (shape, M, k) of their capped config, k only when the
-# shape has a phase 2: the registry, slots and layout of the first such plan
-# whose layout was built.  Plans with the same key share all three: the slots
-# depend only on the shape and on k (phase 2 forwards RX2 row k + u), the
-# layout only on the slots, the registry and M.  Each plan still carries and
-# validates its own config.  A fresh template plan keeps its key in
-# `_template_key`, and its entry is added when its layout is first built, so
-# plans that are only serialized add none; past _TEMPLATE_LIMIT entries the
-# oldest is dropped.
-_TEMPLATES: dict[tuple, tuple[SymbolRegistry, tuple[Slot, ...], PlanLayout]] = {}
+# shape has a phase 2: the registry, slots, layout and claimed DoF of the
+# first such plan whose layout was built.  Plans with the same key share all
+# four: the slots depend only on the shape and on k (phase 2 forwards RX2 row
+# k + u), the layout only on the slots, the registry and M.  Each plan still
+# carries its own config.  A served plan is checked only against the entry's
+# needs: every other check of `_validate` reads the registry, the slots or M
+# alone, all fixed by the key, and passed when the entry's plan was built.
+# A fresh template plan keeps its key in `_template_key`, and its entry is
+# added when its layout is first built, so plans that are only serialized add
+# none; past _TEMPLATE_LIMIT entries the oldest is dropped.
+_TEMPLATES: dict[tuple, _Template] = {}
 _TEMPLATE_LIMIT = 512
 _TEMPLATES_LOCK = threading.Lock()
 
@@ -526,25 +573,46 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _needs(slots: tuple[Slot, ...]) -> tuple[int, int, int]:
+    """The least (N1, N2, k) for which `_validate` passes `slots`: one past
+    the last row that their AP-ZF targets and samples name at RX1 and at
+    RX2, and the larger of the most rows a target cancels at and one past
+    the last antenna that sends a channel-dependent stream."""
+    rows, informed = {1: 0, 2: 0}, 0
+    for group in (g for slot in slots for g in slot.groups):
+        precoder = group.precoder
+        if precoder.rows:
+            rows[precoder.rx] = max(rows[precoder.rx], max(precoder.rows) + 1)
+            informed = max(informed, len(precoder.rows))
+        for j, payload in enumerate(group.payloads):
+            if not isinstance(payload, FreshPayload):
+                informed = max(informed, precoder.antenna + j + 1)
+                for ref in payload.terms:
+                    rows[ref.rx] = max(rows[ref.rx], ref.row + 1)
+    return rows[1], rows[2], informed
+
+
 def _remember(key: tuple, plan: TransmissionPlan, layout: PlanLayout) -> None:
     """Add a template plan's structure under `key`, dropping the oldest entry past the limit."""
+    entry = _Template(plan.registry, plan.slots, layout, plan.claimed_dof, *_needs(plan.slots))
     with _TEMPLATES_LOCK:
-        _TEMPLATES[key] = plan.registry, plan.slots, layout
+        _TEMPLATES[key] = entry
         while len(_TEMPLATES) > _TEMPLATE_LIMIT:
             del _TEMPLATES[next(iter(_TEMPLATES))]
 
 
 def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
     """Build the template plan `shape` on the capped config `cfg`, or serve
-    its registry, slots and layout from `_TEMPLATES`."""
+    its registry, slots and layout from `_TEMPLATES` once `cfg` meets the
+    entry's needs.  A config that misses them is built afresh, so it gets
+    `_validate`'s own error."""
     k = cfg.k
     key = (shape, cfg.M, k if shape.p2 else None)
     entry = _TEMPLATES.get(key)
-    if entry is not None:
-        registry, slots, layout = entry
-        plan = TransmissionPlan(cfg, shape.scheme, registry, slots)
-        object.__setattr__(plan, "layout", layout)  # the cached_property reads it as computed
-        return plan
+    if entry is not None and (
+        cfg.N1 >= entry.rx1_rows and cfg.N2 >= entry.rx2_rows and k >= entry.informed
+    ):
+        return TransmissionPlan._served(cfg, shape.scheme, entry)
     a_syms, a_fresh = _symbols("a", 1, shape.S1)
     b_syms, b_fresh = _symbols("b", 2, shape.S2)
     a_next, b_next = iter(a_fresh), iter(b_fresh)

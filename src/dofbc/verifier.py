@@ -11,9 +11,12 @@ a pure rank statement:
     recovers rank(A_i) - rank(A_i without its columns) symbols.
 
 The plan's registry splits A_i's columns into the desired and interference
-symbols of receiver i (`SymbolRegistry.split`); the certificate and the rate
-slopes both read that one split.  Certification is exact: one elimination mod
-p of [interference | desired] counts the recovered symbols as its pivots among
+symbols of receiver i (`SymbolRegistry.split`), and fixes each receiver's
+rank order once: its columns as [interference | desired] in one read-only
+index array, with the split point (`SymbolRegistry._rank_orders`, shared by
+every plan of a registry).  The certificate and the rate slopes both read
+that one order.  Certification is exact: one elimination mod p of
+[interference | desired] counts the recovered symbols as its pivots among
 the desired columns, and a receiver with no desired symbols recovers 0 of 0
 without one.  A certified plan achieves the DoF it claims, `plan.claimed_dof`.
 Realizing reads the plan's index arrays (`TransmissionPlan.layout`).  Every
@@ -283,13 +286,12 @@ def _decodability(A1, A2, registry: SymbolRegistry, p: int) -> DecodabilityRepor
     [0, p), as `realize_plan` builds them: the compiled elimination reads
     and writes int64 entries and relies on their range."""
     reports = []
-    for rx, A in ((1, A1), (2, A2)):
-        desired, interference = registry.split(rx)
-        recovered = 0
+    for A, (order, split) in zip((A1, A2), registry._rank_orders):
+        desired, recovered = len(order) - split, 0
         if desired:
-            pivots = _pivots(A.take(interference + desired, axis=1), p)  # a fresh copy
-            recovered = len(pivots) - bisect_left(pivots, len(interference))
-        reports.append(ReceiverReport(desired=len(desired), recovered=recovered))
+            pivots = _pivots(A.take(order, axis=1), p)  # a fresh copy
+            recovered = len(pivots) - bisect_left(pivots, split)
+        reports.append(ReceiverReport(desired=desired, recovered=recovered))
     return DecodabilityReport(*reports)
 
 
@@ -567,15 +569,14 @@ def rate_slope_estimate(
     discarded.
     """
     snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
-    columns = [plan.registry.split(rx) for rx in (1, 2)]
 
     def sum_rates(channel: ChannelRealization) -> np.ndarray:
         """One row of sum rates per draw of the stacked `channel`."""
         system = realize_plan(plan, channel)
         grams = [
-            (_gram(A[..., desired]), _gram(A[..., other]))
-            for A, (desired, other) in zip((system.A1, system.A2), columns)
-            if desired
+            (_gram(A[..., order[split:]]), _gram(A[..., order[:split]]))
+            for A, (order, split) in zip((system.A1, system.A2), plan.registry._rank_orders)
+            if split < len(order)
         ]
         del system  # only the Gram matrices are rated: free A before the log-dets
         rates = np.zeros(channel.H.shape[:-2] + (len(snrs),))

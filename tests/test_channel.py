@@ -369,3 +369,56 @@ def test_certification_and_slopes_draw_in_kernel():
             for trials in (1, 12):
                 assert achieved_dof(plan, trials=trials, seed=2**70).ok
             rate_slope_estimate(plan, RateSimConfig(trials=12), seed=3)
+
+
+# Kernel draws skip ChannelRealization's scans; everything else keeps them.
+
+
+@pytest.mark.skipif(channel._probed(channel._KERNEL) is None, reason="no compiled draws")
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(BLOCK_SEEDS), st.integers(0, 2**80)),
+    indices=st.one_of(INDEX_WORDS, st.lists(INDEX_WORDS, min_size=1, max_size=6)),
+    N1=st.integers(1, 8),
+    extra=st.integers(0, 8),
+    M=st.integers(1, 12),
+    real=st.booleans(),
+)
+def test_kernel_draws_are_checked_realizations(seed, indices, N1, extra, M, real):
+    # A kernel-drawn realization, one draw or a stack, is read-only, has the
+    # declared shape and dtype, and passes the public constructor's checks.
+    cfg = SystemConfig(M, N1, N1 + extra, 0)
+    with mock.patch("dofbc.channel.trial_rng", side_effect=AssertionError("not drawn in the kernel")):
+        if real:
+            drawn = sample_channel(cfg, ChannelDistribution(0.2, 0.7), seed, indices)
+        else:
+            drawn = field_channel(cfg, seed, indices)
+    H = drawn.H
+    stack = () if isinstance(indices, int) else (len(indices),)
+    assert H.shape == stack + (cfg.N, cfg.M)
+    assert H.dtype == (np.float64 if real else np.int64)
+    assert not H.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        H[...] = 0
+    checked = ChannelRealization(cfg, H.copy())
+    assert checked.field == drawn.field and drawn.cfg is cfg
+    assert np.array_equal(checked.H, H)
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "numpy"])
+def test_only_numpy_draws_run_the_full_check(kernel):
+    # Without the kernel every draw call builds its realization through the
+    # public constructor, and so through __post_init__, once per call; a
+    # kernel draw skips it.
+    if kernel and channel._probed(channel._KERNEL) is None:
+        pytest.skip("no compiled draws")
+    cfg = SystemConfig(5, 2, 3, 1)
+    check = ChannelRealization.__post_init__
+    with mock.patch.object(channel, "_KERNEL", channel._KERNEL if kernel else None), \
+            mock.patch.object(ChannelRealization, "__post_init__", autospec=True,
+                              side_effect=check) as post_init:
+        draws = [field_channel(cfg, 3, [0, 25]), sample_channel(cfg, seed=3, index=[0, 25]),
+                 field_channel(cfg, 3, 4), sample_channel(cfg, seed=3, index=4)]
+        assert post_init.call_count == (0 if kernel else len(draws))
+    for drawn in draws:
+        assert not drawn.H.flags.writeable

@@ -13,7 +13,7 @@ from dofbc.channel import field_channel, sample_channel
 from dofbc.config import SystemConfig, normalize_config
 from dofbc.errors import InvalidConfigError
 from dofbc.precoding import CHANNEL, CONSTANT
-from dofbc.region import sum_dof_upper
+from dofbc.region import plan_shape, sum_dof_upper
 from dofbc.schemes import (
     ApzfRecipe,
     CoupledPayload,
@@ -476,6 +476,7 @@ def test_served_plans_equal_plans_built_cold(configs):
     assert not schemes._TEMPLATES  # building alone adds nothing
     realize_plan(first, field_channel(first.cfg, seed=1))
     served = select_scheme(cfg, special)
+    served._validate()  # the full check, also where a served plan's three comparisons stand in
     if first.scheme_id == "table1":  # the crafted plan never enters the table
         assert not schemes._TEMPLATES
         shared = False
@@ -485,7 +486,95 @@ def test_served_plans_equal_plans_built_cold(configs):
         assert (served.layout is first.layout) == shared
         assert (served.slots is first.slots and served.registry is first.registry) == shared
     schemes._TEMPLATES.clear()
-    _assert_same_plan(served, select_scheme(cfg, special))
+    cold = select_scheme(cfg, special)
+    assert served.claimed_dof == cold.claimed_dof
+    _assert_same_plan(served, cold)
+
+
+@pytest.mark.parametrize(
+    "warm, cfg",
+    [
+        ((9, 3, 6, 4), (9, 2, 6, 4)),  # too few RX1 rows for the RX2 groups' AP-ZF rows 0-2
+        ((9, 3, 6, 4), (9, 3, 5, 4)),  # too few RX2 rows for phase 2's forwarded row 5
+        ((5, 2, 4, 3), (5, 2, 4, 2)),  # too few informed antennas for AP-ZF at 3 rows
+    ],
+)
+def test_served_key_rejects_a_config_that_misses_its_needs(warm, cfg):
+    # A config of a warmed key that lacks the rows or informed antennas of
+    # the key's plan gets _validate's own error, as with the table cleared.
+    schemes._TEMPLATES.clear()
+    warm, cfg = SystemConfig(*warm), SystemConfig(*cfg)
+    shape = plan_shape(warm)
+    realize_plan(select_scheme(warm), field_channel(warm, seed=1))
+    assert (shape, cfg.M, cfg.k if shape.p2 else None) in schemes._TEMPLATES
+    with pytest.raises(InvalidConfigError) as served:
+        schemes._two_phase_plan(cfg, shape)
+    schemes._TEMPLATES.clear()
+    with pytest.raises(InvalidConfigError) as cold:
+        schemes._two_phase_plan(cfg, shape)
+    assert str(served.value) == str(cold.value)
+
+
+def _forwarding_plan() -> TransmissionPlan:
+    """A forward of slot 0's RX2 row 1 from antenna 2, with no AP-ZF: it
+    needs 3 informed antennas through its sending antenna alone."""
+    registry = SymbolRegistry((Symbol("a1", 1), Symbol("b1", 2)))
+    forward = InterferencePayload(1, (RxRowRef(0, 2, 1, 1),))
+    slots = (
+        Slot((StreamGroup((FreshPayload("a1"), FreshPayload("b1")), ApzfRecipe(0)),)),
+        Slot((StreamGroup((forward,), ApzfRecipe(2)),)),
+    )
+    return TransmissionPlan(SystemConfig(4, 2, 3, 3), "forwarding", registry, slots)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [select_scheme(SystemConfig(*shape), allow_special_cases=True)
+     for shape in ((7, 5, 6, 2), (4, 1, 3, 2), (5, 2, 3, 4), (5, 2, 4, 3), (6, 4, 5, 4),
+                   (9, 3, 6, 4), (10, 6, 8, 3), (8, 3, 5, 1), (6, 3, 3, 1))] + [_forwarding_plan()],
+    ids=lambda plan: f"{plan.scheme_id}-{plan.cfg.shape}",
+)
+def test_needs_decide_what_validate_accepts(plan):
+    # A plan's structure passes _validate on another config of its M exactly
+    # when that config meets _needs: the three comparisons a served plan
+    # gets stand for every check of _validate that reads N1, N2 or k.
+    rx1_rows, rx2_rows, informed = schemes._needs(plan.slots)
+    M, outcomes = plan.cfg.M, set()
+    for N1 in range(1, 9):
+        for N2 in range(N1, 9):
+            for k in range(M + 1):
+                meets = N1 >= rx1_rows and N2 >= rx2_rows and k >= informed
+                try:
+                    TransmissionPlan(SystemConfig(M, N1, N2, k), plan.scheme_id, plan.registry, plan.slots)
+                except InvalidConfigError:
+                    assert not meets, (N1, N2, k)
+                else:
+                    assert meets, (N1, N2, k)
+                outcomes.add(meets)
+    assert outcomes == ({True, False} if any((rx1_rows, rx2_rows, informed)) else {True})
+
+
+@pytest.mark.parametrize(
+    "registry",
+    [
+        select_scheme(SystemConfig(7, 5, 6, 2)).registry,  # RX1 decodes nothing
+        select_scheme(SystemConfig(9, 3, 6, 4)).registry,
+        build_scheme_6331().registry,
+        SymbolRegistry((Symbol("b1", 2), Symbol("a1", 1), Symbol("b2", 2))),  # owners interleaved
+        SymbolRegistry(()),
+    ],
+    ids=["rx2-baseline", "mid-k", "table1", "interleaved", "empty"],
+)
+def test_rank_orders_are_the_splits_concatenated(registry):
+    # Each receiver's cached rank order is its interference columns, then its
+    # desired ones, as one read-only intp array, split where the desired start.
+    assert len(registry._rank_orders) == 2
+    for rx, (order, split) in zip((1, 2), registry._rank_orders):
+        desired, interference = registry.split(rx)
+        assert order.dtype == np.intp and not order.flags.writeable
+        assert order.tolist() == list(interference + desired)
+        assert split == len(interference)
+    assert registry._rank_orders is registry._rank_orders  # computed once
 
 
 def test_serializing_plans_leaves_the_table_empty():
