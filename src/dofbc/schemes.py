@@ -15,8 +15,7 @@ sent with coefficient 1 from one antenna and, when it names AP-ZF rows, the
 first informed antennas cancel it there.  A `StreamGroup` holds payloads in
 order under one recipe family: stream j of the group is sent from antenna
 `precoder.antenna + j`, cancelled at the same rows of the same receiver.  A
-plan is checked, laid out and serialized group by group; `Slot.streams`
-lists each stream with its own recipe for readers.  Independence of
+plan is checked, laid out and serialized group by group.  Independence of
 simultaneously transmitted streams is arranged with distinct sending
 antennas and then *verified* by the rank checks, never assumed.
 
@@ -52,9 +51,10 @@ the crafted plan, which claims 4 where `sum_dof_lower` stays 10/3.
 
 Within a process, template plans with the same (shape, M, k) share their
 registry, slots and layout; k counts only when the shape has a phase 2.
-The first plan of a key enters a bounded module table when its layout is
-first built, on its first realization, and later plans of that key are
-served from the table.  Plans that are only serialized add nothing.  Each
+The first plan of a key enters a bounded module table when it is built, and
+later plans of that key are served from the table, whether they are then
+realized or only serialized.  The key's layout is written into its entry
+when a plan of the key first builds one, on its first realization.  Each
 plan still carries its own config.  A fresh plan is validated in full; a
 served plan only against the rows it uses at RX1 and at RX2 and the
 informed antennas it needs, recorded once per key.  That is enough: every
@@ -228,13 +228,6 @@ class ApzfRecipe(NamedTuple):
         return dicts
 
 
-class Stream(NamedTuple):
-    """One stream with its own recipe, as `Slot.streams` lists it."""
-
-    payload: FreshPayload | InterferencePayload | CoupledPayload
-    precoder: ApzfRecipe
-
-
 @dataclass(frozen=True, slots=True)
 class StreamGroup:
     """Streams under one recipe family: stream j carries `payloads[j]` and is
@@ -248,15 +241,6 @@ class StreamGroup:
 @dataclass(frozen=True, slots=True)
 class Slot:
     groups: tuple[StreamGroup, ...]
-
-    @property
-    def streams(self) -> tuple[Stream, ...]:
-        """Every stream of the slot in order, each with its own recipe."""
-        return tuple(
-            Stream(payload, ApzfRecipe(g.precoder.antenna + j, g.precoder.rx, g.precoder.rows))
-            for g in self.groups
-            for j, payload in enumerate(g.payloads)
-        )
 
 
 class SlotLayout(NamedTuple):
@@ -298,16 +282,19 @@ class TransmissionPlan:
         object.__setattr__(self, "_claimed_dof", dof)  # once: certifying and reporting both read it
 
     @classmethod
-    def _served(cls, cfg: SystemConfig, scheme_id: str, entry: _Template) -> TransmissionPlan:
-        """The plan on `cfg` with `entry`'s registry, slots, layout and
-        claimed DoF, without `_validate`: `_two_phase_plan` serves it only
-        once `cfg` meets the entry's needs, the one part of `_validate` that
-        reads N1, N2 or k.  The rest passed when the entry's plan was built."""
+    def _served(cls, cfg: SystemConfig, scheme_id: str, key: tuple, entry: _Template) -> TransmissionPlan:
+        """The plan on `cfg` with `entry`'s registry, slots, claimed DoF and
+        layout, if it has one yet, without `_validate`: `_two_phase_plan`
+        serves it only once `cfg` meets the entry's needs, the one part of
+        `_validate` that reads N1, N2 or k.  The rest passed when the entry's
+        plan was built.  It carries `key`, as a fresh template plan does."""
         plan = object.__new__(cls)
         plan.__dict__.update(
             cfg=cfg, scheme_id=scheme_id, registry=entry.registry, slots=entry.slots,
-            layout=entry.layout, _claimed_dof=entry.claimed_dof,
+            _claimed_dof=entry.claimed_dof, _template_key=key,
         )
+        if entry.layout is not None:
+            plan.__dict__["layout"] = entry.layout
         return plan
 
     @property
@@ -328,12 +315,12 @@ class TransmissionPlan:
         """The plan as read-only index arrays, so realizing it walks no
         stream per channel.  Built on first use, group by group, from lists
         and one array cut into views: a group's antennas are one range.  A
-        template plan's layout is shared through `_TEMPLATES`."""
+        template plan's layout is shared through `_TEMPLATES`: the first one
+        built for a key is written into the key's entry, and later plans of
+        the key are served with it."""
         layout = self._build_layout()
-        key = getattr(self, "_template_key", None)  # set on fresh template plans only
-        if key is not None:
-            _remember(key, self, layout)
-        return layout
+        key = getattr(self, "_template_key", None)  # set on template plans only
+        return layout if key is None else _share_layout(key, self.slots, layout)
 
     def _build_layout(self) -> PlanLayout:
         M, S, registry = self.cfg.M, len(self.registry.symbols), self.registry
@@ -541,11 +528,12 @@ def _forwarded(row: int, count: int) -> tuple[InterferencePayload, ...]:
 
 class _Template(NamedTuple):
     """A `_TEMPLATES` entry: what plans of one key share, and the least N1,
-    N2 and k a config needs for them (`_needs`)."""
+    N2 and k a config needs for them (`_needs`).  `layout` is None until a
+    plan of the key builds one."""
 
     registry: SymbolRegistry
     slots: tuple[Slot, ...]
-    layout: PlanLayout
+    layout: PlanLayout | None
     claimed_dof: Fraction
     rx1_rows: int
     rx2_rows: int
@@ -553,18 +541,22 @@ class _Template(NamedTuple):
 
 
 # Template plans by (shape, M, k) of their capped config, k only when the
-# shape has a phase 2: the registry, slots, layout and claimed DoF of the
-# first such plan whose layout was built.  Plans with the same key share all
-# four: the slots depend only on the shape and on k (phase 2 forwards RX2 row
-# k + u), the layout only on the slots, the registry and M.  Each plan still
-# carries its own config.  A served plan is checked only against the entry's
-# needs: every other check of `_validate` reads the registry, the slots or M
-# alone, all fixed by the key, and passed when the entry's plan was built.
-# A fresh template plan keeps its key in `_template_key`, and its entry is
-# added when its layout is first built, so plans that are only serialized add
-# none; past _TEMPLATE_LIMIT entries the oldest is dropped.
+# shape has a phase 2: the registry, slots and claimed DoF of the first such
+# plan built, and the first layout a plan of the key built.  Plans with the
+# same key share all four: the slots depend only on the shape and on k
+# (phase 2 forwards RX2 row k + u), the layout only on the slots, the
+# registry and M.  Each plan still carries its own config.  A served plan is
+# checked only against the entry's needs: every other check of `_validate`
+# reads the registry, the slots or M alone, all fixed by the key, and passed
+# when the entry's plan was built.  An entry is added when its plan is built,
+# so plans that are only serialized are served too; its layout is written in
+# when a plan of the key first builds one.  Template plans keep their key in
+# `_template_key`.  Past _TEMPLATE_LIMIT entries the oldest is dropped.  The
+# criterion-3 and criterion-4 grids need 224 keys, so certifying them never
+# evicts; 256 also bounds the layout-less entries that serializing callers,
+# such as the bounds sweep over M <= 20, leave behind.
 _TEMPLATES: dict[tuple, _Template] = {}
-_TEMPLATE_LIMIT = 512
+_TEMPLATE_LIMIT = 256
 _TEMPLATES_LOCK = threading.Lock()
 
 
@@ -592,27 +584,43 @@ def _needs(slots: tuple[Slot, ...]) -> tuple[int, int, int]:
     return rows[1], rows[2], informed
 
 
-def _remember(key: tuple, plan: TransmissionPlan, layout: PlanLayout) -> None:
-    """Add a template plan's structure under `key`, dropping the oldest entry past the limit."""
-    entry = _Template(plan.registry, plan.slots, layout, plan.claimed_dof, *_needs(plan.slots))
+def _remember(key: tuple, plan: TransmissionPlan) -> None:
+    """Add a freshly built template plan's structure under `key`, with no
+    layout yet, dropping the oldest entry past the limit."""
+    entry = _Template(plan.registry, plan.slots, None, plan.claimed_dof, *_needs(plan.slots))
     with _TEMPLATES_LOCK:
         _TEMPLATES[key] = entry
         while len(_TEMPLATES) > _TEMPLATE_LIMIT:
             del _TEMPLATES[next(iter(_TEMPLATES))]
 
 
+def _share_layout(key: tuple, slots: tuple[Slot, ...], layout: PlanLayout) -> PlanLayout:
+    """The layout plans with `slots` share under `key`: the entry's, or
+    `layout`, written into an entry that has none.  An entry that no longer
+    holds `slots` was dropped and rebuilt meanwhile; it is left as it is, and
+    the plan keeps `layout`."""
+    with _TEMPLATES_LOCK:
+        entry = _TEMPLATES.get(key)
+        if entry is None or entry.slots is not slots:
+            return layout
+        if entry.layout is None:
+            _TEMPLATES[key] = entry._replace(layout=layout)
+            return layout
+        return entry.layout
+
+
 def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
-    """Build the template plan `shape` on the capped config `cfg`, or serve
-    its registry, slots and layout from `_TEMPLATES` once `cfg` meets the
-    entry's needs.  A config that misses them is built afresh, so it gets
-    `_validate`'s own error."""
+    """Build the template plan `shape` on the capped config `cfg` and add it
+    to `_TEMPLATES`, or serve its registry, slots and layout from there once
+    `cfg` meets the entry's needs.  A config that misses them is built
+    afresh, so it gets `_validate`'s own error."""
     k = cfg.k
     key = (shape, cfg.M, k if shape.p2 else None)
     entry = _TEMPLATES.get(key)
     if entry is not None and (
         cfg.N1 >= entry.rx1_rows and cfg.N2 >= entry.rx2_rows and k >= entry.informed
     ):
-        return TransmissionPlan._served(cfg, shape.scheme, entry)
+        return TransmissionPlan._served(cfg, shape.scheme, key, entry)
     a_syms, a_fresh = _symbols("a", 1, shape.S1)
     b_syms, b_fresh = _symbols("b", 2, shape.S2)
     a_next, b_next = iter(a_fresh), iter(b_fresh)
@@ -630,6 +638,7 @@ def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
         slots.append(slot((forwarded, shape.p1, _FORWARD_RECIPE), (b_next, shape.b2, b_recipe)))
     plan = TransmissionPlan(cfg, shape.scheme, SymbolRegistry(a_syms + b_syms), tuple(slots))
     object.__setattr__(plan, "_template_key", key)
+    _remember(key, plan)
     return plan
 
 

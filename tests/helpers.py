@@ -3,6 +3,8 @@ that only tests ask."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from dofbc.channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
@@ -18,7 +20,6 @@ from dofbc.schemes import (
     InterferencePayload,
     RxRowRef,
     Slot,
-    Stream,
     StreamGroup,
     Symbol,
     SymbolRegistry,
@@ -34,6 +35,23 @@ from dofbc.verifier import (
 )
 
 from .oracles import sum_dof_upper_closed_form
+
+
+class Stream(NamedTuple):
+    """One stream with its own recipe, as `slot_streams` lists it."""
+
+    payload: FreshPayload | InterferencePayload | CoupledPayload
+    precoder: ApzfRecipe
+
+
+def slot_streams(slot: Slot) -> tuple[Stream, ...]:
+    """Every stream of `slot` in order, each with its own recipe: stream j of
+    a group is sent from the group's first antenna + j."""
+    return tuple(
+        Stream(payload, g.precoder._replace(antenna=g.precoder.antenna + j))
+        for g in slot.groups
+        for j, payload in enumerate(g.payloads)
+    )
 
 
 def streams_slot(*streams: Stream) -> Slot:
@@ -160,7 +178,7 @@ def overlapping_groups_plan() -> TransmissionPlan:
 
 
 def max_streams_per_slot(plan: TransmissionPlan) -> int:
-    return max(len(s.streams) for s in plan.slots)
+    return max(len(slot_streams(s)) for s in plan.slots)
 
 
 def symbol_column(registry: SymbolRegistry, symbol_id: str) -> int:
@@ -173,7 +191,7 @@ def fresh_count(plan: TransmissionPlan, slot: int, rx: int) -> int:
     symbols = plan.registry.symbols
     return sum(
         1
-        for stream in plan.slots[slot].streams
+        for stream in slot_streams(plan.slots[slot])
         if isinstance(stream.payload, FreshPayload)
         and symbols[symbol_column(plan.registry, stream.payload.symbol)].rx == rx
     )
@@ -287,7 +305,7 @@ def reference_precoder_matrices(plan: TransmissionPlan, channel) -> list[np.ndar
     reference for `verifier._precoder_matrices` and `realize_plan`."""
     groups: dict[tuple, dict[int, int]] = {}
     for slot in plan.slots:
-        for stream in slot.streams:
+        for stream in slot_streams(slot):
             recipe = stream.precoder
             if recipe.rows:
                 columns = groups.setdefault((recipe.rx, recipe.rows), {})
@@ -295,9 +313,9 @@ def reference_precoder_matrices(plan: TransmissionPlan, channel) -> list[np.ndar
     solved = {key: apzf_precoder(channel, *key, columns) for key, columns in groups.items()}
     matrices = []
     for slot in plan.slots:
-        shape = channel.H.shape[:-2] + (channel.cfg.M, len(slot.streams))
+        shape = channel.H.shape[:-2] + (channel.cfg.M, len(slot_streams(slot)))
         T_mat = np.zeros(shape, dtype=channel.H.dtype)
-        for j, stream in enumerate(slot.streams):
+        for j, stream in enumerate(slot_streams(slot)):
             recipe = stream.precoder
             if recipe.rows:
                 key = (recipe.rx, recipe.rows)
@@ -336,8 +354,8 @@ def reference_realize(plan: TransmissionPlan, channel):
 
     precoders = reference_precoder_matrices(plan, channel)
     for slot, T_mat in zip(plan.slots, precoders):
-        forms = np.zeros(trials + (len(slot.streams), ncols), dtype=dtype)
-        for s_idx, stream in enumerate(slot.streams):
+        forms = np.zeros(trials + (len(slot_streams(slot)), ncols), dtype=dtype)
+        for s_idx, stream in enumerate(slot_streams(slot)):
             payload = stream.payload
             if isinstance(payload, FreshPayload):
                 forms[..., s_idx, symbol_column(plan.registry, payload.symbol)] = 1
@@ -407,7 +425,7 @@ def reference_plan_json(plan: TransmissionPlan) -> dict:
         "config": {"M": cfg.M, "N1": cfg.N1, "N2": cfg.N2, "k": cfg.k},
         "claimed_dof": str(plan.claimed_dof),
         "symbols": [{"id": s.id, "rx": s.rx} for s in plan.registry.symbols],
-        "slots": [{"streams": [stream_json(s) for s in slot.streams]} for slot in plan.slots],
+        "slots": [{"streams": [stream_json(s) for s in slot_streams(slot)]} for slot in plan.slots],
     }
 
 
@@ -416,7 +434,7 @@ def reference_targets(plan: TransmissionPlan) -> tuple:
     by stream: targets and their antennas in the order of first use, which
     is the order of Z's columns in [I_M | Z]."""
     groups: dict[tuple, dict[int, None]] = {}
-    for r in (s.precoder for slot in plan.slots for s in slot.streams if s.precoder.rows):
+    for r in (s.precoder for slot in plan.slots for s in slot_streams(slot) if s.precoder.rows):
         groups.setdefault((r.rx, r.rows), {})[r.antenna] = None
     return tuple(key + (tuple(antennas),) for key, antennas in groups.items())
 
@@ -436,7 +454,7 @@ def reference_layout(plan: TransmissionPlan) -> tuple:
     slots, coupled = [], {}
     for slot in plan.slots:
         columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
-        for j, (payload, r) in enumerate(slot.streams):
+        for j, (payload, r) in enumerate(slot_streams(slot)):
             columns.append(groups[r.rx, r.rows][r.antenna] if r.rows else r.antenna)
             cancelled.append(len(r.rows))
             if isinstance(payload, FreshPayload):

@@ -21,7 +21,6 @@ from dofbc.schemes import (
     InterferencePayload,
     RxRowRef,
     Slot,
-    Stream,
     StreamGroup,
     Symbol,
     SymbolRegistry,
@@ -33,11 +32,15 @@ from dofbc.verifier import realize_plan
 
 from . import helpers
 from .helpers import (
+    Stream,
     fresh_count,
+    low_k_grid,
     max_streams_per_slot,
     reference_layout,
     reference_plan_json,
+    slot_streams,
     streams_slot,
+    tight_regime_grid,
 )
 from .oracles import sum_dof_lower_closed_form
 
@@ -74,7 +77,7 @@ def test_mid_k_phase_structure():
     for u in range(N1, plan.T):
         assert fresh_count(plan, u, 1) == 0
         assert fresh_count(plan, u, 2) == N2 - N1
-        retrans = [s for s in plan.slots[u].streams if isinstance(s.payload, InterferencePayload)]
+        retrans = [s for s in slot_streams(plan.slots[u]) if isinstance(s.payload, InterferencePayload)]
         assert len(retrans) == N1
         for stream in retrans:
             assert not stream.precoder.rows
@@ -107,12 +110,12 @@ def test_table1_summary_and_structure():
     assert plan.aux_count == 2
     # the crafted streams ride the informed antenna in every slot
     for slot in plan.slots:
-        lead = slot.streams[0]
+        lead = slot_streams(slot)[0]
         assert lead.precoder == ApzfRecipe(0)
     # slots 1-2 share the c equation, slots 3-4 the d equation
-    assert plan.slots[0].streams[0].payload == plan.slots[1].streams[0].payload
-    assert plan.slots[2].streams[0].payload == plan.slots[3].streams[0].payload
-    assert plan.slots[0].streams[0].payload.terms == (RxRowRef(0, 2, 0, 1), RxRowRef(1, 1, 0, 1))
+    assert slot_streams(plan.slots[0])[0].payload == slot_streams(plan.slots[1])[0].payload
+    assert slot_streams(plan.slots[2])[0].payload == slot_streams(plan.slots[3])[0].payload
+    assert slot_streams(plan.slots[0])[0].payload.terms == (RxRowRef(0, 2, 0, 1), RxRowRef(1, 1, 0, 1))
 
 
 def test_baseline_claims():
@@ -168,7 +171,7 @@ def test_csit_label_discipline_all_plans():
     for plan in plans:
         k = plan.cfg.k
         for slot in plan.slots:
-            for stream in slot.streams:
+            for stream in slot_streams(slot):
                 labels = stream.precoder.labels(plan.cfg)
                 assert all(labels[a] == CONSTANT for a in range(k, plan.cfg.M))
                 if isinstance(stream.precoder, ApzfRecipe):
@@ -304,7 +307,7 @@ def test_plan_validation_rejects_bad_structures():
         with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             TransmissionPlan(cfg, "x", three, tuple(slots))
         # The per-stream form of each plan, with one-stream groups, is rejected alike.
-        singles = [Slot(tuple(StreamGroup((s.payload,), s.precoder) for s in slot.streams)) for slot in slots]
+        singles = [Slot(tuple(StreamGroup((s.payload,), s.precoder) for s in slot_streams(slot))) for slot in slots]
         with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             TransmissionPlan(cfg, "x", three, tuple(singles))
     # Recipe fields index antennas and receive rows: 1.0 or True must not pass as 1.
@@ -321,7 +324,7 @@ def test_plan_validation_rejects_bad_structures():
     with pytest.raises(InvalidConfigError, match="unknown stream group"):
         TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)),))
     grouped = TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, ApzfRecipe(1)),)),))
-    assert [s.precoder.antenna for s in grouped.slots[0].streams] == [1, 2, 3]
+    assert [s.precoder.antenna for s in slot_streams(grouped.slots[0])] == [1, 2, 3]
 
 
 def test_plan_json_golden():
@@ -418,8 +421,8 @@ def test_grouped_plans_serialize_and_lay_out_as_per_stream_code(plan):
         assert got.constant.shape == want[7].shape and np.array_equal(got.constant, want[7])
 
 
-# The template table: plans with the same (shape, M, k) share registry, slots
-# and layout once one of them has been realized.
+# The template table: plans with the same (shape, M, k) share registry and
+# slots once one of them has been built, and layout once one has been realized.
 
 
 def _layout_arrays(layout):
@@ -473,15 +476,18 @@ def test_served_plans_equal_plans_built_cold(configs):
     warm, cfg, special, shared = configs
     schemes._TEMPLATES.clear()
     first = select_scheme(warm, special)
-    assert not schemes._TEMPLATES  # building alone adds nothing
+    crafted = first.scheme_id == "table1"  # the crafted plan never enters the table
+    entries = list(schemes._TEMPLATES.values())
+    assert len(entries) == (0 if crafted else 1)  # building adds the entry, with no layout yet
+    assert all(entry.layout is None for entry in entries)
     realize_plan(first, field_channel(first.cfg, seed=1))
+    assert all(entry.layout is first.layout for entry in schemes._TEMPLATES.values())
     served = select_scheme(cfg, special)
     served._validate()  # the full check, also where a served plan's three comparisons stand in
-    if first.scheme_id == "table1":  # the crafted plan never enters the table
-        assert not schemes._TEMPLATES
+    keys = {getattr(plan, "_template_key", None) for plan in (first, served)} - {None}
+    assert schemes._TEMPLATES.keys() == keys
+    if crafted:
         shared = False
-    else:
-        assert len(schemes._TEMPLATES) == 1
     if shared is not None:
         assert (served.layout is first.layout) == shared
         assert (served.slots is first.slots and served.registry is first.registry) == shared
@@ -577,13 +583,54 @@ def test_rank_orders_are_the_splits_concatenated(registry):
     assert registry._rank_orders is registry._rank_orders  # computed once
 
 
-def test_serializing_plans_leaves_the_table_empty():
+def test_serialized_plans_are_served_from_the_table():
+    # Building a plan adds its key, so a later plan of the key is served even
+    # when no plan is ever realized, and it serializes as a cold build does.
     schemes._TEMPLATES.clear()
+    firsts, built = {}, []
     for M in range(1, 13):
         for N1 in range(1, 8):
             for k in range(M + 1):
-                select_scheme(normalize_config(M, N1, 7 - N1 // 2, k)).to_json()
-    assert not schemes._TEMPLATES
+                cfg = normalize_config(M, N1, 7 - N1 // 2, k)
+                plan = select_scheme(cfg)
+                first = firsts.setdefault(plan._template_key, plan)
+                assert plan.registry is first.registry and plan.slots is first.slots
+                built.append((cfg, json.dumps(plan.to_json())))
+    assert len(built) > len(firsts) == len(schemes._TEMPLATES)  # some served, none dropped
+    assert all(entry.layout is None for entry in schemes._TEMPLATES.values())
+    for cfg, text in built:
+        schemes._TEMPLATES.clear()
+        assert json.dumps(select_scheme(cfg).to_json()) == text, cfg
+
+
+@st.composite
+def caller_configs(draw):
+    """(M, N1, N2, k) as a caller gives them: M, N1 and N2 in 1..20, k in 0..M."""
+    M = draw(st.integers(1, 20), label="M")
+    N1, N2 = draw(st.integers(1, 20), label="N1"), draw(st.integers(1, 20), label="N2")
+    return M, N1, N2, draw(st.integers(0, M), label="k")
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=caller_configs())
+def test_bounds_sweep_plans_serialize_alike_warm_and_cold(config):
+    # The bounds sweep's path: the table keeps what earlier examples built,
+    # then is cleared, then serves the plan just built; all three serialize
+    # byte for byte alike.
+    cfg = normalize_config(*config)
+    warm = json.dumps(select_scheme(cfg).to_json())
+    schemes._TEMPLATES.clear()
+    cold = json.dumps(select_scheme(cfg).to_json())
+    assert json.dumps(select_scheme(cfg).to_json()) == cold == warm
+
+
+def test_certification_grids_fit_in_the_table():
+    # Every key of the criterion-3 and criterion-4 grids stays in the table,
+    # so certifying the grids never drops an entry.
+    schemes._TEMPLATES.clear()
+    keys = [select_scheme(cfg)._template_key for cfg in (*tight_regime_grid(), *low_k_grid())]
+    assert len(set(keys)) == 224 <= schemes._TEMPLATE_LIMIT
+    assert schemes._TEMPLATES.keys() == set(keys)
 
 
 def test_shared_layout_arrays_are_read_only():
@@ -602,11 +649,40 @@ def test_table_drops_its_oldest_entry_past_the_limit(monkeypatch):
     monkeypatch.setattr(schemes, "_TEMPLATE_LIMIT", 2)
     schemes._TEMPLATES.clear()
     configs = [SystemConfig(4, 1, 3, 2), SystemConfig(9, 3, 6, 4), SystemConfig(7, 5, 6, 2)]
-    plans = []
-    for cfg in configs:
-        plans.append(select_scheme(cfg))
-        plans[-1].layout  # built as on the plan's first realization
-    assert len(schemes._TEMPLATES) == 2
-    assert select_scheme(configs[0]).layout is not plans[0].layout  # dropped: built afresh
-    assert select_scheme(configs[2]).layout is plans[2].layout
-    assert select_scheme(configs[1]).layout is not plans[1].layout  # dropped by the rebuild above
+    plans = [select_scheme(cfg) for cfg in configs]  # each adds its entry as it is built
+    assert list(schemes._TEMPLATES) == [plan._template_key for plan in plans[1:]]
+    assert select_scheme(configs[0]).slots is not plans[0].slots  # dropped: built afresh
+    assert select_scheme(configs[2]).slots is plans[2].slots
+    assert select_scheme(configs[1]).slots is not plans[1].slots  # dropped by the rebuild above
+    # Realizing fills an entry's layout in place; it adds no entry and drops none.
+    keys = list(schemes._TEMPLATES)
+    assert select_scheme(configs[1]).layout is select_scheme(configs[1]).layout
+    assert list(schemes._TEMPLATES) == keys
+
+
+@pytest.mark.parametrize("rebuilt_first", [False, True])
+def test_a_dropped_entry_layout_is_not_written_into_its_rebuild(monkeypatch, rebuilt_first):
+    # A plan served from an entry with no layout, whose key is dropped and
+    # rebuilt meanwhile, keeps its own layout and leaves the newer entry as
+    # it is: with its own slots, and no layout or its own plan's.
+    monkeypatch.setattr(schemes, "_TEMPLATE_LIMIT", 1)
+    schemes._TEMPLATES.clear()
+    cfg = SystemConfig(9, 3, 6, 4)
+    select_scheme(cfg)
+    served = select_scheme(cfg)
+    assert "layout" not in vars(served)  # served before any layout was built
+    key = served._template_key
+    select_scheme(SystemConfig(7, 5, 6, 2))  # drops the key
+    assert key not in schemes._TEMPLATES
+    rebuilt = select_scheme(cfg)
+    newer = schemes._TEMPLATES[key]
+    assert newer.slots is rebuilt.slots and rebuilt.slots is not served.slots
+    if rebuilt_first:
+        rebuilt.layout
+    served_layout = served.layout
+    entry = schemes._TEMPLATES[key]
+    assert entry.slots is newer.slots
+    assert entry.layout is (rebuilt.layout if rebuilt_first else None)
+    assert served_layout is not rebuilt.layout
+    assert select_scheme(cfg).layout is rebuilt.layout  # the newer entry's own, once built
+    _assert_same_plan(served, rebuilt)

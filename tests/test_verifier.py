@@ -16,7 +16,6 @@ from dofbc.precoding import apzf_precoder
 from dofbc.schemes import (
     ApzfRecipe,
     FreshPayload,
-    Stream,
     Symbol,
     SymbolRegistry,
     TransmissionPlan,
@@ -39,6 +38,7 @@ from dofbc.verifier import (
 
 from . import helpers
 from .helpers import (
+    Stream,
     adversarial_plan,
     leaky_precoder_columns,
     low_k_grid,
@@ -456,13 +456,13 @@ def test_grouped_precoders_equal_per_stream_precoders():
     for plan in _catalogue_plans():
         for slot in plan.slots:
             # Streams cancelled at the same rows are sent from distinct antennas.
-            recipes = [stream.precoder for stream in slot.streams]
+            recipes = [stream.precoder for stream in helpers.slot_streams(slot)]
             cancelled = [(r.rx, r.rows, r.antenna) for r in recipes if r.rows]
             assert len(set(cancelled)) == len(cancelled), plan.cfg.shape
         for channel in (field_channel(plan.cfg, seed=3), sample_channel(plan.cfg, seed=3)):
             matrices = _precoder_matrices(plan, channel)
             for slot, T_mat in zip(plan.slots, matrices):
-                for s_idx, stream in enumerate(slot.streams):
+                for s_idx, stream in enumerate(helpers.slot_streams(slot)):
                     recipe = stream.precoder
                     if recipe.rows:
                         single = apzf_precoder(channel, recipe.rx, recipe.rows, [recipe.antenna])
