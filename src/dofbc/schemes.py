@@ -49,18 +49,19 @@ the same counts off the shape.  `select_scheme` builds the template plan,
 except that with `allow_special_cases` a config capping to (6,3,3,1) gets
 the crafted plan, which claims 4 where `sum_dof_lower` stays 10/3.
 
-Within a process, template plans with the same (shape, M, k) share their
-registry, slots and layout; k counts only when the shape has a phase 2.
-The first plan of a key enters a bounded module table when it is built, and
-later plans of that key are served from the table, whether they are then
-realized or only serialized.  The key's layout is written into its entry
-when a plan of the key first builds one, on its first realization.  Each
-plan still carries its own config.  A fresh plan is validated in full; a
-served plan only against the rows it uses at RX1 and at RX2 and the
-informed antennas it needs, recorded once per key.  That is enough: every
-other check reads the registry, the slots or M alone, which the key fixes,
-and they passed when the key's first plan was built.  A config that misses
-those needs is built afresh, and fails as it would with an empty table.
+Within a process, template plans with the same (shape, M, k) share one
+`_Structure`: registry, slots, claimed DoF, needs and layout; k counts only
+when the shape has a phase 2.  The first plan of a key enters a bounded
+module table when it is built, and later plans of that key are served from
+the table, whether they are then realized or only serialized.  The
+structure builds its layout on first use.  Each plan still carries its own
+config, and keeps its structure after the key is dropped from the table.  A
+fresh plan is validated in full; a served plan only against the rows it
+uses at RX1 and at RX2 and the informed antennas it needs, recorded once
+per key.  That is enough: every other check reads the registry, the slots
+or M alone, which the key fixes, and they passed when the key's first plan
+was built.  A config that misses those needs is built afresh, and fails as
+it would with an empty table.
 """
 
 from __future__ import annotations
@@ -278,23 +279,19 @@ class TransmissionPlan:
 
     def __post_init__(self):
         self._validate()
-        dof = Fraction(self.registry.S1 + self.registry.S2, self.T)
-        object.__setattr__(self, "_claimed_dof", dof)  # once: certifying and reporting both read it
+        object.__setattr__(self, "_structure", _Structure(self.cfg.M, self.registry, self.slots))
 
     @classmethod
-    def _served(cls, cfg: SystemConfig, scheme_id: str, key: tuple, entry: _Template) -> TransmissionPlan:
-        """The plan on `cfg` with `entry`'s registry, slots, claimed DoF and
-        layout, if it has one yet, without `_validate`: `_two_phase_plan`
-        serves it only once `cfg` meets the entry's needs, the one part of
-        `_validate` that reads N1, N2 or k.  The rest passed when the entry's
-        plan was built.  It carries `key`, as a fresh template plan does."""
+    def _served(cls, cfg: SystemConfig, scheme_id: str, structure: _Structure) -> TransmissionPlan:
+        """The plan on `cfg` with the table's `structure`, without
+        `_validate`: `_two_phase_plan` serves it only once `cfg` meets the
+        structure's needs, the one part of `_validate` that reads N1, N2 or
+        k.  The rest passed when the structure's plan was built."""
         plan = object.__new__(cls)
         plan.__dict__.update(
-            cfg=cfg, scheme_id=scheme_id, registry=entry.registry, slots=entry.slots,
-            _claimed_dof=entry.claimed_dof, _template_key=key,
+            cfg=cfg, scheme_id=scheme_id, registry=structure.registry, slots=structure.slots,
+            _structure=structure,
         )
-        if entry.layout is not None:
-            plan.__dict__["layout"] = entry.layout
         return plan
 
     @property
@@ -303,7 +300,7 @@ class TransmissionPlan:
 
     @property
     def claimed_dof(self) -> Fraction:
-        return self._claimed_dof
+        return self._structure.claimed_dof
 
     @property
     def aux_count(self) -> int:
@@ -313,72 +310,9 @@ class TransmissionPlan:
     @cached_property
     def layout(self) -> PlanLayout:
         """The plan as read-only index arrays, so realizing it walks no
-        stream per channel.  Built on first use, group by group, from lists
-        and one array cut into views: a group's antennas are one range.  A
-        template plan's layout is shared through `_TEMPLATES`: the first one
-        built for a key is written into the key's entry, and later plans of
-        the key are served with it."""
-        layout = self._build_layout()
-        key = getattr(self, "_template_key", None)  # set on template plans only
-        return layout if key is None else _share_layout(key, self.slots, layout)
-
-    def _build_layout(self) -> PlanLayout:
-        M, S, registry = self.cfg.M, len(self.registry.symbols), self.registry
-        targets: dict[tuple, dict[int, int]] = {}  # (rx, rows) -> {antenna: column}
-        for r, n in ((g.precoder, len(g.payloads)) for slot in self.slots for g in slot.groups):
-            if r.rows:  # new antennas join the target's columns in order
-                antennas = dict.fromkeys(range(r.antenna, r.antenna + n))
-                targets.setdefault((r.rx, r.rows), {}).update(antennas)
-        column = M
-        systems = []
-        for (rx, rows), antennas in targets.items():
-            start = column
-            for antenna in antennas:
-                antennas[antenna], column = column, column + 1
-            index = _readonly(_system_index(M, rows, antennas))
-            systems.append((rx, len(rows), slice(start, column), index))
-        template = np.eye(M, column, dtype=np.int64)
-        for antennas in targets.values():
-            template[list(antennas), list(antennas.values())] = 1
-        index = {s.id: i for i, s in enumerate(registry.symbols)}  # not kept: shared layouts stay small
-        owned: dict[int, np.ndarray] = {}  # one symbol-column array per owner, shared by its streams
-        # Each distinct index list is stored once: slots of one phase differ in their forms only.
-        segments: dict[tuple[int, ...], int] = {}
-        per_slot, coupled = [], {}
-        for slot in self.slots:
-            columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
-            for g in slot.groups:
-                r, first = g.precoder, len(columns)
-                antennas = range(r.antenna, r.antenna + len(g.payloads))
-                columns += map(targets[r.rx, r.rows].__getitem__, antennas) if r.rows else antennas
-                cancelled += [len(r.rows)] * len(antennas)
-                for j, payload in enumerate(g.payloads, first):
-                    if isinstance(payload, FreshPayload):
-                        rows.append(j)
-                        forms.append(index[payload.symbol])
-                    elif isinstance(payload, InterferencePayload):
-                        if payload.owner not in owned:
-                            columns_of = np.array(registry.owned_columns(payload.owner), dtype=np.intp)
-                            owned[payload.owner] = _readonly(columns_of)
-                        terms.append((j, owned[payload.owner], payload.terms))
-                    else:
-                        aux_rows.append(j)
-                        aux_forms.append(S + payload.aux)
-                        coupled[payload.aux] = payload.terms
-            sources, mixed = [columns[j] for j in rows], [t[0] for t in terms] + aux_rows
-            fields = (columns, rows + aux_rows, forms + aux_forms, sources, mixed)
-            ids = [segments.setdefault(tuple(f), len(segments)) for f in fields]
-            per_slot.append((ids, tuple(cancelled), tuple(terms)))
-        sizes = list(map(len, segments))
-        flat = _readonly(np.fromiter(chain.from_iterable(segments), dtype=np.intp))
-        views = [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
-        antenna, masks, slots = np.arange(M)[:, None], {}, []
-        for ids, cancelled, terms in per_slot:
-            if cancelled not in masks:  # labelled constant past the AP-ZF antennas
-                masks[cancelled] = _readonly(antenna >= np.array(cancelled, dtype=np.intp))
-            slots.append(SlotLayout(*map(views.__getitem__, ids), terms, masks[cancelled]))
-        coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
-        return PlanLayout(tuple(slots), coupled_terms, _readonly(template), tuple(systems))
+        stream per channel: its structure's, built on first use and shared
+        by every plan of the structure."""
+        return self._structure.layout
 
     def _validate(self):
         """Check the plan's structure once, so realizing it needs no structural
@@ -526,36 +460,103 @@ def _forwarded(row: int, count: int) -> tuple[InterferencePayload, ...]:
     return payloads[:count]
 
 
-class _Template(NamedTuple):
-    """A `_TEMPLATES` entry: what plans of one key share, and the least N1,
-    N2 and k a config needs for them (`_needs`).  `layout` is None until a
-    plan of the key builds one."""
+class _Structure:
+    """What plans of one structure share: registry, slots, claimed DoF
+    (S1+S2)/T, the least N1, N2 and k a config needs for them (`_needs`),
+    and the layout, built the first time it is read.  Threads that race to
+    read it first may each build one; the layouts are equal."""
 
-    registry: SymbolRegistry
-    slots: tuple[Slot, ...]
-    layout: PlanLayout | None
-    claimed_dof: Fraction
-    rx1_rows: int
-    rx2_rows: int
-    informed: int
+    __slots__ = ("registry", "slots", "claimed_dof", "rx1_rows", "rx2_rows", "informed", "_M", "_layout")
+
+    def __init__(self, M: int, registry: SymbolRegistry, slots: tuple[Slot, ...]):
+        self.registry, self.slots, self._M, self._layout = registry, slots, M, None
+        self.claimed_dof = Fraction(registry.S1 + registry.S2, len(slots))
+        self.rx1_rows, self.rx2_rows, self.informed = _needs(slots)
+
+    @property
+    def layout(self) -> PlanLayout:
+        if self._layout is None:
+            self._layout = _plan_layout(self._M, self.registry, self.slots)
+        return self._layout
 
 
-# Template plans by (shape, M, k) of their capped config, k only when the
-# shape has a phase 2: the registry, slots and claimed DoF of the first such
-# plan built, and the first layout a plan of the key built.  Plans with the
-# same key share all four: the slots depend only on the shape and on k
-# (phase 2 forwards RX2 row k + u), the layout only on the slots, the
+def _plan_layout(M: int, registry: SymbolRegistry, slots: tuple[Slot, ...]) -> PlanLayout:
+    """`TransmissionPlan.layout` of the plan with `registry` and `slots` on
+    M antennas.  Built group by group, from lists and one array cut into
+    views: a group's antennas are one range."""
+    S = len(registry.symbols)
+    targets: dict[tuple, dict[int, int]] = {}  # (rx, rows) -> {antenna: column}
+    for r, n in ((g.precoder, len(g.payloads)) for slot in slots for g in slot.groups):
+        if r.rows:  # new antennas join the target's columns in order
+            antennas = dict.fromkeys(range(r.antenna, r.antenna + n))
+            targets.setdefault((r.rx, r.rows), {}).update(antennas)
+    column = M
+    systems = []
+    for (rx, rows), antennas in targets.items():
+        start = column
+        for antenna in antennas:
+            antennas[antenna], column = column, column + 1
+        index = _readonly(_system_index(M, rows, antennas))
+        systems.append((rx, len(rows), slice(start, column), index))
+    template = np.eye(M, column, dtype=np.int64)
+    for antennas in targets.values():
+        template[list(antennas), list(antennas.values())] = 1
+    index = {s.id: i for i, s in enumerate(registry.symbols)}  # not kept: shared layouts stay small
+    owned: dict[int, np.ndarray] = {}  # one symbol-column array per owner, shared by its streams
+    # Each distinct index list is stored once: slots of one phase differ in their forms only.
+    segments: dict[tuple[int, ...], int] = {}
+    per_slot, coupled = [], {}
+    for slot in slots:
+        columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
+        for g in slot.groups:
+            r, first = g.precoder, len(columns)
+            antennas = range(r.antenna, r.antenna + len(g.payloads))
+            columns += map(targets[r.rx, r.rows].__getitem__, antennas) if r.rows else antennas
+            cancelled += [len(r.rows)] * len(antennas)
+            for j, payload in enumerate(g.payloads, first):
+                if isinstance(payload, FreshPayload):
+                    rows.append(j)
+                    forms.append(index[payload.symbol])
+                elif isinstance(payload, InterferencePayload):
+                    if payload.owner not in owned:
+                        columns_of = np.array(registry.owned_columns(payload.owner), dtype=np.intp)
+                        owned[payload.owner] = _readonly(columns_of)
+                    terms.append((j, owned[payload.owner], payload.terms))
+                else:
+                    aux_rows.append(j)
+                    aux_forms.append(S + payload.aux)
+                    coupled[payload.aux] = payload.terms
+        sources, mixed = [columns[j] for j in rows], [t[0] for t in terms] + aux_rows
+        fields = (columns, rows + aux_rows, forms + aux_forms, sources, mixed)
+        ids = [segments.setdefault(tuple(f), len(segments)) for f in fields]
+        per_slot.append((ids, tuple(cancelled), tuple(terms)))
+    sizes = list(map(len, segments))
+    flat = _readonly(np.fromiter(chain.from_iterable(segments), dtype=np.intp))
+    views = [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+    antenna, masks, slot_layouts = np.arange(M)[:, None], {}, []
+    for ids, cancelled, terms in per_slot:
+        if cancelled not in masks:  # labelled constant past the AP-ZF antennas
+            masks[cancelled] = _readonly(antenna >= np.array(cancelled, dtype=np.intp))
+        slot_layouts.append(SlotLayout(*map(views.__getitem__, ids), terms, masks[cancelled]))
+    coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
+    return PlanLayout(tuple(slot_layouts), coupled_terms, _readonly(template), tuple(systems))
+
+
+# The structure of each template plan by (shape, M, k) of its capped config,
+# k only when the shape has a phase 2: that of the first such plan built.
+# Plans with the same key share it: the slots depend only on the shape and
+# on k (phase 2 forwards RX2 row k + u), the layout only on the slots, the
 # registry and M.  Each plan still carries its own config.  A served plan is
-# checked only against the entry's needs: every other check of `_validate`
-# reads the registry, the slots or M alone, all fixed by the key, and passed
-# when the entry's plan was built.  An entry is added when its plan is built,
-# so plans that are only serialized are served too; its layout is written in
-# when a plan of the key first builds one.  Template plans keep their key in
-# `_template_key`.  Past _TEMPLATE_LIMIT entries the oldest is dropped.  The
+# checked only against the structure's needs: every other check of
+# `_validate` reads the registry, the slots or M alone, all fixed by the
+# key, and passed when the structure's plan was built.  An entry is added
+# when its plan is built, so plans that are only serialized are served too,
+# and builds its layout on first use.  Past _TEMPLATE_LIMIT entries the
+# oldest is dropped; plans served from it keep their structure.  The
 # criterion-3 and criterion-4 grids need 224 keys, so certifying them never
 # evicts; 256 also bounds the layout-less entries that serializing callers,
 # such as the bounds sweep over M <= 20, leave behind.
-_TEMPLATES: dict[tuple, _Template] = {}
+_TEMPLATES: dict[tuple, _Structure] = {}
 _TEMPLATE_LIMIT = 256
 _TEMPLATES_LOCK = threading.Lock()
 
@@ -585,42 +586,26 @@ def _needs(slots: tuple[Slot, ...]) -> tuple[int, int, int]:
 
 
 def _remember(key: tuple, plan: TransmissionPlan) -> None:
-    """Add a freshly built template plan's structure under `key`, with no
-    layout yet, dropping the oldest entry past the limit."""
-    entry = _Template(plan.registry, plan.slots, None, plan.claimed_dof, *_needs(plan.slots))
+    """Add a freshly built template plan's structure under `key`, dropping
+    the oldest entry past the limit."""
     with _TEMPLATES_LOCK:
-        _TEMPLATES[key] = entry
+        _TEMPLATES[key] = plan._structure
         while len(_TEMPLATES) > _TEMPLATE_LIMIT:
             del _TEMPLATES[next(iter(_TEMPLATES))]
 
 
-def _share_layout(key: tuple, slots: tuple[Slot, ...], layout: PlanLayout) -> PlanLayout:
-    """The layout plans with `slots` share under `key`: the entry's, or
-    `layout`, written into an entry that has none.  An entry that no longer
-    holds `slots` was dropped and rebuilt meanwhile; it is left as it is, and
-    the plan keeps `layout`."""
-    with _TEMPLATES_LOCK:
-        entry = _TEMPLATES.get(key)
-        if entry is None or entry.slots is not slots:
-            return layout
-        if entry.layout is None:
-            _TEMPLATES[key] = entry._replace(layout=layout)
-            return layout
-        return entry.layout
-
-
 def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
     """Build the template plan `shape` on the capped config `cfg` and add it
-    to `_TEMPLATES`, or serve its registry, slots and layout from there once
-    `cfg` meets the entry's needs.  A config that misses them is built
-    afresh, so it gets `_validate`'s own error."""
+    to `_TEMPLATES`, or serve its structure from there once `cfg` meets the
+    structure's needs.  A config that misses them is built afresh, so it
+    gets `_validate`'s own error."""
     k = cfg.k
     key = (shape, cfg.M, k if shape.p2 else None)
     entry = _TEMPLATES.get(key)
     if entry is not None and (
         cfg.N1 >= entry.rx1_rows and cfg.N2 >= entry.rx2_rows and k >= entry.informed
     ):
-        return TransmissionPlan._served(cfg, shape.scheme, key, entry)
+        return TransmissionPlan._served(cfg, shape.scheme, entry)
     a_syms, a_fresh = _symbols("a", 1, shape.S1)
     b_syms, b_fresh = _symbols("b", 2, shape.S2)
     a_next, b_next = iter(a_fresh), iter(b_fresh)
@@ -637,7 +622,6 @@ def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
         forwarded = iter(_forwarded(k + u, shape.p1))
         slots.append(slot((forwarded, shape.p1, _FORWARD_RECIPE), (b_next, shape.b2, b_recipe)))
     plan = TransmissionPlan(cfg, shape.scheme, SymbolRegistry(a_syms + b_syms), tuple(slots))
-    object.__setattr__(plan, "_template_key", key)
     _remember(key, plan)
     return plan
 

@@ -421,8 +421,15 @@ def test_grouped_plans_serialize_and_lay_out_as_per_stream_code(plan):
         assert got.constant.shape == want[7].shape and np.array_equal(got.constant, want[7])
 
 
-# The template table: plans with the same (shape, M, k) share registry and
-# slots once one of them has been built, and layout once one has been realized.
+# The template table: plans with the same (shape, M, k) share one structure,
+# its registry, slots and layout, once one of them has been built.
+
+
+def _table_key(plan):
+    """The `_TEMPLATES` key of a template plan: (shape, M, k) of its capped
+    config, k only when the shape has a phase 2."""
+    shape = plan_shape(plan.cfg)
+    return shape, plan.cfg.M, plan.cfg.k if shape.p2 else None
 
 
 def _layout_arrays(layout):
@@ -477,18 +484,21 @@ def test_served_plans_equal_plans_built_cold(configs):
     schemes._TEMPLATES.clear()
     first = select_scheme(warm, special)
     crafted = first.scheme_id == "table1"  # the crafted plan never enters the table
-    entries = list(schemes._TEMPLATES.values())
-    assert len(entries) == (0 if crafted else 1)  # building adds the entry, with no layout yet
-    assert all(entry.layout is None for entry in entries)
+    # Building adds the plan's structure, with no layout yet.
+    assert list(schemes._TEMPLATES.values()) == ([] if crafted else [first._structure])
+    assert first._structure._layout is None
     realize_plan(first, field_channel(first.cfg, seed=1))
-    assert all(entry.layout is first.layout for entry in schemes._TEMPLATES.values())
+    assert first._structure._layout is first.layout
     served = select_scheme(cfg, special)
     served._validate()  # the full check, also where a served plan's three comparisons stand in
-    keys = {getattr(plan, "_template_key", None) for plan in (first, served)} - {None}
-    assert schemes._TEMPLATES.keys() == keys
+    templates = [plan for plan in (first, served) if plan.scheme_id != "table1"]
+    assert schemes._TEMPLATES.keys() == {_table_key(plan) for plan in templates}
+    if served.scheme_id != "table1":  # served from its key's entry, or built and added under it
+        assert schemes._TEMPLATES[_table_key(served)] is served._structure
     if crafted:
         shared = False
     if shared is not None:
+        assert (served._structure is first._structure) == shared
         assert (served.layout is first.layout) == shared
         assert (served.slots is first.slots and served.registry is first.registry) == shared
     schemes._TEMPLATES.clear()
@@ -593,11 +603,12 @@ def test_serialized_plans_are_served_from_the_table():
             for k in range(M + 1):
                 cfg = normalize_config(M, N1, 7 - N1 // 2, k)
                 plan = select_scheme(cfg)
-                first = firsts.setdefault(plan._template_key, plan)
+                first = firsts.setdefault(_table_key(plan), plan)
+                assert plan._structure is first._structure
                 assert plan.registry is first.registry and plan.slots is first.slots
                 built.append((cfg, json.dumps(plan.to_json())))
     assert len(built) > len(firsts) == len(schemes._TEMPLATES)  # some served, none dropped
-    assert all(entry.layout is None for entry in schemes._TEMPLATES.values())
+    assert all(entry._layout is None for entry in schemes._TEMPLATES.values())  # none built yet
     for cfg, text in built:
         schemes._TEMPLATES.clear()
         assert json.dumps(select_scheme(cfg).to_json()) == text, cfg
@@ -628,9 +639,11 @@ def test_certification_grids_fit_in_the_table():
     # Every key of the criterion-3 and criterion-4 grids stays in the table,
     # so certifying the grids never drops an entry.
     schemes._TEMPLATES.clear()
-    keys = [select_scheme(cfg)._template_key for cfg in (*tight_regime_grid(), *low_k_grid())]
-    assert len(set(keys)) == 224 <= schemes._TEMPLATE_LIMIT
-    assert schemes._TEMPLATES.keys() == set(keys)
+    plans = [select_scheme(cfg) for cfg in (*tight_regime_grid(), *low_k_grid())]
+    keys = {_table_key(plan) for plan in plans}
+    assert len(keys) == 224 <= schemes._TEMPLATE_LIMIT
+    assert schemes._TEMPLATES.keys() == keys
+    assert all(schemes._TEMPLATES[_table_key(plan)] is plan._structure for plan in plans)
 
 
 def test_shared_layout_arrays_are_read_only():
@@ -650,11 +663,12 @@ def test_table_drops_its_oldest_entry_past_the_limit(monkeypatch):
     schemes._TEMPLATES.clear()
     configs = [SystemConfig(4, 1, 3, 2), SystemConfig(9, 3, 6, 4), SystemConfig(7, 5, 6, 2)]
     plans = [select_scheme(cfg) for cfg in configs]  # each adds its entry as it is built
-    assert list(schemes._TEMPLATES) == [plan._template_key for plan in plans[1:]]
+    assert list(schemes._TEMPLATES) == [_table_key(plan) for plan in plans[1:]]
+    assert all(entry is plan._structure for entry, plan in zip(schemes._TEMPLATES.values(), plans[1:]))
     assert select_scheme(configs[0]).slots is not plans[0].slots  # dropped: built afresh
     assert select_scheme(configs[2]).slots is plans[2].slots
     assert select_scheme(configs[1]).slots is not plans[1].slots  # dropped by the rebuild above
-    # Realizing fills an entry's layout in place; it adds no entry and drops none.
+    # Reading a layout builds it in the entry itself; it adds no entry and drops none.
     keys = list(schemes._TEMPLATES)
     assert select_scheme(configs[1]).layout is select_scheme(configs[1]).layout
     assert list(schemes._TEMPLATES) == keys
@@ -662,27 +676,40 @@ def test_table_drops_its_oldest_entry_past_the_limit(monkeypatch):
 
 @pytest.mark.parametrize("rebuilt_first", [False, True])
 def test_a_dropped_entry_layout_is_not_written_into_its_rebuild(monkeypatch, rebuilt_first):
-    # A plan served from an entry with no layout, whose key is dropped and
-    # rebuilt meanwhile, keeps its own layout and leaves the newer entry as
-    # it is: with its own slots, and no layout or its own plan's.
+    # A plan served before its key is dropped keeps the key's old structure,
+    # which builds one layout for every plan that holds it, and realizes and
+    # serializes as a cold build does.  The rebuilt key gets a new structure,
+    # and neither structure's layout is written into the other, whichever
+    # of the two is built first.
+    built, plan_layout = [], schemes._plan_layout
+
+    def counted(*args):
+        built.append(args)
+        return plan_layout(*args)
+
+    monkeypatch.setattr(schemes, "_plan_layout", counted)
     monkeypatch.setattr(schemes, "_TEMPLATE_LIMIT", 1)
     schemes._TEMPLATES.clear()
     cfg = SystemConfig(9, 3, 6, 4)
-    select_scheme(cfg)
+    first = select_scheme(cfg)
     served = select_scheme(cfg)
-    assert "layout" not in vars(served)  # served before any layout was built
-    key = served._template_key
+    key, structure = _table_key(served), served._structure
+    assert structure is first._structure is schemes._TEMPLATES[key]
+    assert structure._layout is None  # served before any layout was built
     select_scheme(SystemConfig(7, 5, 6, 2))  # drops the key
     assert key not in schemes._TEMPLATES
     rebuilt = select_scheme(cfg)
     newer = schemes._TEMPLATES[key]
-    assert newer.slots is rebuilt.slots and rebuilt.slots is not served.slots
+    assert newer is rebuilt._structure is not structure
+    assert rebuilt.slots is not served.slots and served._structure is structure
     if rebuilt_first:
         rebuilt.layout
-    served_layout = served.layout
-    entry = schemes._TEMPLATES[key]
-    assert entry.slots is newer.slots
-    assert entry.layout is (rebuilt.layout if rebuilt_first else None)
-    assert served_layout is not rebuilt.layout
-    assert select_scheme(cfg).layout is rebuilt.layout  # the newer entry's own, once built
-    _assert_same_plan(served, rebuilt)
+        assert newer._layout is rebuilt.layout and structure._layout is None
+    assert served.layout is first.layout is structure.layout
+    assert newer._layout is (rebuilt.layout if rebuilt_first else None)
+    assert len(built) == (2 if rebuilt_first else 1)
+    assert rebuilt.layout is not served.layout and len(built) == 2
+    assert schemes._TEMPLATES[key] is newer and newer._layout is rebuilt.layout
+    assert select_scheme(cfg).layout is rebuilt.layout and len(built) == 2  # the newer structure's
+    schemes._TEMPLATES.clear()
+    _assert_same_plan(served, select_scheme(cfg))
