@@ -49,19 +49,19 @@ the same counts off the shape.  `select_scheme` builds the template plan,
 except that with `allow_special_cases` a config capping to (6,3,3,1) gets
 the crafted plan, which claims 4 where `sum_dof_lower` stays 10/3.
 
-Within a process, template plans with the same (shape, M, k) share one
-`_Structure`: registry, slots, claimed DoF, needs and layout; k counts only
-when the shape has a phase 2.  The first plan of a key enters a bounded
-module table when it is built, and later plans of that key are served from
-the table, whether they are then realized or only serialized.  The
-structure builds its layout on first use.  Each plan still carries its own
-config, and keeps its structure after the key is dropped from the table.  A
-fresh plan is validated in full; a served plan only against the rows it
-uses at RX1 and at RX2 and the informed antennas it needs, recorded once
-per key.  That is enough: every other check reads the registry, the slots
-or M alone, which the key fixes, and they passed when the key's first plan
-was built.  A config that misses those needs is built afresh, and fails as
-it would with an empty table.
+A plan is checked in one place, `_Structure`, built from M, the registry
+and the slots.  It runs every check that reads nothing else, and records
+the least N1, N2 and k the rest need, each with the message of the check
+that set it.  `_Structure.admit` holds a config to those three, for every
+plan: a hand-built or crafted one when it is made, a template one when it
+is served.  Within a process, template plans with the same (shape, M, k)
+share one structure: registry, slots, claimed DoF, needs and layout; k
+counts only when the shape has a phase 2.  Every template plan is served
+from its key's structure, which enters a bounded module table the first
+time the key is asked for, whether its plans are then realized or only
+serialized.  The structure builds its layout on first use.  Each plan
+still carries its own config, and keeps its structure after the key is
+dropped from the table.
 """
 
 from __future__ import annotations
@@ -278,15 +278,15 @@ class TransmissionPlan:
     slots: tuple[Slot, ...]
 
     def __post_init__(self):
-        self._validate()
         object.__setattr__(self, "_structure", _Structure(self.cfg.M, self.registry, self.slots))
+        self._structure.admit(self.cfg)
 
     @classmethod
     def _served(cls, cfg: SystemConfig, scheme_id: str, structure: _Structure) -> TransmissionPlan:
-        """The plan on `cfg` with the table's `structure`, without
-        `_validate`: `_two_phase_plan` serves it only once `cfg` meets the
-        structure's needs, the one part of `_validate` that reads N1, N2 or
-        k.  The rest passed when the structure's plan was built."""
+        """The plan on `cfg` with the table's `structure`, once `cfg` passes
+        its admission check: the structure ran every other check when it
+        was built."""
+        structure.admit(cfg)
         plan = object.__new__(cls)
         plan.__dict__.update(
             cfg=cfg, scheme_id=scheme_id, registry=structure.registry, slots=structure.slots,
@@ -307,97 +307,12 @@ class TransmissionPlan:
         """Number of coupled streams; validation makes their indices 0..aux_count-1."""
         return len(self.layout.coupled)
 
-    @cached_property
+    @property
     def layout(self) -> PlanLayout:
         """The plan as read-only index arrays, so realizing it walks no
         stream per channel: its structure's, built on first use and shared
         by every plan of the structure."""
         return self._structure.layout
-
-    def _validate(self):
-        """Check the plan's structure once, so realizing it needs no structural
-        checks.  A group's recipe is checked once: its streams share rx and
-        rows, and their antennas run from its first antenna to its last."""
-        cfg = self.cfg
-        if not self.slots:
-            raise InvalidConfigError("a plan needs at least one slot")
-        fresh: list[str] = []
-        targets = set()
-        refs: set[RxRowRef] = set()
-        coupled: dict[int, tuple[RxRowRef, ...]] = {}
-        for t, slot in enumerate(self.slots):
-            if not slot.groups:
-                raise InvalidConfigError(f"slot {t} sends no streams")
-            for group in slot.groups:
-                if not isinstance(group, StreamGroup):
-                    raise InvalidConfigError(f"unknown stream group {group!r}")
-                precoder, last = group.precoder, len(group.payloads) - 1
-                if not isinstance(precoder, ApzfRecipe):
-                    raise InvalidConfigError(f"unknown precoder {precoder!r}")
-                if last < 0:
-                    raise InvalidConfigError(f"slot {t} sends an empty stream group")
-                dependent = None  # (index, message) of the group's last channel-dependent stream
-                for j, payload in enumerate(group.payloads):
-                    if isinstance(payload, FreshPayload):
-                        fresh.append(payload.symbol)
-                    elif isinstance(payload, InterferencePayload):
-                        if payload.owner not in (1, 2):
-                            raise InvalidConfigError("interference owner must be RX1 or RX2")
-                        if any(ref.slot >= t for ref in payload.terms):
-                            raise InvalidConfigError("retransmission must reference earlier slots")
-                        dependent = j, "channel-dependent payloads must be sent from informed antennas"
-                        refs.update(payload.terms)
-                    elif isinstance(payload, CoupledPayload):
-                        if coupled.setdefault(payload.aux, payload.terms) != payload.terms:
-                            raise InvalidConfigError("conflicting definitions for coupled stream")
-                        dependent = j, "coupled streams must be sent from informed antennas"
-                        refs.update(payload.terms)
-                    else:
-                        raise InvalidConfigError(f"unknown payload {payload!r}")
-                kp, first = len(precoder.rows), precoder.antenna
-                if type(first) is not int:  # a float or bool would index as another antenna
-                    raise InvalidConfigError(f"stream antenna must be an int, got {first!r}")
-                if not (kp <= first and first + last < cfg.M):
-                    antenna = cfg.M if kp <= first < cfg.M else first  # the first stream off range
-                    raise InvalidConfigError(
-                        f"stream cancelled at {kp} rows cannot be sent "
-                        f"from antenna {antenna} of {cfg.M}"
-                    )
-                if dependent and first + dependent[0] >= cfg.k:
-                    raise InvalidConfigError(dependent[1])
-                if precoder.rows:
-                    targets.add((precoder.rx, precoder.rows))
-        # Many groups share a cancellation target or a sample; check each once.
-        receive_antennas = {1: cfg.N1, 2: cfg.N2}
-        for rx, rows in targets:
-            if not all(type(v) is int for v in (rx, *rows)):
-                raise InvalidConfigError(f"AP-ZF target {(rx, rows)} must name int rows of an int receiver")
-            if rx not in receive_antennas:
-                raise InvalidConfigError("AP-ZF must cancel at receiver 1 or 2")
-            if any(not 0 <= r < receive_antennas[rx] for r in rows):
-                raise InvalidConfigError(f"AP-ZF rows {rows} out of range for RX{rx}")
-            if len(set(rows)) != len(rows):
-                raise InvalidConfigError("AP-ZF cancellation rows must be distinct")
-            if len(rows) > cfg.k:
-                raise InvalidConfigError("AP-ZF cannot cancel at more than k rows")
-        for ref in refs:
-            if not (0 <= ref.slot < self.T and 0 <= ref.row < receive_antennas.get(ref.rx, 0)):
-                raise InvalidConfigError(f"{ref} names no sample of this plan")
-        # Weights enter GF(p) forms, which hold integers mod p only.  Checked
-        # per type, since an ABC check per sample would slow plan building.
-        for weight_type in {type(ref.weight) for ref in refs}:
-            if weight_type is bool or not issubclass(weight_type, Integral):
-                raise InvalidConfigError(
-                    f"sample weights must be integers, got {weight_type.__name__}"
-                )
-        fresh_seen = set(fresh)
-        if len(fresh_seen) < len(fresh):
-            twice = next(s for i, s in enumerate(fresh) if s in fresh[:i])
-            raise InvalidConfigError(f"symbol {twice} sent fresh twice")
-        if fresh_seen != {s.id for s in self.registry.symbols}:
-            raise InvalidConfigError("every information symbol must be sent exactly once")
-        if coupled.keys() != set(range(len(coupled))):
-            raise InvalidConfigError("coupled stream indices must be 0..n-1")
 
     def to_json(self) -> dict:
         """The plan as JSON-ready dicts, one per stream.  The streams of a
@@ -461,17 +376,125 @@ def _forwarded(row: int, count: int) -> tuple[InterferencePayload, ...]:
 
 
 class _Structure:
-    """What plans of one structure share: registry, slots, claimed DoF
-    (S1+S2)/T, the least N1, N2 and k a config needs for them (`_needs`),
-    and the layout, built the first time it is read.  Threads that race to
-    read it first may each build one; the layouts are equal."""
+    """A plan's registry and slots on M antennas, checked once, and what
+    plans of that structure share: the claimed DoF (S1+S2)/T, `needs` and
+    the layout, built the first time it is read.  Threads that race to read
+    it first may each build one; the layouts are equal."""
 
-    __slots__ = ("registry", "slots", "claimed_dof", "rx1_rows", "rx2_rows", "informed", "_M", "_layout")
+    __slots__ = ("registry", "slots", "claimed_dof", "needs", "_M", "_layout")
 
     def __init__(self, M: int, registry: SymbolRegistry, slots: tuple[Slot, ...]):
+        """Run every check of a plan that reads only M, the registry and the
+        slots.  The checks that read N1, N2 or k leave `needs`: for each, the
+        least value that passes them and the message of the check that set
+        it, for `admit`.  A group's recipe is checked once: its streams
+        share rx and rows, and their antennas run from its first to its last."""
+        if not slots:
+            raise InvalidConfigError("a plan needs at least one slot")
+        needs = [(0, ""), (0, ""), (0, "")]  # N1, N2, k
+
+        def need(i: int, value: int, message: str, *args) -> None:
+            if value > needs[i][0]:
+                needs[i] = value, message.format(*args)
+
+        fresh: list[str] = []
+        targets = set()
+        refs: set[RxRowRef] = set()
+        weight_types = set()
+        coupled: dict[int, tuple[RxRowRef, ...]] = {}
+        for t, slot in enumerate(slots):
+            if not slot.groups:
+                raise InvalidConfigError(f"slot {t} sends no streams")
+            for group in slot.groups:
+                if not isinstance(group, StreamGroup):
+                    raise InvalidConfigError(f"unknown stream group {group!r}")
+                precoder, last = group.precoder, len(group.payloads) - 1
+                if not isinstance(precoder, ApzfRecipe):
+                    raise InvalidConfigError(f"unknown precoder {precoder!r}")
+                if last < 0:
+                    raise InvalidConfigError(f"slot {t} sends an empty stream group")
+                dependent = None  # (index, message) of the group's last channel-dependent stream
+                for j, payload in enumerate(group.payloads):
+                    if isinstance(payload, FreshPayload):
+                        fresh.append(payload.symbol)
+                        continue
+                    if not isinstance(payload, (InterferencePayload, CoupledPayload)):
+                        raise InvalidConfigError(f"unknown payload {payload!r}")
+                    # Per term: a bool or float equals the int it would index
+                    # as, so a set of terms would hide it.
+                    for ref in payload.terms:
+                        if not type(ref.slot) is type(ref.rx) is type(ref.row) is int:
+                            raise InvalidConfigError(f"{ref} must name an int slot, receiver and row")
+                        weight_types.add(type(ref.weight))
+                    refs.update(payload.terms)
+                    if isinstance(payload, InterferencePayload):
+                        if type(payload.owner) is not int or payload.owner not in (1, 2):
+                            raise InvalidConfigError("interference owner must be RX1 or RX2")
+                        if any(ref.slot >= t for ref in payload.terms):
+                            raise InvalidConfigError("retransmission must reference earlier slots")
+                        dependent = j, "channel-dependent payloads must be sent from informed antennas"
+                    else:
+                        if type(payload.aux) is not int:
+                            raise InvalidConfigError("coupled stream indices must be 0..n-1")
+                        if coupled.setdefault(payload.aux, payload.terms) != payload.terms:
+                            raise InvalidConfigError("conflicting definitions for coupled stream")
+                        dependent = j, "coupled streams must be sent from informed antennas"
+                kp, first = len(precoder.rows), precoder.antenna
+                if type(first) is not int:  # a float or bool would index as another antenna
+                    raise InvalidConfigError(f"stream antenna must be an int, got {first!r}")
+                if not (kp <= first and first + last < M):
+                    antenna = M if kp <= first < M else first  # the first stream off range
+                    raise InvalidConfigError(
+                        f"stream cancelled at {kp} rows cannot be sent from antenna {antenna} of {M}"
+                    )
+                if dependent:
+                    need(2, first + dependent[0] + 1, dependent[1])
+                if precoder.rows:
+                    targets.add((precoder.rx, precoder.rows))
+        # Many groups share a cancellation target or a sample; check each once.
+        for rx, rows in targets:
+            if not all(type(v) is int for v in (rx, *rows)):
+                raise InvalidConfigError(f"AP-ZF target {(rx, rows)} must name int rows of an int receiver")
+            if rx not in (1, 2):
+                raise InvalidConfigError("AP-ZF must cancel at receiver 1 or 2")
+            if min(rows) < 0:
+                raise InvalidConfigError(f"AP-ZF rows {rows} out of range for RX{rx}")
+            if len(set(rows)) != len(rows):
+                raise InvalidConfigError("AP-ZF cancellation rows must be distinct")
+            need(rx - 1, max(rows) + 1, "AP-ZF rows {} out of range for RX{}", rows, rx)
+            need(2, len(rows), "AP-ZF cannot cancel at more than k rows")
+        for ref in refs:
+            if not (0 <= ref.slot < len(slots) and ref.rx in (1, 2) and ref.row >= 0):
+                raise InvalidConfigError(f"{ref} names no sample of this plan")
+            need(ref.rx - 1, ref.row + 1, "{} names no sample of this plan", ref)
+        # Weights enter GF(p) forms, which hold integers mod p only.  Checked
+        # per type, since an ABC check per sample would slow plan building.
+        for weight_type in weight_types:
+            if weight_type is bool or not issubclass(weight_type, Integral):
+                raise InvalidConfigError(f"sample weights must be integers, got {weight_type.__name__}")
+        fresh_seen = set(fresh)
+        if len(fresh_seen) < len(fresh):
+            twice = next(s for i, s in enumerate(fresh) if s in fresh[:i])
+            raise InvalidConfigError(f"symbol {twice} sent fresh twice")
+        if fresh_seen != {s.id for s in registry.symbols}:
+            raise InvalidConfigError("every information symbol must be sent exactly once")
+        if coupled.keys() != set(range(len(coupled))):
+            raise InvalidConfigError("coupled stream indices must be 0..n-1")
         self.registry, self.slots, self._M, self._layout = registry, slots, M, None
         self.claimed_dof = Fraction(registry.S1 + registry.S2, len(slots))
-        self.rx1_rows, self.rx2_rows, self.informed = _needs(slots)
+        self.needs = tuple(needs)
+
+    def admit(self, cfg: SystemConfig) -> None:
+        """Refuse a config with fewer RX1 rows, RX2 rows or informed antennas
+        than the structure needs, with the message of the check that needs
+        them."""
+        N1, N2, k = self.needs
+        if cfg.N1 < N1[0]:
+            raise InvalidConfigError(N1[1])
+        if cfg.N2 < N2[0]:
+            raise InvalidConfigError(N2[1])
+        if cfg.k < k[0]:
+            raise InvalidConfigError(k[1])
 
     @property
     def layout(self) -> PlanLayout:
@@ -543,19 +566,16 @@ def _plan_layout(M: int, registry: SymbolRegistry, slots: tuple[Slot, ...]) -> P
 
 
 # The structure of each template plan by (shape, M, k) of its capped config,
-# k only when the shape has a phase 2: that of the first such plan built.
-# Plans with the same key share it: the slots depend only on the shape and
-# on k (phase 2 forwards RX2 row k + u), the layout only on the slots, the
-# registry and M.  Each plan still carries its own config.  A served plan is
-# checked only against the structure's needs: every other check of
-# `_validate` reads the registry, the slots or M alone, all fixed by the
-# key, and passed when the structure's plan was built.  An entry is added
-# when its plan is built, so plans that are only serialized are served too,
-# and builds its layout on first use.  Past _TEMPLATE_LIMIT entries the
-# oldest is dropped; plans served from it keep their structure.  The
-# criterion-3 and criterion-4 grids need 224 keys, so certifying them never
-# evicts; 256 also bounds the layout-less entries that serializing callers,
-# such as the bounds sweep over M <= 20, leave behind.
+# k only when the shape has a phase 2.  Plans with the same key share it:
+# the slots depend only on the shape and on k (phase 2 forwards RX2 row
+# k + u), the layout only on the slots, the registry and M.  Each plan still
+# carries its own config, which the structure admits.  An entry is added the
+# first time its key is asked for, so plans that are only serialized are
+# served too, and builds its layout on first use.  Past _TEMPLATE_LIMIT
+# entries the oldest is dropped; plans served from it keep their structure.
+# The criterion-3 and criterion-4 grids need 224 keys, so certifying them
+# never evicts; 256 also bounds the layout-less entries that serializing
+# callers, such as the bounds sweep over M <= 20, leave behind.
 _TEMPLATES: dict[tuple, _Structure] = {}
 _TEMPLATE_LIMIT = 256
 _TEMPLATES_LOCK = threading.Lock()
@@ -566,64 +586,34 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _needs(slots: tuple[Slot, ...]) -> tuple[int, int, int]:
-    """The least (N1, N2, k) for which `_validate` passes `slots`: one past
-    the last row that their AP-ZF targets and samples name at RX1 and at
-    RX2, and the larger of the most rows a target cancels at and one past
-    the last antenna that sends a channel-dependent stream."""
-    rows, informed = {1: 0, 2: 0}, 0
-    for group in (g for slot in slots for g in slot.groups):
-        precoder = group.precoder
-        if precoder.rows:
-            rows[precoder.rx] = max(rows[precoder.rx], max(precoder.rows) + 1)
-            informed = max(informed, len(precoder.rows))
-        for j, payload in enumerate(group.payloads):
-            if not isinstance(payload, FreshPayload):
-                informed = max(informed, precoder.antenna + j + 1)
-                for ref in payload.terms:
-                    rows[ref.rx] = max(rows[ref.rx], ref.row + 1)
-    return rows[1], rows[2], informed
-
-
-def _remember(key: tuple, plan: TransmissionPlan) -> None:
-    """Add a freshly built template plan's structure under `key`, dropping
-    the oldest entry past the limit."""
-    with _TEMPLATES_LOCK:
-        _TEMPLATES[key] = plan._structure
-        while len(_TEMPLATES) > _TEMPLATE_LIMIT:
-            del _TEMPLATES[next(iter(_TEMPLATES))]
-
-
 def _two_phase_plan(cfg: SystemConfig, shape: PlanShape) -> TransmissionPlan:
-    """Build the template plan `shape` on the capped config `cfg` and add it
-    to `_TEMPLATES`, or serve its structure from there once `cfg` meets the
-    structure's needs.  A config that misses them is built afresh, so it
-    gets `_validate`'s own error."""
-    k = cfg.k
-    key = (shape, cfg.M, k if shape.p2 else None)
-    entry = _TEMPLATES.get(key)
-    if entry is not None and (
-        cfg.N1 >= entry.rx1_rows and cfg.N2 >= entry.rx2_rows and k >= entry.informed
-    ):
-        return TransmissionPlan._served(cfg, shape.scheme, entry)
-    a_syms, a_fresh = _symbols("a", 1, shape.S1)
-    b_syms, b_fresh = _symbols("b", 2, shape.S2)
-    a_next, b_next = iter(a_fresh), iter(b_fresh)
-    # A group's recipe family is the same in every slot; only its payloads change.
-    a_recipe = ApzfRecipe(shape.a_rows, 2, tuple(range(shape.a_rows)))
-    b_recipe = ApzfRecipe(shape.b_rows, 1, tuple(range(shape.b_rows)))
+    """The template plan `shape` on the capped config `cfg`, served from its
+    key's structure in `_TEMPLATES`, which is built and added first when the
+    table lacks it."""
+    key = (shape, cfg.M, cfg.k if shape.p2 else None)
+    structure = _TEMPLATES.get(key)
+    if structure is None:
+        a_syms, a_fresh = _symbols("a", 1, shape.S1)
+        b_syms, b_fresh = _symbols("b", 2, shape.S2)
+        a_next, b_next = iter(a_fresh), iter(b_fresh)
+        # A group's recipe family is the same in every slot; only its payloads change.
+        a_recipe = ApzfRecipe(shape.a_rows, 2, tuple(range(shape.a_rows)))
+        b_recipe = ApzfRecipe(shape.b_rows, 1, tuple(range(shape.b_rows)))
 
-    def slot(*groups) -> Slot:
-        """The next `count` payloads under `recipe`, per non-empty (payloads, count, recipe)."""
-        return Slot(tuple(StreamGroup(tuple(islice(p, n)), r) for p, n, r in groups if n))
+        def slot(*groups) -> Slot:
+            """The next `count` payloads under `recipe`, per non-empty (payloads, count, recipe)."""
+            return Slot(tuple(StreamGroup(tuple(islice(p, n)), r) for p, n, r in groups if n))
 
-    slots = [slot((a_next, shape.a, a_recipe), (b_next, shape.b, b_recipe)) for _ in range(shape.p1)]
-    for u in range(shape.p2):
-        forwarded = iter(_forwarded(k + u, shape.p1))
-        slots.append(slot((forwarded, shape.p1, _FORWARD_RECIPE), (b_next, shape.b2, b_recipe)))
-    plan = TransmissionPlan(cfg, shape.scheme, SymbolRegistry(a_syms + b_syms), tuple(slots))
-    _remember(key, plan)
-    return plan
+        slots = [slot((a_next, shape.a, a_recipe), (b_next, shape.b, b_recipe)) for _ in range(shape.p1)]
+        for u in range(shape.p2):
+            forwarded = iter(_forwarded(cfg.k + u, shape.p1))
+            slots.append(slot((forwarded, shape.p1, _FORWARD_RECIPE), (b_next, shape.b2, b_recipe)))
+        structure = _Structure(cfg.M, SymbolRegistry(a_syms + b_syms), tuple(slots))
+        with _TEMPLATES_LOCK:  # add it, dropping the oldest entry past the limit
+            _TEMPLATES[key] = structure
+            while len(_TEMPLATES) > _TEMPLATE_LIMIT:
+                del _TEMPLATES[next(iter(_TEMPLATES))]
+    return TransmissionPlan._served(cfg, shape.scheme, structure)
 
 
 def build_scheme_6331() -> TransmissionPlan:

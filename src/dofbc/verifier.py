@@ -23,8 +23,8 @@ Realizing reads the plan's index arrays (`TransmissionPlan.layout`).  Every
 stream is sent with coefficient 1 from its one antenna; streams that AP-ZF
 cancels at the same rows of the same receiver share one solve per channel.
 On either field the precoders come straight from the layout, without
-`apzf_precoder` or its argument checks, which `TransmissionPlan._validate`
-made once: a copy of the layout's [I_M | Z] template in H's dtype receives
+`apzf_precoder` or its argument checks, which the plan's `_Structure` made
+once: a copy of the layout's [I_M | Z] template in H's dtype receives
 each target's solution, gathered from H by the layout's flat indices and
 solved by `precoding._solution`, the one AP-ZF solve (one compiled call on
 GF(p); checked LAPACK solves on a real channel).  On GF(p) one product

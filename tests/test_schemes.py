@@ -319,6 +319,25 @@ def test_plan_validation_rejects_bad_structures():
     ):
         with pytest.raises(InvalidConfigError, match=message):
             TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, recipe),)),))
+    # Sample references and payload indices are used as indices too, so a
+    # bool or float must not pass as the int it equals.  Types are checked
+    # per term: a set of terms would keep RxRowRef(0, 2, 1, 1) and drop an
+    # equal RxRowRef(0, 2, True, 1) sent beside it.
+    good = RxRowRef(0, 2, 1, 1)
+    for payloads, message in (
+        ((InterferencePayload(1, (RxRowRef(0, 2, True, 1),)),), "must name an int slot, receiver and row"),
+        ((InterferencePayload(1, (RxRowRef(0, 2, 1.0, 1),)),), "must name an int slot, receiver and row"),
+        ((InterferencePayload(1, (RxRowRef(0.0, 2, 1, 1),)),), "must name an int slot, receiver and row"),
+        ((InterferencePayload(1, (RxRowRef(0, True, 0, 1),)),), "must name an int slot, receiver and row"),
+        ((InterferencePayload(1, (RxRowRef(False, 2, 1, 1),)),), "must name an int slot, receiver and row"),
+        ((InterferencePayload(True, (good,)),), "^interference owner must be RX1 or RX2$"),
+        ((CoupledPayload(0.0, (good,)),), r"^coupled stream indices must be 0\.\.n-1$"),
+        ((InterferencePayload(1, (good,)), InterferencePayload(1, (RxRowRef(0, 2, True, 1),))), "must name an int slot"),
+        ((InterferencePayload(1, (good,)), InterferencePayload(1, (RxRowRef(0, 2, 1, True),))), "weights must be integers"),
+    ):
+        slots = (streams_slot(ok_stream), Slot((StreamGroup(payloads, ApzfRecipe(0)),)))
+        with pytest.raises(InvalidConfigError, match=message):
+            TransmissionPlan(cfg, "x", registry, slots)
     with pytest.raises(InvalidConfigError, match="empty stream group"):
         TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, ApzfRecipe(0)), StreamGroup((), ApzfRecipe(3)))),))
     with pytest.raises(InvalidConfigError, match="unknown stream group"):
@@ -490,7 +509,8 @@ def test_served_plans_equal_plans_built_cold(configs):
     realize_plan(first, field_channel(first.cfg, seed=1))
     assert first._structure._layout is first.layout
     served = select_scheme(cfg, special)
-    served._validate()  # the full check, also where a served plan's three comparisons stand in
+    # A served plan passes the full check of a plan built cold from its parts.
+    TransmissionPlan(served.cfg, served.scheme_id, served.registry, served.slots)
     templates = [plan for plan in (first, served) if plan.scheme_id != "table1"]
     assert schemes._TEMPLATES.keys() == {_table_key(plan) for plan in templates}
     if served.scheme_id != "table1":  # served from its key's entry, or built and added under it
@@ -515,19 +535,29 @@ def test_served_plans_equal_plans_built_cold(configs):
         ((5, 2, 4, 3), (5, 2, 4, 2)),  # too few informed antennas for AP-ZF at 3 rows
     ],
 )
-def test_served_key_rejects_a_config_that_misses_its_needs(warm, cfg):
+def test_served_key_rejects_a_config_that_misses_its_needs(warm, cfg, monkeypatch):
     # A config of a warmed key that lacks the rows or informed antennas of
-    # the key's plan gets _validate's own error, as with the table cleared.
+    # the key's plan is refused by the key's structure, with the message it
+    # gets with the table cleared, and builds no new structure.
     schemes._TEMPLATES.clear()
     warm, cfg = SystemConfig(*warm), SystemConfig(*cfg)
     shape = plan_shape(warm)
     realize_plan(select_scheme(warm), field_channel(warm, seed=1))
-    assert (shape, cfg.M, cfg.k if shape.p2 else None) in schemes._TEMPLATES
+    key = (shape, cfg.M, cfg.k if shape.p2 else None)
+    entry, built, init = schemes._TEMPLATES[key], [], schemes._Structure.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(schemes._Structure, "__init__", counted)
     with pytest.raises(InvalidConfigError) as served:
         schemes._two_phase_plan(cfg, shape)
+    assert built == [] and schemes._TEMPLATES[key] is entry
     schemes._TEMPLATES.clear()
     with pytest.raises(InvalidConfigError) as cold:
         schemes._two_phase_plan(cfg, shape)
+    assert len(built) == 1
     assert str(served.value) == str(cold.value)
 
 
@@ -551,10 +581,10 @@ def _forwarding_plan() -> TransmissionPlan:
     ids=lambda plan: f"{plan.scheme_id}-{plan.cfg.shape}",
 )
 def test_needs_decide_what_validate_accepts(plan):
-    # A plan's structure passes _validate on another config of its M exactly
-    # when that config meets _needs: the three comparisons a served plan
-    # gets stand for every check of _validate that reads N1, N2 or k.
-    rx1_rows, rx2_rows, informed = schemes._needs(plan.slots)
+    # A plan's structure is accepted on another config of its M exactly
+    # when that config meets the needs its structure records: the three
+    # comparisons of `admit` stand for every check that reads N1, N2 or k.
+    (rx1_rows, _), (rx2_rows, _), (informed, _) = plan._structure.needs
     M, outcomes = plan.cfg.M, set()
     for N1 in range(1, 9):
         for N2 in range(N1, 9):
