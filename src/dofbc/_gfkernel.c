@@ -1,10 +1,11 @@
 /* Exact linear algebra over GF(p): the compiled twins of the numpy kernels in
- * gf.py.  `gf_pivots` finds pivot columns (gf._eliminate), `gf_solve` solves
- * stacked square systems (gf._solve) and `gf_matmul` multiplies stacked
- * matrices (gf._matmul).  Every matrix is C-ordered int64, and p is a prime
- * with 2 <= p < 2^31.  `gf_pivots` and `gf_matmul` take entries in [0, p);
+ * gf.py.  `gf_pivots` finds pivot columns (gf._eliminate), `gf_ranks` ranks
+ * each member of a stack with it, `gf_solve` solves stacked square systems
+ * (gf._solve) and `gf_matmul` multiplies stacked matrices (gf._matmul).
+ * Every matrix is C-ordered int64, and p is a prime with 2 <= p < 2^31.
+ * `gf_pivots`, `gf_ranks` and `gf_matmul` take entries in [0, p);
  * `gf_solve` takes them anywhere in (-p, p), so an AP-ZF right-hand side may
- * arrive negated.  gf.py's entries (`_pivots`, `_product` and
+ * arrive negated.  gf.py's entries (`_pivots`, `_ranks`, `_product` and
  * `_solve_in_place`) check that every array is C-ordered int64, and writable
  * where it is written; their callers keep the entries in range and p prime.
  * At the end, `channel_draws` makes channel.py's seeded channel draws.
@@ -23,6 +24,7 @@
  * so both are skipped.
  */
 #include <stdint.h>
+#include <stdlib.h>
 
 /* A representative of x mod p in (-p, p), for |x| < 2p^2.  The quotient is
  * rounded in double precision: |x / p| < 2^32, so it is within one of the
@@ -87,6 +89,30 @@ int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t p, int64_t *pi
         pivots[r++] = c;
     }
     return r;
+}
+
+/* gf_ranks: `stack` holds `count` rows x cols matrices, each eliminated in
+ * place by gf_pivots, so each member is ranked exactly as it would be alone.
+ * `out` must hold 2 count entries: out[s] is member s's rank and
+ * out[count + s] its count of pivot columns left of `split`,
+ * 0 <= split <= cols, which is the rank of its first `split` columns, since
+ * gf_pivots eliminates left to right.  Returns 0, or -1 if the pivot buffer
+ * of min(rows, cols) entries cannot be allocated. */
+int64_t gf_ranks(int64_t *stack, int64_t count, int64_t rows, int64_t cols, int64_t split, int64_t p,
+                 int64_t *out)
+{
+    int64_t *pivots = malloc(sizeof *pivots * (size_t)((rows < cols ? rows : cols) + 1));
+    if (pivots == NULL)
+        return -1;
+    for (int64_t s = 0; s < count; s++) {
+        int64_t rank = gf_pivots(stack + s * rows * cols, rows, cols, p, pivots), left = 0;
+        while (left < rank && pivots[left] < split)
+            left++;
+        out[s] = rank;
+        out[count + s] = left;
+    }
+    free(pivots);
+    return 0;
 }
 
 /* gf_solve: `aug` holds `count` augmented systems [A | B], each n x width with

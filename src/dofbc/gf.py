@@ -30,12 +30,17 @@ The pivot columns and the solution of a nonsingular system are unique, so
 neither kernel's shortcuts can change a result.  `gf_particular_solution`
 takes `gf_pivots` of A, then `gf_solve` on A's pivot columns.
 
-Three private entries call the compiled kernels, from `_gfkernel.c`,
+Four private entries call the compiled kernels, from `_gfkernel.c`,
 whenever `_KERNEL` is loaded, and fall back to the numpy bodies
 `_eliminate`, `_solve` and `_matmul`, which are also the test oracles:
 
 * `_pivots(A, p)` eliminates a fresh, writable matrix with entries in
   [0, p) in place;
+* `_ranks(stack, split, p)` eliminates each member of a fresh, writable
+  (count, rows, cols) stack with entries in [0, p) in place, in one call,
+  and returns two lists: each member's rank, and its count of pivots left
+  of `split` (0 <= split <= cols), which is the rank of its first `split`
+  columns;
 * `_product(a, b, p)` multiplies two stacks with the same leading axes and
   entries in [0, p), either of them read-only, into a fresh stack;
 * `_solve_in_place(aug, p)` solves a fresh, writable stack of augmented
@@ -47,7 +52,8 @@ any kernel reads an array, unless the array is C-ordered int64 and writable
 where it is written.  They read a writable array's address through
 `ctypes.c_char.from_buffer`, about a third of the cost of `a.ctypes.data`,
 and only a read-only one (a channel's H) through `a.ctypes`.
-`verifier` calls all three directly, and `precoding._solution` the solve.
+`verifier` calls `_ranks`, `_product` and `_solve_in_place` directly, and
+`precoding._solution` the solve.
 The public `gf_pivots` (and `gf_rank`), `gf_matmul` and `gf_solve` check
 their arguments and reduce them with `gf_array` into C-ordered copies, then
 call the same entries.  The kernel also exports
@@ -59,7 +65,7 @@ with `cc -O2 -ffp-contract=off -shared -fPIC` into
 source, the command and the machine type) and removes the kernels of other
 tags for the same machine type there; every later import loads that file
 through ctypes.  If there is no compiler, the directory is not writable, or
-the build or the load fails, `_KERNEL` is None, all three run in numpy
+the build or the load fails, `_KERNEL` is None, all four run in numpy
 and every channel draw calls `channel.trial_rng`; nothing is raised and no
 file is left behind.
 
@@ -92,6 +98,7 @@ import math
 import os
 import platform
 import re
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +281,7 @@ _COMPILE_TIMEOUT_S = 120
 _INT64 = ctypes.c_int64
 _SIGNATURES = {  # (argtypes, restype) of each function `_gfkernel.c` exports
     "gf_pivots": ((ctypes.c_void_p, _INT64, _INT64, _INT64, ctypes.POINTER(_INT64)), _INT64),
+    "gf_ranks": ((ctypes.c_void_p,) + (_INT64,) * 5 + (ctypes.POINTER(_INT64),), _INT64),
     "gf_solve": ((ctypes.c_void_p, _INT64, _INT64, _INT64, _INT64), _INT64),
     "gf_matmul": ((ctypes.c_void_p,) * 3 + (_INT64,) * 5, None),
     "channel_draws": ((ctypes.c_char_p, _INT64, ctypes.c_char_p) + (_INT64,) * 3
@@ -369,6 +377,26 @@ def _pivots(A: np.ndarray, p: int) -> list[int]:
     rows, cols = A.shape
     pivots = (ctypes.c_int64 * min(rows, cols))()
     return pivots[: _KERNEL.gf_pivots(_address(A), rows, cols, p, pivots)]
+
+
+def _ranks(stack: np.ndarray, split: int, p: int) -> tuple[list[int], list[int]]:
+    """The ranks of the members of a C-ordered int64 stack (count, rows,
+    cols) with entries in [0, p), for a valid prime p, and the ranks of their
+    first `split` columns, 0 <= split <= cols (their pivots left of `split`),
+    eliminating the stack in place.  The compiled kernel ranks the whole
+    stack in one call, or `_eliminate` each member without the kernel or
+    for an empty stack."""
+    _check(stack, written=True)
+    if stack.ndim != 3 or not 0 <= split <= stack.shape[2]:
+        raise ValueError(f"cannot rank a stack of shape {stack.shape} split at {split}")
+    count, rows, cols = stack.shape
+    if _KERNEL is None or not stack.size:
+        pivots = [_eliminate(member, p) for member in stack]
+        return [len(columns) for columns in pivots], [bisect_left(columns, split) for columns in pivots]
+    out = (ctypes.c_int64 * (2 * count))()
+    if _KERNEL.gf_ranks(_address(stack), count, rows, cols, split, p, out):
+        raise MemoryError("no room for the pivots of a stacked rank")
+    return out[:count], out[count:]
 
 
 def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:

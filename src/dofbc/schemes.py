@@ -403,11 +403,15 @@ class _Structure:
         weight_types = set()
         coupled: dict[int, tuple[RxRowRef, ...]] = {}
         for t, slot in enumerate(slots):
+            if not isinstance(slot, Slot):
+                raise InvalidConfigError(f"unknown slot {slot!r}")
             if not slot.groups:
                 raise InvalidConfigError(f"slot {t} sends no streams")
             for group in slot.groups:
                 if not isinstance(group, StreamGroup):
                     raise InvalidConfigError(f"unknown stream group {group!r}")
+                if type(group.payloads) is not tuple:
+                    raise InvalidConfigError(f"stream group payloads {group.payloads!r} must be a tuple")
                 precoder, last = group.precoder, len(group.payloads) - 1
                 if not isinstance(precoder, ApzfRecipe):
                     raise InvalidConfigError(f"unknown precoder {precoder!r}")
@@ -420,9 +424,13 @@ class _Structure:
                         continue
                     if not isinstance(payload, (InterferencePayload, CoupledPayload)):
                         raise InvalidConfigError(f"unknown payload {payload!r}")
+                    if type(payload.terms) is not tuple:
+                        raise InvalidConfigError(f"sample terms {payload.terms!r} must be a tuple")
                     # Per term: a bool or float equals the int it would index
                     # as, so a set of terms would hide it.
                     for ref in payload.terms:
+                        if type(ref) is not RxRowRef:
+                            raise InvalidConfigError(f"sample term {ref!r} must be an RxRowRef")
                         if not type(ref.slot) is type(ref.rx) is type(ref.row) is int:
                             raise InvalidConfigError(f"{ref} must name an int slot, receiver and row")
                         weight_types.add(type(ref.weight))
@@ -439,6 +447,8 @@ class _Structure:
                         if coupled.setdefault(payload.aux, payload.terms) != payload.terms:
                             raise InvalidConfigError("conflicting definitions for coupled stream")
                         dependent = j, "coupled streams must be sent from informed antennas"
+                if type(precoder.rows) is not tuple:  # a list is unhashable, a string iterates
+                    raise InvalidConfigError(f"AP-ZF rows {precoder.rows!r} must be a tuple")
                 kp, first = len(precoder.rows), precoder.antenna
                 if type(first) is not int:  # a float or bool would index as another antenna
                     raise InvalidConfigError(f"stream antenna must be an int, got {first!r}")

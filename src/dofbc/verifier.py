@@ -52,15 +52,15 @@ one-draw stacks with that loop's resamples.
 Trials are independent, so every result equals one of evaluating each
 trial alone: GF(p) arithmetic is exact, and every float numpy call on the
 stack rounds each trial as it would alone, so the slopes are bit-identical
-too.  Certification still ranks each trial on its own 2-D matrices: a
-batched elimination is slower at the one or two trials a certification run
-typically has.
+too.  Certification ranks a block with one compiled call per receiver with
+desired symbols (`gf._ranks`), on the block's matrices gathered along the
+receiver's rank order, each member ranked as it would be alone.  Only the
+first failing trial gets a `DecodabilityReport`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -69,7 +69,7 @@ import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError, as_integer
-from .gf import DEFAULT_PRIME, _pivots, _product, _solve_in_place, gf_array
+from .gf import DEFAULT_PRIME, _product, _ranks, _solve_in_place, gf_array
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import _solution
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
@@ -278,21 +278,33 @@ def decodability_check(system: ObservationSystem) -> DecodabilityReport:
     A1, A2 = gf_array(system.A1, p), gf_array(system.A2, p)  # any integer dtype, any entries
     if A1.ndim != 2 or A2.ndim != 2:
         raise ValueError(f"decodability_check expects 2-D maps, not {A1.ndim}-D and {A2.ndim}-D")
-    return _decodability(A1, A2, system.registry, p)
+    (recovered,) = _recovered(A1[None], A2[None], system.registry, p)
+    return _report(system.registry, recovered)
 
 
-def _decodability(A1, A2, registry: SymbolRegistry, p: int) -> DecodabilityReport:
-    """`decodability_check` of the 2-D int64 matrices A1, A2 with entries in
-    [0, p), as `realize_plan` builds them: the compiled elimination reads
-    and writes int64 entries and relies on their range."""
-    reports = []
+def _recovered(A1, A2, registry: SymbolRegistry, p: int) -> list[tuple[int, int]]:
+    """(RX1, RX2) recovered-symbol counts of each member of the int64 stacks
+    A1, A2 with entries in [0, p), as `realize_plan` builds them: a
+    receiver's rank minus its interference rank, from one `gf._ranks` call
+    on a copy gathered along its rank order, or 0 without desired symbols."""
+    counts = []
     for A, (order, split) in zip((A1, A2), registry._rank_orders):
-        desired, recovered = len(order) - split, 0
-        if desired:
-            pivots = _pivots(A.take(order, axis=1), p)  # a fresh copy
-            recovered = len(pivots) - bisect_left(pivots, split)
-        reports.append(ReceiverReport(desired=desired, recovered=recovered))
-    return DecodabilityReport(*reports)
+        if split == len(order):
+            counts.append([0] * len(A))
+        else:
+            counts.append(map(int.__sub__, *_ranks(A.take(order, axis=-1), split, p)))
+    return list(zip(*counts))
+
+
+def _desired(registry: SymbolRegistry) -> tuple[int, int]:
+    """(RX1, RX2) desired-symbol counts: what each receiver must recover."""
+    (order1, split1), (order2, split2) = registry._rank_orders
+    return len(order1) - split1, len(order2) - split2
+
+
+def _report(registry: SymbolRegistry, recovered: tuple[int, int]) -> DecodabilityReport:
+    """The `DecodabilityReport` of one member's recovered-symbol counts."""
+    return DecodabilityReport(*map(ReceiverReport, _desired(registry), recovered))
 
 
 @dataclass(frozen=True)
@@ -371,20 +383,27 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     draws, with index 25 added to a one-trial run's block.  If a draw of the
     block is singular, each of its trials is realized and resampled alone,
     so `dof`, `failures`, `resamples` and compliance equal those of
-    realizing each trial alone.  Each trial is ranked on its own.
+    realizing each trial alone.  Each receiver ranks a block's trials in one
+    call (`_recovered`).
     """
     _check_trials(trials)
+    desired = _desired(plan.registry)
 
     def draw(index) -> ChannelRealization:
         return field_channel(plan.cfg, seed, index=index)
 
-    def realize(channel: ChannelRealization) -> list[tuple[ObservationSystem, int]]:
-        """(system, j) per draw of the stacked `channel`: the draw's
-        matrices are system.A1[j] and system.A2[j]."""
+    def realize(channel: ChannelRealization) -> list[tuple[tuple[int, int] | None, tuple, int]]:
+        """(recovered, precoders, j) per draw of the stacked `channel`: its
+        recovered-symbol counts, None past `trials` (a one-trial run's
+        compliance draw), and its precoders T[j] for T in `precoders`.  The
+        observation matrices are not kept once ranked."""
         system = realize_plan(plan, channel)
-        return [(system, j) for j in range(len(system.A1))]
+        ranked = _recovered(system.A1[:trials], system.A2[:trials], plan.registry, system.field)
+        ranked += [None] * (len(system.A1) - len(ranked))
+        return [(recovered, system.precoders, j) for j, recovered in enumerate(ranked)]
 
-    reports = []
+    failures = []
+    first_failure = None
     precoders = []
     resamples = 0
     extra = (_MAX_RESAMPLE,) if trials == 1 else ()
@@ -394,24 +413,26 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
             if drawn is None:  # its block raised: precode it alone, raising if singular
                 precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
             else:
-                system, j = drawn
-                precoders.append(tuple(T[j] for T in system.precoders))
+                _, stacked, j = drawn
+                precoders.append(tuple(T[j] for T in stacked))
             break
         if drawn is None:
             raise ResampleRequiredError(f"resampling exhausted on trial {i}")
         resamples += attempts
-        system, j = drawn
-        reports.append(_decodability(system.A1[j], system.A2[j], plan.registry, system.field))
+        recovered, stacked, j = drawn
+        if recovered != desired:
+            if not failures:
+                first_failure = _report(plan.registry, recovered)
+            failures.append(i)
         if i < 2:
-            precoders.append(tuple(T[j] for T in system.precoders))
-    failures = tuple(i for i, report in enumerate(reports) if not report.all_decodable)
+            precoders.append(tuple(T[j] for T in stacked))
     return CertificationResult(
         trials=trials,
-        failures=failures,
+        failures=tuple(failures),
         resamples=resamples,
         dof=None if failures else plan.claimed_dof,
         compliance=csit_compliance(plan, *precoders),
-        first_failure_report=reports[failures[0]] if failures else None,
+        first_failure_report=first_failure,
     )
 
 

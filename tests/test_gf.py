@@ -300,18 +300,74 @@ def test_pivots_reject_arrays_that_are_not_matrices():
 
 @compiled
 def test_compiled_pivots_equal_numpy_on_a_certification(monkeypatch):
-    # Every matrix that certifying the largest criterion-3 plan ranks.
+    # Every member that certifying the largest criterion-3 plan ranks.
     seen = []
 
-    def recording(A, p):
-        seen.append((A.copy(), p))
-        return gf._pivots(A, p)
+    def recording(stack, split, p):
+        seen.extend((member.copy(), split, p) for member in stack)
+        return gf._ranks(stack, split, p)
 
-    monkeypatch.setattr(verifier, "_pivots", recording)
+    monkeypatch.setattr(verifier, "_ranks", recording)
     assert achieved_dof(select_scheme(SystemConfig(10, 1, 9, 1)), trials=50, seed=1).ok
     assert len(seen) == 100
-    for A, p in seen:
-        assert gf_pivots(A, p) == _oracle_pivots(A, p)
+    for A, split, p in seen:
+        pivots = _oracle_pivots(A, p)
+        assert gf_pivots(A, p) == pivots
+        assert gf._ranks(A[None].copy(), split, p) == ([len(pivots)], [sum(c < split for c in pivots)])
+
+
+@st.composite
+def rank_stacks(draw):
+    """A (count, rows, cols) stack over GF(p), zero-size shapes included,
+    whose members are thin products (rank-deficient) or entries 0, 1 and
+    p - 1 (many zero pivots and row swaps), a split in 0..cols, and p."""
+    p = draw(st.sampled_from([2, 7, P]))
+    count, rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(count):
+        if draw(st.booleans()):  # a thin product: rank below min(rows, cols)
+            inner = int(rng.integers(0, min(rows, cols) + 1))
+            A = gf_matmul(rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols)), p)
+        else:
+            A = rng.choice(np.array([0, 1, p - 1]), (rows, cols))
+        members.append(A)
+    split = draw(st.sampled_from([0, cols, draw(st.integers(0, cols))]))
+    return np.array(members, dtype=np.int64).reshape(count, rows, cols), split, p
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+@settings(max_examples=300, deadline=None)
+@given(case=rank_stacks())
+@example(case=(np.zeros((3, 0, 4), dtype=np.int64), 4, 7))
+@example(case=(np.zeros((2, 5, 0), dtype=np.int64), 0, 2))
+@example(case=(np.zeros((0, 3, 3), dtype=np.int64), 3, P))
+@example(case=(np.ones((2, 3, 4), dtype=np.int64), 0, P))
+def test_stacked_ranks_equal_eliminating_each_member(kernel, case):
+    # Each member's rank and the rank of its first `split` columns, as
+    # `_eliminate` of that member alone counts them.
+    stack, split, p = case
+    if kernel == "compiled" and gf._KERNEL is None:
+        pytest.skip("the compiled rank kernel is not loaded")
+    pivots = [_oracle_pivots(A, p) for A in stack]
+    want = [len(columns) for columns in pivots], [sum(c < split for c in columns) for columns in pivots]
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel == "numpy":
+            patch.setattr(gf, "_KERNEL", None)
+        got = gf._ranks(stack.copy(), split, p)
+    assert got == want and all(type(n) is int for n in got[0] + got[1])
+
+
+def test_stacked_ranks_reject_bad_stacks():
+    stack = np.zeros((2, 3, 4), dtype=np.int64)
+    for bad, split in ((stack[0], 0), (stack[None], 0), (stack, -1), (stack, 5)):
+        with pytest.raises(ValueError, match="^cannot rank a stack of shape"):
+            gf._ranks(bad, split, P)
+    read_only = stack.copy()
+    read_only.flags.writeable = False
+    for bad in (stack.astype(np.int32), np.asfortranarray(stack), stack[:, :, ::2], read_only):
+        with pytest.raises(ValueError, match="C-ordered int64"):
+            gf._ranks(bad, 0, P)
 
 
 def _on_numpy(call, *args):
@@ -636,6 +692,9 @@ def test_kernel_loader_builds_once_and_reuses_the_file(tmp_path):
     A = np.array([[0, 2, 4], [0, 1, 2], [0, 0, 3]], dtype=np.int64)
     pivots = (ctypes.c_int64 * 3)()
     assert pivots[: kernel.gf_pivots(A.ctypes.data, 3, 3, P, pivots)] == [1, 2]
+    stack, out = np.stack([A, np.eye(3, dtype=np.int64)]), (ctypes.c_int64 * 4)()
+    assert kernel.gf_ranks(stack.ctypes.data, 2, 3, 3, 2, P, out) == 0
+    assert out[:] == [2, 3, 1, 2]
     # A file of that name that is not a library is not loaded, and is left alone.
     other = tmp_path / "other"
     other.mkdir()

@@ -31,8 +31,12 @@ def test_unknown_receiver_rejected():
 def test_antennas_outside_the_passive_range_rejected():
     ch = field_channel(SystemConfig(4, 1, 3, 2), seed=0)
     for antennas in ([1], [2, 4], [-1]):  # 1 solves for rows (0, 1); 4 and -1 do not exist
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=r"^AP-ZF streams must be sent from antennas 2\.\.3$"):
             apzf_precoder(ch, 2, (0, 1), antennas)
+    # The range runs from the first passive antenna, k' = len(rows), to M - 1.
+    wide = field_channel(SystemConfig(9, 3, 6, 4), seed=0)
+    with pytest.raises(InvalidConfigError, match=r"^AP-ZF streams must be sent from antennas 1\.\.8$"):
+        apzf_precoder(wide, 1, (0,), [9])
 
 
 # A bool or a float receiver, row or antenna used to be truncated or to

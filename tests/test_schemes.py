@@ -316,6 +316,7 @@ def test_plan_validation_rejects_bad_structures():
         (ApzfRecipe(True), "stream antenna must be an int"),
         (ApzfRecipe(1, 1.0, (0,)), "must name int rows"),
         (ApzfRecipe(1, 1, (0.0,)), "must name int rows"),
+        (ApzfRecipe(1, 2, [0]), r"^AP-ZF rows \[0\] must be a tuple$"),  # a list is unhashable
     ):
         with pytest.raises(InvalidConfigError, match=message):
             TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, recipe),)),))
@@ -334,6 +335,10 @@ def test_plan_validation_rejects_bad_structures():
         ((CoupledPayload(0.0, (good,)),), r"^coupled stream indices must be 0\.\.n-1$"),
         ((InterferencePayload(1, (good,)), InterferencePayload(1, (RxRowRef(0, 2, True, 1),))), "must name an int slot"),
         ((InterferencePayload(1, (good,)), InterferencePayload(1, (RxRowRef(0, 2, 1, True),))), "weights must be integers"),
+        ((InterferencePayload(1, ((0, 2, 0, 1),)),), r"^sample term \(0, 2, 0, 1\) must be an RxRowRef$"),
+        ((InterferencePayload(1, None),), r"^sample terms None must be a tuple$"),
+        ((CoupledPayload(0, [good]),), r"^sample terms \[RxRowRef\(slot=0, rx=2, row=1, weight=1\)\] must be a tuple$"),
+        ((InterferencePayload(1, (good,)), CoupledPayload(0, (good, [0, 2, 1, 1]))), r"^sample term \[0, 2, 1, 1\] must be an RxRowRef$"),
     ):
         slots = (streams_slot(ok_stream), Slot((StreamGroup(payloads, ApzfRecipe(0)),)))
         with pytest.raises(InvalidConfigError, match=message):
@@ -342,6 +347,16 @@ def test_plan_validation_rejects_bad_structures():
         TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, ApzfRecipe(0)), StreamGroup((), ApzfRecipe(3)))),))
     with pytest.raises(InvalidConfigError, match="unknown stream group"):
         TransmissionPlan(cfg, "x", registry, (Slot((ok_stream,)),))
+    # Parts of the wrong type are refused as such, not left to raise
+    # TypeError or AttributeError further in.
+    group = StreamGroup(fresh, ApzfRecipe(0))
+    for slots, message in (
+        (((group,),), r"^unknown slot \(StreamGroup\(.*\),\)$"),
+        ((Slot((StreamGroup(None, ApzfRecipe(0)),)),), r"^stream group payloads None must be a tuple$"),
+        ((Slot((StreamGroup(list(fresh), ApzfRecipe(0)),)),), r"^stream group payloads \[FreshPayload.*\] must be a tuple$"),
+    ):
+        with pytest.raises(InvalidConfigError, match=message):
+            TransmissionPlan(cfg, "x", three, slots)
     grouped = TransmissionPlan(cfg, "x", three, (Slot((StreamGroup(fresh, ApzfRecipe(1)),)),))
     assert [s.precoder.antenna for s in slot_streams(grouped.slots[0])] == [1, 2, 3]
 

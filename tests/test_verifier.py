@@ -97,21 +97,42 @@ def test_decodability_mid_k_field():
 @pytest.mark.parametrize("shape,eliminations", [((7, 5, 6, 2), 1), ((4, 1, 3, 2), 2)])
 def test_receiver_without_desired_symbols_needs_no_elimination(monkeypatch, shape, eliminations):
     # (7,5,6,2) is an rx2-baseline plan: RX1 decodes nothing, so only RX2 is
-    # eliminated.  The mid-k (4,1,3,2) plan has symbols for both receivers.
+    # ranked.  The mid-k (4,1,3,2) plan has symbols for both receivers.
     plan = select_scheme(SystemConfig(*shape))
     system = realize_plan(plan, field_channel(plan.cfg, seed=1))
     calls = []
 
-    def counting_pivots(A, p):
-        calls.append(A.shape)
-        return gf._pivots(A, p)
+    def counting_ranks(stack, split, p):
+        calls.append(stack.shape)
+        return gf._ranks(stack, split, p)
 
-    monkeypatch.setattr("dofbc.verifier._pivots", counting_pivots)
+    monkeypatch.setattr("dofbc.verifier._ranks", counting_ranks)
     report = decodability_check(system)
     assert report.all_decodable and len(calls) == eliminations
+    assert [shape[0] for shape in calls] == [1] * eliminations  # one member each
     if eliminations == 1:
         assert plan.scheme_id == "rx2-baseline"
         assert (report.rx1.desired, report.rx1.recovered) == (0, 0)
+        assert calls[0][1] == plan.cfg.N2
+
+
+@pytest.mark.parametrize(
+    "shape,trials,blocks", [((4, 1, 3, 2), 1, [1]), ((4, 1, 3, 2), 2, [2]), ((9, 3, 6, 4), 40, [18, 18, 4])]
+)
+def test_each_receiver_ranks_only_the_certified_trials(monkeypatch, shape, trials, blocks):
+    # A one-trial run realizes its compliance draw in the same block but
+    # never ranks it; longer runs rank each block's trials in one call per
+    # receiver, the last block partial.
+    plan = select_scheme(SystemConfig(*shape))
+    ranked = []
+
+    def counting_ranks(stack, split, p):
+        ranked.append(len(stack))
+        return gf._ranks(stack, split, p)
+
+    monkeypatch.setattr("dofbc.verifier._ranks", counting_ranks)
+    assert achieved_dof(plan, trials=trials, seed=1).ok
+    assert ranked == [size for size in blocks for _rx in (1, 2)]
 
 
 def test_decodability_rejects_real_channels():
@@ -674,20 +695,25 @@ def test_singular_apzf_block_resamples(rx):
 @example(p=DEFAULT_PRIME, rows=3, inner=2, owners=[1, 1, 1], seed=0)
 @example(p=DEFAULT_PRIME, rows=3, inner=2, owners=[2, 2, 2, 2], seed=0)
 def test_decodability_ranks_equal_separate_ranks(p, rows, inner, owners, seed):
-    # Products of thin factors make rank-deficient observation matrices.
+    # Products of thin factors make rank-deficient observation matrices; a
+    # stack of three is ranked in one call per receiver, member by member.
     rng = np.random.default_rng(seed)
     cols = len(owners)
     registry = SymbolRegistry(tuple(Symbol(f"s{i}", rx) for i, rx in enumerate(owners)))
     A1, A2 = (
-        gf_matmul(rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols)), p)
+        np.stack([
+            gf_matmul(rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols)), p)
+            for _ in range(3)
+        ])
         for _ in range(2)
     )
-    report = verifier._decodability(A1, A2, registry, p)
-    for rx, A, rx_report in ((1, A1, report.rx1), (2, A2, report.rx2)):
-        other = [c for c in range(cols) if owners[c] != rx]
-        assert rx_report.desired == cols - len(other)
-        assert rx_report.recovered == gf_rank(A, p) - gf_rank(A[:, other], p)
-        assert rx_report.decodable == (rx_report.recovered == rx_report.desired)
+    for member, recovered in enumerate(verifier._recovered(A1, A2, registry, p)):
+        report = verifier._report(registry, recovered)
+        for rx, A, rx_report in ((1, A1[member], report.rx1), (2, A2[member], report.rx2)):
+            other = [c for c in range(cols) if owners[c] != rx]
+            assert rx_report.desired == cols - len(other)
+            assert rx_report.recovered == gf_rank(A, p) - gf_rank(A[:, other], p)
+            assert rx_report.decodable == (rx_report.recovered == rx_report.desired)
 
 
 # Every template regime, and the crafted plan's coupled fixed point.  No
@@ -959,6 +985,16 @@ RATE_SLOPE_BITS = {
         100: ("0x1.dbdfe24f888f1p+2", ("0x1.d37b58d7f60afp+4", "0x1.a99a1adc16137p+5", "0x1.3a791c10eaf2fp+6")),
     },
 }
+
+
+def test_rate_slope_default_seed_is_one():
+    # A call without `seed` rates the draws of seed 1, bit for bit.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    rsc = RateSimConfig(trials=20)
+    default = rate_slope_estimate(plan, rsc)
+    assert default == rate_slope_estimate(plan, rsc, seed=1)
+    assert default.slope.hex() == RATE_SLOPE_BITS[(4, 1, 3, 2), 1][20][0]
+    assert default != rate_slope_estimate(plan, rsc, seed=2)
 
 
 @pytest.mark.parametrize("shape,seed", RATE_SLOPE_BITS, ids=str)
