@@ -1,14 +1,14 @@
-/* Exact linear algebra over GF(p): the compiled twins of the numpy kernels in
- * gf.py.  `gf_pivots` finds pivot columns (gf._eliminate), `gf_ranks` ranks
- * each member of a stack with it, `gf_solve` solves stacked square systems
- * (gf._solve) and `gf_matmul` multiplies stacked matrices (gf._matmul).
- * Every matrix is C-ordered int64, and p is a prime with 2 <= p < 2^31.
- * `gf_pivots`, `gf_ranks` and `gf_matmul` take entries in [0, p);
- * `gf_solve` takes them anywhere in (-p, p), so an AP-ZF right-hand side may
+/* Exact linear algebra over GF(P), P = 2^31 - 1 (gf.DEFAULT_PRIME): the
+ * compiled twins of the numpy kernels in gf.py.  `gf_pivots` finds pivot
+ * columns (gf._eliminate), `gf_ranks` ranks each member of a stack with it,
+ * `gf_solve` solves stacked square systems (gf._solve) and `gf_matmul`
+ * multiplies stacked matrices (gf._matmul).  Every matrix is C-ordered int64.
+ * `gf_pivots`, `gf_ranks` and `gf_matmul` take entries in [0, P);
+ * `gf_solve` takes them anywhere in (-P, P), so an AP-ZF right-hand side may
  * arrive negated.  gf.py's entries (`_pivots`, `_ranks`, `_product` and
  * `_solve_in_place`) check that every array is C-ordered int64, and writable
- * where it is written; their callers keep the entries in range and p prime.
- * At the end, `channel_draws` makes channel.py's seeded channel draws.
+ * where it is written; their callers keep the entries in range.  At the end,
+ * `channel_draws` makes channel.py's seeded channel draws.
  *
  * gf_pivots: `a` is a rows x cols matrix, eliminated in place.  `pivots` must
  * hold min(rows, cols) entries.  Returns the number of pivot columns written.
@@ -16,9 +16,9 @@
  * For each column, the first row at or below the pivot row with a nonzero
  * entry becomes the pivot row (swapped up if it is lower), and every row
  * below it is updated fraction-free: row = row * pivot - row[c] * pivot_row.
- * Entries are kept in (-p, p), not [0, p): each product is below 2^62 in
+ * Entries are kept in (-P, P), not [0, P): each product is below 2^62 in
  * magnitude and their difference fits in int64.  An entry is zero exactly
- * when it is zero mod p, so the pivots are those of gf._eliminate.  Left of
+ * when it is zero mod P, so the pivots are those of gf._eliminate.  Left of
  * the pivot column, the pivot row and the rows below it are zero, and a row
  * whose entry in the pivot column is zero would only be scaled by the pivot,
  * so both are skipped.
@@ -26,26 +26,27 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* A representative of x mod p in (-p, p), for |x| < 2p^2.  The quotient is
- * rounded in double precision: |x / p| < 2^32, so it is within one of the
- * truncated quotient, the remainder lies in (-2p, 2p), and one step brings it
- * into (-p, p).  This is much faster than an integer division. */
-static inline int64_t reduce(int64_t x, int64_t p, double inverse)
+#define P INT64_C(2147483647) /* 2^31 - 1, gf.DEFAULT_PRIME */
+
+/* A representative of x mod P in (-P, P), for any |x| < 2^63, by Mersenne
+ * folding: 2^31 = 1 mod P, so x = (x >> 31) 2^31 + (x & P) = (x >> 31) +
+ * (x & P) mod P, with >> the arithmetic (flooring) shift of gcc and clang.
+ * The first fold takes x into [-2^32, 2^32 + 2^31), the second into
+ * [-2, P + 1], and one subtract takes [P, P + 1] to [0, 1], so the result
+ * lies in [-2, P).  It is 0 exactly when x is 0 mod P. */
+static inline int64_t reduce(int64_t x)
 {
-    int64_t m = x - (int64_t)((double)x * inverse) * p;
-    if (m >= p)
-        return m - p;
-    if (m <= -p)
-        return m + p;
-    return m;
+    x = (x >> 31) + (x & P);
+    x = (x >> 31) + (x & P);
+    return x >= P ? x - P : x;
 }
 
-/* The inverse mod p of x in (-p, p), x nonzero, as a representative in
- * (-p, p): the extended Euclidean algorithm keeps u x = a and v x = b mod p
+/* The inverse mod P of x in (-P, P), x nonzero, as a representative in
+ * (-P, P): the extended Euclidean algorithm keeps u x = a and v x = b mod P
  * while (a, b) runs down to (gcd, 0) = (1, 0). */
-static int64_t invert(int64_t x, int64_t p)
+static int64_t invert(int64_t x)
 {
-    int64_t a = x < 0 ? x + p : x, b = p, u = 1, v = 0;
+    int64_t a = x < 0 ? x + P : x, b = P, u = 1, v = 0;
     while (b) {
         int64_t q = a / b, t = a - q * b;
         a = b;
@@ -57,9 +58,8 @@ static int64_t invert(int64_t x, int64_t p)
     return u;
 }
 
-int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t p, int64_t *pivots)
+int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t *pivots)
 {
-    double inverse = 1.0 / (double)p;
     int64_t r = 0;
     for (int64_t c = 0; c < cols && r < rows; c++) {
         int64_t i = r;
@@ -84,7 +84,7 @@ int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t p, int64_t *pi
                 continue;
             row[c] = 0;
             for (int64_t j = c + 1; j < cols; j++)
-                row[j] = reduce(row[j] * pivot - factor * top[j], p, inverse);
+                row[j] = reduce(row[j] * pivot - factor * top[j]);
         }
         pivots[r++] = c;
     }
@@ -98,14 +98,13 @@ int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t p, int64_t *pi
  * 0 <= split <= cols, which is the rank of its first `split` columns, since
  * gf_pivots eliminates left to right.  Returns 0, or -1 if the pivot buffer
  * of min(rows, cols) entries cannot be allocated. */
-int64_t gf_ranks(int64_t *stack, int64_t count, int64_t rows, int64_t cols, int64_t split, int64_t p,
-                 int64_t *out)
+int64_t gf_ranks(int64_t *stack, int64_t count, int64_t rows, int64_t cols, int64_t split, int64_t *out)
 {
     int64_t *pivots = malloc(sizeof *pivots * (size_t)((rows < cols ? rows : cols) + 1));
     if (pivots == NULL)
         return -1;
     for (int64_t s = 0; s < count; s++) {
-        int64_t rank = gf_pivots(stack + s * rows * cols, rows, cols, p, pivots), left = 0;
+        int64_t rank = gf_pivots(stack + s * rows * cols, rows, cols, pivots), left = 0;
         while (left < rank && pivots[left] < split)
             left++;
         out[s] = rank;
@@ -119,21 +118,20 @@ int64_t gf_ranks(int64_t *stack, int64_t count, int64_t rows, int64_t cols, int6
  * A square (width >= n), solved in place by Gauss-Jordan.  Returns the index
  * of the first singular member, whose system and those after it are left
  * partly eliminated, or -1; then each member's last width - n columns hold
- * its solution X of A X = B, in [0, p).
+ * its solution X of A X = B, in [0, P).
  *
  * For each column c, the first row at or below c with a nonzero entry is
  * swapped up, scaled by the inverse of its pivot, and subtracted from every
- * other row with a nonzero entry in column c.  Entries start in (-p, p) and
+ * other row with a nonzero entry in column c.  Entries start in (-P, P) and
  * stay there: `invert` takes a pivot of either sign, a scaled entry is a
- * product below p^2, and an updated one x - f y has |x| < p and
- * |f y| < p^2, so both are below 2p^2 < 2^63 and `reduce` applies.  An
- * entry is zero exactly when it is zero mod p, so the singular members are
+ * product below P^2, and an updated one x - f y has |x| < P and
+ * |f y| < P^2, so both are below 2P^2 < 2^63 and `reduce` applies.  An
+ * entry is zero exactly when it is zero mod P, so the singular members are
  * those of gf._solve.  Left of column c the pivot row is zero, so updates start at
  * c + 1.  The solution of a nonsingular system is unique, so it is
  * gf._solve's. */
-int64_t gf_solve(int64_t *aug, int64_t count, int64_t n, int64_t width, int64_t p)
+int64_t gf_solve(int64_t *aug, int64_t count, int64_t n, int64_t width)
 {
-    double inverse = 1.0 / (double)p;
     for (int64_t s = 0; s < count; s++) {
         int64_t *m = aug + s * n * width;
         for (int64_t c = 0; c < n; c++) {
@@ -151,10 +149,10 @@ int64_t gf_solve(int64_t *aug, int64_t count, int64_t n, int64_t width, int64_t 
                     row[j] = t;
                 }
             }
-            int64_t scale = invert(top[c], p);
+            int64_t scale = invert(top[c]);
             top[c] = 1;
             for (int64_t j = c + 1; j < width; j++)
-                top[j] = reduce(top[j] * scale, p, inverse);
+                top[j] = reduce(top[j] * scale);
             for (int64_t k = 0; k < n; k++) {
                 int64_t *row = m + k * width;
                 int64_t factor = row[c];
@@ -162,29 +160,30 @@ int64_t gf_solve(int64_t *aug, int64_t count, int64_t n, int64_t width, int64_t 
                     continue;
                 row[c] = 0;
                 for (int64_t j = c + 1; j < width; j++)
-                    row[j] = reduce(row[j] - factor * top[j], p, inverse);
+                    row[j] = reduce(row[j] - factor * top[j]);
             }
         }
         for (int64_t k = 0; k < n; k++)
             for (int64_t j = n; j < width; j++)
                 if (m[k * width + j] < 0)
-                    m[k * width + j] += p;
+                    m[k * width + j] += P;
     }
     return -1;
 }
 
-/* gf_matmul: out = a @ b mod p for `count` stacked pairs, a count x r x n,
+/* gf_matmul: out = a @ b mod P for `count` stacked pairs, a count x r x n,
  * b count x n x m and out count x r x m, none overlapping.  Each row of out
  * accumulates the products a[i, t] b[t, :] unreduced, as uint64: a product
  * is below 2^62, so a sum below 2^63 stays below 2^63 + 2^62 < 2^64 after
  * one more, and once it reaches 2^63 (its top bit) it drops by `fold`, the
- * largest multiple of p not above 2^63 (so above 2^63 - p), to below
- * 2^62 + p.  The sum never wraps, keeps its residue, and one `%` per entry
- * reduces it into [0, p).  Zero entries of a add nothing and are skipped. */
+ * largest multiple of P not above 2^63, which is 2^63 - 2, to below
+ * 2^62 + 2.  The sum never wraps, keeps its residue, and one `%` by the
+ * constant P per entry reduces it into [0, P).  Zero entries of a add
+ * nothing and are skipped. */
 void gf_matmul(const int64_t *restrict a, const int64_t *restrict b, int64_t *restrict out,
-               int64_t count, int64_t r, int64_t n, int64_t m, int64_t p)
+               int64_t count, int64_t r, int64_t n, int64_t m)
 {
-    const uint64_t fold = (UINT64_C(1) << 63) / (uint64_t)p * (uint64_t)p;
+    const uint64_t fold = (UINT64_C(1) << 63) / (uint64_t)P * (uint64_t)P;
     for (int64_t s = 0; s < count; s++) {
         const int64_t *as = a + s * r * n, *bs = b + s * n * m;
         for (int64_t i = 0; i < r; i++) {
@@ -202,7 +201,7 @@ void gf_matmul(const int64_t *restrict a, const int64_t *restrict b, int64_t *re
                 }
             }
             for (int64_t j = 0; j < m; j++)
-                acc[j] %= (uint64_t)p;
+                acc[j] %= (uint64_t)P;
         }
     }
 }
@@ -212,10 +211,11 @@ void gf_matmul(const int64_t *restrict a, const int64_t *restrict b, int64_t *re
  * default_rng(SeedSequence((seed, index_j))) and fills `cells` consecutive
  * entries of `out`.  `seed` holds the seed's `words` 32-bit words and
  * `indices` the `count` indices (each below 2^32, so one word), all
- * little-endian.  With p > 0, `out` is int64 and each draw is
- * integers(1, p, size=cells, dtype=int64); with p == 0, `out` is double and
- * each draw is uniform(lo, hi, size=cells) with every cell's sign then taken
- * from integers(0, 2, size=cells, dtype=int64), 0 meaning negative.
+ * little-endian.  With `field` nonzero, `out` is int64 and each draw is
+ * integers(1, P, size=cells, dtype=int64), residues in [1, P); with `field`
+ * zero, `out` is double and each draw is uniform(lo, hi, size=cells), each
+ * cell in [lo, hi), with every cell's sign then taken from integers(0, 2,
+ * size=cells, dtype=int64), 0 meaning negative.
  *
  * SeedSequence hashes its entropy words (the seed's, then the index's) into a
  * pool of four: each pool word is the hash of its entropy word (0 past the
@@ -361,16 +361,16 @@ static inline uint64_t bounded(pcg64 *g, uint32_t range)
 }
 
 void channel_draws(const unsigned char *seed, int64_t words, const unsigned char *indices,
-                   int64_t count, int64_t cells, int64_t p, double lo, double hi, void *out)
+                   int64_t count, int64_t cells, int64_t field, double lo, double hi, void *out)
 {
     double range = hi - lo;
     pcg64 g;
     for (int64_t j = 0; j < count; j++) {
         seed_pcg64(&g, seed, words, word(indices + 4 * j));
-        if (p > 0) {
+        if (field) {
             int64_t *draw = (int64_t *)out + j * cells;
             for (int64_t c = 0; c < cells; c++)
-                draw[c] = 1 + (int64_t)bounded(&g, (uint32_t)(p - 2));
+                draw[c] = 1 + (int64_t)bounded(&g, (uint32_t)(P - 2));
         } else {
             double *draw = (double *)out + j * cells;
             for (int64_t c = 0; c < cells; c++)

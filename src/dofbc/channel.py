@@ -180,10 +180,10 @@ def _kernel_draws(kernel, seed: int, indices: list[int], out: np.ndarray,
     read through `ctypes.c_char.from_buffer`, faster than `out.ctypes`."""
     # The seed's 32-bit words, as SeedSequence splits it: 0 is one word.
     words = max(1, (seed.bit_length() + 31) // 32)
-    p, lo, hi = (DEFAULT_PRIME, 0.0, 0.0) if dist is None else (0, dist.delta_min, dist.delta_max)
+    field, lo, hi = (1, 0.0, 0.0) if dist is None else (0, dist.delta_min, dist.delta_max)
     kernel.channel_draws(seed.to_bytes(4 * words, "little"), words,
                          struct.pack(f"<{len(indices)}I", *indices), len(indices),
-                         out.size // len(indices), p, lo, hi,
+                         out.size // len(indices), field, lo, hi,
                          ctypes.addressof(ctypes.c_char.from_buffer(out)))
 
 

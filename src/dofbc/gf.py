@@ -1,4 +1,5 @@
-"""Exact linear algebra over a prime field GF(p), vectorized with numpy.
+"""Exact linear algebra over the prime field GF(p), p = 2^31 - 1, vectorized
+with numpy.
 
 Rank certificates for generic channels are computed here: a random matrix
 over a large prime field avoids every fixed measure-zero degeneracy except
@@ -6,10 +7,10 @@ with probability on the order of (matrix degree)/p, so exact elimination
 mod p stands in for "generic position" arguments without any floating-point
 tolerance.
 
-The default prime is the Mersenne prime 2^31 - 1.  All arrays are int64 in
-[0, p); p must be a prime int below 2^31 (`_check_prime`), so a product of
-two entries, and the difference of two such products, stays within int64
-and the kernels are whole-array int64 operations.
+The field is fixed: p is the Mersenne prime `DEFAULT_PRIME` = 2^31 - 1, and
+no function takes a field size.  All arrays are int64 in [0, p), so a
+product of two entries, and the difference of two such products, stays
+within int64 and the kernels are whole-array int64 operations.
 
 The matrices met in certification are small (tens of rows), so the cost of
 a numpy elimination is the number of numpy calls per pivot.  There are two
@@ -34,16 +35,16 @@ Four private entries call the compiled kernels, from `_gfkernel.c`,
 whenever `_KERNEL` is loaded, and fall back to the numpy bodies
 `_eliminate`, `_solve` and `_matmul`, which are also the test oracles:
 
-* `_pivots(A, p)` eliminates a fresh, writable matrix with entries in
-  [0, p) in place;
-* `_ranks(stack, split, p)` eliminates each member of a fresh, writable
+* `_pivots(A)` eliminates a fresh, writable matrix with entries in [0, p)
+  in place;
+* `_ranks(stack, split)` eliminates each member of a fresh, writable
   (count, rows, cols) stack with entries in [0, p) in place, in one call,
   and returns two lists: each member's rank, and its count of pivots left
   of `split` (0 <= split <= cols), which is the rank of its first `split`
   columns;
-* `_product(a, b, p)` multiplies two stacks with the same leading axes and
+* `_product(a, b)` multiplies two stacks with the same leading axes and
   entries in [0, p), either of them read-only, into a fresh stack;
-* `_solve_in_place(aug, p)` solves a fresh, writable stack of augmented
+* `_solve_in_place(aug)` solves a fresh, writable stack of augmented
   systems whose entries lie anywhere in (-p, p), so an AP-ZF right-hand
   side may arrive negated.
 
@@ -67,7 +68,8 @@ tags for the same machine type there; every later import loads that file
 through ctypes.  If there is no compiler, the directory is not writable, or
 the build or the load fails, `_KERNEL` is None, all four run in numpy
 and every channel draw calls `channel.trial_rng`; nothing is raised and no
-file is left behind.
+file is left behind.  The C file fixes the same prime as its `P`, so
+2^30 * 2 is 1 on both paths.
 
 Overflow in the compiled kernels:
 
@@ -75,19 +77,19 @@ Overflow in the compiled kernels:
   in (-p, p), not [0, p), so a solve may also start from entries anywhere
   in (-p, p).  A row update x * pivot - f * y (pivots) or x - f * y
   (solves), and a solve's scaling of its pivot row by an inverse in
-  (-p, p), are below 2p^2 < 2^63 in magnitude.  Each is reduced through a
-  quotient rounded in double precision, which is within one of the exact
-  quotient, rather than through an integer division.  The solutions are
-  shifted into [0, p) at the end.  `_solve`'s first pivot step reduces
-  every column into [0, p), and each later step's products stay below
-  p^2 + p.
+  (-p, p), are below 2p^2 < 2^63 in magnitude.  Each is reduced by
+  Mersenne folding, since 2^31 = 1 mod p: two folds x -> (x >> 31) +
+  (x & p) take any |x| < 2^63 into [-2, p + 1], and one conditional
+  subtract into [-2, p), with no division.  The solutions are shifted into
+  [0, p) at the end.  `_solve`'s first pivot step reduces every column
+  into [0, p), and each later step's products stay below p^2 + p.
 * The product accumulates the products of entries in [0, p), each below
   2^62, unreduced in a uint64 that is kept below 2^63: after an addition it
-  is below 2^63 + 2^62 < 2^64, and if it reached 2^63 it drops by the
-  largest multiple of p not above 2^63, to below 2^62 + p.  One remainder
-  per entry reduces it at the end, so any inner dimension is exact;
-  `_matmul`'s limbs, not the kernel, set the 2^16 limit that both paths
-  enforce.
+  is below 2^63 + 2^62 < 2^64, and if it reached 2^63 it drops by
+  2^63 - 2, the largest multiple of p not above 2^63, to below 2^62 + 2.
+  One remainder per entry reduces it at the end, so any inner dimension is
+  exact; `_matmul`'s limbs, not the kernel, set the 2^16 limit that both
+  paths enforce.
 """
 
 from __future__ import annotations
@@ -111,67 +113,30 @@ _SPLIT = 16  # matmul splits one factor into 16-bit limbs to avoid overflow
 _MAX_INNER = 2**16  # largest inner dimension whose limb sums fit int64
 
 
-def _check_prime(p: int):
-    """Raise ValueError unless p is a prime int below 2^31, before any kernel
-    sees it: a composite p has no inverses, and a bool, a float or a NumPy
-    integer is not an int here."""
-    if type(p) is not int:
-        raise ValueError(f"the field size must be an int prime, got {p!r}")
-    if p >= 2**31:
-        raise ValueError("prime too large for int64 arithmetic (need p < 2^31)")
-    if p != DEFAULT_PRIME and not _is_prime(p):  # the default prime skips the test
-        raise ValueError(f"the field size must be prime, got {p}")
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with bases 2, 3, 5 and 7, exact for every
-    n below 3,215,031,751, so for every n < 2^31."""
-    if n < 2:
-        return False
-    bases = (2, 3, 5, 7)
-    if n in bases or any(n % a == 0 for a in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def gf_array(values, p: int = DEFAULT_PRIME) -> np.ndarray:
+def gf_array(values) -> np.ndarray:
     """Coerce to a fresh int64 array reduced into [0, p)."""
-    _check_prime(p)
-    return np.asarray(values, dtype=np.int64) % p
+    return np.asarray(values, dtype=np.int64) % DEFAULT_PRIME
 
 
-def gf_matmul(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
+def gf_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(A @ B) mod p without overflow, in [0, p); leading axes broadcast as
     for `@`.  Inner dimensions above 2^16 are rejected.
 
     Vectors are multiplied by `_matmul`, stacks of matrices by `_product`
     on reduced C-ordered copies.
     """
-    A = gf_array(A, p)
-    B = gf_array(B, p)
+    A = gf_array(A)
+    B = gf_array(B)
     if A.shape[-1] > _MAX_INNER:
         raise ValueError(f"inner dimension {A.shape[-1]} exceeds {_MAX_INNER}")
     if A.ndim < 2 or B.ndim < 2:
-        return _matmul(A, B, p)
+        return _matmul(A, B)
     lead = A.shape[:-2]
     if B.shape[:-2] != lead:
         lead = np.broadcast_shapes(lead, B.shape[:-2])
         A = np.broadcast_to(A, lead + A.shape[-2:])
         B = np.broadcast_to(B, lead + B.shape[-2:])
-    return _product(np.ascontiguousarray(A), np.ascontiguousarray(B), p)
+    return _product(np.ascontiguousarray(A), np.ascontiguousarray(B))
 
 
 def _check(a: np.ndarray, written: bool = False) -> None:
@@ -191,12 +156,12 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
 
 
-def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`gf_matmul` of C-ordered int64 stacks a (..., r, n) and b (..., n, m)
-    with the same leading axes and entries in [0, p), for a valid prime p,
-    into a fresh C-ordered array: the compiled product, or `_matmul`
-    without the kernel or for an empty operand.  Neither operand is reduced
-    or copied, and either may be read-only."""
+    with the same leading axes and entries in [0, p) into a fresh C-ordered
+    array: the compiled product, or `_matmul` without the kernel or for an
+    empty operand.  Neither operand is reduced or copied, and either may be
+    read-only."""
     _check(a)
     _check(b)
     if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
@@ -204,15 +169,15 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if a.shape[-1] > _MAX_INNER:
         raise ValueError(f"inner dimension {a.shape[-1]} exceeds {_MAX_INNER}")
     if _KERNEL is None or not (a.size and b.size):
-        return _matmul(a, b, p)
+        return _matmul(a, b)
     (rows, inner), cols = a.shape[-2:], b.shape[-1]
     out = np.empty(a.shape[:-1] + (cols,), dtype=np.int64)
     _KERNEL.gf_matmul(_address(a), _address(b), _address(out), a.size // (rows * inner), rows,
-                      inner, cols, p)
+                      inner, cols)
     return out
 
 
-def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """`gf_matmul` of reduced A and B in numpy, via 16-bit limb splitting of B.
 
     With n <= 2^16 the inner dimension, the high-limb product is reduced mod
@@ -220,10 +185,10 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     (p-1)(2^16-1) n + (p-1) 2^16, which is (p-1) 2^32 < 2^63 at n = 2^16.
     """
     out = A @ (B >> _SPLIT)
-    out %= p
+    out %= DEFAULT_PRIME
     out <<= _SPLIT
     out += A @ (B & ((1 << _SPLIT) - 1))
-    out %= p
+    out %= DEFAULT_PRIME
     return out
 
 
@@ -242,7 +207,7 @@ def _pivot_row(A: np.ndarray, r: int, c: int) -> bool:
     return True
 
 
-def _eliminate(A: np.ndarray, p: int) -> list[int]:
+def _eliminate(A: np.ndarray) -> list[int]:
     """Pivot columns of A, eliminating in place (or in a trimmed copy).
 
     Each pivot updates the whole rows below it, which are contiguous.  No
@@ -270,7 +235,7 @@ def _eliminate(A: np.ndarray, p: int) -> list[int]:
             products = below[:, j, None] * A[i]
             below *= A[i, j]
             below -= products
-            below %= p
+            below %= DEFAULT_PRIME
     return pivots
 
 
@@ -280,10 +245,10 @@ _COMPILE = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
 _INT64 = ctypes.c_int64
 _SIGNATURES = {  # (argtypes, restype) of each function `_gfkernel.c` exports
-    "gf_pivots": ((ctypes.c_void_p, _INT64, _INT64, _INT64, ctypes.POINTER(_INT64)), _INT64),
-    "gf_ranks": ((ctypes.c_void_p,) + (_INT64,) * 5 + (ctypes.POINTER(_INT64),), _INT64),
-    "gf_solve": ((ctypes.c_void_p, _INT64, _INT64, _INT64, _INT64), _INT64),
-    "gf_matmul": ((ctypes.c_void_p,) * 3 + (_INT64,) * 5, None),
+    "gf_pivots": ((ctypes.c_void_p, _INT64, _INT64, ctypes.POINTER(_INT64)), _INT64),
+    "gf_ranks": ((ctypes.c_void_p,) + (_INT64,) * 4 + (ctypes.POINTER(_INT64),), _INT64),
+    "gf_solve": ((ctypes.c_void_p, _INT64, _INT64, _INT64), _INT64),
+    "gf_matmul": ((ctypes.c_void_p,) * 3 + (_INT64,) * 4, None),
     "channel_draws": ((ctypes.c_char_p, _INT64, ctypes.c_char_p) + (_INT64,) * 3
                       + (ctypes.c_double,) * 2 + (ctypes.c_void_p,), None),
 }
@@ -353,58 +318,58 @@ def _build(source: Path, command: tuple[str, ...], target: Path):
 _KERNEL = _load_kernel(Path(__file__).parent)
 
 
-def gf_pivots(A: np.ndarray, p: int = DEFAULT_PRIME) -> list[int]:
+def gf_pivots(A: np.ndarray) -> list[int]:
     """Pivot columns of A's row echelon form over GF(p).
 
     Elimination runs left to right, so the pivots among the first c columns
     number the rank of A[:, :c].  A itself is never modified: `_pivots`
     eliminates a reduced C-ordered copy.
     """
-    A = gf_array(A, p)
+    A = gf_array(A)
     if A.ndim != 2:
         raise ValueError(f"gf_pivots expects a 2-D matrix, got {A.ndim} dimensions")
-    return _pivots(np.ascontiguousarray(A), p)
+    return _pivots(np.ascontiguousarray(A))
 
 
-def _pivots(A: np.ndarray, p: int) -> list[int]:
-    """`gf_pivots` of a C-ordered int64 matrix with entries in [0, p), for a
-    valid prime p, eliminating A in place: for callers whose matrix is
-    already a fresh reduced copy.  The compiled kernel writes at most
-    min(rows, cols) pivots into a buffer sized from A's shape."""
+def _pivots(A: np.ndarray) -> list[int]:
+    """`gf_pivots` of a C-ordered int64 matrix with entries in [0, p),
+    eliminating A in place: for callers whose matrix is already a fresh
+    reduced copy.  The compiled kernel writes at most min(rows, cols) pivots
+    into a buffer sized from A's shape."""
     _check(A, written=True)
     if _KERNEL is None or not A.size:
-        return _eliminate(A, p)
+        return _eliminate(A)
     rows, cols = A.shape
     pivots = (ctypes.c_int64 * min(rows, cols))()
-    return pivots[: _KERNEL.gf_pivots(_address(A), rows, cols, p, pivots)]
+    return pivots[: _KERNEL.gf_pivots(_address(A), rows, cols, pivots)]
 
 
-def _ranks(stack: np.ndarray, split: int, p: int) -> tuple[list[int], list[int]]:
+def _ranks(stack: np.ndarray, split: int) -> tuple[list[int], list[int]]:
     """The ranks of the members of a C-ordered int64 stack (count, rows,
-    cols) with entries in [0, p), for a valid prime p, and the ranks of their
-    first `split` columns, 0 <= split <= cols (their pivots left of `split`),
-    eliminating the stack in place.  The compiled kernel ranks the whole
-    stack in one call, or `_eliminate` each member without the kernel or
-    for an empty stack."""
+    cols) with entries in [0, p), and the ranks of their first `split`
+    columns, 0 <= split <= cols (their pivots left of `split`), eliminating
+    the stack in place.  The compiled kernel ranks the whole stack in one
+    call, or `_eliminate` each member without the kernel or for an empty
+    stack."""
     _check(stack, written=True)
     if stack.ndim != 3 or not 0 <= split <= stack.shape[2]:
         raise ValueError(f"cannot rank a stack of shape {stack.shape} split at {split}")
     count, rows, cols = stack.shape
     if _KERNEL is None or not stack.size:
-        pivots = [_eliminate(member, p) for member in stack]
+        pivots = [_eliminate(member) for member in stack]
         return [len(columns) for columns in pivots], [bisect_left(columns, split) for columns in pivots]
     out = (ctypes.c_int64 * (2 * count))()
-    if _KERNEL.gf_ranks(_address(stack), count, rows, cols, split, p, out):
+    if _KERNEL.gf_ranks(_address(stack), count, rows, cols, split, out):
         raise MemoryError("no room for the pivots of a stacked rank")
     return out[:count], out[count:]
 
 
-def gf_rank(A: np.ndarray, p: int = DEFAULT_PRIME) -> int:
+def gf_rank(A: np.ndarray) -> int:
     """Exact rank of A over GF(p)."""
-    return len(gf_pivots(A, p))
+    return len(gf_pivots(A))
 
 
-def gf_solve(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
+def gf_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B for square nonsingular A over GF(p).
 
     A may stack systems on leading axes, (..., n, n), with B (..., n) or
@@ -413,8 +378,8 @@ def gf_solve(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray
     ResampleRequiredError if any member is singular, since in this package a
     singular square system always means a degenerate channel draw.
     """
-    A = gf_array(A, p)
-    B = gf_array(B, p)
+    A = gf_array(A)
+    B = gf_array(B)
     n = A.shape[-1]
     if A.ndim < 2 or A.shape[-2] != n:
         raise ValueError("gf_solve expects a square matrix")
@@ -425,30 +390,29 @@ def gf_solve(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray
     lead = A.shape[:-2]
     aug = np.concatenate([A, rhs], axis=-1).reshape((math.prod(lead), n, n + rhs.shape[-1]))
     aug = np.ascontiguousarray(aug)  # a Fortran-ordered A gives a Fortran-ordered stack
-    _solve_in_place(aug, p)
+    _solve_in_place(aug)
     X = aug[:, :, n:].reshape(rhs.shape)
     return X[..., 0] if single else X
 
 
-def _solve_in_place(aug: np.ndarray, p: int) -> None:
+def _solve_in_place(aug: np.ndarray) -> None:
     """Solve a C-ordered, writable int64 stack (..., n, n + m) of augmented
-    systems [A | B] in place, for a valid prime p: afterwards each member's
-    last m columns hold its solution X of A X = B, in [0, p).  Entries may
-    lie anywhere in (-p, p), so a caller may pass a negated B as it is.
-    The compiled kernel solves the stack, or `_solve` without the kernel or
-    for an empty stack.  Raises ResampleRequiredError if any member is
-    singular."""
+    systems [A | B] in place: afterwards each member's last m columns hold
+    its solution X of A X = B, in [0, p).  Entries may lie anywhere in
+    (-p, p), so a caller may pass a negated B as it is.  The compiled kernel
+    solves the stack, or `_solve` without the kernel or for an empty stack.
+    Raises ResampleRequiredError if any member is singular."""
     _check(aug, written=True)
     if aug.ndim < 2 or aug.shape[-2] > aug.shape[-1]:
         raise ValueError(f"cannot solve a stack of shape {aug.shape}")
     n, width = aug.shape[-2:]
     if _KERNEL is None or not aug.size:
-        _solve(aug.reshape((math.prod(aug.shape[:-2]), n, width)), p)  # a view: solved in place
-    elif _KERNEL.gf_solve(_address(aug), aug.size // (n * width), n, width, p) >= 0:
+        _solve(aug.reshape((math.prod(aug.shape[:-2]), n, width)))  # a view: solved in place
+    elif _KERNEL.gf_solve(_address(aug), aug.size // (n * width), n, width) >= 0:
         raise ResampleRequiredError("singular system over GF(p)")
 
 
-def _solve(aug: np.ndarray, p: int) -> None:
+def _solve(aug: np.ndarray) -> None:
     """Gauss-Jordan in numpy on a (members, n, n + m) stack of augmented
     systems [A | B] with entries in (-p, p), in place, all members at once:
     `_solve_in_place` without the kernel.  Each pivot step reduces every
@@ -463,16 +427,17 @@ def _solve(aug: np.ndarray, p: int) -> None:
                     raise ResampleRequiredError("singular system over GF(p)")
                 diagonal[member] = int(aug[member, c, c])
         row = aug[:, c, c:]
-        row *= np.array([pow(entry, -1, p) for entry in diagonal], dtype=np.int64)[:, None]
-        row %= p
+        inverses = [pow(entry, -1, DEFAULT_PRIME) for entry in diagonal]
+        row *= np.array(inverses, dtype=np.int64)[:, None]
+        row %= DEFAULT_PRIME
         factors = aug[:, :, c].copy()
         factors[:, c] = 0
         right = aug[:, :, c:]
         right -= factors[:, :, None] * row[:, None, :]
-        right %= p
+        right %= DEFAULT_PRIME
 
 
-def gf_particular_solution(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
+def gf_particular_solution(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """One solution X of A X = B (B a vector or one right-hand side per
     column) with all free variables set to zero.
 
@@ -481,11 +446,11 @@ def gf_particular_solution(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME)
     nonsingular: its one solution is X on the pivots.  No plan solves a wide
     system: AP-ZF cancellation uses the square `gf_solve`.
     """
-    A = gf_array(A, p)
-    B = gf_array(B, p)
-    pivots = gf_pivots(A, p)
+    A = gf_array(A)
+    B = gf_array(B)
+    pivots = gf_pivots(A)
     if len(pivots) < A.shape[0]:
         raise ResampleRequiredError("rank-deficient system over GF(p)")
     X = np.zeros(A.shape[1:] + B.shape[1:], dtype=np.int64)
-    X[pivots] = gf_solve(A[:, pivots], B, p)
+    X[pivots] = gf_solve(A[:, pivots], B)
     return X

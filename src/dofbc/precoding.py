@@ -106,7 +106,7 @@ def _solution(H: np.ndarray, first_row: int, index: np.ndarray, p: int | None) -
     rhs = aug[..., kp:]
     if p is not None:
         rhs *= -1  # not np.negative(rhs, out=rhs): numpy 2.4 negates 64-byte strides in place wrongly
-        _solve_in_place(aug, p)
+        _solve_in_place(aug)
         return rhs
     A = aug[..., :kp]
     if np.any(np.linalg.matrix_rank(A) < kp):

@@ -180,7 +180,7 @@ def _slot_samples(channel: ChannelRealization, T_mat, forms, slot: SlotLayout, g
     received[..., slot.forms[: len(slot.sources)]] = gains.take(slot.sources, axis=-1)
     if slot.mixed.size:  # both factors are fresh reduced C-ordered gathers
         received += _product(gains.take(slot.columns[slot.mixed], axis=-1),
-                             forms.take(slot.mixed, axis=-2), p)
+                             forms.take(slot.mixed, axis=-2))
         received %= p
     return received[..., : channel.cfg.N1, :], received[..., channel.cfg.N1 :, :]
 
@@ -190,7 +190,7 @@ def _fixed_point(E: np.ndarray, S: int, p: int | None) -> np.ndarray:
     lhs = _reduce(np.eye(E.shape[-2], dtype=E.dtype) - E[..., S:], p)
     if p is not None:
         aug = np.concatenate([lhs, E[..., :S]], axis=-1)  # fresh, C-ordered, in [0, p)
-        _solve_in_place(aug, p)  # raises ResampleRequiredError if singular
+        _solve_in_place(aug)  # raises ResampleRequiredError if singular
         return aug[..., E.shape[-2] :]
     try:
         return np.linalg.solve(lhs, E[..., :S])
@@ -221,7 +221,7 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
     columns = _precoder_columns(plan, channel)
     gains = channel.H
     if p is not None and plan.layout.systems:  # H [I_M | Z] = [H | H Z], one product per channel
-        gains = _product(np.ascontiguousarray(channel.H), columns, p)
+        gains = _product(np.ascontiguousarray(channel.H), columns)
     samples: list[tuple[np.ndarray, np.ndarray]] = []
 
     def combine(terms) -> np.ndarray:
@@ -257,7 +257,7 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
             if p is None:
                 coupled = full[..., S:] @ phi
             else:
-                coupled = _product(np.ascontiguousarray(full[..., S:]), np.ascontiguousarray(phi), p)
+                coupled = _product(np.ascontiguousarray(full[..., S:]), np.ascontiguousarray(phi))
             return _reduce(full[..., :S] + coupled, p)
         return full[..., :S]
 
@@ -272,17 +272,16 @@ def decodability_check(system: ObservationSystem) -> DecodabilityReport:
     of A's columns ordered [interference | desired].  A receiver with no
     desired symbols recovers 0 of 0 for every A, so it needs no elimination.
     """
-    p = system.field
-    if p is None:
+    if system.field is None:
         raise InvalidConfigError("decodability is certified on GF(p) channels only")
-    A1, A2 = gf_array(system.A1, p), gf_array(system.A2, p)  # any integer dtype, any entries
+    A1, A2 = gf_array(system.A1), gf_array(system.A2)  # any integer dtype, any entries
     if A1.ndim != 2 or A2.ndim != 2:
         raise ValueError(f"decodability_check expects 2-D maps, not {A1.ndim}-D and {A2.ndim}-D")
-    (recovered,) = _recovered(A1[None], A2[None], system.registry, p)
+    (recovered,) = _recovered(A1[None], A2[None], system.registry)
     return _report(system.registry, recovered)
 
 
-def _recovered(A1, A2, registry: SymbolRegistry, p: int) -> list[tuple[int, int]]:
+def _recovered(A1, A2, registry: SymbolRegistry) -> list[tuple[int, int]]:
     """(RX1, RX2) recovered-symbol counts of each member of the int64 stacks
     A1, A2 with entries in [0, p), as `realize_plan` builds them: a
     receiver's rank minus its interference rank, from one `gf._ranks` call
@@ -292,7 +291,7 @@ def _recovered(A1, A2, registry: SymbolRegistry, p: int) -> list[tuple[int, int]
         if split == len(order):
             counts.append([0] * len(A))
         else:
-            counts.append(map(int.__sub__, *_ranks(A.take(order, axis=-1), split, p)))
+            counts.append(map(int.__sub__, *_ranks(A.take(order, axis=-1), split)))
     return list(zip(*counts))
 
 
@@ -398,7 +397,7 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
         compliance draw), and its precoders T[j] for T in `precoders`.  The
         observation matrices are not kept once ranked."""
         system = realize_plan(plan, channel)
-        ranked = _recovered(system.A1[:trials], system.A2[:trials], plan.registry, system.field)
+        ranked = _recovered(system.A1[:trials], system.A2[:trials], plan.registry)
         ranked += [None] * (len(system.A1) - len(ranked))
         return [(recovered, system.precoders, j) for j, recovered in enumerate(ranked)]
 
@@ -490,6 +489,15 @@ def csit_compliance(plan: TransmissionPlan, precoders_a, precoders_b) -> Complia
     return ComplianceReport(violations=tuple(violations))
 
 
+def _linear_power(db) -> float:
+    """10^(db / 10), the power of an SNR point in dB: inf past the largest
+    float, 0 below the smallest."""
+    try:
+        return 10 ** (float(db) / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class RateSimConfig:
     """Finite-SNR simulation settings (SNR points in dB, strictly increasing)."""
@@ -503,6 +511,8 @@ class RateSimConfig:
             raise InvalidConfigError(f"SNR points must be numbers in dB, got {self.snr_db!r}")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise InvalidConfigError("SNR points must be finite")
+        if not all(0.0 < _linear_power(s) < math.inf for s in self.snr_db):
+            raise InvalidConfigError("SNR points must have a positive, finite linear power")
         if len(self.snr_db) < 2:
             raise InvalidConfigError("at least two SNR points required")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
@@ -589,7 +599,7 @@ def rate_slope_estimate(
     each trial alone, bit for bit.  A trial whose rates are not finite is
     discarded.
     """
-    snrs = [10 ** (db / 10.0) for db in rsc.snr_db]
+    snrs = [_linear_power(db) for db in rsc.snr_db]
 
     def sum_rates(channel: ChannelRealization) -> np.ndarray:
         """One row of sum rates per draw of the stacked `channel`."""

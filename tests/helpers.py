@@ -200,7 +200,7 @@ def fresh_count(plan: TransmissionPlan, slot: int, rx: int) -> int:
 def stream_gains(plan: TransmissionPlan, channel, slot_index: int) -> dict:
     """Per-stream receive gains H_i @ t_s of one slot on a GF(p) channel, keyed by receiver."""
     T_mat = _precoder_matrices(plan, channel)[slot_index]
-    return {rx: gf_matmul(H, T_mat, channel.field) for rx, H in ((1, channel.H1), (2, channel.H2))}
+    return {rx: gf_matmul(H, T_mat) for rx, H in ((1, channel.H1), (2, channel.H2))}
 
 
 def tight_regime_grid():
@@ -340,7 +340,7 @@ def reference_realize(plan: TransmissionPlan, channel):
         return x if p is None else x % p
 
     def matmul(A, B):
-        return A @ B if p is None else gf_matmul(A, B, p)
+        return A @ B if p is None else gf_matmul(A, B)
 
     samples = []
     aux_equations = {}
@@ -377,7 +377,7 @@ def reference_realize(plan: TransmissionPlan, channel):
             scaled = T_mat / norms[..., None, :] / np.sqrt(T_mat.shape[-1])
             samples.append(((channel.H1 @ scaled) @ forms, (channel.H2 @ scaled) @ forms))
         else:
-            received = gf_matmul(gf_matmul(channel.H, T_mat, p), forms, p)
+            received = gf_matmul(gf_matmul(channel.H, T_mat), forms)
             samples.append((received[: channel.cfg.N1], received[channel.cfg.N1 :]))
 
     if plan.aux_count:
@@ -386,7 +386,7 @@ def reference_realize(plan: TransmissionPlan, channel):
             E[..., aux, :] = combine(terms)
         lhs = reduce(np.eye(plan.aux_count, dtype=dtype) - E[..., S:])
         try:
-            phi = gf_solve(lhs, E[:, :S], p) if p is not None else np.linalg.solve(lhs, E[..., :S])
+            phi = gf_solve(lhs, E[:, :S]) if p is not None else np.linalg.solve(lhs, E[..., :S])
         except np.linalg.LinAlgError as exc:
             raise ResampleRequiredError("coupled-stream fixed point is singular") from exc
 

@@ -335,8 +335,8 @@ class SkewedKernel:
 
     def channel_draws(self, *args):
         gf._KERNEL.channel_draws(*args)
-        p, out = args[5], args[-1]
-        if (p > 0) == self.field:
+        field, out = args[5], args[-1]
+        if bool(field) == self.field:
             ctypes.c_int64.from_address(out).value ^= 1
 
 

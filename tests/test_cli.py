@@ -78,6 +78,8 @@ def test_invalid_config_exits_2(capsys):
         ("sweep-n2", "0", "0"),
         ("sweep-n2", "1", "5"),
         ("sweep-n2", "-1", "0", "--format", "csv"),
+        ("simulate", "4", "1", "3", "2", "--trials", "2", "--snr", "3080,3100"),  # 10^310 overflows
+        ("simulate", "4", "1", "3", "2", "--trials", "2", "--snr=-3300,-3200"),  # 10^-330 is 0
     ],
 )
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, args):
@@ -215,8 +217,11 @@ OUT = st.sampled_from([None, "missing"])
 
 
 def _flag(name: str, values) -> st.SearchStrategy:
-    """Either no `name` flag or `name` with one of `values`."""
-    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, v]))
+    """Either no `name` flag or `name` with one of `values`.  A value that
+    starts with "-" is attached with "=": argparse reads "-3300,-3200" alone
+    as an option."""
+    flags = st.sampled_from(values).map(lambda v: [f"{name}={v}"] if v[0] == "-" else [name, v])
+    return st.one_of(st.just([]), flags)
 
 
 def _switch(name: str) -> st.SearchStrategy:
@@ -240,7 +245,7 @@ def cli_calls(draw):
         args += ["--trials", draw(st.sampled_from(["-1", "0", "1", "2"]))]
         args += draw(_flag("--seed", ["-1", "0", "7"]))
     if command == "simulate":
-        args += draw(_flag("--snr", ["40", "60,40", "nan,1,2", "40,60"]))
+        args += draw(_flag("--snr", ["40", "60,40", "nan,1,2", "40,60", "3080,3100", "-3300,-3200"]))
         args += draw(_flag("--delta-min", ["0", "-1", "inf", "0.1"]))
         args += draw(_switch("--special-cases"))
     return args, draw(OUT)
@@ -250,6 +255,8 @@ def cli_calls(draw):
 @given(call=cli_calls())
 @example(call=(["sweep-n2", "-1", "0", "--format", "csv"], None))
 @example(call=(["simulate", "25", "5", "20", "3", "--trials", "1"], None))
+@example(call=(["simulate", "4", "1", "3", "2", "--trials", "2", "--snr=3080,3100"], None))
+@example(call=(["simulate", "4", "1", "3", "2", "--trials", "2", "--snr=-3300,-3200"], None))
 def test_cli_exit_code_contract(call):
     args, out = call
     with tempfile.TemporaryDirectory() as tmp:
