@@ -55,7 +55,13 @@ stack rounds each trial as it would alone, so the slopes are bit-identical
 too.  Certification ranks a block with one compiled call per receiver with
 desired symbols (`gf._ranks`), on the block's matrices gathered along the
 receiver's rank order, each member ranked as it would be alone.  Only the
-first failing trial gets a `DecodabilityReport`.
+first failing trial gets a `DecodabilityReport`.  The rate slopes rate a
+block in one pass too: each receiver's noise and signal covariances, at
+every SNR point and for every trial, take one `slogdet` call each; one
+finite mask drops the block's non-finite rows; and the kept rows are added
+to the running totals in trial order by one sequential accumulate
+(`np.cumsum`), never a pairwise reduce, so every sum has the bits of
+adding one trial at a time.
 """
 
 from __future__ import annotations
@@ -328,13 +334,15 @@ def _block_size(plan: TransmissionPlan) -> int:
 
 
 def _trial_results(plan: TransmissionPlan, trials: int, draw, evaluate, errors, extra=()):
-    """Yield (result, resamples) of trials 0, 1, ..., then of the draws at `extra`.
+    """Yield (results, resamples) per block of trials, in trial order.
 
     Trials run in blocks of `_block_size(plan)`: `evaluate` maps one stack
     of the block's first draws (index 25 i for trial i, with the `extra`
-    indices added to block 0) to one result per draw.  If it raises one of
-    `errors`, each trial of the block is redone alone by `_resampled`, and
-    each extra draw yields (None, 0).
+    indices added to block 0) to one result per draw, and the block yields
+    those results with resamples ().  If it raises one of `errors`, each
+    trial of the block is redone alone by `_resampled`, and the block
+    yields their results and resample counts, per draw in the same order:
+    None where resampling ran out, and (None, 0) for each extra draw.
     """
     size = _block_size(plan)
     for start in range(0, trials, size):
@@ -345,11 +353,14 @@ def _trial_results(plan: TransmissionPlan, trials: int, draw, evaluate, errors, 
         except errors:
             results = None  # redone below, once the raising stack is freed
         if results is not None:
-            yield from ((result, 0) for result in results)
+            yield results, ()
             continue
+        redone = []
         for index in indices:
             i = index // _MAX_RESAMPLE
-            yield _resampled(i, draw, evaluate, errors) if i < trials else (None, 0)
+            redone.append(_resampled(i, draw, evaluate, errors) if i < trials else (None, 0))
+        results, resamples = zip(*redone)
+        yield results, resamples
 
 
 def _resampled(i: int, draw, evaluate, errors):
@@ -406,25 +417,27 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     precoders = []
     resamples = 0
     extra = (_MAX_RESAMPLE,) if trials == 1 else ()
-    results = _trial_results(plan, trials, draw, realize, ResampleRequiredError, extra)
-    for i, (drawn, attempts) in enumerate(results):
-        if i == trials:  # the compliance draw of a one-trial run, not ranked
-            if drawn is None:  # its block raised: precode it alone, raising if singular
-                precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
-            else:
-                _, stacked, j = drawn
+    i = 0
+    for block, attempts in _trial_results(plan, trials, draw, realize, ResampleRequiredError, extra):
+        resamples += sum(attempts)
+        for drawn in block:
+            if i == trials:  # the compliance draw of a one-trial run, not ranked
+                if drawn is None:  # its block raised: precode it alone, raising if singular
+                    precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
+                else:
+                    _, stacked, j = drawn
+                    precoders.append(tuple(T[j] for T in stacked))
+                break
+            if drawn is None:
+                raise ResampleRequiredError(f"resampling exhausted on trial {i}")
+            recovered, stacked, j = drawn
+            if recovered != desired:
+                if not failures:
+                    first_failure = _report(plan.registry, recovered)
+                failures.append(i)
+            if i < 2:
                 precoders.append(tuple(T[j] for T in stacked))
-            break
-        if drawn is None:
-            raise ResampleRequiredError(f"resampling exhausted on trial {i}")
-        resamples += attempts
-        recovered, stacked, j = drawn
-        if recovered != desired:
-            if not failures:
-                first_failure = _report(plan.registry, recovered)
-            failures.append(i)
-        if i < 2:
-            precoders.append(tuple(T[j] for T in stacked))
+            i += 1
     return CertificationResult(
         trials=trials,
         failures=tuple(failures),
@@ -509,7 +522,9 @@ class RateSimConfig:
         _check_trials(self.trials)
         if any(isinstance(s, bool) or not isinstance(s, Real) for s in self.snr_db):
             raise InvalidConfigError(f"SNR points must be numbers in dB, got {self.snr_db!r}")
-        if not all(math.isfinite(s) for s in self.snr_db):
+        # Not math.isfinite: it raises OverflowError on an int past the
+        # largest float, which the linear-power check below refuses instead.
+        if not all(-math.inf < s < math.inf for s in self.snr_db):
             raise InvalidConfigError("SNR points must be finite")
         if not all(0.0 < _linear_power(s) < math.inf for s in self.snr_db):
             raise InvalidConfigError("SNR points must have a positive, finite linear power")
@@ -561,21 +576,22 @@ def _receiver_rates(
 
     The arguments are the `_gram` matrices of a receiver's desired and other
     columns of A, with any leading trial axis; the result is
-    (..., len(snrs)).  Each covariance takes one `slogdet` call per SNR point
-    over all trials, and is built in place, so a block of trials holds few
-    n x n matrices at once.
+    (..., len(snrs)).  The covariances of every SNR point and trial sit in
+    one stack, SNR points on its leading axis, so the noise and the signal
+    covariances each take one `slogdet` call; `slogdet` factors each member
+    alone, so each log-det has the bits of its matrix's own call.  The
+    signal covariances are the noise ones plus P G_d, added in place.
     """
-    eye = np.eye(gram_desired.shape[-1])
-    rates = []
-    for P in snrs:
-        # In place, in the order eye + P G_i, then + P G_d: the same bits as
-        # building each covariance afresh, since float addition commutes.
-        covariance = P * gram_interference
-        covariance += eye
-        noise = _log2det(covariance)
-        covariance += P * gram_desired
-        rates.append((_log2det(covariance) - noise) / (2.0 * T))
-    return np.stack(rates, axis=-1)
+    # In place, in the order eye + P G_i, then + P G_d: the same bits as
+    # building each covariance afresh, since float addition commutes.  P G_d
+    # is added one SNR point at a time: a temporary the size of the whole
+    # stack made the largest blocks slower than one `slogdet` call per point.
+    covariance = np.array(snrs).reshape((-1,) + (1,) * gram_desired.ndim) * gram_interference
+    covariance += np.eye(gram_desired.shape[-1])
+    noise = _log2det(covariance)
+    for P, member in zip(snrs, covariance):
+        member += P * gram_desired
+    return np.moveaxis((_log2det(covariance) - noise) / (2.0 * T), 0, -1)
 
 
 def rate_slope_estimate(
@@ -619,14 +635,16 @@ def rate_slope_estimate(
         return sample_channel(plan.cfg, dist, seed, index=index)
 
     totals = np.zeros(len(snrs))
-    used = 0
-    discarded = 0
-    for row, _ in _trial_results(plan, rsc.trials, draw, sum_rates, _RESAMPLE_ERRORS):
-        if row is None or not np.all(np.isfinite(row)):
-            discarded += 1
-            continue
-        totals += row  # in trial order: a pairwise np.sum would change the bits
-        used += 1
+    used = discarded = 0
+    for rows, resamples in _trial_results(plan, rsc.trials, draw, sum_rates, _RESAMPLE_ERRORS):
+        if resamples:  # a redone block: a trial whose resampling ran out is discarded
+            rows = np.array([np.full(len(snrs), np.nan) if row is None else row for row in rows])
+        kept = rows[np.isfinite(rows).all(axis=-1)]
+        # In trial order: accumulate adds in sequence, as `totals += row`
+        # would; a pairwise np.sum would change the bits.
+        totals = np.cumsum(np.concatenate([totals[None], kept]), axis=0)[-1]
+        used += len(kept)
+        discarded += len(rows) - len(kept)
     if used == 0:
         raise ResampleRequiredError("all Monte Carlo trials were discarded")
     means = totals / used

@@ -221,11 +221,14 @@ def low_k_grid():
                     yield SystemConfig(M, N1, N2, k)
 
 
-def per_trial_rate_slope(plan, rsc, seed=1, dist=ChannelDistribution(), draw=sample_channel):
+def per_trial_rate_slope(
+    plan, rsc, seed=1, dist=ChannelDistribution(), draw=sample_channel, skip=()
+):
     """(slope, mean_sum_rates, trials_used, discarded) of `rate_slope_estimate`,
     computed one trial and one SNR point at a time on 2-D matrices: the
     reference that rating trials in blocks must equal bit for bit.
-    `draw(cfg, dist, seed, index)` makes each channel."""
+    `draw(cfg, dist, seed, index)` makes each channel; the trials in `skip`
+    are discarded as if their rates were not finite."""
 
     def log2det(A):
         sign, logdet = np.linalg.slogdet(A)
@@ -258,7 +261,7 @@ def per_trial_rate_slope(plan, rsc, seed=1, dist=ChannelDistribution(), draw=sam
                 break
             except (ResampleRequiredError, FloatingPointError, np.linalg.LinAlgError):
                 rates = None
-        if rates is None or not np.all(np.isfinite(rates)):
+        if rates is None or i in skip or not np.all(np.isfinite(rates)):
             discarded += 1
             continue
         totals += np.asarray(rates)

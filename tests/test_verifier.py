@@ -417,7 +417,9 @@ def test_rate_sim_config_validation():
     with pytest.raises(InvalidConfigError):
         RateSimConfig(snr_db=(float("nan"), 60.0, 80.0))
     # 10^310 overflows a float, and 10^-330 underflows to 0: no linear power.
-    for snr_db in ((3080.0, 3100.0), (-3300.0, -3200.0), (np.float64(-3300.0), 0.0)):
+    # An int past the largest float has none either, and raises no OverflowError.
+    huge = ((10**400, 10**401), (40, 10**400))
+    for snr_db in ((3080.0, 3100.0), (-3300.0, -3200.0), (np.float64(-3300.0), 0.0)) + huge:
         with pytest.raises(InvalidConfigError, match="positive, finite linear power"):
             RateSimConfig(snr_db=snr_db)
     assert RateSimConfig(snr_db=(3000.0, 3080.0)).snr_db == (3000.0, 3080.0)
@@ -807,6 +809,70 @@ def test_singular_trial_redoes_its_block_per_trial(monkeypatch):
     assert (result.trials_used, result.discarded) == (19, 1)
     expected = per_trial_rate_slope(plan, rsc, seed=1, draw=planted)
     assert (result.slope, result.mean_sum_rates, result.trials_used, result.discarded) == expected
+
+
+def test_non_finite_rows_inside_a_block_are_discarded(monkeypatch):
+    # No natural draw reaches the finite mask of a block that does not raise:
+    # at 160-200 dB, (4,1,3,2) discards through a raising block instead.  So
+    # plant NaN and inf rates at chosen trials of its one 20-trial block.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    rsc = RateSimConfig(trials=20)
+    assert _block_size(plan) >= rsc.trials
+    stacks = []
+
+    def planting(values):
+        def receiver_rates(*args):
+            rates = _receiver_rates(*args)
+            stacks.append(len(rates))
+            for i, value in values.items():
+                rates[i, i % rates.shape[-1]] = value
+            return rates
+
+        return receiver_rates
+
+    planted = {0: np.nan, 7: np.inf, 13: -np.inf, 19: np.nan}
+    monkeypatch.setattr("dofbc.verifier._receiver_rates", planting(planted))
+    result = rate_slope_estimate(plan, rsc, seed=1)
+    assert stacks == [20, 20]  # one call per receiver: the block did not raise
+    assert (result.trials_used, result.discarded) == (16, 4)
+    expected = per_trial_rate_slope(plan, rsc, seed=1, skip=planted)
+    assert (result.slope, result.mean_sum_rates, result.trials_used, result.discarded) == expected
+    monkeypatch.setattr("dofbc.verifier._receiver_rates", planting(dict.fromkeys(range(20), np.inf)))
+    with pytest.raises(ResampleRequiredError, match="all Monte Carlo trials were discarded"):
+        rate_slope_estimate(plan, rsc, seed=1)
+
+
+# 40 trials of criterion 8's (4,1,3,2) and (5,2,3,0) and of the crafted plan
+# fill one block; (9,3,6,4) rates them in blocks of 18, 18 and 4.  The 2 or
+# 5 SNR points sit on the log-det stack's leading axis.
+@pytest.mark.parametrize("snr_db", [(40, 60), (40, 60, 80, 100, 120)], ids=len)
+@pytest.mark.parametrize(
+    "shape,blocks",
+    [
+        pytest.param(shape, blocks, id=str(shape))
+        for shape, blocks in (
+            ((4, 1, 3, 2), [40]),
+            ((5, 2, 3, 0), [40]),
+            ((9, 3, 6, 4), [18, 18, 4]),
+            ((6, 3, 3, 1), [40]),
+        )
+    ],
+)
+def test_rate_slope_equals_per_trial_loop_at_any_snr_count(monkeypatch, shape, blocks, snr_db):
+    plan = select_scheme(SystemConfig(*shape), allow_special_cases=True)
+    calls = []
+
+    def realize_counting(plan, channel):
+        calls.append(len(channel.H))
+        return realize_plan(plan, channel)
+
+    monkeypatch.setattr("dofbc.verifier.realize_plan", realize_counting)
+    rsc = RateSimConfig(snr_db=snr_db, trials=40)
+    result = rate_slope_estimate(plan, rsc, seed=1)
+    assert calls == blocks
+    expected = per_trial_rate_slope(plan, rsc, seed=1)
+    assert (result.slope, result.mean_sum_rates, result.trials_used, result.discarded) == expected
+    assert result.trials_used == 40
 
 
 # (4,1,3,2) mid-k: the RX2 streams cancel at RX1 row 0 with antenna 0, so a
