@@ -1,14 +1,16 @@
 /* Exact linear algebra over GF(P), P = 2^31 - 1 (gf.DEFAULT_PRIME): the
  * compiled twins of the numpy kernels in gf.py.  `gf_pivots` finds pivot
  * columns (gf._eliminate), `gf_ranks` ranks each member of a stack with it,
- * `gf_solve` solves stacked square systems (gf._solve) and `gf_matmul`
- * multiplies stacked matrices (gf._matmul).  Every matrix is C-ordered int64.
- * `gf_pivots`, `gf_ranks` and `gf_matmul` take entries in [0, P);
+ * `gf_solve` solves stacked square systems (gf._solve), `gf_matmul`
+ * multiplies stacked matrices (gf._matmul) and `gf_realize` fills a stack of
+ * observation matrices from a plan's realize program (the slot loop of
+ * verifier.realize_plan).  Every matrix is C-ordered int64.  `gf_pivots`,
+ * `gf_ranks`, `gf_matmul` and `gf_realize` take entries in [0, P);
  * `gf_solve` takes them anywhere in (-P, P), so an AP-ZF right-hand side may
- * arrive negated.  gf.py's entries (`_pivots`, `_ranks`, `_product` and
- * `_solve_in_place`) check that every array is C-ordered int64, and writable
- * where it is written; their callers keep the entries in range.  At the end,
- * `channel_draws` makes channel.py's seeded channel draws.
+ * arrive negated.  gf.py's entries (`_pivots`, `_ranks`, `_product`,
+ * `_solve_in_place` and `_realize`) check that every array is C-ordered
+ * int64, and writable where it is written; their callers keep the entries in
+ * range.  At the end, `channel_draws` makes channel.py's seeded channel draws.
  *
  * gf_pivots: `a` is a rows x cols matrix, eliminated in place.  `pivots` must
  * hold min(rows, cols) entries.  Returns the number of pivot columns written.
@@ -25,6 +27,7 @@
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define P INT64_C(2147483647) /* 2^31 - 1, gf.DEFAULT_PRIME */
 
@@ -204,6 +207,76 @@ void gf_matmul(const int64_t *restrict a, const int64_t *restrict b, int64_t *re
                 acc[j] %= (uint64_t)P;
         }
     }
+}
+
+/* gf_realize: the observation matrices of `count` channels under one plan,
+ * from the plan's realize program (schemes._realize_program).  `gains` holds
+ * each channel's (n1 + n2) x gcols matrix H [I_M | Z]: row r < n1 is RX1's
+ * row r, row n1 + r RX2's row r, and column c the received gain of the
+ * stream whose precoder is column c of [I_M | Z].  `a1` and `a2` hold each
+ * channel's rows1 x cols and rows2 x cols matrices, rows1 = T n1 and
+ * rows2 = T n2 for a T-slot plan: RX1's sample r of slot t is row t n1 + r of
+ * a1, and RX2's row t n2 + r of a2.  Both are zeroed, then filled.
+ *
+ * The program is int64 words.  First a count of gathers, then (slot, gain
+ * column, form column) per fresh or coupled stream: the stream's gains are
+ * added into its form column of every row of its slot.  Then a count of
+ * interference entries, in slot order, each (slot, gain column, n, the n
+ * owner's symbol columns, m, then (slot, rx, row, weight) per term, weight in
+ * [0, P)): the form is the weighted sum of the terms' samples on the owner's
+ * columns, and gain times form is added into those columns of every row of
+ * the slot.  The gathers run first, and a term names an earlier slot, so
+ * each form reads finished rows.  A gather adds rather than assigns, since
+ * a coupled stream may be sent twice in one slot.
+ *
+ * Every entry and weight lies in [0, P), so each product is below 2^62, and
+ * each sum is reduced into [0, P) before the next add: the sums stay below
+ * 2^62 + 2^31 and `reduce` maps a non-negative x into [0, P).  Returns 0, or
+ * -1 if the form row of cols entries cannot be allocated. */
+int64_t gf_realize(const int64_t *program, const int64_t *gains, int64_t count, int64_t n1,
+                   int64_t n2, int64_t gcols, int64_t *a1, int64_t rows1, int64_t *a2,
+                   int64_t rows2, int64_t cols)
+{
+    int64_t *form = malloc(sizeof *form * (size_t)(cols + 1));
+    if (form == NULL)
+        return -1;
+    memset(a1, 0, sizeof *a1 * (size_t)(count * rows1 * cols));
+    memset(a2, 0, sizeof *a2 * (size_t)(count * rows2 * cols));
+    const int64_t n[2] = {n1, n2};
+    for (int64_t s = 0; s < count; s++) {
+        const int64_t *g = gains + s * (n1 + n2) * gcols, *q = program;
+        int64_t *a[2] = {a1 + s * rows1 * cols, a2 + s * rows2 * cols};
+        for (int64_t e = *q++; e > 0; e--, q += 3)
+            for (int rx = 0; rx < 2; rx++) {
+                const int64_t *gain = g + (rx ? n1 : 0) * gcols + q[1];
+                int64_t *out = a[rx] + q[0] * n[rx] * cols + q[2];
+                for (int64_t r = 0; r < n[rx]; r++)
+                    out[r * cols] = reduce(out[r * cols] + gain[r * gcols]);
+            }
+        for (int64_t e = *q++; e > 0; e--) {
+            int64_t slot = q[0], column = q[1], width = q[2];
+            const int64_t *owned = q + 3, *term = owned + width + 1;
+            int64_t terms = owned[width];
+            q = term + 4 * terms;
+            for (int64_t i = 0; i < width; i++)
+                form[i] = 0;
+            for (; term < q; term += 4) {
+                const int64_t *row = a[term[1] - 1] + (term[0] * n[term[1] - 1] + term[2]) * cols;
+                for (int64_t i = 0; i < width; i++)
+                    form[i] = reduce(form[i] + term[3] * row[owned[i]]);
+            }
+            for (int rx = 0; rx < 2; rx++) {
+                const int64_t *gain = g + (rx ? n1 : 0) * gcols + column;
+                for (int64_t r = 0; r < n[rx]; r++) {
+                    int64_t x = gain[r * gcols], *out = a[rx] + (slot * n[rx] + r) * cols;
+                    for (int64_t i = 0; i < width; i++)
+                        out[owned[i]] = reduce(out[owned[i]] + x * form[i]);
+                }
+            }
+        }
+    }
+    free(form);
+    return 0;
 }
 
 /* channel_draws: numpy's channel draws, replayed bit for bit for channel.py.

@@ -31,9 +31,11 @@ The pivot columns and the solution of a nonsingular system are unique, so
 neither kernel's shortcuts can change a result.  `gf_particular_solution`
 takes `gf_pivots` of A, then `gf_solve` on A's pivot columns.
 
-Four private entries call the compiled kernels, from `_gfkernel.c`,
-whenever `_KERNEL` is loaded, and fall back to the numpy bodies
-`_eliminate`, `_solve` and `_matmul`, which are also the test oracles:
+Five private entries call the compiled kernels, from `_gfkernel.c`.  The
+first four do so whenever `_KERNEL` is loaded, and fall back to the numpy
+bodies `_eliminate`, `_solve` and `_matmul`, which are also the test
+oracles; the fifth runs only with the kernel, and `verifier.realize_plan`'s
+numpy slot loop is its fallback and oracle:
 
 * `_pivots(A)` eliminates a fresh, writable matrix with entries in [0, p)
   in place;
@@ -46,15 +48,19 @@ whenever `_KERNEL` is loaded, and fall back to the numpy bodies
   entries in [0, p), either of them read-only, into a fresh stack;
 * `_solve_in_place(aug)` solves a fresh, writable stack of augmented
   systems whose entries lie anywhere in (-p, p), so an AP-ZF right-hand
-  side may arrive negated.
+  side may arrive negated;
+* `_realize(program, gains, N1, A1, A2)` fills a fresh, writable stack of
+  each receiver's observation matrices from the gains H [I_M | Z], entries
+  in [0, p), by a plan's realize program (`PlanLayout.program`): every
+  slot of every draw in one call.
 
 They neither reduce nor copy their operands; each raises ValueError, before
 any kernel reads an array, unless the array is C-ordered int64 and writable
 where it is written.  They read a writable array's address through
 `ctypes.c_char.from_buffer`, about a third of the cost of `a.ctypes.data`,
 and only a read-only one (a channel's H) through `a.ctypes`.
-`verifier` calls `_ranks`, `_product` and `_solve_in_place` directly, and
-`precoding._solution` the solve.
+`verifier` calls `_ranks`, `_product`, `_solve_in_place` and `_realize`
+directly, and `precoding._solution` the solve.
 The public `gf_pivots` (and `gf_rank`), `gf_matmul` and `gf_solve` check
 their arguments and reduce them with `gf_array` into C-ordered copies, then
 call the same entries.  The kernel also exports
@@ -66,10 +72,10 @@ with `cc -O2 -ffp-contract=off -shared -fPIC` into
 source, the command and the machine type) and removes the kernels of other
 tags for the same machine type there; every later import loads that file
 through ctypes.  If there is no compiler, the directory is not writable, or
-the build or the load fails, `_KERNEL` is None, all four run in numpy
-and every channel draw calls `channel.trial_rng`; nothing is raised and no
-file is left behind.  The C file fixes the same prime as its `P`, so
-2^30 * 2 is 1 on both paths.
+the build or the load fails, `_KERNEL` is None, the first four run in numpy,
+`realize_plan` keeps its slot loop and every channel draw calls
+`channel.trial_rng`; nothing is raised and no file is left behind.  The C
+file fixes the same prime as its `P`, so 2^30 * 2 is 1 on both paths.
 
 Overflow in the compiled kernels:
 
@@ -90,6 +96,10 @@ Overflow in the compiled kernels:
   One remainder per entry reduces it at the end, so any inner dimension is
   exact; `_matmul`'s limbs, not the kernel, set the 2^16 limit that both
   paths enforce.
+* The realize keeps every entry in [0, p): gains, samples and the
+  program's weights (reduced mod p when the program is built) all lie
+  there, so each product is below 2^62, and each sum is reduced by the same
+  folding before the next add, so no sum reaches 2^62 + 2^31.
 """
 
 from __future__ import annotations
@@ -249,6 +259,8 @@ _SIGNATURES = {  # (argtypes, restype) of each function `_gfkernel.c` exports
     "gf_ranks": ((ctypes.c_void_p,) + (_INT64,) * 4 + (ctypes.POINTER(_INT64),), _INT64),
     "gf_solve": ((ctypes.c_void_p, _INT64, _INT64, _INT64), _INT64),
     "gf_matmul": ((ctypes.c_void_p,) * 3 + (_INT64,) * 4, None),
+    "gf_realize": ((ctypes.c_void_p,) * 2 + (_INT64,) * 4 + (ctypes.c_void_p, _INT64) * 2 + (_INT64,),
+                   _INT64),
     "channel_draws": ((ctypes.c_char_p, _INT64, ctypes.c_char_p) + (_INT64,) * 3
                       + (ctypes.c_double,) * 2 + (ctypes.c_void_p,), None),
 }
@@ -362,6 +374,27 @@ def _ranks(stack: np.ndarray, split: int) -> tuple[list[int], list[int]]:
     if _KERNEL.gf_ranks(_address(stack), count, rows, cols, split, out):
         raise MemoryError("no room for the pivots of a stacked rank")
     return out[:count], out[count:]
+
+
+def _realize(program, gains: np.ndarray, N1: int, A1: np.ndarray, A2: np.ndarray) -> None:
+    """Fill the C-ordered, writable int64 stacks A1 (..., T N1, cols) and A2
+    (..., T N2, cols) with a T-slot plan's observation matrices under the
+    gains H [I_M | Z], a C-ordered int64 stack (..., N1 + N2, columns) with
+    entries in [0, p), in one compiled call: `program` is the plan's realize
+    program (`PlanLayout.program`), a pointer that keeps its read-only int64
+    array alive.  The kernel must be loaded; without it `realize_plan`
+    keeps its numpy loop.  The program is trusted to fit the shapes: its
+    plan's structure admitted N1, N2 and k."""
+    _check(gains)
+    _check(A1, written=True)
+    _check(A2, written=True)
+    lead, (rows, columns), cols = gains.shape[:-2], gains.shape[-2:], A1.shape[-1]
+    T, N2 = A1.shape[-2] // N1 if 0 < N1 < rows else 0, rows - N1
+    if not (T and cols and A1.shape == lead + (T * N1, cols) and A2.shape == lead + (T * N2, cols)):
+        raise ValueError(f"cannot realize {A1.shape} and {A2.shape} from gains {gains.shape}")
+    if _KERNEL.gf_realize(program, _address(gains), math.prod(lead), N1, N2, columns, _address(A1),
+                          T * N1, _address(A2), T * N2, cols):
+        raise MemoryError("no room for the form row of a realize")
 
 
 def gf_rank(A: np.ndarray) -> int:

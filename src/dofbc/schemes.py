@@ -66,6 +66,7 @@ dropped from the table.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +79,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .errors import InvalidConfigError
+from .gf import DEFAULT_PRIME
 from .precoding import CHANNEL, CONSTANT, _system_index
 from .region import PlanShape, effective_config, plan_shape
 
@@ -266,6 +268,9 @@ class PlanLayout(NamedTuple):
     # `precoding._system_index` of its system), in Z's column order.
     template: np.ndarray
     systems: tuple
+    # The GF(p) slot loop as `gf._realize` runs it: a pointer to a read-only
+    # int64 array (`_realize_program`) that keeps the array alive.
+    program: ctypes.c_void_p
 
 
 @dataclass(frozen=True)
@@ -539,7 +544,8 @@ def _plan_layout(M: int, registry: SymbolRegistry, slots: tuple[Slot, ...]) -> P
     # Each distinct index list is stored once: slots of one phase differ in their forms only.
     segments: dict[tuple[int, ...], int] = {}
     per_slot, coupled = [], {}
-    for slot in slots:
+    gathers, entries = [], []  # the realize program's, by slot
+    for t, slot in enumerate(slots):
         columns, cancelled, rows, forms, aux_rows, aux_forms, terms = ([] for _ in range(7))
         for g in slot.groups:
             r, first = g.precoder, len(columns)
@@ -550,15 +556,18 @@ def _plan_layout(M: int, registry: SymbolRegistry, slots: tuple[Slot, ...]) -> P
                 if isinstance(payload, FreshPayload):
                     rows.append(j)
                     forms.append(index[payload.symbol])
+                    gathers.append((t, columns[j], forms[-1]))
                 elif isinstance(payload, InterferencePayload):
                     if payload.owner not in owned:
                         columns_of = np.array(registry.owned_columns(payload.owner), dtype=np.intp)
                         owned[payload.owner] = _readonly(columns_of)
                     terms.append((j, owned[payload.owner], payload.terms))
+                    entries.append((t, columns[j], registry.owned_columns(payload.owner), payload.terms))
                 else:
                     aux_rows.append(j)
                     aux_forms.append(S + payload.aux)
                     coupled[payload.aux] = payload.terms
+                    gathers.append((t, columns[j], aux_forms[-1]))
         sources, mixed = [columns[j] for j in rows], [t[0] for t in terms] + aux_rows
         fields = (columns, rows + aux_rows, forms + aux_forms, sources, mixed)
         ids = [segments.setdefault(tuple(f), len(segments)) for f in fields]
@@ -572,7 +581,24 @@ def _plan_layout(M: int, registry: SymbolRegistry, slots: tuple[Slot, ...]) -> P
             masks[cancelled] = _readonly(antenna >= np.array(cancelled, dtype=np.intp))
         slot_layouts.append(SlotLayout(*map(views.__getitem__, ids), terms, masks[cancelled]))
     coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
-    return PlanLayout(tuple(slot_layouts), coupled_terms, _readonly(template), tuple(systems))
+    return PlanLayout(tuple(slot_layouts), coupled_terms, _readonly(template), tuple(systems),
+                      _realize_program(gathers, entries))
+
+
+def _realize_program(gathers: list, entries: list) -> ctypes.c_void_p:
+    """The realize program of `gf_realize` in `_gfkernel.c`: the count of
+    `gathers` and their (slot, gain column, form column) words, then the
+    count of interference `entries` and, per entry (slot, gain column,
+    owner's symbol columns, terms), its slot, gain column, column count,
+    columns, term count and terms (slot, rx, row, weight mod p).  Returned
+    as a pointer that keeps the read-only int64 array alive, so its address
+    is read once per structure."""
+    words = [len(gathers), *chain.from_iterable(gathers), len(entries)]
+    for slot, column, owned, terms in entries:
+        words += (slot, column, len(owned), *owned, len(terms))
+        for ref in terms:
+            words += (ref.slot, ref.rx, ref.row, int(ref.weight) % DEFAULT_PRIME)
+    return _readonly(np.array(words, dtype=np.int64)).ctypes.data_as(ctypes.c_void_p)
 
 
 # The structure of each template plan by (shape, M, k) of its capped config,

@@ -28,10 +28,17 @@ once: a copy of the layout's [I_M | Z] template in H's dtype receives
 each target's solution, gathered from H by the layout's flat indices and
 solved by `precoding._solution`, the one AP-ZF solve (one compiled call on
 GF(p); checked LAPACK solves on a real channel).  On GF(p) one product
-H [I_M | Z] covers every column, a fresh stream's samples are a gather, and
-only interference and coupled streams need a product.  Every GF(p) product
-and solve goes through `gf._product` and `gf._solve_in_place`, on fresh
-C-ordered arrays already in range, so nothing is reduced or checked twice.
+H [I_M | Z] covers every column, and with the compiled kernel loaded one
+`gf._realize` call then fills every slot of every draw in a block, by the
+plan's realize program (`PlanLayout.program`): fresh and coupled streams
+are gathers of those gains, and each interference form is built from
+finished rows of earlier slots.  Without the kernel, and on a real
+channel, a numpy loop realizes slot by slot: a fresh stream's samples are
+a gather, and only interference and coupled streams need a product.  A
+coupled plan's fixed point is solved on either loop's output.  Every GF(p)
+product, solve and realize goes through `gf._product`,
+`gf._solve_in_place` and `gf._realize`, on fresh C-ordered arrays already
+in range, so nothing is reduced or checked twice.
 CSIT compliance compares the precoders `realize_plan` recorded under two of
 the certification's own channels.  Real channels serve only the rate
 slopes, realized at unit transmit power per slot.
@@ -75,7 +82,8 @@ import numpy as np
 
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError, as_integer
-from .gf import DEFAULT_PRIME, _product, _ranks, _solve_in_place, gf_array
+from . import gf
+from .gf import DEFAULT_PRIME, _product, _ranks, _realize, _solve_in_place, gf_array
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import _solution
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
@@ -219,16 +227,15 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
         raise InvalidConfigError(
             f"plan built for {cfg.shape} cannot run on channel {channel.cfg.shape}"
         )
-    p = channel.field
-    S = len(plan.registry.symbols)
-    ncols = S + plan.aux_count
+    p, layout = channel.field, plan.layout
+    S, aux = len(plan.registry.symbols), len(layout.coupled)
+    ncols = S + aux
     dtype = channel.H.dtype
     trials = channel.H.shape[:-2]
     columns = _precoder_columns(plan, channel)
     gains = channel.H
-    if p is not None and plan.layout.systems:  # H [I_M | Z] = [H | H Z], one product per channel
+    if p is not None and layout.systems:  # H [I_M | Z] = [H | H Z], one product per channel
         gains = _product(np.ascontiguousarray(channel.H), columns)
-    samples: list[tuple[np.ndarray, np.ndarray]] = []
 
     def combine(terms) -> np.ndarray:
         """Weighted sum of earlier received samples."""
@@ -237,37 +244,48 @@ def realize_plan(plan: TransmissionPlan, channel: ChannelRealization) -> Observa
             acc = _reduce(acc + _reduce(weight, p) * samples[slot][rx - 1][..., row, :], p)
         return acc
 
-    precoders = [columns.take(slot.columns, axis=-1) for slot in plan.layout.slots]
-    for slot, T_mat in zip(plan.layout.slots, precoders):
-        forms = np.zeros(trials + (len(slot.columns), ncols), dtype=dtype)
-        forms[..., slot.rows, slot.forms] = 1
-        for s_idx, owned, terms in slot.interference:
-            form = np.zeros(trials + (ncols,), dtype=dtype)
-            form[..., owned] = combine(terms)[..., owned]
-            if p is None:
-                # The same dot product as np.linalg.norm's, per trial.
-                norm = np.sqrt(form[..., None, :] @ form[..., :, None])[..., 0]
-                norm[~(norm > 0)] = 1.0  # as for one draw: divide by positive norms only
-                form = form / norm
-            forms[..., s_idx, :] = form
-        samples.append(_slot_samples(channel, T_mat, forms, slot, gains))
+    precoders = [columns.take(slot.columns, axis=-1) for slot in layout.slots]
+    if p is not None and gf._KERNEL is not None:  # the whole slot loop in one compiled call
+        N1, N2, T = channel.cfg.N1, channel.cfg.N2, len(layout.slots)
+        full = [np.empty(trials + (T * n, ncols), dtype=np.int64) for n in (N1, N2)]
+        _realize(layout.program, np.ascontiguousarray(gains), N1, *full)
+        if aux:  # each slot's rows, for the coupled streams' definitions
+            samples = [(full[0][..., t * N1 : (t + 1) * N1, :], full[1][..., t * N2 : (t + 1) * N2, :])
+                       for t in range(T)]
+    else:
+        samples = []
+        for slot, T_mat in zip(layout.slots, precoders):
+            forms = np.zeros(trials + (len(slot.columns), ncols), dtype=dtype)
+            forms[..., slot.rows, slot.forms] = 1
+            for s_idx, owned, terms in slot.interference:
+                form = np.zeros(trials + (ncols,), dtype=dtype)
+                form[..., owned] = combine(terms)[..., owned]
+                if p is None:
+                    # The same dot product as np.linalg.norm's, per trial.
+                    norm = np.sqrt(form[..., None, :] @ form[..., :, None])[..., 0]
+                    norm[~(norm > 0)] = 1.0  # as for one draw: divide by positive norms only
+                    form = form / norm
+                forms[..., s_idx, :] = form
+            samples.append(_slot_samples(channel, T_mat, forms, slot, gains))
+        full = [
+            parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+            for parts in ([slot_samples[rx] for slot_samples in samples] for rx in (0, 1))
+        ]
 
-    if plan.aux_count:
-        E = np.stack([combine(terms) for terms in plan.layout.coupled], axis=-2)
+    if aux:
+        E = np.stack([combine(terms) for terms in layout.coupled], axis=-2)
         phi = _fixed_point(E, S, p)
 
-    def stack(rx: int) -> np.ndarray:
-        parts = [slot_samples[rx - 1] for slot_samples in samples]
-        full = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
-        if plan.aux_count:
+    def stack(A: np.ndarray) -> np.ndarray:
+        if aux:
             if p is None:
-                coupled = full[..., S:] @ phi
+                coupled = A[..., S:] @ phi
             else:
-                coupled = _product(np.ascontiguousarray(full[..., S:]), np.ascontiguousarray(phi))
-            return _reduce(full[..., :S] + coupled, p)
-        return full[..., :S]
+                coupled = _product(np.ascontiguousarray(A[..., S:]), np.ascontiguousarray(phi))
+            return _reduce(A[..., :S] + coupled, p)
+        return A[..., :S]
 
-    return ObservationSystem(stack(1), stack(2), plan.registry, tuple(precoders))
+    return ObservationSystem(stack(full[0]), stack(full[1]), plan.registry, tuple(precoders))
 
 
 def decodability_check(system: ObservationSystem) -> DecodabilityReport:
@@ -507,8 +525,8 @@ def _linear_power(db) -> float:
     float, 0 below the smallest."""
     try:
         return 10 ** (float(db) / 10.0)
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # a result past the float range, or an int past it in either sign
+        return math.inf if db > 0 else 0.0
 
 
 @dataclass(frozen=True)

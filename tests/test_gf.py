@@ -695,6 +695,45 @@ def test_private_entries_reject_operands_the_kernels_cannot_take(monkeypatch, co
         gf._product(good, good)
 
 
+def test_realize_rejects_operands_the_kernel_cannot_take(monkeypatch):
+    # A plan's realize program reaches the kernel only with C-ordered int64
+    # gains and writable C-ordered int64 outputs of matching shapes; a
+    # kernel that finds no room for its form row raises MemoryError.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))  # T = 2 slots, N1 = 1, N2 = 3
+    program, columns = plan.layout.program, plan.layout.template.shape[1]
+    gains = np.ones((3, 4, columns), dtype=np.int64)
+    A1, A2 = np.zeros((3, 2, 7), dtype=np.int64), np.zeros((3, 6, 7), dtype=np.int64)
+    monkeypatch.setattr(gf, "_KERNEL", _Unreachable())
+    read_only = A1.copy()
+    read_only.setflags(write=False)
+    for bad in (read_only, np.asfortranarray(A1), np.zeros((3, 2, 14), dtype=np.int64)[..., ::2],
+                A1.astype(np.int32)):
+        assert bad.shape == A1.shape
+        with pytest.raises(ValueError, match="C-ordered int64"):
+            gf._realize(program, gains, 1, bad, A2)
+        with pytest.raises(ValueError, match="C-ordered int64"):
+            gf._realize(program, gains, 1, A2[:, :2], bad)
+    with pytest.raises(ValueError, match="C-ordered int64"):
+        gf._realize(program, np.asfortranarray(gains[0]), 1, A1[0], A2[0])
+
+    def zeros(*shape):
+        return np.zeros(shape, dtype=np.int64)
+
+    for args in ((gains, 2, A1, A2), (gains, 1, zeros(3, 1, 7), A2), (gains, 1, A1, zeros(3, 5, 7)),
+                 (gains[:2], 1, A1, A2), (gains, 1, zeros(3, 2, 6), A2), (gains, 1, A1[0], A2[0]),
+                 (gains, 0, A1, A2), (gains, 4, A1, A2)):
+        with pytest.raises(ValueError, match="^cannot realize"):
+            gf._realize(program, *args)
+
+    class NoRoom:
+        def gf_realize(self, *args):
+            return -1
+
+    monkeypatch.setattr(gf, "_KERNEL", NoRoom())
+    with pytest.raises(MemoryError):
+        gf._realize(program, gains, 1, A1, A2)
+
+
 def _kernel_names(directory):
     return sorted(path.name for path in directory.iterdir())
 

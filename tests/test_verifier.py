@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -436,6 +438,18 @@ def test_rate_sim_config_validation():
     assert RateSimConfig(trials=np.int64(3)).trials == 3
 
 
+def test_linear_power_of_an_int_past_the_float_range_keeps_its_sign():
+    # float(-10**400) raises OverflowError, as float(10**400) does; the sign
+    # still decides: no power below the smallest float, infinite past the largest.
+    assert verifier._linear_power(-(10**400)) == 0.0
+    assert verifier._linear_power(-1e308) == 0.0
+    assert verifier._linear_power(10**400) == math.inf
+    for snr_db in ((-(10**400), 40.0), (40.0, 10**400)):
+        message = r"^SNR points must have a positive, finite linear power$"
+        with pytest.raises(InvalidConfigError, match=message):
+            RateSimConfig(snr_db=snr_db)
+
+
 def test_achieved_dof_trial_count_validation():
     plan = select_scheme(SystemConfig(4, 1, 3, 2))
     for trials in (2.5, True, "3"):
@@ -582,6 +596,21 @@ HAND_BUILT_PLANS = (
 )
 
 
+# GF(p) realize paths: the compiled kernel's one call, if it is loaded, and
+# the numpy slot loop.
+KERNELS = ("compiled", "numpy") if gf._KERNEL is not None else ("numpy",)
+
+
+@contextlib.contextmanager
+def _kernel(kernel: str):
+    """Realize on GF(p) through the compiled kernel, or with it unloaded
+    through the numpy slot loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel == "numpy":
+            patch.setattr(gf, "_KERNEL", None)
+        yield
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     plan=st.one_of(
@@ -597,20 +626,22 @@ HAND_BUILT_PLANS = (
 @example(plan=select_scheme(SystemConfig(9, 3, 6, 4)), seed=2)
 @example(plan=select_scheme(SystemConfig(7, 5, 6, 2)), seed=2)  # rx2-baseline
 def test_layout_realizes_what_per_stream_loops_did(plan, seed):
+    # On GF(p), through the compiled realize and the numpy slot loop alike.
     stacked = np.stack([sample_channel(plan.cfg, seed=seed, index=25 * i).H for i in range(3)])
     channels = (
         field_channel(plan.cfg, seed),
         sample_channel(plan.cfg, seed=seed),
         ChannelRealization(plan.cfg, stacked),
     )
-    for channel in channels:
+    for channel, kernel in itertools.product(channels, KERNELS):
         try:
             want = reference_realize(plan, channel)
         except ResampleRequiredError:
-            with pytest.raises(ResampleRequiredError):
+            with pytest.raises(ResampleRequiredError), _kernel(kernel):
                 realize_plan(plan, channel)
             continue
-        system = realize_plan(plan, channel)
+        with _kernel(kernel):
+            system = realize_plan(plan, channel)
         _assert_bits_equal(system.A1, want[0])
         _assert_bits_equal(system.A2, want[1])
         assert len(system.precoders) == len(want[2]) == plan.T
@@ -634,22 +665,24 @@ def test_layout_realizes_what_per_stream_loops_did(plan, seed):
 def test_gf_trial_axis_equals_per_draw_realization(plan, seed, members):
     draws = [field_channel(plan.cfg, seed, index=25 * i) for i in range(members)]
     stacked = ChannelRealization(plan.cfg, np.stack([draw.H for draw in draws]))
-    alone = []
-    for draw in draws:
-        try:
-            alone.append(realize_plan(plan, draw))
-        except ResampleRequiredError:
-            alone.append(None)
-    if any(system is None for system in alone):
-        with pytest.raises(ResampleRequiredError):
-            realize_plan(plan, stacked)
-        return
-    system = realize_plan(plan, stacked)
-    for i, one in enumerate(alone):
-        assert np.array_equal(system.A1[i], one.A1) and np.array_equal(system.A2[i], one.A2)
-        assert len(system.precoders) == len(one.precoders) == plan.T
-        for T, T_one in zip(system.precoders, one.precoders):
-            assert np.array_equal(T[i], T_one)
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            alone = []
+            for draw in draws:
+                try:
+                    alone.append(realize_plan(plan, draw))
+                except ResampleRequiredError:
+                    alone.append(None)
+            if any(system is None for system in alone):
+                with pytest.raises(ResampleRequiredError):
+                    realize_plan(plan, stacked)
+                continue
+            system = realize_plan(plan, stacked)
+        for i, one in enumerate(alone):
+            assert np.array_equal(system.A1[i], one.A1) and np.array_equal(system.A2[i], one.A2)
+            assert len(system.precoders) == len(one.precoders) == plan.T
+            for T, T_one in zip(system.precoders, one.precoders):
+                assert np.array_equal(T[i], T_one)
 
 
 @st.composite
@@ -678,16 +711,44 @@ def test_selected_plans_certify_and_comply(cfg):
 @pytest.mark.parametrize("rx", [1, 2])
 def test_singular_apzf_block_resamples(rx):
     # (4,1,3,2) mid-k: RX1 streams cancel at RX2 rows 0-1 with antennas 0-1,
-    # RX2 streams at RX1 row 0 with antenna 0.  Make that block singular.
+    # RX2 streams at RX1 row 0 with antenna 0.  Make that block singular, in
+    # one draw alone and in the middle draw of a stack of three.
     plan = select_scheme(SystemConfig(4, 1, 3, 2))
-    H = field_channel(plan.cfg, seed=0).H.copy()
+    H = field_channel(plan.cfg, seed=0, index=[0, 25, 50]).H.copy()
     if rx == 1:
-        H[0, 0] = 0
+        H[1, 0, 0] = 0
     else:
-        H[2, :2] = 2 * H[1, :2] % DEFAULT_PRIME
-    channel = ChannelRealization(cfg=plan.cfg, H=H)
-    with pytest.raises(ResampleRequiredError):
-        realize_plan(plan, channel)
+        H[1, 2, :2] = 2 * H[1, 1, :2] % DEFAULT_PRIME
+    for draws, kernel in itertools.product((H[1], H), KERNELS):
+        channel = ChannelRealization(cfg=plan.cfg, H=draws.copy())
+        with pytest.raises(ResampleRequiredError), _kernel(kernel):
+            realize_plan(plan, channel)
+
+
+def test_compiled_realization_equals_the_numpy_slot_loop(monkeypatch):
+    # Every criterion-3 plan, every third criterion-4 config's plan, the
+    # crafted plan and the hand-built ones (weights -1, 3 and 2^40, a coupled
+    # stream sent twice in one slot, Z columns out of order), on a stack of
+    # three draws and on one 2-D draw: A1, A2 and the precoders of the one
+    # compiled call equal the numpy slot loop's bit for bit.
+    if gf._KERNEL is None:
+        pytest.skip("the compiled kernel is not loaded")
+    calls = []
+    monkeypatch.setattr(verifier, "_realize", lambda *args: calls.append(1) or gf._realize(*args))
+    plans = [select_scheme(cfg) for cfg in tight_regime_grid()]
+    plans += [select_scheme(cfg) for cfg in list(low_k_grid())[::3]]
+    plans += [build_scheme_6331(), *HAND_BUILT_PLANS]
+    for plan in plans:
+        for channel in (field_channel(plan.cfg, 1, index=[0, 25, 50]), field_channel(plan.cfg, 2)):
+            with _kernel("numpy"):
+                want = realize_plan(plan, channel)
+            got = realize_plan(plan, channel)
+            _assert_bits_equal(got.A1, want.A1)
+            _assert_bits_equal(got.A2, want.A2)
+            assert len(got.precoders) == len(want.precoders) == plan.T
+            for T_mat, T_want in zip(got.precoders, want.precoders):
+                _assert_bits_equal(T_mat, T_want)
+    assert len(calls) == 2 * len(plans)
 
 
 @settings(max_examples=200, deadline=None)
