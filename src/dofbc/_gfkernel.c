@@ -1,18 +1,23 @@
 /* Exact linear algebra over GF(P), P = 2^31 - 1 (gf.DEFAULT_PRIME): the
- * compiled twins of the numpy kernels in gf.py.  `gf_pivots` finds pivot
- * columns (gf._eliminate), `gf_ranks` ranks each member of a stack with it,
- * `gf_solve` solves stacked square systems (gf._solve), `gf_matmul`
- * multiplies stacked matrices (gf._matmul) and `gf_realize` fills a stack of
- * observation matrices from a plan's realize program (the slot loop of
- * verifier.realize_plan).  Every matrix is C-ordered int64.  `gf_pivots`,
- * `gf_ranks`, `gf_matmul` and `gf_realize` take entries in [0, P);
- * `gf_solve` takes them anywhere in (-P, P), so an AP-ZF right-hand side may
- * arrive negated.  gf.py's entries (`_pivots`, `_ranks`, `_product`,
- * `_solve_in_place` and `_realize`) check that every array is C-ordered
- * int64, and writable where it is written; their callers keep the entries in
- * range.  At the end, `channel_draws` makes channel.py's seeded channel draws.
+ * compiled twins of the numpy kernels in gf.py.  Five static routines work
+ * on one matrix each: `pivots` finds pivot columns (gf._eliminate),
+ * `rank_split` ranks a matrix and its leading columns with it, `solve` solves
+ * a square system (gf._solve), `matmul` multiplies a pair (gf._matmul) and
+ * `realize` fills one channel's observation matrices from a plan's realize
+ * program (the slot loop of verifier.realize_plan).  The exports
+ * `gf_pivots`, `gf_ranks`, `gf_solve`, `gf_matmul` and `gf_realize` are thin
+ * loops over them, and `gf_certify` runs them all on a block of channels
+ * under one plan: AP-ZF solves, gains, realize and both receivers' ranks
+ * (verifier.achieved_dof's block).  Every matrix is C-ordered int64.
+ * `gf_pivots`, `gf_ranks`, `gf_matmul`, `gf_realize` and `gf_certify` take
+ * entries in [0, P); `gf_solve` takes them anywhere in (-P, P), so an AP-ZF
+ * right-hand side may arrive negated.  gf.py's entries (`_pivots`, `_ranks`,
+ * `_product`, `_solve_in_place`, `_realize` and `_certify`) check that every
+ * array is C-ordered int64, and writable where it is written; their callers
+ * keep the entries in range.  At the end, `channel_draws` makes channel.py's
+ * seeded channel draws.
  *
- * gf_pivots: `a` is a rows x cols matrix, eliminated in place.  `pivots` must
+ * pivots: `a` is a rows x cols matrix, eliminated in place.  `found` must
  * hold min(rows, cols) entries.  Returns the number of pivot columns written.
  *
  * For each column, the first row at or below the pivot row with a nonzero
@@ -61,7 +66,7 @@ static int64_t invert(int64_t x)
     return u;
 }
 
-int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t *pivots)
+static int64_t pivots(int64_t *a, int64_t rows, int64_t cols, int64_t *found)
 {
     int64_t r = 0;
     for (int64_t c = 0; c < cols && r < rows; c++) {
@@ -89,39 +94,50 @@ int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t *pivots)
             for (int64_t j = c + 1; j < cols; j++)
                 row[j] = reduce(row[j] * pivot - factor * top[j]);
         }
-        pivots[r++] = c;
+        found[r++] = c;
     }
     return r;
 }
 
-/* gf_ranks: `stack` holds `count` rows x cols matrices, each eliminated in
- * place by gf_pivots, so each member is ranked exactly as it would be alone.
- * `out` must hold 2 count entries: out[s] is member s's rank and
- * out[count + s] its count of pivot columns left of `split`,
- * 0 <= split <= cols, which is the rank of its first `split` columns, since
- * gf_pivots eliminates left to right.  Returns 0, or -1 if the pivot buffer
- * of min(rows, cols) entries cannot be allocated. */
+int64_t gf_pivots(int64_t *a, int64_t rows, int64_t cols, int64_t *found)
+{
+    return pivots(a, rows, cols, found);
+}
+
+/* rank_split: the rank of the rows x cols matrix `a`, eliminated in place by
+ * `pivots` into `found`, which must hold min(rows, cols) entries; `*left`
+ * gets its count of pivot columns left of `split`, 0 <= split <= cols, which
+ * is the rank of its first `split` columns, since `pivots` eliminates left
+ * to right. */
+static int64_t rank_split(int64_t *a, int64_t rows, int64_t cols, int64_t split, int64_t *found,
+                          int64_t *left)
+{
+    int64_t rank = pivots(a, rows, cols, found), l = 0;
+    while (l < rank && found[l] < split)
+        l++;
+    *left = l;
+    return rank;
+}
+
+/* gf_ranks: `stack` holds `count` rows x cols matrices, each ranked alone by
+ * `rank_split`.  `out` must hold 2 count entries: out[s] is member s's rank
+ * and out[count + s] the rank of its first `split` columns.  Returns 0, or
+ * -1 if the pivot buffer of min(rows, cols) entries cannot be allocated. */
 int64_t gf_ranks(int64_t *stack, int64_t count, int64_t rows, int64_t cols, int64_t split, int64_t *out)
 {
-    int64_t *pivots = malloc(sizeof *pivots * (size_t)((rows < cols ? rows : cols) + 1));
-    if (pivots == NULL)
+    int64_t *found = malloc(sizeof *found * (size_t)((rows < cols ? rows : cols) + 1));
+    if (found == NULL)
         return -1;
-    for (int64_t s = 0; s < count; s++) {
-        int64_t rank = gf_pivots(stack + s * rows * cols, rows, cols, pivots), left = 0;
-        while (left < rank && pivots[left] < split)
-            left++;
-        out[s] = rank;
-        out[count + s] = left;
-    }
-    free(pivots);
+    for (int64_t s = 0; s < count; s++)
+        out[s] = rank_split(stack + s * rows * cols, rows, cols, split, found, out + count + s);
+    free(found);
     return 0;
 }
 
-/* gf_solve: `aug` holds `count` augmented systems [A | B], each n x width with
- * A square (width >= n), solved in place by Gauss-Jordan.  Returns the index
- * of the first singular member, whose system and those after it are left
- * partly eliminated, or -1; then each member's last width - n columns hold
- * its solution X of A X = B, in [0, P).
+/* solve: the augmented system [A | B] in `m`, n x width with A square
+ * (width >= n), solved in place by Gauss-Jordan.  Returns 1 if A is
+ * singular, leaving `m` partly eliminated, or 0; then the last width - n
+ * columns hold the solution X of A X = B, in [0, P).
  *
  * For each column c, the first row at or below c with a nonzero entry is
  * swapped up, scaled by the inverse of its pivot, and subtracted from every
@@ -129,110 +145,164 @@ int64_t gf_ranks(int64_t *stack, int64_t count, int64_t rows, int64_t cols, int6
  * stay there: `invert` takes a pivot of either sign, a scaled entry is a
  * product below P^2, and an updated one x - f y has |x| < P and
  * |f y| < P^2, so both are below 2P^2 < 2^63 and `reduce` applies.  An
- * entry is zero exactly when it is zero mod P, so the singular members are
- * those of gf._solve.  Left of column c the pivot row is zero, so updates start at
- * c + 1.  The solution of a nonsingular system is unique, so it is
+ * entry is zero exactly when it is zero mod P, so the singular systems are
+ * those of gf._solve.  Left of column c the pivot row is zero, so updates
+ * start at c + 1.  The solution of a nonsingular system is unique, so it is
  * gf._solve's. */
-int64_t gf_solve(int64_t *aug, int64_t count, int64_t n, int64_t width)
+static int solve(int64_t *m, int64_t n, int64_t width)
 {
-    for (int64_t s = 0; s < count; s++) {
-        int64_t *m = aug + s * n * width;
-        for (int64_t c = 0; c < n; c++) {
-            int64_t i = c;
-            while (i < n && m[i * width + c] == 0)
-                i++;
-            if (i == n)
-                return s;
-            int64_t *top = m + c * width;
-            if (i != c) {
-                int64_t *row = m + i * width;
-                for (int64_t j = c; j < width; j++) {
-                    int64_t t = top[j];
-                    top[j] = row[j];
-                    row[j] = t;
-                }
-            }
-            int64_t scale = invert(top[c]);
-            top[c] = 1;
-            for (int64_t j = c + 1; j < width; j++)
-                top[j] = reduce(top[j] * scale);
-            for (int64_t k = 0; k < n; k++) {
-                int64_t *row = m + k * width;
-                int64_t factor = row[c];
-                if (k == c || factor == 0)
-                    continue;
-                row[c] = 0;
-                for (int64_t j = c + 1; j < width; j++)
-                    row[j] = reduce(row[j] - factor * top[j]);
+    for (int64_t c = 0; c < n; c++) {
+        int64_t i = c;
+        while (i < n && m[i * width + c] == 0)
+            i++;
+        if (i == n)
+            return 1;
+        int64_t *top = m + c * width;
+        if (i != c) {
+            int64_t *row = m + i * width;
+            for (int64_t j = c; j < width; j++) {
+                int64_t t = top[j];
+                top[j] = row[j];
+                row[j] = t;
             }
         }
-        for (int64_t k = 0; k < n; k++)
-            for (int64_t j = n; j < width; j++)
-                if (m[k * width + j] < 0)
-                    m[k * width + j] += P;
+        int64_t scale = invert(top[c]);
+        top[c] = 1;
+        for (int64_t j = c + 1; j < width; j++)
+            top[j] = reduce(top[j] * scale);
+        for (int64_t k = 0; k < n; k++) {
+            int64_t *row = m + k * width;
+            int64_t factor = row[c];
+            if (k == c || factor == 0)
+                continue;
+            row[c] = 0;
+            for (int64_t j = c + 1; j < width; j++)
+                row[j] = reduce(row[j] - factor * top[j]);
+        }
     }
+    for (int64_t k = 0; k < n; k++)
+        for (int64_t j = n; j < width; j++)
+            if (m[k * width + j] < 0)
+                m[k * width + j] += P;
+    return 0;
+}
+
+/* gf_solve: `aug` holds `count` augmented systems, each n x width, solved in
+ * place by `solve`.  Returns the index of the first singular member, left
+ * partly eliminated with the members after it unsolved, or -1. */
+int64_t gf_solve(int64_t *aug, int64_t count, int64_t n, int64_t width)
+{
+    for (int64_t s = 0; s < count; s++)
+        if (solve(aug + s * n * width, n, width))
+            return s;
     return -1;
 }
 
-/* gf_matmul: out = a @ b mod P for `count` stacked pairs, a count x r x n,
- * b count x n x m and out count x r x m, none overlapping.  Each row of out
- * accumulates the products a[i, t] b[t, :] unreduced, as uint64: a product
- * is below 2^62, so a sum below 2^63 stays below 2^63 + 2^62 < 2^64 after
- * one more, and once it reaches 2^63 (its top bit) it drops by `fold`, the
- * largest multiple of P not above 2^63, which is 2^63 - 2, to below
- * 2^62 + 2.  The sum never wraps, keeps its residue, and one `%` by the
- * constant P per entry reduces it into [0, P).  Zero entries of a add
- * nothing and are skipped. */
+/* matmul: out = a @ b mod P, a r x n, b n x m and out r x m, none
+ * overlapping.  Each row of out accumulates the products a[i, t] b[t, :]
+ * unreduced, as uint64: a product is below 2^62, so a sum below 2^63 stays
+ * below 2^63 + 2^62 < 2^64 after one more, and once it reaches 2^63 (its top
+ * bit) it drops by `fold`, the largest multiple of P not above 2^63, which
+ * is 2^63 - 2, to below 2^62 + 2.  The sum never wraps, keeps its residue,
+ * and one `%` by the constant P per entry reduces it into [0, P).  Zero
+ * entries of a add nothing and are skipped. */
+static void matmul(const int64_t *restrict a, const int64_t *restrict b, int64_t *restrict out,
+                   int64_t r, int64_t n, int64_t m)
+{
+    const uint64_t fold = (UINT64_C(1) << 63) / (uint64_t)P * (uint64_t)P;
+    for (int64_t i = 0; i < r; i++) {
+        uint64_t *restrict acc = (uint64_t *)(out + i * m);
+        for (int64_t j = 0; j < m; j++)
+            acc[j] = 0;
+        for (int64_t t = 0; t < n; t++) {
+            uint64_t x = (uint64_t)a[i * n + t];
+            if (x == 0)
+                continue;
+            const int64_t *restrict row = b + t * m;
+            for (int64_t j = 0; j < m; j++) {
+                uint64_t sum = acc[j] + x * (uint64_t)row[j];
+                acc[j] = sum - (fold & (0 - (sum >> 63)));
+            }
+        }
+        for (int64_t j = 0; j < m; j++)
+            acc[j] %= (uint64_t)P;
+    }
+}
+
+/* gf_matmul: `matmul` of `count` stacked pairs, a count x r x n, b
+ * count x n x m and out count x r x m. */
 void gf_matmul(const int64_t *restrict a, const int64_t *restrict b, int64_t *restrict out,
                int64_t count, int64_t r, int64_t n, int64_t m)
 {
-    const uint64_t fold = (UINT64_C(1) << 63) / (uint64_t)P * (uint64_t)P;
-    for (int64_t s = 0; s < count; s++) {
-        const int64_t *as = a + s * r * n, *bs = b + s * n * m;
-        for (int64_t i = 0; i < r; i++) {
-            uint64_t *restrict acc = (uint64_t *)(out + (s * r + i) * m);
-            for (int64_t j = 0; j < m; j++)
-                acc[j] = 0;
-            for (int64_t t = 0; t < n; t++) {
-                uint64_t x = (uint64_t)as[i * n + t];
-                if (x == 0)
-                    continue;
-                const int64_t *restrict row = bs + t * m;
-                for (int64_t j = 0; j < m; j++) {
-                    uint64_t sum = acc[j] + x * (uint64_t)row[j];
-                    acc[j] = sum - (fold & (0 - (sum >> 63)));
-                }
+    for (int64_t s = 0; s < count; s++)
+        matmul(a + s * r * n, b + s * n * m, out + s * r * m, r, n, m);
+}
+
+/* realize: one channel's observation matrices under one plan, from the
+ * realize part of the plan's program (see gf_certify).  `g` is the channel's
+ * (n1 + n2) x gcols matrix H [I_M | Z]: row r < n1 is RX1's row r, row
+ * n1 + r RX2's row r, and column c the received gain of the stream whose
+ * precoder is column c of [I_M | Z].  `a1` and `a2` are the rows1 x cols
+ * and rows2 x cols matrices, rows1 = T n1 and rows2 = T n2 for a T-slot
+ * plan: RX1's sample r of slot t is row t n1 + r of a1, and RX2's row
+ * t n2 + r of a2.  Both are zeroed, then filled.  `form` holds cols entries.
+ *
+ * The realize part is int64 words.  First a count of gathers, then (slot,
+ * gain column, form column) per fresh or coupled stream: the stream's gains
+ * are added into its form column of every row of its slot.  Then a count of
+ * interference entries, in slot order, each (slot, gain column, n, the n
+ * owner's symbol columns, m, then (slot, rx, row, weight) per term, weight
+ * in [0, P)): the form is the weighted sum of the terms' samples on the
+ * owner's columns, and gain times form is added into those columns of every
+ * row of the slot.  The gathers run first, and a term names an earlier slot,
+ * so each form reads finished rows.  A gather adds rather than assigns,
+ * since a coupled stream may be sent twice in one slot.
+ *
+ * Every entry and weight lies in [0, P), so each product is below 2^62, and
+ * each sum is reduced into [0, P) before the next add: the sums stay below
+ * 2^62 + 2^31 and `reduce` maps a non-negative x into [0, P). */
+static void realize(const int64_t *q, const int64_t *g, int64_t n1, int64_t n2, int64_t gcols,
+                    int64_t *a1, int64_t rows1, int64_t *a2, int64_t rows2, int64_t cols,
+                    int64_t *form)
+{
+    memset(a1, 0, sizeof *a1 * (size_t)(rows1 * cols));
+    memset(a2, 0, sizeof *a2 * (size_t)(rows2 * cols));
+    const int64_t n[2] = {n1, n2};
+    int64_t *a[2] = {a1, a2};
+    for (int64_t e = *q++; e > 0; e--, q += 3)
+        for (int rx = 0; rx < 2; rx++) {
+            const int64_t *gain = g + (rx ? n1 : 0) * gcols + q[1];
+            int64_t *out = a[rx] + q[0] * n[rx] * cols + q[2];
+            for (int64_t r = 0; r < n[rx]; r++)
+                out[r * cols] = reduce(out[r * cols] + gain[r * gcols]);
+        }
+    for (int64_t e = *q++; e > 0; e--) {
+        int64_t slot = q[0], column = q[1], width = q[2];
+        const int64_t *owned = q + 3, *term = owned + width + 1;
+        int64_t terms = owned[width];
+        q = term + 4 * terms;
+        for (int64_t i = 0; i < width; i++)
+            form[i] = 0;
+        for (; term < q; term += 4) {
+            const int64_t *row = a[term[1] - 1] + (term[0] * n[term[1] - 1] + term[2]) * cols;
+            for (int64_t i = 0; i < width; i++)
+                form[i] = reduce(form[i] + term[3] * row[owned[i]]);
+        }
+        for (int rx = 0; rx < 2; rx++) {
+            const int64_t *gain = g + (rx ? n1 : 0) * gcols + column;
+            for (int64_t r = 0; r < n[rx]; r++) {
+                int64_t x = gain[r * gcols], *out = a[rx] + (slot * n[rx] + r) * cols;
+                for (int64_t i = 0; i < width; i++)
+                    out[owned[i]] = reduce(out[owned[i]] + x * form[i]);
             }
-            for (int64_t j = 0; j < m; j++)
-                acc[j] %= (uint64_t)P;
         }
     }
 }
 
-/* gf_realize: the observation matrices of `count` channels under one plan,
- * from the plan's realize program (schemes._realize_program).  `gains` holds
- * each channel's (n1 + n2) x gcols matrix H [I_M | Z]: row r < n1 is RX1's
- * row r, row n1 + r RX2's row r, and column c the received gain of the
- * stream whose precoder is column c of [I_M | Z].  `a1` and `a2` hold each
- * channel's rows1 x cols and rows2 x cols matrices, rows1 = T n1 and
- * rows2 = T n2 for a T-slot plan: RX1's sample r of slot t is row t n1 + r of
- * a1, and RX2's row t n2 + r of a2.  Both are zeroed, then filled.
- *
- * The program is int64 words.  First a count of gathers, then (slot, gain
- * column, form column) per fresh or coupled stream: the stream's gains are
- * added into its form column of every row of its slot.  Then a count of
- * interference entries, in slot order, each (slot, gain column, n, the n
- * owner's symbol columns, m, then (slot, rx, row, weight) per term, weight in
- * [0, P)): the form is the weighted sum of the terms' samples on the owner's
- * columns, and gain times form is added into those columns of every row of
- * the slot.  The gathers run first, and a term names an earlier slot, so
- * each form reads finished rows.  A gather adds rather than assigns, since
- * a coupled stream may be sent twice in one slot.
- *
- * Every entry and weight lies in [0, P), so each product is below 2^62, and
- * each sum is reduced into [0, P) before the next add: the sums stay below
- * 2^62 + 2^31 and `reduce` maps a non-negative x into [0, P).  Returns 0, or
- * -1 if the form row of cols entries cannot be allocated. */
+/* gf_realize: `realize` of `count` channels under one plan's program,
+ * gains count x (n1 + n2) x gcols, a1 count x rows1 x cols and a2
+ * count x rows2 x cols.  Returns 0, or -1 if the form row of cols entries
+ * cannot be allocated. */
 int64_t gf_realize(const int64_t *program, const int64_t *gains, int64_t count, int64_t n1,
                    int64_t n2, int64_t gcols, int64_t *a1, int64_t rows1, int64_t *a2,
                    int64_t rows2, int64_t cols)
@@ -240,43 +310,95 @@ int64_t gf_realize(const int64_t *program, const int64_t *gains, int64_t count, 
     int64_t *form = malloc(sizeof *form * (size_t)(cols + 1));
     if (form == NULL)
         return -1;
-    memset(a1, 0, sizeof *a1 * (size_t)(count * rows1 * cols));
-    memset(a2, 0, sizeof *a2 * (size_t)(count * rows2 * cols));
-    const int64_t n[2] = {n1, n2};
-    for (int64_t s = 0; s < count; s++) {
-        const int64_t *g = gains + s * (n1 + n2) * gcols, *q = program;
-        int64_t *a[2] = {a1 + s * rows1 * cols, a2 + s * rows2 * cols};
-        for (int64_t e = *q++; e > 0; e--, q += 3)
-            for (int rx = 0; rx < 2; rx++) {
-                const int64_t *gain = g + (rx ? n1 : 0) * gcols + q[1];
-                int64_t *out = a[rx] + q[0] * n[rx] * cols + q[2];
-                for (int64_t r = 0; r < n[rx]; r++)
-                    out[r * cols] = reduce(out[r * cols] + gain[r * gcols]);
-            }
-        for (int64_t e = *q++; e > 0; e--) {
-            int64_t slot = q[0], column = q[1], width = q[2];
-            const int64_t *owned = q + 3, *term = owned + width + 1;
-            int64_t terms = owned[width];
-            q = term + 4 * terms;
-            for (int64_t i = 0; i < width; i++)
-                form[i] = 0;
-            for (; term < q; term += 4) {
-                const int64_t *row = a[term[1] - 1] + (term[0] * n[term[1] - 1] + term[2]) * cols;
-                for (int64_t i = 0; i < width; i++)
-                    form[i] = reduce(form[i] + term[3] * row[owned[i]]);
-            }
-            for (int rx = 0; rx < 2; rx++) {
-                const int64_t *gain = g + (rx ? n1 : 0) * gcols + column;
-                for (int64_t r = 0; r < n[rx]; r++) {
-                    int64_t x = gain[r * gcols], *out = a[rx] + (slot * n[rx] + r) * cols;
-                    for (int64_t i = 0; i < width; i++)
-                        out[owned[i]] = reduce(out[owned[i]] + x * form[i]);
-                }
-            }
-        }
-    }
+    for (int64_t s = 0; s < count; s++)
+        realize(program + program[0], gains + s * (n1 + n2) * gcols, n1, n2, gcols,
+                a1 + s * rows1 * cols, rows1, a2 + s * rows2 * cols, rows2, cols, form);
     free(form);
     return 0;
+}
+
+/* gf_certify: achieved_dof's work on a block of `count` channels under one
+ * plan without coupled streams, by the plan's program
+ * (schemes._plan_program).  `h` holds each channel's (n1 + n2) x m matrix H,
+ * RX1's rows first.  For each channel s it writes [I_M | Z] into member s of
+ * `columns` (count x m x cols): the template's unit entries, then each
+ * AP-ZF target's k' x n solution X of A X = -B into rows 0..k'-1 of its Z
+ * columns, where [A | B] is gathered from the target receiver's rows of H
+ * (RX2's start at row n1) and B is negated as it is gathered.  For the
+ * first `ranked` channels it also forms the gains H [I_M | Z] (H itself
+ * for a plan without AP-ZF), realizes them, and writes each receiver's
+ * recovered-symbol count to recovered[2 s] (RX1) and recovered[2 s + 1]
+ * (RX2): the rank of its matrix gathered along its rank order
+ * [interference | desired], less the rank of the interference columns, or
+ * 0 without desired symbols.
+ *
+ * The program is int64 words: the offset of its realize part (see
+ * `realize`), T, S (the symbol count, which is the realize part's column
+ * count), and the largest k' (k' + n) of its systems (0 without AP-ZF);
+ * then the count of unit entries and their (row, column) pairs; then the
+ * count of AP-ZF systems and per system (rx, k', n, first Z column, then
+ * the k' x (k' + n) flat indices of [A | B] within one channel's rows of
+ * the receiver, row-major, m entries a row); then for RX1 and RX2 each the
+ * split, where the desired columns start, and the S columns of the rank
+ * order.  Solving, realizing and ranking use the routines of the exports
+ * above, so each member's results are those of gf_solve, gf_matmul,
+ * gf_realize and gf_ranks on it.
+ *
+ * H's entries lie in [0, P), so the gathered systems lie in (-P, P), as
+ * `solve` takes them.  Returns 0; 1 if some channel's AP-ZF block is
+ * singular, which stops the block with later channels unwritten; or -1 if
+ * the scratch buffer cannot be allocated. */
+int64_t gf_certify(const int64_t *program, const int64_t *h, int64_t count, int64_t n1, int64_t n2,
+                   int64_t m, int64_t *columns, int64_t cols, int64_t *recovered, int64_t ranked)
+{
+    const int64_t T = program[1], S = program[2], *units = program + 4;
+    const int64_t *systems = units + 1 + 2 * units[0], *orders = systems + 1;
+    for (int64_t e = systems[0]; e > 0; e--)
+        orders += 4 + orders[1] * (orders[1] + orders[2]);
+    const int64_t n[2] = {n1, n2}, rows = n1 + n2, tall = T * (n1 > n2 ? n1 : n2);
+    int64_t *aug = malloc(sizeof *aug * (size_t)(program[3] + rows * cols + T * rows * S + tall * S
+                                                 + S + (tall < S ? tall : S) + 1));
+    if (aug == NULL)
+        return -1;
+    int64_t *gains = aug + program[3], *a[2] = {gains + rows * cols, gains + rows * cols + T * n1 * S};
+    int64_t *stack = a[1] + T * n2 * S, *form = stack + tall * S, *found = form + S, status = 0;
+    for (int64_t s = 0; s < count && !status; s++) {
+        const int64_t *hs = h + s * rows * m, *q = systems + 1;
+        int64_t *z = columns + s * m * cols;
+        memset(z, 0, sizeof *z * (size_t)(m * cols));
+        for (int64_t u = 0; u < units[0]; u++)
+            z[units[1 + 2 * u] * cols + units[2 + 2 * u]] = 1;
+        for (int64_t e = systems[0]; e > 0 && !status; e--) {
+            const int64_t kp = q[1], width = kp + q[2], *index = q + 4;
+            const int64_t *hr = hs + (q[0] == 2 ? n1 * m : 0);
+            int64_t *x = z + q[3];
+            for (int64_t i = 0; i < kp * width; i++)
+                aug[i] = i % width < kp ? hr[index[i]] : -hr[index[i]];
+            status = solve(aug, kp, width);
+            for (int64_t i = 0; i < kp && !status; i++)
+                memcpy(x + i * cols, aug + i * width + kp, sizeof *x * (size_t)(width - kp));
+            q = index + kp * width;
+        }
+        if (status || s >= ranked)
+            continue;
+        if (systems[0])
+            matmul(hs, z, gains, rows, m, cols);
+        realize(program + program[0], systems[0] ? gains : hs, n1, n2, systems[0] ? cols : m, a[0],
+                T * n1, a[1], T * n2, S, form);
+        for (int rx = 0; rx < 2; rx++) {
+            const int64_t *order = orders + rx * (S + 1) + 1, split = order[-1], r = T * n[rx];
+            int64_t rank = 0, left = 0;
+            if (split < S) {
+                for (int64_t i = 0; i < r; i++)
+                    for (int64_t c = 0; c < S; c++)
+                        stack[i * S + c] = a[rx][i * S + order[c]];
+                rank = rank_split(stack, r, S, split, found, &left);
+            }
+            recovered[2 * s + rx] = rank - left;
+        }
+    }
+    free(aug);
+    return status;
 }
 
 /* channel_draws: numpy's channel draws, replayed bit for bit for channel.py.

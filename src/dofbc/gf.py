@@ -31,11 +31,12 @@ The pivot columns and the solution of a nonsingular system are unique, so
 neither kernel's shortcuts can change a result.  `gf_particular_solution`
 takes `gf_pivots` of A, then `gf_solve` on A's pivot columns.
 
-Five private entries call the compiled kernels, from `_gfkernel.c`.  The
+Six private entries call the compiled kernels, from `_gfkernel.c`.  The
 first four do so whenever `_KERNEL` is loaded, and fall back to the numpy
 bodies `_eliminate`, `_solve` and `_matmul`, which are also the test
-oracles; the fifth runs only with the kernel, and `verifier.realize_plan`'s
-numpy slot loop is its fallback and oracle:
+oracles; the last two run only with the kernel: `verifier.realize_plan`'s
+numpy slot loop is the fallback and oracle of the fifth, and
+`realize_plan` with `verifier._recovered` that of the sixth:
 
 * `_pivots(A)` eliminates a fresh, writable matrix with entries in [0, p)
   in place;
@@ -51,16 +52,26 @@ numpy slot loop is its fallback and oracle:
   side may arrive negated;
 * `_realize(program, gains, N1, A1, A2)` fills a fresh, writable stack of
   each receiver's observation matrices from the gains H [I_M | Z], entries
-  in [0, p), by a plan's realize program (`PlanLayout.program`): every
-  slot of every draw in one call.
+  in [0, p), by the realize part of a plan's program
+  (`PlanLayout.program`): every slot of every draw in one call;
+* `_certify(program, H, N1, columns, recovered)` certifies a stack of
+  channels H, entries in [0, p), under a plan without coupled streams in
+  one call: every AP-ZF solve into a fresh, writable stack of [I_M | Z],
+  the gains, the realize, and each receiver's rank along its rank order
+  for the first len(recovered) channels, whose recovered-symbol counts it
+  writes into the fresh, writable (ranked, 2) `recovered`.  It raises
+  ResampleRequiredError if any channel's AP-ZF block is singular.  The
+  kernel runs each step with the routine behind `_solve_in_place`,
+  `_product`, `_realize` and `_ranks`, so no step has a second body.
 
 They neither reduce nor copy their operands; each raises ValueError, before
 any kernel reads an array, unless the array is C-ordered int64 and writable
 where it is written.  They read a writable array's address through
 `ctypes.c_char.from_buffer`, about a third of the cost of `a.ctypes.data`,
-and only a read-only one (a channel's H) through `a.ctypes`.
-`verifier` calls `_ranks`, `_product`, `_solve_in_place` and `_realize`
-directly, and `precoding._solution` the solve.
+and only a read-only one (a channel's H, read once per `_certify` call)
+through `a.ctypes`.  `verifier` calls `_ranks`, `_product`,
+`_solve_in_place`, `_realize` and `_certify` directly, and
+`precoding._solution` the solve.
 The public `gf_pivots` (and `gf_rank`), `gf_matmul` and `gf_solve` check
 their arguments and reduce them with `gf_array` into C-ordered copies, then
 call the same entries.  The kernel also exports
@@ -73,9 +84,10 @@ source, the command and the machine type) and removes the kernels of other
 tags for the same machine type there; every later import loads that file
 through ctypes.  If there is no compiler, the directory is not writable, or
 the build or the load fails, `_KERNEL` is None, the first four run in numpy,
-`realize_plan` keeps its slot loop and every channel draw calls
-`channel.trial_rng`; nothing is raised and no file is left behind.  The C
-file fixes the same prime as its `P`, so 2^30 * 2 is 1 on both paths.
+`realize_plan` keeps its slot loop, `achieved_dof` realizes and ranks
+each block, and every channel draw calls `channel.trial_rng`; nothing is
+raised and no file is left behind.  The C file fixes the same prime as its
+`P`, so 2^30 * 2 is 1 on both paths.
 
 Overflow in the compiled kernels:
 
@@ -100,6 +112,9 @@ Overflow in the compiled kernels:
   program's weights (reduced mod p when the program is built) all lie
   there, so each product is below 2^62, and each sum is reduced by the same
   folding before the next add, so no sum reaches 2^62 + 2^31.
+* The certification gathers each AP-ZF system from H, entries in [0, p),
+  negating the right-hand side into (-p, 0], which the solve takes; its
+  solutions, products, samples and ranks are those of the entries above.
 """
 
 from __future__ import annotations
@@ -261,6 +276,7 @@ _SIGNATURES = {  # (argtypes, restype) of each function `_gfkernel.c` exports
     "gf_matmul": ((ctypes.c_void_p,) * 3 + (_INT64,) * 4, None),
     "gf_realize": ((ctypes.c_void_p,) * 2 + (_INT64,) * 4 + (ctypes.c_void_p, _INT64) * 2 + (_INT64,),
                    _INT64),
+    "gf_certify": ((ctypes.c_void_p,) * 2 + (_INT64,) * 4 + (ctypes.c_void_p, _INT64) * 2, _INT64),
     "channel_draws": ((ctypes.c_char_p, _INT64, ctypes.c_char_p) + (_INT64,) * 3
                       + (ctypes.c_double,) * 2 + (ctypes.c_void_p,), None),
 }
@@ -395,6 +411,34 @@ def _realize(program, gains: np.ndarray, N1: int, A1: np.ndarray, A2: np.ndarray
     if _KERNEL.gf_realize(program, _address(gains), math.prod(lead), N1, N2, columns, _address(A1),
                           T * N1, _address(A2), T * N2, cols):
         raise MemoryError("no room for the form row of a realize")
+
+
+def _certify(program, H: np.ndarray, N1: int, columns: np.ndarray, recovered: np.ndarray) -> None:
+    """Certify a stack of channels under a plan without coupled streams in
+    one compiled call, by the plan's program (`PlanLayout.program`): H is a
+    C-ordered int64 stack (..., N1 + N2, M) with entries in [0, p), which
+    may be read-only.  Each channel's [I_M | Z] goes into the C-ordered,
+    writable int64 stack `columns` (..., M, columns), and for the first
+    `ranked` channels, `recovered` being (ranked, 2), the RX1 and RX2
+    recovered-symbol counts go into its rows, as `verifier._recovered`
+    counts them on `realize_plan`'s matrices.  The kernel must be loaded;
+    without it `achieved_dof` realizes and ranks.  The program is trusted
+    to fit the shapes: its plan's structure admitted N1, N2 and k.  Raises
+    ResampleRequiredError if any channel's AP-ZF block is singular."""
+    _check(H)
+    _check(columns, written=True)
+    _check(recovered, written=True)
+    lead, (rows, M) = H.shape[:-2], H.shape[-2:]
+    count = math.prod(lead)
+    if not (0 < N1 < rows and columns.shape[:-1] == lead + (M,) and columns.shape[-1] >= M
+            and recovered.ndim == 2 and recovered.shape[1] == 2 and 0 < len(recovered) <= count):
+        raise ValueError(f"cannot certify {columns.shape} and {recovered.shape} from channels {H.shape}")
+    status = _KERNEL.gf_certify(program, _address(H), count, N1, rows - N1, M, _address(columns),
+                                columns.shape[-1], _address(recovered), len(recovered))
+    if status < 0:
+        raise MemoryError("no room for the scratch rows of a certification")
+    if status:
+        raise ResampleRequiredError("singular AP-ZF block over GF(p)")
 
 
 def gf_rank(A: np.ndarray) -> int:

@@ -268,8 +268,10 @@ class PlanLayout(NamedTuple):
     # `precoding._system_index` of its system), in Z's column order.
     template: np.ndarray
     systems: tuple
-    # The GF(p) slot loop as `gf._realize` runs it: a pointer to a read-only
-    # int64 array (`_realize_program`) that keeps the array alive.
+    # The GF(p) certification as `gf._certify` runs it, AP-ZF solves, slot
+    # loop and rank orders, whose slot loop `gf._realize` runs alone: a
+    # pointer to a read-only int64 array (`_plan_program`) that keeps the
+    # array alive.
     program: ctypes.c_void_p
 
 
@@ -582,18 +584,32 @@ def _plan_layout(M: int, registry: SymbolRegistry, slots: tuple[Slot, ...]) -> P
         slot_layouts.append(SlotLayout(*map(views.__getitem__, ids), terms, masks[cancelled]))
     coupled_terms = tuple(coupled[aux] for aux in range(len(coupled)))
     return PlanLayout(tuple(slot_layouts), coupled_terms, _readonly(template), tuple(systems),
-                      _realize_program(gathers, entries))
+                      _plan_program(registry, len(slots), template, systems, gathers, entries))
 
 
-def _realize_program(gathers: list, entries: list) -> ctypes.c_void_p:
-    """The realize program of `gf_realize` in `_gfkernel.c`: the count of
+def _plan_program(registry: SymbolRegistry, T: int, template: np.ndarray, systems: list,
+                  gathers: list, entries: list) -> ctypes.c_void_p:
+    """The program of `gf_certify` and `gf_realize` in `_gfkernel.c`: the
+    offset of its realize part, T, S and the largest system's cell count;
+    the count of the template's unit entries and their (row, column) pairs;
+    the count of AP-ZF `systems` and per system its receiver, k', sending
+    antenna count, first Z column and flat `_system_index` entries; each
+    receiver's split and rank order; then the realize part: the count of
     `gathers` and their (slot, gain column, form column) words, then the
     count of interference `entries` and, per entry (slot, gain column,
     owner's symbol columns, terms), its slot, gain column, column count,
     columns, term count and terms (slot, rx, row, weight mod p).  Returned
     as a pointer that keeps the read-only int64 array alive, so its address
     is read once per structure."""
-    words = [len(gathers), *chain.from_iterable(gathers), len(entries)]
+    units = np.argwhere(template)
+    words = [0, T, len(registry.symbols), max((index.size for *_, index in systems), default=0),
+             len(units), *units.ravel().tolist(), len(systems)]
+    for rx, kp, span, index in systems:
+        words += (rx, kp, index.shape[1] - kp, span.start, *index.ravel().tolist())
+    for order, split in registry._rank_orders:
+        words += (split, *order.tolist())
+    words[0] = len(words)
+    words += [len(gathers), *chain.from_iterable(gathers), len(entries)]
     for slot, column, owned, terms in entries:
         words += (slot, column, len(owned), *owned, len(terms))
         for ref in terms:

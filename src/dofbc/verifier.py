@@ -39,8 +39,15 @@ coupled plan's fixed point is solved on either loop's output.  Every GF(p)
 product, solve and realize goes through `gf._product`,
 `gf._solve_in_place` and `gf._realize`, on fresh C-ordered arrays already
 in range, so nothing is reduced or checked twice.
-CSIT compliance compares the precoders `realize_plan` recorded under two of
-the certification's own channels.  Real channels serve only the rate
+`achieved_dof` realizes nothing itself when the kernel is loaded and the
+plan has no coupled streams: one `gf._certify` call per block of draws
+solves every AP-ZF target into [I_M | Z], forms the gains, realizes and
+ranks both receivers, by the plan's program, whose systems, unit entries
+and rank orders are those of the layout.  `realize_plan` and `_recovered`
+are that call's fallback and oracle, and stay the path of coupled plans.
+CSIT compliance compares the precoders of two of the certification's own
+channels: those `realize_plan` recorded, or those taken from the [I_M | Z]
+columns of just the two draws it reads.  Real channels serve only the rate
 slopes, realized at unit transmit power per slot.
 Monte Carlo rate slopes use the standard real-Gaussian log-det rate with the
 other user's columns treated as noise; the high-SNR slope against
@@ -59,9 +66,10 @@ one-draw stacks with that loop's resamples.
 Trials are independent, so every result equals one of evaluating each
 trial alone: GF(p) arithmetic is exact, and every float numpy call on the
 stack rounds each trial as it would alone, so the slopes are bit-identical
-too.  Certification ranks a block with one compiled call per receiver with
-desired symbols (`gf._ranks`), on the block's matrices gathered along the
-receiver's rank order, each member ranked as it would be alone.  Only the
+too.  Certification ranks a block in its `gf._certify` call, or else with one
+compiled call per receiver with desired symbols (`gf._ranks`) on the
+block's matrices gathered along the receiver's rank order; either way each
+member is ranked as it would be alone.  Only the
 first failing trial gets a `DecodabilityReport`.  The rate slopes rate a
 block in one pass too: each receiver's noise and signal covariances, at
 every SNR point and for every trial, take one `slogdet` call each; one
@@ -83,7 +91,7 @@ import numpy as np
 from .channel import ChannelDistribution, ChannelRealization, field_channel, sample_channel
 from .errors import InvalidConfigError, ResampleRequiredError, as_integer
 from . import gf
-from .gf import DEFAULT_PRIME, _product, _ranks, _realize, _solve_in_place, gf_array
+from .gf import DEFAULT_PRIME, _certify, _product, _ranks, _realize, _solve_in_place, gf_array
 from .gf import gf_rank  # noqa: F401  (kept here: perfbench traces dofbc.verifier.gf_rank)
 from .precoding import _solution
 from .schemes import SlotLayout, SymbolRegistry, TransmissionPlan
@@ -406,29 +414,47 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     run precodes trial 1's first draw (index 25) for it, without ranking it,
     and a singular draw there raises ResampleRequiredError.
 
-    Trials are realized in blocks sized by the plan's cells (see the module
-    docstring): one `realize_plan` call on a stack of the block's first
-    draws, with index 25 added to a one-trial run's block.  If a draw of the
-    block is singular, each of its trials is realized and resampled alone,
-    so `dof`, `failures`, `resamples` and compliance equal those of
-    realizing each trial alone.  Each receiver ranks a block's trials in one
-    call (`_recovered`).
+    Trials are certified in blocks sized by the plan's cells (see the
+    module docstring), on a stack of the block's first draws, with index 25
+    added to a one-trial run's block.  With the kernel loaded and no
+    coupled streams, a block is one `gf._certify` call, and per-slot
+    precoders are taken only for the draws compliance reads; otherwise it
+    is one `realize_plan` call, whose trials each receiver ranks in one call
+    (`_recovered`).  If a draw of the block is singular, each of its trials
+    is redone and resampled alone, so `dof`, `failures`, `resamples` and
+    compliance equal those of realizing each trial alone.
     """
     _check_trials(trials)
     desired = _desired(plan.registry)
+    layout = plan.layout
+    compiled = gf._KERNEL is not None and not layout.coupled
 
     def draw(index) -> ChannelRealization:
         return field_channel(plan.cfg, seed, index=index)
 
-    def realize(channel: ChannelRealization) -> list[tuple[tuple[int, int] | None, tuple, int]]:
-        """(recovered, precoders, j) per draw of the stacked `channel`: its
+    def evaluate(channel: ChannelRealization) -> list[tuple[tuple[int, int] | None, object, int]]:
+        """(recovered, precode, j) per draw j of the stacked `channel`: its
         recovered-symbol counts, None past `trials` (a one-trial run's
-        compliance draw), and its precoders T[j] for T in `precoders`.  The
-        observation matrices are not kept once ranked."""
-        system = realize_plan(plan, channel)
-        ranked = _recovered(system.A1[:trials], system.A2[:trials], plan.registry)
-        ranked += [None] * (len(system.A1) - len(ranked))
-        return [(recovered, system.precoders, j) for j, recovered in enumerate(ranked)]
+        compliance draw), and `precode(j)` gives its per-slot precoders.
+        The observation matrices are not kept once ranked."""
+        if compiled:  # one `gf._certify` call; only the precoders read are taken
+            H = np.ascontiguousarray(channel.H)
+            columns = np.empty(H.shape[:-2] + layout.template.shape, dtype=np.int64)
+            counts = np.empty((min(trials, len(H)), 2), dtype=np.int64)
+            _certify(layout.program, H, plan.cfg.N1, columns, counts)
+            ranked = list(map(tuple, counts.tolist()))
+
+            def precode(j: int) -> tuple:
+                return tuple(columns[j].take(slot.columns, axis=-1) for slot in layout.slots)
+        else:
+            system = realize_plan(plan, channel)
+            ranked = _recovered(system.A1[:trials], system.A2[:trials], plan.registry)
+            stacked = system.precoders
+
+            def precode(j: int) -> tuple:
+                return tuple(T[j] for T in stacked)
+        ranked += [None] * (len(channel.H) - len(ranked))
+        return [(recovered, precode, j) for j, recovered in enumerate(ranked)]
 
     failures = []
     first_failure = None
@@ -436,25 +462,25 @@ def achieved_dof(plan: TransmissionPlan, trials: int = 50, seed: int = 1) -> Cer
     resamples = 0
     extra = (_MAX_RESAMPLE,) if trials == 1 else ()
     i = 0
-    for block, attempts in _trial_results(plan, trials, draw, realize, ResampleRequiredError, extra):
+    for block, attempts in _trial_results(plan, trials, draw, evaluate, ResampleRequiredError, extra):
         resamples += sum(attempts)
         for drawn in block:
             if i == trials:  # the compliance draw of a one-trial run, not ranked
                 if drawn is None:  # its block raised: precode it alone, raising if singular
                     precoders.append(_precoder_matrices(plan, draw(_MAX_RESAMPLE)))
                 else:
-                    _, stacked, j = drawn
-                    precoders.append(tuple(T[j] for T in stacked))
+                    _, precode, j = drawn
+                    precoders.append(precode(j))
                 break
             if drawn is None:
                 raise ResampleRequiredError(f"resampling exhausted on trial {i}")
-            recovered, stacked, j = drawn
+            recovered, precode, j = drawn
             if recovered != desired:
                 if not failures:
                     first_failure = _report(plan.registry, recovered)
                 failures.append(i)
             if i < 2:
-                precoders.append(tuple(T[j] for T in stacked))
+                precoders.append(precode(j))
             i += 1
     return CertificationResult(
         trials=trials,

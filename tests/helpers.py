@@ -27,6 +27,7 @@ from dofbc.schemes import (
 )
 from dofbc.verifier import (
     CertificationResult,
+    _certify,
     _precoder_columns,
     _precoder_matrices,
     csit_compliance,
@@ -81,12 +82,27 @@ def leaky_precoder_columns(plan, channel):
     """`verifier._precoder_columns` that sneaks a channel entry onto
     (uninformed) antenna 2 of every AP-ZF column, whose coefficients stay
     labelled constant; the compliance check must flag it.  On a stack of
-    draws, each draw leaks its own entry.  Patch it over
+    draws, each draw leaks its own entry.  `leak_precoders` patches it over
     `dofbc.verifier._precoder_columns`, which builds every precoder that
     realizing a plan, or precoding a compliance draw, reads."""
     columns = _precoder_columns(plan, channel)
     columns[..., 2, plan.cfg.M :] = channel.H[..., 0, :1]
     return columns
+
+
+def leaky_certify(program, H, N1, columns, recovered):
+    """`verifier._certify` that leaks as `leaky_precoder_columns` does into
+    the [I_M | Z] columns it writes, from which `achieved_dof` takes the
+    precoders of a certified block."""
+    _certify(program, H, N1, columns, recovered)
+    columns[..., 2, H.shape[-1] :] = H[..., 0, :1]
+
+
+def leak_precoders(monkeypatch) -> None:
+    """Make every precoder that certification reads leak a channel entry
+    onto antenna 2, on the compiled block path and on `realize_plan`'s."""
+    monkeypatch.setattr("dofbc.verifier._precoder_columns", leaky_precoder_columns)
+    monkeypatch.setattr("dofbc.verifier._certify", leaky_certify)
 
 
 def planted_draws(draw, hit, plant):

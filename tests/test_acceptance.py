@@ -30,7 +30,7 @@ from dofbc.verifier import (
 
 from .helpers import (
     adversarial_plan,
-    leaky_precoder_columns,
+    leak_precoders,
     low_k_grid,
     stream_gains,
     tight_regime_grid,
@@ -165,7 +165,7 @@ def test_criterion_7_csit_compliance(monkeypatch):
     ]
     for plan in built_ins:
         assert achieved_dof(plan, trials=2).compliance.compliant, plan.scheme_id
-    monkeypatch.setattr("dofbc.verifier._precoder_columns", leaky_precoder_columns)
+    leak_precoders(monkeypatch)
     flagged = achieved_dof(adversarial_plan(), trials=2).compliance
     assert any(v.antenna == 2 and "varies" in v.reason for v in flagged.violations)
     elapsed = time.monotonic() - start

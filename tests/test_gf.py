@@ -23,7 +23,13 @@ from dofbc.gf import (
 from dofbc.schemes import select_scheme
 from dofbc.verifier import achieved_dof
 
-from .helpers import adversarial_plan, low_k_grid, overloaded_rx2_plan, tight_regime_grid
+from .helpers import (
+    adversarial_plan,
+    low_k_grid,
+    overloaded_rx2_plan,
+    per_trial_certification,
+    tight_regime_grid,
+)
 from .oracles import rref_oracle
 
 P = DEFAULT_PRIME
@@ -285,7 +291,8 @@ def test_pivots_reject_arrays_that_are_not_matrices():
 
 @compiled
 def test_compiled_pivots_equal_numpy_on_a_certification(monkeypatch):
-    # Every member that certifying the largest criterion-3 plan ranks.
+    # Every member that certifying the largest criterion-3 plan ranks, trial
+    # by trial through `realize_plan` and `decodability_check`.
     seen = []
 
     def recording(stack, split):
@@ -293,7 +300,7 @@ def test_compiled_pivots_equal_numpy_on_a_certification(monkeypatch):
         return gf._ranks(stack, split)
 
     monkeypatch.setattr(verifier, "_ranks", recording)
-    assert achieved_dof(select_scheme(SystemConfig(10, 1, 9, 1)), trials=50, seed=1).ok
+    assert per_trial_certification(select_scheme(SystemConfig(10, 1, 9, 1)), trials=50, seed=1).ok
     assert len(seen) == 100
     for A, split in seen:
         pivots = _oracle_pivots(A)
@@ -562,8 +569,8 @@ def test_matmul_and_solve_reject_mismatched_shapes_on_both_paths():
 @pytest.mark.parametrize("shape,special", [((10, 1, 9, 1), False), ((6, 3, 3, 1), True)])
 def test_compiled_solves_and_products_equal_numpy_on_a_certification(monkeypatch, shape, special):
     # Every AP-ZF solve, product and (for the crafted plan) coupled
-    # fixed-point solve that certifying the plan runs, through the private
-    # entries that realizing calls.
+    # fixed-point solve that certifying the plan trial by trial runs,
+    # through the private entries that `realize_plan` calls.
     seen = []
 
     def recording(module, name):
@@ -579,7 +586,7 @@ def test_compiled_solves_and_products_equal_numpy_on_a_certification(monkeypatch
                          (verifier, "_product")):
         recording(module, name)
     plan = select_scheme(SystemConfig(*shape), allow_special_cases=special)
-    assert achieved_dof(plan, trials=50, seed=1).ok
+    assert per_trial_certification(plan, trials=50, seed=1).ok
     callers = {caller for caller, *_ in seen}
     assert {"dofbc.verifier._product", "dofbc.precoding._solve_in_place"} <= callers
     assert ("dofbc.verifier._solve_in_place" in callers) == special  # the coupled fixed point
@@ -732,6 +739,70 @@ def test_realize_rejects_operands_the_kernel_cannot_take(monkeypatch):
     monkeypatch.setattr(gf, "_KERNEL", NoRoom())
     with pytest.raises(MemoryError):
         gf._realize(program, gains, 1, A1, A2)
+
+
+def test_certify_rejects_operands_the_kernel_cannot_take(monkeypatch):
+    # A plan's program reaches the kernel only with a C-ordered int64 stack
+    # of channels, which may be read-only, and writable C-ordered int64
+    # outputs of matching shapes; a kernel that finds no room for its
+    # scratch rows raises MemoryError, and a singular AP-ZF block
+    # ResampleRequiredError.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))  # N1 = 1, N2 = 3, M = 4
+    program, template = plan.layout.program, plan.layout.template.shape
+    H = np.ones((3, 4, 4), dtype=np.int64)
+    H.setflags(write=False)
+    columns = np.zeros((3, *template), dtype=np.int64)
+    recovered = np.zeros((2, 2), dtype=np.int64)
+    monkeypatch.setattr(gf, "_KERNEL", _Unreachable())
+    with pytest.raises(AssertionError, match="gf_certify was reached"):
+        gf._certify(program, H, 1, columns, recovered)
+
+    def bad_layouts(a):
+        """`a` as a read-only, a Fortran-ordered, a strided and an int32
+        array of its shape."""
+        read_only = a.copy()
+        read_only.setflags(write=False)
+        strided = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.int64)[..., ::2]
+        return read_only, np.asfortranarray(a), strided, a.astype(np.int32)
+
+    for bad in bad_layouts(columns):
+        assert bad.shape == columns.shape
+        with pytest.raises(ValueError, match="C-ordered int64"):
+            gf._certify(program, H, 1, bad, recovered)
+    for bad in bad_layouts(recovered):
+        assert bad.shape == recovered.shape
+        with pytest.raises(ValueError, match="C-ordered int64"):
+            gf._certify(program, H, 1, columns, bad)
+    for bad in bad_layouts(np.ones((3, 4, 4), dtype=np.int64))[1:]:
+        with pytest.raises(ValueError, match="C-ordered int64"):
+            gf._certify(program, bad, 1, columns, recovered)
+
+    def zeros(*shape):
+        return np.zeros(shape, dtype=np.int64)
+
+    for args in ((H, 0, columns, recovered), (H, 4, columns, recovered),
+                 (H, 1, columns[:2], recovered), (H[:2], 1, columns, recovered),
+                 (H, 1, zeros(3, 5, template[1]), recovered), (H, 1, zeros(3, 4, 3), recovered),
+                 (H, 1, columns, zeros(4, 2)), (H, 1, columns, zeros(0, 2)), (H, 1, columns, zeros(2, 3)),
+                 (H, 1, columns, zeros(4)), (H[0], 1, columns, zeros(1, 2))):
+        with pytest.raises(ValueError, match="^cannot certify"):
+            gf._certify(program, *args)
+
+    class Returning:
+        def __init__(self, status):
+            self.status = status
+
+        def gf_certify(self, *args):
+            return self.status
+
+    monkeypatch.setattr(gf, "_KERNEL", Returning(-1))
+    with pytest.raises(MemoryError):
+        gf._certify(program, H, 1, columns, recovered)
+    monkeypatch.setattr(gf, "_KERNEL", Returning(1))
+    with pytest.raises(ResampleRequiredError):
+        gf._certify(program, H, 1, columns, recovered)
+    monkeypatch.setattr(gf, "_KERNEL", Returning(0))
+    gf._certify(program, H[0], 1, columns[0], recovered[:1])  # one 2-D channel
 
 
 def _kernel_names(directory):

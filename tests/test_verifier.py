@@ -42,7 +42,7 @@ from . import helpers
 from .helpers import (
     Stream,
     adversarial_plan,
-    leaky_precoder_columns,
+    leak_precoders,
     low_k_grid,
     overloaded_rx2_plan,
     per_trial_certification,
@@ -122,19 +122,32 @@ def test_receiver_without_desired_symbols_needs_no_elimination(monkeypatch, shap
     "shape,trials,blocks", [((4, 1, 3, 2), 1, [1]), ((4, 1, 3, 2), 2, [2]), ((9, 3, 6, 4), 40, [18, 18, 4])]
 )
 def test_each_receiver_ranks_only_the_certified_trials(monkeypatch, shape, trials, blocks):
-    # A one-trial run realizes its compliance draw in the same block but
-    # never ranks it; longer runs rank each block's trials in one call per
-    # receiver, the last block partial.
+    # A one-trial run draws its compliance draw in the same block but never
+    # ranks it; longer runs rank each block's trials, the last block
+    # partial: in one `_certify` call for both receivers, or without the
+    # kernel in one `_ranks` call per receiver.
     plan = select_scheme(SystemConfig(*shape))
-    ranked = []
+    ranked, certified = [], []
 
     def counting_ranks(stack, split):
         ranked.append(len(stack))
         return gf._ranks(stack, split)
 
+    def counting_certify(program, H, N1, columns, recovered):
+        certified.append((len(H), len(recovered)))
+        return gf._certify(program, H, N1, columns, recovered)
+
     monkeypatch.setattr("dofbc.verifier._ranks", counting_ranks)
-    assert achieved_dof(plan, trials=trials, seed=1).ok
-    assert ranked == [size for size in blocks for _rx in (1, 2)]
+    monkeypatch.setattr("dofbc.verifier._certify", counting_certify)
+    for kernel in KERNELS:
+        ranked.clear()
+        certified.clear()
+        with _kernel(kernel):
+            assert achieved_dof(plan, trials=trials, seed=1).ok
+        if kernel == "compiled":
+            assert ranked == [] and certified == [(size + (trials == 1), size) for size in blocks]
+        else:
+            assert certified == [] and ranked == [size for size in blocks for _rx in (1, 2)]
 
 
 def test_decodability_rejects_real_channels():
@@ -297,24 +310,38 @@ def test_compliance_built_in_plans():
 
 @pytest.mark.parametrize("trials,resample_first", [(1, False), (2, False), (1, True), (2, True)])
 def test_compliance_flags_adversarial_plan(monkeypatch, trials, resample_first):
-    assert achieved_dof(adversarial_plan(), trials=trials).compliance.compliant
-    monkeypatch.setattr("dofbc.verifier._precoder_columns", leaky_precoder_columns)
+    # On the compiled block path and on `realize_plan`'s alike.
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            assert achieved_dof(adversarial_plan(), trials=trials).compliance.compliant
+    leak_precoders(monkeypatch)
     if resample_first:
         # Trial 0 is then accepted on draw 1; the second channel compliance
         # reads must be another draw, or a channel would be compared with itself.
         # Draw index 0 is refused alone and in any stack that holds it.
         first = field_channel(adversarial_plan().cfg, seed=1, index=0).H
+        leaky_certify = verifier._certify
+
+        def refuse_first(H):
+            if (H == first).all(axis=(-2, -1)).any():
+                raise ResampleRequiredError("forced")
 
         def realize_after_one_resample(plan, channel):
-            if (channel.H == first).all(axis=(-2, -1)).any():
-                raise ResampleRequiredError("forced")
+            refuse_first(channel.H)
             return realize_plan(plan, channel)
 
+        def certify_after_one_resample(program, H, *args):
+            refuse_first(H)
+            return leaky_certify(program, H, *args)
+
         monkeypatch.setattr("dofbc.verifier.realize_plan", realize_after_one_resample)
-    result = achieved_dof(adversarial_plan(), trials=trials)
-    assert result.resamples == resample_first
-    assert not result.compliance.compliant
-    assert any(v.antenna == 2 and "varies" in v.reason for v in result.compliance.violations)
+        monkeypatch.setattr("dofbc.verifier._certify", certify_after_one_resample)
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            result = achieved_dof(adversarial_plan(), trials=trials)
+        assert result.resamples == resample_first
+        assert not result.compliance.compliant
+        assert any(v.antenna == 2 and "varies" in v.reason for v in result.compliance.violations)
 
 
 def _cut_precoders(case, precoders):
@@ -611,6 +638,16 @@ def _kernel(kernel: str):
         yield
 
 
+def _certify_counting(draws):
+    """`gf._certify` that appends each call's draw count to `draws`."""
+
+    def wrapped(program, H, *args):
+        draws.append(len(H))
+        return gf._certify(program, H, *args)
+
+    return wrapped
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     plan=st.one_of(
@@ -751,6 +788,65 @@ def test_compiled_realization_equals_the_numpy_slot_loop(monkeypatch):
     assert len(calls) == 2 * len(plans)
 
 
+def test_compiled_certification_equals_the_realize_and_rank_path(monkeypatch):
+    # Every criterion-3 plan and every third criterion-4 config's plan at 1,
+    # 2 and 50 trials, the hand-built plans without coupled streams, the
+    # overloaded plan that fails every trial, and a singular AP-ZF block
+    # planted in the middle draw of a 3-draw block: `achieved_dof` through
+    # one `gf._certify` call per block, realizing nothing, equals it with the
+    # kernel unloaded (`realize_plan` and `_recovered`) and the per-trial
+    # loop, field for field.  Coupled plans keep `realize_plan`.
+    if gf._KERNEL is None:
+        pytest.skip("the compiled kernel is not loaded")
+    certified, realized = [], []
+
+    def realize_counting(plan, channel):
+        realized.append(len(channel.H))
+        return realize_plan(plan, channel)
+
+    monkeypatch.setattr(verifier, "_certify", _certify_counting(certified))
+    monkeypatch.setattr(verifier, "realize_plan", realize_counting)
+
+    def certified_alike(plan, trials, draw=field_channel):
+        certified.clear()
+        realized.clear()
+        got = achieved_dof(plan, trials=trials, seed=1)
+        assert realized == []
+        with _kernel("numpy"):
+            assert achieved_dof(plan, trials=trials, seed=1) == got
+        assert per_trial_certification(plan, trials, seed=1, draw=draw) == got
+        return got
+
+    plans = [select_scheme(cfg) for cfg in tight_regime_grid()]
+    plans += [select_scheme(cfg) for cfg in list(low_k_grid())[::3]]
+    plans += [weighted_retransmission_plan(), helpers.overlapping_groups_plan(), adversarial_plan()]
+    for plan, trials in itertools.product(plans, (1, 2, 50)):
+        result = certified_alike(plan, trials)
+        assert result.ok or plan.scheme_id == "adversarial", (plan.cfg.shape, trials)
+        size = _block_size(plan)
+        blocks = [min(size, trials - start) + (trials == 1) for start in range(0, trials, size)]
+        assert certified == blocks, (plan.cfg.shape, trials)
+    for trials in (1, 2, 50):
+        result = certified_alike(overloaded_rx2_plan(), trials)
+        assert result.failures == tuple(range(trials)) and result.first_failure_report is not None
+    # Zero RX1's cancelling entry, or make two RX2 rows of the block
+    # dependent, on draw 25 only: the block of draws 0, 25 and 50 raises,
+    # and trial 1 resamples on its own.
+    plan = select_scheme(SystemConfig(4, 1, 3, 2))
+    for plant in (_zero_h00, _dependent_rx2_rows):
+        planted = planted_draws(field_channel, lambda index: index == 25, plant)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verifier, "field_channel", planted)
+            result = certified_alike(plan, 3, draw=planted)
+        assert result.ok and result.resamples == 1
+        assert certified == [3, 1, 1, 1, 1]
+    for plan in (build_scheme_6331(), repeated_coupled_plan()):
+        certified.clear()
+        realized.clear()
+        assert achieved_dof(plan, trials=2, seed=1) == per_trial_certification(plan, 2, seed=1)
+        assert certified == [] and realized == [2]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.integers(0, 6),
@@ -833,6 +929,10 @@ def _zero_rx2_block(H):
 
 def _zero_h00(H):
     H[0, 0] = 0
+
+
+def _dependent_rx2_rows(H):
+    H[2, :2] = 2 * H[1, :2] % DEFAULT_PRIME
 
 
 def test_singular_trial_redoes_its_block_per_trial(monkeypatch):
@@ -963,15 +1063,19 @@ def test_singular_draw_redoes_its_certification_block_per_trial(
 
     monkeypatch.setattr("dofbc.verifier.field_channel", planted_channel)
     monkeypatch.setattr("dofbc.verifier.realize_plan", realize_counting)
-    if want is None:
-        with pytest.raises(ResampleRequiredError):
-            achieved_dof(plan, trials=trials, seed=1)
-    else:
-        assert achieved_dof(plan, trials=trials, seed=1) == want
-        assert want.resamples == resamples
-    # One stack of the block (index 25 added to a one-trial run's), then one
-    # draw per trial and per resample.
-    assert draws == [trials + (trials == 1)] + [1] * (trials + resamples)
+    monkeypatch.setattr("dofbc.verifier._certify", _certify_counting(draws))
+    for kernel in KERNELS:
+        draws.clear()
+        with _kernel(kernel):
+            if want is None:
+                with pytest.raises(ResampleRequiredError):
+                    achieved_dof(plan, trials=trials, seed=1)
+            else:
+                assert achieved_dof(plan, trials=trials, seed=1) == want
+                assert want.resamples == resamples
+        # One stack of the block (index 25 added to a one-trial run's), then
+        # one draw per trial and per resample, realized or certified.
+        assert draws == [trials + (trials == 1)] + [1] * (trials + resamples)
 
 
 def _planted_zero(H):
@@ -989,6 +1093,19 @@ def _raising_on_planted(fn, draws=None):
         if (channel.H == 0).all(axis=(-2, -1)).any():
             raise ResampleRequiredError("planted singular draw")
         return fn(plan, channel)
+
+    return wrapped
+
+
+def _certify_raising_on_planted(draws):
+    """`gf._certify` that raises as `_raising_on_planted` does, also for a
+    plan without AP-ZF, and counts its draws into `draws`."""
+
+    def wrapped(program, H, *args):
+        draws.append(len(H))
+        if (H == 0).all(axis=(-2, -1)).any():
+            raise ResampleRequiredError("planted singular draw")
+        return gf._certify(program, H, *args)
 
     return wrapped
 
@@ -1033,6 +1150,7 @@ def test_redone_blocks_equal_per_trial_loops(plan, seed, run):
     with pytest.MonkeyPatch.context() as patch:
         draws = []
         patch.setattr("dofbc.verifier.realize_plan", _raising_on_planted(realize_plan, draws))
+        patch.setattr("dofbc.verifier._certify", _certify_raising_on_planted(draws))
         patch.setattr("dofbc.verifier._precoder_matrices", _raising_on_planted(_precoder_matrices))
         patch.setattr("dofbc.verifier.sample_channel", real)
         patch.setattr("dofbc.verifier.field_channel", field)
@@ -1061,7 +1179,8 @@ def test_redone_blocks_equal_per_trial_loops(plan, seed, run):
 
 # The rate-slope configs (criterion 8 and (9,3,6,4)) and the crafted plan.
 # A block that raises is redone trial by trial; no run here pays that, so
-# each rate slope and certification realizes each of its blocks once.  If
+# each rate slope realizes, and each certification realizes or certifies,
+# each of its blocks once.  If
 # raising blocks become common, this flags it before the redo cost goes
 # unmeasured.
 @pytest.mark.parametrize(
@@ -1081,6 +1200,7 @@ def test_no_trial_block_raises_on_the_rate_slope_configs(monkeypatch, plan):
         return realize_plan(plan, channel)
 
     monkeypatch.setattr("dofbc.verifier.realize_plan", realize_counting)
+    monkeypatch.setattr("dofbc.verifier._certify", _certify_counting(calls))
     size = _block_size(plan)
     blocks = [min(size, 100 - start) for start in range(0, 100, size)]
     for seed in (1, 2):
